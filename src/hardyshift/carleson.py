@@ -118,6 +118,24 @@ class RadialDensity:
         return float(val)
 
 
+def _zero_crossings(vals: np.ndarray) -> np.ndarray:
+    """Mask of exact zeros whose nearest nonzero neighbours differ in sign.
+
+    A grid point landing exactly on a root is a cut itself.  Zeros from
+    underflow (s^e for large e and small s) sit in a run with no sign
+    change across it, or with no nonzero value on one side, and are not.
+    """
+    nonzero = np.flatnonzero(vals != 0.0)
+    zeros = np.flatnonzero(vals == 0.0)
+    pos = np.searchsorted(nonzero, zeros)
+    inside = (pos > 0) & (pos < len(nonzero))
+    out = np.zeros(len(vals), dtype=bool)
+    left = vals[nonzero[pos[inside] - 1]]
+    right = vals[nonzero[pos[inside]]]
+    out[zeros[inside]] = (left < 0.0) != (right < 0.0)
+    return out
+
+
 class SeriesGapDensity(RadialDensity):
     """Density |G(r^2)| (1-r)^gap_power for a sparse radial series G.
 
@@ -154,9 +172,7 @@ class SeriesGapDensity(RadialDensity):
             return ()
         s_grid = self._root_scan_grid()
         vals = self.series.eval(s_grid)
-        # grid points landing exactly on a root are cuts themselves; an
-        # extra cut at a non-root is harmless
-        root_ss = [float(s) for s, v in zip(s_grid, vals) if v == 0.0 and 0.0 < s]
+        root_ss = [float(s) for s in s_grid[_zero_crossings(vals) & (s_grid > 0.0)]]
 
         def f(s: float) -> float:
             return float(self.series.eval(s))

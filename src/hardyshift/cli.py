@@ -183,8 +183,8 @@ def _cmd_verify(args) -> int:
         reports["curvature_match"] = verify_theorem_conditions(config, args.epsilon)
 
     rows = []
-    conditions = [c for rep in reports.values() for c in rep.conditions]
-    conditions.extend(_coisometry_rows(config, args.seed))
+    coisometry = _coisometry_rows(config, args.seed)
+    conditions = [c for rep in reports.values() for c in rep.conditions] + coisometry
     for cond in conditions:
         rows.append([cond.condition, cond.threshold, cond.measured,
                      cond.argmax_r, cond.passed])
@@ -200,7 +200,7 @@ def _cmd_verify(args) -> int:
         "passed": all_passed,
         "seed": args.seed,
         "reports": {name: r.to_dict() for name, r in reports.items()},
-        "coisometry": [c.to_dict() for c in _coisometry_rows(config, args.seed)],
+        "coisometry": [c.to_dict() for c in coisometry],
     })
     _write_manifest(out, "verify", {
         "config": config.to_dict(), "epsilon": args.epsilon, "seed": args.seed,

@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .carleson import (
     RadialDensity,
@@ -554,7 +553,7 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float,
         lambda r: np.abs(ratio_log_laplacian(f, r)) * (1.0 - r) ** 2, grid)
 
     # numerator of Delta log f; its sign roots split the mass integral
-    dp = f.d_ds()
+    dp = f.derivative
     numerator = f.multiply(f.laplacian()).add(dp.multiply(dp).shift(1).scale(-1.0))
     cuts = SeriesGapDensity(numerator, 0).sign_roots
     peak_hints = [math.sqrt(m / (m + 1.0)) for sp in w.spikes

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -162,6 +163,11 @@ class RadialSeries:
         e = self.exponents[keep]
         c = self.coeffs[keep] * e.astype(np.float64)
         return RadialSeries(e - 1, c)
+
+    @cached_property
+    def derivative(self) -> "RadialSeries":
+        """d_ds(), built on first use and kept with the series."""
+        return self.d_ds()
 
     def laplacian(self) -> "RadialSeries":
         """Normalized Laplacian of G(|z|^2): G' + s G'', i.e. s^e -> e^2 s^{e-1}."""

@@ -19,7 +19,7 @@ from hardyshift import (
     window_quotient,
 )
 from hardyshift.carleson import TWO_PI, CarlesonWindow, SeriesGapDensity
-from hardyshift.series import edge_bump
+from hardyshift.series import RadialSeries, edge_bump
 
 
 def binomial_expansion_integral(m: int, p: int) -> Fraction:
@@ -135,6 +135,26 @@ def test_sign_roots_of_bump_laplacian():
         roots = SeriesGapDensity(lap, 1).sign_roots
         assert len(roots) == 1
         assert roots[0] == pytest.approx(n / (n + 1.0), rel=1e-12)
+
+
+def test_sign_roots_ignore_underflowed_zeros():
+    # for large n the scan values s^{n-1} (n^2 - (n+1)^2 s) underflow to
+    # exactly 0 over the inner part of the grid; those zeros are not roots
+    for n, mass in ((2248, 0.0007561360409534594),
+                    (20000, 8.502872112730622e-05),
+                    (172510, 9.858337829718418e-06)):
+        d = SeriesGapDensity(edge_bump(n).laplacian(), 1)
+        assert len(d.sign_roots) == 1
+        assert d.sign_roots[0] == pytest.approx(n / (n + 1.0), rel=1e-12)
+        # the same bits as when every underflowed zero was also a cut
+        assert radial_carleson_norm(d) == mass
+
+
+def test_sign_roots_keep_grid_points_on_a_root():
+    # s - 1/2 vanishes exactly on the scan grid point s = 1/2
+    d = SeriesGapDensity(RadialSeries.from_terms([(0, -0.5), (1, 1.0)]), 0)
+    assert 0.5 in d._root_scan_grid()
+    assert d.sign_roots == (math.sqrt(0.5),)
 
 
 def test_split_integration_handles_the_sign_change():

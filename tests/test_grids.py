@@ -1,0 +1,182 @@
+"""Grid suprema and sign-change brackets."""
+
+import numpy as np
+import pytest
+
+from hardyshift.construction import _bump_grid, lemma_bounds
+from hardyshift.grids import boundary_refined_grid, refined_supremum, sign_change_brackets
+from hardyshift.series import edge_bump
+
+
+def _bump_fns(n: int):
+    lap = edge_bump(n).laplacian()
+    grad = edge_bump(n).grad_sq()
+    return (lambda r: np.abs(lap.eval(r * r)) * (1.0 - r) ** 2,
+            lambda r: np.abs(grad.eval(r * r)) * (1.0 - r) ** 2)
+
+
+class CountingFn:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, r):
+        self.calls += 1
+        return self.fn(r)
+
+
+# ---------------------------------------------------------------------- #
+# refined_supremum
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_refined_supremum_never_below_grid_maximum(seed):
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(1.0, 40.0, size=3)
+    phases = rng.uniform(0.0, 2 * np.pi, size=3)
+
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        return np.sum(np.sin(freqs[:, None] * r[None, :] + phases[:, None]), axis=0)
+
+    grid = np.sort(rng.uniform(0.0, 1.0, size=50))
+    r_star, value = refined_supremum(fn, grid)
+    assert value >= np.max(fn(grid))
+    assert grid[0] <= r_star <= grid[-1]
+    assert value == fn(np.array([r_star]))[0]
+
+
+@pytest.mark.parametrize("n", [3, 34, 910, 2250])
+def test_refined_supremum_reaches_dense_grid_maximum(n):
+    dense = np.linspace(0.0, 1.0, 2_000_001)[:-1]
+    for fn in _bump_fns(n):
+        _, value = refined_supremum(fn, _bump_grid(n))
+        dense_max = max(float(np.max(fn(chunk))) for chunk in np.array_split(dense, 8))
+        assert value >= dense_max - 1e-12
+
+
+# sup_laplacian and sup_grad_sq of lemma_bounds as computed by the earlier
+# per-bracket scalar polish (scipy minimize_scalar, xatol 1e-13)
+SCALAR_POLISH_VALUES = {
+    1: (1.0, 0.029944361507758227),
+    3: (0.07873240261500201, 0.002879521992491334),
+    34: (0.004502551043498621, 2.08333459707263e-05),
+    117: (0.0012684762361943594, 1.7483847599321684e-06),
+    910: (0.00016128216355749923, 2.883599673810272e-08),
+    2250: (6.516569610294687e-05, 4.715904556593118e-09),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SCALAR_POLISH_VALUES))
+def test_lemma_suprema_match_scalar_polish(n):
+    sup_lap, sup_grad = SCALAR_POLISH_VALUES[n]
+    rep = lemma_bounds(n)
+    assert rep.sup_laplacian == pytest.approx(sup_lap, rel=1e-8)
+    assert rep.sup_grad_sq == pytest.approx(sup_grad, rel=1e-8)
+    # the batched polish samples more points near each peak, so it never
+    # ends below the scalar one by more than rounding
+    assert rep.sup_laplacian >= sup_lap * (1.0 - 1e-14)
+    assert rep.sup_grad_sq >= sup_grad * (1.0 - 1e-14)
+
+
+def test_refined_supremum_without_refinement_is_the_grid_maximum():
+    grid = boundary_refined_grid(101, 10.0)
+    fn = CountingFn(_bump_fns(34)[0])
+    vals = fn.fn(grid)
+    i = int(np.argmax(vals))
+    assert refined_supremum(fn, grid, refine=False) == (grid[i], vals[i])
+    assert fn.calls == 1
+
+
+@pytest.mark.parametrize("grid", [np.array([0.5]), np.array([0.1, 0.7])])
+def test_refined_supremum_on_short_grids(grid):
+    fn = CountingFn(lambda r: np.asarray(r) * (1.0 - np.asarray(r)))
+    vals = fn.fn(grid)
+    i = int(np.argmax(vals))
+    assert refined_supremum(fn, grid) == (grid[i], vals[i])
+    assert fn.calls == 1
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_refined_supremum_without_interior_local_maximum(sign):
+    # monotone: the maximum sits on the grid end, and the fallback bracket
+    # next to it must not move the result
+    grid = np.linspace(0.0, 0.9, 31)
+    r_star, value = refined_supremum(lambda r: sign * np.asarray(r) ** 3, grid)
+    end = grid[-1] if sign > 0 else grid[0]
+    assert (r_star, value) == (end, sign * end ** 3)
+
+
+def test_refined_supremum_rejects_scalar_functions():
+    with pytest.raises(ValueError, match="vectorized"):
+        refined_supremum(lambda r: 1.0, np.linspace(0.0, 0.5, 5))
+
+
+@pytest.mark.parametrize("n", [3, 910, 172510])
+def test_polish_is_batched(n):
+    # one call on the grid, then one per polish step for all brackets together
+    for base in _bump_fns(n):
+        fn = CountingFn(base)
+        refined_supremum(fn, _bump_grid(n))
+        assert fn.calls <= 16
+
+
+def test_polish_refines_all_top_brackets_together():
+    grid = np.linspace(0.0, 0.99, 400)
+    fn = CountingFn(lambda r: np.sin(60.0 * np.asarray(r)) + np.asarray(r))
+    vals = fn.fn(grid)
+    interior = np.arange(1, len(grid) - 1)
+    local = (vals[interior] >= vals[interior - 1]) & (vals[interior] >= vals[interior + 1])
+    assert np.count_nonzero(local) > 8
+    _, value = refined_supremum(fn, grid)
+    assert fn.calls <= 16
+    assert value > np.max(vals)
+
+
+def test_polish_ends_where_brackets_stop_shrinking():
+    # near r = 1000 one ulp (1.1e-13) exceeds the polish tolerance, so the
+    # brackets reach their floating-point floor before they get that narrow
+    grid = np.linspace(1000.0, 1001.0, 50)
+
+    def parabola(r):
+        if fn.calls > 100:
+            raise RuntimeError("polish does not terminate")
+        return -(np.asarray(r) - 1000.3) ** 2
+
+    fn = CountingFn(parabola)
+    r_star, value = refined_supremum(fn, grid)
+    assert fn.calls <= 16
+    assert abs(r_star - 1000.3) <= 2 * np.spacing(1000.3)
+    assert value >= np.max(fn.fn(grid))
+
+
+# ---------------------------------------------------------------------- #
+# sign_change_brackets
+
+
+def _brackets_loop(values, grid, floor):
+    out = []
+    for i in range(len(grid) - 1):
+        a, b = values[i], values[i + 1]
+        if a == 0.0 or b == 0.0:
+            continue
+        if (a < 0) != (b < 0) and abs(a) > floor and abs(b) > floor:
+            out.append((float(grid[i]), float(grid[i + 1])))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("floor", [0.0, 1e-280, 0.3])
+def test_sign_change_brackets_match_pairwise_loop(seed, floor):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=200)
+    values[rng.integers(0, 200, size=20)] = 0.0
+    values[rng.integers(0, 200, size=5)] = np.nan
+    grid = np.sort(rng.uniform(0.0, 1.0, size=200))
+    assert sign_change_brackets(values, grid, floor) == _brackets_loop(values, grid, floor)
+
+
+def test_sign_change_brackets_edge_cases():
+    assert sign_change_brackets(np.array([1.0]), np.array([0.5])) == []
+    assert sign_change_brackets(np.array([-1.0, 0.0, 1.0]), np.array([0.1, 0.2, 0.3])) == []
+    assert sign_change_brackets(np.array([-1.0, 2.0]), np.array([0.1, 0.2])) == [(0.1, 0.2)]
