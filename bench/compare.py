@@ -1,14 +1,16 @@
 """Before/after numbers for two hardyshift checkouts, written as one BENCH_*.json.
 
-    python3 bench/compare.py --parent PARENT_CHECKOUT --change . --out BENCH_2.json
+    python3 bench/compare.py --parent PARENT_CHECKOUT --change . --out BENCH_3.json
 
 Three parts, each run on both checkouts with this same script:
 
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
-  delta 0.5, K = 3..8) and of `verify_f_conditions` /
-  `verify_theorem_conditions` (eps 2) on the frozen K = 8 config, each in
-  a fresh interpreter with the checkout's `src` first on the path, the
-  two checkouts alternating, REPS times;
+  delta 0.5, K = 3..8), of `verify_f_conditions` /
+  `verify_theorem_conditions` (eps 2) on the frozen K = 8 config, and of
+  `verify_theorem_conditions` (eps 0.004) on the frozen K = 4, delta 1e-3
+  config, the two `verify` runs of the `certify` workload; each in a
+  fresh interpreter with the checkout's `src` first on the path, the two
+  checkouts alternating, REPS times;
 * the per-layer counts of `hardybench/run.py --trace 1` on the `search`
   and `certify` workloads, from each checkout's own `hardybench`;
 * PAIRS alternating end-to-end runs of `hardybench/run.py --trace 0` per
@@ -34,6 +36,9 @@ from pathlib import Path
 from statistics import median, quantiles
 
 K8_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479)
+# frozen verify configs by K: (delta, spike starts, epsilon)
+VERIFY_CONFIGS = {8: (0.5, K8_STARTS, 2.0),
+                  4: (1e-3, (2549, 16580, 59309, 172510), 0.004)}
 PLAN_KS = (3, 4, 5, 6, 7, 8)
 WORKLOADS = ("search", "certify", "tables")
 REPS = 3  # in-process timings per job and side
@@ -48,12 +53,12 @@ def child(kind: str, k: int) -> None:
     if kind == "plan":
         call = lambda: list(ConstructionConfig.plan(1.0, 0.5, k).spike_starts)  # noqa: E731
     else:
-        config = ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=len(K8_STARTS),
-                                    spike_starts=K8_STARTS)
+        delta, starts, epsilon = VERIFY_CONFIGS[k]
+        config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=k, spike_starts=starts)
         if kind == "verify_f":
             call = lambda: verify_f_conditions(config).passed  # noqa: E731
         else:
-            call = lambda: verify_theorem_conditions(config, 2.0).passed  # noqa: E731
+            call = lambda: verify_theorem_conditions(config, epsilon).passed  # noqa: E731
     c0, t0 = time.process_time(), time.perf_counter()
     result = call()
     print(json.dumps({"cpu_s": time.process_time() - c0,
@@ -115,7 +120,8 @@ def main(argv=None) -> int:
     seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
 
     inprocess = {side: {} for side in sides}
-    jobs = [("plan", k) for k in PLAN_KS] + [("verify_f", 8), ("verify_theorem", 8)]
+    jobs = [("plan", k) for k in PLAN_KS] + [("verify_f", 8), ("verify_theorem", 8),
+                                              ("verify_theorem", 4)]
     for rep in range(REPS):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
         for kind, k in jobs:

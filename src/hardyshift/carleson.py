@@ -13,6 +13,14 @@ Two scalar summaries appear throughout:
 * radial_carleson_norm is the depth-one value 2 pi * integral_0^1 rho r dr,
   the total mass of the density.
 
+The scan takes all its window masses from the density in one call
+(RadialDensity.window_masses).  Windows of depth t < 1 are nested, so a
+density integrated by quadrature integrates each shell between
+consecutive depths once and sums the shells from the smallest depth up;
+the depth-one window is integrated directly.  Series densities keep one
+exact sum per window: those are closed forms whose cost does not grow
+with the window, and differencing them across shells would cancel.
+
 The decay statements in this package control the total mass; the scan is
 reported as a diagnostic and its supremum over shallow depths need not be
 small even when the total mass vanishes.
@@ -43,6 +51,10 @@ from .grids import boundary_refined_grid, merge_grids, sign_change_brackets
 from .series import RadialSeries
 
 TWO_PI = 2.0 * math.pi
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature did not reach its tolerance on a window."""
 
 
 # ---------------------------------------------------------------------- #
@@ -106,7 +118,7 @@ class RadialDensity:
         if a == b:
             return 0.0
         pts = [x for x in self.breakpoints if a < x < b]
-        val, _ = quad(
+        val, err, _, *failure = quad(
             lambda r: float(self._rho(np.asarray([r]))[0]) * r,
             a,
             b,
@@ -114,8 +126,33 @@ class RadialDensity:
             limit=200 + 20 * len(pts),
             epsabs=1e-13,
             epsrel=1e-10,
+            full_output=1,
         )
+        if failure:
+            # quad appends its explanation only when it reports ier != 0
+            raise QuadratureError(
+                f"quadrature of {self.label or 'density'} over [{a!r}, {b!r}] did not "
+                f"converge (value {val!r}, error estimate {err!r}): {failure[0]}")
         return float(val)
+
+    def window_masses(self, depths: Sequence[float]) -> list[float]:
+        """integral_{1-t}^1 rho r dr for each depth t in depths, in order.
+
+        The depth-one window is integrated directly.  The other windows are
+        nested, so each shell between consecutive distinct depths is
+        integrated once and the shells are summed from the smallest depth
+        up.  Every piece goes through window_integral.
+        """
+        masses: dict[float, float] = {}
+        inner, total = 1.0, 0.0
+        for t in sorted(set(depths)):
+            if t == 1.0:
+                masses[t] = self.window_integral(0.0, 1.0)
+                continue
+            total += self.window_integral(1.0 - t, inner)
+            masses[t] = total
+            inner = 1.0 - t
+        return [masses[t] for t in depths]
 
 
 def _zero_crossings(vals: np.ndarray) -> np.ndarray:
@@ -230,6 +267,10 @@ class SeriesGapDensity(RadialDensity):
         cuts = [a] + [x for x in self.sign_roots if a < x < b] + [b]
         return sum(abs(self._signed_piece(x0, x1)) for x0, x1 in zip(cuts, cuts[1:]))
 
+    def window_masses(self, depths: Sequence[float]) -> list[float]:
+        """Exact mass of each window [1-t, 1], one closed-form sum per window."""
+        return [self.window_integral(1.0 - t, 1.0) for t in depths]
+
 
 # ---------------------------------------------------------------------- #
 # windows and norms
@@ -283,6 +324,11 @@ class CarlesonScan:
 def carleson_norm(density: RadialDensity, t_grid: Sequence[float] | None = None) -> CarlesonScan:
     """Scan sup_t (2 pi / t) integral_{1-t}^1 rho r dr over a depth grid.
 
+    All window masses, the depth-one mass included, come from one
+    density.window_masses call: quadrature densities sum shell integrals
+    from the smallest depth up, series densities take one exact sum per
+    window.  at_unit_depth equals radial_carleson_norm bit for bit.
+
     The supremum over shallow depths is a diagnostic: for densities that
     live at a fixed distance from the boundary it stabilizes at an
     order-one plateau rather than following the total mass down.  Decay
@@ -293,12 +339,13 @@ def carleson_norm(density: RadialDensity, t_grid: Sequence[float] | None = None)
     depths = [float(t) for t in t_grid]
     if not depths:
         raise ValueError("depth grid must be nonempty")
-    quots = [window_quotient(density, t) for t in depths]
+    if not all(0.0 < t <= 1.0 for t in depths):
+        raise ValueError("depth t must lie in (0, 1]")
+    probe = depths if 1.0 in depths else depths + [1.0]
+    quots = [TWO_PI * m / t for m, t in zip(density.window_masses(probe), probe)]
+    at_unit = quots[probe.index(1.0)]
+    quots = quots[:len(depths)]
     i = int(np.argmax(quots))
-    if 1.0 in depths:
-        at_unit = quots[depths.index(1.0)]
-    else:
-        at_unit = window_quotient(density, 1.0)
     return CarlesonScan(
         value=quots[i],
         t_star=depths[i],

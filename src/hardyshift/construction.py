@@ -488,15 +488,17 @@ def verify_f_conditions(config: ConstructionConfig,
     arg_grad, sup_grad = refined_supremum(
         lambda r: np.sqrt(np.maximum(grad.eval(r * r), 0.0)) * (1.0 - r), grid)
 
-    lap_density = SeriesGapDensity(lap, 1)
-    grad_density = SeriesGapDensity(grad, 1, nonneg=True)
+    scans = {
+        "laplacian": carleson_norm(SeriesGapDensity(lap, 1)),
+        "gradient_sq": carleson_norm(SeriesGapDensity(grad, 1, nonneg=True)),
+    }
 
     rows = [
         _row("ratio_deviation", delta, sup_dev, arg_dev),
         _row("laplacian_sup", delta, sup_lap, arg_lap),
         _row("gradient_sup", math.sqrt(delta), sup_grad, arg_grad),
-        _row("laplacian_carleson", delta, radial_carleson_norm(lap_density)),
-        _row("gradient_carleson", delta, radial_carleson_norm(grad_density)),
+        _row("laplacian_carleson", delta, scans["laplacian"].at_unit_depth),
+        _row("gradient_carleson", delta, scans["gradient_sq"].at_unit_depth),
     ]
 
     if include_spike_rows:
@@ -512,16 +514,30 @@ def verify_f_conditions(config: ConstructionConfig,
                 _row(f"spike{k}_gradient_sq_carleson", thr[3], measured["gradient_sq_carleson"]),
             ])
 
-    scans = {
-        "laplacian": carleson_norm(lap_density),
-        "gradient_sq": carleson_norm(grad_density),
-    }
     meta = {
         "config": config.to_dict(),
         "grid_points": int(len(grid)),
         "mode": "ratio_flatness",
     }
     return VerificationReport(conditions=tuple(rows), meta=meta, scans=scans)
+
+
+def curvature_density(f: RadialSeries, spikes: Sequence[SpikeSpec]) -> RadialDensity:
+    """Density |Delta log f| (1 - r) of the curvature Carleson mass.
+
+    Quadrature splits at the sign roots of the numerator
+    f Delta f - |grad f|^2 of Delta log f and at the spike peak radii.
+    """
+    dp = f.derivative
+    numerator = f.multiply(f.laplacian()).add(dp.multiply(dp).shift(1).scale(-1.0))
+    cuts = SeriesGapDensity(numerator, 0).sign_roots
+    peak_hints = [math.sqrt(m / (m + 1.0)) for sp in spikes
+                  for m in _spike_member_powers(sp)]
+    return RadialDensity(
+        lambda r: np.abs(ratio_log_laplacian(f, r)) * (1.0 - r),
+        breakpoints=merge_grids(cuts, peak_hints) if (len(cuts) or peak_hints) else (),
+        label="curvature_deviation",
+    )
 
 
 def verify_theorem_conditions(config: ConstructionConfig, epsilon: float,
@@ -531,8 +547,7 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float,
     Three rows: the kernel ratio stays inside [1/(1+eps), 1+eps]; the
     curvature deviation obeys |Delta log f| (1-r)^2 <= eps; and its
     Carleson mass 2 pi integral |Delta log f| (1-r) r dr stays below eps.
-    The mass is integrated adaptively with splits at the sign roots of
-    the numerator f Delta f - |grad f|^2.
+    The mass is the depth-one value of the curvature_density scan.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -552,23 +567,12 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float,
     arg_curv, sup_curv = refined_supremum(
         lambda r: np.abs(ratio_log_laplacian(f, r)) * (1.0 - r) ** 2, grid)
 
-    # numerator of Delta log f; its sign roots split the mass integral
-    dp = f.derivative
-    numerator = f.multiply(f.laplacian()).add(dp.multiply(dp).shift(1).scale(-1.0))
-    cuts = SeriesGapDensity(numerator, 0).sign_roots
-    peak_hints = [math.sqrt(m / (m + 1.0)) for sp in w.spikes
-                  for m in _spike_member_powers(sp)]
-    density = RadialDensity(
-        lambda r: np.abs(ratio_log_laplacian(f, r)) * (1.0 - r),
-        breakpoints=merge_grids(cuts, peak_hints) if (len(cuts) or peak_hints) else (),
-        label="curvature_deviation",
-    )
-    carl_curv = radial_carleson_norm(density)
+    scans = {"curvature": carleson_norm(curvature_density(f, w.spikes))}
 
     rows = [
         _row("ratio_band", 1.0 + epsilon, sup_band, arg_band),
         _row("curvature_sup", epsilon, sup_curv, arg_curv),
-        _row("curvature_carleson", epsilon, carl_curv),
+        _row("curvature_carleson", epsilon, scans["curvature"].at_unit_depth),
     ]
     meta = {
         "config": config.to_dict(),
@@ -577,5 +581,4 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float,
         "grid_points": int(len(grid)),
         "mode": "curvature_match",
     }
-    scans = {"curvature": carleson_norm(density)}
     return VerificationReport(conditions=tuple(rows), meta=meta, scans=scans)

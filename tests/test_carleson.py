@@ -18,8 +18,10 @@ from hardyshift import (
     window_measure,
     window_quotient,
 )
-from hardyshift.carleson import TWO_PI, CarlesonWindow, SeriesGapDensity
+from hardyshift.carleson import TWO_PI, CarlesonWindow, QuadratureError, SeriesGapDensity
+from hardyshift.construction import curvature_density
 from hardyshift.series import RadialSeries, edge_bump
+from hardyshift.spectral import kernel_ratio_series
 
 
 def binomial_expansion_integral(m: int, p: int) -> Fraction:
@@ -188,3 +190,86 @@ def test_scan_value_is_supremum_of_quotients():
     quotients = [window_quotient(d, t) for t in (1.0, 0.5, 0.25)]
     assert scan.value == pytest.approx(max(quotients), rel=1e-12)
     assert scan.t_star in (1.0, 0.5, 0.25)
+
+
+def test_window_integral_raises_when_quadrature_does_not_converge():
+    # |sin(1000 r)| has about 318 kinks in [0, 1], more than the 200
+    # subdivisions quad may use, so it cannot reach its tolerance
+    d = RadialDensity(lambda r: np.abs(np.sin(1000.0 * np.asarray(r))), label="oscillating")
+    with pytest.raises(QuadratureError, match="oscillating"):
+        d.window_integral(0.0, 1.0)
+    with pytest.raises(QuadratureError):
+        carleson_norm(d, t_grid=[1.0])
+
+
+# ---------------------------------------------------------------------- #
+# the nested depth scan
+
+
+def bump_densities(n: int = 40) -> tuple[SeriesGapDensity, RadialDensity]:
+    """The |Delta psi| (1 - r) density of the bump s^n (1 - s), exact and by quad."""
+    exact = SeriesGapDensity(edge_bump(n).laplacian(), 1)
+    return exact, RadialDensity(exact.rho, breakpoints=exact.sign_roots, label="bump")
+
+
+def test_nested_scan_matches_per_window_quotients():
+    exact, by_quad = bump_densities()
+    depths = dyadic_t_grid()
+    scan = carleson_norm(by_quad)
+    assert scan.depths == tuple(depths)
+    for t, q in zip(depths, scan.quotients):
+        assert q == pytest.approx(window_quotient(by_quad, t), rel=1e-9)
+    # series densities keep one exact sum per window
+    assert carleson_norm(exact).quotients == tuple(window_quotient(exact, t) for t in depths)
+
+
+def test_scan_unit_depth_is_the_radial_norm_bit_for_bit():
+    for d in (*bump_densities(), area_density()):
+        for grid in (None, [0.5, 0.25], [0.25, 1.0, 0.5]):
+            assert carleson_norm(d, t_grid=grid).at_unit_depth == radial_carleson_norm(d)
+
+
+@pytest.mark.parametrize("grid", [
+    [0.25, 1.0, 2.0**-10, 0.25, 0.5],  # unsorted, with a duplicate
+    [0.125, 2.0**-20, 0.5, 0.125],     # no depth one
+    [1.0, 1.0],
+    [2.0**-30],
+])
+def test_scan_of_any_depth_grid_matches_per_window(grid):
+    exact, by_quad = bump_densities()
+    for d, rel in ((exact, 0.0), (by_quad, 1e-9)):
+        scan = carleson_norm(d, t_grid=grid)
+        assert scan.depths == tuple(grid)
+        per_window = [window_quotient(d, t) for t in grid]
+        assert scan.quotients == pytest.approx(per_window, rel=rel, abs=0.0)
+        i = int(np.argmax(scan.quotients))
+        assert (scan.value, scan.t_star) == (scan.quotients[i], grid[i])
+        # a repeated depth gets the same value wherever it appears
+        assert len({(t, q) for t, q in zip(scan.depths, scan.quotients)}) == len(set(grid))
+
+
+@pytest.mark.parametrize("grid", [[], [0.0], [1.5], [-0.5], [0.5, 0.0], [float("nan")]])
+def test_scan_rejects_depths_outside_the_unit_interval(grid):
+    for d in bump_densities():
+        with pytest.raises(ValueError):
+            carleson_norm(d, t_grid=grid)
+
+
+def test_curvature_scan_integrates_each_shell_once(standard_config):
+    # nested windows share everything near r = 1, where the spike mass sits;
+    # integrating each one from scratch cost 8x one [0, 1] integral at K = 3
+    w = standard_config.weights()
+    f = kernel_ratio_series(w, r_max=standard_config.r_max, tol=standard_config.tol)
+    density = curvature_density(f, w.spikes)
+    calls = [0]
+
+    def counted(r):
+        calls[0] += 1
+        return density.rho(r)
+
+    counting = RadialDensity(counted, breakpoints=density.breakpoints)
+    mass = radial_carleson_norm(counting)
+    one_integral = calls[0]
+    scan = carleson_norm(counting)
+    assert scan.at_unit_depth == mass
+    assert calls[0] - one_integral <= 6 * one_integral

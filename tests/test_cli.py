@@ -198,6 +198,17 @@ def test_exit_code_for_truncation_failure(constructed, tmp_path, monkeypatch):
                      "--out", str(tmp_path)]) == 4
 
 
+def test_exit_code_for_unconverged_quadrature(constructed, tmp_path, monkeypatch):
+    # one subdivision cannot resolve the curvature density: the curvature
+    # Carleson row must not pass on an integral quad did not converge
+    from hardyshift import carleson
+
+    real_quad = carleson.quad
+    monkeypatch.setattr(carleson, "quad", lambda *a, **kw: real_quad(*a, **{**kw, "limit": 1}))
+    assert cli.main(["verify", str(constructed / "config.json"), "--epsilon", "2",
+                     "--out", str(tmp_path)]) == 4
+
+
 def test_unknown_subcommand_exits_with_input_error():
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
