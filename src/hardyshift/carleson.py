@@ -43,11 +43,8 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import betainc
 
-from .grids import boundary_refined_grid, merge_grids, sign_change_brackets
+from .grids import boundary_refined_grid, brentq, merge_grids, sign_change_brackets
 from .series import RadialSeries
 
 TWO_PI = 2.0 * math.pi
@@ -55,6 +52,25 @@ TWO_PI = 2.0 * math.pi
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature did not reach its tolerance on a window."""
+
+
+# scipy is imported on first use, here and nowhere else in the package, so
+# the commands that never integrate (curvature, orbit, weights) start
+# without it; sign roots use the in-package grids.brentq.
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
+def betainc(a, b, x):
+    """scipy.special.betainc, imported on first call."""
+    from scipy.special import betainc as scipy_betainc
+
+    return scipy_betainc(a, b, x)
 
 
 # ---------------------------------------------------------------------- #
@@ -180,7 +196,7 @@ class SeriesGapDensity(RadialDensity):
     the integrand is a polynomial in r, and every monomial piece is an
     incomplete edge integral.  Sign roots of G are located by bracketing
     on a boundary-refined grid enriched with the balance radii of each
-    exponent, then polished by bisection.
+    exponent, then polished by Brent's method (grids.brentq).
     """
 
     def __init__(

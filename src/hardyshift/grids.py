@@ -17,6 +17,11 @@ import numpy as np
 
 _POLISH_POINTS = 33  # samples per bracket and polish step; each step shrinks a bracket 16-fold
 _POLISH_XATOL = 1e-13  # brackets narrower than this are final
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # the smallest rtol scipy's brentq accepts
+
+
+class RootNotConvergedError(RuntimeError):
+    """brentq used up its iterations before the bracket met the tolerance."""
 
 
 def boundary_refined_grid(count: int = 600, u_max: float = 40.0) -> np.ndarray:
@@ -109,3 +114,60 @@ def sign_change_brackets(values: np.ndarray, grid: np.ndarray, floor: float = 1e
     a, b = values[:-1], values[1:]
     crossing = ((a < 0) != (b < 0)) & (np.abs(a) > floor) & (np.abs(b) > floor)
     return [(float(grid[i]), float(grid[i + 1])) for i in np.flatnonzero(crossing)]
+
+
+def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float = 2e-12,
+           rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
+    """Root of the scalar function f in [xa, xb] by Brent's method.
+
+    A step-for-step port of scipy.optimize.brentq (Brent 1973, as in
+    scipy's brentq.c): the same inverse quadratic / secant steps,
+    bisection fallbacks and stopping rule, so it evaluates f at the same
+    points and returns the same root bit for bit, without importing
+    scipy.optimize.  Raises ValueError when f(xa) and f(xb) have the same
+    sign or f returns NaN, and RootNotConvergedError after maxiter steps.
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RootNotConvergedError(
+        f"brentq did not converge in {maxiter} iterations; last value {xcur!r}")

@@ -1,6 +1,9 @@
 """Command line surface: files, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -213,3 +216,48 @@ def test_unknown_subcommand_exits_with_input_error():
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
     assert info.value.code == 3
+
+
+def test_exit_code_for_unconverged_root_search(tmp_path, monkeypatch):
+    # sign roots that do not converge are a numerical failure, not a crash
+    from hardyshift import carleson
+
+    cli.lemma_bounds.cache_clear()  # earlier tests may have found these roots
+    real_brentq = carleson.brentq
+    monkeypatch.setattr(carleson, "brentq", lambda *a, **kw: real_brentq(*a, **{**kw, "maxiter": 1}))
+    assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "1",
+                     "--out", str(tmp_path)]) == 4
+
+
+FOOTPRINT = """
+import json, sys
+from hardyshift import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] in (
+    ["scipy", "integrate"], ["scipy", "optimize"], ["scipy", "special"]))))
+"""
+
+
+def scipy_modules_after(commands: list[list[str]]) -> set[str]:
+    """scipy.integrate/optimize/special modules a fresh interpreter holds
+    after running the given CLI commands."""
+    src = str(Path(hardyshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {m.split(".")[1] for m in json.loads(proc.stdout.splitlines()[-1])}
+
+
+def test_table_commands_load_no_scipy(constructed, tmp_path):
+    config = str(constructed / "config.json")
+    out = ["--out", str(tmp_path)]
+    assert scipy_modules_after([]) == set()
+    assert scipy_modules_after([["weights", config, *out], ["orbit", config, "130", *out],
+                                ["curvature", config, *out]]) == set()
+
+
+def test_construct_loads_only_scipy_special(tmp_path):
+    assert scipy_modules_after([["construct", "--alpha", "1", "--delta", "0.5", "--K", "2",
+                                 "--out", str(tmp_path)]]) == {"special"}

@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from hardyshift.construction import _bump_grid, lemma_bounds
-from hardyshift.grids import boundary_refined_grid, refined_supremum, sign_change_brackets
+from hardyshift.carleson import SeriesGapDensity
+from hardyshift.construction import _bump_grid, curvature_density, lemma_bounds
+from hardyshift.grids import (
+    RootNotConvergedError,
+    boundary_refined_grid,
+    brentq,
+    refined_supremum,
+    sign_change_brackets,
+)
 from hardyshift.series import edge_bump
+from hardyshift.spectral import kernel_ratio_series
 
 
 def _bump_fns(n: int):
@@ -180,3 +189,122 @@ def test_sign_change_brackets_edge_cases():
     assert sign_change_brackets(np.array([1.0]), np.array([0.5])) == []
     assert sign_change_brackets(np.array([-1.0, 0.0, 1.0]), np.array([0.1, 0.2, 0.3])) == []
     assert sign_change_brackets(np.array([-1.0, 2.0]), np.array([0.1, 0.2])) == [(0.1, 0.2)]
+
+
+# ---------------------------------------------------------------------- #
+# brentq, against scipy.optimize.brentq
+
+
+def _brent_runs(f, lo, hi, **kw):
+    """(root, points f was evaluated at) of the port and of scipy."""
+    runs = []
+    for solver in (brentq, scipy.optimize.brentq):
+        seen = []
+
+        def logged(x):
+            seen.append(x)
+            return f(x)
+
+        runs.append((solver(logged, lo, hi, **kw), seen))
+    return runs
+
+
+def _scalar_brackets(series, widen: int = 0):
+    """Scan-grid sign-change brackets of a series under scalar evaluation,
+    each widened by `widen` grid cells on both sides where that keeps the
+    sign change."""
+    grid = SeriesGapDensity(series, 0)._root_scan_grid()
+    vals = series.eval(grid)
+
+    def f(s):
+        return float(series.eval(s))
+
+    out = []
+    for lo, hi in sign_change_brackets(vals, grid, floor=0.0):
+        i = int(np.searchsorted(grid, lo))
+        lo, hi = float(grid[max(i - widen, 0)]), float(grid[min(i + 1 + widen, len(grid) - 1)])
+        flo, fhi = f(lo), f(hi)
+        if flo != 0.0 and fhi != 0.0 and (flo < 0.0) != (fhi < 0.0):
+            out.append((f, lo, hi))
+    return out
+
+
+def test_brentq_matches_scipy_on_bump_brackets():
+    cases = []
+    for n in (10, 2248, 172510):
+        bump = edge_bump(n)
+        for series in (bump.d_ds(), bump.laplacian()):
+            for widen in (0, 3, 20):
+                cases += _scalar_brackets(series, widen)
+    assert len(cases) >= 12
+    for f, lo, hi in cases:
+        for xtol in (1e-15, 2e-12):
+            (root, seen), (ref_root, ref_seen) = _brent_runs(f, lo, hi, xtol=xtol)
+            assert root == ref_root
+            assert seen == ref_seen
+
+
+def test_brentq_matches_scipy_on_curvature_numerator(standard_config):
+    # the curvature density's cuts: many sign changes of a long series
+    w = standard_config.weights()
+    f = kernel_ratio_series(w, r_max=standard_config.r_max, tol=standard_config.tol)
+    dp = f.derivative
+    numerator = f.multiply(f.laplacian()).add(dp.multiply(dp).shift(1).scale(-1.0))
+    assert len(curvature_density(f, w.spikes).breakpoints) > 0
+    cases = _scalar_brackets(numerator) + _scalar_brackets(numerator, 4)
+    assert len(cases) >= 4
+    for g, lo, hi in cases:
+        (root, seen), (ref_root, ref_seen) = _brent_runs(g, lo, hi, xtol=1e-15)
+        assert root == ref_root
+        assert seen == ref_seen
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_brentq_matches_scipy_on_random_polynomials(seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=int(rng.integers(2, 9)))
+    grid = np.sort(rng.uniform(-2.0, 2.0, size=int(rng.integers(5, 40))))
+
+    def f(x):
+        return float(np.polynomial.polynomial.polyval(x, coeffs))
+
+    vals = np.array([f(x) for x in grid])
+    for lo, hi in sign_change_brackets(vals, grid, floor=0.0):
+        for xtol in (1e-15, 2e-12, 1e-4):
+            (root, seen), (ref_root, ref_seen) = _brent_runs(f, lo, hi, xtol=xtol)
+            assert root == ref_root
+            assert seen == ref_seen
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (0.0, 0.5)])
+def test_brentq_returns_a_root_on_an_endpoint(lo, hi):
+    (root, seen), (ref_root, ref_seen) = _brent_runs(lambda x: x - 0.5, lo, hi)
+    assert root == ref_root == 0.5
+    assert seen == ref_seen == [lo, hi]
+
+
+def test_brentq_rejects_brackets_without_a_sign_change():
+    for solver in (brentq, scipy.optimize.brentq):
+        with pytest.raises(ValueError, match="different signs"):
+            solver(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_brentq_rejects_nan_values():
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: float("nan") if x > 0.2 else -1.0, 0.0, 1.0)
+
+
+def test_brentq_raises_runtime_error_at_maxiter():
+    def cubic(x):
+        return x ** 3 - 0.3
+
+    def triple(x):  # stalls both solvers for all 100 steps
+        return (x - 0.3) ** 3
+
+    for g, maxiter in ((cubic, 3), (triple, 100)):
+        with pytest.raises(RuntimeError):
+            scipy.optimize.brentq(g, 0.0, 1.0, xtol=1e-15, maxiter=maxiter)
+        with pytest.raises(RootNotConvergedError):
+            brentq(g, 0.0, 1.0, xtol=1e-15, maxiter=maxiter)
+    assert issubclass(RootNotConvergedError, RuntimeError)
+    assert brentq(cubic, 0.0, 1.0, xtol=1e-15) == scipy.optimize.brentq(cubic, 0.0, 1.0, xtol=1e-15)
