@@ -22,7 +22,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -98,16 +97,6 @@ def _write_manifest(out: Path, command: str, params: dict, files: list[Path],
         "outputs": entries,
         "elapsed_seconds": time.time() - started,  # excluded from determinism
     })
-
-
-def _ordered_map(fn, items, threads: int):
-    """Parallel map preserving input order, so output bytes never depend
-    on the thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_config(path: str) -> ConstructionConfig:
@@ -215,7 +204,7 @@ def _cmd_lemma(args) -> int:
     powers = list(args.powers)
     if any(n < 1 for n in powers):
         raise ValueError("powers must be positive")
-    reports = _ordered_map(lemma_bounds, powers, args.threads)
+    reports = [lemma_bounds(n) for n in powers]
     rows = []
     for rep in reports:
         rows.append([rep.n, rep.sup_value, rep.sup_laplacian, rep.sup_grad_sq,
@@ -228,7 +217,7 @@ def _cmd_lemma(args) -> int:
     _write_csv(path, ["n", "sup_value", "sup_laplacian", "sup_grad_sq",
                       "carl_laplacian", "carl_grad_sq",
                       "carl_laplacian_bound", "carl_grad_sq_bound"], rows)
-    _write_manifest(out, "lemma", {"powers": powers, "threads": args.threads},
+    _write_manifest(out, "lemma", {"powers": powers},
                     [path], started)
     return EXIT_OK
 
@@ -240,10 +229,7 @@ def _cmd_curvature(args) -> int:
     weights = config.weights()
     u_max = -np.log2(1.0 - args.rmax)
     grid = boundary_refined_grid(args.points, u_max)
-    chunks = np.array_split(grid, max(1, min(args.threads * 4, len(grid))))
-    sample_lists = _ordered_map(lambda c: curvature_samples(weights, c),
-                                [c for c in chunks if len(c)], args.threads)
-    samples = [s for chunk in sample_lists for s in chunk]
+    samples = curvature_samples(weights, grid)
     # route agreement spot check on a subsample
     spot = grid[:: max(1, len(grid) // 16)]
     curvature_difference(weights, spot)
@@ -255,7 +241,7 @@ def _cmd_curvature(args) -> int:
     print(f"wrote {len(rows)} curvature samples to {path}")
     _write_manifest(out, "curvature", {
         "config": config.to_dict(), "points": args.points,
-        "rmax": args.rmax, "threads": args.threads,
+        "rmax": args.rmax,
     }, [path], started, config_path=args.config)
     return EXIT_OK
 
@@ -326,7 +312,6 @@ def _build_parser() -> _Parser:
                                      "CSV columns: n, sup_value, sup_laplacian, sup_grad_sq, "
                                      "carl_laplacian, carl_grad_sq, and the two closed-form bounds")
     p.add_argument("powers", type=int, nargs="+", help="bump powers to tabulate")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_lemma)
 
@@ -336,7 +321,6 @@ def _build_parser() -> _Parser:
     p.add_argument("config", help="path to config JSON")
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--rmax", type=float, default=0.999)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_curvature)
 

@@ -169,15 +169,14 @@ def test_orbit_and_weights_tables(constructed, tmp_path):
 
 def test_outputs_are_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out, threads in ((out1, "1"), (out2, "4")):
+    for out in (out1, out2):
         assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "2",
                          "--out", str(out)]) == 0
         assert cli.main(["verify", str(out / "config.json"), "--epsilon", "2",
                          "--out", str(out)]) == 0
-        assert cli.main(["lemma", "10", "100", "--threads", threads,
-                         "--out", str(out)]) == 0
+        assert cli.main(["lemma", "10", "100", "--out", str(out)]) == 0
         assert cli.main(["curvature", str(out / "config.json"), "--points", "60",
-                         "--threads", threads, "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
     for name in ("config.json", "certificate.csv", "conditions.csv", "report.json",
                  "lemma.csv", "curvature.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
