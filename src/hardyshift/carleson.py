@@ -268,13 +268,18 @@ class SeriesGapDensity(RadialDensity):
             for e, c in zip(self.series.exponents, self.series.coeffs):
                 total += Fraction(float(c)) * edge_integral_exact(2 * int(e) + 1, self.gap_power)
             return float(total)
+        p = self.gap_power
         total = 0.0
         for e, c in zip(self.series.exponents, self.series.coeffs):
             m = 2 * int(e) + 1
-            total += float(c) * (
-                edge_integral_partial(m, self.gap_power, b)
-                - edge_integral_partial(m, self.gap_power, a)
-            )
+            if b == 1.0:
+                # integral_a^1 = B(m+1, p+1) I_{1-a}(p+1, m+1) by the symmetry
+                # x -> 1 - x; the difference of the two integrals from 0
+                # cancels completely once 1 - a is small
+                piece = float(edge_integral_exact(m, p)) * float(betainc(p + 1, m + 1, 1.0 - a))
+            else:
+                piece = edge_integral_partial(m, p, b) - edge_integral_partial(m, p, a)
+            total += float(c) * piece
         return total
 
     def window_integral(self, a: float, b: float) -> float:

@@ -142,9 +142,9 @@ def test_sign_roots_of_bump_laplacian():
 def test_sign_roots_ignore_underflowed_zeros():
     # for large n the scan values s^{n-1} (n^2 - (n+1)^2 s) underflow to
     # exactly 0 over the inner part of the grid; those zeros are not roots
-    for n, mass in ((2248, 0.0007561360409534594),
+    for n, mass in ((2248, 0.0007561360409536338),
                     (20000, 8.502872112730622e-05),
-                    (172510, 9.858337829718418e-06)):
+                    (172510, 9.858337829544026e-06)):
         d = SeriesGapDensity(edge_bump(n).laplacian(), 1)
         assert len(d.sign_roots) == 1
         assert d.sign_roots[0] == pytest.approx(n / (n + 1.0), rel=1e-12)
@@ -157,6 +157,24 @@ def test_sign_roots_keep_grid_points_on_a_root():
     d = SeriesGapDensity(RadialSeries.from_terms([(0, -0.5), (1, 1.0)]), 0)
     assert 0.5 in d._root_scan_grid()
     assert d.sign_roots == (math.sqrt(0.5),)
+
+
+@pytest.mark.parametrize("j", [15, 22, 33])  # t = 3.1e-5, 2.4e-7, 1.2e-10
+def test_deep_window_masses_match_exact_rationals(j):
+    # integral_{1-t}^1 of r^m (1 - r) taken as the difference of two
+    # integrals from 0 lost every digit once t <= 1.2e-10 (it read 0.0)
+    t = 2.0**-j
+    d = SeriesGapDensity(edge_bump(40).laplacian(), 1)
+    assert max(d.sign_roots) < 1.0 - t  # one sign on the whole window
+    a = Fraction(1.0 - t)
+    exact = Fraction(0)
+    for e, c in zip(d.series.exponents, d.series.coeffs):
+        m = 2 * int(e) + 1  # integral_a^1 r^m (1 - r) dr
+        exact += Fraction(float(c)) * (Fraction(1, (m + 1) * (m + 2))
+                                       - a ** (m + 1) / (m + 1) + a ** (m + 2) / (m + 2))
+    assert d.window_integral(1.0 - t, 1.0) == pytest.approx(float(abs(exact)), rel=1e-12)
+    quotient = carleson_norm(d, t_grid=[t]).quotients[0]
+    assert quotient == pytest.approx(TWO_PI * float(abs(exact)) / t, rel=1e-12)
 
 
 def test_split_integration_handles_the_sign_change():
