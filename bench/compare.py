@@ -1,8 +1,8 @@
 """Before/after numbers for two hardyshift checkouts, written as one BENCH_*.json.
 
-    python3 bench/compare.py --parent PARENT_CHECKOUT --change . --out BENCH_3.json
+    python3 bench/compare.py --parent PARENT_CHECKOUT --change . --out BENCH_4.json
 
-Three parts, each run on both checkouts with this same script:
+Four parts, each run on both checkouts with this same script:
 
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
   delta 0.5, K = 3..8), of `verify_f_conditions` /
@@ -11,6 +11,10 @@ Three parts, each run on both checkouts with this same script:
   config, the two `verify` runs of the `certify` workload; each in a
   fresh interpreter with the checkout's `src` first on the path, the two
   checkouts alternating, REPS times;
+* cold-start wall time of `python -c "import hardyshift.cli"` and of the
+  `weights`, `orbit`, `curvature` and `construct --K 2` commands on the
+  frozen K = 3 config, each a fresh process, the two checkouts
+  alternating, COLD_REPS times;
 * the per-layer counts of `hardybench/run.py --trace 1` on the `search`
   and `certify` workloads, from each checkout's own `hardybench`;
 * PAIRS alternating end-to-end runs of `hardybench/run.py --trace 0` per
@@ -31,6 +35,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from statistics import median, quantiles
@@ -43,6 +48,7 @@ PLAN_KS = (3, 4, 5, 6, 7, 8)
 WORKLOADS = ("search", "certify", "tables")
 REPS = 3  # in-process timings per job and side
 PAIRS = 10  # alternating end-to-end runs per workload
+COLD_REPS = 7  # cold-start timings per command and side
 
 
 def child(kind: str, k: int) -> None:
@@ -70,6 +76,30 @@ def run_child(checkout: Path, kind: str, k: int) -> dict:
     out = subprocess.run([sys.executable, __file__, "--child", kind, str(k)], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def cold_commands(work: Path) -> dict[str, list[str]]:
+    """Interpreter arguments of each cold-start job, on the frozen K = 3 config."""
+    config = work / "k3.json"
+    config.write_text(json.dumps({"alpha": 1.0, "delta": 0.5, "K": 3,
+                                  "spike_starts": list(K8_STARTS[:3]),
+                                  "r_max": 0.999, "tol": 1e-9}))
+    cli = ["-m", "hardyshift.cli"]
+    out = ["--out", str(work / "out")]
+    return {"import": ["-c", "import hardyshift.cli"],
+            "weights": [*cli, "weights", str(config), *out],
+            "orbit": [*cli, "orbit", str(config), "130", *out],
+            "curvature": [*cli, "curvature", str(config), *out],
+            "construct_K2": [*cli, "construct", "--alpha", "1", "--delta", "0.5",
+                             "--K", "2", *out]}
+
+
+def run_cold(checkout: Path, args: list[str]) -> float:
+    """Wall seconds of one fresh interpreter running args on the checkout's src."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+    return time.perf_counter() - t0
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -137,6 +167,19 @@ def main(argv=None) -> int:
             slot["cpu_s"] = summary(slot["cpu_s"])
             slot["wall_s"] = summary(slot["wall_s"])
 
+    cold = {side: {} for side in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = cold_commands(Path(tmp))
+        for rep in range(COLD_REPS):
+            order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
+            for name, cmd in commands.items():
+                for side in order:
+                    cold[side].setdefault(name, []).append(run_cold(sides[side], cmd))
+    for side in sides:
+        cold[side] = {name: summary(vals) for name, vals in cold[side].items()}
+        print(f"{side} cold start: "
+              + ", ".join(f"{n} {s['median']:.3f} s" for n, s in cold[side].items()), flush=True)
+
     traced = {side: {w: run_bench(path, w, 1, seconds, 1) for w in ("search", "certify")}
               for side, path in sides.items()}
 
@@ -159,11 +202,13 @@ def main(argv=None) -> int:
 
     args.out.write_text(json.dumps({
         "script": "bench/compare.py",
-        "settings": {"reps": REPS, "pairs": PAIRS, "seconds": seconds},
+        "settings": {"reps": REPS, "cold_reps": COLD_REPS, "pairs": PAIRS,
+                     "seconds": seconds},
         "commits": {side: identify(path) for side, path in sides.items()},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count(), "loadavg_end": list(os.getloadavg())},
         "inprocess": inprocess,
+        "cold_start_wall_s": cold,
         "traced": traced,
         "end_to_end": end_to_end,
     }, indent=1) + "\n")

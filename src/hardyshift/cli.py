@@ -217,8 +217,7 @@ def _cmd_lemma(args) -> int:
     _write_csv(path, ["n", "sup_value", "sup_laplacian", "sup_grad_sq",
                       "carl_laplacian", "carl_grad_sq",
                       "carl_laplacian_bound", "carl_grad_sq_bound"], rows)
-    _write_manifest(out, "lemma", {"powers": powers},
-                    [path], started)
+    _write_manifest(out, "lemma", {"powers": powers}, [path], started)
     return EXIT_OK
 
 
