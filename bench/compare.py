@@ -53,6 +53,10 @@ COLD_REPS = 7  # cold-start timings per command and side
 
 def child(kind: str, k: int) -> None:
     """Time one in-process call; print {"cpu_s", "wall_s", "result"}."""
+    # checkouts that import scipy on first use would count the import in
+    # the timed call; cold starts have their own job
+    import scipy.integrate  # noqa: F401
+    import scipy.special  # noqa: F401
     from hardyshift.construction import (ConstructionConfig, verify_f_conditions,
                                          verify_theorem_conditions)
 
