@@ -18,6 +18,7 @@ import numpy as np
 _POLISH_POINTS = 33  # samples per bracket and polish step; each step shrinks a bracket 16-fold
 _POLISH_XATOL = 1e-13  # brackets narrower than this are final
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # the smallest rtol scipy's brentq accepts
+_BRENT_MAXITER = 100  # scipy's default
 
 
 class RootNotConvergedError(RuntimeError):
@@ -116,16 +117,16 @@ def sign_change_brackets(values: np.ndarray, grid: np.ndarray, floor: float = 1e
     return [(float(grid[i]), float(grid[i + 1])) for i in np.flatnonzero(crossing)]
 
 
-def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float = 2e-12,
-           rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
+def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
     """Root of the scalar function f in [xa, xb] by Brent's method.
 
     A step-for-step port of scipy.optimize.brentq (Brent 1973, as in
-    scipy's brentq.c): the same inverse quadratic / secant steps,
-    bisection fallbacks and stopping rule, so it evaluates f at the same
-    points and returns the same root bit for bit, without importing
-    scipy.optimize.  Raises ValueError when f(xa) and f(xb) have the same
-    sign or f returns NaN, and RootNotConvergedError after maxiter steps.
+    scipy's brentq.c) with rtol = 4 eps and maxiter = 100: the same
+    inverse quadratic / secant steps, bisection fallbacks and stopping
+    rule, so it evaluates f at the same points and returns the same root
+    bit for bit, without importing scipy.optimize.  Raises ValueError when
+    f(xa) and f(xb) have the same sign or f returns NaN, and
+    RootNotConvergedError after maxiter steps.
     """
     def call(x: float) -> float:
         fx = float(f(x))
@@ -142,14 +143,14 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float = 2e-1
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -170,4 +171,4 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float = 2e-1
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
     raise RootNotConvergedError(
-        f"brentq did not converge in {maxiter} iterations; last value {xcur!r}")
+        f"brentq did not converge in {_BRENT_MAXITER} iterations; last value {xcur!r}")
