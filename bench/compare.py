@@ -1,9 +1,14 @@
 """Before/after numbers for two hardyshift checkouts, written as one BENCH_*.json.
 
-    python3 bench/compare.py --parent PARENT_CHECKOUT --change . --out BENCH_4.json
+    python3 bench/compare.py --parent PARENT_CHECKOUT --change . --out BENCH_5.json
 
-Four parts, each run on both checkouts with this same script:
+Six parts, each run on both checkouts with this same script:
 
+* output identity: every command of the `search`, `certify` and
+  `tables` workloads (from the change's `hardybench/workloads.py`, verify
+  seed 1), `lemma` and `construct --K 2`, run once per checkout; every
+  output file must be byte-identical, manifests compared as JSON without
+  `elapsed_seconds`;
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
   delta 0.5, K = 3..8), of `verify_f_conditions` /
   `verify_theorem_conditions` (eps 2) on the frozen K = 8 config, and of
@@ -11,6 +16,12 @@ Four parts, each run on both checkouts with this same script:
   config, the two `verify` runs of the `certify` workload; each in a
   fresh interpreter with the checkout's `src` first on the path, the two
   checkouts alternating, REPS times;
+* in-process layer timings on the frozen K = 8 config, as microseconds
+  per call (after one untimed call): `RadialSeries.eval` of the kernel
+  ratio at 1 point and at 1000 points, `ratio_log_laplacian` at 1 point,
+  and `carleson_norm` of the `verify_f_conditions` Laplacian density
+  (a fresh density per call, so sign roots included); same fresh
+  interpreters and alternation;
 * cold-start wall time of `python -c "import hardyshift.cli"` and of the
   `weights`, `orbit`, `curvature` and `construct --K 2` commands on the
   frozen K = 3 config, each a fresh process, the two checkouts
@@ -30,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -47,6 +59,10 @@ VERIFY_CONFIGS = {8: (0.5, K8_STARTS, 2.0),
 PLAN_KS = (3, 4, 5, 6, 7, 8)
 WORKLOADS = ("search", "certify", "tables")
 REPS = 3  # in-process timings per job and side
+# layer timings: calls per timed loop
+LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
+               "carleson_norm_laplacian": 5}
+LEMMA_POWERS = ("10", "2248", "172510")
 PAIRS = 10  # alternating end-to-end runs per workload
 COLD_REPS = 7  # cold-start timings per command and side
 
@@ -60,6 +76,9 @@ def child(kind: str, k: int) -> None:
     from hardyshift.construction import (ConstructionConfig, verify_f_conditions,
                                          verify_theorem_conditions)
 
+    if kind in LAYER_CALLS:
+        layer(kind, k)
+        return
     if kind == "plan":
         call = lambda: list(ConstructionConfig.plan(1.0, 0.5, k).spike_starts)  # noqa: E731
     else:
@@ -73,6 +92,37 @@ def child(kind: str, k: int) -> None:
     result = call()
     print(json.dumps({"cpu_s": time.process_time() - c0,
                       "wall_s": time.perf_counter() - t0, "result": result}))
+
+
+def layer(kind: str, k: int) -> None:
+    """Time LAYER_CALLS[kind] calls of one layer; print {"cpu_s", "wall_s", "us_per_call", "result"}."""
+    import numpy as np
+    from hardyshift.carleson import SeriesGapDensity, carleson_norm
+    from hardyshift.construction import ConstructionConfig
+    from hardyshift.series import RadialSeries
+    from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian
+
+    delta, starts, _ = VERIFY_CONFIGS[k]
+    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=k, spike_starts=starts)
+    f = kernel_ratio_series(config.weights(), r_max=config.r_max, tol=config.tol)
+    if kind == "eval_1pt":
+        call = lambda: f.eval(0.998)  # noqa: E731
+    elif kind == "eval_1000pt":
+        s = np.linspace(0.0, 0.998, 1000)
+        call = lambda: float(f.eval(s).sum())  # noqa: E731
+    elif kind == "ratio_log_laplacian_1pt":
+        call = lambda: ratio_log_laplacian(f, 0.999)  # noqa: E731
+    else:
+        lap = f.add(RadialSeries.from_terms([(0, -1.0)])).laplacian()
+        call = lambda: carleson_norm(SeriesGapDensity(lap, 1)).at_unit_depth  # noqa: E731
+    result = call()
+    n = LAYER_CALLS[kind]
+    c0, t0 = time.process_time(), time.perf_counter()
+    for _ in range(n):
+        call()
+    cpu, wall = time.process_time() - c0, time.perf_counter() - t0
+    print(json.dumps({"cpu_s": cpu, "wall_s": wall, "us_per_call": 1e6 * wall / n,
+                      "result": result}))
 
 
 def run_child(checkout: Path, kind: str, k: int) -> dict:
@@ -96,6 +146,65 @@ def cold_commands(work: Path) -> dict[str, list[str]]:
             "curvature": [*cli, "curvature", str(config), *out],
             "construct_K2": [*cli, "construct", "--alpha", "1", "--delta", "0.5",
                              "--K", "2", *out]}
+
+
+def identity_commands(change: Path, work: Path) -> dict[str, list[str]]:
+    """CLI arguments (without --out) of each command of the output-identity job."""
+    spec = importlib.util.spec_from_file_location(
+        "hardybench_workloads", change / "hardybench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    configs = {}
+    for key, cfg in workloads.CONFIGS.items():
+        configs[f"{{config:{key}}}"] = str(work / f"{key}.json")
+        (work / f"{key}.json").write_text(json.dumps(cfg))
+    commands = {op.label: [configs.get(a, a).replace("{seed}", "1") for a in op.args]
+                for w in WORKLOADS for op in workloads.WORKLOADS[w].ops}
+    commands["lemma"] = ["lemma", *LEMMA_POWERS]
+    commands["construct-K2"] = ["construct", "--alpha", "1", "--delta", "0.5", "--K", "2"]
+    return commands
+
+
+def output_differences(left: Path, right: Path) -> list[str]:
+    """Files that differ between two output directories (manifests without elapsed_seconds)."""
+    names = sorted({p.name for p in left.iterdir()} | {p.name for p in right.iterdir()})
+    diffs = []
+    for name in names:
+        a, b = left / name, right / name
+        if not (a.exists() and b.exists()):
+            diffs.append(f"{name}: only on one side")
+        elif name.endswith("_manifest.json"):
+            ja, jb = json.loads(a.read_text()), json.loads(b.read_text())
+            ja.pop("elapsed_seconds", None)
+            jb.pop("elapsed_seconds", None)
+            if ja != jb:
+                diffs.append(name)
+        elif a.read_bytes() != b.read_bytes():
+            diffs.append(name)
+    return diffs
+
+
+def output_identity(sides: dict[str, Path]) -> dict:
+    """Run each identity command on both checkouts and compare every output file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        commands = identity_commands(sides["change"], work)
+        result = {"commands": {}, "files_compared": 0}
+        for label, cmd in commands.items():
+            outs = {}
+            for side, checkout in sides.items():
+                outs[side] = work / side / label
+                env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+                subprocess.run([sys.executable, "-m", "hardyshift.cli", *cmd,
+                                "--out", str(outs[side])], env=env, capture_output=True,
+                               check=True)
+            diffs = output_differences(outs["parent"], outs["change"])
+            result["files_compared"] += len(list(outs["change"].iterdir()))
+            result["commands"][label] = {"args": cmd, "differences": diffs}
+            print(f"identity {label}: {diffs or 'identical'}", flush=True)
+        result["identical"] = not any(c["differences"] for c in result["commands"].values())
+    return result
 
 
 def run_cold(checkout: Path, args: list[str]) -> float:
@@ -144,32 +253,41 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path, default=Path("."))
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--identity-only", action="store_true",
+                        help="run only the output-identity job; exit 1 if a file differs")
     args = parser.parse_args(argv)
     if args.child:
         child(args.child[0], int(args.child[1]))
         return 0
-    if args.parent is None or args.out is None:
+    if args.parent is None or (args.out is None and not args.identity_only):
         parser.error("--parent and --out are required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.identity_only:
+        return 0 if output_identity(sides)["identical"] else 1
     seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
 
+    identity = output_identity(sides)
+
     inprocess = {side: {} for side in sides}
-    jobs = [("plan", k) for k in PLAN_KS] + [("verify_f", 8), ("verify_theorem", 8),
-                                              ("verify_theorem", 4)]
+    jobs = ([("plan", k) for k in PLAN_KS]
+            + [("verify_f", 8), ("verify_theorem", 8), ("verify_theorem", 4)]
+            + [(kind, 8) for kind in LAYER_CALLS])
     for rep in range(REPS):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
         for kind, k in jobs:
             for side in order:
                 res = run_child(sides[side], kind, k)
-                slot = inprocess[side].setdefault(f"{kind}_K{k}", {"cpu_s": [], "wall_s": []})
-                slot["cpu_s"].append(res["cpu_s"])
-                slot["wall_s"].append(res["wall_s"])
+                slot = inprocess[side].setdefault(f"{kind}_K{k}", {})
+                for name in ("cpu_s", "wall_s", "us_per_call"):
+                    if name in res:
+                        slot.setdefault(name, []).append(res[name])
                 slot["result"] = res["result"]
                 print(f"{side} {kind} K={k}: cpu {res['cpu_s']:.3f} s", flush=True)
     for side in sides:
         for slot in inprocess[side].values():
-            slot["cpu_s"] = summary(slot["cpu_s"])
-            slot["wall_s"] = summary(slot["wall_s"])
+            for name in ("cpu_s", "wall_s", "us_per_call"):
+                if name in slot:
+                    slot[name] = summary(slot[name])
 
     cold = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
@@ -211,6 +329,7 @@ def main(argv=None) -> int:
         "commits": {side: identify(path) for side, path in sides.items()},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count(), "loadavg_end": list(os.getloadavg())},
+        "output_identity": identity,
         "inprocess": inprocess,
         "cold_start_wall_s": cold,
         "traced": traced,

@@ -107,6 +107,18 @@ def edge_integral_partial(m: int, p: int, r: float) -> float:
     return float(edge_integral_exact(m, p)) * float(betainc(m + 1, p + 1, r))
 
 
+def _sum_in_order(values) -> float:
+    """Float sum, left to right.
+
+    The bits do not depend on the interpreter: builtin sum compensates
+    float sums from Python 3.12 on, and np.sum adds pairwise.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 # ---------------------------------------------------------------------- #
 # densities
 
@@ -260,6 +272,12 @@ class SeriesGapDensity(RadialDensity):
         mids = [(x + y) / 2.0 for x, y in zip(cands, cands[1:])]
         return merge_grids(base_r * base_r, cands, mids)
 
+    @cached_property
+    def _edge_weights(self) -> np.ndarray:
+        """edge_integral(2e + 1, gap_power) for each exponent e of the series."""
+        return np.array([edge_integral(2 * int(e) + 1, self.gap_power)
+                         for e in self.series.exponents], dtype=np.float64)
+
     def _signed_piece(self, a: float, b: float) -> float:
         if a == 0.0 and b == 1.0:
             # full-interval pieces cancel catastrophically in float once
@@ -268,25 +286,29 @@ class SeriesGapDensity(RadialDensity):
             for e, c in zip(self.series.exponents, self.series.coeffs):
                 total += Fraction(float(c)) * edge_integral_exact(2 * int(e) + 1, self.gap_power)
             return float(total)
+        # one monomial piece per term: m = 2e + 1 is the power of r in
+        # G(r^2) r, and each piece is the edge weight times an incomplete
+        # beta ratio, all terms in one betainc call
         p = self.gap_power
-        total = 0.0
-        for e, c in zip(self.series.exponents, self.series.coeffs):
-            m = 2 * int(e) + 1
-            if b == 1.0:
-                # integral_a^1 = B(m+1, p+1) I_{1-a}(p+1, m+1) by the symmetry
-                # x -> 1 - x; the difference of the two integrals from 0
-                # cancels completely once 1 - a is small
-                piece = float(edge_integral_exact(m, p)) * float(betainc(p + 1, m + 1, 1.0 - a))
-            else:
-                piece = edge_integral_partial(m, p, b) - edge_integral_partial(m, p, a)
-            total += float(c) * piece
-        return total
+        m = 2 * self.series.exponents + 1
+        weights = self._edge_weights
+        if b == 1.0:
+            # integral_a^1 = B(m+1, p+1) I_{1-a}(p+1, m+1) by the symmetry
+            # x -> 1 - x; the difference of the two integrals from 0
+            # cancels completely once 1 - a is small
+            pieces = weights * betainc(p + 1, m + 1, 1.0 - a)
+        elif a == 0.0:
+            pieces = weights * betainc(m + 1, p + 1, b)
+        else:
+            ratios = betainc(m + 1, p + 1, np.array([[b], [a]]))
+            pieces = weights * ratios[0] - weights * ratios[1]
+        return _sum_in_order((self.series.coeffs * pieces).tolist())
 
     def window_integral(self, a: float, b: float) -> float:
         if not 0.0 <= a <= b <= 1.0:
             raise ValueError("window bounds must satisfy 0 <= a <= b <= 1")
         cuts = [a] + [x for x in self.sign_roots if a < x < b] + [b]
-        return sum(abs(self._signed_piece(x0, x1)) for x0, x1 in zip(cuts, cuts[1:]))
+        return _sum_in_order(abs(self._signed_piece(x0, x1)) for x0, x1 in zip(cuts, cuts[1:]))
 
     def window_masses(self, depths: Sequence[float]) -> list[float]:
         """Exact mass of each window [1-t, 1], one closed-form sum per window."""

@@ -7,6 +7,13 @@ evaluated in the log domain as exp(e * ln s); small exponents go through
 ordinary powers.  Dense series (contiguous exponents from 0) take a Horner
 fast path.
 
+Each series builds its evaluation plan once, on first use, and keeps it:
+the dense flag, the (exponents, coeffs) pair of the small exponents, and
+the log-domain terms cut into blocks of 4096 with float exponents.  eval
+runs the plan; eval_with_derivatives returns G, G' and G'' together,
+bit-equal to eval on the series and its cached derivatives, with one
+range check and one log of s for all three.
+
 Differential operators, for the normalized Laplacian Delta = d^2/(dz dzbar)
 (one quarter of the standard Laplacian):
 
@@ -21,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 _LOG_DOMAIN_MIN_EXP = 65  # s**e by repeated squaring below this, exp(e ln s) at or above
+_LOG_DOMAIN_BLOCK = 4096  # log-domain terms per exp(ln s * e) matrix
 _PRODUCT_TERM_CAP = 4_000_000
 
 
@@ -50,6 +58,57 @@ def _canonical(exponents: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, n
     np.add.at(merged, inverse, c)
     keep = merged != 0.0
     return uniq[keep].astype(np.int64), merged[keep]
+
+
+class _EvalPlan(NamedTuple):
+    """A series' terms as eval consumes them.
+
+    dense holds the coefficients of a dense series (Horner); otherwise
+    small is the (exponents, coeffs) pair below _LOG_DOMAIN_MIN_EXP, or
+    None, and blocks the log-domain (float exponents, coeffs) pairs.  The
+    zero series has neither and evaluates to zeros.
+    """
+
+    dense: Optional[np.ndarray]
+    small: Optional[tuple[np.ndarray, np.ndarray]]
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def run(self, s_arr: np.ndarray, logs: Optional[np.ndarray]) -> np.ndarray:
+        """Values at the points s_arr; logs = log(s_arr) when blocks is nonempty."""
+        if self.dense is not None:
+            return _poly.polyval(s_arr, self.dense)
+        out = np.zeros(s_arr.shape)
+        if self.small is not None:
+            e, c = self.small
+            out += np.power(s_arr[:, None], e[None, :]) @ c
+        for e, c in self.blocks:
+            out += np.exp(logs[:, None] * e[None, :]) @ c
+        return out
+
+
+def _unit_interval_points(s) -> tuple[np.ndarray, bool]:
+    """s as a float array of at least one dimension, and whether it was a scalar.
+
+    Raises ValueError unless every point satisfies 0 <= s < 1; NaN fails
+    both comparisons and is rejected too.
+    """
+    s_arr = np.asarray(s, dtype=np.float64)
+    if s_arr.size == 1:
+        inside = 0.0 <= s_arr.item() < 1.0
+    else:
+        inside = bool(np.all((s_arr >= 0.0) & (s_arr < 1.0)))
+    if not inside:
+        raise ValueError("s must lie in [0, 1)")
+    return (s_arr.reshape(1), True) if s_arr.ndim == 0 else (s_arr, False)
+
+
+def _log(s_arr: np.ndarray) -> np.ndarray:
+    """log of points already checked to lie in [0, 1)."""
+    if s_arr.all():
+        return np.log(s_arr)
+    # s = 0 gives log = -inf and exp(e * -inf) = 0, the right limit
+    with np.errstate(divide="ignore"):
+        return np.log(s_arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,33 +183,37 @@ class RadialSeries:
     # ------------------------------------------------------------------ #
     # evaluation
 
+    @cached_property
+    def _plan(self) -> _EvalPlan:
+        """How eval splits the terms, built on first use and kept with the series."""
+        if self.is_dense:
+            return _EvalPlan(self.coeffs, None, ())
+        small = self.exponents < _LOG_DOMAIN_MIN_EXP
+        pair = (self.exponents[small], self.coeffs[small]) if np.any(small) else None
+        e = self.exponents[~small].astype(np.float64)
+        c = self.coeffs[~small]
+        blocks = tuple((e[lo:lo + _LOG_DOMAIN_BLOCK], c[lo:lo + _LOG_DOMAIN_BLOCK])
+                       for lo in range(0, len(e), _LOG_DOMAIN_BLOCK))
+        return _EvalPlan(None, pair, blocks)
+
     def eval(self, s):
         """Value at s, scalar or array; requires 0 <= s < 1."""
-        s_arr = np.asarray(s, dtype=np.float64)
-        scalar = s_arr.ndim == 0
-        s_arr = np.atleast_1d(s_arr)
-        if np.any((s_arr < 0.0) | (s_arr >= 1.0)):
-            raise ValueError("s must lie in [0, 1)")
-        if len(self.exponents) == 0:
-            out = np.zeros_like(s_arr)
-        elif self.is_dense:
-            out = _poly.polyval(s_arr, self.coeffs)
-        else:
-            out = np.zeros_like(s_arr)
-            small = self.exponents < _LOG_DOMAIN_MIN_EXP
-            if np.any(small):
-                e = self.exponents[small]
-                out += np.power(s_arr[:, None], e[None, :]) @ self.coeffs[small]
-            if np.any(~small):
-                e = self.exponents[~small].astype(np.float64)
-                c = self.coeffs[~small]
-                with np.errstate(divide="ignore"):
-                    logs = np.log(s_arr)
-                # s = 0 gives log = -inf and exp(e * -inf) = 0, the right limit
-                for lo in range(0, len(e), 4096):
-                    blk = slice(lo, lo + 4096)
-                    out += np.exp(logs[:, None] * e[None, blk]) @ c[blk]
+        s_arr, scalar = _unit_interval_points(s)
+        plan = self._plan
+        out = plan.run(s_arr, _log(s_arr) if plan.blocks else None)
         return float(out[0]) if scalar else out
+
+    def eval_with_derivatives(self, s):
+        """(G(s), G'(s), G''(s)), each bit-equal to eval on G, G' and G''.
+
+        G' and G'' are the cached derivative series.  One range check and
+        one log of s serve all three plans.
+        """
+        s_arr, scalar = _unit_interval_points(s)
+        plans = (self._plan, self.derivative._plan, self.derivative.derivative._plan)
+        logs = _log(s_arr) if any(p.blocks for p in plans) else None
+        outs = tuple(p.run(s_arr, logs) for p in plans)
+        return tuple(float(o[0]) for o in outs) if scalar else outs
 
     __call__ = eval
 

@@ -256,15 +256,12 @@ def ratio_log_laplacian(ratio: RadialSeries, r):
     """Delta log f at radius r for a positive radial polynomial f.
 
     Uses (f Delta f - |df|^2) / f^2 with Delta f = f' + s f'' and
-    |df|^2 = s (f')^2, all evaluated from the sparse series.  The
-    derivative series are built once per f and reused on every call.
+    |df|^2 = s (f')^2, all evaluated from the sparse series in one
+    fused pass (RadialSeries.eval_with_derivatives).
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
     s = r_arr * r_arr
-    f_val = ratio.eval(s)
-    dp = ratio.derivative
-    f_p = dp.eval(s)
-    f_pp = dp.derivative.eval(s)
+    f_val, f_p, f_pp = ratio.eval_with_derivatives(s)
     out = (f_val * (f_p + s * f_pp) - s * f_p * f_p) / (f_val * f_val)
     return float(out[0]) if np.ndim(r) == 0 else out
 

@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betainc
 
 from hardyshift import (
+    ConstructionConfig,
     RadialDensity,
     carleson_norm,
     dyadic_t_grid,
@@ -291,3 +293,50 @@ def test_curvature_scan_integrates_each_shell_once(standard_config):
     scan = carleson_norm(counting)
     assert scan.at_unit_depth == mass
     assert calls[0] - one_integral <= 6 * one_integral
+
+
+# ---------------------------------------------------------------------- #
+# vectorized window pieces against the per-monomial reference
+
+
+def per_term_piece(d: SeriesGapDensity, a: float, b: float) -> float:
+    """Signed integral of G(r^2) r (1-r)^p over [a, b], one scalar betainc per monomial."""
+    p = d.gap_power
+    total = 0.0
+    for e, c in zip(d.series.exponents, d.series.coeffs):
+        m = 2 * int(e) + 1
+        if b == 1.0:
+            piece = float(edge_integral_exact(m, p)) * float(betainc(p + 1, m + 1, 1.0 - a))
+        else:
+            piece = edge_integral_partial(m, p, b) - edge_integral_partial(m, p, a)
+        total += float(c) * piece
+    return total
+
+
+def piece_windows(d: SeriesGapDensity) -> list[tuple[float, float]]:
+    """Windows with a = 0, with b = 1 and interior ones, around the sign roots."""
+    cuts = [0.0, *d.sign_roots, 1.0]
+    windows = list(zip(cuts, cuts[1:]))
+    r0 = d.sign_roots[0]
+    gap = 1.0 - r0
+    windows += [(0.0, 0.5), (0.0, 1.0 - 4.0 * gap), (1.0 - 2.0**-30, 1.0), (0.5, 1.0),
+                (1.0 - 4.0 * gap, r0), (r0, 1.0 - gap / 4.0), (0.25, 0.75)]
+    return [(a, b) for a, b in windows if (a, b) != (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("n", [10, 2248, 172510])
+def test_signed_piece_is_bit_equal_to_per_term_sum_on_bumps(n):
+    d = SeriesGapDensity(edge_bump(n).laplacian(), 1)
+    for a, b in piece_windows(d):
+        assert d._signed_piece(a, b).hex() == per_term_piece(d, a, b).hex(), (a, b)
+
+
+def test_signed_piece_is_bit_equal_to_per_term_sum_on_ratio_laplacian():
+    starts = (3, 32, 117, 343, 906, 2248, 5368, 12479)
+    config = ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=8, spike_starts=starts)
+    f = kernel_ratio_series(config.weights(), r_max=config.r_max, tol=config.tol)
+    d = SeriesGapDensity(f.add(RadialSeries.from_terms([(0, -1.0)])).laplacian(), 1)
+    assert len(d.sign_roots) > 2
+    windows = piece_windows(d) + [(1.0 - t, 1.0) for t in dyadic_t_grid()[1:]]
+    for a, b in windows:
+        assert d._signed_piece(a, b).hex() == per_term_piece(d, a, b).hex(), (a, b)

@@ -70,6 +70,56 @@ def test_eval_rejects_points_outside_unit_interval():
         g.eval(1.0)
     with pytest.raises(ValueError):
         g.eval(-0.1)
+    # NaN fails both comparisons of 0 <= s < 1
+    for series in (g, edge_bump(100)):
+        for bad in (math.nan, np.array([0.5, math.nan]), np.array([math.nan])):
+            with pytest.raises(ValueError):
+                series.eval(bad)
+            with pytest.raises(ValueError):
+                series.eval_with_derivatives(bad)
+    with pytest.raises(ValueError):
+        g.eval_with_derivatives(np.array([0.0, 1.0]))
+
+
+def fused_cases() -> dict[str, RadialSeries]:
+    rng = np.random.default_rng(11)
+    block_exps = 70 + 3 * np.arange(2 * 4096 + 17)  # more than one log-domain block
+    return {
+        "zero": RadialSeries.zero(),
+        "dense": RadialSeries.from_dense(rng.uniform(-1.0, 1.0, 13)),
+        "small_only": RadialSeries.from_terms([(0, 0.5), (3, -1.25), (64, 2.0)]),
+        "log_domain_only": RadialSeries.from_terms([(66, -0.75), (4000, 1.5), (10**6, 3.0)]),
+        "mixed": RadialSeries.from_terms(
+            [(0, 0.5), (3, -1.25), (64, 2.0), (65, -0.75), (4000, 1.5), (10**6, 3.0)]),
+        "blocks": RadialSeries(block_exps, rng.uniform(-1.0, 1.0, len(block_exps))),
+    }
+
+
+def test_fused_cases_cover_every_evaluation_plan():
+    plans = {name: g._plan for name, g in fused_cases().items()}
+    assert plans["zero"] == (None, None, ())
+    assert plans["dense"].dense is not None
+    assert plans["small_only"].small is not None and not plans["small_only"].blocks
+    assert plans["log_domain_only"].small is None and len(plans["log_domain_only"].blocks) == 1
+    assert plans["mixed"].small is not None and len(plans["mixed"].blocks) == 1
+    assert len(plans["blocks"].blocks) == 3
+
+
+@pytest.mark.parametrize("name", ["zero", "dense", "small_only", "log_domain_only", "mixed",
+                                  "blocks"])
+def test_eval_with_derivatives_is_bit_equal_to_separate_evals(name):
+    series = fused_cases()[name]
+    separate = (series, series.derivative, series.derivative.derivative)
+    points = np.array([0.0, 1e-300, 0.3, 0.97, 0.9999, 0.999999])
+    fused = series.eval_with_derivatives(points)
+    assert len(fused) == 3
+    for got, g in zip(fused, separate):
+        assert got.shape == points.shape
+        assert got.tobytes() == g.eval(points).tobytes()
+    for s in points:
+        for got, g in zip(series.eval_with_derivatives(float(s)), separate):
+            assert type(got) is float
+            assert got.hex() == g.eval(float(s)).hex()
 
 
 # ---------------------------------------------------------------------- #
