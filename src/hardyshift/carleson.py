@@ -286,9 +286,9 @@ class SeriesGapDensity(RadialDensity):
             for e, c in zip(self.series.exponents, self.series.coeffs):
                 total += Fraction(float(c)) * edge_integral_exact(2 * int(e) + 1, self.gap_power)
             return float(total)
-        # one monomial piece per term: m = 2e + 1 is the power of r in
-        # G(r^2) r, and each piece is the edge weight times an incomplete
-        # beta ratio, all terms in one betainc call
+        # term e contributes c * integral_a^b r^m (1-r)^p dr with m = 2e + 1:
+        # its edge weight times incomplete beta ratios, all terms in one
+        # betainc call; the products are summed in term order
         p = self.gap_power
         m = 2 * self.series.exponents + 1
         weights = self._edge_weights
@@ -297,8 +297,6 @@ class SeriesGapDensity(RadialDensity):
             # x -> 1 - x; the difference of the two integrals from 0
             # cancels completely once 1 - a is small
             pieces = weights * betainc(p + 1, m + 1, 1.0 - a)
-        elif a == 0.0:
-            pieces = weights * betainc(m + 1, p + 1, b)
         else:
             ratios = betainc(m + 1, p + 1, np.array([[b], [a]]))
             pieces = weights * ratios[0] - weights * ratios[1]
