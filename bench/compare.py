@@ -22,7 +22,8 @@ Six parts, each run on both checkouts with this same script:
   and `carleson_norm` of the `verify_f_conditions` Laplacian density
   (a fresh density per call, so sign roots included); same fresh
   interpreters and alternation;
-* cold-start wall time of `python -c "import hardyshift.cli"` and of the
+* cold-start wall time and CPU time (user + system, from the child's
+  rusage) of `python -c "import hardyshift.cli"` and of the
   `weights`, `orbit`, `curvature` and `construct --K 2` commands on the
   frozen K = 3 config, each a fresh process, the two checkouts
   alternating, COLD_REPS times;
@@ -45,6 +46,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -207,12 +209,15 @@ def output_identity(sides: dict[str, Path]) -> dict:
     return result
 
 
-def run_cold(checkout: Path, args: list[str]) -> float:
-    """Wall seconds of one fresh interpreter running args on the checkout's src."""
+def run_cold(checkout: Path, args: list[str]) -> tuple[float, float]:
+    """Wall and CPU seconds of one fresh interpreter running args on the checkout's src."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
-    return time.perf_counter() - t0
+    wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return wall, (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -253,17 +258,13 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path, default=Path("."))
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--identity-only", action="store_true",
-                        help="run only the output-identity job; exit 1 if a file differs")
     args = parser.parse_args(argv)
     if args.child:
         child(args.child[0], int(args.child[1]))
         return 0
-    if args.parent is None or (args.out is None and not args.identity_only):
+    if args.parent is None or args.out is None:
         parser.error("--parent and --out are required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    if args.identity_only:
-        return 0 if output_identity(sides)["identical"] else 1
     seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
 
     identity = output_identity(sides)
@@ -290,15 +291,19 @@ def main(argv=None) -> int:
                     slot[name] = summary(slot[name])
 
     cold = {side: {} for side in sides}
+    cold_cpu = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         commands = cold_commands(Path(tmp))
         for rep in range(COLD_REPS):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
             for name, cmd in commands.items():
                 for side in order:
-                    cold[side].setdefault(name, []).append(run_cold(sides[side], cmd))
+                    wall, cpu = run_cold(sides[side], cmd)
+                    cold[side].setdefault(name, []).append(wall)
+                    cold_cpu[side].setdefault(name, []).append(cpu)
     for side in sides:
         cold[side] = {name: summary(vals) for name, vals in cold[side].items()}
+        cold_cpu[side] = {name: summary(vals) for name, vals in cold_cpu[side].items()}
         print(f"{side} cold start: "
               + ", ".join(f"{n} {s['median']:.3f} s" for n, s in cold[side].items()), flush=True)
 
@@ -332,6 +337,7 @@ def main(argv=None) -> int:
         "output_identity": identity,
         "inprocess": inprocess,
         "cold_start_wall_s": cold,
+        "cold_start_cpu_s": cold_cpu,
         "traced": traced,
         "end_to_end": end_to_end,
     }, indent=1) + "\n")

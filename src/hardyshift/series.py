@@ -93,19 +93,13 @@ def _unit_interval_points(s) -> tuple[np.ndarray, bool]:
     both comparisons and is rejected too.
     """
     s_arr = np.asarray(s, dtype=np.float64)
-    if s_arr.size == 1:
-        inside = 0.0 <= s_arr.item() < 1.0
-    else:
-        inside = bool(np.all((s_arr >= 0.0) & (s_arr < 1.0)))
-    if not inside:
+    if not np.all((s_arr >= 0.0) & (s_arr < 1.0)):
         raise ValueError("s must lie in [0, 1)")
     return (s_arr.reshape(1), True) if s_arr.ndim == 0 else (s_arr, False)
 
 
 def _log(s_arr: np.ndarray) -> np.ndarray:
     """log of points already checked to lie in [0, 1)."""
-    if s_arr.all():
-        return np.log(s_arr)
     # s = 0 gives log = -inf and exp(e * -inf) = 0, the right limit
     with np.errstate(divide="ignore"):
         return np.log(s_arr)
