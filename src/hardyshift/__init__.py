@@ -7,10 +7,7 @@ stays within any prescribed distance of the unweighted shift's curvature
 """
 
 from .carleson import (
-    CarlesonScan,
-    CarlesonWindow,
     RadialDensity,
-    SeriesGapDensity,
     carleson_norm,
     dyadic_t_grid,
     edge_integral,
@@ -21,17 +18,13 @@ from .carleson import (
     window_quotient,
 )
 from .construction import (
-    LemmaReport,
-    ConditionResult,
     ConstructionConfig,
     InfeasibleConstructionError,
-    VerificationReport,
     lemma_bounds,
     bump_gradient_sq_carleson_bound,
     bump_laplacian_carleson_bound,
     bump_peak,
     delta_for_epsilon,
-    measure_spike_conditions,
     select_spike_positions,
     spike_budget,
     spike_correction_thresholds,
@@ -39,9 +32,7 @@ from .construction import (
     verify_theorem_conditions,
     verify_f_conditions,
 )
-from .grids import boundary_refined_grid, critical_radius, refined_supremum
 from .operators import (
-    CoisometryReport,
     backward_shift,
     coisometry_check,
     forward_shift,
@@ -49,18 +40,9 @@ from .operators import (
     norm_w,
     orbit_norms,
 )
-from .series import (
-    RadialSeries,
-    TruncationError,
-    edge_bump,
-    fd_laplacian,
-    geometric_series,
-    truncation_order,
-)
+from .series import RadialSeries, TruncationError
 from .spectral import (
-    CurvatureSample,
     DecompositionMismatchError,
-    KernelDiagonal,
     curvature_backward_shift,
     curvature_difference,
     curvature_samples,
@@ -79,25 +61,15 @@ from .weights import SpikeSpec, WeightSequence, build_spiked_weights, slope_repo
 __version__ = "0.1.0"
 
 __all__ = [
-    "LemmaReport",
-    "CarlesonScan",
-    "CarlesonWindow",
-    "CoisometryReport",
-    "ConditionResult",
     "ConstructionConfig",
-    "CurvatureSample",
     "DecompositionMismatchError",
     "InfeasibleConstructionError",
-    "KernelDiagonal",
     "RadialDensity",
     "RadialSeries",
-    "SeriesGapDensity",
     "SpikeSpec",
     "TruncationError",
-    "VerificationReport",
     "WeightSequence",
     "backward_shift",
-    "boundary_refined_grid",
     "build_spiked_weights",
     "lemma_bounds",
     "bump_gradient_sq_carleson_bound",
@@ -105,7 +77,6 @@ __all__ = [
     "bump_peak",
     "carleson_norm",
     "coisometry_check",
-    "critical_radius",
     "curvature_backward_shift",
     "curvature_difference",
     "curvature_samples",
@@ -114,23 +85,18 @@ __all__ = [
     "deficit_coefficients",
     "delta_for_epsilon",
     "dyadic_t_grid",
-    "edge_bump",
     "edge_integral",
     "edge_integral_exact",
     "edge_integral_partial",
-    "fd_laplacian",
     "forward_shift",
-    "geometric_series",
     "inner_w",
     "kernel_diagonal_series",
     "kernel_eval",
     "kernel_ratio_series",
-    "measure_spike_conditions",
     "norm_w",
     "orbit_norms",
     "radial_carleson_norm",
     "ratio_log_laplacian",
-    "refined_supremum",
     "select_spike_positions",
     "slope_report",
     "spike_budget",
@@ -138,7 +104,6 @@ __all__ = [
     "spike_gate",
     "spike_kernel_term",
     "spike_ratio_term",
-    "truncation_order",
     "verify_theorem_conditions",
     "verify_f_conditions",
     "window_measure",

@@ -20,8 +20,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .carleson import (
     RadialDensity,
     SeriesGapDensity,
     TWO_PI,
-    CarlesonScan,
     carleson_norm,
     edge_integral_exact,
     radial_carleson_norm,
@@ -91,13 +90,57 @@ class LemmaReport:
     carl_grad_sq: float
 
 
-def _bump_grid(n: int) -> np.ndarray:
-    powers = [max(q, 1) for q in (2 * n - 2, 2 * n - 1, 2 * n, 2 * n + 1, 2 * n + 2,
-                                  4 * n - 2, 4 * n, 4 * n + 2)]
-    extras = [n / (n + 1.0)]
-    if n >= 1:
-        extras.append(math.sqrt(n / (n + 1.0)))
-    return merge_grids(boundary_refined_grid(701, 45.0), peak_candidates(powers), extras)
+def _decay_grid(powers: Iterable[int], count: int, u_max: float) -> np.ndarray:
+    """Boundary-refined grid seeded, for each bump power m, with the peaks of
+    the monomials of its Laplacian and squared gradient and with the bump's
+    own peak r = sqrt(m/(m+1)) (and s = m/(m+1))."""
+    stencil: set[int] = set()
+    extras: list[float] = []
+    for m in powers:
+        stencil.update(q for q in (2 * m - 2, 2 * m - 1, 2 * m, 2 * m + 1, 2 * m + 2,
+                                   4 * m - 2, 4 * m, 4 * m + 2) if q >= 1)
+        extras += [math.sqrt(m / (m + 1.0)), m / (m + 1.0)]
+    return merge_grids(boundary_refined_grid(count, u_max), peak_candidates(stencil), extras)
+
+
+class DecayProfile:
+    """Decay quantities of a radial term G(s), s = r^2, measured on a grid.
+
+    `laplacian` and `gradient_sq` are the Carleson densities
+    |Laplacian G| (1 - r) and |gradient G|^2 (1 - r).  The suprema are
+    (argmax_r, value) pairs computed on first access, so a caller pays
+    only for what it reads: value_sup of |G|, laplacian_sup of
+    |Laplacian G| (1 - r)^2, gradient_sup of |gradient G| (1 - r) and
+    gradient_sq_sup of |gradient G|^2 (1 - r)^2.  The last is the square
+    of gradient_sup rounded on its own, so the two can differ in the last
+    bit: the lemma table carries the square, the verifier rows the root.
+    """
+
+    def __init__(self, series: RadialSeries, grid: np.ndarray):
+        self.series = series
+        self.grid = grid
+        self.laplacian = SeriesGapDensity(series.laplacian(), 1)
+        self.gradient_sq = SeriesGapDensity(series.grad_sq(), 1, nonneg=True)
+
+    @cached_property
+    def value_sup(self) -> tuple[float, float]:
+        return refined_supremum(lambda r: np.abs(self.series.eval(r * r)), self.grid)
+
+    @cached_property
+    def laplacian_sup(self) -> tuple[float, float]:
+        lap = self.laplacian.series
+        return refined_supremum(lambda r: np.abs(lap.eval(r * r)) * (1.0 - r) ** 2, self.grid)
+
+    @cached_property
+    def gradient_sup(self) -> tuple[float, float]:
+        grad = self.gradient_sq.series
+        return refined_supremum(
+            lambda r: np.sqrt(np.maximum(grad.eval(r * r), 0.0)) * (1.0 - r), self.grid)
+
+    @cached_property
+    def gradient_sq_sup(self) -> tuple[float, float]:
+        grad = self.gradient_sq.series
+        return refined_supremum(lambda r: np.abs(grad.eval(r * r)) * (1.0 - r) ** 2, self.grid)
 
 
 @lru_cache(maxsize=None)
@@ -106,24 +149,20 @@ def lemma_bounds(n: int) -> LemmaReport:
 
     Suprema come from a boundary-refined grid seeded with the exact
     critical radii and polished locally; the two Carleson masses are
-    integrated exactly through edge integrals.
+    integrated exactly through edge integrals.  Reports, pure functions
+    of n, are kept in one process-wide table: a test that patches anything
+    this calls must call lemma_bounds.cache_clear() first.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    bump = edge_bump(n)
-    lap = bump.laplacian()
-    grad = bump.grad_sq()
-    grid = _bump_grid(n)
-
-    _, sup_lap = refined_supremum(lambda r: np.abs(lap.eval(r * r)) * (1.0 - r) ** 2, grid)
-    _, sup_grad = refined_supremum(lambda r: np.abs(grad.eval(r * r)) * (1.0 - r) ** 2, grid)
+    p = DecayProfile(edge_bump(n), _decay_grid([n], 701, 45.0))
     return LemmaReport(
         n=n,
         sup_value=bump_peak(n)[1],
-        sup_laplacian=sup_lap,
-        sup_grad_sq=sup_grad,
-        carl_laplacian=radial_carleson_norm(SeriesGapDensity(lap, 1)),
-        carl_grad_sq=radial_carleson_norm(SeriesGapDensity(grad, 1, nonneg=True)),
+        sup_laplacian=p.laplacian_sup[1],
+        sup_grad_sq=p.gradient_sq_sup[1],
+        carl_laplacian=radial_carleson_norm(p.laplacian),
+        carl_grad_sq=radial_carleson_norm(p.gradient_sq),
     )
 
 
@@ -426,40 +465,21 @@ def _row(name: str, threshold: float, measured: float,
                            argmax_r=argmax_r, passed=bool(measured <= threshold))
 
 
-def _condition_grid(spikes: Sequence[SpikeSpec], count: int = 801, u_max: float = 46.0) -> np.ndarray:
-    powers: set[int] = set()
-    extras: list[float] = []
-    for sp in spikes:
-        for m in _spike_member_powers(sp):
-            powers.update(q for q in (2 * m - 2, 2 * m - 1, 2 * m, 2 * m + 1, 2 * m + 2,
-                                      4 * m - 2, 4 * m, 4 * m + 2) if q >= 1)
-            extras.append(math.sqrt(m / (m + 1.0)))
-            extras.append(m / (m + 1.0))
-    return merge_grids(
-        boundary_refined_grid(count, u_max),
-        peak_candidates(sorted(powers)) if powers else None,
-        extras if extras else None,
-    )
+def _condition_grid(spikes: Sequence[SpikeSpec]) -> np.ndarray:
+    return _decay_grid([m for sp in spikes for m in _spike_member_powers(sp)], 801, 46.0)
 
 
 def measure_spike_conditions(alpha: float, spike: SpikeSpec,
                              grid: np.ndarray | None = None) -> dict[str, float]:
     """Measured decay quantities of one spike's assembled correction term."""
-    if grid is None:
-        grid = _condition_grid([spike])
-    h = spike_ratio_term(alpha, spike)
-    lap = h.laplacian()
-    grad = h.grad_sq()
-    _, sup_value = refined_supremum(lambda r: np.abs(h.eval(r * r)), grid)
-    _, sup_lap = refined_supremum(lambda r: np.abs(lap.eval(r * r)) * (1.0 - r) ** 2, grid)
-    _, sup_grad = refined_supremum(
-        lambda r: np.sqrt(np.maximum(grad.eval(r * r), 0.0)) * (1.0 - r), grid)
+    p = DecayProfile(spike_ratio_term(alpha, spike),
+                     _condition_grid([spike]) if grid is None else grid)
     return {
-        "value_sup": sup_value,
-        "laplacian_sup": sup_lap,
-        "gradient_sup": sup_grad,
-        "laplacian_carleson": radial_carleson_norm(SeriesGapDensity(lap, 1)),
-        "gradient_sq_carleson": radial_carleson_norm(SeriesGapDensity(grad, 1, nonneg=True)),
+        "value_sup": p.value_sup[1],
+        "laplacian_sup": p.laplacian_sup[1],
+        "gradient_sup": p.gradient_sup[1],
+        "laplacian_carleson": radial_carleson_norm(p.laplacian),
+        "gradient_sq_carleson": radial_carleson_norm(p.gradient_sq),
     }
 
 
@@ -478,20 +498,11 @@ def verify_f_conditions(config: ConstructionConfig,
     if grid is None:
         grid = _condition_grid(w.spikes)
     f = kernel_ratio_series(w, r_max=config.r_max, tol=config.tol)
-    extra = f.add(RadialSeries.from_terms([(0, -1.0)]))
-    lap = extra.laplacian()
-    grad = extra.grad_sq()
-
-    arg_dev, sup_dev = refined_supremum(lambda r: np.abs(extra.eval(r * r)), grid)
-    arg_lap, sup_lap = refined_supremum(
-        lambda r: np.abs(lap.eval(r * r)) * (1.0 - r) ** 2, grid)
-    arg_grad, sup_grad = refined_supremum(
-        lambda r: np.sqrt(np.maximum(grad.eval(r * r), 0.0)) * (1.0 - r), grid)
-
-    scans = {
-        "laplacian": carleson_norm(SeriesGapDensity(lap, 1)),
-        "gradient_sq": carleson_norm(SeriesGapDensity(grad, 1, nonneg=True)),
-    }
+    p = DecayProfile(f.add(RadialSeries.from_terms([(0, -1.0)])), grid)
+    (arg_dev, sup_dev), (arg_lap, sup_lap), (arg_grad, sup_grad) = \
+        p.value_sup, p.laplacian_sup, p.gradient_sup
+    scans = {"laplacian": carleson_norm(p.laplacian),
+             "gradient_sq": carleson_norm(p.gradient_sq)}
 
     rows = [
         _row("ratio_deviation", delta, sup_dev, arg_dev),

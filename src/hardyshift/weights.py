@@ -24,9 +24,8 @@ the log domain from the spike layout.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,72 +71,57 @@ class WeightSequence:
                     f"{prev.half_width} reaches {prev.end}, next start {nxt.start}"
                 )
         object.__setattr__(self, "spikes", spikes)
-        object.__setattr__(self, "_starts", tuple(sp.start for sp in spikes))
 
     @property
     def log_slope(self) -> float:
         """Largest step of log w_n between consecutive indices: 2 log(1+alpha)."""
         return 2.0 * math.log1p(self.alpha)
 
-    def log_weight_at(self, n: int) -> float:
-        """log w_n, exactly zero off spikes."""
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        idx = bisect_right(self._starts, n) - 1
-        if idx < 0:
-            return 0.0
-        sp = self.spikes[idx]
-        if n > sp.end:
-            return 0.0
-        j = min(n - sp.start, sp.end - n)
-        return j * self.log_slope
+    def _spike_steps(self, n0: int, n1: int) -> list[tuple[slice, np.ndarray]]:
+        """For each spike meeting [n0, n1): the slice of the range it covers
+        and the distance j of each covered index from the nearer spike end."""
+        if n0 < 0 or n1 < n0:
+            raise ValueError("need 0 <= n0 <= n1")
+        steps = []
+        for sp in self.spikes:
+            lo, hi = max(sp.start, n0), min(sp.end, n1 - 1)
+            if lo <= hi:
+                idx = np.arange(lo, hi + 1)
+                j = np.minimum(idx - sp.start, sp.end - idx)
+                steps.append((slice(lo - n0, hi + 1 - n0), j))
+        return steps
 
     @property
     def _slope_base(self) -> float:
         return (1.0 + self.alpha) ** 2
 
+    def log_weight_at(self, n: int) -> float:
+        """log w_n, exactly zero off spikes."""
+        for _, j in self._spike_steps(n, n + 1):
+            return int(j[0]) * self.log_slope
+        return 0.0
+
     def weight_at(self, n: int) -> float:
         # integer power of (1+alpha)^2 rather than exp of the log form:
         # bit-exact whenever the base is (e.g. alpha = 1)
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        idx = bisect_right(self._starts, n) - 1
-        if idx < 0:
-            return 1.0
-        sp = self.spikes[idx]
-        if n > sp.end:
-            return 1.0
-        j = min(n - sp.start, sp.end - n)
-        return self._slope_base ** j
+        for _, j in self._spike_steps(n, n + 1):
+            return self._slope_base ** int(j[0])
+        return 1.0
 
     def log_weight_range(self, n0: int, n1: int) -> np.ndarray:
         """log w_n for n in [n0, n1), vectorized over the spike layout."""
-        if n0 < 0 or n1 < n0:
-            raise ValueError("need 0 <= n0 <= n1")
+        steps = self._spike_steps(n0, n1)
         out = np.zeros(n1 - n0, dtype=np.float64)
-        for sp in self.spikes:
-            lo = max(sp.start, n0)
-            hi = min(sp.end, n1 - 1)
-            if lo > hi:
-                continue
-            idx = np.arange(lo, hi + 1)
-            j = np.minimum(idx - sp.start, sp.end - idx)
-            out[lo - n0: hi + 1 - n0] = j * self.log_slope
+        for cover, j in steps:
+            out[cover] = j * self.log_slope
         return out
 
     def weight_range(self, n0: int, n1: int) -> np.ndarray:
         """w_n for n in [n0, n1), as integer powers of (1+alpha)^2."""
-        if n0 < 0 or n1 < n0:
-            raise ValueError("need 0 <= n0 <= n1")
+        steps = self._spike_steps(n0, n1)
         out = np.ones(n1 - n0, dtype=np.float64)
-        for sp in self.spikes:
-            lo = max(sp.start, n0)
-            hi = min(sp.end, n1 - 1)
-            if lo > hi:
-                continue
-            idx = np.arange(lo, hi + 1)
-            j = np.minimum(idx - sp.start, sp.end - idx)
-            out[lo - n0: hi + 1 - n0] = np.power(self._slope_base, j)
+        for cover, j in steps:
+            out[cover] = np.power(self._slope_base, j)
         return out
 
     @property

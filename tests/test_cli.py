@@ -263,3 +263,23 @@ def test_table_commands_load_no_scipy(constructed, tmp_path):
 def test_construct_loads_only_scipy_special(tmp_path):
     assert scipy_modules_after([["construct", "--alpha", "1", "--delta", "0.5", "--K", "2",
                                  "--out", str(tmp_path)]]) == {"special"}
+
+
+def test_benchmark_tracer_wraps_the_package(tmp_path):
+    # hardybench/tracer.py patches package functions by name; a rename or a
+    # new signature must fail here rather than in the benchmark's traced run
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(hardyshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    spans_path, out = tmp_path / "spans.json", tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(repo / "hardybench" / "tracer.py"), str(spans_path),
+                           "construct", "--alpha", "1", "--delta", "0.5", "--K", "2",
+                           "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "config.json").read_text())["spike_starts"] == [3, 32]
+    trace = json.loads(spans_path.read_text())
+    assert {"construction.lemma_bounds", "construction.measure_spike_conditions",
+            "weights.weight_range"} <= set(trace["spans"])
+    assert trace["spans"]["construction.lemma_bounds"]["calls"] > 0
+    assert trace["counters"]["construction.lemma_bounds.misses"] > 0

@@ -22,7 +22,13 @@ from hardyshift import (
     verify_f_conditions,
     verify_theorem_conditions,
 )
-from hardyshift.construction import measure_spike_conditions
+from hardyshift import construction
+from hardyshift.construction import (
+    DecayProfile,
+    _condition_grid,
+    _decay_grid,
+    measure_spike_conditions,
+)
 from hardyshift.series import edge_bump
 from hardyshift.spectral import spike_ratio_term
 from hardyshift.weights import SpikeSpec
@@ -93,6 +99,34 @@ def test_pointwise_laplacian_majorization():
         rhs = (2.0 * (n + 1) ** 2 * (1.0 - r) + (2 * n + 1)) * r ** (2 * n - 2) * (1.0 - r) ** 2
         assert np.all(lhs <= rhs * (1.0 + 1e-12) + 1e-300)
 
+
+
+def test_lemma_computes_only_the_suprema_it_reports(monkeypatch):
+    # the lemma reads laplacian_sup and gradient_sq_sup of its profile; the
+    # closed-form peak stands in for value_sup, and gradient_sup is unused
+    calls = []
+    refined_supremum = construction.refined_supremum
+
+    def counting(fn, grid, *args, **kwargs):
+        calls.append(fn)
+        return refined_supremum(fn, grid, *args, **kwargs)
+
+    monkeypatch.setattr(construction, "refined_supremum", counting)
+    construction.lemma_bounds.__wrapped__(34)
+    assert len(calls) == 2
+
+
+def _profiles():
+    for n in (1, 34, 2248, 172510):
+        yield DecayProfile(edge_bump(n), _decay_grid([n], 701, 45.0))
+    for k, start in enumerate(STANDARD_STARTS, start=1):
+        spike = SpikeSpec(start, k)
+        yield DecayProfile(spike_ratio_term(1.0, spike), _condition_grid([spike]))
+
+
+def test_gradient_suprema_are_one_supremum_rounded_two_ways():
+    for p in _profiles():
+        assert math.sqrt(p.gradient_sq_sup[1]) == pytest.approx(p.gradient_sup[1], rel=1e-14)
 
 # ---------------------------------------------------------------------- #
 # gates and placement

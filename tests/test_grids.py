@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from hardyshift.carleson import SeriesGapDensity
-from hardyshift.construction import _bump_grid, curvature_density, lemma_bounds
+from hardyshift.construction import _decay_grid, curvature_density, lemma_bounds
 from hardyshift.grids import (
     RootNotConvergedError,
     boundary_refined_grid,
@@ -59,7 +59,7 @@ def test_refined_supremum_never_below_grid_maximum(seed):
 def test_refined_supremum_reaches_dense_grid_maximum(n):
     dense = np.linspace(0.0, 1.0, 2_000_001)[:-1]
     for fn in _bump_fns(n):
-        _, value = refined_supremum(fn, _bump_grid(n))
+        _, value = refined_supremum(fn, _decay_grid([n], 701, 45.0))
         dense_max = max(float(np.max(fn(chunk))) for chunk in np.array_split(dense, 8))
         assert value >= dense_max - 1e-12
 
@@ -126,7 +126,7 @@ def test_polish_is_batched(n):
     # one call on the grid, then one per polish step for all brackets together
     for base in _bump_fns(n):
         fn = CountingFn(base)
-        refined_supremum(fn, _bump_grid(n))
+        refined_supremum(fn, _decay_grid([n], 701, 45.0))
         assert fn.calls <= 16
 
 

@@ -94,3 +94,15 @@ def test_log_weight_is_zero_off_spikes():
     assert w.log_weight_at(9) == 0.0
     assert w.log_weight_at(13) == 0.0
     assert w.log_weight_at(11) == pytest.approx(2.0 * math.log1p(2.0), rel=1e-15)
+
+
+def test_lookups_reject_indices_outside_the_layout():
+    w = build_spiked_weights(1.0, [3, 32])
+    with pytest.raises(ValueError):
+        w.weight_at(-1)
+    with pytest.raises(ValueError):
+        w.log_weight_at(-1)
+    with pytest.raises(ValueError):
+        w.weight_range(5, 4)
+    with pytest.raises(ValueError):
+        w.log_weight_range(-1, 3)
