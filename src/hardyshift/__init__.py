@@ -46,7 +46,6 @@ from .spectral import (
     curvature_backward_shift,
     curvature_difference,
     curvature_samples,
-    curvature_sign_changes,
     curvature_weighted,
     deficit_coefficients,
     kernel_diagonal_series,
@@ -80,7 +79,6 @@ __all__ = [
     "curvature_backward_shift",
     "curvature_difference",
     "curvature_samples",
-    "curvature_sign_changes",
     "curvature_weighted",
     "deficit_coefficients",
     "delta_for_epsilon",

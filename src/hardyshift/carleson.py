@@ -5,6 +5,7 @@ Everything here integrates densities rho(|z|) dxdy over boundary windows
     W(t, arc) = {z : 1 - t <= |z| < 1, arg z in an arc of length arc},
 
 so window masses factor as arc * integral of rho(r) r dr over [1-t, 1).
+Every window here takes the full circle, arc = 2 pi.
 
 Two scalar summaries appear throughout:
 
@@ -211,13 +212,7 @@ class SeriesGapDensity(RadialDensity):
     exponent, then polished by Brent's method (grids.brentq).
     """
 
-    def __init__(
-        self,
-        series: RadialSeries,
-        gap_power: int = 1,
-        nonneg: bool = False,
-        label: str = "",
-    ):
+    def __init__(self, series: RadialSeries, gap_power: int = 1, nonneg: bool = False):
         if gap_power < 0:
             raise ValueError("gap_power must be nonnegative")
         self.series = series
@@ -228,7 +223,7 @@ class SeriesGapDensity(RadialDensity):
             r = np.asarray(r, dtype=np.float64)
             return np.abs(series.eval(r * r)) * (1.0 - r) ** self.gap_power
 
-        super().__init__(rho, breakpoints=(), label=label)
+        super().__init__(rho)
 
     @cached_property
     def sign_roots(self) -> tuple[float, ...]:
@@ -242,7 +237,7 @@ class SeriesGapDensity(RadialDensity):
         def f(s: float) -> float:
             return float(self.series.eval(s))
 
-        for lo, hi in sign_change_brackets(vals, s_grid, floor=0.0):
+        for lo, hi in sign_change_brackets(vals, s_grid):
             # re-taking signs scalar-by-scalar: vectorized and scalar
             # powers round differently at the last ulp, and brentq must
             # see a sign change under its own evaluations
@@ -317,31 +312,16 @@ class SeriesGapDensity(RadialDensity):
 # windows and norms
 
 
-@dataclass(frozen=True)
-class CarlesonWindow:
-    """Boundary window of depth t and arc length arc_length."""
-
-    t: float
-    arc_length: float = TWO_PI
-
-    def __post_init__(self):
-        if not 0.0 < self.t <= 1.0:
-            raise ValueError("depth t must lie in (0, 1]")
-        if not 0.0 < self.arc_length <= TWO_PI + 1e-12:
-            raise ValueError("arc_length must lie in (0, 2 pi]")
-
-    def measure(self, density: RadialDensity) -> float:
-        return self.arc_length * density.window_integral(1.0 - self.t, 1.0)
-
-
-def window_measure(density: RadialDensity, t: float, arc_length: float = TWO_PI) -> float:
-    """Mass of the density over the window of depth t and given arc length."""
-    return CarlesonWindow(t, arc_length).measure(density)
+def window_measure(density: RadialDensity, t: float) -> float:
+    """Mass of the density over the full-circle window of depth t in (0, 1]."""
+    if not 0.0 < t <= 1.0:
+        raise ValueError("depth t must lie in (0, 1]")
+    return TWO_PI * density.window_integral(1.0 - t, 1.0)
 
 
 def window_quotient(density: RadialDensity, t: float) -> float:
     """Full-circle window mass divided by the depth t."""
-    return window_measure(density, t, TWO_PI) / t
+    return window_measure(density, t) / t
 
 
 def dyadic_t_grid(j_max: int = 40) -> np.ndarray:

@@ -43,7 +43,6 @@ from .grids import boundary_refined_grid
 from .operators import coisometry_check, orbit_norms
 from .series import TruncationError
 from .spectral import DecompositionMismatchError, curvature_difference, curvature_samples
-from .weights import SpikeSpec
 
 EXIT_OK = 0
 EXIT_CONDITION_FAILED = 2

@@ -230,6 +230,13 @@ _GATE_NAMES = ("value_sup", "laplacian_sup", "gradient_sup",
                "laplacian_carleson", "gradient_sq_carleson")
 
 
+def _gate_thresholds(delta: float, k: int) -> tuple[float, ...]:
+    """The k-th spike's budgets in _GATE_NAMES order; value_sup shares the
+    laplacian_sup budget."""
+    lap_sup, grad_sup, lap_carl, grad_sq_carl = spike_correction_thresholds(delta, k)
+    return lap_sup, lap_sup, grad_sup, lap_carl, grad_sq_carl
+
+
 @dataclass(frozen=True)
 class SpikeGate:
     """Triangle-inequality bounds for one candidate spike against its budgets."""
@@ -258,7 +265,7 @@ def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
     budget^2 * max bounds the squared-gradient mass (Cauchy-Schwarz).
     The gradient sup uses the root of the per-bump squared sup.
     """
-    thr = spike_correction_thresholds(delta, spike.half_width)
+    thresholds = _gate_thresholds(delta, spike.half_width)
     reports = [lemma_bounds(m) for m in _spike_member_powers(spike)]
     c_total = spike_budget(alpha, spike)
     values = (
@@ -268,7 +275,6 @@ def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
         c_total * max(rep.carl_laplacian for rep in reports),
         c_total ** 2 * max(rep.carl_grad_sq for rep in reports),
     )
-    thresholds = (thr[0], thr[0], thr[1], thr[2], thr[3])
     return SpikeGate(spike=spike, budget=c_total, names=_GATE_NAMES,
                      values=values, thresholds=thresholds)
 
@@ -277,14 +283,13 @@ def select_spike_positions(
     alpha: float,
     delta: float,
     n_spikes: int,
-    start_floor: int = 1,
     max_start: int = 2 ** 40,
 ) -> list[int]:
     """Choose spike starts so every gate passes, earliest first.
 
-    For each k the admissible region is searched by doubling from the
-    floor imposed by the previous spike, then bisected down to a start
-    whose predecessor fails the gate, so each position is locally
+    For each k the admissible region is searched by doubling from start 1,
+    or from the floor imposed by the previous spike, then bisected down to
+    a start whose predecessor fails the gate, so each position is locally
     minimal.  Exceeding max_start raises InfeasibleConstructionError.
     """
     if alpha <= 0 or not math.isfinite(alpha):
@@ -295,7 +300,7 @@ def select_spike_positions(
         raise ValueError(f"n_spikes must lie in 0..{MAX_SPIKES}")
 
     starts: list[int] = []
-    floor = max(1, int(start_floor))
+    floor = 1
     for k in range(1, n_spikes + 1):
         def ok(n: int) -> bool:
             return spike_gate(alpha, delta, SpikeSpec(n, k)).passed
@@ -351,8 +356,8 @@ class ConstructionConfig:
             raise ValueError("n_spikes must equal len(spike_starts)")
         if not 0.0 < self.r_max < 1.0:
             raise ValueError("r_max must lie in (0, 1)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
         self.weights()  # validates ordering and gaps
 
     @classmethod
@@ -393,8 +398,8 @@ class ConstructionConfig:
             tol=float(data["tol"]),
         )
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ConstructionConfig":
@@ -403,8 +408,8 @@ class ConstructionConfig:
 
 def delta_for_epsilon(epsilon: float) -> float:
     """Correction budget sufficient for the flatness level epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     return min(epsilon / (1.0 + epsilon), epsilon / 4.0)
 
 
@@ -474,29 +479,23 @@ def measure_spike_conditions(alpha: float, spike: SpikeSpec,
     """Measured decay quantities of one spike's assembled correction term."""
     p = DecayProfile(spike_ratio_term(alpha, spike),
                      _condition_grid([spike]) if grid is None else grid)
-    return {
-        "value_sup": p.value_sup[1],
-        "laplacian_sup": p.laplacian_sup[1],
-        "gradient_sup": p.gradient_sup[1],
-        "laplacian_carleson": radial_carleson_norm(p.laplacian),
-        "gradient_sq_carleson": radial_carleson_norm(p.gradient_sq),
-    }
+    return dict(zip(_GATE_NAMES, (
+        p.value_sup[1], p.laplacian_sup[1], p.gradient_sup[1],
+        radial_carleson_norm(p.laplacian), radial_carleson_norm(p.gradient_sq))))
 
 
-def verify_f_conditions(config: ConstructionConfig,
-                        grid: np.ndarray | None = None,
-                        include_spike_rows: bool = True) -> VerificationReport:
+def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
     """Measure the kernel ratio against its flatness budget delta.
 
     Rows cover the assembled ratio f = 1 + sum of corrections: deviation
     from 1, weighted Laplacian and gradient suprema, and the two Carleson
-    masses.  With include_spike_rows each correction term is also checked
-    against its own slice of the budget.  Carleson rows carry no argmax.
+    masses.  Each correction term is then checked against its own slice
+    of the budget, the thresholds spike_gate uses.  Carleson rows carry
+    no argmax.
     """
     w = config.weights()
     delta = config.delta
-    if grid is None:
-        grid = _condition_grid(w.spikes)
+    grid = _condition_grid(w.spikes)
     f = kernel_ratio_series(w, r_max=config.r_max, tol=config.tol)
     p = DecayProfile(f.add(RadialSeries.from_terms([(0, -1.0)])), grid)
     (arg_dev, sup_dev), (arg_lap, sup_lap), (arg_grad, sup_grad) = \
@@ -512,18 +511,11 @@ def verify_f_conditions(config: ConstructionConfig,
         _row("gradient_carleson", delta, scans["gradient_sq"].at_unit_depth),
     ]
 
-    if include_spike_rows:
-        for sp in w.spikes:
-            k = sp.half_width
-            thr = spike_correction_thresholds(delta, k)
-            measured = measure_spike_conditions(config.alpha, sp, grid)
-            rows.extend([
-                _row(f"spike{k}_value_sup", thr[0], measured["value_sup"]),
-                _row(f"spike{k}_laplacian_sup", thr[0], measured["laplacian_sup"]),
-                _row(f"spike{k}_gradient_sup", thr[1], measured["gradient_sup"]),
-                _row(f"spike{k}_laplacian_carleson", thr[2], measured["laplacian_carleson"]),
-                _row(f"spike{k}_gradient_sq_carleson", thr[3], measured["gradient_sq_carleson"]),
-            ])
+    for sp in w.spikes:
+        k = sp.half_width
+        measured = measure_spike_conditions(config.alpha, sp, grid)
+        rows.extend(_row(f"spike{k}_{name}", t, measured[name])
+                    for name, t in zip(_GATE_NAMES, _gate_thresholds(delta, k)))
 
     meta = {
         "config": config.to_dict(),
@@ -551,8 +543,7 @@ def curvature_density(f: RadialSeries, spikes: Sequence[SpikeSpec]) -> RadialDen
     )
 
 
-def verify_theorem_conditions(config: ConstructionConfig, epsilon: float,
-                           grid: np.ndarray | None = None) -> VerificationReport:
+def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> VerificationReport:
     """Certify flatness level epsilon for the constructed weights.
 
     Three rows: the kernel ratio stays inside [1/(1+eps), 1+eps]; the
@@ -560,11 +551,10 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float,
     Carleson mass 2 pi integral |Delta log f| (1-r) r dr stays below eps.
     The mass is the depth-one value of the curvature_density scan.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     w = config.weights()
-    if grid is None:
-        grid = _condition_grid(w.spikes)
+    grid = _condition_grid(w.spikes)
     f = kernel_ratio_series(w, r_max=config.r_max, tol=config.tol)
 
     def band(r):

@@ -17,6 +17,7 @@ import numpy as np
 
 _POLISH_POINTS = 33  # samples per bracket and polish step; each step shrinks a bracket 16-fold
 _POLISH_XATOL = 1e-13  # brackets narrower than this are final
+_POLISH_TOP = 8  # interior local maxima of the grid polished per supremum
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # the smallest rtol scipy's brentq accepts
 _BRENT_MAXITER = 100  # scipy's default
 
@@ -55,22 +56,18 @@ def merge_grids(*parts: np.ndarray | Iterable[float]) -> np.ndarray:
     return np.unique(vals)
 
 
-def refined_supremum(
-    fn: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray,
-    refine: bool = True,
-    top: int = 8,
-) -> tuple[float, float]:
+def refined_supremum(fn: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> tuple[float, float]:
     """Supremum of a vectorized function over a radial grid.
 
-    Takes the grid maximum, then polishes the `top` largest interior local
-    maxima of the grid together: each bracket [grid[i-1], grid[i+1]] is
-    resampled at _POLISH_POINTS equispaced points and shrunk to the cells
-    next to its sampled maximum, until every bracket is narrower than
-    _POLISH_XATOL or stops shrinking in floating point.  Each step is one call of `fn` on the points of all
-    brackets still open, so the polish costs about ten calls however many
-    brackets it refines.  Returns (argmax_r, value) of the largest value
-    seen, which is never below the grid maximum.
+    Takes the grid maximum, then polishes the _POLISH_TOP largest interior
+    local maxima of the grid together: each bracket [grid[i-1], grid[i+1]]
+    is resampled at _POLISH_POINTS equispaced points and shrunk to the
+    cells next to its sampled maximum, until every bracket is narrower than
+    _POLISH_XATOL or stops shrinking in floating point.  Each step is one
+    call of `fn` on the points of all brackets still open, so the polish
+    costs about ten calls however many brackets it refines.  Returns
+    (argmax_r, value) of the largest value seen, which is never below the
+    grid maximum.
     """
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(fn(grid), dtype=float)
@@ -78,14 +75,14 @@ def refined_supremum(
         raise ValueError("fn must be vectorized over the grid")
     best_i = int(np.argmax(vals))
     best_r, best_v = float(grid[best_i]), float(vals[best_i])
-    if not refine or len(grid) < 3:
+    if len(grid) < 3:
         return best_r, best_v
 
     interior = np.arange(1, len(grid) - 1)
     local = interior[(vals[interior] >= vals[interior - 1]) & (vals[interior] >= vals[interior + 1])]
     if len(local) == 0:
         local = np.array([min(max(best_i, 1), len(grid) - 2)])
-    order = local[np.argsort(vals[local])[::-1][:top]]
+    order = local[np.argsort(vals[local])[::-1][:_POLISH_TOP]]
     lo, hi = grid[order - 1], grid[order + 1]
     open_ = hi > lo
     steps = np.linspace(0.0, 1.0, _POLISH_POINTS)
@@ -108,12 +105,13 @@ def refined_supremum(
     return best_r, best_v
 
 
-def sign_change_brackets(values: np.ndarray, grid: np.ndarray, floor: float = 1e-280) -> list[tuple[float, float]]:
-    """Intervals of the grid where `values` crosses zero with both ends above `floor` >= 0 in modulus."""
+def sign_change_brackets(values: np.ndarray, grid: np.ndarray) -> list[tuple[float, float]]:
+    """Intervals of the grid where `values` changes sign between two nonzero,
+    non-NaN ends, however small."""
     values = np.asarray(values, dtype=float)
     grid = np.asarray(grid, dtype=float)
     a, b = values[:-1], values[1:]
-    crossing = ((a < 0) != (b < 0)) & (np.abs(a) > floor) & (np.abs(b) > floor)
+    crossing = ((a < 0) != (b < 0)) & (np.abs(a) > 0.0) & (np.abs(b) > 0.0)
     return [(float(grid[i]), float(grid[i + 1])) for i in np.flatnonzero(crossing)]
 
 

@@ -89,16 +89,14 @@ def orbit_norms(weights: WeightSequence, x, n_max: int) -> np.ndarray:
 class CoisometryReport:
     """Observed range of ||T* x|| / ||x|| over random trials.
 
-    lower/upper are the sharp slope bounds (1+alpha)^{-1} and 1+alpha.
-    lower_classical is the wider classical floor 1-alpha, implied by
-    1/(1+alpha) >= 1-alpha; both hold when the check passes, the sharp
-    one is the reported constant.
+    lower/upper are the sharp slope bounds (1+alpha)^{-1} and 1+alpha;
+    the classical floor 1-alpha lies below lower, so it holds whenever
+    the check passes.
     """
 
     min_ratio: float
     max_ratio: float
     lower: float
-    lower_classical: float
     upper: float
     trials: int
     passed: bool
@@ -128,5 +126,4 @@ def coisometry_check(weights: WeightSequence, trials: int = 100,
     slack = 1e-12
     passed = lo_seen >= lower * (1.0 - slack) and hi_seen <= upper * (1.0 + slack)
     return CoisometryReport(min_ratio=float(lo_seen), max_ratio=float(hi_seen),
-                            lower=lower, lower_classical=1.0 - weights.alpha,
-                            upper=upper, trials=trials, passed=passed)
+                            lower=lower, upper=upper, trials=trials, passed=passed)

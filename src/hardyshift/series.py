@@ -26,7 +26,7 @@ both of which stay sparse with the same number of terms (squaring excepted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -107,16 +107,10 @@ def _log(s_arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RadialSeries:
-    """Sparse polynomial sum_e coeffs[e] * s**exponents[e] on s in [0, 1).
-
-    `tail` is an optional bound on the discarded remainder of a truncated
-    series, as a function of r_max (the radius, not s).  Exact polynomials
-    carry tail=None.
-    """
+    """Sparse polynomial sum_e coeffs[e] * s**exponents[e] on s in [0, 1)."""
 
     exponents: np.ndarray
     coeffs: np.ndarray
-    tail: Optional[Callable[[float], float]] = field(default=None, repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.exponents, dtype=np.int64)
@@ -134,17 +128,17 @@ class RadialSeries:
     # constructors
 
     @classmethod
-    def from_terms(cls, terms: Iterable[tuple[int, float]], tail=None) -> "RadialSeries":
+    def from_terms(cls, terms: Iterable[tuple[int, float]]) -> "RadialSeries":
         pairs = list(terms)
         e = np.array([t[0] for t in pairs], dtype=np.int64)
         c = np.array([t[1] for t in pairs], dtype=np.float64)
         e, c = _canonical(e, c)
-        return cls(e, c, tail)
+        return cls(e, c)
 
     @classmethod
-    def from_dense(cls, coeffs: Iterable[float], tail=None) -> "RadialSeries":
+    def from_dense(cls, coeffs: Iterable[float]) -> "RadialSeries":
         c = np.asarray(list(coeffs), dtype=np.float64)
-        return cls(np.arange(len(c), dtype=np.int64), c, tail)
+        return cls(np.arange(len(c), dtype=np.int64), c)
 
     @classmethod
     def zero(cls) -> "RadialSeries":
@@ -276,11 +270,10 @@ class RadialSeries:
 
 
 def geometric_series(order: int) -> RadialSeries:
-    """Truncation of 1/(1-s) at s^order, with the geometric tail bound attached."""
+    """Truncation of 1/(1-s) at s^order; tail_bound_geometric bounds the rest."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return RadialSeries.from_dense(np.ones(order + 1),
-                                   tail=lambda r_max, m=order: tail_bound_geometric(m, r_max))
+    return RadialSeries.from_dense(np.ones(order + 1))
 
 
 def edge_bump(n: int) -> RadialSeries:

@@ -31,14 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import boundary_refined_grid, sign_change_brackets
-from .series import (
-    RadialSeries,
-    TruncationError,
-    edge_bump,
-    tail_bound_geometric,
-    truncation_order,
-)
+from .series import RadialSeries, TruncationError, truncation_order
 from .weights import SpikeSpec, WeightSequence
 
 _DENSE_ORDER_CAP = 2_000_000
@@ -79,24 +72,14 @@ def kernel_eval(weights: WeightSequence, lam: complex, z: complex, tol: float = 
     return complex(powers @ inv_w)
 
 
-@dataclass(frozen=True, eq=False)
-class KernelDiagonal:
-    """Truncated diagonal series K(s) = sum_{n <= order} s^n / w_n."""
-
-    series: RadialSeries
-    weights: WeightSequence
-    r_max: float
-    tol: float
-    order: int
-
-
 def kernel_diagonal_series(
     weights: WeightSequence,
     r_max: float,
     tol: float = 1e-12,
     max_order: int = _DENSE_ORDER_CAP,
-) -> KernelDiagonal:
-    """Dense truncation of the kernel diagonal, valid on [0, r_max].
+) -> RadialSeries:
+    """Dense truncation K(s) = sum_{n <= order} s^n / w_n of the kernel
+    diagonal, valid on [0, r_max].
 
     The truncation order comes from the geometric tail bound (weights are
     at least 1).  Tolerances that would need more than max_order terms are
@@ -111,9 +94,7 @@ def kernel_diagonal_series(
             f"(cap {max_order})",
             order,
         )
-    coeffs = 1.0 / weights.weight_range(0, order + 1)
-    series = RadialSeries.from_dense(coeffs, tail=lambda r, m=order: tail_bound_geometric(m, r))
-    return KernelDiagonal(series=series, weights=weights, r_max=r_max, tol=tol, order=order)
+    return RadialSeries.from_dense(1.0 / weights.weight_range(0, order + 1))
 
 
 # ---------------------------------------------------------------------- #
@@ -166,8 +147,8 @@ def kernel_ratio_series(
     DecompositionMismatchError, the symptom of a slope mismatch between
     the correction coefficients and the weights.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     f = RadialSeries.from_terms([(0, 1.0)])
     for sp in weights.spikes:
         f = f.add(spike_ratio_term(weights.alpha, sp))
@@ -178,7 +159,7 @@ def kernel_ratio_series(
         r = np.linspace(0.0, r_max, 200)
         s = r * r
         lhs = f.eval(s)
-        rhs = (1.0 - s) * diag.series.eval(s)
+        rhs = (1.0 - s) * diag.eval(s)
         dev = float(np.max(np.abs(lhs - rhs)))
         if dev > tol:
             raise DecompositionMismatchError(
@@ -202,6 +183,7 @@ def curvature_backward_shift(r):
 
 
 def _curvature_from_parts(k_val, k_p, k_pp, s):
+    """Delta log K = (K (K' + s K'') - s K'^2) / K^2 from K, K', K'' at s."""
     lap = k_p + s * k_pp
     grad = s * k_p * k_p
     return (k_val * lap - grad) / (k_val * k_val)
@@ -233,19 +215,13 @@ def curvature_weighted(
             g = RadialSeries.zero()
             for sp in weights.spikes:
                 g = g.add(spike_kernel_term(weights.alpha, sp))
-            k_val = k_val + g.eval(s)
-            gp = g.d_ds()
-            k_p = k_p + gp.eval(s)
-            k_pp = k_pp + gp.d_ds().eval(s)
+            g_val, g_p, g_pp = g.eval_with_derivatives(s)
+            k_val, k_p, k_pp = k_val + g_val, k_p + g_p, k_pp + g_pp
     elif method == "series":
         r_top = float(np.max(r_arr))
         s_top = r_top * r_top
         tol_eff = max(min(tol, 1e-12) * (1.0 - s_top) ** 3, 1e-300)
-        diag = kernel_diagonal_series(weights, r_top, tol_eff)
-        k_val = diag.series.eval(s)
-        dp = diag.series.d_ds()
-        k_p = dp.eval(s)
-        k_pp = dp.d_ds().eval(s)
+        k_val, k_p, k_pp = kernel_diagonal_series(weights, r_top, tol_eff).eval_with_derivatives(s)
     else:
         raise ValueError(f"unknown method {method!r}")
     out = _curvature_from_parts(k_val, k_p, k_pp, s)
@@ -261,8 +237,7 @@ def ratio_log_laplacian(ratio: RadialSeries, r):
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
     s = r_arr * r_arr
-    f_val, f_p, f_pp = ratio.eval_with_derivatives(s)
-    out = (f_val * (f_p + s * f_pp) - s * f_p * f_p) / (f_val * f_val)
+    out = _curvature_from_parts(*ratio.eval_with_derivatives(s), s)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
@@ -321,16 +296,3 @@ def curvature_samples(weights: WeightSequence, r_grid: Sequence[float]) -> list[
         for i in range(len(r_arr))
     ]
 
-
-def curvature_sign_changes(weights: WeightSequence, r_grid: Sequence[float] | None = None) -> list[tuple[float, float]]:
-    """Brackets where the curvature difference changes sign.
-
-    Recorded for inspection; no particular sign pattern is asserted
-    anywhere.
-    """
-    if r_grid is None:
-        r_grid = boundary_refined_grid(400, 30.0)
-    r_arr = np.asarray(r_grid, dtype=np.float64)
-    ratio = kernel_ratio_series(weights, cross_check=False)
-    vals = ratio_log_laplacian(ratio, r_arr)
-    return sign_change_brackets(vals, r_arr)

@@ -163,7 +163,7 @@ def test_criterion_06_ratio_decomposition_identity():
         f = kernel_ratio_series(w, r_max=0.999, tol=1e-9, cross_check=False)
         diag = kernel_diagonal_series(w, r_max=0.999, tol=1e-12)
         lhs = f.eval(s)
-        rhs = (1.0 - s) * diag.series.eval(s)
+        rhs = (1.0 - s) * diag.eval(s)
         rel = float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
         worst = max(worst, rel)
         assert rel < 1e-9, (alpha, starts)

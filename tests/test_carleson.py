@@ -20,7 +20,7 @@ from hardyshift import (
     window_measure,
     window_quotient,
 )
-from hardyshift.carleson import TWO_PI, CarlesonWindow, QuadratureError, SeriesGapDensity
+from hardyshift.carleson import TWO_PI, QuadratureError, SeriesGapDensity
 from hardyshift.construction import curvature_density
 from hardyshift.series import RadialSeries, edge_bump
 from hardyshift.spectral import kernel_ratio_series
@@ -103,12 +103,10 @@ def test_window_measure_monotone_in_depth():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        CarlesonWindow(0.0)
-    with pytest.raises(ValueError):
-        CarlesonWindow(1.5)
-    with pytest.raises(ValueError):
-        CarlesonWindow(0.5, arc_length=0.0)
+    d = area_density()
+    for t in (0.0, 1.5, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            window_measure(d, t)
 
 
 def test_carleson_norm_homogeneous_in_the_density():

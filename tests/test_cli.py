@@ -66,6 +66,20 @@ def test_construct_rejects_zero_delta(tmp_path):
                      "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_construct_rejects_non_finite_tol(tmp_path, tol):
+    assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "1",
+                     "--tol", tol, "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "config.json").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_verify_rejects_non_finite_epsilon(constructed, tmp_path, epsilon):
+    assert cli.main(["verify", str(constructed / "config.json"), "--epsilon", epsilon,
+                     "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "conditions.csv").exists()
+
+
 def test_construct_requires_exactly_one_budget_flag(tmp_path):
     with pytest.raises(SystemExit) as info:
         cli.main(["construct", "--alpha", "1", "--K", "1", "--out", str(tmp_path)])

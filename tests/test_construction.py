@@ -314,12 +314,19 @@ def test_trivial_config_passes_everything():
 
 
 def test_verification_report_serialization(standard_config):
-    report = verify_f_conditions(standard_config, include_spike_rows=False)
+    report = verify_f_conditions(standard_config)
     data = report.to_dict()
     assert data["passed"] is True
-    assert len(data["conditions"]) == 5
+    spikes = standard_config.weights().spikes
+    assert len(data["conditions"]) == 5 + 5 * len(spikes)
     assert all(set(c) == {"condition", "threshold", "measured", "argmax_r", "pass"}
                for c in data["conditions"])
+    # every spike row is held to the budget the spike search gated on
+    rows = {c["condition"]: c for c in data["conditions"]}
+    for sp in spikes:
+        gate = spike_gate(standard_config.alpha, standard_config.delta, sp)
+        for name, threshold in zip(gate.names, gate.thresholds):
+            assert rows[f"spike{sp.half_width}_{name}"]["threshold"] == threshold
     assert "laplacian" in data["scans"]
     assert data["scans"]["laplacian"]["at_unit_depth"] <= data["scans"]["laplacian"]["value"]
 

@@ -88,13 +88,16 @@ def test_lemma_suprema_match_scalar_polish(n):
     assert rep.sup_grad_sq >= sup_grad * (1.0 - 1e-14)
 
 
-def test_refined_supremum_without_refinement_is_the_grid_maximum():
+def test_polished_bump_supremum_is_never_below_the_grid_maximum():
     grid = boundary_refined_grid(101, 10.0)
-    fn = CountingFn(_bump_fns(34)[0])
-    vals = fn.fn(grid)
-    i = int(np.argmax(vals))
-    assert refined_supremum(fn, grid, refine=False) == (grid[i], vals[i])
-    assert fn.calls == 1
+    for base in _bump_fns(34):
+        fn = CountingFn(base)
+        vals = fn.fn(grid)
+        r_star, value = refined_supremum(fn, grid)
+        assert fn.calls > 1  # the interior peak was polished
+        assert value >= np.max(vals)
+        assert grid[0] <= r_star <= grid[-1]
+        assert value == pytest.approx(base(np.array([r_star]))[0], rel=1e-13)
 
 
 @pytest.mark.parametrize("grid", [np.array([0.5]), np.array([0.1, 0.7])])
@@ -163,32 +166,34 @@ def test_polish_ends_where_brackets_stop_shrinking():
 # sign_change_brackets
 
 
-def _brackets_loop(values, grid, floor):
+def _brackets_loop(values, grid):
     out = []
     for i in range(len(grid) - 1):
         a, b = values[i], values[i + 1]
-        if a == 0.0 or b == 0.0:
-            continue
-        if (a < 0) != (b < 0) and abs(a) > floor and abs(b) > floor:
+        if (a < 0) != (b < 0) and abs(a) > 0.0 and abs(b) > 0.0:
             out.append((float(grid[i]), float(grid[i + 1])))
     return out
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("floor", [0.0, 1e-280, 0.3])
-def test_sign_change_brackets_match_pairwise_loop(seed, floor):
+@pytest.mark.parametrize("planted", [0.0, 1e-280, 0.3])
+def test_sign_change_brackets_match_pairwise_loop(seed, planted):
+    # values of modulus `planted` and random sign sit among the normal
+    # ones; only exact zeros and NaN keep a cell from being a bracket
     rng = np.random.default_rng(seed)
     values = rng.normal(size=200)
-    values[rng.integers(0, 200, size=20)] = 0.0
+    values[rng.integers(0, 200, size=20)] = planted * rng.choice([-1.0, 1.0], size=20)
     values[rng.integers(0, 200, size=5)] = np.nan
     grid = np.sort(rng.uniform(0.0, 1.0, size=200))
-    assert sign_change_brackets(values, grid, floor) == _brackets_loop(values, grid, floor)
+    assert sign_change_brackets(values, grid) == _brackets_loop(values, grid)
 
 
 def test_sign_change_brackets_edge_cases():
     assert sign_change_brackets(np.array([1.0]), np.array([0.5])) == []
     assert sign_change_brackets(np.array([-1.0, 0.0, 1.0]), np.array([0.1, 0.2, 0.3])) == []
     assert sign_change_brackets(np.array([-1.0, 2.0]), np.array([0.1, 0.2])) == [(0.1, 0.2)]
+    # no floor: a sign change from a subnormal value is a bracket too
+    assert sign_change_brackets(np.array([-5e-324, 1e-300]), np.array([0.1, 0.2])) == [(0.1, 0.2)]
 
 
 # ---------------------------------------------------------------------- #
@@ -223,7 +228,7 @@ def _scalar_brackets(series, widen: int = 0):
         return float(series.eval(s))
 
     out = []
-    for lo, hi in sign_change_brackets(vals, grid, floor=0.0):
+    for lo, hi in sign_change_brackets(vals, grid):
         i = int(np.searchsorted(grid, lo))
         lo, hi = float(grid[max(i - widen, 0)]), float(grid[min(i + 1 + widen, len(grid) - 1)])
         flo, fhi = f(lo), f(hi)
@@ -271,7 +276,7 @@ def test_brentq_matches_scipy_on_random_polynomials(seed):
         return float(np.polynomial.polynomial.polyval(x, coeffs))
 
     vals = np.array([f(x) for x in grid])
-    for lo, hi in sign_change_brackets(vals, grid, floor=0.0):
+    for lo, hi in sign_change_brackets(vals, grid):
         (root, seen), (ref_root, ref_seen) = _brent_runs(f, lo, hi)
         assert root == ref_root
         assert seen == ref_seen

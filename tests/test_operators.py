@@ -127,10 +127,9 @@ def test_coisometry_band_for_both_alphas():
         assert rep.trials == 100
         assert rep.lower == pytest.approx(1.0 / (1.0 + alpha), rel=1e-15)
         assert rep.upper == 1.0 + alpha
-        assert rep.lower_classical == 1.0 - alpha
         assert rep.lower <= rep.min_ratio <= rep.max_ratio <= rep.upper
-        # the classical band is implied by the sharp one
-        assert rep.min_ratio >= rep.lower_classical
+        # the classical floor 1 - alpha is implied by the sharp one
+        assert rep.min_ratio >= 1.0 - alpha
 
 
 def test_coisometry_check_is_seed_deterministic():

@@ -31,8 +31,8 @@ def test_geometric_series_matches_closed_form():
     s = np.linspace(0.0, 0.81, 40)
     expected = 1.0 / (1.0 - s)
     err = np.abs(g.eval(s) - expected)
-    # truncation is the only error source; its bound is attached to the series
-    assert np.all(err <= g.tail(0.9) + 1e-12)
+    # truncation is the only error source, bounded by the geometric tail at r = 0.9
+    assert np.all(err <= tail_bound_geometric(200, 0.9) + 1e-12)
 
 
 def test_edge_bump_evaluates_to_monomial_times_gap():

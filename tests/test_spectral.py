@@ -12,7 +12,6 @@ from hardyshift import (
     curvature_backward_shift,
     curvature_difference,
     curvature_samples,
-    curvature_sign_changes,
     curvature_weighted,
     deficit_coefficients,
     inner_w,
@@ -82,7 +81,7 @@ def test_kernel_eval_input_validation_and_truncation_cap():
 def test_diagonal_series_coefficients_are_reciprocal_weights():
     w = build_spiked_weights(1.0, [5])
     diag = kernel_diagonal_series(w, r_max=0.9, tol=1e-10)
-    c = diag.series.dense_coeffs()
+    c = diag.dense_coeffs()
     assert c[0] == 1.0
     assert c[6] == 0.25
     assert c[7] == 1.0
@@ -156,7 +155,7 @@ def test_kernel_ratio_cross_check_against_dense_diagonal():
         r = np.linspace(0.0, 0.999, 200)
         s = r * r
         lhs = f.eval(s)
-        rhs = (1.0 - s) * diag.series.eval(s)
+        rhs = (1.0 - s) * diag.eval(s)
         assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-9
 
 
@@ -244,11 +243,3 @@ def test_curvature_samples_table(standard_config):
     for s in samples:
         assert s.difference == pytest.approx(s.kappa_weighted - s.kappa_reference, rel=1e-12)
     assert samples[0].kappa_reference == 1.0
-
-
-def test_curvature_sign_changes_are_recorded_not_asserted(standard_config):
-    w = standard_config.weights()
-    brackets = curvature_sign_changes(w)
-    assert isinstance(brackets, list)
-    for lo, hi in brackets:
-        assert 0.0 <= lo < hi < 1.0
