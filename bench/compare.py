@@ -24,9 +24,9 @@ Six parts, each run on both checkouts with this same script:
   interpreters and alternation;
 * cold-start wall time and CPU time (user + system, from the child's
   rusage) of `python -c "import hardyshift.cli"` and of the
-  `weights`, `orbit`, `curvature` and `construct --K 2` commands on the
-  frozen K = 3 config, each a fresh process, the two checkouts
-  alternating, COLD_REPS times;
+  `weights`, `orbit`, `curvature`, `construct --K 2`, `lemma` and
+  `verify --epsilon 2` commands on the frozen K = 3 config, each a fresh
+  process, the two checkouts alternating, COLD_REPS times;
 * the per-layer counts of `hardybench/run.py --trace 1` on the `search`
   and `certify` workloads, from each checkout's own `hardybench`;
 * PAIRS alternating end-to-end runs of `hardybench/run.py --trace 0` per
@@ -71,8 +71,8 @@ COLD_REPS = 7  # cold-start timings per command and side
 
 def child(kind: str, k: int) -> None:
     """Time one in-process call; print {"cpu_s", "wall_s", "result"}."""
-    # checkouts that import scipy on first use would count the import in
-    # the timed call; cold starts have their own job
+    # a checkout that imports scipy on first use would count the import in
+    # the timed call; cold starts, which pay every import, have their own job
     import scipy.integrate  # noqa: F401
     import scipy.special  # noqa: F401
     from hardyshift.construction import (ConstructionConfig, verify_f_conditions,
@@ -147,7 +147,9 @@ def cold_commands(work: Path) -> dict[str, list[str]]:
             "orbit": [*cli, "orbit", str(config), "130", *out],
             "curvature": [*cli, "curvature", str(config), *out],
             "construct_K2": [*cli, "construct", "--alpha", "1", "--delta", "0.5",
-                             "--K", "2", *out]}
+                             "--K", "2", *out],
+            "lemma": [*cli, "lemma", *LEMMA_POWERS, *out],
+            "verify_eps2": [*cli, "verify", str(config), "--epsilon", "2", *out]}
 
 
 def identity_commands(change: Path, work: Path) -> dict[str, list[str]]:

@@ -33,6 +33,10 @@ pieces reduce to edge integrals
 
 evaluated in integer arithmetic, because the alternating float sum
 sum_i (-1)^i C(p, i) / (m+i+1) loses all precision once m is large.
+Partial pieces are edge integrals times incomplete beta ratios with
+integer parameters, which have closed forms (head_ratio, tail_ratio).
+Densities without a series go through the package's adaptive
+Gauss-Kronrod rule (grids.gauss_kronrod), so nothing here needs scipy.
 """
 
 from __future__ import annotations
@@ -45,33 +49,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import boundary_refined_grid, brentq, merge_grids, sign_change_brackets
+from .grids import (QuadratureError, boundary_refined_grid, brentq, gauss_kronrod, merge_grids,
+                    sign_change_brackets)
 from .series import RadialSeries
 
 TWO_PI = 2.0 * math.pi
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach its tolerance on a window."""
-
-
-# scipy is imported on first use, here and nowhere else in the package, so
-# the commands that never integrate (curvature, orbit, weights) start
-# without it; sign roots use the in-package grids.brentq.
-
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first call."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(*args, **kwargs)
-
-
-def betainc(a, b, x):
-    """scipy.special.betainc, imported on first call."""
-    from scipy.special import betainc as scipy_betainc
-
-    return scipy_betainc(a, b, x)
+_QUAD_EPSABS = 1e-13
+_QUAD_EPSREL = 1e-10
+_SERIES_PRECISION_BITS = 60  # tail_ratio's alternating series stops below 2^-60 of its first term
 
 
 # ---------------------------------------------------------------------- #
@@ -95,6 +80,79 @@ def edge_integral(m: int, p: int) -> float:
     return float(edge_integral_exact(m, p))
 
 
+def _rising_sum(m: np.ndarray, p: int, y: np.ndarray) -> np.ndarray:
+    """sum_{j=1}^{p} C(m+j, j) y^j by Horner's rule; every term is positive."""
+    acc = np.zeros(np.broadcast(m, y).shape)
+    for j in range(p, 0, -1):
+        acc = (m + j) / j * y * (1.0 + acc)
+    return acc
+
+
+def head_ratio(m, p: int, x) -> np.ndarray:
+    """Share of integral_0^1 r^m (1-r)^p dr that lies on [0, x].
+
+    The regularized incomplete beta I_x(m+1, p+1) for integer m, p >= 0,
+    from its finite positive form x^{m+1} sum_{j=0}^{p} C(m+j, j) (1-x)^j.
+    m and x broadcast against each other.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    return np.power(x, m + 1.0) * (1.0 + _rising_sum(m, p, 1.0 - x))
+
+
+def tail_ratio(m, p: int, t) -> np.ndarray:
+    """Share of integral_0^1 r^m (1-r)^p dr that lies on [1-t, 1].
+
+    The regularized incomplete beta I_t(p+1, m+1) for integer m, p >= 0.
+    Its complement 1 - (1-t)^{m+1} sum_{j=0}^{p} C(m+j, j) t^j cancels
+    when (m+1) t is small, so two forms are used:
+
+    * (m+1) t >= 1/2: -expm1((m+1) log1p(-t) + log1p(sum_{j>=1} ...));
+    * below: the integral_0^t u^p (1-u)^m du expanded in powers of u,
+      sum_k (-1)^k C(m, k) t^{p+k+1} / (p+k+1), divided by the edge
+      integral.  Its term ratio is at most (m+1) t <= 1/2.  Each row
+      takes the least power-of-two number of terms whose last ratio
+      power is below 2^-60 and sums them by halving, so a row's bits do
+      not depend on the other rows of the batch.
+
+    m and t broadcast against each other.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if m.shape != t.shape:
+        zeros = np.zeros(np.broadcast(m, t).shape)
+        m, t = m + zeros, t + zeros
+    out = np.empty(m.shape)
+    small = (m + 1.0) * t < 0.5
+    big = ~small
+    # t = 1 gives log1p(-1) = -inf and a ratio of 1; t = 0 needs one term
+    with np.errstate(divide="ignore"):
+        if big.any():
+            mb, tb = m[big], t[big]
+            out[big] = -np.expm1((mb + 1.0) * np.log1p(-tb) + np.log1p(_rising_sum(mb, p, tb)))
+        if small.any():
+            ms, ts = m[small], t[small]
+            need = _SERIES_PRECISION_BITS / -np.log2((ms + 1.0) * ts)
+            width = np.exp2(np.ceil(np.log2(np.maximum(need, 1.0))))
+            # one column per row of the batch, one row per term
+            k = np.arange(1.0, width.max())[:, None]
+            steps = (k - 1.0 - ms) * (ts / k)
+            steps[k >= width] = 0.0
+            terms = np.empty((len(k) + 1, len(ms)))
+            terms[0] = 1.0
+            np.cumprod(steps, axis=0, out=terms[1:])
+            terms /= p + 1.0 + np.arange(len(k) + 1.0)[:, None]
+            while len(terms) > 1:  # the zero terms past a row's width add nothing
+                half = len(terms) // 2
+                terms = terms[:half] + terms[half:]
+            # 1 / B(p+1, m+1) = (m+p+1) C(m+p, p)
+            scale = ms + (p + 1.0)
+            for i in range(1, p + 1):
+                scale = scale * (ms + i) / i
+            out[small] = scale * np.power(ts, p + 1.0) * terms[0]
+    return out
+
+
 def edge_integral_partial(m: int, p: int, r: float) -> float:
     """integral_0^r x^m (1-x)^p dx via the regularized incomplete beta."""
     if m < 0 or p < 0:
@@ -105,7 +163,7 @@ def edge_integral_partial(m: int, p: int, r: float) -> float:
         return 0.0
     if r == 1.0:
         return float(edge_integral_exact(m, p))
-    return float(edge_integral_exact(m, p)) * float(betainc(m + 1, p + 1, r))
+    return float(edge_integral_exact(m, p)) * float(head_ratio(m, p, r))
 
 
 def _sum_in_order(values) -> float:
@@ -140,32 +198,33 @@ class RadialDensity:
     def rho(self, r):
         return self._rho(np.asarray(r, dtype=np.float64))
 
-    def window_integral(self, a: float, b: float) -> float:
-        """integral_a^b rho(r) r dr."""
+    def window_integral(self, a: float, b: float, errors: list[float] | None = None) -> float:
+        """integral_a^b rho(r) r dr by adaptive Gauss-Kronrod quadrature.
+
+        The rule starts on the cells between the breakpoints inside
+        (a, b).  When `errors` is given, the error estimate is appended to
+        it.  Raises QuadratureError when the rule does not converge.
+        """
         if not 0.0 <= a <= b <= 1.0:
             raise ValueError("window bounds must satisfy 0 <= a <= b <= 1")
         if a == b:
-            return 0.0
-        pts = [x for x in self.breakpoints if a < x < b]
-        val, err, _, *failure = quad(
-            lambda r: float(self._rho(np.asarray([r]))[0]) * r,
-            a,
-            b,
-            points=pts or None,
-            limit=200 + 20 * len(pts),
-            epsabs=1e-13,
-            epsrel=1e-10,
-            full_output=1,
-        )
-        if failure:
-            # quad appends its explanation only when it reports ier != 0
-            raise QuadratureError(
-                f"quadrature of {self.label or 'density'} over [{a!r}, {b!r}] did not "
-                f"converge (value {val!r}, error estimate {err!r}): {failure[0]}")
-        return float(val)
+            value, error = 0.0, 0.0
+        else:
+            pts = [x for x in self.breakpoints if a < x < b]
+            try:
+                value, error = gauss_kronrod(lambda r: self._rho(r) * r, [a, *pts, b],
+                                             epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
+                                             limit=200 + 20 * len(pts))
+            except QuadratureError as exc:
+                raise QuadratureError(f"quadrature of {self.label or 'density'} over "
+                                      f"[{a!r}, {b!r}] failed: {exc}") from None
+        if errors is not None:
+            errors.append(error)
+        return value
 
-    def window_masses(self, depths: Sequence[float]) -> list[float]:
-        """integral_{1-t}^1 rho r dr for each depth t in depths, in order.
+    def window_masses(self, depths: Sequence[float]) -> tuple[list[float], float]:
+        """integral_{1-t}^1 rho r dr for each depth t in depths, in order,
+        and the sum of the error estimates of the integrals taken.
 
         The depth-one window is integrated directly.  The other windows are
         nested, so each shell between consecutive distinct depths is
@@ -173,15 +232,16 @@ class RadialDensity:
         up.  Every piece goes through window_integral.
         """
         masses: dict[float, float] = {}
+        errors: list[float] = []
         inner, total = 1.0, 0.0
         for t in sorted(set(depths)):
             if t == 1.0:
-                masses[t] = self.window_integral(0.0, 1.0)
+                masses[t] = self.window_integral(0.0, 1.0, errors)
                 continue
-            total += self.window_integral(1.0 - t, inner)
+            total += self.window_integral(1.0 - t, inner, errors)
             masses[t] = total
             inner = 1.0 - t
-        return [masses[t] for t in depths]
+        return [masses[t] for t in depths], _sum_in_order(errors)
 
 
 def _zero_crossings(vals: np.ndarray) -> np.ndarray:
@@ -283,7 +343,7 @@ class SeriesGapDensity(RadialDensity):
             return float(total)
         # term e contributes c * integral_a^b r^m (1-r)^p dr with m = 2e + 1:
         # its edge weight times incomplete beta ratios, all terms in one
-        # betainc call; the products are summed in term order
+        # vectorized call; the products are summed in term order
         p = self.gap_power
         m = 2 * self.series.exponents + 1
         weights = self._edge_weights
@@ -291,9 +351,9 @@ class SeriesGapDensity(RadialDensity):
             # integral_a^1 = B(m+1, p+1) I_{1-a}(p+1, m+1) by the symmetry
             # x -> 1 - x; the difference of the two integrals from 0
             # cancels completely once 1 - a is small
-            pieces = weights * betainc(p + 1, m + 1, 1.0 - a)
+            pieces = weights * tail_ratio(m, p, 1.0 - a)
         else:
-            ratios = betainc(m + 1, p + 1, np.array([[b], [a]]))
+            ratios = head_ratio(m, p, np.array([[b], [a]]))
             pieces = weights * ratios[0] - weights * ratios[1]
         return _sum_in_order((self.series.coeffs * pieces).tolist())
 
@@ -303,9 +363,10 @@ class SeriesGapDensity(RadialDensity):
         cuts = [a] + [x for x in self.sign_roots if a < x < b] + [b]
         return _sum_in_order(abs(self._signed_piece(x0, x1)) for x0, x1 in zip(cuts, cuts[1:]))
 
-    def window_masses(self, depths: Sequence[float]) -> list[float]:
-        """Exact mass of each window [1-t, 1], one closed-form sum per window."""
-        return [self.window_integral(1.0 - t, 1.0) for t in depths]
+    def window_masses(self, depths: Sequence[float]) -> tuple[list[float], float]:
+        """Exact mass of each window [1-t, 1], one closed-form sum per
+        window, and an error estimate of 0.0."""
+        return [self.window_integral(1.0 - t, 1.0) for t in depths], 0.0
 
 
 # ---------------------------------------------------------------------- #
@@ -340,6 +401,10 @@ class CarlesonScan:
     at_unit_depth: float  # quotient at t = 1, the total mass
     depths: tuple[float, ...]
     quotients: tuple[float, ...]
+    # 2 pi times the summed quadrature error estimates of the window masses,
+    # 0.0 for exact series densities: it bounds the estimated error of
+    # at_unit_depth, and error / t that of the quotient at depth t
+    error: float
 
 
 def carleson_norm(density: RadialDensity, t_grid: Sequence[float] | None = None) -> CarlesonScan:
@@ -348,7 +413,8 @@ def carleson_norm(density: RadialDensity, t_grid: Sequence[float] | None = None)
     All window masses, the depth-one mass included, come from one
     density.window_masses call: quadrature densities sum shell integrals
     from the smallest depth up, series densities take one exact sum per
-    window.  at_unit_depth equals radial_carleson_norm bit for bit.
+    window.  at_unit_depth equals radial_carleson_norm bit for bit, and
+    error carries the quadrature's error estimates.
 
     The supremum over shallow depths is a diagnostic: for densities that
     live at a fixed distance from the boundary it stabilizes at an
@@ -363,7 +429,8 @@ def carleson_norm(density: RadialDensity, t_grid: Sequence[float] | None = None)
     if not all(0.0 < t <= 1.0 for t in depths):
         raise ValueError("depth t must lie in (0, 1]")
     probe = depths if 1.0 in depths else depths + [1.0]
-    quots = [TWO_PI * m / t for m, t in zip(density.window_masses(probe), probe)]
+    masses, error = density.window_masses(probe)
+    quots = [TWO_PI * m / t for m, t in zip(masses, probe)]
     at_unit = quots[probe.index(1.0)]
     quots = quots[:len(depths)]
     i = int(np.argmax(quots))
@@ -373,6 +440,7 @@ def carleson_norm(density: RadialDensity, t_grid: Sequence[float] | None = None)
         at_unit_depth=at_unit,
         depths=tuple(depths),
         quotients=tuple(quots),
+        error=TWO_PI * error,
     )
 
 

@@ -329,6 +329,13 @@ def select_spike_positions(
 # configuration
 
 
+def _check_sampling(r_max: float, tol: float) -> None:
+    if not 0.0 < r_max < 1.0:
+        raise ValueError("r_max must lie in (0, 1)")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ConstructionConfig:
     """Complete description of one constructed weight sequence.
@@ -354,15 +361,13 @@ class ConstructionConfig:
         object.__setattr__(self, "spike_starts", tuple(int(n) for n in self.spike_starts))
         if len(self.spike_starts) != self.n_spikes:
             raise ValueError("n_spikes must equal len(spike_starts)")
-        if not 0.0 < self.r_max < 1.0:
-            raise ValueError("r_max must lie in (0, 1)")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be positive and finite")
+        _check_sampling(self.r_max, self.tol)
         self.weights()  # validates ordering and gaps
 
     @classmethod
     def plan(cls, alpha: float, delta: float, n_spikes: int,
              r_max: float = 0.999, tol: float = 1e-9) -> "ConstructionConfig":
+        _check_sampling(r_max, tol)  # before the search, which does not read them
         starts = select_spike_positions(alpha, delta, n_spikes)
         return cls(alpha=alpha, delta=delta, n_spikes=n_spikes,
                    spike_starts=tuple(starts), r_max=r_max, tol=tol)
@@ -458,6 +463,7 @@ class VerificationReport:
                     "value": scan.value,
                     "t_star": scan.t_star,
                     "at_unit_depth": scan.at_unit_depth,
+                    "error": scan.error,
                 }
                 for name, scan in self.scans.items()
             },

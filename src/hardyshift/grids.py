@@ -7,23 +7,77 @@ scales 1 - r ~ 1/n, so a uniform grid in r is useless.  We instead use a
 grid that is uniform in u = -log2(1 - r), which resolves every dyadic
 boundary scale equally, and augment it with the analytically known critical
 radii m/(m+p) of the majorant family r^m (1-r)^p.
+
+The module also holds the package's own ports of the two numerical
+methods it would otherwise import from scipy: Brent's root finder
+(brentq) and adaptive Gauss-Kronrod quadrature (gauss_kronrod).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 _POLISH_POINTS = 33  # samples per bracket and polish step; each step shrinks a bracket 16-fold
 _POLISH_XATOL = 1e-13  # brackets narrower than this are final
 _POLISH_TOP = 8  # interior local maxima of the grid polished per supremum
-_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # the smallest rtol scipy's brentq accepts
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_BRENT_RTOL = 4.0 * _EPS  # the smallest rtol scipy's brentq accepts
 _BRENT_MAXITER = 100  # scipy's default
+
+# The 21-point Kronrod extension of the 10-point Gauss-Legendre rule on
+# [-1, 1], as tabulated in QUADPACK's qk21 (Piessens et al. 1983): nodes
+# in ascending order, Kronrod weights, and Gauss weights (zero on the
+# Kronrod-only nodes, which alternate with the Gauss nodes).
+_GK21_NODES = np.array([
+    -0.995657163025808080735527280689003, -0.973906528517171720077964012084452,
+    -0.930157491355708226001207180059508, -0.865063366688984510732096688423493,
+    -0.780817726586416897063717578345042, -0.679409568299024406234327365114874,
+    -0.562757134668604683339000099272694, -0.433395394129247190799265943165784,
+    -0.294392862701460198131126603103866, -0.148874338981631210884826001129720,
+    0.0,
+    0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
+    0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
+    0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
+    0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
+    0.973906528517171720077964012084452, 0.995657163025808080735527280689003,
+])
+_K21_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192,
+])
+_G10_WEIGHTS = np.array([
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+    0.0,
+    0.295524224714752870173892994651338, 0.0,
+    0.269266719309996355091226921569469, 0.0,
+    0.219086362515982043995534934228163, 0.0,
+    0.149451349150580593145776339657697, 0.0,
+    0.066671344308688137593568809893332, 0.0,
+])
 
 
 class RootNotConvergedError(RuntimeError):
     """brentq used up its iterations before the bracket met the tolerance."""
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature did not reach its tolerance on a window."""
 
 
 def boundary_refined_grid(count: int = 600, u_max: float = 40.0) -> np.ndarray:
@@ -170,3 +224,73 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> fl
         fcur = call(xcur)
     raise RootNotConvergedError(
         f"brentq did not converge in {_BRENT_MAXITER} iterations; last value {xcur!r}")
+
+
+def _kronrod21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+               hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K21 estimates of the integral of f over each [lo, hi], with QUADPACK's
+    error estimates, from one call of f on all 21 * len(lo) nodes."""
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = center[:, None] + half[:, None] * _GK21_NODES
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    if not np.all(np.isfinite(fx)):
+        bad = x[~np.isfinite(fx)][0]
+        raise QuadratureError(f"the integrand is not finite at {bad!r}")
+    kronrod = (fx * _K21_WEIGHTS).sum(axis=1)
+    gauss = (fx * _G10_WEIGHTS).sum(axis=1)
+    resabs = (np.abs(fx) * _K21_WEIGHTS).sum(axis=1) * half
+    resasc = (np.abs(fx - 0.5 * kronrod[:, None]) * _K21_WEIGHTS).sum(axis=1) * half
+    err = np.abs(kronrod - gauss) * half
+    # QUADPACK's scaling of the raw difference, and its floor at roundoff
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    return kronrod * half, err
+
+
+def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], cuts: Sequence[float],
+                  epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
+    """Integral of the vectorized f over [cuts[0], cuts[-1]] and its error estimate.
+
+    Globally adaptive G10/K21 quadrature with QUADPACK's error estimate
+    (Piessens et al. 1983, qk21), started on the cells between the
+    ascending cuts.  Each round bisects the intervals with the largest
+    error estimates, as many as it takes for the rest to carry at most
+    half the tolerance max(epsabs, epsrel |integral|), and evaluates f
+    once on the nodes of all new halves.  The partition may hold at most
+    `limit` intervals.  Raises QuadratureError when the tolerance is not
+    met within that limit, when an interval becomes too narrow to split,
+    or when f returns a value that is not finite.
+    """
+    edges = np.asarray(cuts, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    if len(lo) > limit:
+        raise QuadratureError(f"{len(lo)} cells exceed the limit of {limit} intervals")
+    vals, errs = _kronrod21(f, lo, hi)
+    while True:
+        value, error = float(vals.sum()), float(errs.sum())
+        tol = max(epsabs, epsrel * abs(value))
+        if error <= tol:
+            return value, error
+        order = np.argsort(-errs, kind="stable")
+        count = int(np.searchsorted(np.cumsum(errs[order]), error - 0.5 * tol)) + 1
+        count = min(count, len(order), limit - len(lo))
+        if count <= 0:
+            raise QuadratureError(
+                f"no convergence within {limit} intervals (value {value!r}, "
+                f"error estimate {error!r}, tolerance {tol!r})")
+        pick = order[:count]
+        a, b = lo[pick], hi[pick]
+        mid = 0.5 * (a + b)
+        if np.any(b - a <= 100.0 * _EPS * np.maximum(np.abs(a), np.abs(b)) + 1000.0 * _TINY):
+            raise QuadratureError(
+                f"an interval near {float(a[np.argmin(b - a)])!r} is too narrow to split "
+                f"(value {value!r}, error estimate {error!r})")
+        new_vals, new_errs = _kronrod21(f, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        keep = np.ones(len(lo), dtype=bool)
+        keep[pick] = False
+        lo = np.concatenate([lo[keep], a, mid])
+        hi = np.concatenate([hi[keep], mid, b])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])

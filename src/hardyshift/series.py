@@ -304,8 +304,8 @@ def truncation_order(r_max: float, tol: float) -> int:
     """Smallest order whose geometric tail bound at r_max is at most tol."""
     if not 0.0 <= r_max < 1.0:
         raise ValueError("r_max must lie in [0, 1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
     if r_max == 0.0 or tail_bound_geometric(0, r_max) <= tol:
         return 0
     log_s = 2.0 * math.log(r_max)

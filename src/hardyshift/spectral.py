@@ -56,8 +56,8 @@ def kernel_eval(weights: WeightSequence, lam: complex, z: complex, tol: float = 
     z = complex(z)
     if abs(lam) >= 1.0 or abs(z) >= 1.0:
         raise ValueError("kernel arguments must lie in the open unit disk")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     q = np.conj(lam) * z
     mod = abs(q)
     if mod == 0.0:

@@ -20,7 +20,8 @@ from hardyshift import (
     window_measure,
     window_quotient,
 )
-from hardyshift.carleson import TWO_PI, QuadratureError, SeriesGapDensity
+from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, head_ratio,
+                                 tail_ratio)
 from hardyshift.construction import curvature_density
 from hardyshift.series import RadialSeries, edge_bump
 from hardyshift.spectral import kernel_ratio_series
@@ -142,9 +143,9 @@ def test_sign_roots_of_bump_laplacian():
 def test_sign_roots_ignore_underflowed_zeros():
     # for large n the scan values s^{n-1} (n^2 - (n+1)^2 s) underflow to
     # exactly 0 over the inner part of the grid; those zeros are not roots
-    for n, mass in ((2248, 0.0007561360409536338),
-                    (20000, 8.502872112730622e-05),
-                    (172510, 9.858337829544026e-06)):
+    for n, mass in ((2248, 0.0007561360409531979),
+                    (20000, 8.502872112739342e-05),
+                    (172510, 9.858337831549549e-06)):
         d = SeriesGapDensity(edge_bump(n).laplacian(), 1)
         assert len(d.sign_roots) == 1
         assert d.sign_roots[0] == pytest.approx(n / (n + 1.0), rel=1e-12)
@@ -279,18 +280,131 @@ def test_curvature_scan_integrates_each_shell_once(standard_config):
     w = standard_config.weights()
     f = kernel_ratio_series(w, r_max=standard_config.r_max, tol=standard_config.tol)
     density = curvature_density(f, w.spikes)
-    calls = [0]
+    points = [0]
 
     def counted(r):
-        calls[0] += 1
+        points[0] += np.size(r)
         return density.rho(r)
 
     counting = RadialDensity(counted, breakpoints=density.breakpoints)
     mass = radial_carleson_norm(counting)
-    one_integral = calls[0]
+    one_integral = points[0]
     scan = carleson_norm(counting)
     assert scan.at_unit_depth == mass
-    assert calls[0] - one_integral <= 6 * one_integral
+    assert points[0] - one_integral <= 6 * one_integral
+
+
+# ---------------------------------------------------------------------- #
+# incomplete beta ratios with integer parameters
+
+
+BETA_POWERS = (3, 10, 101, 4497, 344621, 10**7 + 1, 2 * 10**9 + 1)
+# the expm1 form of tail_ratio loses about (m+1) t / I_t(p+1, m+1) in
+# relative accuracy just above its switch at (m+1) t = 1/2: about 5.5,
+# 35 and 285 for p = 1, 2, 3
+TAIL_REL = {0: 1e-15, 1: 4e-15, 2: 2e-14, 3: 2e-13}
+
+
+def beta_points(m: int) -> list[float]:
+    """t from 2^-40 to 0.999, and just on either side of (m+1) t = 1/2."""
+    ts = [2.0**-40, 2.0**-20, 1e-7, 1e-4, 0.01, 0.3, 0.999]
+    ts += [f * 0.5 / (m + 1) for f in (0.5, 0.999, 1.001, 2.0)]
+    return [t for t in ts if 0.0 < t < 1.0]
+
+
+def mp_ratios(m: int, p: int, t: float) -> tuple:
+    """(I_t(m+1, p+1), I_t(p+1, m+1)) from their finite sums, to 60 digits
+    after the cancellation of the second (at most about 200 digits here)."""
+    import mpmath
+
+    with mpmath.workdps(260):
+        t = mpmath.mpf(t)
+        head = t ** (m + 1) * sum(mpmath.binomial(m + j, j) * (1 - t) ** j for j in range(p + 1))
+        tail = 1 - (1 - t) ** (m + 1) * sum(mpmath.binomial(m + j, j) * t**j for j in range(p + 1))
+        return head, tail
+
+
+def rel_err(got: float, ref) -> float:
+    if ref < 2.0**-1000:  # underflows in float
+        return 0.0 if abs(got) < 2.0**-1000 else 1.0
+    return float(abs((got - ref) / ref))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_beta_ratios_match_mpmath(p):
+    sides = set()
+    for m in BETA_POWERS:
+        for t in beta_points(m):
+            sides.add((m + 1.0) * t < 0.5)
+            head, tail = mp_ratios(m, p, t)
+            assert rel_err(float(head_ratio(m, p, t)), head) <= 2e-15, (m, t)
+            assert rel_err(float(tail_ratio(m, p, t)), tail) <= TAIL_REL[p], (m, t)
+    assert sides == {True, False}
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_beta_ratios_match_scipy(p):
+    for m in BETA_POWERS:
+        ts = np.array(beta_points(m))
+        assert head_ratio(m, p, ts) == pytest.approx(betainc(m + 1, p + 1, ts), rel=1e-13,
+                                                     abs=1e-300)
+        assert tail_ratio(m, p, ts) == pytest.approx(betainc(p + 1, m + 1, ts), rel=1e-13,
+                                                     abs=1e-300)
+
+
+def test_beta_ratio_edges_and_batches():
+    m = np.array([1, 3, 4497, 2 * 10**9 + 1])
+    assert np.all(head_ratio(m, 1, 0.0) == 0.0) and np.all(head_ratio(m, 1, 1.0) == 1.0)
+    assert np.all(tail_ratio(m, 1, 0.0) == 0.0) and np.all(tail_ratio(m, 1, 1.0) == 1.0)
+    # a row's bits do not depend on the rest of the batch, whichever form it takes
+    rng = np.random.default_rng(3)
+    ms = 2 * rng.integers(0, 10**6, 200) + 1
+    for t in (1e-12, 1e-7, 3e-6, 1e-3):
+        batch = tail_ratio(ms, 2, t)
+        assert [x.hex() for x in batch] == [float(tail_ratio(int(k), 2, t)).hex() for k in ms]
+        batch = head_ratio(ms, 2, np.array([[1.0 - t], [t]]))
+        assert [x.hex() for x in batch[0]] == [float(head_ratio(int(k), 2, 1.0 - t)).hex()
+                                              for k in ms]
+
+
+# ---------------------------------------------------------------------- #
+# the curvature quadrature against scipy
+
+
+@pytest.mark.parametrize("delta, starts", [
+    (0.5, (3, 32, 117, 343, 906, 2248, 5368, 12479)),
+    (1e-3, (2549, 16580, 59309, 172510)),
+])
+def test_curvature_shells_match_scipy_quad(delta, starts):
+    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
+    w = config.weights()
+    density = curvature_density(kernel_ratio_series(w, r_max=config.r_max, tol=config.tol),
+                                w.spikes)
+    edges = [0.0, *(1.0 - dyadic_t_grid()[1:]), 1.0]  # the scan's shells, and [0, 1]
+    windows = [(0.0, 1.0), *zip(edges[1:-1], edges[2:])]
+    errors = []
+    for a, b in windows:
+        value = density.window_integral(a, b, errors)
+        pts = [x for x in density.breakpoints if a < x < b]
+        oracle, oracle_err = quad(lambda r: float(density.rho(np.asarray([r]))[0]) * r, a, b,
+                                  points=pts or None, limit=200 + 20 * len(pts),
+                                  epsabs=1e-13, epsrel=1e-10)
+        # both estimates, plus the rounding noise of Delta log f, whose
+        # numerator f Delta f - |grad f|^2 cancels: one-point and batched
+        # evaluations differ by up to about 1e-13 relative
+        assert abs(value - oracle) <= errors[-1] + oracle_err + 1e-12 * oracle, (a, b)
+        assert errors[-1] <= max(1e-13, 1e-10 * value)
+    scan = carleson_norm(density)
+    assert scan.error == pytest.approx(TWO_PI * math.fsum(errors), rel=1e-12)
+
+
+def test_scan_error_is_zero_for_exact_densities():
+    exact, by_quad = bump_densities()
+    assert carleson_norm(exact).error == 0.0
+    scan = carleson_norm(by_quad)
+    assert 0.0 < scan.error <= 1e-9 * scan.at_unit_depth
+    assert scan.at_unit_depth == pytest.approx(carleson_norm(exact).at_unit_depth,
+                                               abs=scan.error)
 
 
 # ---------------------------------------------------------------------- #
@@ -298,13 +412,13 @@ def test_curvature_scan_integrates_each_shell_once(standard_config):
 
 
 def per_term_piece(d: SeriesGapDensity, a: float, b: float) -> float:
-    """Signed integral of G(r^2) r (1-r)^p over [a, b], one scalar betainc per monomial."""
+    """Signed integral of G(r^2) r (1-r)^p over [a, b], one scalar beta ratio per monomial."""
     p = d.gap_power
     total = 0.0
     for e, c in zip(d.series.exponents, d.series.coeffs):
         m = 2 * int(e) + 1
         if b == 1.0:
-            piece = float(edge_integral_exact(m, p)) * float(betainc(p + 1, m + 1, 1.0 - a))
+            piece = float(edge_integral_exact(m, p)) * float(tail_ratio(m, p, 1.0 - a))
         else:
             piece = edge_integral_partial(m, p, b) - edge_integral_partial(m, p, a)
         total += float(c) * piece

@@ -73,6 +73,21 @@ def test_construct_rejects_non_finite_tol(tmp_path, tol):
     assert not (tmp_path / "config.json").exists()
 
 
+@pytest.mark.parametrize("option", [["--tol", "nan"], ["--rmax", "1.5"]])
+def test_construct_rejects_bad_sampling_before_the_search(tmp_path, monkeypatch, option):
+    # the spike search does not read r_max or tol; a bad value used to be
+    # rejected only after a whole search (1.6 s at K = 6)
+    from hardyshift import construction
+
+    def searched(*args, **kwargs):
+        raise AssertionError("the spike search ran")
+
+    monkeypatch.setattr(construction, "select_spike_positions", searched)
+    assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "6", *option,
+                     "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "config.json").exists()
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "inf"])
 def test_verify_rejects_non_finite_epsilon(constructed, tmp_path, epsilon):
     assert cli.main(["verify", str(constructed / "config.json"), "--epsilon", epsilon,
@@ -215,12 +230,13 @@ def test_exit_code_for_truncation_failure(constructed, tmp_path, monkeypatch):
 
 
 def test_exit_code_for_unconverged_quadrature(constructed, tmp_path, monkeypatch):
-    # one subdivision cannot resolve the curvature density: the curvature
-    # Carleson row must not pass on an integral quad did not converge
+    # one subinterval cannot resolve the curvature density: the curvature
+    # Carleson row must not pass on an integral the rule did not converge on
     from hardyshift import carleson
 
-    real_quad = carleson.quad
-    monkeypatch.setattr(carleson, "quad", lambda *a, **kw: real_quad(*a, **{**kw, "limit": 1}))
+    real_rule = carleson.gauss_kronrod
+    monkeypatch.setattr(carleson, "gauss_kronrod",
+                        lambda *a, **kw: real_rule(*a, **{**kw, "limit": 1}))
     assert cli.main(["verify", str(constructed / "config.json"), "--epsilon", "2",
                      "--out", str(tmp_path)]) == 4
 
@@ -274,9 +290,14 @@ def test_table_commands_load_no_scipy(constructed, tmp_path):
                                 ["curvature", config, *out]]) == set()
 
 
-def test_construct_loads_only_scipy_special(tmp_path):
-    assert scipy_modules_after([["construct", "--alpha", "1", "--delta", "0.5", "--K", "2",
-                                 "--out", str(tmp_path)]]) == {"special"}
+def test_commands_load_no_scipy(constructed, tmp_path):
+    # incomplete beta ratios, sign roots and the curvature quadrature are
+    # all in-package, so no command pays for a scipy import
+    config = str(constructed / "config.json")
+    out = ["--out", str(tmp_path)]
+    assert scipy_modules_after([["construct", "--alpha", "1", "--delta", "0.5", "--K", "2", *out],
+                                ["lemma", "10", "2248", *out], ["verify", config, *out],
+                                ["verify", config, "--epsilon", "2", *out]]) == set()
 
 
 def test_benchmark_tracer_wraps_the_package(tmp_path):

@@ -7,9 +7,14 @@ import scipy.optimize
 from hardyshift.carleson import SeriesGapDensity
 from hardyshift.construction import _decay_grid, curvature_density, lemma_bounds
 from hardyshift.grids import (
+    _G10_WEIGHTS,
+    _GK21_NODES,
+    _K21_WEIGHTS,
+    QuadratureError,
     RootNotConvergedError,
     boundary_refined_grid,
     brentq,
+    gauss_kronrod,
     refined_supremum,
     sign_change_brackets,
 )
@@ -309,3 +314,50 @@ def test_brentq_raises_runtime_error_at_maxiter():
     with pytest.raises(RootNotConvergedError):
         brentq(triple, 0.0, 1.0, xtol=XTOL)
     assert issubclass(RootNotConvergedError, RuntimeError)
+
+
+# ---------------------------------------------------------------------- #
+# adaptive Gauss-Kronrod quadrature
+
+
+def test_gauss_kronrod_constants():
+    # the Gauss nodes interleave the Kronrod ones and match Gauss-Legendre;
+    # the 21-point rule is exact for degree 31, the 10-point one for 19
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.allclose(_GK21_NODES[1::2], nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose(_G10_WEIGHTS[1::2], weights, rtol=0.0, atol=1e-15)
+    assert np.all(_G10_WEIGHTS[::2] == 0.0)
+    for k in range(32):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        assert np.sum(_K21_WEIGHTS * _GK21_NODES**k) == pytest.approx(exact, abs=1e-15)
+        if k < 20:
+            assert np.sum(_G10_WEIGHTS * _GK21_NODES**k) == pytest.approx(exact, abs=1e-15)
+    assert abs(np.sum(_G10_WEIGHTS * _GK21_NODES**20) - 2.0 / 21.0) > 1e-7
+
+
+def test_gauss_kronrod_integrates_smooth_and_kinked_functions():
+    value, err = gauss_kronrod(np.exp, [0.0, 1.0], 1e-13, 1e-10, 200)
+    assert value == pytest.approx(np.e - 1.0, rel=1e-15) and err < 1e-13
+    kink = CountingFn(lambda x: np.abs(x - 1.0 / 3.0))
+    # a cut on the kink is one round of two cells; without it the rule
+    # bisects towards the kink, evaluating every new half in one call
+    value, err = gauss_kronrod(kink, [0.0, 1.0 / 3.0, 1.0], 1e-13, 1e-10, 200)
+    assert value == pytest.approx(5.0 / 18.0, rel=1e-15) and kink.calls == 1
+    kink.calls = 0
+    value, err = gauss_kronrod(kink, [0.0, 1.0], 1e-13, 1e-10, 200)
+    assert abs(value - 5.0 / 18.0) <= err <= 1e-10 * value
+    assert 1 < kink.calls < 40
+
+
+def test_gauss_kronrod_raises_instead_of_returning_an_unconverged_value():
+    wavy = lambda x: np.abs(np.sin(1000.0 * x))  # noqa: E731
+    with pytest.raises(QuadratureError, match="no convergence within 200 intervals"):
+        gauss_kronrod(wavy, [0.0, 1.0], 1e-13, 1e-10, 200)
+    with pytest.raises(QuadratureError, match="3 cells exceed the limit of 2"):
+        gauss_kronrod(np.exp, [0.0, 0.25, 0.5, 1.0], 1e-13, 1e-10, 2)
+    with pytest.raises(QuadratureError, match="not finite"), np.errstate(divide="ignore",
+                                                                        invalid="ignore"):
+        gauss_kronrod(lambda x: np.log(x - 0.5), [0.0, 1.0], 1e-13, 1e-10, 200)
+    # a pole that is not integrable: the halves around it shrink to nothing
+    with pytest.raises(QuadratureError, match="too narrow"):
+        gauss_kronrod(lambda x: 1.0 / np.abs(x - np.pi / 4.0), [0.0, 1.0], 1e-13, 1e-10, 10**6)

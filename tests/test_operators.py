@@ -1,5 +1,7 @@
 """Shift action, adjoint, norms, and the operator-level certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,16 @@ def test_kernel_is_shift_eigenvector():
     # and the eigenvalue relation shows up in kernel values
     assert kernel_eval(w, lam, 0.2) == pytest.approx(
         complex(np.sum(k * 0.2 ** n)), rel=1e-11)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+def test_kernel_eval_rejects_tol_that_is_not_positive_and_finite(tol):
+    # tol = inf returned 1+0j, the first term alone, where the value is 4.9403
+    w = build_spiked_weights(1.0, [3])
+    assert abs(kernel_eval(w, 0.9, 0.9) - 4.9403) < 1e-4
+    for lam in (0.9, 0.0):  # the first term alone is exact at lam = 0; tol is still checked
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            kernel_eval(w, lam, 0.9, tol=tol)
 
 
 def test_orbit_norms_match_iterated_shifts():

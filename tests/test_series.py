@@ -202,6 +202,13 @@ def test_truncation_order_is_minimal():
                 assert tail_bound_geometric(m - 1, r_max) > tol
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_truncation_order_rejects_tol_that_is_not_positive_and_finite(tol):
+    # tol = inf returned order 0; tol = nan failed converting nan to an integer
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        truncation_order(0.9, tol)
+
+
 def test_tail_bound_dominates_true_geometric_tail():
     r = 0.7
     m = 20
