@@ -54,9 +54,7 @@ from .grids import (QuadratureError, boundary_refined_grid, brentq, gauss_kronro
 from .series import RadialSeries
 
 TWO_PI = 2.0 * math.pi
-_QUAD_EPSABS = 1e-13
-_QUAD_EPSREL = 1e-10
-_SERIES_PRECISION_BITS = 60  # tail_ratio's alternating series stops below 2^-60 of its first term
+_SERIES_BITS = 63  # tail_ratio's series drops terms below 2^-63 of the first
 
 
 # ---------------------------------------------------------------------- #
@@ -110,10 +108,12 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
     * (m+1) t >= 1/2: -expm1((m+1) log1p(-t) + log1p(sum_{j>=1} ...));
     * below: the integral_0^t u^p (1-u)^m du expanded in powers of u,
       sum_k (-1)^k C(m, k) t^{p+k+1} / (p+k+1), divided by the edge
-      integral.  Its term ratio is at most (m+1) t <= 1/2.  Each row
-      takes the least power-of-two number of terms whose last ratio
-      power is below 2^-60 and sums them by halving, so a row's bits do
-      not depend on the other rows of the batch.
+      integral.  Its term ratio is at most (m+1) t < 1/2, and the batch
+      takes as many terms as its worst row needs to reach 2^-63 of the
+      first, at most 63.  Every partial sum exceeds half the first term,
+      so the terms past a row's own need are below a quarter ulp and
+      leave its bits unchanged: summed in order (cumsum; np.sum adds a
+      single row pairwise), a row's bits do not depend on the batch.
 
     m and t broadcast against each other.
     """
@@ -132,24 +132,18 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
             out[big] = -np.expm1((mb + 1.0) * np.log1p(-tb) + np.log1p(_rising_sum(mb, p, tb)))
         if small.any():
             ms, ts = m[small], t[small]
-            need = _SERIES_PRECISION_BITS / -np.log2((ms + 1.0) * ts)
-            width = np.exp2(np.ceil(np.log2(np.maximum(need, 1.0))))
+            count = max(1, math.ceil(_SERIES_BITS / -np.log2(np.max((ms + 1.0) * ts))))
             # one column per row of the batch, one row per term
-            k = np.arange(1.0, width.max())[:, None]
-            steps = (k - 1.0 - ms) * (ts / k)
-            steps[k >= width] = 0.0
-            terms = np.empty((len(k) + 1, len(ms)))
+            k = np.arange(1.0, count)[:, None]
+            terms = np.empty((count, len(ms)))
             terms[0] = 1.0
-            np.cumprod(steps, axis=0, out=terms[1:])
-            terms /= p + 1.0 + np.arange(len(k) + 1.0)[:, None]
-            while len(terms) > 1:  # the zero terms past a row's width add nothing
-                half = len(terms) // 2
-                terms = terms[:half] + terms[half:]
+            np.cumprod((k - 1.0 - ms) * (ts / k), axis=0, out=terms[1:])
+            terms /= p + 1.0 + np.arange(float(count))[:, None]
             # 1 / B(p+1, m+1) = (m+p+1) C(m+p, p)
             scale = ms + (p + 1.0)
             for i in range(1, p + 1):
                 scale = scale * (ms + i) / i
-            out[small] = scale * np.power(ts, p + 1.0) * terms[0]
+            out[small] = scale * np.power(ts, p + 1.0) * np.cumsum(terms, axis=0)[-1]
     return out
 
 
@@ -213,7 +207,6 @@ class RadialDensity:
             pts = [x for x in self.breakpoints if a < x < b]
             try:
                 value, error = gauss_kronrod(lambda r: self._rho(r) * r, [a, *pts, b],
-                                             epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
                                              limit=200 + 20 * len(pts))
             except QuadratureError as exc:
                 raise QuadratureError(f"quadrature of {self.label or 'density'} over "

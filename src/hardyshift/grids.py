@@ -26,6 +26,8 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _BRENT_RTOL = 4.0 * _EPS  # the smallest rtol scipy's brentq accepts
 _BRENT_MAXITER = 100  # scipy's default
+_QUAD_EPSABS = 1e-13  # gauss_kronrod stops once its error estimate is below
+_QUAD_EPSREL = 1e-10  # max(_QUAD_EPSABS, _QUAD_EPSREL |integral|)
 
 # The 21-point Kronrod extension of the 10-point Gauss-Legendre rule on
 # [-1, 1], as tabulated in QUADPACK's qk21 (Piessens et al. 1983): nodes
@@ -250,15 +252,15 @@ def _kronrod21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
 
 
 def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], cuts: Sequence[float],
-                  epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
+                  limit: int) -> tuple[float, float]:
     """Integral of the vectorized f over [cuts[0], cuts[-1]] and its error estimate.
 
     Globally adaptive G10/K21 quadrature with QUADPACK's error estimate
     (Piessens et al. 1983, qk21), started on the cells between the
     ascending cuts.  Each round bisects the intervals with the largest
     error estimates, as many as it takes for the rest to carry at most
-    half the tolerance max(epsabs, epsrel |integral|), and evaluates f
-    once on the nodes of all new halves.  The partition may hold at most
+    half the tolerance max(_QUAD_EPSABS, _QUAD_EPSREL |integral|), and
+    evaluates f once on the nodes of all new halves.  The partition may hold at most
     `limit` intervals.  Raises QuadratureError when the tolerance is not
     met within that limit, when an interval becomes too narrow to split,
     or when f returns a value that is not finite.
@@ -270,7 +272,7 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], cuts: Sequence[float],
     vals, errs = _kronrod21(f, lo, hi)
     while True:
         value, error = float(vals.sum()), float(errs.sum())
-        tol = max(epsabs, epsrel * abs(value))
+        tol = max(_QUAD_EPSABS, _QUAD_EPSREL * abs(value))
         if error <= tol:
             return value, error
         order = np.argsort(-errs, kind="stable")

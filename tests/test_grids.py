@@ -336,15 +336,15 @@ def test_gauss_kronrod_constants():
 
 
 def test_gauss_kronrod_integrates_smooth_and_kinked_functions():
-    value, err = gauss_kronrod(np.exp, [0.0, 1.0], 1e-13, 1e-10, 200)
+    value, err = gauss_kronrod(np.exp, [0.0, 1.0], 200)
     assert value == pytest.approx(np.e - 1.0, rel=1e-15) and err < 1e-13
     kink = CountingFn(lambda x: np.abs(x - 1.0 / 3.0))
     # a cut on the kink is one round of two cells; without it the rule
     # bisects towards the kink, evaluating every new half in one call
-    value, err = gauss_kronrod(kink, [0.0, 1.0 / 3.0, 1.0], 1e-13, 1e-10, 200)
+    value, err = gauss_kronrod(kink, [0.0, 1.0 / 3.0, 1.0], 200)
     assert value == pytest.approx(5.0 / 18.0, rel=1e-15) and kink.calls == 1
     kink.calls = 0
-    value, err = gauss_kronrod(kink, [0.0, 1.0], 1e-13, 1e-10, 200)
+    value, err = gauss_kronrod(kink, [0.0, 1.0], 200)
     assert abs(value - 5.0 / 18.0) <= err <= 1e-10 * value
     assert 1 < kink.calls < 40
 
@@ -352,12 +352,12 @@ def test_gauss_kronrod_integrates_smooth_and_kinked_functions():
 def test_gauss_kronrod_raises_instead_of_returning_an_unconverged_value():
     wavy = lambda x: np.abs(np.sin(1000.0 * x))  # noqa: E731
     with pytest.raises(QuadratureError, match="no convergence within 200 intervals"):
-        gauss_kronrod(wavy, [0.0, 1.0], 1e-13, 1e-10, 200)
+        gauss_kronrod(wavy, [0.0, 1.0], 200)
     with pytest.raises(QuadratureError, match="3 cells exceed the limit of 2"):
-        gauss_kronrod(np.exp, [0.0, 0.25, 0.5, 1.0], 1e-13, 1e-10, 2)
+        gauss_kronrod(np.exp, [0.0, 0.25, 0.5, 1.0], 2)
     with pytest.raises(QuadratureError, match="not finite"), np.errstate(divide="ignore",
                                                                         invalid="ignore"):
-        gauss_kronrod(lambda x: np.log(x - 0.5), [0.0, 1.0], 1e-13, 1e-10, 200)
+        gauss_kronrod(lambda x: np.log(x - 0.5), [0.0, 1.0], 200)
     # a pole that is not integrable: the halves around it shrink to nothing
     with pytest.raises(QuadratureError, match="too narrow"):
-        gauss_kronrod(lambda x: 1.0 / np.abs(x - np.pi / 4.0), [0.0, 1.0], 1e-13, 1e-10, 10**6)
+        gauss_kronrod(lambda x: 1.0 / np.abs(x - np.pi / 4.0), [0.0, 1.0], 10**6)
