@@ -25,8 +25,10 @@ Six parts, each run on both checkouts with this same script:
 * cold-start wall time and CPU time (user + system, from the child's
   rusage) of `python -c "import hardyshift.cli"` and of the
   `weights`, `orbit`, `curvature`, `construct --K 2`, `lemma` and
-  `verify --epsilon 2` commands on the frozen K = 3 config, each a fresh
-  process, the two checkouts alternating, COLD_REPS times;
+  `verify --epsilon 2` commands on the frozen K = 3 config, and of
+  `verify --epsilon 0.004` on the frozen K = 4, delta 1e-3 config (the
+  slower `certify` command), each a fresh process, the two checkouts
+  alternating, COLD_REPS times;
 * the per-layer counts of `hardybench/run.py --trace 1` on the `search`
   and `certify` workloads, from each checkout's own `hardybench`;
 * PAIRS alternating end-to-end runs of `hardybench/run.py --trace 0` per
@@ -135,11 +137,16 @@ def run_child(checkout: Path, kind: str, k: int) -> dict:
 
 
 def cold_commands(work: Path) -> dict[str, list[str]]:
-    """Interpreter arguments of each cold-start job, on the frozen K = 3 config."""
-    config = work / "k3.json"
+    """Interpreter arguments of each cold-start job, on the frozen K = 3 config
+    (and, for `verify_eps0.004_K4`, the frozen K = 4, delta 1e-3 config)."""
+    config, small_delta = work / "k3.json", work / "k4_small_delta.json"
     config.write_text(json.dumps({"alpha": 1.0, "delta": 0.5, "K": 3,
                                   "spike_starts": list(K8_STARTS[:3]),
                                   "r_max": 0.999, "tol": 1e-9}))
+    delta, starts, epsilon = VERIFY_CONFIGS[4]
+    small_delta.write_text(json.dumps({"alpha": 1.0, "delta": delta, "K": 4,
+                                       "spike_starts": list(starts),
+                                       "r_max": 0.999, "tol": 1e-9}))
     cli = ["-m", "hardyshift.cli"]
     out = ["--out", str(work / "out")]
     return {"import": ["-c", "import hardyshift.cli"],
@@ -149,7 +156,9 @@ def cold_commands(work: Path) -> dict[str, list[str]]:
             "construct_K2": [*cli, "construct", "--alpha", "1", "--delta", "0.5",
                              "--K", "2", *out],
             "lemma": [*cli, "lemma", *LEMMA_POWERS, *out],
-            "verify_eps2": [*cli, "verify", str(config), "--epsilon", "2", *out]}
+            "verify_eps2": [*cli, "verify", str(config), "--epsilon", "2", *out],
+            "verify_eps0.004_K4": [*cli, "verify", str(small_delta), "--epsilon",
+                                   str(epsilon), *out]}
 
 
 def identity_commands(change: Path, work: Path) -> dict[str, list[str]]:

@@ -2,10 +2,10 @@
 
 Subcommands mirror the library stages: construct picks spike positions
 and writes the config JSON plus a per-spike certificate table, verify
-measures the flatness conditions (and the random-vector coisometry band,
-seeded), lemma tabulates single-bump decay, curvature and orbit and
-weights dump sample tables.  All file output is deterministic byte for
-byte at fixed inputs and seed (floats use 17 significant digits); each
+measures the flatness conditions and the coisometry band (exact, from
+the weight slopes), lemma tabulates single-bump decay, curvature and
+orbit and weights dump sample tables.  All file output is deterministic
+byte for byte at fixed inputs (floats use 17 significant digits); each
 run also writes a manifest listing the produced files with digests,
 whose elapsed-time field is the only thing allowed to differ between
 identical runs.
@@ -40,7 +40,7 @@ from .construction import (
     verify_f_conditions,
 )
 from .grids import boundary_refined_grid
-from .operators import coisometry_check, orbit_norms
+from .operators import BAND_THRESHOLD, coisometry_check, orbit_norms
 from .series import TruncationError
 from .spectral import DecompositionMismatchError, curvature_difference, curvature_samples
 
@@ -149,21 +149,10 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _coisometry_rows(config: ConstructionConfig, seed: int) -> list[ConditionResult]:
-    report = coisometry_check(config.weights(), trials=100, seed=seed)
-    # encode the two-sided band as one upper-bounded deviation
-    deviation = max(report.max_ratio / report.upper, report.lower / report.min_ratio)
-    return [ConditionResult(
-        condition="coisometry_band",
-        threshold=1.0 + 1e-12,
-        measured=deviation,
-        argmax_r=None,
-        passed=report.passed,
-    )]
-
-
 def _cmd_verify(args) -> int:
     started = time.time()
+    if args.epsilon is not None:
+        delta_for_epsilon(args.epsilon)  # rejects a bad epsilon before the measurement
     out = _out_dir(args)
     config = _load_config(args.config)
     reports = {"ratio_flatness": verify_f_conditions(config)}
@@ -171,7 +160,10 @@ def _cmd_verify(args) -> int:
         reports["curvature_match"] = verify_theorem_conditions(config, args.epsilon)
 
     rows = []
-    coisometry = _coisometry_rows(config, args.seed)
+    band = coisometry_check(config.weights())
+    # the two-sided band as one upper-bounded deviation
+    coisometry = [ConditionResult(condition="coisometry_band", threshold=BAND_THRESHOLD,
+                                  measured=band.deviation, argmax_r=None, passed=band.passed)]
     conditions = [c for rep in reports.values() for c in rep.conditions] + coisometry
     for cond in conditions:
         rows.append([cond.condition, cond.threshold, cond.measured,
@@ -222,6 +214,8 @@ def _cmd_lemma(args) -> int:
 
 def _cmd_curvature(args) -> int:
     started = time.time()
+    if not 0.0 < args.rmax < 1.0:
+        raise ValueError(f"rmax must lie in (0, 1), got {args.rmax}")
     out = _out_dir(args)
     config = _load_config(args.config)
     weights = config.weights()
@@ -262,6 +256,8 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_weights(args) -> int:
     started = time.time()
+    if args.n_max is not None and args.n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {args.n_max}")
     out = _out_dir(args)
     config = _load_config(args.config)
     weights = config.weights()
@@ -302,7 +298,8 @@ def _build_parser() -> _Parser:
     p.add_argument("config", help="path to config JSON")
     p.add_argument("--epsilon", type=float, default=None,
                    help="also certify the curvature match at this level")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random-vector checks")
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in report.json and the manifest; affects no check")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_verify)
 

@@ -375,6 +375,11 @@ class ConstructionConfig:
     def weights(self) -> WeightSequence:
         return build_spiked_weights(self.alpha, self.spike_starts)
 
+    @cached_property
+    def kernel_ratio(self) -> RadialSeries:
+        """f = (1-s) K(s), cross-checked once and shared by both verifiers."""
+        return kernel_ratio_series(self.weights(), r_max=self.r_max, tol=self.tol)
+
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -502,7 +507,7 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
     w = config.weights()
     delta = config.delta
     grid = _condition_grid(w.spikes)
-    f = kernel_ratio_series(w, r_max=config.r_max, tol=config.tol)
+    f = config.kernel_ratio
     p = DecayProfile(f.add(RadialSeries.from_terms([(0, -1.0)])), grid)
     (arg_dev, sup_dev), (arg_lap, sup_lap), (arg_grad, sup_grad) = \
         p.value_sup, p.laplacian_sup, p.gradient_sup
@@ -557,11 +562,10 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> Ver
     Carleson mass 2 pi integral |Delta log f| (1-r) r dr stays below eps.
     The mass is the depth-one value of the curvature_density scan.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
+    delta_sufficient = delta_for_epsilon(epsilon)  # rejects a bad epsilon first
     w = config.weights()
     grid = _condition_grid(w.spikes)
-    f = kernel_ratio_series(w, r_max=config.r_max, tol=config.tol)
+    f = config.kernel_ratio
 
     def band(r):
         vals = f.eval(r * r)
@@ -584,7 +588,7 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> Ver
     meta = {
         "config": config.to_dict(),
         "epsilon": epsilon,
-        "delta_sufficient": delta_for_epsilon(epsilon),
+        "delta_sufficient": delta_sufficient,
         "grid_points": int(len(grid)),
         "mode": "curvature_match",
     }

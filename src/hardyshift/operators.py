@@ -8,19 +8,22 @@ basis, with squared norm sum |a_n|^2 w_n.  The backward shift acts as
 which is unitarily equivalent to the plain coefficient shift on the
 weighted space; its adjoint is the index shift upward.  With spiked
 weights the ratio ||T* a|| / ||a|| stays inside
-[(1+alpha)^{-1}, 1+alpha] whatever the spikes, because consecutive
-weights never jump by more than the slope bound, while ||T*^n a|| along
-an orbit can climb to the spike peaks (1+alpha)^k and return to 1: the
-operator is power bounded without being similar to a contraction.
+[(1+alpha)^{-1}, 1+alpha] whatever the spikes: its square is a mean of
+the slopes w_{n+1}/w_n, which never leave [(1+alpha)^{-2}, (1+alpha)^2],
+so coisometry_check reads the exact band off the weights.  Meanwhile
+||T*^n a|| along an orbit can climb to the spike peaks (1+alpha)^k and
+return to 1: the operator is power bounded without being similar to a
+contraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import WeightSequence
+from .weights import WeightSequence, slope_report
 
 
 def _coeffs(x) -> np.ndarray:
@@ -85,9 +88,13 @@ def orbit_norms(weights: WeightSequence, x, n_max: int) -> np.ndarray:
     return out
 
 
+# rounding slack of the band: the slopes are quotients of float weights
+BAND_THRESHOLD = 1.0 + 1e-12
+
+
 @dataclass(frozen=True)
 class CoisometryReport:
-    """Observed range of ||T* x|| / ||x|| over random trials.
+    """Exact range of ||T* x|| / ||x|| over all nonzero x.
 
     lower/upper are the sharp slope bounds (1+alpha)^{-1} and 1+alpha;
     the classical floor 1-alpha lies below lower, so it holds whenever
@@ -98,32 +105,27 @@ class CoisometryReport:
     max_ratio: float
     lower: float
     upper: float
-    trials: int
-    passed: bool
+
+    @property
+    def deviation(self) -> float:
+        """max(max_ratio/upper, lower/min_ratio): at most 1 inside the band."""
+        return max(self.max_ratio / self.upper, self.lower / self.min_ratio)
+
+    @property
+    def passed(self) -> bool:
+        return self.deviation <= BAND_THRESHOLD
 
 
-def coisometry_check(weights: WeightSequence, trials: int = 100,
-                     length: int | None = None, seed: int = 0) -> CoisometryReport:
-    """Sample ||T* x|| / ||x|| on random complex vectors.
+def coisometry_check(weights: WeightSequence) -> CoisometryReport:
+    """The band of ||T* x|| / ||x|| from the weight slopes.
 
-    Vectors are long enough to cover every spike plus a margin, so the
-    ratio probes all weight slopes present.  Passing means every ratio
-    sits inside the sharp band up to rounding slack.
+    ||T* x||^2 / ||x||^2 = sum |x_n|^2 w_{n+1} / sum |x_n|^2 w_n is a mean
+    of the slopes w_{n+1}/w_n, so its extremes over all x are the extreme
+    slopes, attained on basis vectors.  Past the last spike every slope
+    is 1, so the slopes for n <= last_index + 1 cover every index.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if length is None:
-        length = weights.last_index + 2
-    rng = np.random.default_rng(seed)
-    lower = 1.0 / (1.0 + weights.alpha)
-    upper = 1.0 + weights.alpha
-    lo_seen, hi_seen = np.inf, -np.inf
-    for _ in range(trials):
-        x = rng.uniform(-1.0, 1.0, length) + 1j * rng.uniform(-1.0, 1.0, length)
-        ratio = norm_w(weights, forward_shift(x)) / norm_w(weights, x)
-        lo_seen = min(lo_seen, ratio)
-        hi_seen = max(hi_seen, ratio)
-    slack = 1e-12
-    passed = lo_seen >= lower * (1.0 - slack) and hi_seen <= upper * (1.0 + slack)
-    return CoisometryReport(min_ratio=float(lo_seen), max_ratio=float(hi_seen),
-                            lower=lower, upper=upper, trials=trials, passed=passed)
+    slopes = slope_report(weights)
+    return CoisometryReport(min_ratio=math.sqrt(slopes.min_ratio),
+                            max_ratio=math.sqrt(slopes.max_ratio),
+                            lower=1.0 / (1.0 + weights.alpha),
+                            upper=1.0 + weights.alpha)

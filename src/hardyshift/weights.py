@@ -157,8 +157,6 @@ class SlopeReport:
     upper_bound: float
     lower_bound: float
     passed: bool
-    argmax_n: int
-    argmin_n: int
 
 
 def slope_report(
@@ -191,15 +189,11 @@ def slope_report(
     ratios = vals[1:] / vals[:-1]
     hi = (1.0 + a) ** 2
     lo = hi ** -1
-    i_max = int(np.argmax(ratios))
-    i_min = int(np.argmin(ratios))
-    passed = (ratios[i_max] <= hi * (1.0 + rel_tol)) and (ratios[i_min] >= lo * (1.0 - rel_tol))
+    top, bottom = float(ratios.max()), float(ratios.min())
     return SlopeReport(
-        max_ratio=float(ratios[i_max]),
-        min_ratio=float(ratios[i_min]),
+        max_ratio=top,
+        min_ratio=bottom,
         upper_bound=hi,
         lower_bound=lo,
-        passed=bool(passed),
-        argmax_n=i_max,
-        argmin_n=i_min,
+        passed=top <= hi * (1.0 + rel_tol) and bottom >= lo * (1.0 - rel_tol),
     )

@@ -88,8 +88,14 @@ def test_construct_rejects_bad_sampling_before_the_search(tmp_path, monkeypatch,
     assert not (tmp_path / "config.json").exists()
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf"])
-def test_verify_rejects_non_finite_epsilon(constructed, tmp_path, epsilon):
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_non_finite_epsilon(constructed, tmp_path, monkeypatch, epsilon):
+    # non-positive values too; all are rejected before the ratio
+    # verification, which takes 0.6 s at K = 8
+    def measured(*args, **kwargs):
+        raise AssertionError("the ratio verification ran")
+
+    monkeypatch.setattr(cli, "verify_f_conditions", measured)
     assert cli.main(["verify", str(constructed / "config.json"), "--epsilon", epsilon,
                      "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "conditions.csv").exists()
@@ -115,7 +121,8 @@ def test_verify_passes_on_constructed_config(constructed, tmp_path):
     names = [row[0] for row in rows]
     assert "ratio_deviation" in names
     assert "ratio_band" in names
-    assert "coisometry_band" in names
+    # at alpha = 1 the exact band is [1/2, 2], attained on the spike slopes
+    assert rows[names.index("coisometry_band")][2] == "1"
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is True
     assert report["seed"] == 0
@@ -180,6 +187,22 @@ def test_curvature_table_on_flat_weights(tmp_path):
         assert weighted == pytest.approx(ref, rel=1e-9)
         assert abs(diff) <= 1e-9 * ref
     assert float(rows[0][0]) == 0.0 and float(rows[0][2]) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rmax", ["0", "1", "1.5", "nan"])
+def test_curvature_rejects_rmax_outside_unit_interval(constructed, tmp_path, capsys, rmax):
+    assert cli.main(["curvature", str(constructed / "config.json"), "--rmax", rmax,
+                     "--out", str(tmp_path)]) == 3
+    assert "rmax must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "curvature.csv").exists()
+
+
+@pytest.mark.parametrize("n_max", ["-1", "-2"])
+def test_weights_rejects_negative_n_max(constructed, tmp_path, n_max):
+    assert cli.main(["weights", str(constructed / "config.json"), "--n-max", n_max,
+                     "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "weights.csv").exists()
 
 
 def test_orbit_and_weights_tables(constructed, tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyshift import (
     backward_shift,
@@ -134,29 +136,59 @@ def test_orbit_norm_lower_bound_witness():
 def test_coisometry_band_for_both_alphas():
     for alpha in (0.25, 1.0):
         w = build_spiked_weights(alpha, (3, 32, 117))
-        rep = coisometry_check(w, trials=100, seed=0)
+        rep = coisometry_check(w)
         assert rep.passed
-        assert rep.trials == 100
         assert rep.lower == pytest.approx(1.0 / (1.0 + alpha), rel=1e-15)
         assert rep.upper == 1.0 + alpha
-        assert rep.lower <= rep.min_ratio <= rep.max_ratio <= rep.upper
+        # every spike climbs and falls at the full slope, so the extremes
+        # land on the limits, bit for bit at these alphas
+        assert (rep.min_ratio, rep.max_ratio) == (rep.lower, rep.upper)
+        assert rep.deviation == 1.0
         # the classical floor 1 - alpha is implied by the sharp one
         assert rep.min_ratio >= 1.0 - alpha
 
 
-def test_coisometry_check_is_seed_deterministic():
-    w = build_spiked_weights(1.0, (3, 32, 117))
-    a = coisometry_check(w, trials=20, seed=5)
-    b = coisometry_check(w, trials=20, seed=5)
-    c = coisometry_check(w, trials=20, seed=6)
-    assert (a.min_ratio, a.max_ratio) == (b.min_ratio, b.max_ratio)
-    assert (a.min_ratio, a.max_ratio) != (c.min_ratio, c.max_ratio)
+def test_coisometry_band_is_attained_on_basis_vectors():
+    for alpha in (0.25, 1.0):
+        w = build_spiked_weights(alpha, (3, 32, 117))
+        rep = coisometry_check(w)
+        for sp in w.spikes:
+            # e_start sits on an ascending step, e_peak on a descending one
+            for n, extreme in ((sp.start, rep.max_ratio), (sp.peak, rep.min_ratio)):
+                e = np.zeros(n + 1)
+                e[n] = 1.0
+                ratio = norm_w(w, forward_shift(e)) / norm_w(w, e)
+                assert ratio == pytest.approx(extreme, rel=1e-15), (alpha, n)
 
 
-def test_coisometry_check_validation():
-    w = build_spiked_weights(1.0, [])
-    with pytest.raises(ValueError):
-        coisometry_check(w, trials=0)
+def test_coisometry_band_of_flat_weights_is_one_point():
+    rep = coisometry_check(build_spiked_weights(1.0, []))
+    assert (rep.min_ratio, rep.max_ratio) == (1.0, 1.0)
+    assert rep.passed
+
+
+@st.composite
+def spiked_layouts(draw):
+    alpha = draw(st.floats(0.01, 3.0))
+    gaps = draw(st.lists(st.integers(1, 40), max_size=4))
+    starts, nxt = [], 0
+    for k, gap in enumerate(gaps, start=1):
+        starts.append(nxt + gap - 1)
+        nxt = starts[-1] + 2 * k + 1  # first index past spike k
+    return build_spiked_weights(alpha, starts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=spiked_layouts(), seed=st.integers(0, 2**32 - 1), extra=st.integers(-20, 20))
+def test_coisometry_band_bounds_every_vector(w, seed, extra):
+    rep = coisometry_check(w)
+    assert rep.passed
+    rng = np.random.default_rng(seed)
+    n = max(1, w.last_index + 3 + extra)
+    # magnitudes over eight decades, so some vectors sit near a basis vector
+    x = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-8, 0, n)
+    ratio = norm_w(w, forward_shift(x)) / norm_w(w, x)
+    assert rep.min_ratio * (1 - 1e-12) <= ratio <= rep.max_ratio * (1 + 1e-12)
 
 
 def test_coefficient_vector_validation():
