@@ -62,7 +62,7 @@ VERIFY_CONFIGS = {8: (0.5, K8_STARTS, 2.0),
                   4: (1e-3, (2549, 16580, 59309, 172510), 0.004)}
 PLAN_KS = (3, 4, 5, 6, 7, 8)
 WORKLOADS = ("search", "certify", "tables")
-REPS = 3  # in-process timings per job and side
+REPS = 7  # in-process timings per job and side
 # layer timings: calls per timed loop
 LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
                "carleson_norm_laplacian": 5}
@@ -73,10 +73,6 @@ COLD_REPS = 7  # cold-start timings per command and side
 
 def child(kind: str, k: int) -> None:
     """Time one in-process call; print {"cpu_s", "wall_s", "result"}."""
-    # a checkout that imports scipy on first use would count the import in
-    # the timed call; cold starts, which pay every import, have their own job
-    import scipy.integrate  # noqa: F401
-    import scipy.special  # noqa: F401
     from hardyshift.construction import (ConstructionConfig, verify_f_conditions,
                                          verify_theorem_conditions)
 
@@ -296,10 +292,13 @@ def main(argv=None) -> int:
                 slot["result"] = res["result"]
                 print(f"{side} {kind} K={k}: cpu {res['cpu_s']:.3f} s", flush=True)
     for side in sides:
-        for slot in inprocess[side].values():
+        for job, slot in inprocess[side].items():
             for name in ("cpu_s", "wall_s", "us_per_call"):
                 if name in slot:
                     slot[name] = summary(slot[name])
+            cpu = slot["cpu_s"]
+            print(f"{side} {job}: cpu median {cpu['median']:.4f} s "
+                  f"[q1 {cpu['q1']:.4f}, q3 {cpu['q3']:.4f}]", flush=True)
 
     cold = {side: {} for side in sides}
     cold_cpu = {side: {} for side in sides}

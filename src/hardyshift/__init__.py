@@ -55,7 +55,7 @@ from .spectral import (
     spike_kernel_term,
     spike_ratio_term,
 )
-from .weights import SpikeSpec, WeightSequence, build_spiked_weights, slope_report
+from .weights import SpikeSpec, WeightSequence, build_spiked_weights
 
 __version__ = "0.1.0"
 
@@ -96,7 +96,6 @@ __all__ = [
     "radial_carleson_norm",
     "ratio_log_laplacian",
     "select_spike_positions",
-    "slope_report",
     "spike_budget",
     "spike_correction_thresholds",
     "spike_gate",

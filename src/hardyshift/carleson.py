@@ -215,26 +215,24 @@ class RadialDensity:
             errors.append(error)
         return value
 
-    def window_masses(self, depths: Sequence[float]) -> tuple[list[float], float]:
-        """integral_{1-t}^1 rho r dr for each depth t in depths, in order,
-        and the sum of the error estimates of the integrals taken.
+    def window_masses(self) -> tuple[list[float], float]:
+        """integral_{1-t}^1 rho r dr for each depth t of dyadic_t_grid(), in
+        its order, and the sum of the error estimates of the integrals taken.
 
-        The depth-one window is integrated directly.  The other windows are
-        nested, so each shell between consecutive distinct depths is
-        integrated once and the shells are summed from the smallest depth
-        up.  Every piece goes through window_integral.
+        The depth-one window is integrated directly, after the others.  Those
+        are nested, so each shell between consecutive depths is integrated
+        once and the shells are summed from the smallest depth up.  Every
+        piece goes through window_integral.
         """
-        masses: dict[float, float] = {}
         errors: list[float] = []
+        shells: list[float] = []
         inner, total = 1.0, 0.0
-        for t in sorted(set(depths)):
-            if t == 1.0:
-                masses[t] = self.window_integral(0.0, 1.0, errors)
-                continue
+        for t in dyadic_t_grid()[:0:-1].tolist():
             total += self.window_integral(1.0 - t, inner, errors)
-            masses[t] = total
+            shells.append(total)
             inner = 1.0 - t
-        return [masses[t] for t in depths], _sum_in_order(errors)
+        unit = self.window_integral(0.0, 1.0, errors)
+        return [unit, *shells[::-1]], _sum_in_order(errors)
 
 
 def _zero_crossings(vals: np.ndarray) -> np.ndarray:
@@ -265,7 +263,7 @@ class SeriesGapDensity(RadialDensity):
     exponent, then polished by Brent's method (grids.brentq).
     """
 
-    def __init__(self, series: RadialSeries, gap_power: int = 1, nonneg: bool = False):
+    def __init__(self, series: RadialSeries, gap_power: int, nonneg: bool = False):
         if gap_power < 0:
             raise ValueError("gap_power must be nonnegative")
         self.series = series
@@ -356,10 +354,10 @@ class SeriesGapDensity(RadialDensity):
         cuts = [a] + [x for x in self.sign_roots if a < x < b] + [b]
         return _sum_in_order(abs(self._signed_piece(x0, x1)) for x0, x1 in zip(cuts, cuts[1:]))
 
-    def window_masses(self, depths: Sequence[float]) -> tuple[list[float], float]:
-        """Exact mass of each window [1-t, 1], one closed-form sum per
-        window, and an error estimate of 0.0."""
-        return [self.window_integral(1.0 - t, 1.0) for t in depths], 0.0
+    def window_masses(self) -> tuple[list[float], float]:
+        """Exact mass of each window [1-t, 1] of dyadic_t_grid(), one
+        closed-form sum per window, and an error estimate of 0.0."""
+        return [self.window_integral(1.0 - t, 1.0) for t in dyadic_t_grid().tolist()], 0.0
 
 
 # ---------------------------------------------------------------------- #
@@ -378,16 +376,14 @@ def window_quotient(density: RadialDensity, t: float) -> float:
     return window_measure(density, t) / t
 
 
-def dyadic_t_grid(j_max: int = 40) -> np.ndarray:
-    """Depths 1, 1/2, ..., 2^{-j_max}."""
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
-    return 2.0 ** -np.arange(0, j_max + 1, dtype=np.float64)
+def dyadic_t_grid() -> np.ndarray:
+    """The depths every scan takes: 1, 1/2, ..., 2^-40."""
+    return 2.0 ** -np.arange(0, 41, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class CarlesonScan:
-    """Window quotient scan of a radial density over a grid of depths."""
+    """Window quotient scan of a radial density over dyadic_t_grid()."""
 
     value: float          # sup of the quotient over the scanned depths
     t_star: float         # depth attaining it
@@ -400,8 +396,8 @@ class CarlesonScan:
     error: float
 
 
-def carleson_norm(density: RadialDensity, t_grid: Sequence[float] | None = None) -> CarlesonScan:
-    """Scan sup_t (2 pi / t) integral_{1-t}^1 rho r dr over a depth grid.
+def carleson_norm(density: RadialDensity) -> CarlesonScan:
+    """Scan sup_t (2 pi / t) integral_{1-t}^1 rho r dr over dyadic_t_grid().
 
     All window masses, the depth-one mass included, come from one
     density.window_masses call: quadrature densities sum shell integrals
@@ -414,23 +410,14 @@ def carleson_norm(density: RadialDensity, t_grid: Sequence[float] | None = None)
     order-one plateau rather than following the total mass down.  Decay
     assertions should use at_unit_depth (or radial_carleson_norm).
     """
-    if t_grid is None:
-        t_grid = dyadic_t_grid()
-    depths = [float(t) for t in t_grid]
-    if not depths:
-        raise ValueError("depth grid must be nonempty")
-    if not all(0.0 < t <= 1.0 for t in depths):
-        raise ValueError("depth t must lie in (0, 1]")
-    probe = depths if 1.0 in depths else depths + [1.0]
-    masses, error = density.window_masses(probe)
-    quots = [TWO_PI * m / t for m, t in zip(masses, probe)]
-    at_unit = quots[probe.index(1.0)]
-    quots = quots[:len(depths)]
+    depths = dyadic_t_grid().tolist()
+    masses, error = density.window_masses()
+    quots = [TWO_PI * m / t for m, t in zip(masses, depths)]
     i = int(np.argmax(quots))
     return CarlesonScan(
         value=quots[i],
         t_star=depths[i],
-        at_unit_depth=at_unit,
+        at_unit_depth=quots[0],
         depths=tuple(depths),
         quotients=tuple(quots),
         error=TWO_PI * error,

@@ -31,6 +31,7 @@ from .construction import (
     ConditionResult,
     ConstructionConfig,
     InfeasibleConstructionError,
+    SpikeGate,
     lemma_bounds,
     bump_gradient_sq_carleson_bound,
     bump_laplacian_carleson_bound,
@@ -122,22 +123,19 @@ def _cmd_construct(args) -> int:
     config = ConstructionConfig.plan(args.alpha, delta, args.K,
                                      r_max=args.rmax, tol=args.tol)
 
-    # per-spike certificate: the gate bounds the search actually used
+    # per-spike certificate: the gate bounds the search actually used, for
+    # every metric but value_sup, which shares the laplacian_sup budget
     cert_rows = []
     for sp in config.weights().spikes:
         gate = spike_gate(args.alpha, delta, sp)
         row = [sp.half_width, sp.start]
-        for v, t in zip(gate.values[1:], gate.thresholds[1:]):  # the four budgeted metrics
+        for v, t in zip(gate.values[1:], gate.thresholds[1:]):
             row.extend([t, v])
         cert_rows.append(row)
+    header = ["k", "start"] + [f"{kind}_{name}" for name in SpikeGate.names[1:]
+                               for kind in ("threshold", "bound")]
     cert_path = out / "certificate.csv"
-    _write_csv(cert_path, [
-        "k", "start",
-        "threshold_laplacian_sup", "bound_laplacian_sup",
-        "threshold_gradient_sup", "bound_gradient_sup",
-        "threshold_laplacian_carleson", "bound_laplacian_carleson",
-        "threshold_gradient_sq_carleson", "bound_gradient_sq_carleson",
-    ], cert_rows)
+    _write_csv(cert_path, header, cert_rows)
 
     config_path = out / "config.json"
     config_path.write_text(config.to_json() + "\n")
@@ -216,6 +214,8 @@ def _cmd_curvature(args) -> int:
     started = time.time()
     if not 0.0 < args.rmax < 1.0:
         raise ValueError(f"rmax must lie in (0, 1), got {args.rmax}")
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
     out = _out_dir(args)
     config = _load_config(args.config)
     weights = config.weights()

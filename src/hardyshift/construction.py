@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .spectral import (
 from .weights import SpikeSpec, WeightSequence, build_spiked_weights
 
 MAX_SPIKES = 8
+MAX_START = 2 ** 40  # select_spike_positions gives up past this start
 
 
 class InfeasibleConstructionError(RuntimeError):
@@ -198,26 +199,22 @@ def bump_gradient_sq_carleson_bound(n: int) -> float:
 # spike gating
 
 
-def spike_correction_thresholds(delta: float, k: int) -> tuple[float, float, float, float]:
-    """Budgets for the k-th spike's correction term.
+_GATE_NAMES = ("value_sup", "laplacian_sup", "gradient_sup",
+               "laplacian_carleson", "gradient_sq_carleson")
 
-    In order: sup of |Laplacian| (1-r)^2, sup of |gradient| (1-r), mass of
-    |Laplacian| (1-r), mass of |gradient|^2 (1-r).  The first three get
-    delta / 2^k; the quadratic one gets delta / 4^k.  The plain sup of the
-    term shares the first budget.
+
+def spike_correction_thresholds(delta: float, k: int) -> tuple[float, ...]:
+    """Budgets for the k-th spike's correction term, in _GATE_NAMES order.
+
+    The mass of |gradient|^2 (1-r), which is quadratic in the term, gets
+    delta / 4^k; the other four get delta / 2^k.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if k < 1:
         raise ValueError("k must be at least 1")
     slice_k = delta / 2.0 ** k
-    return slice_k, slice_k, slice_k, delta / 4.0 ** k
-
-
-def _spike_member_powers(spike: SpikeSpec) -> list[int]:
-    h = spike.half_width
-    return [spike.start + j for j in range(1, h + 1)] + \
-        [spike.start + 2 * h - j for j in range(1, h)]
+    return slice_k, slice_k, slice_k, slice_k, delta / 4.0 ** k
 
 
 def spike_budget(alpha: float, spike: SpikeSpec) -> float:
@@ -226,24 +223,14 @@ def spike_budget(alpha: float, spike: SpikeSpec) -> float:
     return float(np.sum(c) + np.sum(c[:-1]))
 
 
-_GATE_NAMES = ("value_sup", "laplacian_sup", "gradient_sup",
-               "laplacian_carleson", "gradient_sq_carleson")
-
-
-def _gate_thresholds(delta: float, k: int) -> tuple[float, ...]:
-    """The k-th spike's budgets in _GATE_NAMES order; value_sup shares the
-    laplacian_sup budget."""
-    lap_sup, grad_sup, lap_carl, grad_sq_carl = spike_correction_thresholds(delta, k)
-    return lap_sup, lap_sup, grad_sup, lap_carl, grad_sq_carl
-
-
 @dataclass(frozen=True)
 class SpikeGate:
-    """Triangle-inequality bounds for one candidate spike against its budgets."""
+    """Triangle-inequality bounds for one candidate spike against its budgets,
+    values and thresholds in `names` order."""
 
+    names: ClassVar[tuple[str, ...]] = _GATE_NAMES
     spike: SpikeSpec
     budget: float
-    names: tuple[str, ...]
     values: tuple[float, ...]
     thresholds: tuple[float, ...]
 
@@ -260,13 +247,13 @@ class SpikeGate:
 def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
     """Bound the spike's correction through its constituent bumps.
 
-    The correction is a coefficient combination of bumps at the member
-    powers; budget * max over members bounds each linear metric, and
+    The correction is a coefficient combination of bumps at the powers of
+    the spike interior; budget * max over them bounds each linear metric, and
     budget^2 * max bounds the squared-gradient mass (Cauchy-Schwarz).
     The gradient sup uses the root of the per-bump squared sup.
     """
-    thresholds = _gate_thresholds(delta, spike.half_width)
-    reports = [lemma_bounds(m) for m in _spike_member_powers(spike)]
+    thresholds = spike_correction_thresholds(delta, spike.half_width)
+    reports = [lemma_bounds(m) for m in spike.interior]
     c_total = spike_budget(alpha, spike)
     values = (
         c_total * max(rep.sup_value for rep in reports),
@@ -275,29 +262,27 @@ def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
         c_total * max(rep.carl_laplacian for rep in reports),
         c_total ** 2 * max(rep.carl_grad_sq for rep in reports),
     )
-    return SpikeGate(spike=spike, budget=c_total, names=_GATE_NAMES,
-                     values=values, thresholds=thresholds)
+    return SpikeGate(spike=spike, budget=c_total, values=values, thresholds=thresholds)
 
 
-def select_spike_positions(
-    alpha: float,
-    delta: float,
-    n_spikes: int,
-    max_start: int = 2 ** 40,
-) -> list[int]:
-    """Choose spike starts so every gate passes, earliest first.
-
-    For each k the admissible region is searched by doubling from start 1,
-    or from the floor imposed by the previous spike, then bisected down to
-    a start whose predecessor fails the gate, so each position is locally
-    minimal.  Exceeding max_start raises InfeasibleConstructionError.
-    """
+def _check_construction(alpha: float, delta: float, n_spikes: int) -> None:
     if alpha <= 0 or not math.isfinite(alpha):
         raise ValueError("alpha must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not 0 <= n_spikes <= MAX_SPIKES:
         raise ValueError(f"n_spikes must lie in 0..{MAX_SPIKES}")
+
+
+def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[int]:
+    """Choose spike starts so every gate passes, earliest first.
+
+    For each k the admissible region is searched by doubling from start 1,
+    or from the floor imposed by the previous spike, then bisected down to
+    a start whose predecessor fails the gate, so each position is locally
+    minimal.  Exceeding MAX_START raises InfeasibleConstructionError.
+    """
+    _check_construction(alpha, delta, n_spikes)
 
     starts: list[int] = []
     floor = 1
@@ -308,9 +293,9 @@ def select_spike_positions(
         lo, hi = None, floor
         while not ok(hi):
             lo, hi = hi, hi * 2
-            if hi > max_start:
+            if hi > MAX_START:
                 raise InfeasibleConstructionError(
-                    f"no admissible start for spike {k} below {max_start} "
+                    f"no admissible start for spike {k} below {MAX_START} "
                     f"(alpha={alpha}, delta={delta})"
                 )
         if lo is not None:
@@ -352,12 +337,7 @@ class ConstructionConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.alpha <= 0 or not math.isfinite(self.alpha):
-            raise ValueError("alpha must be positive and finite")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0 <= self.n_spikes <= MAX_SPIKES:
-            raise ValueError(f"n_spikes must lie in 0..{MAX_SPIKES}")
+        _check_construction(self.alpha, self.delta, self.n_spikes)
         object.__setattr__(self, "spike_starts", tuple(int(n) for n in self.spike_starts))
         if len(self.spike_starts) != self.n_spikes:
             raise ValueError("n_spikes must equal len(spike_starts)")
@@ -482,14 +462,14 @@ def _row(name: str, threshold: float, measured: float,
 
 
 def _condition_grid(spikes: Sequence[SpikeSpec]) -> np.ndarray:
-    return _decay_grid([m for sp in spikes for m in _spike_member_powers(sp)], 801, 46.0)
+    return _decay_grid([m for sp in spikes for m in sp.interior], 801, 46.0)
 
 
 def measure_spike_conditions(alpha: float, spike: SpikeSpec,
-                             grid: np.ndarray | None = None) -> dict[str, float]:
-    """Measured decay quantities of one spike's assembled correction term."""
-    p = DecayProfile(spike_ratio_term(alpha, spike),
-                     _condition_grid([spike]) if grid is None else grid)
+                             grid: np.ndarray) -> dict[str, float]:
+    """Measured decay quantities of one spike's assembled correction term
+    on a grid from _condition_grid."""
+    p = DecayProfile(spike_ratio_term(alpha, spike), grid)
     return dict(zip(_GATE_NAMES, (
         p.value_sup[1], p.laplacian_sup[1], p.gradient_sup[1],
         radial_carleson_norm(p.laplacian), radial_carleson_norm(p.gradient_sq))))
@@ -526,7 +506,7 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
         k = sp.half_width
         measured = measure_spike_conditions(config.alpha, sp, grid)
         rows.extend(_row(f"spike{k}_{name}", t, measured[name])
-                    for name, t in zip(_GATE_NAMES, _gate_thresholds(delta, k)))
+                    for name, t in zip(_GATE_NAMES, spike_correction_thresholds(delta, k)))
 
     meta = {
         "config": config.to_dict(),
@@ -545,8 +525,7 @@ def curvature_density(f: RadialSeries, spikes: Sequence[SpikeSpec]) -> RadialDen
     dp = f.derivative
     numerator = f.multiply(f.laplacian()).add(dp.multiply(dp).shift(1).scale(-1.0))
     cuts = SeriesGapDensity(numerator, 0).sign_roots
-    peak_hints = [math.sqrt(m / (m + 1.0)) for sp in spikes
-                  for m in _spike_member_powers(sp)]
+    peak_hints = [math.sqrt(m / (m + 1.0)) for sp in spikes for m in sp.interior]
     return RadialDensity(
         lambda r: np.abs(ratio_log_laplacian(f, r)) * (1.0 - r),
         breakpoints=merge_grids(cuts, peak_hints) if (len(cuts) or peak_hints) else (),

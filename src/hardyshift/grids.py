@@ -82,7 +82,7 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature did not reach its tolerance on a window."""
 
 
-def boundary_refined_grid(count: int = 600, u_max: float = 40.0) -> np.ndarray:
+def boundary_refined_grid(count: int, u_max: float) -> np.ndarray:
     """Grid r = 1 - 2^{-u} for u uniform in [0, u_max], ascending, r[0] = 0."""
     if count < 2:
         raise ValueError("count must be at least 2")
@@ -99,9 +99,9 @@ def critical_radius(m: float, p: float) -> float:
     return m / (m + p)
 
 
-def peak_candidates(powers: Iterable[int], gaps: Iterable[int] = (1, 2, 3)) -> np.ndarray:
-    """Critical radii m/(m+p) for all combinations of monomial power and gap power."""
-    pts = [critical_radius(m, p) for m in powers for p in gaps if m > 0]
+def peak_candidates(powers: Iterable[int]) -> np.ndarray:
+    """Critical radii m/(m+p) for each positive monomial power m and gap power p = 1, 2, 3."""
+    pts = [critical_radius(m, p) for m in powers for p in (1, 2, 3) if m > 0]
     return np.asarray(sorted(set(pts)), dtype=float)
 
 

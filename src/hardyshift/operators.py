@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import WeightSequence, slope_report
+from .weights import WeightSequence
 
 
 def _coeffs(x) -> np.ndarray:
@@ -124,8 +124,9 @@ def coisometry_check(weights: WeightSequence) -> CoisometryReport:
     slopes, attained on basis vectors.  Past the last spike every slope
     is 1, so the slopes for n <= last_index + 1 cover every index.
     """
-    slopes = slope_report(weights)
-    return CoisometryReport(min_ratio=math.sqrt(slopes.min_ratio),
-                            max_ratio=math.sqrt(slopes.max_ratio),
+    w = weights.weight_range(0, weights.last_index + 3)
+    slopes = w[1:] / w[:-1]
+    return CoisometryReport(min_ratio=math.sqrt(float(slopes.min())),
+                            max_ratio=math.sqrt(float(slopes.max())),
                             lower=1.0 / (1.0 + weights.alpha),
                             upper=1.0 + weights.alpha)

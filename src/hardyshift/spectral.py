@@ -72,26 +72,22 @@ def kernel_eval(weights: WeightSequence, lam: complex, z: complex, tol: float = 
     return complex(powers @ inv_w)
 
 
-def kernel_diagonal_series(
-    weights: WeightSequence,
-    r_max: float,
-    tol: float = 1e-12,
-    max_order: int = _DENSE_ORDER_CAP,
-) -> RadialSeries:
+def kernel_diagonal_series(weights: WeightSequence, r_max: float,
+                           tol: float = 1e-12) -> RadialSeries:
     """Dense truncation K(s) = sum_{n <= order} s^n / w_n of the kernel
     diagonal, valid on [0, r_max].
 
     The truncation order comes from the geometric tail bound (weights are
-    at least 1).  Tolerances that would need more than max_order terms are
-    rejected with the required order attached.
+    at least 1).  Tolerances that would need more than _DENSE_ORDER_CAP
+    terms are rejected with the required order attached.
     """
     if not 0.0 <= r_max < 1.0:
         raise ValueError("r_max must lie in [0, 1)")
     order = truncation_order(r_max, tol)
-    if order > max_order:
+    if order > _DENSE_ORDER_CAP:
         raise TruncationError(
             f"diagonal truncation at r_max={r_max} and tol={tol} needs {order} terms "
-            f"(cap {max_order})",
+            f"(cap {_DENSE_ORDER_CAP})",
             order,
         )
     return RadialSeries.from_dense(1.0 / weights.weight_range(0, order + 1))
@@ -112,16 +108,12 @@ def deficit_coefficients(alpha: float, half_width: int) -> np.ndarray:
 def spike_kernel_term(alpha: float, spike: SpikeSpec) -> RadialSeries:
     """Correction G(s) the spike adds to the unweighted kernel diagonal.
 
-    Collects (1/w_n - 1) s^n over the spike interior: the deficit c_j sits
-    at offsets j and 2*half_width - j from the spike start.
+    Collects (1/w_n - 1) s^n over the spike interior: index n carries the
+    deficit c_j of its step j.
     """
     c = deficit_coefficients(alpha, spike.half_width)
-    terms: list[tuple[int, float]] = []
-    for j in range(1, spike.half_width + 1):
-        terms.append((spike.start + j, float(c[j - 1])))
-    for j in range(1, spike.half_width):
-        terms.append((spike.start + 2 * spike.half_width - j, float(c[j - 1])))
-    return RadialSeries.from_terms(terms)
+    n = np.asarray(spike.interior)
+    return RadialSeries(n, c[spike.step(n) - 1])
 
 
 def spike_ratio_term(alpha: float, spike: SpikeSpec) -> RadialSeries:
@@ -137,24 +129,23 @@ def kernel_ratio_series(
     weights: WeightSequence,
     r_max: float = 0.999,
     tol: float = 1e-9,
-    cross_check: bool | None = None,
+    cross_check: bool = True,
 ) -> RadialSeries:
     """Exact polynomial f(s) = (1-s) K(s) = 1 + sum of spike ratio terms.
 
-    When feasible (cross_check None picks automatically, True forces it)
-    the result is compared against (1-s) times the truncated diagonal
-    series on a 200 point grid up to r_max; disagreement beyond tol raises
-    DecompositionMismatchError, the symptom of a slope mismatch between
-    the correction coefficients and the weights.
+    With cross_check, and when the diagonal truncation needs at most
+    _CROSS_CHECK_ORDER_CAP terms, the result is compared against (1-s)
+    times the truncated diagonal series on a 200 point grid up to r_max;
+    disagreement beyond tol raises DecompositionMismatchError, the symptom
+    of a slope mismatch between the correction coefficients and the
+    weights.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
     f = RadialSeries.from_terms([(0, 1.0)])
     for sp in weights.spikes:
         f = f.add(spike_ratio_term(weights.alpha, sp))
-    if cross_check is None:
-        cross_check = truncation_order(r_max, tol / 4.0) <= _CROSS_CHECK_ORDER_CAP
-    if cross_check:
+    if cross_check and truncation_order(r_max, tol / 4.0) <= _CROSS_CHECK_ORDER_CAP:
         diag = kernel_diagonal_series(weights, r_max, tol / 4.0)
         r = np.linspace(0.0, r_max, 200)
         s = r * r
@@ -189,18 +180,14 @@ def _curvature_from_parts(k_val, k_p, k_pp, s):
     return (k_val * lap - grad) / (k_val * k_val)
 
 
-def curvature_weighted(
-    weights: WeightSequence,
-    r,
-    tol: float = 1e-9,
-    method: str = "closed",
-):
+def curvature_weighted(weights: WeightSequence, r, method: str = "closed"):
     """Bundle curvature Delta log K for the weighted backward shift.
 
     method "closed" evaluates the exact split 1/(1-s) + spike corrections;
     method "series" goes through the dense truncated diagonal with the
-    truncation order driven by the tail bound at max(r) and a tolerance
-    tightened by (1 - s)^3 so the second derivative tail stays negligible.
+    truncation order driven by the tail bound at max(r) and the tolerance
+    1e-12 tightened by (1 - s)^3 so the second derivative tail stays
+    negligible.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if np.any((r_arr < 0) | (r_arr >= 1)):
@@ -220,7 +207,7 @@ def curvature_weighted(
     elif method == "series":
         r_top = float(np.max(r_arr))
         s_top = r_top * r_top
-        tol_eff = max(min(tol, 1e-12) * (1.0 - s_top) ** 3, 1e-300)
+        tol_eff = max(1e-12 * (1.0 - s_top) ** 3, 1e-300)
         k_val, k_p, k_pp = kernel_diagonal_series(weights, r_top, tol_eff).eval_with_derivatives(s)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -241,26 +228,19 @@ def ratio_log_laplacian(ratio: RadialSeries, r):
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def curvature_difference(
-    weights: WeightSequence,
-    r,
-    tol: float = 1e-6,
-    ratio: RadialSeries | None = None,
-):
+def curvature_difference(weights: WeightSequence, r):
     """Curvature deviation from the unweighted shift, computed two ways.
 
     Route A evaluates Delta log f from the sparse kernel ratio.  Route B
     subtracts the two curvatures directly.  The two are the same function;
-    both are returned and disagreement beyond tol (relative, with an
+    both are returned and disagreement beyond 1e-6 (relative, with an
     absolute floor at the cancellation level of route B) raises.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    if ratio is None:
-        ratio = kernel_ratio_series(weights, cross_check=False)
-    a = ratio_log_laplacian(ratio, r_arr)
+    a = ratio_log_laplacian(kernel_ratio_series(weights, cross_check=False), r_arr)
     b = curvature_weighted(weights, r_arr) - curvature_backward_shift(r_arr)
     floor = 64.0 * np.finfo(float).eps * (curvature_backward_shift(r_arr) + 1.0)
-    bad = np.abs(a - b) > tol * (np.abs(a) + np.abs(b)) + floor
+    bad = np.abs(a - b) > 1e-6 * (np.abs(a) + np.abs(b)) + floor
     if np.any(bad):
         i = int(np.argmax(np.abs(a - b)))
         raise RuntimeError(

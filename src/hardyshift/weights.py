@@ -52,6 +52,16 @@ class SpikeSpec:
     def peak(self) -> int:
         return self.start + self.half_width
 
+    @property
+    def interior(self) -> range:
+        """Indices start+1 .. end-1, where the weight exceeds 1."""
+        return range(self.start + 1, self.end)
+
+    def step(self, n: np.ndarray) -> np.ndarray:
+        """Step j = min(n - start, end - n) of each index n, its distance
+        from the nearer spike end: log w_n = j * log_slope."""
+        return np.minimum(n - self.start, self.end - n)
+
 
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
@@ -86,9 +96,7 @@ class WeightSequence:
         for sp in self.spikes:
             lo, hi = max(sp.start, n0), min(sp.end, n1 - 1)
             if lo <= hi:
-                idx = np.arange(lo, hi + 1)
-                j = np.minimum(idx - sp.start, sp.end - idx)
-                steps.append((slice(lo - n0, hi + 1 - n0), j))
+                steps.append((slice(lo - n0, hi + 1 - n0), sp.step(np.arange(lo, hi + 1))))
         return steps
 
     @property
@@ -147,53 +155,3 @@ def build_spiked_weights(alpha: float, spike_starts: Sequence[int]) -> WeightSeq
     spikes = tuple(SpikeSpec(start=s, half_width=k + 1) for k, s in enumerate(starts))
     return WeightSequence(alpha=float(alpha), spikes=spikes)
 
-
-@dataclass(frozen=True)
-class SlopeReport:
-    """Extremes of consecutive weight ratios against the admissible band."""
-
-    max_ratio: float
-    min_ratio: float
-    upper_bound: float
-    lower_bound: float
-    passed: bool
-
-
-def slope_report(
-    weights: WeightSequence | Sequence[float],
-    n_max: int | None = None,
-    alpha: float | None = None,
-    rel_tol: float = 1e-12,
-) -> SlopeReport:
-    """Check (1+alpha)^{-2} <= w_{n+1}/w_n <= (1+alpha)^2 for n < n_max.
-
-    Accepts either a WeightSequence (alpha taken from it, n_max defaulting
-    to cover all spikes) or a raw positive sequence with alpha supplied.
-    """
-    if isinstance(weights, WeightSequence):
-        a = weights.alpha
-        if n_max is None:
-            n_max = weights.last_index + 2
-        vals = weights.weight_range(0, n_max + 1)
-    else:
-        if alpha is None:
-            raise ValueError("alpha is required for raw weight values")
-        a = float(alpha)
-        vals = np.asarray(list(weights), dtype=np.float64)
-        if n_max is not None:
-            vals = vals[: n_max + 1]
-    if len(vals) < 2:
-        raise ValueError("need at least two weight values")
-    if np.any(vals <= 0):
-        raise ValueError("weights must be positive")
-    ratios = vals[1:] / vals[:-1]
-    hi = (1.0 + a) ** 2
-    lo = hi ** -1
-    top, bottom = float(ratios.max()), float(ratios.min())
-    return SlopeReport(
-        max_ratio=top,
-        min_ratio=bottom,
-        upper_bound=hi,
-        lower_bound=lo,
-        passed=top <= hi * (1.0 + rel_tol) and bottom >= lo * (1.0 - rel_tol),
-    )

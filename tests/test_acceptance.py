@@ -64,7 +64,7 @@ def test_criterion_01_flat_weights_reproduce_reference_curvature():
     expected = curvature_backward_shift(r)
     worst = 0.0
     for method in ("series", "closed"):
-        got = curvature_weighted(w, r, tol=1e-9, method=method)
+        got = curvature_weighted(w, r, method=method)
         worst = max(worst, float(np.max(np.abs(got - expected) / expected)))
     assert worst < 1e-9
     clock.done(f"max relative error {worst:.2e}")

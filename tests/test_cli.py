@@ -198,6 +198,15 @@ def test_curvature_rejects_rmax_outside_unit_interval(constructed, tmp_path, cap
     assert not (tmp_path / "curvature.csv").exists()
 
 
+@pytest.mark.parametrize("points", ["0", "1", "-3"])
+def test_curvature_rejects_fewer_than_two_points(constructed, tmp_path, capsys, points):
+    out = tmp_path / "out"
+    assert cli.main(["curvature", str(constructed / "config.json"), "--points", points,
+                     "--out", str(out)]) == 3
+    assert "--points must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_max", ["-1", "-2"])
 def test_weights_rejects_negative_n_max(constructed, tmp_path, n_max):
     assert cli.main(["weights", str(constructed / "config.json"), "--n-max", n_max,

@@ -138,8 +138,8 @@ def test_spike_budget_frozen_values():
 
 
 def test_spike_correction_thresholds():
-    assert spike_correction_thresholds(0.5, 1) == (0.25, 0.25, 0.25, 0.125)
-    assert spike_correction_thresholds(0.5, 3) == (0.0625, 0.0625, 0.0625, 0.0078125)
+    assert spike_correction_thresholds(0.5, 1) == (0.25, 0.25, 0.25, 0.25, 0.125)
+    assert spike_correction_thresholds(0.5, 3) == (0.0625,) * 4 + (0.0078125,)
     with pytest.raises(ValueError):
         spike_correction_thresholds(0.0, 1)
     with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ def test_gate_values_bound_measured_conditions():
     for start, k in ((3, 1), (32, 2), (117, 3)):
         spike = SpikeSpec(start, k)
         gate = spike_gate(1.0, 0.5, spike)
-        measured = measure_spike_conditions(1.0, spike)
+        measured = measure_spike_conditions(1.0, spike, _condition_grid([spike]))
         for name, value in zip(gate.names, gate.values):
             assert measured[name] <= value * (1.0 + 1e-9), name
 
@@ -182,9 +182,10 @@ def test_selection_input_validation():
     assert select_spike_positions(1.0, 0.5, 0) == []
 
 
-def test_infeasible_budget_raises():
+def test_infeasible_budget_raises(monkeypatch):
+    monkeypatch.setattr(construction, "MAX_START", 2)
     with pytest.raises(InfeasibleConstructionError):
-        select_spike_positions(1.0, 0.5, 1, max_start=2)
+        select_spike_positions(1.0, 0.5, 1)
 
 
 def test_gate_worst_margin():
@@ -275,7 +276,7 @@ def test_gradient_window_norms_subadditive(standard_config):
 
 def test_spike_value_sup_closed_form():
     # |c_1| sup s^4 (1-s) for the first standard spike: 0.75 * (4/5)^4 / 5
-    measured = measure_spike_conditions(1.0, SpikeSpec(3, 1))
+    measured = measure_spike_conditions(1.0, SpikeSpec(3, 1), _condition_grid([SpikeSpec(3, 1)]))
     assert measured["value_sup"] == pytest.approx(0.75 * 256.0 / 3125.0, rel=1e-12)
 
 

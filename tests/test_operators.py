@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import spiked_layouts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from hardyshift import (
     norm_w,
     orbit_norms,
 )
+from hardyshift.operators import BAND_THRESHOLD, CoisometryReport
 from hardyshift.series import truncation_order
 
 RNG = np.random.default_rng(3)
@@ -134,7 +136,7 @@ def test_orbit_norm_lower_bound_witness():
 
 
 def test_coisometry_band_for_both_alphas():
-    for alpha in (0.25, 1.0):
+    for alpha in (0.25, 1.0, 3.0):
         w = build_spiked_weights(alpha, (3, 32, 117))
         rep = coisometry_check(w)
         assert rep.passed
@@ -167,15 +169,14 @@ def test_coisometry_band_of_flat_weights_is_one_point():
     assert rep.passed
 
 
-@st.composite
-def spiked_layouts(draw):
-    alpha = draw(st.floats(0.01, 3.0))
-    gaps = draw(st.lists(st.integers(1, 40), max_size=4))
-    starts, nxt = [], 0
-    for k, gap in enumerate(gaps, start=1):
-        starts.append(nxt + gap - 1)
-        nxt = starts[-1] + 2 * k + 1  # first index past spike k
-    return build_spiked_weights(alpha, starts)
+def test_coisometry_report_outside_the_band_fails():
+    # a slope of 10 against the alpha = 1 limit 4 (ratio sqrt(10) > 2),
+    # then a slope of 1/10 against the limit 1/4
+    for lo, hi in ((1.0, math.sqrt(10.0)), (1.0 / math.sqrt(10.0), 1.0)):
+        rep = CoisometryReport(min_ratio=lo, max_ratio=hi, lower=0.5, upper=2.0)
+        assert rep.deviation == pytest.approx(math.sqrt(10.0) / 2.0, rel=1e-15)
+        assert rep.deviation > BAND_THRESHOLD
+        assert not rep.passed
 
 
 @settings(max_examples=60, deadline=None)

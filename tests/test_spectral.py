@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from conftest import spiked_layouts
+from hypothesis import given, settings
 
 from hardyshift import (
     DecompositionMismatchError,
@@ -91,7 +93,8 @@ def test_diagonal_series_coefficients_are_reciprocal_weights():
 def test_diagonal_series_respects_order_cap():
     w = build_spiked_weights(1.0, [])
     with pytest.raises(TruncationError):
-        kernel_diagonal_series(w, r_max=0.999999, tol=1e-12, max_order=10_000)
+        # about 2e7 terms, ten times _DENSE_ORDER_CAP
+        kernel_diagonal_series(w, r_max=0.999999, tol=1e-12)
 
 
 # ---------------------------------------------------------------------- #
@@ -123,6 +126,19 @@ def test_spike_kernel_term_matches_weight_deficits():
             assert c == pytest.approx(1.0 / w.weight_at(int(e)) - 1.0, rel=1e-13)
 
 
+@settings(max_examples=60, deadline=None)
+@given(w=spiked_layouts())
+def test_spike_kernel_terms_sum_to_the_weight_deficits(w):
+    # the deficits placed by SpikeSpec's step map against the weights'
+    # own walk of the layout, every index up to last_index + 2
+    n = w.last_index + 3
+    total = np.zeros(n)
+    for sp in w.spikes:
+        g = spike_kernel_term(w.alpha, sp)
+        total[g.exponents] += g.coeffs
+    assert np.allclose(total, 1.0 / w.weight_range(0, n) - 1.0, rtol=1e-12, atol=1e-15)
+
+
 def test_ratio_term_is_one_minus_s_times_kernel_term():
     spike = SpikeSpec(start=6, half_width=2)
     g = spike_kernel_term(0.5, spike)
@@ -138,7 +154,7 @@ def test_ratio_term_is_one_minus_s_times_kernel_term():
 
 def test_kernel_ratio_series_is_one_plus_corrections():
     w = build_spiked_weights(1.0, [3, 32, 117])
-    f = kernel_ratio_series(w, cross_check=True)
+    f = kernel_ratio_series(w)
     assert f.eval(0.0) == 1.0
     expected = 1.0
     s = 0.93
@@ -168,7 +184,7 @@ def test_mismatched_slope_raises_decomposition_error(monkeypatch):
 
     monkeypatch.setattr(spectral_module, "spike_ratio_term", corrupted)
     with pytest.raises(DecompositionMismatchError):
-        kernel_ratio_series(w, r_max=0.9, tol=1e-9, cross_check=True)
+        kernel_ratio_series(w, r_max=0.9, tol=1e-9)
 
 
 # ---------------------------------------------------------------------- #
@@ -225,15 +241,16 @@ def test_curvature_difference_routes_agree(standard_config):
     assert np.all(np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), np.abs(b)) + floor)
 
 
-def test_curvature_difference_raises_on_corrupted_ratio(standard_config):
+def test_curvature_difference_raises_on_corrupted_ratio(standard_config, monkeypatch):
     # a multiplicative scale would cancel in Delta log f; an additive term does not
     from hardyshift import RadialSeries
 
     w = standard_config.weights()
     bad = kernel_ratio_series(w, cross_check=False).add(
         RadialSeries.from_terms([(2, 0.05)]))
+    monkeypatch.setattr(spectral_module, "kernel_ratio_series", lambda *a, **k: bad)
     with pytest.raises(RuntimeError):
-        curvature_difference(w, np.linspace(0.1, 0.9, 20), ratio=bad)
+        curvature_difference(w, np.linspace(0.1, 0.9, 20))
 
 
 def test_curvature_samples_table(standard_config):

@@ -1,11 +1,11 @@
-"""Spiked weight sequences: values, layout validation, slope condition."""
+"""Spiked weight sequences: values and layout validation."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hardyshift import SpikeSpec, WeightSequence, build_spiked_weights, slope_report
+from hardyshift import SpikeSpec, WeightSequence, build_spiked_weights
 
 
 def test_single_spike_weight_values():
@@ -66,27 +66,6 @@ def test_layout_validation():
 def test_last_index_and_empty_layout():
     assert build_spiked_weights(1.0, []).last_index == 0
     assert build_spiked_weights(1.0, [3, 32, 117]).last_index == 123
-
-
-def test_slope_report_on_spiked_weights():
-    for alpha in (0.25, 1.0, 3.0):
-        w = build_spiked_weights(alpha, [3, 32, 117])
-        rep = slope_report(w)
-        assert rep.passed
-        # the slope bound is attained on every climb and descent
-        assert rep.max_ratio == pytest.approx((1.0 + alpha) ** 2, rel=1e-12)
-        assert rep.min_ratio == pytest.approx((1.0 + alpha) ** -2, rel=1e-12)
-
-
-def test_slope_report_rejects_steep_raw_sequence():
-    rep = slope_report([1.0, 10.0, 1.0], alpha=1.0)
-    assert not rep.passed
-    assert rep.max_ratio == 10.0
-
-
-def test_slope_report_raw_needs_alpha():
-    with pytest.raises(ValueError):
-        slope_report([1.0, 2.0])
 
 
 def test_log_weight_is_zero_off_spikes():
