@@ -8,7 +8,8 @@ Six parts, each run on both checkouts with this same script:
   `tables` workloads (from the change's `hardybench/workloads.py`, verify
   seed 1), `lemma` and `construct --K 2`, run once per checkout; every
   output file must be byte-identical, manifests compared as JSON without
-  `elapsed_seconds`;
+  `elapsed_seconds`; for each CSV that is not, the count of moved cells
+  and the largest relative move, per column;
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
   delta 0.5, K = 3..8), of `verify_f_conditions` /
   `verify_theorem_conditions` (eps 2) on the frozen K = 8 config, and of
@@ -194,8 +195,32 @@ def output_differences(left: Path, right: Path) -> list[str]:
     return diffs
 
 
+def csv_moves(left: Path, right: Path) -> dict:
+    """Per column of two CSVs with one header and row count: how many cells
+    moved, the largest relative move among the numeric ones and the first
+    cell of its row."""
+    old, new = ([ln.split(",") for ln in p.read_text().splitlines()] for p in (left, right))
+    if len(old) != len(new) or old[0] != new[0]:
+        return {"shape": "differs"}
+    moves: dict = {}
+    for a, b in zip(old[1:], new[1:]):
+        for name, x, y in zip(old[0], a, b):
+            if x == y:
+                continue
+            slot = moves.setdefault(name, {"cells": 0, "max_rel": None, "at": None})
+            slot["cells"] += 1
+            try:
+                rel = abs(float(y) - float(x)) / abs(float(x))
+            except (ValueError, ZeroDivisionError):
+                continue
+            if slot["max_rel"] is None or rel > slot["max_rel"]:
+                slot["max_rel"], slot["at"] = rel, a[0]
+    return moves
+
+
 def output_identity(sides: dict[str, Path]) -> dict:
-    """Run each identity command on both checkouts and compare every output file."""
+    """Run each identity command on both checkouts and compare every output
+    file; for each CSV that differs, record its csv_moves."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         commands = identity_commands(sides["change"], work)
@@ -210,7 +235,9 @@ def output_identity(sides: dict[str, Path]) -> dict:
                                check=True)
             diffs = output_differences(outs["parent"], outs["change"])
             result["files_compared"] += len(list(outs["change"].iterdir()))
-            result["commands"][label] = {"args": cmd, "differences": diffs}
+            moves = {name: csv_moves(outs["parent"] / name, outs["change"] / name)
+                     for name in diffs if name.endswith(".csv")}
+            result["commands"][label] = {"args": cmd, "differences": diffs, "moves": moves}
             print(f"identity {label}: {diffs or 'identical'}", flush=True)
         result["identical"] = not any(c["differences"] for c in result["commands"].values())
     return result

@@ -109,19 +109,20 @@ class DecayProfile:
 
     `laplacian` and `gradient_sq` are the Carleson densities
     |Laplacian G| (1 - r) and |gradient G|^2 (1 - r).  The suprema are
-    (argmax_r, value) pairs computed on first access, so a caller pays
-    only for what it reads: value_sup of |G|, laplacian_sup of
-    |Laplacian G| (1 - r)^2, gradient_sup of |gradient G| (1 - r) and
-    gradient_sq_sup of |gradient G|^2 (1 - r)^2.  The last is the square
-    of gradient_sup rounded on its own, so the two can differ in the last
-    bit: the lemma table carries the square, the verifier rows the root.
+    (argmax_r, value) pairs: value_sup of |G|, laplacian_sup of
+    |Laplacian G| (1 - r)^2 and gradient_sup of |gradient G| (1 - r) =
+    r |G'(r^2)| (1 - r), read from G' and not from the expanded s G'^2,
+    whose coefficients cancel.  All but `laplacian` are built on first access.
     """
 
     def __init__(self, series: RadialSeries, grid: np.ndarray):
         self.series = series
         self.grid = grid
         self.laplacian = SeriesGapDensity(series.laplacian(), 1)
-        self.gradient_sq = SeriesGapDensity(series.grad_sq(), 1, nonneg=True)
+
+    @cached_property
+    def gradient_sq(self) -> SeriesGapDensity:
+        return SeriesGapDensity(self.series.grad_sq(), 1, nonneg=True)
 
     @cached_property
     def value_sup(self) -> tuple[float, float]:
@@ -134,14 +135,8 @@ class DecayProfile:
 
     @cached_property
     def gradient_sup(self) -> tuple[float, float]:
-        grad = self.gradient_sq.series
-        return refined_supremum(
-            lambda r: np.sqrt(np.maximum(grad.eval(r * r), 0.0)) * (1.0 - r), self.grid)
-
-    @cached_property
-    def gradient_sq_sup(self) -> tuple[float, float]:
-        grad = self.gradient_sq.series
-        return refined_supremum(lambda r: np.abs(grad.eval(r * r)) * (1.0 - r) ** 2, self.grid)
+        d = self.series.derivative
+        return refined_supremum(lambda r: r * np.abs(d.eval(r * r)) * (1.0 - r), self.grid)
 
 
 @lru_cache(maxsize=None)
@@ -149,21 +144,25 @@ def lemma_bounds(n: int) -> LemmaReport:
     """Decay report for the edge bump of power n.
 
     Suprema come from a boundary-refined grid seeded with the exact
-    critical radii and polished locally; the two Carleson masses are
-    integrated exactly through edge integrals.  Reports, pure functions
+    critical radii and polished locally; carl_laplacian is integrated
+    through edge integrals.  carl_grad_sq is exact: s G'^2 =
+    n^2 r^{4n-2} - 2n(n+1) r^{4n} + (n+1)^2 r^{4n+2} and r^m (1 - r) has
+    mass 1/((m+1)(m+2)), each term reduced below.  Reports, pure functions
     of n, are kept in one process-wide table: a test that patches anything
     this calls must call lemma_bounds.cache_clear() first.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     p = DecayProfile(edge_bump(n), _decay_grid([n], 701, 45.0))
+    grad_mass = (Fraction(n, 4 * (4 * n + 1)) - Fraction(n * (n + 1), (2 * n + 1) * (4 * n + 3))
+                 + Fraction(n + 1, 4 * (4 * n + 5)))
     return LemmaReport(
         n=n,
         sup_value=bump_peak(n)[1],
         sup_laplacian=p.laplacian_sup[1],
-        sup_grad_sq=p.gradient_sq_sup[1],
+        sup_grad_sq=p.gradient_sup[1] ** 2,
         carl_laplacian=radial_carleson_norm(p.laplacian),
-        carl_grad_sq=radial_carleson_norm(p.gradient_sq),
+        carl_grad_sq=TWO_PI * float(grad_mass),
     )
 
 
@@ -250,7 +249,7 @@ def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
     The correction is a coefficient combination of bumps at the powers of
     the spike interior; budget * max over them bounds each linear metric, and
     budget^2 * max bounds the squared-gradient mass (Cauchy-Schwarz).
-    The gradient sup uses the root of the per-bump squared sup.
+    sqrt(fl(g^2)) == g in binary64, so sqrt(sup_grad_sq) is the bump's sup.
     """
     thresholds = spike_correction_thresholds(delta, spike.half_width)
     reports = [lemma_bounds(m) for m in spike.interior]

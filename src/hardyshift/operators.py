@@ -121,11 +121,11 @@ def coisometry_check(weights: WeightSequence) -> CoisometryReport:
 
     ||T* x||^2 / ||x||^2 = sum |x_n|^2 w_{n+1} / sum |x_n|^2 w_n is a mean
     of the slopes w_{n+1}/w_n, so its extremes over all x are the extreme
-    slopes, attained on basis vectors.  Past the last spike every slope
-    is 1, so the slopes for n <= last_index + 1 cover every index.
+    slopes, attained on basis vectors.  Every slope off the spikes
+    [start, end] is 1, so a 1 and the slopes across each spike suffice.
     """
-    w = weights.weight_range(0, weights.last_index + 3)
-    slopes = w[1:] / w[:-1]
+    spans = [weights.weight_range(sp.start, sp.end + 1) for sp in weights.spikes]
+    slopes = np.concatenate([np.ones(1)] + [w[1:] / w[:-1] for w in spans])
     return CoisometryReport(min_ratio=math.sqrt(float(slopes.min())),
                             max_ratio=math.sqrt(float(slopes.max())),
                             lower=1.0 / (1.0 + weights.alpha),

@@ -130,6 +130,21 @@ def test_verify_passes_on_constructed_config(constructed, tmp_path):
     assert manifest["config_path"] == str(constructed / "config.json")
 
 
+def test_small_delta_construction_certifies_and_verifies(tmp_path):
+    # starts up to 5e8, where the gradient sup must come from G' because the
+    # expanded s G'^2 cancels; the starts are not frozen, since the gate is
+    # not yet proven monotone in the start
+    assert cli.main(["construct", "--alpha", "1", "--delta", "1e-6", "--K", "5",
+                     "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "certificate.csv")
+    assert len(rows) == 5
+    for row in rows:
+        for thr, bound in zip(row[2::2], row[3::2]):
+            assert float(bound) <= float(thr)
+    assert cli.main(["verify", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "verify")]) == 0
+
+
 def test_verify_fails_on_halved_positions(constructed, tmp_path):
     config = json.loads((constructed / "config.json").read_text())
     config["spike_starts"] = [max(1, s // 2) for s in config["spike_starts"]]

@@ -2,7 +2,9 @@
 
 import json
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -102,8 +104,8 @@ def test_pointwise_laplacian_majorization():
 
 
 def test_lemma_computes_only_the_suprema_it_reports(monkeypatch):
-    # the lemma reads laplacian_sup and gradient_sq_sup of its profile; the
-    # closed-form peak stands in for value_sup, and gradient_sup is unused
+    # the lemma reads laplacian_sup and gradient_sup of its profile; the
+    # closed-form peak stands in for value_sup
     calls = []
     refined_supremum = construction.refined_supremum
 
@@ -116,17 +118,52 @@ def test_lemma_computes_only_the_suprema_it_reports(monkeypatch):
     assert len(calls) == 2
 
 
-def _profiles():
+def test_one_gradient_supremum_feeds_lemma_and_gate():
+    # the lemma carries the square of the gradient sup and the gate its
+    # root times the budget, bit for bit: sqrt(fl(g^2)) == g in binary64
+    def sup(m):
+        return DecayProfile(edge_bump(m), _decay_grid([m], 701, 45.0)).gradient_sup[1]
+
     for n in (1, 34, 2248, 172510):
-        yield DecayProfile(edge_bump(n), _decay_grid([n], 701, 45.0))
+        assert lemma_bounds(n).sup_grad_sq == sup(n) ** 2
     for k, start in enumerate(STANDARD_STARTS, start=1):
-        spike = SpikeSpec(start, k)
-        yield DecayProfile(spike_ratio_term(1.0, spike), _condition_grid([spike]))
+        gate = spike_gate(1.0, 0.5, SpikeSpec(start, k))
+        assert gate.values[2] == gate.budget * max(sup(m) for m in gate.spike.interior)
 
 
-def test_gradient_suprema_are_one_supremum_rounded_two_ways():
-    for p in _profiles():
-        assert math.sqrt(p.gradient_sq_sup[1]) == pytest.approx(p.gradient_sup[1], rel=1e-14)
+def _sup_grad_sq_oracle(n: int) -> mpmath.mpf:
+    """max of |r^{2n-1} (n - (n+1) r^2) (1 - r)|^2, the bump's squared
+    weighted gradient, over the real critical radii in (0, 1)."""
+    with mpmath.workdps(60):
+        cubic = [2 * (n + 1) ** 2, -(n + 1) * (2 * n + 1), -2 * n * n, n * (2 * n - 1)]
+        roots = mpmath.polyroots(cubic, maxsteps=200, extraprec=200)
+        radii = [mpmath.re(z) for z in roots if abs(mpmath.im(z)) < mpmath.mpf(10) ** -40]
+        return max((r ** (2 * n - 1) * (n - (n + 1) * r * r) * (1 - r)) ** 2
+                   for r in radii if 0 < r < 1)
+
+
+def _carl_grad_sq_oracle(n: int) -> mpmath.mpf:
+    """2 pi [n^2 B(4n-1) - 2n(n+1) B(4n+1) + (n+1)^2 B(4n+3)], B(m) = 1/((m+1)(m+2))."""
+    with mpmath.workdps(60):
+        def b(m):
+            return mpmath.mpf(1) / ((m + 1) * (m + 2))
+        return 2 * mpmath.pi * (n * n * b(4 * n - 1) - 2 * n * (n + 1) * b(4 * n + 1)
+                                + (n + 1) ** 2 * b(4 * n + 3))
+
+
+def test_lemma_gradient_columns_match_mpmath_across_the_search_range():
+    # 8 seeded random n per decade from 1e5 to 1e11, never a power of ten
+    # (powers of ten hide errors that random n show)
+    rng = random.Random(20260417)
+    for decade in range(5, 11):
+        for _ in range(8):
+            n = rng.randrange(10 ** decade + 1, 10 ** (decade + 1))
+            rep = lemma_bounds(n)
+            exact = _sup_grad_sq_oracle(n)
+            assert abs(rep.sup_grad_sq - exact) <= 1e-14 * n * exact, n
+            exact = _carl_grad_sq_oracle(n)
+            assert abs(rep.carl_grad_sq - exact) <= 1e-15 * exact, n
+
 
 # ---------------------------------------------------------------------- #
 # gates and placement

@@ -69,15 +69,17 @@ def test_refined_supremum_reaches_dense_grid_maximum(n):
         assert value >= dense_max - 1e-12
 
 
-# sup_laplacian and sup_grad_sq of lemma_bounds as computed by the earlier
-# per-bracket scalar polish (scipy minimize_scalar, xatol 1e-13)
+# (sup_laplacian, sup_grad_sq) references: sup_laplacian of lemma_bounds as
+# computed by the earlier per-bracket scalar polish (scipy minimize_scalar,
+# xatol 1e-13); sup_grad_sq the true supremum to 17 digits, from mpmath at
+# the real roots of the cubic 2(n+1)^2 r^3 - (n+1)(2n+1) r^2 - 2n^2 r + n(2n-1)
 SCALAR_POLISH_VALUES = {
-    1: (1.0, 0.029944361507758227),
-    3: (0.07873240261500201, 0.002879521992491334),
-    34: (0.004502551043498621, 2.08333459707263e-05),
-    117: (0.0012684762361943594, 1.7483847599321684e-06),
-    910: (0.00016128216355749923, 2.883599673810272e-08),
-    2250: (6.516569610294687e-05, 4.715904556593118e-09),
+    1: (1.0, 0.029944361507758233),
+    3: (0.07873240261500201, 0.0028795219924913360),
+    34: (0.004502551043498621, 2.0833345970724869e-05),
+    117: (0.0012684762361943594, 1.7483847599340245e-06),
+    910: (0.00016128216355749923, 2.8835996735983867e-08),
+    2250: (6.516569610294687e-05, 4.7159045566061293e-09),
 }
 
 
@@ -88,7 +90,7 @@ def test_lemma_suprema_match_scalar_polish(n):
     assert rep.sup_laplacian == pytest.approx(sup_lap, rel=1e-8)
     assert rep.sup_grad_sq == pytest.approx(sup_grad, rel=1e-8)
     # the batched polish samples more points near each peak, so it never
-    # ends below the scalar one by more than rounding
+    # ends below the scalar one, or the true supremum, by more than rounding
     assert rep.sup_laplacian >= sup_lap * (1.0 - 1e-14)
     assert rep.sup_grad_sq >= sup_grad * (1.0 - 1e-14)
 

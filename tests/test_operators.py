@@ -20,6 +20,7 @@ from hardyshift import (
 )
 from hardyshift.operators import BAND_THRESHOLD, CoisometryReport
 from hardyshift.series import truncation_order
+from hardyshift.weights import WeightSequence
 
 RNG = np.random.default_rng(3)
 
@@ -169,6 +170,22 @@ def test_coisometry_band_of_flat_weights_is_one_point():
     assert rep.passed
 
 
+def test_coisometry_band_reads_only_the_spike_spans(monkeypatch):
+    # starts near the search cap 2^40 cost one weight per spike index, not
+    # one per index below the last spike
+    seen = []
+    weight_range = WeightSequence.weight_range
+
+    def recording(self, n0, n1):
+        seen.append(n1 - n0)
+        return weight_range(self, n0, n1)
+
+    monkeypatch.setattr(WeightSequence, "weight_range", recording)
+    w = build_spiked_weights(1.0, (2 ** 40, 2 ** 41))
+    assert coisometry_check(w).deviation == 1.0
+    assert seen == [sp.end - sp.start + 1 for sp in w.spikes]
+
+
 def test_coisometry_report_outside_the_band_fails():
     # a slope of 10 against the alpha = 1 limit 4 (ratio sqrt(10) > 2),
     # then a slope of 1/10 against the limit 1/4
@@ -184,6 +201,9 @@ def test_coisometry_report_outside_the_band_fails():
 def test_coisometry_band_bounds_every_vector(w, seed, extra):
     rep = coisometry_check(w)
     assert rep.passed
+    full = w.weight_range(0, w.last_index + 3)
+    slopes = full[1:] / full[:-1]
+    assert (rep.min_ratio, rep.max_ratio) == (math.sqrt(slopes.min()), math.sqrt(slopes.max()))
     rng = np.random.default_rng(seed)
     n = max(1, w.last_index + 3 + extra)
     # magnitudes over eight decades, so some vectors sit near a basis vector
