@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -57,21 +58,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
+# how each kind of column is written: integers exactly, floats to 17
+# significant digits (enough to round-trip every binary64), text as given
+_COLUMN_FORMATS = {"i": str, "u": str, "f": "%.17g".__mod__, "U": str}
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path: Path, columns: dict[str, Sequence]) -> None:
+    """Write equal-length named columns as one CSV, formatting each column
+    once by its dtype rather than each cell by its type."""
+    cells = []
+    for values in columns.values():
+        values = np.asarray(values)
+        cells.append(map(_COLUMN_FORMATS[values.dtype.kind], values.tolist()))
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -125,17 +124,14 @@ def _cmd_construct(args) -> int:
 
     # per-spike certificate: the gate bounds the search actually used, for
     # every metric but value_sup, which shares the laplacian_sup budget
-    cert_rows = []
-    for sp in config.weights().spikes:
-        gate = spike_gate(args.alpha, delta, sp)
-        row = [sp.half_width, sp.start]
-        for v, t in zip(gate.values[1:], gate.thresholds[1:]):
-            row.extend([t, v])
-        cert_rows.append(row)
-    header = ["k", "start"] + [f"{kind}_{name}" for name in SpikeGate.names[1:]
-                               for kind in ("threshold", "bound")]
+    spikes = config.weights().spikes
+    gates = [spike_gate(args.alpha, delta, sp) for sp in spikes]
+    columns = {"k": [sp.half_width for sp in spikes], "start": [sp.start for sp in spikes]}
+    for i, name in enumerate(SpikeGate.names[1:], start=1):
+        columns[f"threshold_{name}"] = [g.thresholds[i] for g in gates]
+        columns[f"bound_{name}"] = [g.values[i] for g in gates]
     cert_path = out / "certificate.csv"
-    _write_csv(cert_path, header, cert_rows)
+    _write_csv(cert_path, columns)
 
     config_path = out / "config.json"
     config_path.write_text(config.to_json() + "\n")
@@ -157,22 +153,27 @@ def _cmd_verify(args) -> int:
     if args.epsilon is not None:
         reports["curvature_match"] = verify_theorem_conditions(config, args.epsilon)
 
-    rows = []
     band = coisometry_check(config.weights())
     # the two-sided band as one upper-bounded deviation
     coisometry = [ConditionResult(condition="coisometry_band", threshold=BAND_THRESHOLD,
                                   measured=band.deviation, argmax_r=None, passed=band.passed)]
     conditions = [c for rep in reports.values() for c in rep.conditions] + coisometry
     for cond in conditions:
-        rows.append([cond.condition, cond.threshold, cond.measured,
-                     cond.argmax_r, cond.passed])
         status = "PASS" if cond.passed else "FAIL"
         print(f"{status} {cond.condition}: measured {cond.measured:.10g} "
               f"vs threshold {cond.threshold:.10g}")
 
     all_passed = all(c.passed for c in conditions)
     csv_path = out / "conditions.csv"
-    _write_csv(csv_path, ["condition", "threshold", "measured", "argmax_r", "pass"], rows)
+    _write_csv(csv_path, {
+        "condition": [c.condition for c in conditions],
+        "threshold": [c.threshold for c in conditions],
+        "measured": [c.measured for c in conditions],
+        # rows with no argmax (Carleson masses, the band) leave the cell empty
+        "argmax_r": ["" if c.argmax_r is None else _COLUMN_FORMATS["f"](c.argmax_r)
+                     for c in conditions],
+        "pass": ["true" if c.passed else "false" for c in conditions],
+    })
     json_path = out / "report.json"
     _write_json(json_path, {
         "passed": all_passed,
@@ -194,18 +195,16 @@ def _cmd_lemma(args) -> int:
     if any(n < 1 for n in powers):
         raise ValueError("powers must be positive")
     reports = [lemma_bounds(n) for n in powers]
-    rows = []
     for rep in reports:
-        rows.append([rep.n, rep.sup_value, rep.sup_laplacian, rep.sup_grad_sq,
-                     rep.carl_laplacian, rep.carl_grad_sq,
-                     bump_laplacian_carleson_bound(rep.n),
-                     bump_gradient_sq_carleson_bound(rep.n)])
         print(f"n={rep.n}: sup {rep.sup_value:.6g}, laplacian sup {rep.sup_laplacian:.6g}, "
               f"laplacian mass {rep.carl_laplacian:.6g}")
+    columns = {name: [getattr(rep, name) for rep in reports]
+               for name in ("n", "sup_value", "sup_laplacian", "sup_grad_sq",
+                            "carl_laplacian", "carl_grad_sq")}
+    columns["carl_laplacian_bound"] = [bump_laplacian_carleson_bound(n) for n in powers]
+    columns["carl_grad_sq_bound"] = [bump_gradient_sq_carleson_bound(n) for n in powers]
     path = out / "lemma.csv"
-    _write_csv(path, ["n", "sup_value", "sup_laplacian", "sup_grad_sq",
-                      "carl_laplacian", "carl_grad_sq",
-                      "carl_laplacian_bound", "carl_grad_sq_bound"], rows)
+    _write_csv(path, columns)
     _write_manifest(out, "lemma", {"powers": powers}, [path], started)
     return EXIT_OK
 
@@ -225,12 +224,12 @@ def _cmd_curvature(args) -> int:
     # route agreement spot check on a subsample
     spot = grid[:: max(1, len(grid) // 16)]
     curvature_difference(weights, spot)
-    rows = [[s.r, s.kappa_reference, s.kappa_weighted, s.difference,
-             s.difference * (1.0 - s.r) ** 2] for s in samples]
+    # Python's float ** 2 (libm pow) and numpy's (x * x) differ in the last
+    # digit on a few cells; the table keeps the former
+    gap_sq = [d * (1.0 - r) ** 2 for r, d in zip(samples.r.tolist(), samples.difference.tolist())]
     path = out / "curvature.csv"
-    _write_csv(path, ["r", "kappa_reference", "kappa_weighted", "difference",
-                      "difference_gap_sq"], rows)
-    print(f"wrote {len(rows)} curvature samples to {path}")
+    _write_csv(path, {**samples._asdict(), "difference_gap_sq": gap_sq})
+    print(f"wrote {len(grid)} curvature samples to {path}")
     _write_manifest(out, "curvature", {
         "config": config.to_dict(), "points": args.points,
         "rmax": args.rmax,
@@ -243,9 +242,8 @@ def _cmd_orbit(args) -> int:
     out = _out_dir(args)
     config = _load_config(args.config)
     norms = orbit_norms(config.weights(), [1.0], args.n_max)
-    rows = [[n, norms[n]] for n in range(len(norms))]
     path = out / "orbit.csv"
-    _write_csv(path, ["n", "orbit_norm"], rows)
+    _write_csv(path, {"n": np.arange(len(norms)), "orbit_norm": norms})
     print(f"wrote orbit norms 0..{args.n_max} to {path}; "
           f"max {float(np.max(norms)):.10g}")
     _write_manifest(out, "orbit", {
@@ -262,10 +260,8 @@ def _cmd_weights(args) -> int:
     config = _load_config(args.config)
     weights = config.weights()
     n_max = args.n_max if args.n_max is not None else weights.last_index + 2
-    values = weights.weight_range(0, n_max + 1)
-    rows = [[n, values[n]] for n in range(n_max + 1)]
     path = out / "weights.csv"
-    _write_csv(path, ["n", "weight"], rows)
+    _write_csv(path, {"n": np.arange(n_max + 1), "weight": weights.weight_range(0, n_max + 1)})
     print(f"wrote weights 0..{n_max} to {path}")
     _write_manifest(out, "weights", {
         "config": config.to_dict(), "n_max": n_max,

@@ -45,6 +45,9 @@ from .weights import SpikeSpec, WeightSequence, build_spiked_weights
 
 MAX_SPIKES = 8
 MAX_START = 2 ** 40  # select_spike_positions gives up past this start
+# lemma_bounds refuses powers past this bound on what any spike gate reads;
+# its grid cannot reach the bump's peak far beyond it
+MAX_POWER = MAX_START + 2 * MAX_SPIKES
 
 
 class InfeasibleConstructionError(RuntimeError):
@@ -151,8 +154,8 @@ def lemma_bounds(n: int) -> LemmaReport:
     of n, are kept in one process-wide table: a test that patches anything
     this calls must call lemma_bounds.cache_clear() first.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not 0 <= n <= MAX_POWER:
+        raise ValueError(f"n must lie in 0..{MAX_POWER}, got {n}")
     p = DecayProfile(edge_bump(n), _decay_grid([n], 701, 45.0))
     grad_mass = (Fraction(n, 4 * (4 * n + 1)) - Fraction(n * (n + 1), (2 * n + 1) * (4 * n + 3))
                  + Fraction(n + 1, 4 * (4 * n + 5)))

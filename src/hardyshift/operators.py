@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .weights import WeightSequence
 
@@ -82,10 +83,7 @@ def orbit_norms(weights: WeightSequence, x, n_max: int) -> np.ndarray:
         return np.zeros(n_max + 1)
     mags = np.abs(a) ** 2
     w = weights.weight_range(0, len(a) + n_max)
-    out = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        out[n] = np.sqrt(np.dot(mags, w[n:n + len(a)]))
-    return out
+    return np.sqrt(sliding_window_view(w, len(a)) @ mags)
 
 
 # rounding slack of the band: the slopes are quotients of float weights

@@ -26,8 +26,7 @@ gives the curvature deviation along a second, independent route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -252,27 +251,17 @@ def curvature_difference(weights: WeightSequence, r):
     return a, b
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """One radius of the curvature comparison table."""
+class CurvatureSamples(NamedTuple):
+    """The curvature comparison table, one array entry per radius."""
 
-    r: float
-    kappa_reference: float  # unweighted shift, exact (1 - r^2)^{-2}
-    kappa_weighted: float
-    difference: float       # kappa_weighted - kappa_reference = Delta log f
+    r: np.ndarray
+    kappa_reference: np.ndarray  # unweighted shift, exact (1 - r^2)^{-2}
+    kappa_weighted: np.ndarray
+    difference: np.ndarray       # kappa_weighted - kappa_reference = Delta log f
 
 
-def curvature_samples(weights: WeightSequence, r_grid: Sequence[float]) -> list[CurvatureSample]:
+def curvature_samples(weights: WeightSequence, r_grid: Sequence[float]) -> CurvatureSamples:
     r_arr = np.asarray(r_grid, dtype=np.float64)
     kappa_ref = curvature_backward_shift(r_arr)
     kappa_w = curvature_weighted(weights, r_arr)
-    return [
-        CurvatureSample(
-            r=float(r_arr[i]),
-            kappa_reference=float(kappa_ref[i]),
-            kappa_weighted=float(kappa_w[i]),
-            difference=float(kappa_w[i] - kappa_ref[i]),
-        )
-        for i in range(len(r_arr))
-    ]
-
+    return CurvatureSamples(r_arr, kappa_ref, kappa_w, kappa_w - kappa_ref)

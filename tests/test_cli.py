@@ -1,16 +1,19 @@
 """Command line surface: files, determinism, exit codes."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hardyshift
 from hardyshift import cli
-from hardyshift.construction import InfeasibleConstructionError
+from hardyshift.construction import MAX_POWER, InfeasibleConstructionError
 from hardyshift.series import TruncationError
 
 
@@ -47,7 +50,6 @@ def test_construct_manifest_contents(constructed):
     assert manifest["version"] == hardyshift.__version__
     names = {entry["name"] for entry in manifest["outputs"]}
     assert names == {"config.json", "certificate.csv"}
-    import hashlib
     for entry in manifest["outputs"]:
         data = (constructed / entry["name"]).read_bytes()
         assert entry["bytes"] == len(data)
@@ -185,6 +187,28 @@ def test_lemma_rejects_nonpositive_power(tmp_path):
     assert cli.main(["lemma", "0", "--out", str(tmp_path)]) == 3
 
 
+def test_lemma_accepts_powers_up_to_the_search_range_only(tmp_path, capsys):
+    # past the largest power a spike gate reads, the lemma grid misses the
+    # bump's peak (the sups read 0 at 2^56) and 10^20 overflowed int64
+    assert cli.main(["lemma", str(MAX_POWER), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "lemma.csv")
+    n = int(rows[0][0])
+    assert n == MAX_POWER
+    # each column sits at its limit (n^2 for the squared gradient): 1/e,
+    # 0.146525, 0.023871, 4 pi / e^2 and pi / 16; the tolerance covers the
+    # noise, about n * 1e-16 relative, of sup_laplacian, sup_grad_sq and
+    # carl_laplacian (1.3e-4 for carl_laplacian here)
+    scales = (n, n, n * n, n, n * n)
+    limits = (math.exp(-1), 0.146525, 0.023871, 4 * math.pi * math.exp(-2), math.pi / 16)
+    for value, scale, limit in zip(rows[0][1:6], scales, limits):
+        assert float(value) * scale == pytest.approx(limit, rel=1e-3)
+    capsys.readouterr()
+    for n in (MAX_POWER + 1, 10**20):
+        assert cli.main(["lemma", str(n), "--out", str(tmp_path / "past")]) == 3
+        assert "n must lie in" in capsys.readouterr().err
+    assert not (tmp_path / "past" / "lemma.csv").exists()
+
+
 def test_curvature_table_on_flat_weights(tmp_path):
     config = {"alpha": 1.0, "delta": 0.5, "K": 0, "spike_starts": [],
               "r_max": 0.999, "tol": 1e-9}
@@ -241,6 +265,43 @@ def test_orbit_and_weights_tables(constructed, tmp_path):
     weights = {int(r[0]): float(r[1]) for r in wrows}
     assert weights[4] == 4.0 and weights[34] == 16.0 and weights[120] == 64.0
     assert weights[0] == 1.0
+    # both tables are exact (powers of 4 and their roots): frozen bytes
+    for name, digest in (
+            ("orbit.csv", "09717d7d915c96e9caf9dadc9e4744c9b2da27632b03ad5b1891b85ca1a8413e"),
+            ("weights.csv", "5020049998422fe25630fbef16e3e390a13f46cc09f813192d3622b50471055a")):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_csv_writer_follows_the_per_cell_rules(tmp_path):
+    # every column is formatted at once; the result must be what formatting
+    # each cell by itself gives: str(int) for integers, %.17g for floats
+    ints = [7, np.int64(-3), 2**40, 0]
+    floats = [0.1, -0.0, 5e-324, 1e300, math.nan, math.inf, float(2**40), -math.inf]
+    path = tmp_path / "edge.csv"
+    cli._write_csv(path, {"i": ints, "i64": np.array(ints, dtype=np.int64),
+                          "x": floats[:4], "y": np.array(floats[4:]), "text": ["a", "", "b c", "d"]})
+    expected = ["i,i64,x,y,text"] + [
+        ",".join([str(int(i)), str(int(i)), "%.17g" % float(x), "%.17g" % float(y), t])
+        for i, x, y, t in zip(ints, floats[:4], floats[4:], ["a", "", "b c", "d"])]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    cli._write_csv(path, {"n": [], "weight": np.zeros(0)})
+    assert path.read_text() == "n,weight\n"
+
+
+def test_conditions_table_leaves_a_missing_argmax_empty(constructed, tmp_path):
+    # the coisometry band and the Carleson rows have no argmax_r (None)
+    assert cli.main(["verify", str(constructed / "config.json"), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    conditions = report["reports"]["ratio_flatness"]["conditions"] + report["coisometry"]
+    _, rows = read_csv(tmp_path / "conditions.csv")
+    assert [r[0] for r in rows] == [c["condition"] for c in conditions]
+    assert any(c["argmax_r"] is None for c in conditions)
+    for row, cond in zip(rows, conditions):
+        if cond["argmax_r"] is None:
+            assert row[3] == ""
+        else:
+            assert row[3] == "%.17g" % cond["argmax_r"]
+        assert row[4] == ("true" if cond["pass"] else "false")
 
 
 def test_outputs_are_byte_deterministic(tmp_path):
@@ -253,8 +314,10 @@ def test_outputs_are_byte_deterministic(tmp_path):
         assert cli.main(["lemma", "10", "100", "--out", str(out)]) == 0
         assert cli.main(["curvature", str(out / "config.json"), "--points", "60",
                          "--out", str(out)]) == 0
+        assert cli.main(["orbit", str(out / "config.json"), "60", "--out", str(out)]) == 0
+        assert cli.main(["weights", str(out / "config.json"), "--out", str(out)]) == 0
     for name in ("config.json", "certificate.csv", "conditions.csv", "report.json",
-                 "lemma.csv", "curvature.csv"):
+                 "lemma.csv", "curvature.csv", "orbit.csv", "weights.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -347,21 +410,35 @@ def test_commands_load_no_scipy(constructed, tmp_path):
                                 ["verify", config, "--epsilon", "2", *out]]) == set()
 
 
-def test_benchmark_tracer_wraps_the_package(tmp_path):
+def test_benchmark_tracer_wraps_the_package(constructed, tmp_path):
     # hardybench/tracer.py patches package functions by name; a rename or a
-    # new signature must fail here rather than in the benchmark's traced run
+    # new signature or return type must fail here rather than in the
+    # benchmark's traced run
     repo = Path(__file__).resolve().parents[1]
     src = str(Path(hardyshift.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    spans_path, out = tmp_path / "spans.json", tmp_path / "out"
-    proc = subprocess.run([sys.executable, str(repo / "hardybench" / "tracer.py"), str(spans_path),
-                           "construct", "--alpha", "1", "--delta", "0.5", "--K", "2",
-                           "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads((out / "config.json").read_text())["spike_starts"] == [3, 32]
-    trace = json.loads(spans_path.read_text())
+
+    def traced(name: str, *args: str) -> dict:
+        spans_path, out = tmp_path / f"{name}.json", tmp_path / name
+        proc = subprocess.run([sys.executable, str(repo / "hardybench" / "tracer.py"),
+                               str(spans_path), name, *args, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(spans_path.read_text())
+
+    trace = traced("construct", "--alpha", "1", "--delta", "0.5", "--K", "2")
+    assert json.loads((tmp_path / "construct" / "config.json").read_text())["spike_starts"] == [3, 32]
     assert {"construction.lemma_bounds", "construction.measure_spike_conditions",
             "weights.weight_range"} <= set(trace["spans"])
     assert trace["spans"]["construction.lemma_bounds"]["calls"] > 0
     assert trace["counters"]["construction.lemma_bounds.misses"] > 0
+
+    # the table commands on a K = 3 config
+    config = str(constructed / "config.json")
+    for name, args, span, rows in (("curvature", ("--points", "50"), "spectral.curvature_samples", 50),
+                                   ("orbit", ("40",), "operators.orbit_norms", 41),
+                                   ("weights", ("--n-max", "30"), "weights.weight_range", 31)):
+        trace = traced(name, config, *args)
+        assert trace["spans"][span]["calls"] == 1, name
+        _, table = read_csv(tmp_path / name / f"{name}.csv")
+        assert len(table) == rows, name

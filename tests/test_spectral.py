@@ -256,7 +256,11 @@ def test_curvature_difference_raises_on_corrupted_ratio(standard_config, monkeyp
 def test_curvature_samples_table(standard_config):
     w = standard_config.weights()
     samples = curvature_samples(w, [0.0, 0.5, 0.9])
-    assert [s.r for s in samples] == [0.0, 0.5, 0.9]
-    for s in samples:
-        assert s.difference == pytest.approx(s.kappa_weighted - s.kappa_reference, rel=1e-12)
-    assert samples[0].kappa_reference == 1.0
+    assert samples._fields == ("r", "kappa_reference", "kappa_weighted", "difference")
+    assert all(isinstance(col, np.ndarray) and col.shape == (3,) for col in samples)
+    assert samples.r.tolist() == [0.0, 0.5, 0.9]
+    np.testing.assert_array_equal(samples.kappa_reference, curvature_backward_shift(samples.r))
+    np.testing.assert_array_equal(samples.kappa_weighted, curvature_weighted(w, samples.r))
+    np.testing.assert_array_equal(samples.difference,
+                                  samples.kappa_weighted - samples.kappa_reference)
+    assert samples.kappa_reference[0] == 1.0
