@@ -49,8 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import (QuadratureError, boundary_refined_grid, brentq, gauss_kronrod, merge_grids,
-                    sign_change_brackets)
+from .grids import QuadratureError, gauss_kronrod, sign_roots
 from .series import RadialSeries
 
 TWO_PI = 2.0 * math.pi
@@ -235,32 +234,13 @@ class RadialDensity:
         return [unit, *shells[::-1]], _sum_in_order(errors)
 
 
-def _zero_crossings(vals: np.ndarray) -> np.ndarray:
-    """Mask of exact zeros whose nearest nonzero neighbours differ in sign.
-
-    A grid point landing exactly on a root is a cut itself.  Zeros from
-    underflow (s^e for large e and small s) sit in a run with no sign
-    change across it, or with no nonzero value on one side, and are not.
-    """
-    nonzero = np.flatnonzero(vals != 0.0)
-    zeros = np.flatnonzero(vals == 0.0)
-    pos = np.searchsorted(nonzero, zeros)
-    inside = (pos > 0) & (pos < len(nonzero))
-    out = np.zeros(len(vals), dtype=bool)
-    left = vals[nonzero[pos[inside] - 1]]
-    right = vals[nonzero[pos[inside]]]
-    out[zeros[inside]] = (left < 0.0) != (right < 0.0)
-    return out
-
-
 class SeriesGapDensity(RadialDensity):
     """Density |G(r^2)| (1-r)^gap_power for a sparse radial series G.
 
     Window integrals are exact: on each interval where G keeps its sign
     the integrand is a polynomial in r, and every monomial piece is an
-    incomplete edge integral.  Sign roots of G are located by bracketing
-    on a boundary-refined grid enriched with the balance radii of each
-    exponent, then polished by Brent's method (grids.brentq).
+    incomplete edge integral.  Sign roots of G come from grids.sign_roots
+    on the series' own exponents.
     """
 
     def __init__(self, series: RadialSeries, gap_power: int, nonneg: bool = False):
@@ -279,44 +259,7 @@ class SeriesGapDensity(RadialDensity):
     @cached_property
     def sign_roots(self) -> tuple[float, ...]:
         """Radii in (0, 1) where G(r^2) changes sign."""
-        if self.nonneg or self.series.order < 0:
-            return ()
-        s_grid = self._root_scan_grid()
-        vals = self.series.eval(s_grid)
-        root_ss = [float(s) for s in s_grid[_zero_crossings(vals) & (s_grid > 0.0)]]
-
-        def f(s: float) -> float:
-            return float(self.series.eval(s))
-
-        for lo, hi in sign_change_brackets(vals, s_grid):
-            # re-taking signs scalar-by-scalar: vectorized and scalar
-            # powers round differently at the last ulp, and brentq must
-            # see a sign change under its own evaluations
-            flo, fhi = f(lo), f(hi)
-            if flo == 0.0:
-                root_ss.append(lo)
-            elif fhi == 0.0:
-                root_ss.append(hi)
-            elif (flo < 0.0) != (fhi < 0.0):
-                root_ss.append(brentq(f, lo, hi, xtol=1e-15))
-            else:
-                # crossing sits at rounding level; either endpoint is a
-                # root to within one ulp of the values
-                root_ss.append(lo if abs(flo) <= abs(fhi) else hi)
-        return tuple(sorted(set(math.sqrt(s) for s in root_ss)))
-
-    def _root_scan_grid(self) -> np.ndarray:
-        base_r = boundary_refined_grid(1201, 46.0)
-        cands = []
-        for e in self.series.exponents:
-            e = int(e)
-            if e >= 1:
-                cands.append(e / (e + 1.0))
-                cands.append((e * e) / ((e + 1.0) * (e + 1.0)))
-                cands.append((e + 1.0) / (e + 2.0))
-        cands = sorted(set(c for c in cands if 0.0 < c < 1.0))
-        mids = [(x + y) / 2.0 for x, y in zip(cands, cands[1:])]
-        return merge_grids(base_r * base_r, cands, mids)
+        return () if self.nonneg else sign_roots(self.series.eval, self.series.exponents)
 
     @cached_property
     def _edge_weights(self) -> np.ndarray:

@@ -224,9 +224,8 @@ def _cmd_curvature(args) -> int:
     # route agreement spot check on a subsample
     spot = grid[:: max(1, len(grid) // 16)]
     curvature_difference(weights, spot)
-    # Python's float ** 2 (libm pow) and numpy's (x * x) differ in the last
-    # digit on a few cells; the table keeps the former
-    gap_sq = [d * (1.0 - r) ** 2 for r, d in zip(samples.r.tolist(), samples.difference.tolist())]
+    # numpy's ** 2 is the correctly rounded square, libm pow is not
+    gap_sq = samples.difference * (1.0 - samples.r) ** 2
     path = out / "curvature.csv"
     _write_csv(path, {**samples._asdict(), "difference_gap_sq": gap_sq})
     print(f"wrote {len(grid)} curvature samples to {path}")

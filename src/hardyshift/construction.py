@@ -33,7 +33,7 @@ from .carleson import (
     edge_integral_exact,
     radial_carleson_norm,
 )
-from .grids import boundary_refined_grid, merge_grids, peak_candidates, refined_supremum
+from .grids import boundary_refined_grid, merge_grids, peak_candidates, refined_supremum, sign_roots
 from .series import RadialSeries, edge_bump
 from .spectral import (
     deficit_coefficients,
@@ -96,13 +96,12 @@ class LemmaReport:
 
 def _decay_grid(powers: Iterable[int], count: int, u_max: float) -> np.ndarray:
     """Boundary-refined grid seeded, for each bump power m, with the peaks of
-    the monomials of its Laplacian and squared gradient and with the bump's
-    own peak r = sqrt(m/(m+1)) (and s = m/(m+1))."""
+    the monomials r^{2m-2} ... r^{2m+2} of the bump and its derivatives and
+    with the bump's own peak r = sqrt(m/(m+1)) (and s = m/(m+1))."""
     stencil: set[int] = set()
     extras: list[float] = []
     for m in powers:
-        stencil.update(q for q in (2 * m - 2, 2 * m - 1, 2 * m, 2 * m + 1, 2 * m + 2,
-                                   4 * m - 2, 4 * m, 4 * m + 2) if q >= 1)
+        stencil.update(q for q in range(2 * m - 2, 2 * m + 3) if q >= 1)
         extras += [math.sqrt(m / (m + 1.0)), m / (m + 1.0)]
     return merge_grids(boundary_refined_grid(count, u_max), peak_candidates(stencil), extras)
 
@@ -280,9 +279,10 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
     """Choose spike starts so every gate passes, earliest first.
 
     For each k the admissible region is searched by doubling from start 1,
-    or from the floor imposed by the previous spike, then bisected down to
-    a start whose predecessor fails the gate, so each position is locally
-    minimal.  Exceeding MAX_START raises InfeasibleConstructionError.
+    or from the floor imposed by the previous spike, up to MAX_START, then
+    bisected down to a start whose predecessor fails the gate, so each
+    position is locally minimal.  A gate failing at MAX_START, or a floor
+    past it, raises InfeasibleConstructionError.
     """
     _check_construction(alpha, delta, n_spikes)
 
@@ -293,13 +293,13 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
             return spike_gate(alpha, delta, SpikeSpec(n, k)).passed
 
         lo, hi = None, floor
-        while not ok(hi):
-            lo, hi = hi, hi * 2
-            if hi > MAX_START:
+        while hi > MAX_START or not ok(hi):
+            if hi >= MAX_START:
                 raise InfeasibleConstructionError(
-                    f"no admissible start for spike {k} below {MAX_START} "
+                    f"no admissible start for spike {k} at or below {MAX_START} "
                     f"(alpha={alpha}, delta={delta})"
                 )
+            lo, hi = hi, min(2 * hi, MAX_START)
         if lo is not None:
             while hi - lo > 1:
                 mid = (lo + hi) // 2
@@ -521,16 +521,15 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
 def curvature_density(f: RadialSeries, spikes: Sequence[SpikeSpec]) -> RadialDensity:
     """Density |Delta log f| (1 - r) of the curvature Carleson mass.
 
-    Quadrature splits at the sign roots of the numerator
-    f Delta f - |grad f|^2 of Delta log f and at the spike peak radii.
+    Quadrature splits at the spike peak radii and at the sign changes of
+    Delta log f, evaluated in factored form (ratio_log_laplacian) on the
+    scan grid of f's own exponents.
     """
-    dp = f.derivative
-    numerator = f.multiply(f.laplacian()).add(dp.multiply(dp).shift(1).scale(-1.0))
-    cuts = SeriesGapDensity(numerator, 0).sign_roots
+    cuts = sign_roots(lambda s: ratio_log_laplacian(f, np.sqrt(s)), f.exponents)
     peak_hints = [math.sqrt(m / (m + 1.0)) for sp in spikes for m in sp.interior]
     return RadialDensity(
         lambda r: np.abs(ratio_log_laplacian(f, r)) * (1.0 - r),
-        breakpoints=merge_grids(cuts, peak_hints) if (len(cuts) or peak_hints) else (),
+        breakpoints=merge_grids(cuts, peak_hints),
         label="curvature_deviation",
     )
 

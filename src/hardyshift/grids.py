@@ -171,6 +171,62 @@ def sign_change_brackets(values: np.ndarray, grid: np.ndarray) -> list[tuple[flo
     return [(float(grid[i]), float(grid[i + 1])) for i in np.flatnonzero(crossing)]
 
 
+def _zero_crossings(vals: np.ndarray) -> np.ndarray:
+    """Indices of exact zeros whose nearest nonzero neighbours differ in sign.
+
+    A grid point landing exactly on a root is a cut itself.  Zeros from
+    underflow (s^e for large e and small s) sit in a run with no sign
+    change across it, or with no nonzero value on one side, and are not.
+    """
+    nonzero = np.flatnonzero(vals != 0.0)
+    zeros = np.flatnonzero(vals == 0.0)
+    pos = np.searchsorted(nonzero, zeros)
+    inside = (pos > 0) & (pos < len(nonzero))
+    zeros, pos = zeros[inside], pos[inside]
+    return zeros[(vals[nonzero[pos - 1]] < 0.0) != (vals[nonzero[pos]] < 0.0)]
+
+
+def _root_scan_grid(exponents: np.ndarray) -> np.ndarray:
+    """s = r^2 on a boundary-refined grid, plus e/(e+1), (e/(e+1))^2 and
+    (e+1)/(e+2) for each exponent e >= 1 and the midpoints between those."""
+    base_r = boundary_refined_grid(1201, 46.0)
+    e = np.asarray(exponents, dtype=np.float64)
+    e = e[e >= 1.0]
+    cands = np.concatenate([e / (e + 1.0), (e * e) / ((e + 1.0) * (e + 1.0)), (e + 1.0) / (e + 2.0)])
+    cands = np.unique(cands[(cands > 0.0) & (cands < 1.0)])
+    return merge_grids(base_r * base_r, cands, (cands[:-1] + cands[1:]) / 2.0)
+
+
+def sign_roots(fn: Callable, exponents: np.ndarray) -> tuple[float, ...]:
+    """Radii r in (0, 1), ascending, where fn(r^2) changes sign.
+
+    fn is a vectorized function of s = r^2 built from monomials s^e with
+    the given exponents.  Signs are bracketed on _root_scan_grid, where a
+    subnormal value counts as zero: it has too few bits to have a sign.
+    Each bracket is polished by brentq in s.
+    """
+    s_grid = _root_scan_grid(exponents)
+    vals = fn(s_grid)
+    vals = np.where(np.abs(vals) < _TINY, 0.0, vals)
+    root_ss = s_grid[_zero_crossings(vals)].tolist()
+
+    def f(s: float) -> float:
+        return float(fn(s))
+
+    for lo, hi in sign_change_brackets(vals, s_grid):
+        # re-taking signs scalar-by-scalar: vectorized and scalar
+        # powers round differently at the last ulp, and brentq must
+        # see a sign change, or a zero end, under its own evaluations
+        flo, fhi = f(lo), f(hi)
+        if flo != 0.0 and fhi != 0.0 and (flo < 0.0) == (fhi < 0.0):
+            # crossing sits at rounding level; either endpoint is a
+            # root to within one ulp of the values
+            root_ss.append(lo if abs(flo) <= abs(fhi) else hi)
+        else:
+            root_ss.append(brentq(f, lo, hi, xtol=1e-15))
+    return tuple(np.unique(np.sqrt(root_ss)).tolist())
+
+
 def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
     """Root of the scalar function f in [xa, xb] by Brent's method.
 

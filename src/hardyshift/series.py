@@ -241,9 +241,6 @@ class RadialSeries:
         e, c = _canonical(e, c)
         return RadialSeries(e, c)
 
-    def scale(self, a: float) -> "RadialSeries":
-        return RadialSeries(self.exponents, self.coeffs * float(a))
-
     def shift(self, k: int) -> "RadialSeries":
         """Multiply by s^k."""
         if k < 0:

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import spiked_layouts
+from hypothesis import example, given, settings
 from scipy.integrate import quad
 from scipy.special import betainc
 
 from hardyshift import (
     ConstructionConfig,
     RadialDensity,
+    build_spiked_weights,
     carleson_norm,
     dyadic_t_grid,
     edge_integral,
@@ -23,6 +26,7 @@ from hardyshift import (
 from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, head_ratio,
                                  tail_ratio)
 from hardyshift.construction import curvature_density
+from hardyshift.grids import _root_scan_grid, sign_roots
 from hardyshift.series import RadialSeries, edge_bump
 from hardyshift.spectral import kernel_ratio_series
 
@@ -114,7 +118,7 @@ def test_carleson_norm_homogeneous_in_the_density():
     lap = edge_bump(9).laplacian()
     base = SeriesGapDensity(lap, 1)
     # power-of-two scaling commutes with every float operation exactly
-    scaled_exact = SeriesGapDensity(lap.scale(4.0), 1)
+    scaled_exact = SeriesGapDensity(RadialSeries(lap.exponents, 4.0 * lap.coeffs), 1)
     assert carleson_norm(scaled_exact).value == 4.0 * carleson_norm(base).value
     assert radial_carleson_norm(scaled_exact) == 4.0 * radial_carleson_norm(base)
     # generic densities go through adaptive quadrature instead
@@ -156,9 +160,21 @@ def test_sign_roots_ignore_underflowed_zeros():
 
 def test_sign_roots_keep_grid_points_on_a_root():
     # s - 1/2 vanishes exactly on the scan grid point s = 1/2
-    d = SeriesGapDensity(RadialSeries.from_terms([(0, -0.5), (1, 1.0)]), 0)
-    assert 0.5 in d._root_scan_grid()
-    assert d.sign_roots == (math.sqrt(0.5),)
+    series = RadialSeries.from_terms([(0, -0.5), (1, 1.0)])
+    assert 0.5 in _root_scan_grid(series.exponents)
+    assert sign_roots(series.eval, series.exponents) == (math.sqrt(0.5),)
+    assert SeriesGapDensity(series, 0).sign_roots == (math.sqrt(0.5),)
+
+
+def test_sign_roots_ignore_subnormal_values():
+    # n^2 s^{n-1} - (n+1)^2 s^n has its one sign change at r = n/(n+1); where
+    # s^n is subnormal its rounding flipped signs and made a second root
+    # (at r = 0.97764 for n = 16419, where s^n is about 1e-322)
+    rng = np.random.default_rng(0)
+    for n in [16419, *np.exp(rng.uniform(math.log(1e3), math.log(1e7), 30)).astype(int).tolist()]:
+        roots = SeriesGapDensity(edge_bump(n).laplacian(), 1).sign_roots
+        assert len(roots) == 1, n
+        assert roots[0] == pytest.approx(n / (n + 1.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("j", [15, 22, 33])  # t = 3.1e-5, 2.4e-7, 1.2e-10
@@ -339,6 +355,44 @@ def test_beta_ratio_edges_and_batches():
         batch = head_ratio(ms, 2, np.array([[1.0 - t], [t]]))
         assert [x.hex() for x in batch[0]] == [float(head_ratio(int(k), 2, 1.0 - t)).hex()
                                               for k in ms]
+
+
+# ---------------------------------------------------------------------- #
+# the curvature quadrature's cuts against the expanded numerator
+
+
+def assert_cuts_match_expanded_numerator(w, f, ulps: int) -> None:
+    """curvature_density's sign cuts lie within `ulps` of the sign roots of
+    f Delta f - s f'^2 expanded into one series, the reference route."""
+    dp = f.derivative
+    minus_dp = RadialSeries(dp.exponents, -dp.coeffs)
+    numerator = f.multiply(f.laplacian()).add(dp.multiply(minus_dp).shift(1))
+    ref = np.array(SeriesGapDensity(numerator, 0).sign_roots)
+    hints = {math.sqrt(m / (m + 1.0)) for sp in w.spikes for m in sp.interior}
+    cuts = np.array([b for b in curvature_density(f, w.spikes).breakpoints if b not in hints])
+    assert len(cuts) == len(ref)
+    assert np.all(np.abs(cuts - ref) <= ulps * np.spacing(ref)), (cuts, ref)
+
+
+@pytest.mark.parametrize("delta, starts", [
+    (0.5, (3, 32, 117)),
+    (0.5, (3, 32, 117, 343, 906, 2248, 5368, 12479)),
+    (1e-3, (2549, 16580, 59309, 172510)),
+])
+def test_curvature_cuts_match_expanded_numerator(delta, starts):
+    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
+    assert_cuts_match_expanded_numerator(config.weights(), config.kernel_ratio, 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(w=spiked_layouts())
+@example(w=build_spiked_weights(2.3046875, (5, 13, 41, 71)))
+def test_curvature_cuts_match_expanded_numerator_on_random_layouts(w):
+    # each route rounds its own way, and a root where the numerator's slope
+    # is of order one moves by ulps in each: in the example the two routes
+    # are 19 ulps apart, 6 and 13 ulps either side of a 60-digit mpmath
+    # root; 4000 random layouts stayed within 24 ulps
+    assert_cuts_match_expanded_numerator(w, kernel_ratio_series(w), 64)
 
 
 # ---------------------------------------------------------------------- #

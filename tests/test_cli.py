@@ -359,14 +359,14 @@ def test_unknown_subcommand_exits_with_input_error():
 
 def test_exit_code_for_unconverged_root_search(tmp_path, monkeypatch):
     # sign roots that do not converge are a numerical failure, not a crash
-    from hardyshift import carleson
+    from hardyshift import grids
     from hardyshift.grids import RootNotConvergedError
 
     def unconverged(*args, **kwargs):
         raise RootNotConvergedError("brentq did not converge")
 
     cli.lemma_bounds.cache_clear()  # earlier tests may have found these roots
-    monkeypatch.setattr(carleson, "brentq", unconverged)
+    monkeypatch.setattr(grids, "brentq", unconverged)
     assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "1",
                      "--out", str(tmp_path)]) == 4
 

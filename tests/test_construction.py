@@ -31,7 +31,7 @@ from hardyshift.construction import (
     _decay_grid,
     measure_spike_conditions,
 )
-from hardyshift.series import edge_bump
+from hardyshift.series import RadialSeries, edge_bump
 from hardyshift.spectral import spike_ratio_term
 from hardyshift.weights import SpikeSpec
 
@@ -225,6 +225,29 @@ def test_infeasible_budget_raises(monkeypatch):
         select_spike_positions(1.0, 0.5, 1)
 
 
+def test_search_probes_up_to_the_cap_itself(monkeypatch):
+    # spike 2 doubles from its floor 6 to 24; the next doubling, 48, passes
+    # the cap, so the last probe must be the cap 40, where the gate passes
+    monkeypatch.setattr(construction, "MAX_START", 40)
+    assert select_spike_positions(1.0, 0.5, 2) == [3, 32]
+
+
+def test_search_never_probes_past_the_cap(monkeypatch):
+    # spike 1 ends at 5, so spike 2's floor 6 is already past the cap
+    monkeypatch.setattr(construction, "MAX_START", 5)
+    probed = []
+    gate = construction.spike_gate
+
+    def recorded(alpha, delta, spike):
+        probed.append(spike.start)
+        return gate(alpha, delta, spike)
+
+    monkeypatch.setattr(construction, "spike_gate", recorded)
+    with pytest.raises(InfeasibleConstructionError):
+        select_spike_positions(1.0, 0.5, 2)
+    assert max(probed) <= 5
+
+
 def test_gate_worst_margin():
     gate = spike_gate(1.0, 0.5, SpikeSpec(3, 1))
     assert gate.passed
@@ -332,6 +355,17 @@ def test_theorem_conditions_at_matched_epsilon(standard_config):
     names = [c.condition for c in report.conditions]
     assert names == ["ratio_band", "curvature_sup", "curvature_carleson"]
     assert report.meta["delta_sufficient"] == 0.5
+
+
+def test_theorem_conditions_expand_no_series_product(monkeypatch):
+    # the curvature cuts come from the factored numerator of Delta log f
+    def refuse(self, other):
+        raise AssertionError("RadialSeries.multiply called")
+
+    monkeypatch.setattr(RadialSeries, "multiply", refuse)
+    config = ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=8,
+                                spike_starts=(3, 32, 117, 343, 906, 2248, 5368, 12479))
+    assert verify_theorem_conditions(config, epsilon=2.0).passed
 
 
 def test_constructed_config_passes_at_requested_epsilon():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hardyshift.carleson import SeriesGapDensity
 from hardyshift.construction import _decay_grid, curvature_density, lemma_bounds
 from hardyshift.grids import (
     _G10_WEIGHTS,
@@ -12,6 +11,7 @@ from hardyshift.grids import (
     _K21_WEIGHTS,
     QuadratureError,
     RootNotConvergedError,
+    _root_scan_grid,
     boundary_refined_grid,
     brentq,
     gauss_kronrod,
@@ -19,7 +19,7 @@ from hardyshift.grids import (
     sign_change_brackets,
 )
 from hardyshift.series import edge_bump
-from hardyshift.spectral import kernel_ratio_series
+from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian
 
 
 def _bump_fns(n: int):
@@ -207,7 +207,7 @@ def test_sign_change_brackets_edge_cases():
 # brentq, against scipy.optimize.brentq
 
 
-XTOL = 1e-15  # the tolerance of SeriesGapDensity.sign_roots
+XTOL = 1e-15  # the tolerance of grids.sign_roots
 
 
 def _brent_runs(f, lo, hi):
@@ -224,15 +224,15 @@ def _brent_runs(f, lo, hi):
     return runs
 
 
-def _scalar_brackets(series, widen: int = 0):
-    """Scan-grid sign-change brackets of a series under scalar evaluation,
-    each widened by `widen` grid cells on both sides where that keeps the
-    sign change."""
-    grid = SeriesGapDensity(series, 0)._root_scan_grid()
-    vals = series.eval(grid)
+def _scalar_brackets(fn, exponents, widen: int = 0):
+    """Scan-grid sign-change brackets of a function of s built from the
+    given exponents, under scalar evaluation, each widened by `widen` grid
+    cells on both sides where that keeps the sign change."""
+    grid = _root_scan_grid(exponents)
+    vals = fn(grid)
 
     def f(s):
-        return float(series.eval(s))
+        return float(fn(s))
 
     out = []
     for lo, hi in sign_change_brackets(vals, grid):
@@ -250,7 +250,7 @@ def test_brentq_matches_scipy_on_bump_brackets():
         bump = edge_bump(n)
         for series in (bump.d_ds(), bump.laplacian()):
             for widen in (0, 3, 20):
-                cases += _scalar_brackets(series, widen)
+                cases += _scalar_brackets(series.eval, series.exponents, widen)
     assert len(cases) >= 12
     for f, lo, hi in cases:
         (root, seen), (ref_root, ref_seen) = _brent_runs(f, lo, hi)
@@ -259,13 +259,17 @@ def test_brentq_matches_scipy_on_bump_brackets():
 
 
 def test_brentq_matches_scipy_on_curvature_numerator(standard_config):
-    # the curvature density's cuts: many sign changes of a long series
+    # the curvature density's cuts: sign changes of Delta log f, evaluated
+    # in factored form on the grid of f's exponents
     w = standard_config.weights()
     f = kernel_ratio_series(w, r_max=standard_config.r_max, tol=standard_config.tol)
-    dp = f.derivative
-    numerator = f.multiply(f.laplacian()).add(dp.multiply(dp).shift(1).scale(-1.0))
+
+    def log_laplacian(s):
+        return ratio_log_laplacian(f, np.sqrt(s))
+
     assert len(curvature_density(f, w.spikes).breakpoints) > 0
-    cases = _scalar_brackets(numerator) + _scalar_brackets(numerator, 4)
+    cases = (_scalar_brackets(log_laplacian, f.exponents)
+             + _scalar_brackets(log_laplacian, f.exponents, 4))
     assert len(cases) >= 4
     for g, lo, hi in cases:
         (root, seen), (ref_root, ref_seen) = _brent_runs(g, lo, hi)

@@ -164,7 +164,6 @@ def test_algebra_operations_agree_pointwise():
     b = random_dense(4)
     s = np.linspace(0.0, 0.9, 17)
     assert np.allclose(a.add(b).eval(s), a.eval(s) + b.eval(s), rtol=1e-13)
-    assert np.allclose(a.scale(-2.5).eval(s), -2.5 * a.eval(s), rtol=1e-14)
     assert np.allclose(a.shift(3).eval(s), s**3 * a.eval(s), rtol=1e-13, atol=1e-16)
     assert np.allclose(a.multiply(b).eval(s), a.eval(s) * b.eval(s), rtol=1e-12, atol=1e-15)
     assert np.allclose(a.times_one_minus_s().eval(s), (1.0 - s) * a.eval(s),
