@@ -10,12 +10,8 @@ from .carleson import (
     RadialDensity,
     carleson_norm,
     dyadic_t_grid,
-    edge_integral,
     edge_integral_exact,
-    edge_integral_partial,
     radial_carleson_norm,
-    window_measure,
-    window_quotient,
 )
 from .construction import (
     ConstructionConfig,
@@ -83,9 +79,7 @@ __all__ = [
     "deficit_coefficients",
     "delta_for_epsilon",
     "dyadic_t_grid",
-    "edge_integral",
     "edge_integral_exact",
-    "edge_integral_partial",
     "forward_shift",
     "inner_w",
     "kernel_diagonal_series",
@@ -103,6 +97,4 @@ __all__ = [
     "spike_ratio_term",
     "verify_theorem_conditions",
     "verify_f_conditions",
-    "window_measure",
-    "window_quotient",
 ]

@@ -67,16 +67,6 @@ def edge_integral_exact(m: int, p: int) -> Fraction:
     return Fraction(1, (m + p + 1) * math.comb(m + p, p))
 
 
-def edge_integral(m: int, p: int) -> float:
-    """Float value of integral_0^1 r^m (1-r)^p dr.
-
-    Equal to the alternating sum over binomial coefficients, but computed
-    from the closed rational form; the alternating sum cancels
-    catastrophically for m beyond about 10^5.
-    """
-    return float(edge_integral_exact(m, p))
-
-
 def _rising_sum(m: np.ndarray, p: int, y: np.ndarray) -> np.ndarray:
     """sum_{j=1}^{p} C(m+j, j) y^j by Horner's rule; every term is positive."""
     acc = np.zeros(np.broadcast(m, y).shape)
@@ -144,19 +134,6 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
                 scale = scale * (ms + i) / i
             out[small] = scale * np.power(ts, p + 1.0) * np.cumsum(terms, axis=0)[-1]
     return out
-
-
-def edge_integral_partial(m: int, p: int, r: float) -> float:
-    """integral_0^r x^m (1-x)^p dx via the regularized incomplete beta."""
-    if m < 0 or p < 0:
-        raise ValueError("exponents must be nonnegative")
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0, 1]")
-    if r == 0.0:
-        return 0.0
-    if r == 1.0:
-        return float(edge_integral_exact(m, p))
-    return float(edge_integral_exact(m, p)) * float(head_ratio(m, p, r))
 
 
 def _sum_in_order(values) -> float:
@@ -263,8 +240,9 @@ class SeriesGapDensity(RadialDensity):
 
     @cached_property
     def _edge_weights(self) -> np.ndarray:
-        """edge_integral(2e + 1, gap_power) for each exponent e of the series."""
-        return np.array([edge_integral(2 * int(e) + 1, self.gap_power)
+        """integral_0^1 r^{2e+1} (1-r)^gap_power dr for each exponent e of the
+        series, each rounded once from its exact rational."""
+        return np.array([float(edge_integral_exact(2 * int(e) + 1, self.gap_power))
                          for e in self.series.exponents], dtype=np.float64)
 
     def _signed_piece(self, a: float, b: float) -> float:
@@ -305,18 +283,6 @@ class SeriesGapDensity(RadialDensity):
 
 # ---------------------------------------------------------------------- #
 # windows and norms
-
-
-def window_measure(density: RadialDensity, t: float) -> float:
-    """Mass of the density over the full-circle window of depth t in (0, 1]."""
-    if not 0.0 < t <= 1.0:
-        raise ValueError("depth t must lie in (0, 1]")
-    return TWO_PI * density.window_integral(1.0 - t, 1.0)
-
-
-def window_quotient(density: RadialDensity, t: float) -> float:
-    """Full-circle window mass divided by the depth t."""
-    return window_measure(density, t) / t
 
 
 def dyadic_t_grid() -> np.ndarray:

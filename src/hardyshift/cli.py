@@ -11,8 +11,8 @@ whose elapsed-time field is the only thing allowed to differ between
 identical runs.
 
 Exit codes: 0 success, 2 a measured condition failed its threshold,
-3 bad input, 4 numerical infeasibility (truncation or search caps,
-route disagreement).
+3 bad input (a table too large for memory included), 4 numerical
+infeasibility (truncation or search caps, route disagreement).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from . import __version__
 from .construction import (
     ConditionResult,
     ConstructionConfig,
+    Decay,
     InfeasibleConstructionError,
-    SpikeGate,
     lemma_bounds,
     bump_gradient_sq_carleson_bound,
     bump_laplacian_carleson_bound,
@@ -127,9 +127,9 @@ def _cmd_construct(args) -> int:
     spikes = config.weights().spikes
     gates = [spike_gate(args.alpha, delta, sp) for sp in spikes]
     columns = {"k": [sp.half_width for sp in spikes], "start": [sp.start for sp in spikes]}
-    for i, name in enumerate(SpikeGate.names[1:], start=1):
-        columns[f"threshold_{name}"] = [g.thresholds[i] for g in gates]
-        columns[f"bound_{name}"] = [g.values[i] for g in gates]
+    for name in Decay._fields[1:]:
+        columns[f"threshold_{name}"] = [getattr(g.thresholds, name) for g in gates]
+        columns[f"bound_{name}"] = [getattr(g.values, name) for g in gates]
     cert_path = out / "certificate.csv"
     _write_csv(cert_path, columns)
 
@@ -195,14 +195,21 @@ def _cmd_lemma(args) -> int:
     if any(n < 1 for n in powers):
         raise ValueError("powers must be positive")
     reports = [lemma_bounds(n) for n in powers]
-    for rep in reports:
-        print(f"n={rep.n}: sup {rep.sup_value:.6g}, laplacian sup {rep.sup_laplacian:.6g}, "
-              f"laplacian mass {rep.carl_laplacian:.6g}")
-    columns = {name: [getattr(rep, name) for rep in reports]
-               for name in ("n", "sup_value", "sup_laplacian", "sup_grad_sq",
-                            "carl_laplacian", "carl_grad_sq")}
-    columns["carl_laplacian_bound"] = [bump_laplacian_carleson_bound(n) for n in powers]
-    columns["carl_grad_sq_bound"] = [bump_gradient_sq_carleson_bound(n) for n in powers]
+    for n, rep in zip(powers, reports):
+        print(f"n={n}: sup {rep.value_sup:.6g}, laplacian sup {rep.laplacian_sup:.6g}, "
+              f"laplacian mass {rep.laplacian_carleson:.6g}")
+    # lemma.csv keeps its own column names; it tabulates the square of the
+    # gradient sup, which scales like 1/n^2 as the gradient mass does
+    columns = {
+        "n": powers,
+        "sup_value": [rep.value_sup for rep in reports],
+        "sup_laplacian": [rep.laplacian_sup for rep in reports],
+        "sup_grad_sq": [rep.gradient_sup ** 2 for rep in reports],
+        "carl_laplacian": [rep.laplacian_carleson for rep in reports],
+        "carl_grad_sq": [rep.gradient_sq_carleson for rep in reports],
+        "carl_laplacian_bound": [bump_laplacian_carleson_bound(n) for n in powers],
+        "carl_grad_sq_bound": [bump_gradient_sq_carleson_bound(n) for n in powers],
+    }
     path = out / "lemma.csv"
     _write_csv(path, columns)
     _write_manifest(out, "lemma", {"powers": powers}, [path], started)
@@ -342,6 +349,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:
+        # a table sized by --n-max, n_max or --points that cannot be held;
+        # numpy's message names the size it tried to allocate
+        print(f"input error: table too large for memory: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,25 +73,25 @@ def bump_peak(n: int) -> tuple[float, float]:
     return math.sqrt(n / (n + 1.0)), value
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    """Decay quantities of a single edge bump s^n (1 - s), s = |z|^2.
+class Decay(NamedTuple):
+    """The five decay quantities of a radial term G(s), s = |z|^2.
 
-    sup_value       sup of the bump itself
-    sup_laplacian   sup of |Laplacian| (1 - r)^2
-    sup_grad_sq     sup of |gradient|^2 (1 - r)^2
-    carl_laplacian  total mass of |Laplacian| (1 - r) dxdy
-    carl_grad_sq    total mass of |gradient|^2 (1 - r) dxdy
+    value_sup             sup of |G|
+    laplacian_sup         sup of |Laplacian G| (1 - r)^2
+    gradient_sup          sup of |gradient G| (1 - r)
+    laplacian_carleson    total mass of |Laplacian G| (1 - r) dxdy
+    gradient_sq_carleson  total mass of |gradient G|^2 (1 - r) dxdy
 
-    The five scale like 1/n, 1/n, 1/n^2, 1/n, 1/n^2.
+    For the edge bump s^n (1 - s) they scale like 1/n, 1/n, 1/n, 1/n,
+    1/n^2.  The field names name the spike{k}_* rows of verify and the
+    certificate.csv columns.
     """
 
-    n: int
-    sup_value: float
-    sup_laplacian: float
-    sup_grad_sq: float
-    carl_laplacian: float
-    carl_grad_sq: float
+    value_sup: float
+    laplacian_sup: float
+    gradient_sup: float
+    laplacian_carleson: float
+    gradient_sq_carleson: float
 
 
 def _decay_grid(powers: Iterable[int], count: int, u_max: float) -> np.ndarray:
@@ -142,12 +142,12 @@ class DecayProfile:
 
 
 @lru_cache(maxsize=None)
-def lemma_bounds(n: int) -> LemmaReport:
-    """Decay report for the edge bump of power n.
+def lemma_bounds(n: int) -> Decay:
+    """Decay quantities of the edge bump of power n.
 
     Suprema come from a boundary-refined grid seeded with the exact
-    critical radii and polished locally; carl_laplacian is integrated
-    through edge integrals.  carl_grad_sq is exact: s G'^2 =
+    critical radii and polished locally; laplacian_carleson is integrated
+    through edge integrals.  gradient_sq_carleson is exact: s G'^2 =
     n^2 r^{4n-2} - 2n(n+1) r^{4n} + (n+1)^2 r^{4n+2} and r^m (1 - r) has
     mass 1/((m+1)(m+2)), each term reduced below.  Reports, pure functions
     of n, are kept in one process-wide table: a test that patches anything
@@ -158,18 +158,17 @@ def lemma_bounds(n: int) -> LemmaReport:
     p = DecayProfile(edge_bump(n), _decay_grid([n], 701, 45.0))
     grad_mass = (Fraction(n, 4 * (4 * n + 1)) - Fraction(n * (n + 1), (2 * n + 1) * (4 * n + 3))
                  + Fraction(n + 1, 4 * (4 * n + 5)))
-    return LemmaReport(
-        n=n,
-        sup_value=bump_peak(n)[1],
-        sup_laplacian=p.laplacian_sup[1],
-        sup_grad_sq=p.gradient_sup[1] ** 2,
-        carl_laplacian=radial_carleson_norm(p.laplacian),
-        carl_grad_sq=TWO_PI * float(grad_mass),
+    return Decay(
+        value_sup=bump_peak(n)[1],
+        laplacian_sup=p.laplacian_sup[1],
+        gradient_sup=p.gradient_sup[1],
+        laplacian_carleson=radial_carleson_norm(p.laplacian),
+        gradient_sq_carleson=TWO_PI * float(grad_mass),
     )
 
 
 def bump_laplacian_carleson_bound(n: int) -> float:
-    """Closed-form majorant for carl_laplacian, exact rational arithmetic.
+    """Closed-form majorant for laplacian_carleson, exact rational arithmetic.
 
     From |n^2 s^{n-1} - (n+1)^2 s^n| <= r^{2n-2} ((n+1)^2 (1-r^2) + 2n+1)
     and 1 + r <= 2, the mass is at most
@@ -184,7 +183,7 @@ def bump_laplacian_carleson_bound(n: int) -> float:
 
 
 def bump_gradient_sq_carleson_bound(n: int) -> float:
-    """Closed-form majorant for carl_grad_sq.
+    """Closed-form majorant for gradient_sq_carleson.
 
     (n - (n+1) s)^2 <= 2 (n+1)^2 (1-s)^2 + 2 and (1+r)^2 <= 4 give the
     mass at most 2 pi [8 (n+1)^2 B(4n-1, 3) + 2 B(4n-1, 1)].
@@ -200,12 +199,8 @@ def bump_gradient_sq_carleson_bound(n: int) -> float:
 # spike gating
 
 
-_GATE_NAMES = ("value_sup", "laplacian_sup", "gradient_sup",
-               "laplacian_carleson", "gradient_sq_carleson")
-
-
-def spike_correction_thresholds(delta: float, k: int) -> tuple[float, ...]:
-    """Budgets for the k-th spike's correction term, in _GATE_NAMES order.
+def spike_correction_thresholds(delta: float, k: int) -> Decay:
+    """Budgets for the k-th spike's correction term.
 
     The mass of |gradient|^2 (1-r), which is quadratic in the term, gets
     delta / 4^k; the other four get delta / 2^k.
@@ -215,7 +210,7 @@ def spike_correction_thresholds(delta: float, k: int) -> tuple[float, ...]:
     if k < 1:
         raise ValueError("k must be at least 1")
     slice_k = delta / 2.0 ** k
-    return slice_k, slice_k, slice_k, slice_k, delta / 4.0 ** k
+    return Decay(slice_k, slice_k, slice_k, slice_k, delta / 4.0 ** k)
 
 
 def spike_budget(alpha: float, spike: SpikeSpec) -> float:
@@ -226,14 +221,12 @@ def spike_budget(alpha: float, spike: SpikeSpec) -> float:
 
 @dataclass(frozen=True)
 class SpikeGate:
-    """Triangle-inequality bounds for one candidate spike against its budgets,
-    values and thresholds in `names` order."""
+    """Triangle-inequality bounds for one candidate spike against its budgets."""
 
-    names: ClassVar[tuple[str, ...]] = _GATE_NAMES
     spike: SpikeSpec
     budget: float
-    values: tuple[float, ...]
-    thresholds: tuple[float, ...]
+    values: Decay
+    thresholds: Decay
 
     @property
     def passed(self) -> bool:
@@ -251,18 +244,12 @@ def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
     The correction is a coefficient combination of bumps at the powers of
     the spike interior; budget * max over them bounds each linear metric, and
     budget^2 * max bounds the squared-gradient mass (Cauchy-Schwarz).
-    sqrt(fl(g^2)) == g in binary64, so sqrt(sup_grad_sq) is the bump's sup.
     """
     thresholds = spike_correction_thresholds(delta, spike.half_width)
     reports = [lemma_bounds(m) for m in spike.interior]
+    peaks = Decay(*map(max, zip(*reports)))  # field by field
     c_total = spike_budget(alpha, spike)
-    values = (
-        c_total * max(rep.sup_value for rep in reports),
-        c_total * max(rep.sup_laplacian for rep in reports),
-        c_total * max(math.sqrt(rep.sup_grad_sq) for rep in reports),
-        c_total * max(rep.carl_laplacian for rep in reports),
-        c_total ** 2 * max(rep.carl_grad_sq for rep in reports),
-    )
+    values = Decay(*(c_total * v for v in peaks[:4]), c_total ** 2 * peaks.gradient_sq_carleson)
     return SpikeGate(spike=spike, budget=c_total, values=values, thresholds=thresholds)
 
 
@@ -323,6 +310,20 @@ def _check_sampling(r_max: float, tol: float) -> None:
         raise ValueError("tol must be positive and finite")
 
 
+# bool is an int subclass but no JSON number; int() and float() would
+# accept true and "0.5", and int() would truncate 2.9 to 2
+def _json_number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config {key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _json_integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config {key} must be a JSON integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ConstructionConfig:
     """Complete description of one constructed weight sequence.
@@ -381,13 +382,17 @@ class ConstructionConfig:
         extra = set(data) - keys
         if extra:
             raise ValueError(f"unexpected config keys: {sorted(extra)}")
+        starts = data["spike_starts"]
+        if not isinstance(starts, list):
+            raise ValueError(f"config spike_starts must be a list, got {starts!r}")
         return cls(
-            alpha=float(data["alpha"]),
-            delta=float(data["delta"]),
-            n_spikes=int(data["K"]),
-            spike_starts=tuple(int(n) for n in data["spike_starts"]),
-            r_max=float(data["r_max"]),
-            tol=float(data["tol"]),
+            alpha=_json_number("alpha", data["alpha"]),
+            delta=_json_number("delta", data["delta"]),
+            n_spikes=_json_integer("K", data["K"]),
+            spike_starts=tuple(_json_integer(f"spike_starts[{i}]", n)
+                               for i, n in enumerate(starts)),
+            r_max=_json_number("r_max", data["r_max"]),
+            tol=_json_number("tol", data["tol"]),
         )
 
     def to_json(self) -> str:
@@ -467,14 +472,12 @@ def _condition_grid(spikes: Sequence[SpikeSpec]) -> np.ndarray:
     return _decay_grid([m for sp in spikes for m in sp.interior], 801, 46.0)
 
 
-def measure_spike_conditions(alpha: float, spike: SpikeSpec,
-                             grid: np.ndarray) -> dict[str, float]:
+def measure_spike_conditions(alpha: float, spike: SpikeSpec, grid: np.ndarray) -> Decay:
     """Measured decay quantities of one spike's assembled correction term
     on a grid from _condition_grid."""
     p = DecayProfile(spike_ratio_term(alpha, spike), grid)
-    return dict(zip(_GATE_NAMES, (
-        p.value_sup[1], p.laplacian_sup[1], p.gradient_sup[1],
-        radial_carleson_norm(p.laplacian), radial_carleson_norm(p.gradient_sq))))
+    return Decay(p.value_sup[1], p.laplacian_sup[1], p.gradient_sup[1],
+                 radial_carleson_norm(p.laplacian), radial_carleson_norm(p.gradient_sq))
 
 
 def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
@@ -507,8 +510,8 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
     for sp in w.spikes:
         k = sp.half_width
         measured = measure_spike_conditions(config.alpha, sp, grid)
-        rows.extend(_row(f"spike{k}_{name}", t, measured[name])
-                    for name, t in zip(_GATE_NAMES, spike_correction_thresholds(delta, k)))
+        rows.extend(_row(f"spike{k}_{name}", t, m) for name, t, m in
+                    zip(Decay._fields, spike_correction_thresholds(delta, k), measured))
 
     meta = {
         "config": config.to_dict(),

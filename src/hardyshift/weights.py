@@ -17,8 +17,8 @@ Every w_n >= 1, w_0 = 1, and consecutive ratios satisfy
 which is what makes the backward shift on the associated space an almost
 coisometry with norm bounds depending only on alpha.
 
-Weights are never materialized globally; values are computed on demand in
-the log domain from the spike layout.
+Weights are never materialized globally; values are computed on demand
+from the spike layout.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class SpikeSpec:
 
     def step(self, n: np.ndarray) -> np.ndarray:
         """Step j = min(n - start, end - n) of each index n, its distance
-        from the nearer spike end: log w_n = j * log_slope."""
+        from the nearer spike end: w_n = (1+alpha)^{2j}."""
         return np.minimum(n - self.start, self.end - n)
 
 
@@ -82,65 +82,26 @@ class WeightSequence:
                 )
         object.__setattr__(self, "spikes", spikes)
 
-    @property
-    def log_slope(self) -> float:
-        """Largest step of log w_n between consecutive indices: 2 log(1+alpha)."""
-        return 2.0 * math.log1p(self.alpha)
+    def weight_range(self, n0: int, n1: int) -> np.ndarray:
+        """w_n for n in [n0, n1), walking only the spikes that meet the range.
 
-    def _spike_steps(self, n0: int, n1: int) -> list[tuple[slice, np.ndarray]]:
-        """For each spike meeting [n0, n1): the slice of the range it covers
-        and the distance j of each covered index from the nearer spike end."""
+        Integer powers of (1+alpha)^2 rather than exp of the log form:
+        bit-exact whenever the base is (e.g. alpha = 1).
+        """
         if n0 < 0 or n1 < n0:
             raise ValueError("need 0 <= n0 <= n1")
-        steps = []
+        out = np.ones(n1 - n0, dtype=np.float64)
         for sp in self.spikes:
             lo, hi = max(sp.start, n0), min(sp.end, n1 - 1)
             if lo <= hi:
-                steps.append((slice(lo - n0, hi + 1 - n0), sp.step(np.arange(lo, hi + 1))))
-        return steps
-
-    @property
-    def _slope_base(self) -> float:
-        return (1.0 + self.alpha) ** 2
-
-    def log_weight_at(self, n: int) -> float:
-        """log w_n, exactly zero off spikes."""
-        for _, j in self._spike_steps(n, n + 1):
-            return int(j[0]) * self.log_slope
-        return 0.0
-
-    def weight_at(self, n: int) -> float:
-        # integer power of (1+alpha)^2 rather than exp of the log form:
-        # bit-exact whenever the base is (e.g. alpha = 1)
-        for _, j in self._spike_steps(n, n + 1):
-            return self._slope_base ** int(j[0])
-        return 1.0
-
-    def log_weight_range(self, n0: int, n1: int) -> np.ndarray:
-        """log w_n for n in [n0, n1), vectorized over the spike layout."""
-        steps = self._spike_steps(n0, n1)
-        out = np.zeros(n1 - n0, dtype=np.float64)
-        for cover, j in steps:
-            out[cover] = j * self.log_slope
-        return out
-
-    def weight_range(self, n0: int, n1: int) -> np.ndarray:
-        """w_n for n in [n0, n1), as integer powers of (1+alpha)^2."""
-        steps = self._spike_steps(n0, n1)
-        out = np.ones(n1 - n0, dtype=np.float64)
-        for cover, j in steps:
-            out[cover] = np.power(self._slope_base, j)
+                j = sp.step(np.arange(lo, hi + 1))
+                out[lo - n0:hi + 1 - n0] = np.power((1.0 + self.alpha) ** 2, j)
         return out
 
     @property
     def last_index(self) -> int:
         """Last index where the weight can differ from 1 (0 when unweighted)."""
         return self.spikes[-1].end if self.spikes else 0
-
-    def peak_value(self, k: int) -> float:
-        """Peak weight of the k-th spike (1-based): (1+alpha)^{2 h_k}."""
-        sp = self.spikes[k - 1]
-        return self._slope_base ** sp.half_width
 
 
 def build_spiked_weights(alpha: float, spike_starts: Sequence[int]) -> WeightSequence:

@@ -21,16 +21,18 @@ from hardyshift import (
     curvature_backward_shift,
     curvature_difference,
     curvature_weighted,
-    edge_integral,
+    edge_integral_exact,
     kernel_diagonal_series,
     kernel_eval,
     kernel_ratio_series,
     lemma_bounds,
     orbit_norms,
+    radial_carleson_norm,
     verify_theorem_conditions,
 )
 from hardyshift import cli
-from hardyshift.carleson import TWO_PI, RadialDensity, window_measure, window_quotient
+from hardyshift.carleson import TWO_PI, RadialDensity
+from hardyshift.construction import Decay
 from hardyshift.grids import boundary_refined_grid, merge_grids, peak_candidates, refined_supremum
 from hardyshift.series import edge_bump, fd_laplacian
 
@@ -116,23 +118,20 @@ def test_criterion_03_laplacian_against_stencil():
 
 def test_criterion_04_lemma_decay_and_mass_bound():
     clock = _Clock(4, "single-bump decay along n", 10.0)
-    reports = [lemma_bounds(n) for n in (10, 10**2, 10**3, 10**4)]
-    fields = ("sup_value", "sup_laplacian", "sup_grad_sq",
-              "carl_laplacian", "carl_grad_sq")
-    for name in fields:
-        values = [getattr(rep, name) for rep in reports]
+    powers = (10, 10**2, 10**3, 10**4)
+    reports = [lemma_bounds(n) for n in powers]
+    for name, values in zip(Decay._fields, zip(*reports)):
         assert all(a > b for a, b in zip(values, values[1:])), name
-    assert reports[-1].carl_laplacian < 1e-2
-    assert reports[-1].carl_grad_sq < 1e-2
-    for rep in reports:
-        n = rep.n
+    assert reports[-1].laplacian_carleson < 1e-2
+    assert reports[-1].gradient_sq_carleson < 1e-2
+    for n, rep in zip(powers, reports):
         bound = TWO_PI * float(
             2 * Fraction((n + 1) ** 2) * (Fraction(1, 2 * n) - Fraction(2, 2 * n + 1)
                                           + Fraction(1, 2 * n + 2))
             + Fraction(2 * n + 1) * (Fraction(1, 2 * n) - Fraction(1, 2 * n + 1))
         )
-        assert rep.carl_laplacian <= bound
-    clock.done(f"carl_laplacian at n=10^4: {reports[-1].carl_laplacian:.2e}")
+        assert rep.laplacian_carleson <= bound
+    clock.done(f"laplacian_carleson at n=10^4: {reports[-1].laplacian_carleson:.2e}")
 
 
 def test_criterion_05_edge_integrals_and_area_measure():
@@ -141,15 +140,19 @@ def test_criterion_05_edge_integrals_and_area_measure():
     for m, p in ((1, 1), (199, 2), (1999, 3)):
         oracle, _ = quad(lambda r: r**m * (1.0 - r) ** p, 0.0, 1.0,
                          points=[m / (m + p)], epsabs=0.0, epsrel=1e-13, limit=300)
-        rel = abs(edge_integral(m, p) - oracle) / oracle
+        rel = abs(float(edge_integral_exact(m, p)) - oracle) / oracle
         worst = max(worst, rel)
         assert rel < 1e-10
     area = RadialDensity(lambda r: np.ones_like(np.asarray(r, dtype=float)), label="area")
-    assert window_measure(area, 1.0) == pytest.approx(math.pi, rel=1e-12)
+    assert radial_carleson_norm(area) == pytest.approx(math.pi, rel=1e-12)
+
+    def quotient(t):
+        return TWO_PI * area.window_integral(1.0 - t, 1.0) / t
+
     # 2 pi (t - t^2/2) / t climbs to 2 pi as the window shrinks
     for t in (2.0**-10, 2.0**-25):
-        assert window_quotient(area, t) == pytest.approx(TWO_PI * (1.0 - t / 2.0), rel=1e-9)
-    assert abs(window_quotient(area, 2.0**-25) - TWO_PI) < 1e-6
+        assert quotient(t) == pytest.approx(TWO_PI * (1.0 - t / 2.0), rel=1e-9)
+    assert abs(quotient(2.0**-25) - TWO_PI) < 1e-6
     clock.done(f"max quadrature deviation {worst:.2e}")
 
 

@@ -1,4 +1,4 @@
-"""Edge integrals, window measures, and the depth scan."""
+"""Edge integrals, window integrals, and the depth scan."""
 
 import math
 from fractions import Fraction
@@ -16,12 +16,8 @@ from hardyshift import (
     build_spiked_weights,
     carleson_norm,
     dyadic_t_grid,
-    edge_integral,
     edge_integral_exact,
-    edge_integral_partial,
     radial_carleson_norm,
-    window_measure,
-    window_quotient,
 )
 from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, head_ratio,
                                  tail_ratio)
@@ -59,7 +55,7 @@ def test_edge_integral_matches_adaptive_quadrature():
         crit = m / (m + p)
         oracle, err = quad(lambda r: r**m * (1.0 - r) ** p, 0.0, 1.0,
                            points=[crit], epsabs=0.0, epsrel=1e-13, limit=300)
-        assert edge_integral(m, p) == pytest.approx(oracle, rel=1e-10)
+        assert float(edge_integral_exact(m, p)) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_float_binomial_sum_cancels_where_exact_route_does_not():
@@ -70,16 +66,6 @@ def test_float_binomial_sum_cancels_where_exact_route_does_not():
     naive = sum((-1) ** j * math.comb(p, j) / (m + j + 1) for j in range(p + 1))
     exact = float(edge_integral_exact(m, p))
     assert abs(naive - exact) / exact > 1e-3
-    assert abs(edge_integral(m, p) - exact) / exact < 1e-12
-
-
-def test_edge_integral_partial_matches_quadrature():
-    for m, p, r in ((3, 1, 0.5), (60, 2, 0.97), (500, 3, 0.999)):
-        oracle, _ = quad(lambda x: x**m * (1.0 - x) ** p, 0.0, r,
-                         epsabs=1e-16, epsrel=1e-12, limit=200)
-        assert edge_integral_partial(m, p, r) == pytest.approx(oracle, rel=1e-9)
-    assert edge_integral_partial(5, 2, 1.0) == pytest.approx(edge_integral(5, 2), rel=1e-14)
-    assert edge_integral_partial(5, 2, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------- #
@@ -90,28 +76,33 @@ def area_density() -> RadialDensity:
     return RadialDensity(lambda r: np.ones_like(np.asarray(r, dtype=float)), label="area")
 
 
+def per_window_quotient(d: RadialDensity, t: float) -> float:
+    """Full-circle mass of the window of depth t, divided by t."""
+    return TWO_PI * d.window_integral(1.0 - t, 1.0) / t
+
+
 def test_window_measure_of_area_density():
     d = area_density()
     # full depth: 2 pi * int_0^1 r dr = pi
-    assert window_measure(d, 1.0) == pytest.approx(math.pi, rel=1e-12)
+    assert radial_carleson_norm(d) == pytest.approx(math.pi, rel=1e-12)
     # shallow windows: 2 pi (t - t^2/2), so the quotient tends to 2 pi
     t = 2.0**-20
-    assert window_quotient(d, t) == pytest.approx(TWO_PI * (1.0 - t / 2.0), rel=1e-10)
+    assert per_window_quotient(d, t) == pytest.approx(TWO_PI * (1.0 - t / 2.0), rel=1e-10)
 
 
 def test_window_measure_monotone_in_depth():
     lap = edge_bump(12).laplacian()
     d = SeriesGapDensity(lap, 1)
     depths = [2.0**-j for j in range(8, -1, -1)]
-    values = [window_measure(d, t) for t in depths]
+    values = [d.window_integral(1.0 - t, 1.0) for t in depths]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
 def test_window_validation():
-    d = area_density()
-    for t in (0.0, 1.5, -0.5, math.nan):
-        with pytest.raises(ValueError):
-            window_measure(d, t)
+    for d in (area_density(), SeriesGapDensity(edge_bump(12).laplacian(), 1)):
+        for a, b in ((-0.5, 1.0), (0.0, 1.5), (0.75, 0.5), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                d.window_integral(a, b)
 
 
 def test_carleson_norm_homogeneous_in_the_density():
@@ -223,7 +214,7 @@ def test_scan_reports_plateau_while_unit_depth_mass_decays():
 def test_scan_value_is_supremum_of_quotients():
     d = SeriesGapDensity(edge_bump(6).laplacian(), 1)
     scan = carleson_norm(d)
-    quotients = [window_quotient(d, t) for t in dyadic_t_grid()]
+    quotients = [per_window_quotient(d, t) for t in dyadic_t_grid()]
     assert scan.value == pytest.approx(max(quotients), rel=1e-12)
     assert scan.t_star == dyadic_t_grid()[int(np.argmax(quotients))]
 
@@ -254,9 +245,9 @@ def test_nested_scan_matches_per_window_quotients():
     scan = carleson_norm(by_quad)
     assert scan.depths == tuple(depths)
     for t, q in zip(depths, scan.quotients):
-        assert q == pytest.approx(window_quotient(by_quad, t), rel=1e-9)
+        assert q == pytest.approx(per_window_quotient(by_quad, t), rel=1e-9)
     # series densities keep one exact sum per window
-    assert carleson_norm(exact).quotients == tuple(window_quotient(exact, t) for t in depths)
+    assert carleson_norm(exact).quotients == tuple(per_window_quotient(exact, t) for t in depths)
 
 
 def test_scan_unit_depth_is_the_radial_norm_bit_for_bit():
@@ -445,10 +436,11 @@ def per_term_piece(d: SeriesGapDensity, a: float, b: float) -> float:
     total = 0.0
     for e, c in zip(d.series.exponents, d.series.coeffs):
         m = 2 * int(e) + 1
+        weight = float(edge_integral_exact(m, p))
         if b == 1.0:
-            piece = float(edge_integral_exact(m, p)) * float(tail_ratio(m, p, 1.0 - a))
+            piece = weight * float(tail_ratio(m, p, 1.0 - a))
         else:
-            piece = edge_integral_partial(m, p, b) - edge_integral_partial(m, p, a)
+            piece = weight * float(head_ratio(m, p, b)) - weight * float(head_ratio(m, p, a))
         total += float(c) * piece
     return total
 

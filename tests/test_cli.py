@@ -13,8 +13,9 @@ import pytest
 
 import hardyshift
 from hardyshift import cli
-from hardyshift.construction import MAX_POWER, InfeasibleConstructionError
+from hardyshift.construction import MAX_POWER, ConstructionConfig, InfeasibleConstructionError
 from hardyshift.series import TruncationError
+from hardyshift.weights import WeightSequence
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -35,7 +36,12 @@ def test_construct_writes_config_and_certificate(constructed):
     assert config["spike_starts"] == [3, 32, 117]
     assert config["K"] == 3
     header, rows = read_csv(constructed / "certificate.csv")
-    assert header[:2] == ["k", "start"]
+    # the column names come from the Decay record's field names
+    assert header == ["k", "start",
+                      "threshold_laplacian_sup", "bound_laplacian_sup",
+                      "threshold_gradient_sup", "bound_gradient_sup",
+                      "threshold_laplacian_carleson", "bound_laplacian_carleson",
+                      "threshold_gradient_sq_carleson", "bound_gradient_sq_carleson"]
     assert len(rows) == 3
     assert [r[0] for r in rows] == ["1", "2", "3"]
     # every certified bound sits below its threshold
@@ -121,8 +127,13 @@ def test_verify_passes_on_constructed_config(constructed, tmp_path):
     assert header == ["condition", "threshold", "measured", "argmax_r", "pass"]
     assert all(row[-1] == "true" for row in rows)
     names = [row[0] for row in rows]
-    assert "ratio_deviation" in names
-    assert "ratio_band" in names
+    # the spike row names come from the Decay record's field names
+    spike_rows = [f"spike{k}_{name}" for k in (1, 2, 3)
+                  for name in ("value_sup", "laplacian_sup", "gradient_sup",
+                               "laplacian_carleson", "gradient_sq_carleson")]
+    assert names == ["ratio_deviation", "laplacian_sup", "gradient_sup",
+                     "laplacian_carleson", "gradient_carleson", *spike_rows,
+                     "ratio_band", "curvature_sup", "curvature_carleson", "coisometry_band"]
     # at alpha = 1 the exact band is [1/2, 2], attained on the spike slopes
     assert rows[names.index("coisometry_band")][2] == "1"
     report = json.loads((tmp_path / "report.json").read_text())
@@ -167,6 +178,19 @@ def test_verify_rejects_malformed_config(tmp_path):
     assert cli.main(["verify", str(missing_key), "--out", str(tmp_path)]) == 3
     assert cli.main(["verify", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path)]) == 3
+    # K and the starts must be JSON integers, the rest JSON numbers; none a
+    # boolean or a string, and nothing is truncated to fit
+    valid = {"alpha": 1, "delta": 0.5, "K": 2, "spike_starts": [3, 32],
+             "r_max": 0.999, "tol": 1e-9}
+    assert ConstructionConfig.from_dict(valid).alpha == 1.0
+    coerced = tmp_path / "coerced.json"
+    for change in ({"K": 2.9, "spike_starts": [3.9, 32.2]},
+                   {"alpha": True, "K": True, "spike_starts": [3]},
+                   {"K": 2.0}, {"spike_starts": [3, 32.0]}, {"spike_starts": [3, True]},
+                   {"spike_starts": 3}, {"alpha": "1"}, {"delta": False}, {"r_max": None},
+                   {"tol": [1e-9]}):
+        coerced.write_text(json.dumps({**valid, **change}))
+        assert cli.main(["verify", str(coerced), "--out", str(tmp_path)]) == 3, change
 
 
 def test_lemma_rows_decrease(tmp_path):
@@ -349,6 +373,20 @@ def test_exit_code_for_unconverged_quadrature(constructed, tmp_path, monkeypatch
                         lambda *a, **kw: real_rule(*a, **{**kw, "limit": 1}))
     assert cli.main(["verify", str(constructed / "config.json"), "--epsilon", "2",
                      "--out", str(tmp_path)]) == 4
+
+
+def test_exit_code_for_a_table_too_large_for_memory(constructed, tmp_path, monkeypatch, capsys):
+    # numpy raises MemoryError when it cannot allocate a table; nothing is
+    # allocated here, the weight walk raises as numpy would
+    message = "Unable to allocate 74.5 GiB for an array with shape (10000000001,)"
+
+    def oversized(self, n0, n1):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(WeightSequence, "weight_range", oversized)
+    assert cli.main(["weights", str(constructed / "config.json"),
+                     "--n-max", "30", "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_with_input_error():

@@ -26,6 +26,7 @@ from hardyshift import (
 )
 from hardyshift import construction
 from hardyshift.construction import (
+    Decay,
     DecayProfile,
     _condition_grid,
     _decay_grid,
@@ -62,33 +63,34 @@ def test_lemma_bounds_against_quadrature_oracles():
 
     oracle, _ = quad(lambda r: abs(lap.eval(r * r)) * (1.0 - r) * r, 0.0, 1.0,
                      points=[root], limit=200)
-    assert rep.carl_laplacian == pytest.approx(2.0 * math.pi * oracle, rel=1e-10)
+    assert rep.laplacian_carleson == pytest.approx(2.0 * math.pi * oracle, rel=1e-10)
     oracle2, _ = quad(lambda r: grad.eval(r * r) * (1.0 - r) * r, 0.0, 1.0, limit=200)
-    assert rep.carl_grad_sq == pytest.approx(2.0 * math.pi * oracle2, rel=1e-10)
+    assert rep.gradient_sq_carleson == pytest.approx(2.0 * math.pi * oracle2, rel=1e-10)
 
     # suprema against a dense independent grid
     r = np.linspace(0.0, 0.999999, 2_000_001)
-    assert rep.sup_laplacian >= np.max(np.abs(lap.eval(r * r)) * (1.0 - r) ** 2) - 1e-12
-    assert rep.sup_grad_sq >= np.max(grad.eval(r * r) * (1.0 - r) ** 2) - 1e-12
-    assert rep.sup_value == pytest.approx(bump_peak(n)[1], rel=1e-15)
+    assert rep.laplacian_sup >= np.max(np.abs(lap.eval(r * r)) * (1.0 - r) ** 2) - 1e-12
+    assert rep.gradient_sup ** 2 >= np.max(grad.eval(r * r) * (1.0 - r) ** 2) - 1e-12
+    assert rep.value_sup == pytest.approx(bump_peak(n)[1], rel=1e-15)
 
 
 def test_lemma_report_scaling_rates():
-    # fields scale like 1/n, 1/n, 1/n^2, 1/n, 1/n^2: tenfold n must shrink
-    # each field by at least a factor 5 (linear) or 50 (quadratic)
+    # the sups, the Laplacian mass and the squared gradient sup scale like
+    # 1/n, the gradient mass like 1/n^2: tenfold n must shrink each by at
+    # least a factor 5 (linear) or 50 (quadratic)
     small, big = lemma_bounds(100), lemma_bounds(1000)
-    assert big.sup_value < small.sup_value / 5.0
-    assert big.sup_laplacian < small.sup_laplacian / 5.0
-    assert big.carl_laplacian < small.carl_laplacian / 5.0
-    assert big.sup_grad_sq < small.sup_grad_sq / 50.0
-    assert big.carl_grad_sq < small.carl_grad_sq / 50.0
+    assert big.value_sup < small.value_sup / 5.0
+    assert big.laplacian_sup < small.laplacian_sup / 5.0
+    assert big.laplacian_carleson < small.laplacian_carleson / 5.0
+    assert big.gradient_sup ** 2 < small.gradient_sup ** 2 / 50.0
+    assert big.gradient_sq_carleson < small.gradient_sq_carleson / 50.0
 
 
 def test_carleson_bounds_majorize_measured_masses():
     for n in (1, 10, 100, 1000):
         rep = lemma_bounds(n)
-        assert rep.carl_laplacian <= bump_laplacian_carleson_bound(n)
-        assert rep.carl_grad_sq <= bump_gradient_sq_carleson_bound(n)
+        assert rep.laplacian_carleson <= bump_laplacian_carleson_bound(n)
+        assert rep.gradient_sq_carleson <= bump_gradient_sq_carleson_bound(n)
 
 
 def test_pointwise_laplacian_majorization():
@@ -119,13 +121,13 @@ def test_lemma_computes_only_the_suprema_it_reports(monkeypatch):
 
 
 def test_one_gradient_supremum_feeds_lemma_and_gate():
-    # the lemma carries the square of the gradient sup and the gate its
-    # root times the budget, bit for bit: sqrt(fl(g^2)) == g in binary64
+    # the lemma carries the profile's gradient sup and the gate that sup
+    # times the budget, bit for bit
     def sup(m):
         return DecayProfile(edge_bump(m), _decay_grid([m], 701, 45.0)).gradient_sup[1]
 
     for n in (1, 34, 2248, 172510):
-        assert lemma_bounds(n).sup_grad_sq == sup(n) ** 2
+        assert lemma_bounds(n).gradient_sup == sup(n)
     for k, start in enumerate(STANDARD_STARTS, start=1):
         gate = spike_gate(1.0, 0.5, SpikeSpec(start, k))
         assert gate.values[2] == gate.budget * max(sup(m) for m in gate.spike.interior)
@@ -160,9 +162,9 @@ def test_lemma_gradient_columns_match_mpmath_across_the_search_range():
             n = rng.randrange(10 ** decade + 1, 10 ** (decade + 1))
             rep = lemma_bounds(n)
             exact = _sup_grad_sq_oracle(n)
-            assert abs(rep.sup_grad_sq - exact) <= 1e-14 * n * exact, n
+            assert abs(rep.gradient_sup ** 2 - exact) <= 1e-14 * n * exact, n
             exact = _carl_grad_sq_oracle(n)
-            assert abs(rep.carl_grad_sq - exact) <= 1e-15 * exact, n
+            assert abs(rep.gradient_sq_carleson - exact) <= 1e-15 * exact, n
 
 
 # ---------------------------------------------------------------------- #
@@ -189,8 +191,8 @@ def test_gate_values_bound_measured_conditions():
         spike = SpikeSpec(start, k)
         gate = spike_gate(1.0, 0.5, spike)
         measured = measure_spike_conditions(1.0, spike, _condition_grid([spike]))
-        for name, value in zip(gate.names, gate.values):
-            assert measured[name] <= value * (1.0 + 1e-9), name
+        for name, m, value in zip(Decay._fields, measured, gate.values):
+            assert m <= value * (1.0 + 1e-9), name
 
 
 def test_selected_positions_frozen_and_minimal():
@@ -318,7 +320,7 @@ def test_f_conditions_pass_for_standard_config(standard_config):
 def test_gradient_window_norms_subadditive(standard_config):
     # L2 window masses of the gradient: assembled f never exceeds the sum
     # of its spike terms on any tested window, by Minkowski in L2
-    from hardyshift import RadialSeries, window_measure
+    from hardyshift import RadialSeries
     from hardyshift.carleson import SeriesGapDensity
 
     w = standard_config.weights()
@@ -329,15 +331,15 @@ def test_gradient_window_norms_subadditive(standard_config):
     total = SeriesGapDensity(f_extra.grad_sq(), 1, nonneg=True)
     parts = [SeriesGapDensity(t.grad_sq(), 1, nonneg=True) for t in terms]
     for t in (1.0, 0.5, 0.125, 2.0**-8):
-        lhs = math.sqrt(window_measure(total, t))
-        rhs = sum(math.sqrt(window_measure(p, t)) for p in parts)
+        lhs = math.sqrt(total.window_integral(1.0 - t, 1.0))
+        rhs = sum(math.sqrt(p.window_integral(1.0 - t, 1.0)) for p in parts)
         assert lhs <= rhs * (1.0 + 1e-9)
 
 
 def test_spike_value_sup_closed_form():
     # |c_1| sup s^4 (1-s) for the first standard spike: 0.75 * (4/5)^4 / 5
     measured = measure_spike_conditions(1.0, SpikeSpec(3, 1), _condition_grid([SpikeSpec(3, 1)]))
-    assert measured["value_sup"] == pytest.approx(0.75 * 256.0 / 3125.0, rel=1e-12)
+    assert measured.value_sup == pytest.approx(0.75 * 256.0 / 3125.0, rel=1e-12)
 
 
 def test_f_conditions_fail_for_halved_positions():
@@ -397,7 +399,7 @@ def test_verification_report_serialization(standard_config):
     rows = {c["condition"]: c for c in data["conditions"]}
     for sp in spikes:
         gate = spike_gate(standard_config.alpha, standard_config.delta, sp)
-        for name, threshold in zip(gate.names, gate.thresholds):
+        for name, threshold in zip(Decay._fields, gate.thresholds):
             assert rows[f"spike{sp.half_width}_{name}"]["threshold"] == threshold
     assert "laplacian" in data["scans"]
     assert data["scans"]["laplacian"]["at_unit_depth"] <= data["scans"]["laplacian"]["value"]

@@ -69,9 +69,9 @@ def test_refined_supremum_reaches_dense_grid_maximum(n):
         assert value >= dense_max - 1e-12
 
 
-# (sup_laplacian, sup_grad_sq) references: sup_laplacian of lemma_bounds as
-# computed by the earlier per-bracket scalar polish (scipy minimize_scalar,
-# xatol 1e-13); sup_grad_sq the true supremum to 17 digits, from mpmath at
+# (laplacian_sup, gradient_sup ** 2) references: laplacian_sup of lemma_bounds
+# as computed by the earlier per-bracket scalar polish (scipy minimize_scalar,
+# xatol 1e-13); gradient_sup ** 2 the true supremum to 17 digits, from mpmath at
 # the real roots of the cubic 2(n+1)^2 r^3 - (n+1)(2n+1) r^2 - 2n^2 r + n(2n-1)
 SCALAR_POLISH_VALUES = {
     1: (1.0, 0.029944361507758233),
@@ -87,12 +87,12 @@ SCALAR_POLISH_VALUES = {
 def test_lemma_suprema_match_scalar_polish(n):
     sup_lap, sup_grad = SCALAR_POLISH_VALUES[n]
     rep = lemma_bounds(n)
-    assert rep.sup_laplacian == pytest.approx(sup_lap, rel=1e-8)
-    assert rep.sup_grad_sq == pytest.approx(sup_grad, rel=1e-8)
+    assert rep.laplacian_sup == pytest.approx(sup_lap, rel=1e-8)
+    assert rep.gradient_sup ** 2 == pytest.approx(sup_grad, rel=1e-8)
     # the batched polish samples more points near each peak, so it never
     # ends below the scalar one, or the true supremum, by more than rounding
-    assert rep.sup_laplacian >= sup_lap * (1.0 - 1e-14)
-    assert rep.sup_grad_sq >= sup_grad * (1.0 - 1e-14)
+    assert rep.laplacian_sup >= sup_lap * (1.0 - 1e-14)
+    assert rep.gradient_sup ** 2 >= sup_grad * (1.0 - 1e-14)
 
 
 def test_polished_bump_supremum_is_never_below_the_grid_maximum():

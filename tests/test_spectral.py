@@ -122,8 +122,9 @@ def test_spike_kernel_term_matches_weight_deficits():
     w = build_spiked_weights(0.8, [7, 30])
     for sp in w.spikes:
         g = spike_kernel_term(w.alpha, sp)
+        weights = w.weight_range(0, sp.end + 1)
         for e, c in zip(g.exponents, g.coeffs):
-            assert c == pytest.approx(1.0 / w.weight_at(int(e)) - 1.0, rel=1e-13)
+            assert c == pytest.approx(1.0 / weights[int(e)] - 1.0, rel=1e-13)
 
 
 @settings(max_examples=60, deadline=None)

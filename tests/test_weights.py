@@ -11,19 +11,18 @@ from hardyshift import SpikeSpec, WeightSequence, build_spiked_weights
 def test_single_spike_weight_values():
     w = build_spiked_weights(1.0, [5])
     # half width 1: profile 1, 4, 1 across indices 5, 6, 7
-    assert [w.weight_at(n) for n in range(5, 8)] == [1.0, 4.0, 1.0]
-    assert w.weight_at(0) == 1.0
-    assert w.weight_at(100) == 1.0
+    assert w.weight_range(5, 8).tolist() == [1.0, 4.0, 1.0]
+    assert w.weight_range(0, 1).tolist() == [1.0]
+    assert w.weight_range(100, 101).tolist() == [1.0]
 
 
 def test_half_widths_grow_with_spike_index():
     w = build_spiked_weights(1.0, [3, 32, 117])
     assert [sp.half_width for sp in w.spikes] == [1, 2, 3]
     # peaks (1+alpha)^{2k} land at start + k, bit exact for alpha = 1
-    assert w.weight_at(4) == 4.0
-    assert w.weight_at(34) == 16.0
-    assert w.weight_at(120) == 64.0
-    assert [w.peak_value(k) for k in (1, 2, 3)] == [4.0, 16.0, 64.0]
+    vals = w.weight_range(0, w.last_index + 1)
+    assert [vals[sp.peak] for sp in w.spikes] == [4.0, 16.0, 64.0]
+    assert [sp.peak for sp in w.spikes] == [4, 34, 120]
 
 
 def test_spike_profile_is_symmetric_triangle():
@@ -37,16 +36,18 @@ def test_spike_profile_is_symmetric_triangle():
 def test_weight_range_matches_pointwise_lookup():
     w = build_spiked_weights(0.7, [2, 20])
     vals = w.weight_range(0, 30)
-    assert all(vals[n] == w.weight_at(n) for n in range(30))
+    assert all(vals[n] == w.weight_range(n, n + 1)[0] for n in range(30))
 
 
 def test_power_and_log_evaluation_routes_agree():
+    # log w_n = 2 j log(1+alpha) on each spike, j the step from its nearer end
     w = build_spiked_weights(0.37, [4, 40, 200])
-    n = np.arange(0, 210)
-    via_log = np.exp(w.log_weight_range(0, 210))
+    log_w = np.zeros(210)
+    for sp in w.spikes:
+        n = np.arange(sp.start, sp.end + 1)
+        log_w[n] = sp.step(n) * 2.0 * math.log1p(w.alpha)
     via_pow = w.weight_range(0, 210)
-    assert np.allclose(via_pow, via_log, rtol=1e-12, atol=0.0)
-    assert all(w.log_weight_at(int(k)) == w.log_weight_range(0, 210)[k] for k in n[::17])
+    assert np.allclose(via_pow, np.exp(log_w), rtol=1e-12, atol=0.0)
 
 
 def test_layout_validation():
@@ -68,20 +69,11 @@ def test_last_index_and_empty_layout():
     assert build_spiked_weights(1.0, [3, 32, 117]).last_index == 123
 
 
-def test_log_weight_is_zero_off_spikes():
-    w = build_spiked_weights(2.0, [10])
-    assert w.log_weight_at(9) == 0.0
-    assert w.log_weight_at(13) == 0.0
-    assert w.log_weight_at(11) == pytest.approx(2.0 * math.log1p(2.0), rel=1e-15)
-
-
 def test_lookups_reject_indices_outside_the_layout():
     w = build_spiked_weights(1.0, [3, 32])
     with pytest.raises(ValueError):
-        w.weight_at(-1)
-    with pytest.raises(ValueError):
-        w.log_weight_at(-1)
+        w.weight_range(-1, 0)
     with pytest.raises(ValueError):
         w.weight_range(5, 4)
     with pytest.raises(ValueError):
-        w.log_weight_range(-1, 3)
+        w.weight_range(-1, 3)
