@@ -7,9 +7,11 @@ Six parts, each run on both checkouts with this same script:
 * output identity: every command of the `search`, `certify` and
   `tables` workloads (from the change's `hardybench/workloads.py`, verify
   seed 1), `lemma` and `construct --K 2`, run once per checkout; every
-  output file must be byte-identical, manifests compared as JSON without
-  `elapsed_seconds`; for each CSV that is not, the count of moved cells
-  and the largest relative move, per column;
+  output file and stdout must be byte-identical, manifests compared as
+  JSON without `elapsed_seconds`; for each CSV that is not, the count of
+  moved cells and the largest relative move, per column, and for each
+  JSON file or manifest that is not, the leaf paths added, removed and
+  changed;
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
   delta 0.5, K = 3..8), of `verify_f_conditions` /
   `verify_theorem_conditions` (eps 2) on the frozen K = 8 config, and of
@@ -20,8 +22,8 @@ Six parts, each run on both checkouts with this same script:
 * in-process layer timings on the frozen K = 8 config, as microseconds
   per call (after one untimed call): `RadialSeries.eval` of the kernel
   ratio at 1 point and at 1000 points, `ratio_log_laplacian` at 1 point,
-  and `carleson_norm` of the `verify_f_conditions` Laplacian density
-  (a fresh density per call, so sign roots included); same fresh
+  and `radial_carleson_norm` of the `verify_f_conditions` Laplacian
+  density (a fresh density per call, so sign roots included); same fresh
   interpreters and alternation;
 * cold-start wall time and CPU time (user + system, from the child's
   rusage) of `python -c "import hardyshift.cli"` and of the
@@ -66,7 +68,7 @@ WORKLOADS = ("search", "certify", "tables")
 REPS = 7  # in-process timings per job and side
 # layer timings: calls per timed loop
 LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
-               "carleson_norm_laplacian": 5}
+               "radial_carleson_norm_laplacian": 50}
 LEMMA_POWERS = ("10", "2248", "172510")
 PAIRS = 10  # alternating end-to-end runs per workload
 COLD_REPS = 7  # cold-start timings per command and side
@@ -98,7 +100,7 @@ def child(kind: str, k: int) -> None:
 def layer(kind: str, k: int) -> None:
     """Time LAYER_CALLS[kind] calls of one layer; print {"cpu_s", "wall_s", "us_per_call", "result"}."""
     import numpy as np
-    from hardyshift.carleson import SeriesGapDensity, carleson_norm
+    from hardyshift.carleson import SeriesGapDensity, radial_carleson_norm
     from hardyshift.construction import ConstructionConfig
     from hardyshift.series import RadialSeries
     from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian
@@ -115,7 +117,7 @@ def layer(kind: str, k: int) -> None:
         call = lambda: ratio_log_laplacian(f, 0.999)  # noqa: E731
     else:
         lap = f.add(RadialSeries.from_terms([(0, -1.0)])).laplacian()
-        call = lambda: carleson_norm(SeriesGapDensity(lap, 1)).at_unit_depth  # noqa: E731
+        call = lambda: radial_carleson_norm(SeriesGapDensity(lap, 1))  # noqa: E731
     result = call()
     n = LAYER_CALLS[kind]
     c0, t0 = time.process_time(), time.perf_counter()
@@ -218,26 +220,57 @@ def csv_moves(left: Path, right: Path) -> dict:
     return moves
 
 
+def json_leaves(obj, path: str = "") -> dict:
+    """Leaf values of a JSON document keyed by dotted path, such as
+    `reports.curvature_match.meta.epsilon`; empty objects and lists are leaves."""
+    if isinstance(obj, (dict, list)) and obj:
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        leaves = {}
+        for key, value in items:
+            leaves.update(json_leaves(value, f"{path}.{key}" if path else str(key)))
+        return leaves
+    return {path: obj}
+
+
+def json_changes(left: Path, right: Path) -> dict:
+    """Leaf paths added, removed and changed from one JSON file to the other,
+    a manifest's top-level `elapsed_seconds` excluded."""
+    old, new = (json_leaves(json.loads(p.read_text())) for p in (left, right))
+    for leaves in (old, new):
+        leaves.pop("elapsed_seconds", None)
+    return {"added": sorted(new.keys() - old.keys()),
+            "removed": sorted(old.keys() - new.keys()),
+            "changed": sorted(k for k in old.keys() & new.keys() if old[k] != new[k])}
+
+
 def output_identity(sides: dict[str, Path]) -> dict:
     """Run each identity command on both checkouts and compare every output
-    file; for each CSV that differs, record its csv_moves."""
+    file; for each CSV that differs, record its csv_moves, and for each JSON
+    file its json_changes."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         commands = identity_commands(sides["change"], work)
         result = {"commands": {}, "files_compared": 0}
         for label, cmd in commands.items():
-            outs = {}
+            outs, stdout = {}, {}
             for side, checkout in sides.items():
                 outs[side] = work / side / label
                 env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-                subprocess.run([sys.executable, "-m", "hardyshift.cli", *cmd,
-                                "--out", str(outs[side])], env=env, capture_output=True,
-                               check=True)
+                printed = subprocess.run([sys.executable, "-m", "hardyshift.cli", *cmd,
+                                          "--out", str(outs[side])], env=env,
+                                         capture_output=True, text=True, check=True).stdout
+                # the table commands print their output path, which differs by side
+                stdout[side] = printed.replace(str(outs[side]), "{out}")
             diffs = output_differences(outs["parent"], outs["change"])
+            if stdout["parent"] != stdout["change"]:
+                diffs.append("stdout")
             result["files_compared"] += len(list(outs["change"].iterdir()))
             moves = {name: csv_moves(outs["parent"] / name, outs["change"] / name)
                      for name in diffs if name.endswith(".csv")}
-            result["commands"][label] = {"args": cmd, "differences": diffs, "moves": moves}
+            paths = {name: json_changes(outs["parent"] / name, outs["change"] / name)
+                     for name in diffs if name.endswith(".json")}
+            result["commands"][label] = {"args": cmd, "differences": diffs, "moves": moves,
+                                         "json_paths": paths}
             print(f"identity {label}: {diffs or 'identical'}", flush=True)
         result["identical"] = not any(c["differences"] for c in result["commands"].values())
     return result

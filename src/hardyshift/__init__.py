@@ -1,15 +1,15 @@
 """Weighted backward shifts with spiked weights and flat bundle curvature.
 
-Build weight sequences whose backward shift is power bounded yet not
-similar to a contraction, while the curvature of its eigenvector bundle
-stays within any prescribed distance of the unweighted shift's curvature
-(1 - |z|^2)^{-2}, in both the pointwise and the Carleson-mass sense.
+Build weight sequences whose backward shift keeps the curvature of its
+eigenvector bundle within any prescribed distance of the unweighted
+shift's curvature (1 - |z|^2)^{-2}, in both the pointwise and the
+Carleson-mass sense.  With K spikes the shift is similar to S*, with
+constant (1+alpha)^K; that constant is unbounded in K, so the limiting
+operator is not power bounded, hence not similar to S*.
 """
 
 from .carleson import (
     RadialDensity,
-    carleson_norm,
-    dyadic_t_grid,
     edge_integral_exact,
     radial_carleson_norm,
 )
@@ -70,7 +70,6 @@ __all__ = [
     "bump_gradient_sq_carleson_bound",
     "bump_laplacian_carleson_bound",
     "bump_peak",
-    "carleson_norm",
     "coisometry_check",
     "curvature_backward_shift",
     "curvature_difference",
@@ -78,7 +77,6 @@ __all__ = [
     "curvature_weighted",
     "deficit_coefficients",
     "delta_for_epsilon",
-    "dyadic_t_grid",
     "edge_integral_exact",
     "forward_shift",
     "inner_w",

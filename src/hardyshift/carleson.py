@@ -7,24 +7,14 @@ Everything here integrates densities rho(|z|) dxdy over boundary windows
 so window masses factor as arc * integral of rho(r) r dr over [1-t, 1).
 Every window here takes the full circle, arc = 2 pi.
 
-Two scalar summaries appear throughout:
-
-* carleson_norm scans the full-circle window quotient
-  (2 pi / t) * integral_{1-t}^{1} rho r dr over a dyadic grid of depths;
-* radial_carleson_norm is the depth-one value 2 pi * integral_0^1 rho r dr,
-  the total mass of the density.
-
-The scan takes all its window masses from the density in one call
-(RadialDensity.window_masses).  Windows of depth t < 1 are nested, so a
-density integrated by quadrature integrates each shell between
-consecutive depths once and sums the shells from the smallest depth up;
-the depth-one window is integrated directly.  Series densities keep one
-exact sum per window: those are closed forms whose cost does not grow
-with the window, and differencing them across shells would cancel.
-
-The decay statements in this package control the total mass; the scan is
-reported as a diagnostic and its supremum over shallow depths need not be
-small even when the total mass vanishes.
+A Carleson box over an arc of length a has depth t = a / (2 pi) and mass
+a * integral_{1-t}^1 rho r dr <= a * integral_0^1 rho r dr, with equality
+on the full circle.  So the Carleson constant of a radial density, box
+mass over a / (2 pi), is its total mass 2 pi * integral_0^1 rho r dr
+(radial_carleson_norm), which every verifier row reads.  carleson_norm
+scans the full-circle quotient (2 pi / t) * integral_{1-t}^1 rho r dr over
+dyadic depths: no box quotient, and a diagnostic the verifier does not
+call.
 
 The polynomial densities |G(r^2)| (1-r)^p are integrated exactly: their
 pieces reduce to edge integrals
@@ -191,25 +181,6 @@ class RadialDensity:
             errors.append(error)
         return value
 
-    def window_masses(self) -> tuple[list[float], float]:
-        """integral_{1-t}^1 rho r dr for each depth t of dyadic_t_grid(), in
-        its order, and the sum of the error estimates of the integrals taken.
-
-        The depth-one window is integrated directly, after the others.  Those
-        are nested, so each shell between consecutive depths is integrated
-        once and the shells are summed from the smallest depth up.  Every
-        piece goes through window_integral.
-        """
-        errors: list[float] = []
-        shells: list[float] = []
-        inner, total = 1.0, 0.0
-        for t in dyadic_t_grid()[:0:-1].tolist():
-            total += self.window_integral(1.0 - t, inner, errors)
-            shells.append(total)
-            inner = 1.0 - t
-        unit = self.window_integral(0.0, 1.0, errors)
-        return [unit, *shells[::-1]], _sum_in_order(errors)
-
 
 class SeriesGapDensity(RadialDensity):
     """Density |G(r^2)| (1-r)^gap_power for a sparse radial series G.
@@ -275,18 +246,13 @@ class SeriesGapDensity(RadialDensity):
         cuts = [a] + [x for x in self.sign_roots if a < x < b] + [b]
         return _sum_in_order(abs(self._signed_piece(x0, x1)) for x0, x1 in zip(cuts, cuts[1:]))
 
-    def window_masses(self) -> tuple[list[float], float]:
-        """Exact mass of each window [1-t, 1] of dyadic_t_grid(), one
-        closed-form sum per window, and an error estimate of 0.0."""
-        return [self.window_integral(1.0 - t, 1.0) for t in dyadic_t_grid().tolist()], 0.0
-
 
 # ---------------------------------------------------------------------- #
 # windows and norms
 
 
 def dyadic_t_grid() -> np.ndarray:
-    """The depths every scan takes: 1, 1/2, ..., 2^-40."""
+    """The depths carleson_norm scans: 1, 1/2, ..., 2^-40."""
     return 2.0 ** -np.arange(0, 41, dtype=np.float64)
 
 
@@ -299,44 +265,24 @@ class CarlesonScan:
     at_unit_depth: float  # quotient at t = 1, the total mass
     depths: tuple[float, ...]
     quotients: tuple[float, ...]
-    # 2 pi times the summed quadrature error estimates of the window masses,
-    # 0.0 for exact series densities: it bounds the estimated error of
-    # at_unit_depth, and error / t that of the quotient at depth t
-    error: float
 
 
 def carleson_norm(density: RadialDensity) -> CarlesonScan:
     """Scan sup_t (2 pi / t) integral_{1-t}^1 rho r dr over dyadic_t_grid().
 
-    All window masses, the depth-one mass included, come from one
-    density.window_masses call: quadrature densities sum shell integrals
-    from the smallest depth up, series densities take one exact sum per
-    window.  at_unit_depth equals radial_carleson_norm bit for bit, and
-    error carries the quadrature's error estimates.
-
-    The supremum over shallow depths is a diagnostic: for densities that
-    live at a fixed distance from the boundary it stabilizes at an
-    order-one plateau rather than following the total mass down.  Decay
-    assertions should use at_unit_depth (or radial_carleson_norm).
+    A diagnostic: for densities that live at a fixed distance from the
+    boundary the supremum over shallow depths stabilizes at an order-one
+    plateau rather than following the total mass down.  at_unit_depth
+    equals radial_carleson_norm bit for bit.
     """
     depths = dyadic_t_grid().tolist()
-    masses, error = density.window_masses()
-    quots = [TWO_PI * m / t for m, t in zip(masses, depths)]
+    quots = [TWO_PI * density.window_integral(1.0 - t, 1.0) / t for t in depths]
     i = int(np.argmax(quots))
-    return CarlesonScan(
-        value=quots[i],
-        t_star=depths[i],
-        at_unit_depth=quots[0],
-        depths=tuple(depths),
-        quotients=tuple(quots),
-        error=TWO_PI * error,
-    )
+    return CarlesonScan(value=quots[i], t_star=depths[i], at_unit_depth=quots[0],
+                        depths=tuple(depths), quotients=tuple(quots))
 
 
 def radial_carleson_norm(density: RadialDensity) -> float:
-    """Total mass 2 pi integral_0^1 rho r dr, the depth-one window quotient.
-
-    This is the quantity the vanishing estimates control for the densities
-    built here.
-    """
+    """Total mass 2 pi integral_0^1 rho r dr, the Carleson constant of the
+    radial density and the quantity the vanishing estimates control."""
     return TWO_PI * density.window_integral(0.0, 1.0)

@@ -29,7 +29,6 @@ from .carleson import (
     RadialDensity,
     SeriesGapDensity,
     TWO_PI,
-    carleson_norm,
     edge_integral_exact,
     radial_carleson_norm,
 )
@@ -341,11 +340,16 @@ class ConstructionConfig:
 
     def __post_init__(self):
         _check_construction(self.alpha, self.delta, self.n_spikes)
-        object.__setattr__(self, "spike_starts", tuple(int(n) for n in self.spike_starts))
+        # the weights reject non-integer starts and check ordering and gaps
+        object.__setattr__(self, "spike_starts", tuple(sp.start for sp in self.weights().spikes))
         if len(self.spike_starts) != self.n_spikes:
             raise ValueError("n_spikes must equal len(spike_starts)")
+        # read at check time: the verifier's grid cannot reach a bump peak
+        # far past the search cap
+        if any(n > MAX_START for n in self.spike_starts):
+            raise ValueError(f"spike starts must not exceed {MAX_START}, "
+                             f"got {max(self.spike_starts)}")
         _check_sampling(self.r_max, self.tol)
-        self.weights()  # validates ordering and gaps
 
     @classmethod
     def plan(cls, alpha: float, delta: float, n_spikes: int,
@@ -436,7 +440,6 @@ class ConditionResult:
 class VerificationReport:
     conditions: tuple[ConditionResult, ...]
     meta: dict = field(default_factory=dict)
-    scans: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -450,15 +453,6 @@ class VerificationReport:
             "passed": self.passed,
             "meta": self.meta,
             "conditions": [c.to_dict() for c in self.conditions],
-            "scans": {
-                name: {
-                    "value": scan.value,
-                    "t_star": scan.t_star,
-                    "at_unit_depth": scan.at_unit_depth,
-                    "error": scan.error,
-                }
-                for name, scan in self.scans.items()
-            },
         }
 
 
@@ -496,15 +490,12 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
     p = DecayProfile(f.add(RadialSeries.from_terms([(0, -1.0)])), grid)
     (arg_dev, sup_dev), (arg_lap, sup_lap), (arg_grad, sup_grad) = \
         p.value_sup, p.laplacian_sup, p.gradient_sup
-    scans = {"laplacian": carleson_norm(p.laplacian),
-             "gradient_sq": carleson_norm(p.gradient_sq)}
-
     rows = [
         _row("ratio_deviation", delta, sup_dev, arg_dev),
         _row("laplacian_sup", delta, sup_lap, arg_lap),
         _row("gradient_sup", math.sqrt(delta), sup_grad, arg_grad),
-        _row("laplacian_carleson", delta, scans["laplacian"].at_unit_depth),
-        _row("gradient_carleson", delta, scans["gradient_sq"].at_unit_depth),
+        _row("laplacian_carleson", delta, radial_carleson_norm(p.laplacian)),
+        _row("gradient_carleson", delta, radial_carleson_norm(p.gradient_sq)),
     ]
 
     for sp in w.spikes:
@@ -518,7 +509,7 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
         "grid_points": int(len(grid)),
         "mode": "ratio_flatness",
     }
-    return VerificationReport(conditions=tuple(rows), meta=meta, scans=scans)
+    return VerificationReport(conditions=tuple(rows), meta=meta)
 
 
 def curvature_density(f: RadialSeries, spikes: Sequence[SpikeSpec]) -> RadialDensity:
@@ -543,7 +534,7 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> Ver
     Three rows: the kernel ratio stays inside [1/(1+eps), 1+eps]; the
     curvature deviation obeys |Delta log f| (1-r)^2 <= eps; and its
     Carleson mass 2 pi integral |Delta log f| (1-r) r dr stays below eps.
-    The mass is the depth-one value of the curvature_density scan.
+    meta records 2 pi times the quadrature's error estimate of that mass.
     """
     delta_sufficient = delta_for_epsilon(epsilon)  # rejects a bad epsilon first
     w = config.weights()
@@ -561,12 +552,13 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> Ver
     arg_curv, sup_curv = refined_supremum(
         lambda r: np.abs(ratio_log_laplacian(f, r)) * (1.0 - r) ** 2, grid)
 
-    scans = {"curvature": carleson_norm(curvature_density(f, w.spikes))}
+    errors: list[float] = []
+    curv_mass = TWO_PI * curvature_density(f, w.spikes).window_integral(0.0, 1.0, errors)
 
     rows = [
         _row("ratio_band", 1.0 + epsilon, sup_band, arg_band),
         _row("curvature_sup", epsilon, sup_curv, arg_curv),
-        _row("curvature_carleson", epsilon, scans["curvature"].at_unit_depth),
+        _row("curvature_carleson", epsilon, curv_mass),
     ]
     meta = {
         "config": config.to_dict(),
@@ -574,5 +566,6 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> Ver
         "delta_sufficient": delta_sufficient,
         "grid_points": int(len(grid)),
         "mode": "curvature_match",
+        "curvature_carleson_error": TWO_PI * errors[0],
     }
-    return VerificationReport(conditions=tuple(rows), meta=meta, scans=scans)
+    return VerificationReport(conditions=tuple(rows), meta=meta)

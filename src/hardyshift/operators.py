@@ -11,9 +11,10 @@ weights the ratio ||T* a|| / ||a|| stays inside
 [(1+alpha)^{-1}, 1+alpha] whatever the spikes: its square is a mean of
 the slopes w_{n+1}/w_n, which never leave [(1+alpha)^{-2}, (1+alpha)^2],
 so coisometry_check reads the exact band off the weights.  Meanwhile
-||T*^n a|| along an orbit can climb to the spike peaks (1+alpha)^k and
-return to 1: the operator is power bounded without being similar to a
-contraction.
+||T*^n e_0|| = sqrt(w_n) climbs to the spike peaks (1+alpha)^k and
+returns to 1.  With K spikes diag(sqrt(w_n)) makes T similar to S*, with
+constant (1+alpha)^K; that constant is unbounded in K, so the limiting
+operator is not power bounded, hence not similar to S*.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from the spike layout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,11 +109,18 @@ def build_spiked_weights(alpha: float, spike_starts: Sequence[int]) -> WeightSeq
     """Spike layout where the k-th spike (1-based) has half width k.
 
     The half widths grow with the spike index so that peak heights
-    (1+alpha)^{2k} are unbounded while the slope condition holds uniformly;
-    that combination is what separates power boundedness from similarity to
-    a contraction for the associated backward shift.
+    (1+alpha)^{2k} are unbounded while the slope condition holds uniformly.
+    With K spikes the backward shift is similar to S*, with constant
+    (1+alpha)^K; that constant is unbounded in K, so the limiting operator
+    is not power bounded, hence not similar to S*.  Starts must be integers
+    (bool excluded) and alpha a real number.
     """
-    starts = [int(s) for s in spike_starts]
-    spikes = tuple(SpikeSpec(start=s, half_width=k + 1) for k, s in enumerate(starts))
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
+    starts = tuple(spike_starts)
+    for s in starts:
+        if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+            raise ValueError(f"spike starts must be integers, got {s!r}")
+    spikes = tuple(SpikeSpec(start=int(s), half_width=k + 1) for k, s in enumerate(starts))
     return WeightSequence(alpha=float(alpha), spikes=spikes)
 

@@ -14,13 +14,11 @@ from hardyshift import (
     ConstructionConfig,
     RadialDensity,
     build_spiked_weights,
-    carleson_norm,
-    dyadic_t_grid,
     edge_integral_exact,
     radial_carleson_norm,
 )
-from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, head_ratio,
-                                 tail_ratio)
+from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, carleson_norm,
+                                 dyadic_t_grid, head_ratio, tail_ratio)
 from hardyshift.construction import curvature_density
 from hardyshift.grids import _root_scan_grid, sign_roots
 from hardyshift.series import RadialSeries, edge_bump
@@ -230,7 +228,7 @@ def test_window_integral_raises_when_quadrature_does_not_converge():
 
 
 # ---------------------------------------------------------------------- #
-# the nested depth scan
+# the depth scan, a diagnostic
 
 
 def bump_densities(n: int = 40) -> tuple[SeriesGapDensity, RadialDensity]:
@@ -253,26 +251,6 @@ def test_nested_scan_matches_per_window_quotients():
 def test_scan_unit_depth_is_the_radial_norm_bit_for_bit():
     for d in (*bump_densities(), area_density()):
         assert carleson_norm(d).at_unit_depth == radial_carleson_norm(d)
-
-
-def test_curvature_scan_integrates_each_shell_once(standard_config):
-    # nested windows share everything near r = 1, where the spike mass sits;
-    # integrating each one from scratch cost 8x one [0, 1] integral at K = 3
-    w = standard_config.weights()
-    f = kernel_ratio_series(w, r_max=standard_config.r_max, tol=standard_config.tol)
-    density = curvature_density(f, w.spikes)
-    points = [0]
-
-    def counted(r):
-        points[0] += np.size(r)
-        return density.rho(r)
-
-    counting = RadialDensity(counted, breakpoints=density.breakpoints)
-    mass = radial_carleson_norm(counting)
-    one_integral = points[0]
-    scan = carleson_norm(counting)
-    assert scan.at_unit_depth == mass
-    assert points[0] - one_integral <= 6 * one_integral
 
 
 # ---------------------------------------------------------------------- #
@@ -413,17 +391,6 @@ def test_curvature_shells_match_scipy_quad(delta, starts):
         # evaluations differ by up to about 1e-13 relative
         assert abs(value - oracle) <= errors[-1] + oracle_err + 1e-12 * oracle, (a, b)
         assert errors[-1] <= max(1e-13, 1e-10 * value)
-    scan = carleson_norm(density)
-    assert scan.error == pytest.approx(TWO_PI * math.fsum(errors), rel=1e-12)
-
-
-def test_scan_error_is_zero_for_exact_densities():
-    exact, by_quad = bump_densities()
-    assert carleson_norm(exact).error == 0.0
-    scan = carleson_norm(by_quad)
-    assert 0.0 < scan.error <= 1e-9 * scan.at_unit_depth
-    assert scan.at_unit_depth == pytest.approx(carleson_norm(exact).at_unit_depth,
-                                               abs=scan.error)
 
 
 # ---------------------------------------------------------------------- #

@@ -139,6 +139,11 @@ def test_verify_passes_on_constructed_config(constructed, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is True
     assert report["seed"] == 0
+    # Carleson rows are total masses; the curvature mass carries its
+    # quadrature error estimate and no depth scan is reported
+    curvature = report["reports"]["curvature_match"]
+    assert set(curvature) == {"passed", "meta", "conditions"}
+    assert 0.0 < curvature["meta"]["curvature_carleson_error"] < 1e-9
     manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
     assert manifest["config_path"] == str(constructed / "config.json")
 
@@ -191,6 +196,16 @@ def test_verify_rejects_malformed_config(tmp_path):
                    {"tol": [1e-9]}):
         coerced.write_text(json.dumps({**valid, **change}))
         assert cli.main(["verify", str(coerced), "--out", str(tmp_path)]) == 3, change
+
+
+def test_verify_rejects_starts_past_the_search_cap(tmp_path, capsys):
+    # at start 2^60 the verifier's grid misses the bump and read every
+    # spike2 sup as 0, a PASS; such a start is bad input
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps({"alpha": 1.0, "delta": 0.5, "K": 2,
+                                  "spike_starts": [3, 2**60], "r_max": 0.999, "tol": 1e-9}))
+    assert cli.main(["verify", str(config), "--epsilon", "2", "--out", str(tmp_path)]) == 3
+    assert "must not exceed" in capsys.readouterr().err
 
 
 def test_lemma_rows_decrease(tmp_path):

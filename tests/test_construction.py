@@ -12,11 +12,13 @@ from scipy.integrate import quad
 from hardyshift import (
     ConstructionConfig,
     InfeasibleConstructionError,
+    build_spiked_weights,
     bump_gradient_sq_carleson_bound,
     bump_laplacian_carleson_bound,
     bump_peak,
     delta_for_epsilon,
     lemma_bounds,
+    radial_carleson_norm,
     select_spike_positions,
     spike_budget,
     spike_correction_thresholds,
@@ -25,11 +27,13 @@ from hardyshift import (
     verify_theorem_conditions,
 )
 from hardyshift import construction
+from hardyshift.carleson import TWO_PI
 from hardyshift.construction import (
     Decay,
     DecayProfile,
     _condition_grid,
     _decay_grid,
+    curvature_density,
     measure_spike_conditions,
 )
 from hardyshift.series import RadialSeries, edge_bump
@@ -285,6 +289,38 @@ def test_config_rejects_bad_payloads(standard_config):
         ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=1, spike_starts=(3,), r_max=1.0)
 
 
+def test_library_input_is_never_truncated():
+    # from_dict refuses these; the constructors refuse them too instead of
+    # truncating 3.9 to 3 or reading True as alpha 1.0
+    for starts in ((3.9, 32.2), (3, True), (3.0, 32)):
+        with pytest.raises(ValueError, match="integers"):
+            ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=2, spike_starts=starts)
+    for alpha in (True, "1.0", None):
+        with pytest.raises(ValueError, match="alpha"):
+            build_spiked_weights(alpha, [3])
+    with pytest.raises(ValueError, match="integers"):
+        build_spiked_weights(1.0, [3.9])
+    # Python and numpy integers stay accepted, stored as Python ints
+    config = ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=2,
+                                spike_starts=(np.int64(3), 32))
+    assert config.spike_starts == (3, 32)
+    assert type(config.spike_starts[0]) is int
+    assert build_spiked_weights(np.float64(1.0), [np.int32(3)]).spikes[0].start == 3
+
+
+def test_config_rejects_starts_past_the_search_cap(monkeypatch):
+    # the verifier's grid cannot reach a bump peak far past MAX_START: at
+    # start 2^60 it read every spike2 sup as 0
+    at_cap = (3, construction.MAX_START)
+    assert ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=2,
+                              spike_starts=at_cap).spike_starts == at_cap
+    with pytest.raises(ValueError, match="exceed"):
+        ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=2, spike_starts=(3, 2**60))
+    monkeypatch.setattr(construction, "MAX_START", 40)  # read at check time
+    with pytest.raises(ValueError, match="exceed"):
+        ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=2, spike_starts=(3, 41))
+
+
 def test_delta_for_epsilon_map():
     assert delta_for_epsilon(2.0) == 0.5
     assert delta_for_epsilon(0.5) == 0.125
@@ -401,10 +437,38 @@ def test_verification_report_serialization(standard_config):
         gate = spike_gate(standard_config.alpha, standard_config.delta, sp)
         for name, threshold in zip(Decay._fields, gate.thresholds):
             assert rows[f"spike{sp.half_width}_{name}"]["threshold"] == threshold
-    assert "laplacian" in data["scans"]
-    assert data["scans"]["laplacian"]["at_unit_depth"] <= data["scans"]["laplacian"]["value"]
+    assert set(data) == {"passed", "meta", "conditions"}
 
 
 def test_theorem_conditions_reject_bad_epsilon(standard_config):
     with pytest.raises(ValueError):
         verify_theorem_conditions(standard_config, epsilon=0.0)
+
+
+@pytest.mark.parametrize("delta, starts, epsilon", [
+    (0.5, STANDARD_STARTS, 2.0),
+    (1e-3, (2549, 16580, 59309, 172510), 0.004),
+])
+def test_carleson_rows_are_total_masses(delta, starts, epsilon):
+    # a radial density's Carleson constant is its total mass: each row reads
+    # radial_carleson_norm of its density, and no depth scan is reported
+    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
+    reports = (verify_f_conditions(config), verify_theorem_conditions(config, epsilon))
+    rows = {c.condition: c.measured for rep in reports for c in rep.conditions}
+    w, f = config.weights(), config.kernel_ratio
+    grid = _condition_grid(w.spikes)
+    p = DecayProfile(f.add(RadialSeries.from_terms([(0, -1.0)])), grid)
+    masses = {"laplacian_carleson": radial_carleson_norm(p.laplacian),
+              "gradient_carleson": radial_carleson_norm(p.gradient_sq),
+              "curvature_carleson": radial_carleson_norm(curvature_density(f, w.spikes))}
+    for sp in w.spikes:
+        q = DecayProfile(spike_ratio_term(config.alpha, sp), grid)
+        masses[f"spike{sp.half_width}_laplacian_carleson"] = radial_carleson_norm(q.laplacian)
+        masses[f"spike{sp.half_width}_gradient_sq_carleson"] = radial_carleson_norm(q.gradient_sq)
+    assert {name: rows[name].hex() for name in masses} == {n: m.hex() for n, m in masses.items()}
+    assert all("scans" not in rep.to_dict() for rep in reports)
+    # 2 pi times the quadrature's estimate, within the rule's own stopping
+    # tolerance max(1e-13, 1e-10 |integral|)
+    error = reports[1].meta["curvature_carleson_error"]
+    assert math.isfinite(error)
+    assert error <= max(TWO_PI * 1e-13, 1e-10 * rows["curvature_carleson"])

@@ -25,6 +25,7 @@ from hardyshift import (
     spike_ratio_term,
 )
 from hardyshift import spectral as spectral_module
+from hardyshift.grids import boundary_refined_grid
 from hardyshift.series import fd_laplacian, truncation_order
 from hardyshift.weights import SpikeSpec
 
@@ -240,6 +241,17 @@ def test_curvature_difference_routes_agree(standard_config):
     a, b = curvature_difference(w, r)
     floor = 64.0 * np.finfo(float).eps * (curvature_backward_shift(r) + 1.0)
     assert np.all(np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), np.abs(b)) + floor)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(w=spiked_layouts())
+def test_curvature_routes_agree_and_ratio_stays_positive_on_random_layouts(w):
+    # the frozen configs are not the only layouts the checks must hold on:
+    # on a boundary-refined grid up to r_max 0.999 the two curvature routes
+    # agree (curvature_difference raises otherwise) and f stays positive
+    r = boundary_refined_grid(200, -math.log2(1.0 - 0.999))
+    curvature_difference(w, r)
+    assert np.all(kernel_ratio_series(w).eval(r * r) > 0.0)
 
 
 def test_curvature_difference_raises_on_corrupted_ratio(standard_config, monkeypatch):
