@@ -16,7 +16,9 @@ Six parts, each run on both checkouts with this same script:
   delta 0.5, K = 3..8), of `verify_f_conditions` /
   `verify_theorem_conditions` (eps 2) on the frozen K = 8 config, and of
   `verify_theorem_conditions` (eps 0.004) on the frozen K = 4, delta 1e-3
-  config, the two `verify` runs of the `certify` workload; each in a
+  config, the two `verify` runs of the `certify` workload, and of
+  `verify_f_conditions` on the K = 8, delta 1e-6 config, whose powers
+  reach 6.2e9; jobs are named `<kind>_<config>`; each in a
   fresh interpreter with the checkout's `src` first on the path, the two
   checkouts alternating, REPS times;
 * in-process layer timings on the frozen K = 8 config, as microseconds
@@ -60,33 +62,40 @@ from pathlib import Path
 from statistics import median, quantiles
 
 K8_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479)
-# frozen verify configs by K: (delta, spike starts, epsilon)
-VERIFY_CONFIGS = {8: (0.5, K8_STARTS, 2.0),
-                  4: (1e-3, (2549, 16580, 59309, 172510), 0.004)}
+# frozen verify configs by name: (delta, spike starts, epsilon); K8_delta1e-6
+# holds the starts `construct --alpha 1 --delta 1e-6 --K 8` selects, powers
+# up to 6.2e9 that no workload reaches
+VERIFY_CONFIGS = {"K8": (0.5, K8_STARTS, 2.0),
+                  "K4": (1e-3, (2549, 16580, 59309, 172510), 0.004),
+                  "K8_delta1e-6": (1e-6, (2551008, 16581563, 59310981, 172512051, 453601498,
+                                          1124756484, 2684820735, 6240353356), 4e-6)}
 PLAN_KS = (3, 4, 5, 6, 7, 8)
 WORKLOADS = ("search", "certify", "tables")
 REPS = 7  # in-process timings per job and side
 # layer timings: calls per timed loop
 LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
                "radial_carleson_norm_laplacian": 50}
-LEMMA_POWERS = ("10", "2248", "172510")
+LEMMA_POWERS = ("10", "2248", "172510", "1124756484", str(2 ** 40 + 16))
 PAIRS = 10  # alternating end-to-end runs per workload
 COLD_REPS = 7  # cold-start timings per command and side
 
 
-def child(kind: str, k: int) -> None:
-    """Time one in-process call; print {"cpu_s", "wall_s", "result"}."""
+def child(kind: str, key: str) -> None:
+    """Time one in-process call; print {"cpu_s", "wall_s", "result"}.  key is
+    K<k> for `plan` and a VERIFY_CONFIGS name otherwise."""
     from hardyshift.construction import (ConstructionConfig, verify_f_conditions,
                                          verify_theorem_conditions)
 
     if kind in LAYER_CALLS:
-        layer(kind, k)
+        layer(kind, key)
         return
     if kind == "plan":
+        k = int(key.removeprefix("K"))
         call = lambda: list(ConstructionConfig.plan(1.0, 0.5, k).spike_starts)  # noqa: E731
     else:
-        delta, starts, epsilon = VERIFY_CONFIGS[k]
-        config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=k, spike_starts=starts)
+        delta, starts, epsilon = VERIFY_CONFIGS[key]
+        config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts),
+                                    spike_starts=starts)
         if kind == "verify_f":
             call = lambda: verify_f_conditions(config).passed  # noqa: E731
         else:
@@ -97,7 +106,7 @@ def child(kind: str, k: int) -> None:
                       "wall_s": time.perf_counter() - t0, "result": result}))
 
 
-def layer(kind: str, k: int) -> None:
+def layer(kind: str, key: str) -> None:
     """Time LAYER_CALLS[kind] calls of one layer; print {"cpu_s", "wall_s", "us_per_call", "result"}."""
     import numpy as np
     from hardyshift.carleson import SeriesGapDensity, radial_carleson_norm
@@ -105,8 +114,8 @@ def layer(kind: str, k: int) -> None:
     from hardyshift.series import RadialSeries
     from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian
 
-    delta, starts, _ = VERIFY_CONFIGS[k]
-    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=k, spike_starts=starts)
+    delta, starts, _ = VERIFY_CONFIGS[key]
+    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
     f = kernel_ratio_series(config.weights(), r_max=config.r_max, tol=config.tol)
     if kind == "eval_1pt":
         call = lambda: f.eval(0.998)  # noqa: E731
@@ -128,9 +137,9 @@ def layer(kind: str, k: int) -> None:
                       "result": result}))
 
 
-def run_child(checkout: Path, kind: str, k: int) -> dict:
+def run_child(checkout: Path, kind: str, key: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out = subprocess.run([sys.executable, __file__, "--child", kind, str(k)], env=env,
+    out = subprocess.run([sys.executable, __file__, "--child", kind, key], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -142,7 +151,7 @@ def cold_commands(work: Path) -> dict[str, list[str]]:
     config.write_text(json.dumps({"alpha": 1.0, "delta": 0.5, "K": 3,
                                   "spike_starts": list(K8_STARTS[:3]),
                                   "r_max": 0.999, "tol": 1e-9}))
-    delta, starts, epsilon = VERIFY_CONFIGS[4]
+    delta, starts, epsilon = VERIFY_CONFIGS["K4"]
     small_delta.write_text(json.dumps({"alpha": 1.0, "delta": delta, "K": 4,
                                        "spike_starts": list(starts),
                                        "r_max": 0.999, "tol": 1e-9}))
@@ -321,13 +330,13 @@ def summary(samples: list[float]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--child", nargs=2, metavar=("KIND", "K"), help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=2, metavar=("KIND", "KEY"), help=argparse.SUPPRESS)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path, default=Path("."))
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child[0], int(args.child[1]))
+        child(*args.child)
         return 0
     if args.parent is None or args.out is None:
         parser.error("--parent and --out are required")
@@ -337,20 +346,21 @@ def main(argv=None) -> int:
     identity = output_identity(sides)
 
     inprocess = {side: {} for side in sides}
-    jobs = ([("plan", k) for k in PLAN_KS]
-            + [("verify_f", 8), ("verify_theorem", 8), ("verify_theorem", 4)]
-            + [(kind, 8) for kind in LAYER_CALLS])
+    jobs = ([("plan", f"K{k}") for k in PLAN_KS]
+            + [("verify_f", "K8"), ("verify_theorem", "K8"), ("verify_theorem", "K4"),
+               ("verify_f", "K8_delta1e-6")]
+            + [(kind, "K8") for kind in LAYER_CALLS])
     for rep in range(REPS):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
-        for kind, k in jobs:
+        for kind, key in jobs:
             for side in order:
-                res = run_child(sides[side], kind, k)
-                slot = inprocess[side].setdefault(f"{kind}_K{k}", {})
+                res = run_child(sides[side], kind, key)
+                slot = inprocess[side].setdefault(f"{kind}_{key}", {})
                 for name in ("cpu_s", "wall_s", "us_per_call"):
                     if name in res:
                         slot.setdefault(name, []).append(res[name])
                 slot["result"] = res["result"]
-                print(f"{side} {kind} K={k}: cpu {res['cpu_s']:.3f} s", flush=True)
+                print(f"{side} {kind} {key}: cpu {res['cpu_s']:.3f} s", flush=True)
     for side in sides:
         for job, slot in inprocess[side].items():
             for name in ("cpu_s", "wall_s", "us_per_call"):

@@ -57,6 +57,27 @@ def edge_integral_exact(m: int, p: int) -> Fraction:
     return Fraction(1, (m + p + 1) * math.comb(m + p, p))
 
 
+def gradient_sq_mass(series: RadialSeries) -> float:
+    """Mass 2 pi integral_0^1 s G'(s)^2 (1-r) r dr of |gradient G|^2 (1-r), s = r^2,
+    exact in the float coefficients c_i of G = sum_i c_i s^{e_i}, rounded once.
+
+    With a_i = e_i c_i, integers over one power of two, the density is
+    sum_ij a_i a_j r^{2E-2} (1-r), E = e_i + e_j, and r^{2E-1} (1-r) has
+    mass 1/(2E (2E+1)) = edge_integral_exact(2E-1, 1).  Float products of
+    the expanded s G'^2 cancel down to a mass of size 1/n^2 at large e_i.
+    """
+    ratios = [(e, c.as_integer_ratio())
+              for e, c in zip(series.exponents.tolist(), series.coeffs.tolist()) if e > 0]
+    scale = max((d for _, (_, d) in ratios), default=1)  # a power of two
+    terms = [(e, e * n * (scale // d)) for e, (n, d) in ratios]
+    sums: dict[int, int] = {}
+    for ei, ai in terms:
+        for ej, aj in terms:
+            sums[ei + ej] = sums.get(ei + ej, 0) + ai * aj
+    total = sum(Fraction(s, 2 * e * (2 * e + 1)) for e, s in sums.items())
+    return TWO_PI * float(total / scale ** 2)
+
+
 def _rising_sum(m: np.ndarray, p: int, y: np.ndarray) -> np.ndarray:
     """sum_{j=1}^{p} C(m+j, j) y^j by Horner's rule; every term is positive."""
     acc = np.zeros(np.broadcast(m, y).shape)
@@ -191,12 +212,11 @@ class SeriesGapDensity(RadialDensity):
     on the series' own exponents.
     """
 
-    def __init__(self, series: RadialSeries, gap_power: int, nonneg: bool = False):
+    def __init__(self, series: RadialSeries, gap_power: int):
         if gap_power < 0:
             raise ValueError("gap_power must be nonnegative")
         self.series = series
         self.gap_power = int(gap_power)
-        self.nonneg = bool(nonneg)
 
         def rho(r):
             r = np.asarray(r, dtype=np.float64)
@@ -207,7 +227,7 @@ class SeriesGapDensity(RadialDensity):
     @cached_property
     def sign_roots(self) -> tuple[float, ...]:
         """Radii in (0, 1) where G(r^2) changes sign."""
-        return () if self.nonneg else sign_roots(self.series.eval, self.series.exponents)
+        return sign_roots(self.series.eval, self.series.exponents)
 
     @cached_property
     def _edge_weights(self) -> np.ndarray:

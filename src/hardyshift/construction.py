@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -30,6 +31,7 @@ from .carleson import (
     SeriesGapDensity,
     TWO_PI,
     edge_integral_exact,
+    gradient_sq_mass,
     radial_carleson_norm,
 )
 from .grids import boundary_refined_grid, merge_grids, peak_candidates, refined_supremum, sign_roots
@@ -40,7 +42,7 @@ from .spectral import (
     ratio_log_laplacian,
     spike_ratio_term,
 )
-from .weights import SpikeSpec, WeightSequence, build_spiked_weights
+from .weights import SpikeSpec, WeightSequence, build_spiked_weights, check_real
 
 MAX_SPIKES = 8
 MAX_START = 2 ** 40  # select_spike_positions gives up past this start
@@ -108,22 +110,18 @@ def _decay_grid(powers: Iterable[int], count: int, u_max: float) -> np.ndarray:
 class DecayProfile:
     """Decay quantities of a radial term G(s), s = r^2, measured on a grid.
 
-    `laplacian` and `gradient_sq` are the Carleson densities
-    |Laplacian G| (1 - r) and |gradient G|^2 (1 - r).  The suprema are
-    (argmax_r, value) pairs: value_sup of |G|, laplacian_sup of
+    `laplacian` is the Carleson density |Laplacian G| (1 - r); the mass of
+    |gradient G|^2 (1 - r) is carleson.gradient_sq_mass of the series.  The
+    suprema are (argmax_r, value) pairs: value_sup of |G|, laplacian_sup of
     |Laplacian G| (1 - r)^2 and gradient_sup of |gradient G| (1 - r) =
     r |G'(r^2)| (1 - r), read from G' and not from the expanded s G'^2,
-    whose coefficients cancel.  All but `laplacian` are built on first access.
+    whose coefficients cancel.  The suprema are built on first access.
     """
 
     def __init__(self, series: RadialSeries, grid: np.ndarray):
         self.series = series
         self.grid = grid
         self.laplacian = SeriesGapDensity(series.laplacian(), 1)
-
-    @cached_property
-    def gradient_sq(self) -> SeriesGapDensity:
-        return SeriesGapDensity(self.series.grad_sq(), 1, nonneg=True)
 
     @cached_property
     def value_sup(self) -> tuple[float, float]:
@@ -146,23 +144,20 @@ def lemma_bounds(n: int) -> Decay:
 
     Suprema come from a boundary-refined grid seeded with the exact
     critical radii and polished locally; laplacian_carleson is integrated
-    through edge integrals.  gradient_sq_carleson is exact: s G'^2 =
-    n^2 r^{4n-2} - 2n(n+1) r^{4n} + (n+1)^2 r^{4n+2} and r^m (1 - r) has
-    mass 1/((m+1)(m+2)), each term reduced below.  Reports, pure functions
-    of n, are kept in one process-wide table: a test that patches anything
-    this calls must call lemma_bounds.cache_clear() first.
+    through edge integrals, and gradient_sq_carleson is gradient_sq_mass,
+    exact.  Reports, pure functions of n, are kept in one process-wide
+    table: a test that patches anything this calls must call
+    lemma_bounds.cache_clear() first.
     """
     if not 0 <= n <= MAX_POWER:
         raise ValueError(f"n must lie in 0..{MAX_POWER}, got {n}")
     p = DecayProfile(edge_bump(n), _decay_grid([n], 701, 45.0))
-    grad_mass = (Fraction(n, 4 * (4 * n + 1)) - Fraction(n * (n + 1), (2 * n + 1) * (4 * n + 3))
-                 + Fraction(n + 1, 4 * (4 * n + 5)))
     return Decay(
         value_sup=bump_peak(n)[1],
         laplacian_sup=p.laplacian_sup[1],
         gradient_sup=p.gradient_sup[1],
         laplacian_carleson=radial_carleson_norm(p.laplacian),
-        gradient_sq_carleson=TWO_PI * float(grad_mass),
+        gradient_sq_carleson=gradient_sq_mass(p.series),
     )
 
 
@@ -253,6 +248,9 @@ def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
 
 
 def _check_construction(alpha: float, delta: float, n_spikes: int) -> None:
+    check_real(alpha=alpha, delta=delta)
+    if isinstance(n_spikes, bool) or not isinstance(n_spikes, numbers.Integral):
+        raise ValueError(f"n_spikes must be an integer, got {n_spikes!r}")
     if alpha <= 0 or not math.isfinite(alpha):
         raise ValueError("alpha must be positive and finite")
     if not 0.0 < delta < 1.0:
@@ -303,24 +301,11 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
 
 
 def _check_sampling(r_max: float, tol: float) -> None:
+    check_real(r_max=r_max, tol=tol)
     if not 0.0 < r_max < 1.0:
         raise ValueError("r_max must lie in (0, 1)")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-
-
-# bool is an int subclass but no JSON number; int() and float() would
-# accept true and "0.5", and int() would truncate 2.9 to 2
-def _json_number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config {key} must be a JSON number, got {value!r}")
-    return float(value)
-
-
-def _json_integer(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config {key} must be a JSON integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -340,6 +325,11 @@ class ConstructionConfig:
 
     def __post_init__(self):
         _check_construction(self.alpha, self.delta, self.n_spikes)
+        _check_sampling(self.r_max, self.tol)
+        # plain Python numbers, so that to_json writes what from_json reads
+        for name, kind in (("alpha", float), ("delta", float), ("n_spikes", int),
+                           ("r_max", float), ("tol", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         # the weights reject non-integer starts and check ordering and gaps
         object.__setattr__(self, "spike_starts", tuple(sp.start for sp in self.weights().spikes))
         if len(self.spike_starts) != self.n_spikes:
@@ -349,7 +339,6 @@ class ConstructionConfig:
         if any(n > MAX_START for n in self.spike_starts):
             raise ValueError(f"spike starts must not exceed {MAX_START}, "
                              f"got {max(self.spike_starts)}")
-        _check_sampling(self.r_max, self.tol)
 
     @classmethod
     def plan(cls, alpha: float, delta: float, n_spikes: int,
@@ -389,15 +378,8 @@ class ConstructionConfig:
         starts = data["spike_starts"]
         if not isinstance(starts, list):
             raise ValueError(f"config spike_starts must be a list, got {starts!r}")
-        return cls(
-            alpha=_json_number("alpha", data["alpha"]),
-            delta=_json_number("delta", data["delta"]),
-            n_spikes=_json_integer("K", data["K"]),
-            spike_starts=tuple(_json_integer(f"spike_starts[{i}]", n)
-                               for i, n in enumerate(starts)),
-            r_max=_json_number("r_max", data["r_max"]),
-            tol=_json_number("tol", data["tol"]),
-        )
+        return cls(alpha=data["alpha"], delta=data["delta"], n_spikes=data["K"],
+                   spike_starts=tuple(starts), r_max=data["r_max"], tol=data["tol"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -471,7 +453,7 @@ def measure_spike_conditions(alpha: float, spike: SpikeSpec, grid: np.ndarray) -
     on a grid from _condition_grid."""
     p = DecayProfile(spike_ratio_term(alpha, spike), grid)
     return Decay(p.value_sup[1], p.laplacian_sup[1], p.gradient_sup[1],
-                 radial_carleson_norm(p.laplacian), radial_carleson_norm(p.gradient_sq))
+                 radial_carleson_norm(p.laplacian), gradient_sq_mass(p.series))
 
 
 def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
@@ -495,7 +477,7 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
         _row("laplacian_sup", delta, sup_lap, arg_lap),
         _row("gradient_sup", math.sqrt(delta), sup_grad, arg_grad),
         _row("laplacian_carleson", delta, radial_carleson_norm(p.laplacian)),
-        _row("gradient_carleson", delta, radial_carleson_norm(p.gradient_sq)),
+        _row("gradient_carleson", delta, gradient_sq_mass(p.series)),
     ]
 
     for sp in w.spikes:

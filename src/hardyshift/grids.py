@@ -2,11 +2,11 @@
 
 Everything in this package is radially symmetric, so suprema over the disk
 reduce to suprema over the radius r in [0, 1).  The quantities of interest
-(powers s^n with n up to ~10^6 times gap factors (1-r)^p) live on boundary
-scales 1 - r ~ 1/n, so a uniform grid in r is useless.  We instead use a
-grid that is uniform in u = -log2(1 - r), which resolves every dyadic
-boundary scale equally, and augment it with the analytically known critical
-radii m/(m+p) of the majorant family r^m (1-r)^p.
+(powers s^n, with n up to 2^40 where the spike search stops, times gap
+factors (1-r)^p) live on boundary scales 1 - r ~ 1/n, so a uniform grid in
+r is useless.  We instead use a grid that is uniform in u = -log2(1 - r),
+which resolves every dyadic boundary scale equally, and augment it with the
+analytically known critical radii m/(m+p) of the majorant family r^m (1-r)^p.
 
 The module also holds the package's own ports of the two numerical
 methods it would otherwise import from scipy: Brent's root finder
@@ -92,16 +92,9 @@ def boundary_refined_grid(count: int, u_max: float) -> np.ndarray:
     return 1.0 - np.exp2(-u)
 
 
-def critical_radius(m: float, p: float) -> float:
-    """Maximizer of r^m (1-r)^p on [0, 1]: r = m/(m+p)."""
-    if m < 0 or p <= 0:
-        raise ValueError("need m >= 0 and p > 0")
-    return m / (m + p)
-
-
 def peak_candidates(powers: Iterable[int]) -> np.ndarray:
-    """Critical radii m/(m+p) for each positive monomial power m and gap power p = 1, 2, 3."""
-    pts = [critical_radius(m, p) for m in powers for p in (1, 2, 3) if m > 0]
+    """Maximizers m/(m+p) of r^m (1-r)^p for each positive power m and p = 1, 2, 3."""
+    pts = [m / (m + p) for m in powers for p in (1, 2, 3) if m > 0]
     return np.asarray(sorted(set(pts)), dtype=float)
 
 

@@ -1,8 +1,8 @@
 """Radial power series in s = |z|^2 with sparse exponents.
 
 A radial function G(|z|^2) = sum_e b_e s^e is stored as parallel arrays of
-integer exponents and real coefficients.  Exponents may be huge (spiked
-weight constructions push them to ~10^6), so monomials s^e with e > 64 are
+integer exponents and real coefficients.  Exponents may be huge (the
+spike search places starts up to 2^40), so monomials s^e with e > 64 are
 evaluated in the log domain as exp(e * ln s); small exponents go through
 ordinary powers.  Dense series (contiguous exponents from 0) take a Horner
 fast path.
@@ -20,7 +20,7 @@ Differential operators, for the normalized Laplacian Delta = d^2/(dz dzbar)
     Delta s^e = e^2 s^{e-1}            so   Delta G = G'(s) + s G''(s)
     |dG/dz|^2 = s * (G'(s))^2
 
-both of which stay sparse with the same number of terms (squaring excepted).
+The Laplacian stays sparse; carleson.gradient_sq_mass integrates s G'^2 from G'.
 """
 
 from __future__ import annotations
@@ -227,6 +227,8 @@ class RadialSeries:
         c = self.coeffs[keep] * (e.astype(np.float64) ** 2)
         return RadialSeries(e - 1, c)
 
+    # grad_sq, shift, multiply and _PRODUCT_TERM_CAP have no caller in the package;
+    # they stay while hardybench/tracer.py wraps grad_sq and multiply by name
     def grad_sq(self) -> "RadialSeries":
         """Squared gradient modulus of G(|z|^2): s * (G'(s))^2."""
         d = self.d_ds()

@@ -16,7 +16,7 @@ sparse correction per spike,
 
 where G_k collects the deficits 1/w_n - 1 over the spike's interior.  The
 kernel ratio f(s) = (1-s) K(s) = 1 + sum_k H_k(s) with H_k = (1-s) G_k is
-then a short exact polynomial even when spike positions sit near 10^6, and
+then a short exact polynomial even when spike positions sit near 2^40, and
 
     kappa_weighted - kappa_unweighted = Delta log f
 

@@ -105,6 +105,13 @@ class WeightSequence:
         return self.spikes[-1].end if self.spikes else 0
 
 
+def check_real(**values) -> None:
+    """ValueError unless each value is a real number: numpy numbers are, bool and str not."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def build_spiked_weights(alpha: float, spike_starts: Sequence[int]) -> WeightSequence:
     """Spike layout where the k-th spike (1-based) has half width k.
 
@@ -115,8 +122,7 @@ def build_spiked_weights(alpha: float, spike_starts: Sequence[int]) -> WeightSeq
     is not power bounded, hence not similar to S*.  Starts must be integers
     (bool excluded) and alpha a real number.
     """
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
-        raise ValueError(f"alpha must be a real number, got {alpha!r}")
+    check_real(alpha=alpha)
     starts = tuple(spike_starts)
     for s in starts:
         if isinstance(s, bool) or not isinstance(s, numbers.Integral):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import spiked_layouts
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
 
@@ -18,8 +19,8 @@ from hardyshift import (
     radial_carleson_norm,
 )
 from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, carleson_norm,
-                                 dyadic_t_grid, head_ratio, tail_ratio)
-from hardyshift.construction import curvature_density
+                                 dyadic_t_grid, gradient_sq_mass, head_ratio, tail_ratio)
+from hardyshift.construction import MAX_POWER, curvature_density
 from hardyshift.grids import _root_scan_grid, sign_roots
 from hardyshift.series import RadialSeries, edge_bump
 from hardyshift.spectral import kernel_ratio_series
@@ -64,6 +65,16 @@ def test_float_binomial_sum_cancels_where_exact_route_does_not():
     naive = sum((-1) ** j * math.comb(p, j) / (m + j + 1) for j in range(p + 1))
     exact = float(edge_integral_exact(m, p))
     assert abs(naive - exact) / exact > 1e-3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, MAX_POWER - 1))
+@example(n=1)
+@example(n=MAX_POWER - 1)
+def test_bump_gradient_mass_decreases_in_the_power(n):
+    # the mass is about pi / (16 n^2), so one step in n moves it by about
+    # 2/n relative, above rounding across the whole search range
+    assert gradient_sq_mass(edge_bump(n + 1)) < gradient_sq_mass(edge_bump(n))
 
 
 # ---------------------------------------------------------------------- #

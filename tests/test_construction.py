@@ -27,7 +27,7 @@ from hardyshift import (
     verify_theorem_conditions,
 )
 from hardyshift import construction
-from hardyshift.carleson import TWO_PI
+from hardyshift.carleson import TWO_PI, gradient_sq_mass
 from hardyshift.construction import (
     Decay,
     DecayProfile,
@@ -41,6 +41,9 @@ from hardyshift.spectral import spike_ratio_term
 from hardyshift.weights import SpikeSpec
 
 STANDARD_STARTS = (3, 32, 117)
+# the starts `construct --alpha 1 --delta 1e-6 --K 8` selects
+SMALL_DELTA_K8 = (2551008, 16581563, 59310981, 172512051, 453601498, 1124756484,
+                  2684820735, 6240353356)
 
 
 # ---------------------------------------------------------------------- #
@@ -308,6 +311,24 @@ def test_library_input_is_never_truncated():
     assert build_spiked_weights(np.float64(1.0), [np.int32(3)]).spikes[0].start == 3
 
 
+def test_library_numbers_are_checked_by_type():
+    # K = True was stored and written as "K": true, which from_json refuses;
+    # strings raised TypeError instead of ValueError
+    valid = dict(alpha=1.0, delta=0.5, n_spikes=1, spike_starts=(3,))
+    for change in ({"n_spikes": True}, {"n_spikes": 1.0}, {"alpha": "1"}, {"delta": "0.5"},
+                   {"delta": True}, {"r_max": "0.999"}, {"tol": None}):
+        with pytest.raises(ValueError):
+            ConstructionConfig(**{**valid, **change})
+    for args in ((True, 0.5, 1), (1.0, 0.5, True), (1.0, "0.5", 1), (1.0, 0.5, 1.0)):
+        with pytest.raises(ValueError):
+            select_spike_positions(*args)
+    # numpy numbers stay accepted, stored as Python numbers for the JSON round trip
+    config = ConstructionConfig(alpha=np.float64(1.0), delta=np.float32(0.5),
+                                n_spikes=np.int64(1), spike_starts=(3,))
+    assert ConstructionConfig.from_json(config.to_json()) == config
+    assert type(config.n_spikes) is int
+
+
 def test_config_rejects_starts_past_the_search_cap(monkeypatch):
     # the verifier's grid cannot reach a bump peak far past MAX_START: at
     # start 2^60 it read every spike2 sup as 0
@@ -354,22 +375,52 @@ def test_f_conditions_pass_for_standard_config(standard_config):
 
 
 def test_gradient_window_norms_subadditive(standard_config):
-    # L2 window masses of the gradient: assembled f never exceeds the sum
-    # of its spike terms on any tested window, by Minkowski in L2
-    from hardyshift import RadialSeries
-    from hardyshift.carleson import SeriesGapDensity
-
+    # L2 masses of the gradient: the assembled f never exceeds the sum of
+    # its spike terms, by Minkowski in L2
     w = standard_config.weights()
     terms = [spike_ratio_term(w.alpha, sp) for sp in w.spikes]
     f_extra = RadialSeries.zero()
     for t in terms:
         f_extra = f_extra.add(t)
-    total = SeriesGapDensity(f_extra.grad_sq(), 1, nonneg=True)
-    parts = [SeriesGapDensity(t.grad_sq(), 1, nonneg=True) for t in terms]
-    for t in (1.0, 0.5, 0.125, 2.0**-8):
-        lhs = math.sqrt(total.window_integral(1.0 - t, 1.0))
-        rhs = sum(math.sqrt(p.window_integral(1.0 - t, 1.0)) for p in parts)
-        assert lhs <= rhs * (1.0 + 1e-9)
+    lhs = math.sqrt(gradient_sq_mass(f_extra))
+    rhs = sum(math.sqrt(gradient_sq_mass(t)) for t in terms)
+    assert lhs <= rhs * (1.0 + 1e-9)
+
+
+def _mp_gradient_sq_mass(g: RadialSeries) -> mpmath.mpf:
+    """2 pi sum_ij a_i a_j / (2E (2E+1)), a_i = e_i c_i and E = e_i + e_j, at
+    60 digits: the mass of s G'^2 (1-r) r dr for the float coefficients of G."""
+    with mpmath.workdps(60):
+        a = [(int(e), int(e) * mpmath.mpf(float(c))) for e, c in zip(g.exponents, g.coeffs)]
+        return 2 * mpmath.pi * mpmath.fsum(ai * aj / (2 * (ei + ej) * (2 * (ei + ej) + 1))
+                                           for ei, ai in a for ej, aj in a if ei and ej)
+
+
+def test_gradient_masses_match_mpmath_at_large_starts():
+    # the expanded float s G'^2 read spike 8 here 68 times too large and
+    # gradient_carleson 0.26 % too small
+    config = ConstructionConfig(alpha=1.0, delta=1e-6, n_spikes=8, spike_starts=SMALL_DELTA_K8)
+    rows = {c.condition: c.measured for c in verify_f_conditions(config).conditions}
+    series = {f"spike{sp.half_width}_gradient_sq_carleson": spike_ratio_term(1.0, sp)
+              for sp in config.weights().spikes}
+    series["gradient_carleson"] = config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)]))
+    for name, g in series.items():
+        exact = _mp_gradient_sq_mass(g)
+        assert abs(rows[name] - exact) <= 1e-15 * exact, name
+    # the closed form against 40-digit quadrature of the density, spike 8
+    g = series["spike8_gradient_sq_carleson"]
+    n = int(g.exponents[0])
+    with mpmath.workdps(40):
+        a = [(int(e) - n, int(e) * mpmath.mpf(float(c))) for e, c in zip(g.exponents, g.coeffs)]
+
+        def density(r):
+            s = r * r
+            d = s ** (n - 1) * mpmath.fsum(c * s ** j for j, c in a)
+            return s * d * d * (1 - r) * r
+
+        cuts = [0] + [1 - mpmath.mpf(2) ** j / n for j in range(8, -5, -1)] + [1]
+        quadrature = 2 * mpmath.pi * mpmath.quad(density, cuts)
+        assert abs(_mp_gradient_sq_mass(g) / quadrature - 1) < 1e-25
 
 
 def test_spike_value_sup_closed_form():
@@ -396,7 +447,8 @@ def test_theorem_conditions_at_matched_epsilon(standard_config):
 
 
 def test_theorem_conditions_expand_no_series_product(monkeypatch):
-    # the curvature cuts come from the factored numerator of Delta log f
+    # the curvature cuts come from the factored numerator of Delta log f,
+    # and every gradient mass from G'
     def refuse(self, other):
         raise AssertionError("RadialSeries.multiply called")
 
@@ -404,6 +456,8 @@ def test_theorem_conditions_expand_no_series_product(monkeypatch):
     config = ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=8,
                                 spike_starts=(3, 32, 117, 343, 906, 2248, 5368, 12479))
     assert verify_theorem_conditions(config, epsilon=2.0).passed
+    assert verify_f_conditions(config).passed
+    assert construction.lemma_bounds.__wrapped__(2248).gradient_sq_carleson > 0.0
 
 
 def test_constructed_config_passes_at_requested_epsilon():
@@ -459,12 +513,12 @@ def test_carleson_rows_are_total_masses(delta, starts, epsilon):
     grid = _condition_grid(w.spikes)
     p = DecayProfile(f.add(RadialSeries.from_terms([(0, -1.0)])), grid)
     masses = {"laplacian_carleson": radial_carleson_norm(p.laplacian),
-              "gradient_carleson": radial_carleson_norm(p.gradient_sq),
+              "gradient_carleson": gradient_sq_mass(p.series),
               "curvature_carleson": radial_carleson_norm(curvature_density(f, w.spikes))}
     for sp in w.spikes:
         q = DecayProfile(spike_ratio_term(config.alpha, sp), grid)
         masses[f"spike{sp.half_width}_laplacian_carleson"] = radial_carleson_norm(q.laplacian)
-        masses[f"spike{sp.half_width}_gradient_sq_carleson"] = radial_carleson_norm(q.gradient_sq)
+        masses[f"spike{sp.half_width}_gradient_sq_carleson"] = gradient_sq_mass(q.series)
     assert {name: rows[name].hex() for name in masses} == {n: m.hex() for n, m in masses.items()}
     assert all("scans" not in rep.to_dict() for rep in reports)
     # 2 pi times the quadrature's estimate, within the rule's own stopping
