@@ -8,10 +8,10 @@ Six parts, each run on both checkouts with this same script:
   `tables` workloads (from the change's `hardybench/workloads.py`, verify
   seed 1), `lemma` and `construct --K 2`, run once per checkout; every
   output file and stdout must be byte-identical, manifests compared as
-  JSON without `elapsed_seconds`; for each CSV that is not, the count of
-  moved cells and the largest relative move, per column, and for each
-  JSON file or manifest that is not, the leaf paths added, removed and
-  changed;
+  JSON without `elapsed_seconds`; for each CSV that is not, per column,
+  the moved cells with their old and new text and the largest relative
+  move, and for each JSON file or manifest that is not, the leaf paths
+  added, removed and changed;
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
   delta 0.5, K = 3..8), of `verify_f_conditions` /
   `verify_theorem_conditions` (eps 2) on the frozen K = 8 config, and of
@@ -63,19 +63,19 @@ from statistics import median, quantiles
 
 K8_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479)
 # frozen verify configs by name: (delta, spike starts, epsilon); K8_delta1e-6
-# holds the starts `construct --alpha 1 --delta 1e-6 --K 8` selects, powers
-# up to 6.2e9 that no workload reaches
+# holds the minimal starts `construct --alpha 1 --delta 1e-6 --K 8` selects,
+# powers up to 6.2e9 that no workload reaches
 VERIFY_CONFIGS = {"K8": (0.5, K8_STARTS, 2.0),
                   "K4": (1e-3, (2549, 16580, 59309, 172510), 0.004),
-                  "K8_delta1e-6": (1e-6, (2551008, 16581563, 59310981, 172512051, 453601498,
-                                          1124756484, 2684820735, 6240353356), 4e-6)}
+                  "K8_delta1e-6": (1e-6, (2551008, 16581563, 59310981, 172512049, 453601462,
+                                          1124756247, 2684818434, 6240348396), 4e-6)}
 PLAN_KS = (3, 4, 5, 6, 7, 8)
 WORKLOADS = ("search", "certify", "tables")
 REPS = 7  # in-process timings per job and side
 # layer timings: calls per timed loop
 LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
                "radial_carleson_norm_laplacian": 50}
-LEMMA_POWERS = ("10", "2248", "172510", "1124756484", str(2 ** 40 + 16))
+LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484", str(2 ** 40 + 16))
 PAIRS = 10  # alternating end-to-end runs per workload
 COLD_REPS = 7  # cold-start timings per command and side
 
@@ -208,8 +208,8 @@ def output_differences(left: Path, right: Path) -> list[str]:
 
 def csv_moves(left: Path, right: Path) -> dict:
     """Per column of two CSVs with one header and row count: how many cells
-    moved, the largest relative move among the numeric ones and the first
-    cell of its row."""
+    moved, each moved cell as [first cell of its row, old, new], the largest
+    relative move among the numeric ones and the first cell of its row."""
     old, new = ([ln.split(",") for ln in p.read_text().splitlines()] for p in (left, right))
     if len(old) != len(new) or old[0] != new[0]:
         return {"shape": "differs"}
@@ -218,8 +218,9 @@ def csv_moves(left: Path, right: Path) -> dict:
         for name, x, y in zip(old[0], a, b):
             if x == y:
                 continue
-            slot = moves.setdefault(name, {"cells": 0, "max_rel": None, "at": None})
+            slot = moves.setdefault(name, {"cells": 0, "moved": [], "max_rel": None, "at": None})
             slot["cells"] += 1
+            slot["moved"].append([a[0], x, y])
             try:
                 rel = abs(float(y) - float(x)) / abs(float(x))
             except (ValueError, ZeroDivisionError):

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import QuadratureError, gauss_kronrod, sign_roots
+from .grids import QuadratureError, brentq, gauss_kronrod, sign_change_brackets, sign_roots
 from .series import RadialSeries
 
 TWO_PI = 2.0 * math.pi
@@ -76,6 +76,78 @@ def gradient_sq_mass(series: RadialSeries) -> float:
             sums[ei + ej] = sums.get(ei + ej, 0) + ai * aj
     total = sum(Fraction(s, 2 * e * (2 * e + 1)) for e, s in sums.items())
     return TWO_PI * float(total / scale ** 2)
+
+
+def _boundary_laplacian(series: RadialSeries) -> tuple[int, list[float], np.ndarray]:
+    """Laplacian of a short series G in the boundary variable u = 1 - r.
+
+    Writes Delta G = sum_e e^2 c_e s^{e-1} = s^N R(1-s), with R's integer
+    coefficients formed exactly from the float c_e (integers over one power
+    of two), and then S(u) = R(u (2-u)), since 1 - s = u (2-u), also
+    exact.  The density |Delta G| (1-r) r dr is u (1-u)^{2N+1} |S(u)| du,
+    and term j of S has the full mass a_j = S_j B(j+2, 2N+2), each rounded
+    once.  Returns (2N+1, [a_j], cuts): the cuts are the sign changes of S
+    in (0, 1), ascending, then 1.  They come from a scan of 16 points per
+    octave, which would miss two roots within 4 % of each other; a spike
+    term or a bump has one root, as its coefficients change sign once in
+    exponent order (Descartes' rule of signs).
+    """
+    ratios = [(e, c.as_integer_ratio())
+              for e, c in zip(series.exponents.tolist(), series.coeffs.tolist()) if e > 0]
+    if not ratios:
+        return 1, [], np.ones(1)
+    scale = max(d for _, (_, d) in ratios)  # a power of two
+    low = ratios[0][0] - 1  # N
+    r = [0] * (ratios[-1][0] - low)
+    for e, (num, den) in ratios:
+        lap, d = e * e * num * (scale // den), e - 1 - low
+        for i in range(d + 1):
+            r[i] += (-1) ** i * math.comb(d, i) * lap
+    s = [0] * (2 * len(r) - 1)
+    for i, ri in enumerate(r):
+        for k in range(i + 1):  # (u (2-u))^i = sum_k C(i, k) 2^{i-k} (-1)^k u^{i+k}
+            s[i + k] += (-1) ** k * math.comb(i, k) * 2 ** (i - k) * ri
+    m = 2 * low + 1
+    # B(j+2, m+1) = edge_integral_exact(m, j+1); int / int rounds once
+    masses = [sj / (scale * (m + j + 2) * math.comb(m + j + 1, j + 1)) for j, sj in enumerate(s)]
+    # the roots x = 1 - s of R lie near 1/N: in y = (N+1) x its coefficients
+    # are of order one, and brentq polishes each sign change of a geometric
+    # scan to rounding in y (in s, rounding would be N times coarser)
+    scaled = [ri / (scale * (low + 1) ** i) for i, ri in enumerate(r)]
+
+    def poly(y):
+        return np.polynomial.polynomial.polyval(y, scaled)
+
+    grid = np.geomspace(2.0 ** -30, low + 1.0, 16 * (30 + (low + 1).bit_length()))
+    x = np.array([brentq(poly, lo, hi, xtol=0.0)
+                  for lo, hi in sign_change_brackets(poly(grid), grid)]) / (low + 1)
+    return m, masses, np.append(x / (1.0 + np.sqrt(1.0 - x)), 1.0)
+
+
+def laplacian_masses(terms: Sequence[RadialSeries]) -> list[float]:
+    """Mass 2 pi integral_0^1 |Delta G(r^2)| (1-r) r dr of each short series G.
+
+    Each G is read in the boundary basis of _boundary_laplacian, where the
+    mass is a sum of incomplete beta pieces between the roots of a
+    polynomial of degree at most twice G's exponent span: no float product
+    e^2 c_e is formed, so the pieces do not cancel at large exponents.  The
+    shares tail_ratio(2N+1, j+1, u) of all terms and cuts are taken in one
+    call per j.
+    """
+    blocks = [_boundary_laplacian(g) for g in terms]
+    if not blocks:
+        return []
+    m = np.concatenate([np.full(len(cuts), mj, dtype=np.float64) for mj, _, cuts in blocks])
+    u = np.concatenate([cuts for _, _, cuts in blocks])
+    coeffs = np.zeros((len(u), max(len(a) for _, a, _ in blocks)))
+    rows = np.cumsum([0] + [len(cuts) for _, _, cuts in blocks])
+    for (_, a, _), lo, hi in zip(blocks, rows, rows[1:]):
+        coeffs[lo:hi, :len(a)] = a
+    cumulative = np.zeros(len(u))  # mass of S's terms on [0, u], summed in term order
+    for j in range(coeffs.shape[1]):
+        cumulative += coeffs[:, j] * tail_ratio(m, j + 1, u)
+    return [TWO_PI * _sum_in_order(np.abs(np.diff(cumulative[lo:hi], prepend=0.0)).tolist())
+            for lo, hi in zip(rows, rows[1:])]
 
 
 def _rising_sum(m: np.ndarray, p: int, y: np.ndarray) -> np.ndarray:

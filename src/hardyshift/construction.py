@@ -32,9 +32,11 @@ from .carleson import (
     TWO_PI,
     edge_integral_exact,
     gradient_sq_mass,
+    laplacian_masses,
     radial_carleson_norm,
 )
-from .grids import boundary_refined_grid, merge_grids, peak_candidates, refined_supremum, sign_roots
+from .grids import (boundary_refined_grid, bump_supremum, merge_grids, peak_candidates,
+                    refined_supremum, sign_roots)
 from .series import RadialSeries, edge_bump
 from .spectral import (
     deficit_coefficients,
@@ -46,8 +48,7 @@ from .weights import SpikeSpec, WeightSequence, build_spiked_weights, check_real
 
 MAX_SPIKES = 8
 MAX_START = 2 ** 40  # select_spike_positions gives up past this start
-# lemma_bounds refuses powers past this bound on what any spike gate reads;
-# its grid cannot reach the bump's peak far beyond it
+# the largest bump power any spike gate reads; lemma_bounds refuses larger ones
 MAX_POWER = MAX_START + 2 * MAX_SPIKES
 
 
@@ -140,24 +141,36 @@ class DecayProfile:
 
 @lru_cache(maxsize=None)
 def lemma_bounds(n: int) -> Decay:
-    """Decay quantities of the edge bump of power n.
+    """Decay quantities of the edge bump s^n (1 - s), from closed forms.
 
-    Suprema come from a boundary-refined grid seeded with the exact
-    critical radii and polished locally; laplacian_carleson is integrated
-    through edge integrals, and gradient_sq_carleson is gradient_sq_mass,
-    exact.  Reports, pure functions of n, are kept in one process-wide
-    table: a test that patches anything this calls must call
-    lemma_bounds.cache_clear() first.
+    The weighted Laplacian and gradient of the bump factor as
+
+        |Laplacian G| (1-r)^2 = s^{n-1} |(n+1)^2 (1-s) - (2n+1)| (1-r)^2
+        |gradient G| (1-r)    = s^{n-1/2} |(n+1) (1-s) - 1| (1-r),
+
+    so no n^2 cancels against (n+1)^2 s, and grids.bump_supremum takes each
+    sup at its critical points.  Splitting the mass of |Laplacian G| (1-r) at
+    r* = n/(n+1) gives
+
+        laplacian_carleson = 2 pi [2 rho n (8n+3) / (2 (n+1)(2n+1)(2n+3))
+                                   + 1 / (2 (2n+1)(2n+3))],  rho = r*^{2n},
+
+    and gradient_sq_carleson is gradient_sq_mass, exact.  Reports, pure
+    functions of n, are kept in one process-wide table: a test that patches
+    anything this calls must call lemma_bounds.cache_clear() first.
     """
-    if not 0 <= n <= MAX_POWER:
-        raise ValueError(f"n must lie in 0..{MAX_POWER}, got {n}")
-    p = DecayProfile(edge_bump(n), _decay_grid([n], 701, 45.0))
+    if not 1 <= n <= MAX_POWER:
+        raise ValueError(f"n must lie in 1..{MAX_POWER}, got {n}")
+    b = 2 * n + 1
+    rho = math.exp(2 * n * math.log1p(-1.0 / (n + 1)))
+    mass = 2 * rho * float(Fraction(n * (8 * n + 3), 2 * (n + 1) * b * (2 * n + 3))) \
+        + float(Fraction(1, 2 * b * (2 * n + 3)))
     return Decay(
         value_sup=bump_peak(n)[1],
-        laplacian_sup=p.laplacian_sup[1],
-        gradient_sup=p.gradient_sup[1],
-        laplacian_carleson=radial_carleson_norm(p.laplacian),
-        gradient_sq_carleson=gradient_sq_mass(p.series),
+        laplacian_sup=bump_supremum(n - 1, (n + 1) ** 2, b, 2),
+        gradient_sup=bump_supremum(n - 0.5, n + 1, 1, 1),
+        laplacian_carleson=TWO_PI * mass,
+        gradient_sq_carleson=gradient_sq_mass(edge_bump(n)),
     )
 
 
@@ -448,12 +461,22 @@ def _condition_grid(spikes: Sequence[SpikeSpec]) -> np.ndarray:
     return _decay_grid([m for sp in spikes for m in sp.interior], 801, 46.0)
 
 
-def measure_spike_conditions(alpha: float, spike: SpikeSpec, grid: np.ndarray) -> Decay:
-    """Measured decay quantities of one spike's assembled correction term
-    on a grid from _condition_grid."""
-    p = DecayProfile(spike_ratio_term(alpha, spike), grid)
-    return Decay(p.value_sup[1], p.laplacian_sup[1], p.gradient_sup[1],
-                 radial_carleson_norm(p.laplacian), gradient_sq_mass(p.series))
+def measure_spike_conditions(alpha: float, spikes: Sequence[SpikeSpec],
+                             grid: np.ndarray) -> list[Decay]:
+    """Measured decay quantities of each spike's assembled correction term.
+
+    The suprema are read on a grid from _condition_grid; the Laplacian
+    masses come from carleson.laplacian_masses, one batch for all spikes,
+    and the gradient masses from gradient_sq_mass, both exact in the term's
+    float coefficients.
+    """
+    terms = [spike_ratio_term(alpha, sp) for sp in spikes]
+    out = []
+    for g, mass in zip(terms, laplacian_masses(terms)):
+        p = DecayProfile(g, grid)
+        out.append(Decay(p.value_sup[1], p.laplacian_sup[1], p.gradient_sup[1],
+                         mass, gradient_sq_mass(g)))
+    return out
 
 
 def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
@@ -480,9 +503,8 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
         _row("gradient_carleson", delta, gradient_sq_mass(p.series)),
     ]
 
-    for sp in w.spikes:
+    for sp, measured in zip(w.spikes, measure_spike_conditions(config.alpha, w.spikes, grid)):
         k = sp.half_width
-        measured = measure_spike_conditions(config.alpha, sp, grid)
         rows.extend(_row(f"spike{k}_{name}", t, m) for name, t, m in
                     zip(Decay._fields, spike_correction_thresholds(delta, k), measured))
 

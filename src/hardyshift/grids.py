@@ -10,11 +10,14 @@ analytically known critical radii m/(m+p) of the majorant family r^m (1-r)^p.
 
 The module also holds the package's own ports of the two numerical
 methods it would otherwise import from scipy: Brent's root finder
-(brentq) and adaptive Gauss-Kronrod quadrature (gauss_kronrod).
+(brentq) and adaptive Gauss-Kronrod quadrature (gauss_kronrod).  Brent's
+method also gives bump_supremum, the sup of a bump written in factored
+form, at its critical points and without a grid.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -152,6 +155,41 @@ def refined_supremum(fn: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -
         # a bracket a few ulps wide (|r| large) can stop shrinking above xatol
         open_ = (hi - lo > _POLISH_XATOL) & (hi - lo < width)
     return best_r, best_v
+
+
+def bump_supremum(c: float, alpha: int, beta: int, p: int) -> float:
+    """sup over r in [0, 1) of F = s^c |alpha (1-s) - beta| (1-r)^p, s = r^2,
+    for alpha > beta > 0.
+
+    In t = -log s the factors read e^{-c t}, |alpha x - beta| with
+    x = -expm1(-t), and (-expm1(-t/2))^p, so no term cancels against a
+    rounded s.  log F is concave on each side of the sign change t_sign,
+    where alpha x = beta: its slope falls from +inf to -inf on the left
+    and from +inf to -c on the right.  So each side holds one critical
+    point, found by brentq, except the right side when c = 0, where F
+    rises to |alpha - beta| at r = 0.
+    """
+    def value(t):
+        return math.exp(-c * t) * abs(alpha * -math.expm1(-t) - beta) * (-math.expm1(-t / 2)) ** p
+
+    def slope(t):
+        return (alpha * math.exp(-t) / (alpha * -math.expm1(-t) - beta) - c
+                + 0.5 * p * math.exp(-t / 2) / -math.expm1(-t / 2))
+
+    def first(points, rising):
+        return next((t for t in points if (slope(t) > 0.0) == rising), None)
+
+    t_sign = -math.log1p(-beta / alpha)
+    steps = range(1, 64)
+    left = (first((t_sign * 2.0 ** -j for j in steps), True),
+            first((t_sign * (1.0 - 2.0 ** -j) for j in steps), False))
+    right = (first((t_sign * (1.0 + 2.0 ** -j) for j in steps), True),
+             first((t_sign * 2.0 ** j for j in steps), False))
+    best = float(abs(alpha - beta)) if c == 0 else 0.0
+    for lo, hi in (left, right):
+        if hi is not None:
+            best = max(best, value(brentq(slope, lo, hi, xtol=0.0)))
+    return best
 
 
 def sign_change_brackets(values: np.ndarray, grid: np.ndarray) -> list[tuple[float, float]]:

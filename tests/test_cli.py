@@ -227,16 +227,15 @@ def test_lemma_rejects_nonpositive_power(tmp_path):
 
 
 def test_lemma_accepts_powers_up_to_the_search_range_only(tmp_path, capsys):
-    # past the largest power a spike gate reads, the lemma grid misses the
-    # bump's peak (the sups read 0 at 2^56) and 10^20 overflowed int64
+    # no spike gate reads a power past MAX_POWER (a grid lemma once read the
+    # sups as 0 at 2^56), and 10^20 overflowed int64
     assert cli.main(["lemma", str(MAX_POWER), "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "lemma.csv")
     n = int(rows[0][0])
     assert n == MAX_POWER
     # each column sits at its limit (n^2 for the squared gradient): 1/e,
-    # 0.146525, 0.023871, 4 pi / e^2 and pi / 16; the tolerance covers the
-    # noise, about n * 1e-16 relative, of sup_laplacian, sup_grad_sq and
-    # carl_laplacian (1.3e-4 for carl_laplacian here)
+    # 0.146525, 0.023871, 4 pi / e^2 and pi / 16, two of them given to six
+    # digits only
     scales = (n, n, n * n, n, n * n)
     limits = (math.exp(-1), 0.146525, 0.023871, 4 * math.pi * math.exp(-2), math.pi / 16)
     for value, scale, limit in zip(rows[0][1:6], scales, limits):
@@ -411,7 +410,8 @@ def test_unknown_subcommand_exits_with_input_error():
 
 
 def test_exit_code_for_unconverged_root_search(tmp_path, monkeypatch):
-    # sign roots that do not converge are a numerical failure, not a crash
+    # root searches that do not converge are a numerical failure, not a
+    # crash: the spike search reaches brentq through the lemma's sups
     from hardyshift import grids
     from hardyshift.grids import RootNotConvergedError
 
