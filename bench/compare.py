@@ -9,9 +9,9 @@ Six parts, each run on both checkouts with this same script:
   seed 1), `lemma` and `construct --K 2`, run once per checkout; every
   output file and stdout must be byte-identical, manifests compared as
   JSON without `elapsed_seconds`; for each CSV that is not, per column,
-  the moved cells with their old and new text and the largest relative
-  move, and for each JSON file or manifest that is not, the leaf paths
-  added, removed and changed;
+  the count of moved cells, the first 20 with their old and new text,
+  and the largest relative move, and for each JSON file or manifest that
+  is not, the leaf paths added, removed and changed;
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
   delta 0.5, K = 3..8), of `verify_f_conditions` /
   `verify_theorem_conditions` (eps 2) on the frozen K = 8 config, and of
@@ -208,8 +208,9 @@ def output_differences(left: Path, right: Path) -> list[str]:
 
 def csv_moves(left: Path, right: Path) -> dict:
     """Per column of two CSVs with one header and row count: how many cells
-    moved, each moved cell as [first cell of its row, old, new], the largest
-    relative move among the numeric ones and the first cell of its row."""
+    moved, the first 20 of them as [first cell of its row, old, new], the
+    largest relative move among the numeric ones and the first cell of its
+    row."""
     old, new = ([ln.split(",") for ln in p.read_text().splitlines()] for p in (left, right))
     if len(old) != len(new) or old[0] != new[0]:
         return {"shape": "differs"}
@@ -220,7 +221,8 @@ def csv_moves(left: Path, right: Path) -> dict:
                 continue
             slot = moves.setdefault(name, {"cells": 0, "moved": [], "max_rel": None, "at": None})
             slot["cells"] += 1
-            slot["moved"].append([a[0], x, y])
+            if len(slot["moved"]) < 20:
+                slot["moved"].append([a[0], x, y])
             try:
                 rel = abs(float(y) - float(x)) / abs(float(x))
             except (ValueError, ZeroDivisionError):

@@ -57,6 +57,15 @@ def edge_integral_exact(m: int, p: int) -> Fraction:
     return Fraction(1, (m + p + 1) * math.comb(m + p, p))
 
 
+def _integer_coefficients(series: RadialSeries) -> tuple[list[tuple[int, int]], int]:
+    """The terms (e, n_e) with e > 0 of a series and one power of two `scale`
+    with c_e = n_e / scale exactly, from as_integer_ratio."""
+    ratios = [(e, c.as_integer_ratio())
+              for e, c in zip(series.exponents.tolist(), series.coeffs.tolist()) if e > 0]
+    scale = max((d for _, (_, d) in ratios), default=1)
+    return [(e, n * (scale // d)) for e, (n, d) in ratios], scale
+
+
 def gradient_sq_mass(series: RadialSeries) -> float:
     """Mass 2 pi integral_0^1 s G'(s)^2 (1-r) r dr of |gradient G|^2 (1-r), s = r^2,
     exact in the float coefficients c_i of G = sum_i c_i s^{e_i}, rounded once.
@@ -66,10 +75,8 @@ def gradient_sq_mass(series: RadialSeries) -> float:
     mass 1/(2E (2E+1)) = edge_integral_exact(2E-1, 1).  Float products of
     the expanded s G'^2 cancel down to a mass of size 1/n^2 at large e_i.
     """
-    ratios = [(e, c.as_integer_ratio())
-              for e, c in zip(series.exponents.tolist(), series.coeffs.tolist()) if e > 0]
-    scale = max((d for _, (_, d) in ratios), default=1)  # a power of two
-    terms = [(e, e * n * (scale // d)) for e, (n, d) in ratios]
+    coeffs, scale = _integer_coefficients(series)
+    terms = [(e, e * n) for e, n in coeffs]
     sums: dict[int, int] = {}
     for ei, ai in terms:
         for ej, aj in terms:
@@ -92,15 +99,13 @@ def _boundary_laplacian(series: RadialSeries) -> tuple[int, list[float], np.ndar
     term or a bump has one root, as its coefficients change sign once in
     exponent order (Descartes' rule of signs).
     """
-    ratios = [(e, c.as_integer_ratio())
-              for e, c in zip(series.exponents.tolist(), series.coeffs.tolist()) if e > 0]
-    if not ratios:
+    terms, scale = _integer_coefficients(series)
+    if not terms:
         return 1, [], np.ones(1)
-    scale = max(d for _, (_, d) in ratios)  # a power of two
-    low = ratios[0][0] - 1  # N
-    r = [0] * (ratios[-1][0] - low)
-    for e, (num, den) in ratios:
-        lap, d = e * e * num * (scale // den), e - 1 - low
+    low = terms[0][0] - 1  # N
+    r = [0] * (terms[-1][0] - low)
+    for e, num in terms:
+        lap, d = e * e * num, e - 1 - low
         for i in range(d + 1):
             r[i] += (-1) ** i * math.comb(d, i) * lap
     s = [0] * (2 * len(r) - 1)

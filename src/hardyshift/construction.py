@@ -109,11 +109,10 @@ def _decay_grid(powers: Iterable[int], count: int, u_max: float) -> np.ndarray:
 
 
 class DecayProfile:
-    """Decay quantities of a radial term G(s), s = r^2, measured on a grid.
+    """Decay suprema of a radial term G(s), s = r^2, measured on a grid.
 
-    `laplacian` is the Carleson density |Laplacian G| (1 - r); the mass of
-    |gradient G|^2 (1 - r) is carleson.gradient_sq_mass of the series.  The
-    suprema are (argmax_r, value) pairs: value_sup of |G|, laplacian_sup of
+    `laplacian` is the series of Laplacian G.  The suprema are
+    (argmax_r, value) pairs: value_sup of |G|, laplacian_sup of
     |Laplacian G| (1 - r)^2 and gradient_sup of |gradient G| (1 - r) =
     r |G'(r^2)| (1 - r), read from G' and not from the expanded s G'^2,
     whose coefficients cancel.  The suprema are built on first access.
@@ -122,7 +121,7 @@ class DecayProfile:
     def __init__(self, series: RadialSeries, grid: np.ndarray):
         self.series = series
         self.grid = grid
-        self.laplacian = SeriesGapDensity(series.laplacian(), 1)
+        self.laplacian = series.laplacian()
 
     @cached_property
     def value_sup(self) -> tuple[float, float]:
@@ -130,7 +129,7 @@ class DecayProfile:
 
     @cached_property
     def laplacian_sup(self) -> tuple[float, float]:
-        lap = self.laplacian.series
+        lap = self.laplacian
         return refined_supremum(lambda r: np.abs(lap.eval(r * r)) * (1.0 - r) ** 2, self.grid)
 
     @cached_property
@@ -499,7 +498,8 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
         _row("ratio_deviation", delta, sup_dev, arg_dev),
         _row("laplacian_sup", delta, sup_lap, arg_lap),
         _row("gradient_sup", math.sqrt(delta), sup_grad, arg_grad),
-        _row("laplacian_carleson", delta, radial_carleson_norm(p.laplacian)),
+        _row("laplacian_carleson", delta,
+             radial_carleson_norm(SeriesGapDensity(p.laplacian, 1))),
         _row("gradient_carleson", delta, gradient_sq_mass(p.series)),
     ]
 

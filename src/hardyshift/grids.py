@@ -232,29 +232,19 @@ def sign_roots(fn: Callable, exponents: np.ndarray) -> tuple[float, ...]:
     """Radii r in (0, 1), ascending, where fn(r^2) changes sign.
 
     fn is a vectorized function of s = r^2 built from monomials s^e with
-    the given exponents.  Signs are bracketed on _root_scan_grid, where a
-    subnormal value counts as zero: it has too few bits to have a sign.
-    Each bracket is polished by brentq in s.
+    the given exponents, whose value at a point does not depend on the
+    batch it is evaluated in (RadialSeries.eval and everything built on
+    it), so brentq sees each bracket's sign change under its own scalar
+    calls.  Signs are bracketed on _root_scan_grid, where a subnormal
+    value counts as zero: it has too few bits to have a sign.  Each
+    bracket is polished by brentq in s.
     """
     s_grid = _root_scan_grid(exponents)
     vals = fn(s_grid)
     vals = np.where(np.abs(vals) < _TINY, 0.0, vals)
     root_ss = s_grid[_zero_crossings(vals)].tolist()
-
-    def f(s: float) -> float:
-        return float(fn(s))
-
-    for lo, hi in sign_change_brackets(vals, s_grid):
-        # re-taking signs scalar-by-scalar: vectorized and scalar
-        # powers round differently at the last ulp, and brentq must
-        # see a sign change, or a zero end, under its own evaluations
-        flo, fhi = f(lo), f(hi)
-        if flo != 0.0 and fhi != 0.0 and (flo < 0.0) == (fhi < 0.0):
-            # crossing sits at rounding level; either endpoint is a
-            # root to within one ulp of the values
-            root_ss.append(lo if abs(flo) <= abs(fhi) else hi)
-        else:
-            root_ss.append(brentq(f, lo, hi, xtol=1e-15))
+    root_ss += [brentq(lambda s: float(fn(s)), lo, hi, xtol=1e-15)
+                for lo, hi in sign_change_brackets(vals, s_grid)]
     return tuple(np.unique(np.sqrt(root_ss)).tolist())
 
 

@@ -2,17 +2,19 @@
 
 A radial function G(|z|^2) = sum_e b_e s^e is stored as parallel arrays of
 integer exponents and real coefficients.  Exponents may be huge (the
-spike search places starts up to 2^40), so monomials s^e with e > 64 are
-evaluated in the log domain as exp(e * ln s); small exponents go through
-ordinary powers.  Dense series (contiguous exponents from 0) take a Horner
-fast path.
+spike search places starts up to 2^40), but they come in short runs of
+consecutive powers: one run per spike term, and a dense series is a
+single run from 0.
 
 Each series builds its evaluation plan once, on first use, and keeps it:
-the dense flag, the (exponents, coeffs) pair of the small exponents, and
-the log-domain terms cut into blocks of 4096 with float exponents.  eval
-runs the plan; eval_with_derivatives returns G, G' and G'' together,
-bit-equal to eval on the series and its cached derivatives, with one
-range check and one log of s for all three.
+every maximal run of consecutive exponents is a block
+s^N (c_0 + c_1 s + ... + c_w s^w).  eval takes all blocks at once by one
+Horner pass over a (blocks x points) array, multiplies each block's row
+by s^N and adds the rows in block order.  Every step acts on one point
+alone, so a point's value does not depend on the batch it is evaluated
+in, and a dense series gets exactly the bits of Horner's rule.  eval_with_derivatives returns G,
+G' and G'' together, bit-equal to eval on the series and its cached
+derivatives, with one range check for all three.
 
 Differential operators, for the normalized Laplacian Delta = d^2/(dz dzbar)
 (one quarter of the standard Laplacian):
@@ -28,13 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
 
-_LOG_DOMAIN_MIN_EXP = 65  # s**e by repeated squaring below this, exp(e ln s) at or above
-_LOG_DOMAIN_BLOCK = 4096  # log-domain terms per exp(ln s * e) matrix
 _PRODUCT_TERM_CAP = 4_000_000
 
 
@@ -61,29 +60,31 @@ def _canonical(exponents: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, n
 
 
 class _EvalPlan(NamedTuple):
-    """A series' terms as eval consumes them.
+    """A series' terms as eval consumes them: one block per maximal run of
+    consecutive exponents.
 
-    dense holds the coefficients of a dense series (Horner); otherwise
-    small is the (exponents, coeffs) pair below _LOG_DOMAIN_MIN_EXP, or
-    None, and blocks the log-domain (float exponents, coeffs) pairs.  The
-    zero series has neither and evaluates to zeros.
+    powers holds each block's lowest exponent N, as a float column, and
+    horner its coefficients, one (blocks, 1) slice per power from the
+    highest down: slice j holds c_{w-j} of each block, w the widest
+    block's top power, with zeros above a shorter block's own top.  The
+    zero series is one block of zeros.
     """
 
-    dense: Optional[np.ndarray]
-    small: Optional[tuple[np.ndarray, np.ndarray]]
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    powers: np.ndarray
+    horner: np.ndarray
 
-    def run(self, s_arr: np.ndarray, logs: Optional[np.ndarray]) -> np.ndarray:
-        """Values at the points s_arr; logs = log(s_arr) when blocks is nonempty."""
-        if self.dense is not None:
-            return _poly.polyval(s_arr, self.dense)
-        out = np.zeros(s_arr.shape)
-        if self.small is not None:
-            e, c = self.small
-            out += np.power(s_arr[:, None], e[None, :]) @ c
-        for e, c in self.blocks:
-            out += np.exp(logs[:, None] * e[None, :]) @ c
-        return out
+    def run(self, s_arr: np.ndarray) -> np.ndarray:
+        """Values at the points s_arr."""
+        s = s_arr.reshape(-1)
+        acc = np.zeros((len(self.powers), len(s)))  # one row per block
+        for coeffs in self.horner:  # leading zeros stay 0: each block runs its own rule
+            acc *= s
+            acc += coeffs
+        acc *= np.power(s, self.powers)
+        total = acc[0]
+        for row in acc[1:]:  # in block order: np.sum adds a lone point's blocks pairwise
+            total += row
+        return total.reshape(s_arr.shape)
 
 
 def _unit_interval_points(s) -> tuple[np.ndarray, bool]:
@@ -96,13 +97,6 @@ def _unit_interval_points(s) -> tuple[np.ndarray, bool]:
     if not np.all((s_arr >= 0.0) & (s_arr < 1.0)):
         raise ValueError("s must lie in [0, 1)")
     return (s_arr.reshape(1), True) if s_arr.ndim == 0 else (s_arr, False)
-
-
-def _log(s_arr: np.ndarray) -> np.ndarray:
-    """log of points already checked to lie in [0, 1)."""
-    # s = 0 gives log = -inf and exp(e * -inf) = 0, the right limit
-    with np.errstate(divide="ignore"):
-        return np.log(s_arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,34 +167,33 @@ class RadialSeries:
 
     @cached_property
     def _plan(self) -> _EvalPlan:
-        """How eval splits the terms, built on first use and kept with the series."""
-        if self.is_dense:
-            return _EvalPlan(self.coeffs, None, ())
-        small = self.exponents < _LOG_DOMAIN_MIN_EXP
-        pair = (self.exponents[small], self.coeffs[small]) if np.any(small) else None
-        e = self.exponents[~small].astype(np.float64)
-        c = self.coeffs[~small]
-        blocks = tuple((e[lo:lo + _LOG_DOMAIN_BLOCK], c[lo:lo + _LOG_DOMAIN_BLOCK])
-                       for lo in range(0, len(e), _LOG_DOMAIN_BLOCK))
-        return _EvalPlan(None, pair, blocks)
+        """The series' Horner blocks, built on first use and kept with the series."""
+        e = self.exponents
+        if not len(e):
+            return _EvalPlan(np.zeros((1, 1)), np.zeros((1, 1, 1)))
+        first = np.flatnonzero(np.diff(e, prepend=-2) != 1)  # where each run starts
+        width = np.diff(first, append=len(e))
+        # a term sits in slice (widest - 1) - (its power above its block's N)
+        block = np.repeat(np.arange(len(first)), width)
+        horner = np.zeros((int(width.max()), len(first), 1))
+        horner[len(horner) - 1 - (e - e[first][block]), block, 0] = self.coeffs
+        return _EvalPlan(e[first, None].astype(np.float64), horner)
 
     def eval(self, s):
         """Value at s, scalar or array; requires 0 <= s < 1."""
         s_arr, scalar = _unit_interval_points(s)
-        plan = self._plan
-        out = plan.run(s_arr, _log(s_arr) if plan.blocks else None)
+        out = self._plan.run(s_arr)
         return float(out[0]) if scalar else out
 
     def eval_with_derivatives(self, s):
         """(G(s), G'(s), G''(s)), each bit-equal to eval on G, G' and G''.
 
-        G' and G'' are the cached derivative series.  One range check and
-        one log of s serve all three plans.
+        G' and G'' are the cached derivative series.  One range check
+        serves all three plans.
         """
         s_arr, scalar = _unit_interval_points(s)
-        plans = (self._plan, self.derivative._plan, self.derivative.derivative._plan)
-        logs = _log(s_arr) if any(p.blocks for p in plans) else None
-        outs = tuple(p.run(s_arr, logs) for p in plans)
+        outs = tuple(g._plan.run(s_arr) for g in (self, self.derivative,
+                                                  self.derivative.derivative))
         return tuple(float(o[0]) for o in outs) if scalar else outs
 
     __call__ = eval
@@ -279,7 +272,7 @@ def edge_bump(n: int) -> RadialSeries:
     """The bump s^n (1 - s), vanishing at both s = 0 (for n >= 1) and s = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return RadialSeries.from_terms([(n, 1.0), (n + 1, -1.0)])
+    return RadialSeries(np.array([n, n + 1]), np.array([1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------- #

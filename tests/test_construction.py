@@ -30,7 +30,7 @@ from hardyshift import (
     verify_theorem_conditions,
 )
 from hardyshift import construction
-from hardyshift.carleson import TWO_PI, gradient_sq_mass, laplacian_masses
+from hardyshift.carleson import TWO_PI, SeriesGapDensity, gradient_sq_mass, laplacian_masses
 from hardyshift.construction import (
     MAX_POWER,
     Decay,
@@ -564,7 +564,7 @@ def test_carleson_rows_are_total_masses(delta, starts, epsilon):
     w, f = config.weights(), config.kernel_ratio
     grid = _condition_grid(w.spikes)
     p = DecayProfile(f.add(RadialSeries.from_terms([(0, -1.0)])), grid)
-    masses = {"laplacian_carleson": radial_carleson_norm(p.laplacian),
+    masses = {"laplacian_carleson": radial_carleson_norm(SeriesGapDensity(p.laplacian, 1)),
               "gradient_carleson": gradient_sq_mass(p.series),
               "curvature_carleson": radial_carleson_norm(curvature_density(f, w.spikes))}
     terms = [spike_ratio_term(config.alpha, sp) for sp in w.spikes]

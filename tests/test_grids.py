@@ -20,7 +20,8 @@ from hardyshift.grids import (
     sign_change_brackets,
 )
 from hardyshift.series import edge_bump
-from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian
+from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian, spike_ratio_term
+from hardyshift.weights import SpikeSpec
 
 
 def _bump_fns(n: int):
@@ -231,10 +232,14 @@ def _scalar_brackets(fn, exponents, widen: int = 0):
 
 
 def test_brentq_matches_scipy_on_bump_brackets():
+    # a single bump's derivative and Laplacian vanish exactly at the scan
+    # grid's e/(e+1) and e^2/(e+1)^2 candidates and leave no bracket; a
+    # spike term, a combination of 2k - 1 bumps, leaves one for each when
+    # k >= 2
     cases = []
-    for n in (10, 2248, 172510):
-        bump = edge_bump(n)
-        for series in (bump.d_ds(), bump.laplacian()):
+    for start, k in ((10, 2), (2248, 3), (172510, 4)):
+        term = spike_ratio_term(1.0, SpikeSpec(start, k))
+        for series in (term.d_ds(), term.laplacian()):
             for widen in (0, 3, 20):
                 cases += _scalar_brackets(series.eval, series.exponents, widen)
     assert len(cases) >= 12

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as poly
@@ -14,6 +15,8 @@ from hardyshift.series import (
     tail_bound_geometric,
     truncation_order,
 )
+from hardyshift.spectral import kernel_ratio_series
+from hardyshift.weights import build_spiked_weights
 
 RNG = np.random.default_rng(7)
 
@@ -43,7 +46,7 @@ def test_edge_bump_evaluates_to_monomial_times_gap():
 
 
 def test_eval_sparse_large_exponents_against_scalar_powers():
-    # exponents straddle the log-domain switchover at 65
+    # runs of consecutive exponents and lone ones, up to 10^6
     terms = [(0, 0.5), (3, -1.25), (64, 2.0), (65, -0.75), (4000, 1.5), (10**6, 3.0)]
     series = RadialSeries.from_terms(terms)
     for s in (0.0, 0.3, 0.97, 0.999999):
@@ -83,26 +86,37 @@ def test_eval_rejects_points_outside_unit_interval():
 
 def fused_cases() -> dict[str, RadialSeries]:
     rng = np.random.default_rng(11)
-    block_exps = 70 + 3 * np.arange(2 * 4096 + 17)  # more than one log-domain block
+    many = 70 + 3 * np.arange(2 * 4096 + 17)  # one block per term
+    # small_only keeps every exponent below 65, log_domain_only at or above it
     return {
         "zero": RadialSeries.zero(),
         "dense": RadialSeries.from_dense(rng.uniform(-1.0, 1.0, 13)),
         "small_only": RadialSeries.from_terms([(0, 0.5), (3, -1.25), (64, 2.0)]),
         "log_domain_only": RadialSeries.from_terms([(66, -0.75), (4000, 1.5), (10**6, 3.0)]),
         "mixed": RadialSeries.from_terms(
-            [(0, 0.5), (3, -1.25), (64, 2.0), (65, -0.75), (4000, 1.5), (10**6, 3.0)]),
-        "blocks": RadialSeries(block_exps, rng.uniform(-1.0, 1.0, len(block_exps))),
+            [(0, 0.5), (3, -1.25), (4, 2.0), (6, -0.75), (4000, 1.5), (10**6, 3.0)]),
+        "blocks": RadialSeries(many, rng.uniform(-1.0, 1.0, len(many))),
     }
 
 
 def test_fused_cases_cover_every_evaluation_plan():
-    plans = {name: g._plan for name, g in fused_cases().items()}
-    assert plans["zero"] == (None, None, ())
-    assert plans["dense"].dense is not None
-    assert plans["small_only"].small is not None and not plans["small_only"].blocks
-    assert plans["log_domain_only"].small is None and len(plans["log_domain_only"].blocks) == 1
-    assert plans["mixed"].small is not None and len(plans["mixed"].blocks) == 1
-    assert len(plans["blocks"].blocks) == 3
+    cases = fused_cases()
+    plans = {name: g._plan for name, g in cases.items()}
+    # the zero series is one block of zeros
+    assert plans["zero"].powers.tolist() == [[0.0]]
+    assert plans["zero"].horner.tolist() == [[[0.0]]]
+    # a dense series is one block at N = 0, its coefficients from the top down
+    assert plans["dense"].powers.tolist() == [[0.0]]
+    assert plans["dense"].horner[:, 0, 0].tolist() == cases["dense"].coeffs[::-1].tolist()
+    # a gap of 2 splits a run, a gap of 1 does not
+    assert plans["mixed"].powers.ravel().tolist() == [0.0, 3.0, 6.0, 4000.0, 1e6]
+    assert plans["mixed"].horner[:, :2, 0].T.tolist() == [[0.0, 0.5], [2.0, -1.25]]
+    assert plans["blocks"].horner.shape == (1, 2 * 4096 + 17, 1)
+    # the kernel ratio: the constant, then one block per spike interior run
+    w = build_spiked_weights(1.0, (3, 32, 117, 343))
+    plan = kernel_ratio_series(w, cross_check=False)._plan
+    assert plan.powers.ravel().tolist() == [0.0] + [float(sp.interior[0]) for sp in w.spikes]
+    assert plan.horner.shape == (2 * len(w.spikes), 1 + len(w.spikes), 1)
 
 
 @pytest.mark.parametrize("name", ["zero", "dense", "small_only", "log_domain_only", "mixed",
@@ -120,6 +134,56 @@ def test_eval_with_derivatives_is_bit_equal_to_separate_evals(name):
         for got, g in zip(series.eval_with_derivatives(float(s)), separate):
             assert type(got) is float
             assert got.hex() == g.eval(float(s)).hex()
+
+
+# frozen spike starts at alpha = 1: the delta 0.5 search extended to K = 8,
+# and the minimal starts at delta 1e-3 (K = 4) and delta 1e-6 (K = 8),
+# whose powers reach 6.2e9
+FROZEN_STARTS = {
+    "K8_delta0.5": (3, 32, 117, 343, 906, 2248, 5368, 12479),
+    "K4_delta1e-3": (2549, 16580, 59309, 172510),
+    "K8_delta1e-6": (2551008, 16581563, 59310981, 172512049, 453601462, 1124756247,
+                     2684818434, 6240348396),
+}
+
+
+def ratio_parts(starts) -> dict[str, RadialSeries]:
+    """f - 1, f' and Delta f of the kernel ratio f of the spiked weights."""
+    f = kernel_ratio_series(build_spiked_weights(1.0, starts), cross_check=False)
+    return {"f - 1": f.add(RadialSeries.from_terms([(0, -1.0)])), "f'": f.derivative,
+            "Delta f": f.laplacian()}
+
+
+@pytest.mark.parametrize("config", FROZEN_STARTS)
+def test_eval_is_batch_independent(config):
+    # s = exp(-x / m) with m a spike start and x log-uniform in [1e-2, 1e2]:
+    # the points sit on the spikes' boundary scales, where the terms are large
+    starts = FROZEN_STARTS[config]
+    rng = np.random.default_rng(19)
+    m = rng.choice(np.asarray(starts, dtype=np.float64), 5000)
+    s = np.exp(-np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 5000)) / m)
+    f = kernel_ratio_series(build_spiked_weights(1.0, starts), cross_check=False)
+    for g in (f, f.derivative, f.laplacian()):
+        batch = g.eval(s)
+        one = np.array([g.eval(float(x)) for x in s])
+        assert batch.tobytes() == one.tobytes()
+        assert batch[::7].tobytes() == g.eval(s[::7]).tobytes()
+
+
+@pytest.mark.parametrize("config", FROZEN_STARTS)
+def test_eval_matches_mpmath_sum_at_spike_scales(config):
+    # each value within 5e-16 of the sum of |c_e s^e| from a 60-digit sum of
+    # the same float coefficients, at s = exp(-x / m) around each start m
+    starts = FROZEN_STARTS[config]
+    s = np.array([math.exp(-x / m) for m in starts for x in (0.05, 0.5, 1.0, 2.0, 8.0)])
+    with mpmath.workdps(60):
+        for name, g in ratio_parts(starts).items():
+            got = g.eval(s)
+            for si, gi in zip(s.tolist(), got.tolist()):
+                terms = [mpmath.mpf(c) * mpmath.mpf(si) ** e
+                         for e, c in zip(g.exponents.tolist(), g.coeffs.tolist())]
+                scale = float(mpmath.fsum(abs(x) for x in terms))
+                assert abs(gi - float(mpmath.fsum(terms))) <= 5e-16 * scale, (name, si)
 
 
 # ---------------------------------------------------------------------- #
