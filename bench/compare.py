@@ -30,10 +30,13 @@ Six parts, each run on both checkouts with this same script:
 * cold-start wall time and CPU time (user + system, from the child's
   rusage) of `python -c "import hardyshift.cli"` and of the
   `weights`, `orbit`, `curvature`, `construct --K 2`, `lemma` and
-  `verify --epsilon 2` commands on the frozen K = 3 config, and of
+  `verify --epsilon 2` commands on the frozen K = 3 config, of
   `verify --epsilon 0.004` on the frozen K = 4, delta 1e-3 config (the
-  slower `certify` command), each a fresh process, the two checkouts
-  alternating, COLD_REPS times;
+  slower `certify` command), and of `construct --K 6` (delta 0.5, the
+  first command of the `search` workload), each a fresh process, the two
+  checkouts alternating, COLD_REPS times; plus, per job and checkout, one
+  untimed run under `-X importtime` that records whether the process
+  imported numpy;
 * the per-layer counts of `hardybench/run.py --trace 1` on the `search`
   and `certify` workloads, from each checkout's own `hardybench`;
 * PAIRS alternating end-to-end runs of `hardybench/run.py --trace 0` per
@@ -163,6 +166,8 @@ def cold_commands(work: Path) -> dict[str, list[str]]:
             "curvature": [*cli, "curvature", str(config), *out],
             "construct_K2": [*cli, "construct", "--alpha", "1", "--delta", "0.5",
                              "--K", "2", *out],
+            "construct_K6": [*cli, "construct", "--alpha", "1", "--delta", "0.5",
+                             "--K", "6", *out],
             "lemma": [*cli, "lemma", *LEMMA_POWERS, *out],
             "verify_eps2": [*cli, "verify", str(config), "--epsilon", "2", *out],
             "verify_eps0.004_K4": [*cli, "verify", str(small_delta), "--epsilon",
@@ -299,6 +304,16 @@ def run_cold(checkout: Path, args: list[str]) -> tuple[float, float]:
     return wall, (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
 
 
+def imports_numpy(checkout: Path, args: list[str]) -> bool:
+    """Whether one fresh interpreter running args on the checkout's src imports
+    numpy, read from its `-X importtime` report."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    err = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                         capture_output=True, text=True, check=True).stderr
+    return any(line.startswith("import time:") and line.rsplit("|", 1)[-1].strip() == "numpy"
+               for line in err.splitlines())
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     out = subprocess.run([sys.executable, str(checkout / "hardybench" / "run.py"),
                           "--workload", workload, "--seed", str(seed),
@@ -377,6 +392,9 @@ def main(argv=None) -> int:
     cold_cpu = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         commands = cold_commands(Path(tmp))
+        numpy_loaded = {side: {name: imports_numpy(path, cmd) for name, cmd in commands.items()}
+                        for side, path in sides.items()}
+        print(f"imports numpy: {numpy_loaded}", flush=True)
         for rep in range(COLD_REPS):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
             for name, cmd in commands.items():
@@ -421,6 +439,7 @@ def main(argv=None) -> int:
         "inprocess": inprocess,
         "cold_start_wall_s": cold,
         "cold_start_cpu_s": cold_cpu,
+        "cold_start_imports_numpy": numpy_loaded,
         "traced": traced,
         "end_to_end": end_to_end,
     }, indent=1) + "\n")

@@ -8,50 +8,32 @@ constant (1+alpha)^K; that constant is unbounded in K, so the limiting
 operator is not power bounded, hence not similar to S*.
 """
 
-from .carleson import (
-    RadialDensity,
-    edge_integral_exact,
-    radial_carleson_norm,
-)
-from .construction import (
-    ConstructionConfig,
-    InfeasibleConstructionError,
-    lemma_bounds,
-    bump_gradient_sq_carleson_bound,
-    bump_laplacian_carleson_bound,
-    bump_peak,
-    delta_for_epsilon,
-    select_spike_positions,
-    spike_budget,
-    spike_correction_thresholds,
-    spike_gate,
-    verify_theorem_conditions,
-    verify_f_conditions,
-)
-from .operators import (
-    backward_shift,
-    coisometry_check,
-    forward_shift,
-    inner_w,
-    norm_w,
-    orbit_norms,
-)
-from .series import RadialSeries, TruncationError
-from .spectral import (
-    DecompositionMismatchError,
-    curvature_backward_shift,
-    curvature_difference,
-    curvature_samples,
-    curvature_weighted,
-    deficit_coefficients,
-    kernel_diagonal_series,
-    kernel_eval,
-    kernel_ratio_series,
-    ratio_log_laplacian,
-    spike_kernel_term,
-    spike_ratio_term,
-)
-from .weights import SpikeSpec, WeightSequence, build_spiked_weights
+import importlib
+
+# where each top-level name lives; a name is imported from its submodule on
+# first access (PEP 562), so `import hardyshift` loads no submodule, and
+# names from hardyshift.search load no numpy
+_SUBMODULES = {
+    "search": (
+        "ConstructionConfig", "DecompositionMismatchError", "InfeasibleConstructionError",
+        "TruncationError", "bump_gradient_sq_carleson_bound", "bump_laplacian_carleson_bound",
+        "bump_peak", "deficit_coefficients", "delta_for_epsilon", "edge_integral_exact",
+        "lemma_bounds", "select_spike_positions", "spike_budget",
+        "spike_correction_thresholds", "spike_gate",
+    ),
+    "weights": ("SpikeSpec", "WeightSequence", "build_spiked_weights"),
+    "series": ("RadialSeries",),
+    "carleson": ("RadialDensity", "radial_carleson_norm"),
+    "construction": ("verify_f_conditions", "verify_theorem_conditions"),
+    "operators": ("backward_shift", "coisometry_check", "forward_shift", "inner_w", "norm_w",
+                  "orbit_norms"),
+    "spectral": (
+        "curvature_backward_shift", "curvature_difference", "curvature_samples",
+        "curvature_weighted", "kernel_diagonal_series", "kernel_eval", "kernel_ratio_series",
+        "ratio_log_laplacian", "spike_kernel_term", "spike_ratio_term",
+    ),
+}
+_ORIGIN = {name: module for module, names in _SUBMODULES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -96,3 +78,16 @@ __all__ = [
     "verify_theorem_conditions",
     "verify_f_conditions",
 ]
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -40,49 +40,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import QuadratureError, brentq, gauss_kronrod, sign_change_brackets, sign_roots
+from .search import (  # noqa: F401  (gradient_sq_mass: re-exported)
+    TWO_PI,
+    _integer_coefficients,
+    _sum_in_order,
+    edge_integral_exact,
+    gradient_sq_mass,
+)
 from .series import RadialSeries
 
-TWO_PI = 2.0 * math.pi
 _SERIES_BITS = 63  # tail_ratio's series drops terms below 2^-63 of the first
-
-
-# ---------------------------------------------------------------------- #
-# edge integrals
-
-
-def edge_integral_exact(m: int, p: int) -> Fraction:
-    """integral_0^1 r^m (1-r)^p dr as an exact rational, m! p! / (m+p+1)!."""
-    if m < 0 or p < 0:
-        raise ValueError("exponents must be nonnegative")
-    return Fraction(1, (m + p + 1) * math.comb(m + p, p))
-
-
-def _integer_coefficients(series: RadialSeries) -> tuple[list[tuple[int, int]], int]:
-    """The terms (e, n_e) with e > 0 of a series and one power of two `scale`
-    with c_e = n_e / scale exactly, from as_integer_ratio."""
-    ratios = [(e, c.as_integer_ratio())
-              for e, c in zip(series.exponents.tolist(), series.coeffs.tolist()) if e > 0]
-    scale = max((d for _, (_, d) in ratios), default=1)
-    return [(e, n * (scale // d)) for e, (n, d) in ratios], scale
-
-
-def gradient_sq_mass(series: RadialSeries) -> float:
-    """Mass 2 pi integral_0^1 s G'(s)^2 (1-r) r dr of |gradient G|^2 (1-r), s = r^2,
-    exact in the float coefficients c_i of G = sum_i c_i s^{e_i}, rounded once.
-
-    With a_i = e_i c_i, integers over one power of two, the density is
-    sum_ij a_i a_j r^{2E-2} (1-r), E = e_i + e_j, and r^{2E-1} (1-r) has
-    mass 1/(2E (2E+1)) = edge_integral_exact(2E-1, 1).  Float products of
-    the expanded s G'^2 cancel down to a mass of size 1/n^2 at large e_i.
-    """
-    coeffs, scale = _integer_coefficients(series)
-    terms = [(e, e * n) for e, n in coeffs]
-    sums: dict[int, int] = {}
-    for ei, ai in terms:
-        for ej, aj in terms:
-            sums[ei + ej] = sums.get(ei + ej, 0) + ai * aj
-    total = sum(Fraction(s, 2 * e * (2 * e + 1)) for e, s in sums.items())
-    return TWO_PI * float(total / scale ** 2)
 
 
 def _boundary_laplacian(series: RadialSeries) -> tuple[int, list[float], np.ndarray]:
@@ -222,18 +189,6 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
                 scale = scale * (ms + i) / i
             out[small] = scale * np.power(ts, p + 1.0) * np.cumsum(terms, axis=0)[-1]
     return out
-
-
-def _sum_in_order(values) -> float:
-    """Float sum, left to right.
-
-    The bits do not depend on the interpreter: builtin sum compensates
-    float sums from Python 3.12 on, and np.sum adds pairwise.
-    """
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 # ---------------------------------------------------------------------- #

@@ -8,7 +8,8 @@ orbit and weights dump sample tables.  All file output is deterministic
 byte for byte at fixed inputs (floats use 17 significant digits); each
 run also writes a manifest listing the produced files with digests,
 whose elapsed-time field is the only thing allowed to differ between
-identical runs.
+identical runs.  construct and lemma run on hardyshift.search alone:
+numpy and the verifier are imported inside the subcommands that use them.
 
 Exit codes: 0 success, 2 a measured condition failed its threshold,
 3 bad input (a table too large for memory included), 4 numerical
@@ -25,26 +26,19 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
-from .construction import (
-    ConditionResult,
+from .search import (
     ConstructionConfig,
     Decay,
+    DecompositionMismatchError,
     InfeasibleConstructionError,
+    TruncationError,
     lemma_bounds,
     bump_gradient_sq_carleson_bound,
     bump_laplacian_carleson_bound,
     delta_for_epsilon,
     spike_gate,
-    verify_theorem_conditions,
-    verify_f_conditions,
 )
-from .grids import boundary_refined_grid
-from .operators import BAND_THRESHOLD, coisometry_check, orbit_norms
-from .series import TruncationError
-from .spectral import DecompositionMismatchError, curvature_difference, curvature_samples
 
 EXIT_OK = 0
 EXIT_CONDITION_FAILED = 2
@@ -58,18 +52,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
-# how each kind of column is written: integers exactly, floats to 17
-# significant digits (enough to round-trip every binary64), text as given
-_COLUMN_FORMATS = {"i": str, "u": str, "f": "%.17g".__mod__, "U": str}
+# floats are written to 17 significant digits, enough to round-trip every
+# binary64; integers and text as given
+_format_float = "%.17g".__mod__
 
 
 def _write_csv(path: Path, columns: dict[str, Sequence]) -> None:
-    """Write equal-length named columns as one CSV, formatting each column
-    once by its dtype rather than each cell by its type."""
+    """Write equal-length named columns as one CSV.
+
+    Each column is a list or an array, read through tolist(), of one kind
+    of value: int, float or str.  Its format is picked once, from the
+    Python type of its first value, rather than cell by cell.
+    """
     cells = []
     for values in columns.values():
-        values = np.asarray(values)
-        cells.append(map(_COLUMN_FORMATS[values.dtype.kind], values.tolist()))
+        values = values.tolist() if hasattr(values, "tolist") else list(values)
+        float_column = bool(values) and isinstance(values[0], float)
+        cells.append(map(_format_float if float_column else str, values))
     lines = [",".join(columns), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
 
@@ -144,6 +143,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .construction import ConditionResult, verify_f_conditions, verify_theorem_conditions
+    from .operators import BAND_THRESHOLD, coisometry_check
+
     started = time.time()
     if args.epsilon is not None:
         delta_for_epsilon(args.epsilon)  # rejects a bad epsilon before the measurement
@@ -170,7 +172,7 @@ def _cmd_verify(args) -> int:
         "threshold": [c.threshold for c in conditions],
         "measured": [c.measured for c in conditions],
         # rows with no argmax (Carleson masses, the band) leave the cell empty
-        "argmax_r": ["" if c.argmax_r is None else _COLUMN_FORMATS["f"](c.argmax_r)
+        "argmax_r": ["" if c.argmax_r is None else _format_float(c.argmax_r)
                      for c in conditions],
         "pass": ["true" if c.passed else "false" for c in conditions],
     })
@@ -215,6 +217,11 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
+    import numpy as np
+
+    from .grids import boundary_refined_grid
+    from .spectral import curvature_difference, curvature_samples
+
     started = time.time()
     if not 0.0 < args.rmax < 1.0:
         raise ValueError(f"rmax must lie in (0, 1), got {args.rmax}")
@@ -242,6 +249,10 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    import numpy as np
+
+    from .operators import orbit_norms
+
     started = time.time()
     out = _out_dir(args)
     config = _load_config(args.config)
@@ -257,6 +268,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    import numpy as np
+
     started = time.time()
     if args.n_max is not None and args.n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {args.n_max}")

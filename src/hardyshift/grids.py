@@ -8,27 +8,26 @@ r is useless.  We instead use a grid that is uniform in u = -log2(1 - r),
 which resolves every dyadic boundary scale equally, and augment it with the
 analytically known critical radii m/(m+p) of the majorant family r^m (1-r)^p.
 
-The module also holds the package's own ports of the two numerical
-methods it would otherwise import from scipy: Brent's root finder
-(brentq) and adaptive Gauss-Kronrod quadrature (gauss_kronrod).  Brent's
-method also gives bump_supremum, the sup of a bump written in factored
-form, at its critical points and without a grid.
+The module also holds the package's own port of adaptive Gauss-Kronrod
+quadrature (gauss_kronrod), which it would otherwise import from scipy.
+The other port, Brent's root finder (brentq), is scalar and lives in
+hardyshift.search, which imports no numpy; sign_roots polishes its
+brackets with it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .search import RootNotConvergedError, brentq  # noqa: F401  (RootNotConvergedError: re-exported)
 
 _POLISH_POINTS = 33  # samples per bracket and polish step; each step shrinks a bracket 16-fold
 _POLISH_XATOL = 1e-13  # brackets narrower than this are final
 _POLISH_TOP = 8  # interior local maxima of the grid polished per supremum
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-_BRENT_RTOL = 4.0 * _EPS  # the smallest rtol scipy's brentq accepts
-_BRENT_MAXITER = 100  # scipy's default
 _QUAD_EPSABS = 1e-13  # gauss_kronrod stops once its error estimate is below
 _QUAD_EPSREL = 1e-10  # max(_QUAD_EPSABS, _QUAD_EPSREL |integral|)
 
@@ -75,10 +74,6 @@ _G10_WEIGHTS = np.array([
     0.149451349150580593145776339657697, 0.0,
     0.066671344308688137593568809893332, 0.0,
 ])
-
-
-class RootNotConvergedError(RuntimeError):
-    """brentq used up its iterations before the bracket met the tolerance."""
 
 
 class QuadratureError(RuntimeError):
@@ -157,41 +152,6 @@ def refined_supremum(fn: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -
     return best_r, best_v
 
 
-def bump_supremum(c: float, alpha: int, beta: int, p: int) -> float:
-    """sup over r in [0, 1) of F = s^c |alpha (1-s) - beta| (1-r)^p, s = r^2,
-    for alpha > beta > 0.
-
-    In t = -log s the factors read e^{-c t}, |alpha x - beta| with
-    x = -expm1(-t), and (-expm1(-t/2))^p, so no term cancels against a
-    rounded s.  log F is concave on each side of the sign change t_sign,
-    where alpha x = beta: its slope falls from +inf to -inf on the left
-    and from +inf to -c on the right.  So each side holds one critical
-    point, found by brentq, except the right side when c = 0, where F
-    rises to |alpha - beta| at r = 0.
-    """
-    def value(t):
-        return math.exp(-c * t) * abs(alpha * -math.expm1(-t) - beta) * (-math.expm1(-t / 2)) ** p
-
-    def slope(t):
-        return (alpha * math.exp(-t) / (alpha * -math.expm1(-t) - beta) - c
-                + 0.5 * p * math.exp(-t / 2) / -math.expm1(-t / 2))
-
-    def first(points, rising):
-        return next((t for t in points if (slope(t) > 0.0) == rising), None)
-
-    t_sign = -math.log1p(-beta / alpha)
-    steps = range(1, 64)
-    left = (first((t_sign * 2.0 ** -j for j in steps), True),
-            first((t_sign * (1.0 - 2.0 ** -j) for j in steps), False))
-    right = (first((t_sign * (1.0 + 2.0 ** -j) for j in steps), True),
-             first((t_sign * 2.0 ** j for j in steps), False))
-    best = float(abs(alpha - beta)) if c == 0 else 0.0
-    for lo, hi in (left, right):
-        if hi is not None:
-            best = max(best, value(brentq(slope, lo, hi, xtol=0.0)))
-    return best
-
-
 def sign_change_brackets(values: np.ndarray, grid: np.ndarray) -> list[tuple[float, float]]:
     """Intervals of the grid where `values` changes sign between two nonzero,
     non-NaN ends, however small."""
@@ -246,63 +206,6 @@ def sign_roots(fn: Callable, exponents: np.ndarray) -> tuple[float, ...]:
     root_ss += [brentq(lambda s: float(fn(s)), lo, hi, xtol=1e-15)
                 for lo, hi in sign_change_brackets(vals, s_grid)]
     return tuple(np.unique(np.sqrt(root_ss)).tolist())
-
-
-def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
-    """Root of the scalar function f in [xa, xb] by Brent's method.
-
-    A step-for-step port of scipy.optimize.brentq (Brent 1973, as in
-    scipy's brentq.c) with rtol = 4 eps and maxiter = 100: the same
-    inverse quadratic / secant steps, bisection fallbacks and stopping
-    rule, so it evaluates f at the same points and returns the same root
-    bit for bit, without importing scipy.optimize.  Raises ValueError when
-    f(xa) and f(xb) have the same sign or f returns NaN, and
-    RootNotConvergedError after maxiter steps.
-    """
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if fx != fx:
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RootNotConvergedError(
-        f"brentq did not converge in {_BRENT_MAXITER} iterations; last value {xcur!r}")
 
 
 def _kronrod21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,

@@ -34,15 +34,9 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from .search import TruncationError  # noqa: F401  (re-exported)
+
 _PRODUCT_TERM_CAP = 4_000_000
-
-
-class TruncationError(RuntimeError):
-    """A requested tolerance needs more series terms than the configured cap."""
-
-    def __init__(self, message: str, required_order: int):
-        super().__init__(message)
-        self.required_order = required_order
 
 
 def _canonical(exponents: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,19 +30,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .series import RadialSeries, TruncationError, truncation_order
+from .search import DecompositionMismatchError, TruncationError, deficit_coefficients
+from .series import RadialSeries, truncation_order
 from .weights import SpikeSpec, WeightSequence
 
 _DENSE_ORDER_CAP = 2_000_000
 _CROSS_CHECK_ORDER_CAP = 400_000
-
-
-class DecompositionMismatchError(RuntimeError):
-    """The sparse kernel ratio disagrees with the truncated diagonal series.
-
-    This happens when the slope parameter used for the correction
-    coefficients does not match the one the weights were built with.
-    """
 
 
 # ---------------------------------------------------------------------- #
@@ -96,21 +89,14 @@ def kernel_diagonal_series(weights: WeightSequence, r_max: float,
 # spike corrections
 
 
-def deficit_coefficients(alpha: float, half_width: int) -> np.ndarray:
-    """Coefficients c_j = (1+alpha)^{-2j} - 1 for j = 1..half_width, all negative."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    j = np.arange(1, half_width + 1, dtype=np.float64)
-    return np.expm1(-2.0 * j * math.log1p(alpha))
-
-
 def spike_kernel_term(alpha: float, spike: SpikeSpec) -> RadialSeries:
     """Correction G(s) the spike adds to the unweighted kernel diagonal.
 
     Collects (1/w_n - 1) s^n over the spike interior: index n carries the
-    deficit c_j of its step j.
+    deficit c_j of its step j (deficit_coefficients, the floats the spike
+    gate reads).
     """
-    c = deficit_coefficients(alpha, spike.half_width)
+    c = np.array(deficit_coefficients(alpha, spike.half_width))
     n = np.asarray(spike.interior)
     return RadialSeries(n, c[spike.step(n) - 1])
 

@@ -28,8 +28,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SpikeSpec:
@@ -58,10 +56,11 @@ class SpikeSpec:
         """Indices start+1 .. end-1, where the weight exceeds 1."""
         return range(self.start + 1, self.end)
 
-    def step(self, n: np.ndarray) -> np.ndarray:
-        """Step j = min(n - start, end - n) of each index n, its distance
-        from the nearer spike end: w_n = (1+alpha)^{2j}."""
-        return np.minimum(n - self.start, self.end - n)
+    def step(self, n):
+        """Step j = min(n - start, end - n) = half_width - |n - peak| of each
+        index n, an int or an integer array: its distance from the nearer
+        spike end, w_n = (1+alpha)^{2j}."""
+        return self.half_width - abs(n - self.peak)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,12 +82,15 @@ class WeightSequence:
                 )
         object.__setattr__(self, "spikes", spikes)
 
-    def weight_range(self, n0: int, n1: int) -> np.ndarray:
-        """w_n for n in [n0, n1), walking only the spikes that meet the range.
+    def weight_range(self, n0: int, n1: int):
+        """w_n for n in [n0, n1) as a float array, walking only the spikes that
+        meet the range.
 
         Integer powers of (1+alpha)^2 rather than exp of the log form:
         bit-exact whenever the base is (e.g. alpha = 1).
         """
+        import numpy as np
+
         if n0 < 0 or n1 < n0:
             raise ValueError("need 0 <= n0 <= n1")
         out = np.ones(n1 - n0, dtype=np.float64)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hardyshift
-from hardyshift import cli
+from hardyshift import cli, construction
 from hardyshift.construction import MAX_POWER, ConstructionConfig, InfeasibleConstructionError
 from hardyshift.series import TruncationError
 from hardyshift.weights import WeightSequence
@@ -85,12 +85,12 @@ def test_construct_rejects_non_finite_tol(tmp_path, tol):
 def test_construct_rejects_bad_sampling_before_the_search(tmp_path, monkeypatch, option):
     # the spike search does not read r_max or tol; a bad value used to be
     # rejected only after a whole search (1.6 s at K = 6)
-    from hardyshift import construction
+    from hardyshift import search
 
     def searched(*args, **kwargs):
         raise AssertionError("the spike search ran")
 
-    monkeypatch.setattr(construction, "select_spike_positions", searched)
+    monkeypatch.setattr(search, "select_spike_positions", searched)
     assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "6", *option,
                      "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "config.json").exists()
@@ -103,7 +103,7 @@ def test_verify_rejects_non_finite_epsilon(constructed, tmp_path, monkeypatch, e
     def measured(*args, **kwargs):
         raise AssertionError("the ratio verification ran")
 
-    monkeypatch.setattr(cli, "verify_f_conditions", measured)
+    monkeypatch.setattr(construction, "verify_f_conditions", measured)
     assert cli.main(["verify", str(constructed / "config.json"), "--epsilon", epsilon,
                      "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "conditions.csv").exists()
@@ -326,6 +326,28 @@ def test_csv_writer_follows_the_per_cell_rules(tmp_path):
     assert path.read_text() == "n,weight\n"
 
 
+def test_csv_writer_formats_lists_and_arrays_alike(tmp_path):
+    # a column's format follows the Python type of its values after
+    # tolist(), so a list and an array of the same values write the same bytes
+    columns = {"n": [0, -7, 2**40], "x": [0.1, -0.0, 5e-324], "text": ["a", "", "true"]}
+    as_lists, as_arrays = tmp_path / "lists.csv", tmp_path / "arrays.csv"
+    cli._write_csv(as_lists, columns)
+    cli._write_csv(as_arrays, {name: np.array(values) for name, values in columns.items()})
+    assert as_lists.read_bytes() == as_arrays.read_bytes()
+    assert as_lists.read_text().splitlines() == [
+        "n,x,text", "0,0.10000000000000001,a", "-7,-0,", "1099511627776,4.9406564584124654e-324,true"]
+
+
+def test_construct_without_spikes_writes_a_header_only_certificate(tmp_path):
+    assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "0",
+                     "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "config.json").read_text())["spike_starts"] == []
+    assert (tmp_path / "certificate.csv").read_text() == (
+        "k,start,threshold_laplacian_sup,bound_laplacian_sup,threshold_gradient_sup,"
+        "bound_gradient_sup,threshold_laplacian_carleson,bound_laplacian_carleson,"
+        "threshold_gradient_sq_carleson,bound_gradient_sq_carleson\n")
+
+
 def test_conditions_table_leaves_a_missing_argmax_empty(constructed, tmp_path):
     # the coisometry band and the Carleson rows have no argmax_r (None)
     assert cli.main(["verify", str(constructed / "config.json"), "--out", str(tmp_path)]) == 0
@@ -372,9 +394,26 @@ def test_exit_code_for_truncation_failure(constructed, tmp_path, monkeypatch):
     def blown(*args, **kwargs):
         raise TruncationError("needs too many terms", required_order=10**9)
 
-    monkeypatch.setattr(cli, "verify_f_conditions", blown)
+    monkeypatch.setattr(construction, "verify_f_conditions", blown)
     assert cli.main(["verify", str(constructed / "config.json"),
                      "--out", str(tmp_path)]) == 4
+
+
+def test_numerical_errors_are_the_core_exceptions(constructed, tmp_path, monkeypatch, capsys):
+    # cli.main catches them from hardyshift.search, which imports no numpy;
+    # the numpy layer raises the same classes
+    from hardyshift import search, series, spectral
+
+    assert series.TruncationError is search.TruncationError
+    assert spectral.DecompositionMismatchError is search.DecompositionMismatchError
+
+    def mismatched(*args, **kwargs):
+        raise spectral.DecompositionMismatchError("slope parameter and weights are inconsistent")
+
+    monkeypatch.setattr(construction, "verify_f_conditions", mismatched)
+    assert cli.main(["verify", str(constructed / "config.json"),
+                     "--out", str(tmp_path)]) == 4
+    assert "numerical infeasibility" in capsys.readouterr().err
 
 
 def test_exit_code_for_unconverged_quadrature(constructed, tmp_path, monkeypatch):
@@ -412,21 +451,21 @@ def test_unknown_subcommand_exits_with_input_error():
 def test_exit_code_for_unconverged_root_search(tmp_path, monkeypatch):
     # root searches that do not converge are a numerical failure, not a
     # crash: the spike search reaches brentq through the lemma's sups
-    from hardyshift import grids
+    from hardyshift import search
     from hardyshift.grids import RootNotConvergedError
 
     def unconverged(*args, **kwargs):
         raise RootNotConvergedError("brentq did not converge")
 
     cli.lemma_bounds.cache_clear()  # earlier tests may have found these roots
-    monkeypatch.setattr(grids, "brentq", unconverged)
+    monkeypatch.setattr(search, "brentq", unconverged)
     assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "1",
                      "--out", str(tmp_path)]) == 4
 
 
 FOOTPRINT = """
 import json, sys
-from hardyshift import cli
+from hardyshift import cli, construction
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] in (
@@ -461,6 +500,53 @@ def test_commands_load_no_scipy(constructed, tmp_path):
     assert scipy_modules_after([["construct", "--alpha", "1", "--delta", "0.5", "--K", "2", *out],
                                 ["lemma", "10", "2248", *out], ["verify", config, *out],
                                 ["verify", config, "--epsilon", "2", *out]]) == set()
+
+
+NUMPY_GUARD = """
+import json, sys
+import hardyshift
+loaded = ["numpy" in sys.modules]
+from hardyshift import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+listed = [name in dir(hardyshift) for name in hardyshift.__all__]
+resolved = [getattr(hardyshift, name) is not None for name in hardyshift.__all__]
+print(json.dumps({"numpy": loaded, "listed": all(listed), "resolved": all(resolved)}))
+"""
+
+
+def test_construct_and_lemma_load_no_numpy(tmp_path):
+    # the spike search and the lemma run on the standard library: neither
+    # importing the package nor these commands loads numpy
+    src = str(Path(hardyshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = ["--out", str(tmp_path)]
+    commands = [["construct", "--alpha", "1", "--delta", "0.5", "--K", "3", *out],
+                ["lemma", "1", "2248", *out]]
+    proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"numpy": [False, False, False], "listed": True, "resolved": True}
+
+
+def test_top_level_names_are_the_submodule_objects():
+    # the lazy top level hands out the objects the submodules hold, the
+    # numpy layer's re-exports included
+    from hardyshift import carleson, grids, search, series, spectral
+
+    assert sorted(hardyshift._ORIGIN) == sorted(hardyshift.__all__)
+    for name in hardyshift.__all__:
+        value = getattr(hardyshift, name)
+        for module in (search, construction, carleson, series, spectral):
+            assert getattr(module, name, value) is value, (name, module.__name__)
+    assert grids.brentq is search.brentq
+    assert grids.RootNotConvergedError is search.RootNotConvergedError
+    assert carleson.gradient_sq_mass is search.gradient_sq_mass
+    assert construction.lemma_bounds is search.lemma_bounds
+    with pytest.raises(AttributeError):
+        hardyshift.refined_supremum
 
 
 def test_benchmark_tracer_wraps_the_package(constructed, tmp_path):

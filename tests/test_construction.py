@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import bump_oracles
 import mpmath
@@ -29,10 +30,11 @@ from hardyshift import (
     verify_f_conditions,
     verify_theorem_conditions,
 )
-from hardyshift import construction
+from hardyshift import construction, grids, search
 from hardyshift.carleson import TWO_PI, SeriesGapDensity, gradient_sq_mass, laplacian_masses
 from hardyshift.construction import (
     MAX_POWER,
+    MAX_SPIKES,
     Decay,
     DecayProfile,
     _condition_grid,
@@ -40,7 +42,7 @@ from hardyshift.construction import (
     measure_spike_conditions,
 )
 from hardyshift.series import RadialSeries, edge_bump
-from hardyshift.spectral import spike_ratio_term
+from hardyshift.spectral import deficit_coefficients, spike_kernel_term, spike_ratio_term
 from hardyshift.weights import SpikeSpec
 
 STANDARD_STARTS = (3, 32, 117)
@@ -120,7 +122,9 @@ def test_lemma_calls_no_refined_supremum(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("refined_supremum called")
 
-    monkeypatch.setattr(construction, "refined_supremum", refuse)
+    # the lemma lives in hardyshift.search, which imports no grid code
+    assert not hasattr(search, "refined_supremum")
+    monkeypatch.setattr(grids, "refined_supremum", refuse)
     for n in (1, 2, 34, 2248, 6240348396):
         construction.lemma_bounds.__wrapped__(n)
 
@@ -178,6 +182,27 @@ def test_lemma_columns_decrease_where_the_grid_sups_rose():
 def test_spike_budget_frozen_values():
     assert spike_budget(1.0, SpikeSpec(3, 1)) == pytest.approx(0.75, rel=1e-14)
     assert spike_budget(1.0, SpikeSpec(32, 2)) == pytest.approx(2.4375, rel=1e-14)
+    # at alpha = 1 the deficits 4^-j - 1 and every partial sum are dyadic
+    # rationals, so the budget, added in index order, is exact at every
+    # half width the search reaches
+    frozen = (0.75, 2.4375, 4.359375, 6.33984375, 8.3349609375, 10.333740234375,
+              12.33343505859375, 14.333358764648438)
+    assert len(frozen) == MAX_SPIKES
+    for h, value in enumerate(frozen, start=1):
+        deficits = deficit_coefficients(1.0, h)
+        assert [type(c) for c in deficits] == [float] * h
+        assert deficits == [float(Fraction(1, 4 ** j) - 1) for j in range(1, h + 1)]
+        exact = sum(2 * (1 - Fraction(1, 4 ** j)) for j in range(1, h)) + 1 - Fraction(1, 4 ** h)
+        assert spike_budget(1.0, SpikeSpec(10, h)) == float(exact) == value
+
+
+def test_gate_and_verifier_read_the_same_deficits():
+    # spike_gate sums deficit_coefficients; the verifier's spike term carries
+    # the same floats, at an alpha whose deficits are not dyadic
+    spike = SpikeSpec(40, 5)
+    deficits = deficit_coefficients(0.8, 5)
+    term = spike_kernel_term(0.8, spike)
+    assert term.coeffs.tolist() == [deficits[j - 1] for j in spike.step(term.exponents).tolist()]
 
 
 def test_spike_correction_thresholds():
@@ -236,7 +261,7 @@ def test_selection_input_validation():
 
 
 def test_infeasible_budget_raises(monkeypatch):
-    monkeypatch.setattr(construction, "MAX_START", 2)
+    monkeypatch.setattr(search, "MAX_START", 2)
     with pytest.raises(InfeasibleConstructionError):
         select_spike_positions(1.0, 0.5, 1)
 
@@ -244,21 +269,21 @@ def test_infeasible_budget_raises(monkeypatch):
 def test_search_probes_up_to_the_cap_itself(monkeypatch):
     # spike 2 doubles from its floor 6 to 24; the next doubling, 48, passes
     # the cap, so the last probe must be the cap 40, where the gate passes
-    monkeypatch.setattr(construction, "MAX_START", 40)
+    monkeypatch.setattr(search, "MAX_START", 40)
     assert select_spike_positions(1.0, 0.5, 2) == [3, 32]
 
 
 def test_search_never_probes_past_the_cap(monkeypatch):
     # spike 1 ends at 5, so spike 2's floor 6 is already past the cap
-    monkeypatch.setattr(construction, "MAX_START", 5)
+    monkeypatch.setattr(search, "MAX_START", 5)
     probed = []
-    gate = construction.spike_gate
+    gate = search.spike_gate
 
     def recorded(alpha, delta, spike):
         probed.append(spike.start)
         return gate(alpha, delta, spike)
 
-    monkeypatch.setattr(construction, "spike_gate", recorded)
+    monkeypatch.setattr(search, "spike_gate", recorded)
     with pytest.raises(InfeasibleConstructionError):
         select_spike_positions(1.0, 0.5, 2)
     assert max(probed) <= 5
@@ -344,7 +369,7 @@ def test_config_rejects_starts_past_the_search_cap(monkeypatch):
                               spike_starts=at_cap).spike_starts == at_cap
     with pytest.raises(ValueError, match="exceed"):
         ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=2, spike_starts=(3, 2**60))
-    monkeypatch.setattr(construction, "MAX_START", 40)  # read at check time
+    monkeypatch.setattr(search, "MAX_START", 40)  # read at check time
     with pytest.raises(ValueError, match="exceed"):
         ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=2, spike_starts=(3, 41))
 

@@ -104,7 +104,7 @@ def test_diagonal_series_respects_order_cap():
 
 def test_deficit_coefficients_frozen_values():
     assert deficit_coefficients(1.0, 2) == pytest.approx([-0.75, -0.9375], rel=1e-14)
-    c = deficit_coefficients(0.5, 4)
+    c = np.array(deficit_coefficients(0.5, 4))
     assert np.all(c < 0)
     assert np.all(np.diff(c) < 0)  # deeper deficit toward the peak
     assert c[-1] > -1.0
