@@ -24,9 +24,10 @@ Six parts, each run on both checkouts with this same script:
 * in-process layer timings on the frozen K = 8 config, as microseconds
   per call (after one untimed call): `RadialSeries.eval` of the kernel
   ratio at 1 point and at 1000 points, `ratio_log_laplacian` at 1 point,
-  and `radial_carleson_norm` of the `verify_f_conditions` Laplacian
-  density (a fresh density per call, so sign roots included); same fresh
-  interpreters and alternation;
+  and `radial_carleson_norm` of `SeriesGapDensity` on the float Laplacian
+  series of f - 1 (a fresh density per call, so sign roots included; the
+  `laplacian_carleson` row itself reads `laplacian_masses` of f - 1); same
+  fresh interpreters and alternation;
 * cold-start wall time and CPU time (user + system, from the child's
   rusage) of `python -c "import hardyshift.cli"` and of the
   `weights`, `orbit`, `curvature`, `construct --K 2`, `lemma` and

@@ -35,49 +35,9 @@ _SUBMODULES = {
 }
 _ORIGIN = {name: module for module, names in _SUBMODULES.items() for name in names}
 
-__version__ = "0.1.0"
+__all__ = sorted(_ORIGIN)
 
-__all__ = [
-    "ConstructionConfig",
-    "DecompositionMismatchError",
-    "InfeasibleConstructionError",
-    "RadialDensity",
-    "RadialSeries",
-    "SpikeSpec",
-    "TruncationError",
-    "WeightSequence",
-    "backward_shift",
-    "build_spiked_weights",
-    "lemma_bounds",
-    "bump_gradient_sq_carleson_bound",
-    "bump_laplacian_carleson_bound",
-    "bump_peak",
-    "coisometry_check",
-    "curvature_backward_shift",
-    "curvature_difference",
-    "curvature_samples",
-    "curvature_weighted",
-    "deficit_coefficients",
-    "delta_for_epsilon",
-    "edge_integral_exact",
-    "forward_shift",
-    "inner_w",
-    "kernel_diagonal_series",
-    "kernel_eval",
-    "kernel_ratio_series",
-    "norm_w",
-    "orbit_norms",
-    "radial_carleson_norm",
-    "ratio_log_laplacian",
-    "select_spike_positions",
-    "spike_budget",
-    "spike_correction_thresholds",
-    "spike_gate",
-    "spike_kernel_term",
-    "spike_ratio_term",
-    "verify_theorem_conditions",
-    "verify_f_conditions",
-]
+__version__ = "0.1.0"
 
 
 def __getattr__(name: str):

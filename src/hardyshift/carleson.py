@@ -16,35 +16,40 @@ scans the full-circle quotient (2 pi / t) * integral_{1-t}^1 rho r dr over
 dyadic depths: no box quotient, and a diagnostic the verifier does not
 call.
 
-The polynomial densities |G(r^2)| (1-r)^p are integrated exactly: their
-pieces reduce to edge integrals
+The polynomial densities |G(r^2)| (1-r)^p are integrated exactly in the
+float coefficients of G, in the boundary variable u = 1 - r.  Each run of
+consecutive exponents of G is a block s^N P(s) = (1-u)^{2N} S(u), with S's
+integer coefficients formed exactly, so the block's density is
+(1-u)^{2N+1} u^p |S(u)| du.  Term j of S has the full mass
 
-    integral_0^1 r^m (1-r)^p dr = m! p! / (m+p+1)!
+    S_j integral_0^1 u^{j+p} (1-u)^{2N+1} du = S_j (j+p)! (2N+1)! / (2N+j+p+2)!,
 
-evaluated in integer arithmetic, because the alternating float sum
-sum_i (-1)^i C(p, i) / (m+i+1) loses all precision once m is large.
-Partial pieces are edge integrals times incomplete beta ratios with
-integer parameters, which have closed forms (head_ratio, tail_ratio).
-Densities without a series go through the package's adaptive
-Gauss-Kronrod rule (grids.gauss_kronrod), so nothing here needs scipy.
+an integer quotient rounded once (the alternating float sum
+sum_i (-1)^i C(p, i) / (m+i+1) loses all precision once m is large), and
+its mass on [0, u] is that times tail_ratio(2N+1, j+p, u), an incomplete
+beta ratio with integer parameters, which has a closed form.  A window
+mass sums these pieces between the sign changes of the density: found
+by a scan in u for laplacian_masses, and by grids.sign_roots for
+SeriesGapDensity.  Densities without a series go through the package's
+adaptive Gauss-Kronrod rule (grids.gauss_kronrod), so nothing here needs
+scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .grids import QuadratureError, brentq, gauss_kronrod, sign_change_brackets, sign_roots
+from .grids import (_TINY, QuadratureError, brentq, gauss_kronrod, sign_change_brackets,
+                    sign_roots)
 from .search import (  # noqa: F401  (gradient_sq_mass: re-exported)
     TWO_PI,
     _integer_coefficients,
     _sum_in_order,
-    edge_integral_exact,
     gradient_sq_mass,
 )
 from .series import RadialSeries
@@ -52,74 +57,135 @@ from .series import RadialSeries
 _SERIES_BITS = 63  # tail_ratio's series drops terms below 2^-63 of the first
 
 
-def _boundary_laplacian(series: RadialSeries) -> tuple[int, list[float], np.ndarray]:
-    """Laplacian of a short series G in the boundary variable u = 1 - r.
+class _Block(NamedTuple):
+    """One run of consecutive exponents N..N+w of a density series, s^N P(s),
+    read in u = 1 - r as (1-u)^m u^p S(u) with m = 2N+1.
 
-    Writes Delta G = sum_e e^2 c_e s^{e-1} = s^N R(1-s), with R's integer
-    coefficients formed exactly from the float c_e (integers over one power
-    of two), and then S(u) = R(u (2-u)), since 1 - s = u (2-u), also
-    exact.  The density |Delta G| (1-r) r dr is u (1-u)^{2N+1} |S(u)| du,
-    and term j of S has the full mass a_j = S_j B(j+2, 2N+2), each rounded
-    once.  Returns (2N+1, [a_j], cuts): the cuts are the sign changes of S
-    in (0, 1), ascending, then 1.  They come from a scan of 16 points per
-    octave, which would miss two roots within 4 % of each other; a spike
-    term or a bump has one root, as its coefficients change sign once in
-    exponent order (Descartes' rule of signs).
+    masses[j] is the full mass S_j B(j+p+1, m+1) of term j of S, and
+    scaled[j] = S_j / (m+1)^j its coefficient in y = (m+1) u, in which the
+    coefficients are of comparable size near the block's scale u ~ 1/N.
     """
-    terms, scale = _integer_coefficients(series)
-    if not terms:
-        return 1, [], np.ones(1)
-    low = terms[0][0] - 1  # N
-    r = [0] * (terms[-1][0] - low)
-    for e, num in terms:
-        lap, d = e * e * num, e - 1 - low
-        for i in range(d + 1):
-            r[i] += (-1) ** i * math.comb(d, i) * lap
-    s = [0] * (2 * len(r) - 1)
-    for i, ri in enumerate(r):
-        for k in range(i + 1):  # (u (2-u))^i = sum_k C(i, k) 2^{i-k} (-1)^k u^{i+k}
-            s[i + k] += (-1) ** k * math.comb(i, k) * 2 ** (i - k) * ri
-    m = 2 * low + 1
-    # B(j+2, m+1) = edge_integral_exact(m, j+1); int / int rounds once
-    masses = [sj / (scale * (m + j + 2) * math.comb(m + j + 1, j + 1)) for j, sj in enumerate(s)]
-    # the roots x = 1 - s of R lie near 1/N: in y = (N+1) x its coefficients
-    # are of order one, and brentq polishes each sign change of a geometric
-    # scan to rounding in y (in s, rounding would be N times coarser)
-    scaled = [ri / (scale * (low + 1) ** i) for i, ri in enumerate(r)]
 
-    def poly(y):
-        return np.polynomial.polynomial.polyval(y, scaled)
+    m: int
+    masses: list[float]
+    scaled: list[float]
 
-    grid = np.geomspace(2.0 ** -30, low + 1.0, 16 * (30 + (low + 1).bit_length()))
-    x = np.array([brentq(poly, lo, hi, xtol=0.0)
-                  for lo, hi in sign_change_brackets(poly(grid), grid)]) / (low + 1)
-    return m, masses, np.append(x / (1.0 + np.sqrt(1.0 - x)), 1.0)
+
+def _boundary_blocks(terms: list[tuple[int, int]], scale: int, p: int) -> list[_Block]:
+    """The density sum_e (n_e / scale) s^e (1-r)^p, s = r^2, as boundary blocks.
+
+    Each run of consecutive exponents is s^N R(1-s), with R's integer
+    coefficients formed exactly, and then S(u) = R(u (2-u)), since
+    1 - s = u (2-u), also exact.  The block's density in u is
+    (1-u)^{2N+1} u^p S(u) du, and each full mass S_j B(j+p+1, 2N+2) / scale
+    is one int over int, rounded once.  A run of w + 1 terms gives S degree 2w.
+    """
+    blocks = []
+    starts = [i for i in range(len(terms)) if i == 0 or terms[i][0] != terms[i - 1][0] + 1]
+    for lo, hi in zip(starts, [*starts[1:], len(terms)]):
+        low = terms[lo][0]  # N
+        r = [0] * (hi - lo)
+        for e, num in terms[lo:hi]:
+            d = e - low
+            for i in range(d + 1):
+                r[i] += (-1) ** i * math.comb(d, i) * num
+        s = [0] * (2 * len(r) - 1)
+        for i, ri in enumerate(r):
+            for k in range(i + 1):  # (u (2-u))^i = sum_k C(i, k) 2^{i-k} (-1)^k u^{i+k}
+                s[i + k] += (-1) ** k * math.comb(i, k) * 2 ** (i - k) * ri
+        m = 2 * low + 1
+        # B(j+p+1, m+1) = edge_integral_exact(m, j+p); int / int rounds once
+        blocks.append(_Block(m, [sj / (scale * (m + j + p + 1) * math.comb(m + j + p, j + p))
+                                 for j, sj in enumerate(s)],
+                             [sj / (scale * (m + 1) ** j) for j, sj in enumerate(s)]))
+    return blocks
+
+
+def _block_density(blocks: Sequence[_Block], u):
+    """sum over blocks of (1-u)^m S(u), the density without its u^p factor;
+    a block whose (1-u)^m underflows adds exactly 0."""
+    total = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for b in blocks:
+            y, poly = (b.m + 1) * u, 0.0
+            for c in reversed(b.scaled):
+                poly = poly * y + c
+            weight = np.exp(b.m * np.log1p(-u))
+            total = total + np.where(weight > 0.0, weight * poly, 0.0)
+    return total
+
+
+def _block_roots(blocks: Sequence[_Block]) -> list[float]:
+    """Sign changes of the summed block densities in u in (0, 1), ascending.
+
+    One geometric scan of 16 points per octave, from 2^-30 / (m+1) of the
+    block with the largest m up to 1, brackets them, and brentq polishes
+    each to rounding in u; two roots within 4 % of each other would be
+    missed.  A value below the smallest normal float counts as zero, as in
+    grids.sign_roots.
+    """
+    if not blocks:
+        return []
+    top = max(b.m for b in blocks) + 1
+    grid = np.geomspace(2.0 ** -30 / top, 1.0, 16 * (30 + top.bit_length()))
+    values = _block_density(blocks, grid)
+    values = np.where(np.abs(values) < _TINY, 0.0, values)
+    return [brentq(lambda u: _block_density(blocks, u), lo, hi, xtol=0.0)
+            for lo, hi in sign_change_brackets(values, grid)]
+
+
+def _block_masses(blocks: Sequence[Sequence[_Block]], points: Sequence[Sequence[float]],
+                  p: int) -> list[float]:
+    """For each density (its blocks) and its monotone points u, the sum over
+    i of |signed mass between points i and i+1|.
+
+    The signed mass of a block on [0, u] is sum_j masses[j] tail_ratio(m, j+p, u),
+    one row per block and point.  One tail_ratio call per power j takes the
+    rows of every density that have a nonzero term j; the others are left
+    out, not multiplied by zero, so a row's value depends on its own block
+    and point alone.  Each block's masses between neighbouring points are
+    added over the blocks, in order.
+    """
+    rows = [(b, u) for bs, us in zip(blocks, points) for u in us for b in bs]
+    width = max((len(b.masses) for b, _ in rows), default=0)
+    coeffs = np.zeros((len(rows), width))
+    for i, (b, _) in enumerate(rows):
+        coeffs[i, :len(b.masses)] = b.masses
+    m = np.array([b.m for b, _ in rows], dtype=np.float64)
+    u = np.array([x for _, x in rows], dtype=np.float64)
+    cumulative = np.zeros(len(rows))
+    for j in range(width):
+        live = coeffs[:, j] != 0.0
+        cumulative[live] += coeffs[live, j] * tail_ratio(m[live], j + p, u[live])
+    out, start = [], 0
+    for bs, us in zip(blocks, points):
+        shares = cumulative[start:start + len(bs) * len(us)].reshape(len(us), len(bs))
+        start += shares.size
+        pieces = np.diff(shares, axis=0)
+        signed = np.zeros(len(pieces))
+        for column in pieces.T:
+            signed += column
+        out.append(_sum_in_order(np.abs(signed).tolist()))
+    return out
 
 
 def laplacian_masses(terms: Sequence[RadialSeries]) -> list[float]:
-    """Mass 2 pi integral_0^1 |Delta G(r^2)| (1-r) r dr of each short series G.
+    """Mass 2 pi integral_0^1 |Delta G(r^2)| (1-r) r dr of each series G.
 
-    Each G is read in the boundary basis of _boundary_laplacian, where the
-    mass is a sum of incomplete beta pieces between the roots of a
-    polynomial of degree at most twice G's exponent span: no float product
-    e^2 c_e is formed, so the pieces do not cancel at large exponents.  The
-    shares tail_ratio(2N+1, j+1, u) of all terms and cuts are taken in one
-    call per j.
+    Delta G = sum_e e^2 c_e s^{e-1} is formed from G's integer coefficients
+    (integers over one power of two), so no float product e^2 c_e is
+    rounded, and read as boundary blocks with gap power 1: the mass is a
+    sum of incomplete beta pieces between the sign changes of the summed
+    blocks, found in u = 1 - r.  A term with many runs of exponents, such as
+    the kernel ratio minus 1, has one block per run.  Each term's mass is
+    the same whether it is measured alone or with others.
     """
-    blocks = [_boundary_laplacian(g) for g in terms]
-    if not blocks:
-        return []
-    m = np.concatenate([np.full(len(cuts), mj, dtype=np.float64) for mj, _, cuts in blocks])
-    u = np.concatenate([cuts for _, _, cuts in blocks])
-    coeffs = np.zeros((len(u), max(len(a) for _, a, _ in blocks)))
-    rows = np.cumsum([0] + [len(cuts) for _, _, cuts in blocks])
-    for (_, a, _), lo, hi in zip(blocks, rows, rows[1:]):
-        coeffs[lo:hi, :len(a)] = a
-    cumulative = np.zeros(len(u))  # mass of S's terms on [0, u], summed in term order
-    for j in range(coeffs.shape[1]):
-        cumulative += coeffs[:, j] * tail_ratio(m, j + 1, u)
-    return [TWO_PI * _sum_in_order(np.abs(np.diff(cumulative[lo:hi], prepend=0.0)).tolist())
-            for lo, hi in zip(rows, rows[1:])]
+    blocks = []
+    for g in terms:
+        coeffs, scale = _integer_coefficients(g)
+        blocks.append(_boundary_blocks([(e - 1, e * e * n) for e, n in coeffs if e], scale, 1))
+    points = [[0.0, *_block_roots(bs), 1.0] for bs in blocks]
+    return [TWO_PI * mass for mass in _block_masses(blocks, points, 1)]
 
 
 def _rising_sum(m: np.ndarray, p: int, y: np.ndarray) -> np.ndarray:
@@ -128,18 +194,6 @@ def _rising_sum(m: np.ndarray, p: int, y: np.ndarray) -> np.ndarray:
     for j in range(p, 0, -1):
         acc = (m + j) / j * y * (1.0 + acc)
     return acc
-
-
-def head_ratio(m, p: int, x) -> np.ndarray:
-    """Share of integral_0^1 r^m (1-r)^p dr that lies on [0, x].
-
-    The regularized incomplete beta I_x(m+1, p+1) for integer m, p >= 0,
-    from its finite positive form x^{m+1} sum_{j=0}^{p} C(m+j, j) (1-x)^j.
-    m and x broadcast against each other.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    return np.power(x, m + 1.0) * (1.0 + _rising_sum(m, p, 1.0 - x))
 
 
 def tail_ratio(m, p: int, t) -> np.ndarray:
@@ -159,17 +213,20 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
       leave its bits unchanged: summed in order (cumsum; np.sum adds a
       single row pairwise), a row's bits do not depend on the batch.
 
-    m and t broadcast against each other.
+    The ends are exact, 0 at t = 0 and 1 at t = 1, where the sum overflows
+    once C(m+p, p) does.  m and t broadcast against each other.
     """
     m = np.asarray(m, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if m.shape != t.shape:
         zeros = np.zeros(np.broadcast(m, t).shape)
         m, t = m + zeros, t + zeros
-    out = np.empty(m.shape)
-    small = (m + 1.0) * t < 0.5
-    big = ~small
-    # t = 1 gives log1p(-1) = -inf and a ratio of 1; t = 0 needs one term
+    out = np.full(m.shape, np.nan)
+    out[t <= 0.0] = 0.0
+    out[t >= 1.0] = 1.0
+    inner = (t > 0.0) & (t < 1.0)
+    small = inner & ((m + 1.0) * t < 0.5)
+    big = inner & ~small
     with np.errstate(divide="ignore"):
         if big.any():
             mb, tb = m[big], t[big]
@@ -238,10 +295,10 @@ class RadialDensity:
 class SeriesGapDensity(RadialDensity):
     """Density |G(r^2)| (1-r)^gap_power for a sparse radial series G.
 
-    Window integrals are exact: on each interval where G keeps its sign
-    the integrand is a polynomial in r, and every monomial piece is an
-    incomplete edge integral.  Sign roots of G come from grids.sign_roots
-    on the series' own exponents.
+    Window integrals are exact in G's float coefficients: between the sign
+    roots of G, from grids.sign_roots on the series' own exponents, each
+    piece is a sum of the boundary blocks' incomplete beta pieces, as in
+    laplacian_masses.
     """
 
     def __init__(self, series: RadialSeries, gap_power: int):
@@ -262,41 +319,14 @@ class SeriesGapDensity(RadialDensity):
         return sign_roots(self.series.eval, self.series.exponents)
 
     @cached_property
-    def _edge_weights(self) -> np.ndarray:
-        """integral_0^1 r^{2e+1} (1-r)^gap_power dr for each exponent e of the
-        series, each rounded once from its exact rational."""
-        return np.array([float(edge_integral_exact(2 * int(e) + 1, self.gap_power))
-                         for e in self.series.exponents], dtype=np.float64)
-
-    def _signed_piece(self, a: float, b: float) -> float:
-        if a == 0.0 and b == 1.0:
-            # full-interval pieces cancel catastrophically in float once
-            # exponents are large; sum them as exact rationals
-            total = Fraction(0)
-            for e, c in zip(self.series.exponents, self.series.coeffs):
-                total += Fraction(float(c)) * edge_integral_exact(2 * int(e) + 1, self.gap_power)
-            return float(total)
-        # term e contributes c * integral_a^b r^m (1-r)^p dr with m = 2e + 1:
-        # its edge weight times incomplete beta ratios, all terms in one
-        # vectorized call; the products are summed in term order
-        p = self.gap_power
-        m = 2 * self.series.exponents + 1
-        weights = self._edge_weights
-        if b == 1.0:
-            # integral_a^1 = B(m+1, p+1) I_{1-a}(p+1, m+1) by the symmetry
-            # x -> 1 - x; the difference of the two integrals from 0
-            # cancels completely once 1 - a is small
-            pieces = weights * tail_ratio(m, p, 1.0 - a)
-        else:
-            ratios = head_ratio(m, p, np.array([[b], [a]]))
-            pieces = weights * ratios[0] - weights * ratios[1]
-        return _sum_in_order((self.series.coeffs * pieces).tolist())
+    def _blocks(self) -> list[_Block]:
+        return _boundary_blocks(*_integer_coefficients(self.series), self.gap_power)
 
     def window_integral(self, a: float, b: float) -> float:
         if not 0.0 <= a <= b <= 1.0:
             raise ValueError("window bounds must satisfy 0 <= a <= b <= 1")
         cuts = [a] + [x for x in self.sign_roots if a < x < b] + [b]
-        return _sum_in_order(abs(self._signed_piece(x0, x1)) for x0, x1 in zip(cuts, cuts[1:]))
+        return _block_masses([self._blocks], [[1.0 - x for x in cuts]], self.gap_power)[0]
 
 
 # ---------------------------------------------------------------------- #

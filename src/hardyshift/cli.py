@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -187,6 +188,10 @@ def _cmd_verify(args) -> int:
         "config": config.to_dict(), "epsilon": args.epsilon, "seed": args.seed,
     }, [csv_path, json_path], started, config_path=args.config)
     print("all conditions pass" if all_passed else "CONDITION FAILURES")
+    unmeasured = [c.condition for c in conditions if not math.isfinite(c.measured)]
+    if unmeasured:
+        print(f"numerical infeasibility: not finite: {', '.join(unmeasured)}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK if all_passed else EXIT_CONDITION_FAILED
 
 

@@ -185,11 +185,10 @@ class Terms(NamedTuple):
 
 
 def _integer_coefficients(series) -> tuple[list[tuple[int, int]], int]:
-    """The terms (e, n_e) with e > 0 of a series (a RadialSeries or Terms) and
-    one power of two `scale` with c_e = n_e / scale exactly, from
-    as_integer_ratio."""
+    """The terms (e, n_e) of a series (a RadialSeries or Terms) and one power
+    of two `scale` with c_e = n_e / scale exactly, from as_integer_ratio."""
     ratios = [(int(e), float(c).as_integer_ratio())
-              for e, c in zip(series.exponents, series.coeffs) if e > 0]
+              for e, c in zip(series.exponents, series.coeffs)]
     scale = max((d for _, (_, d) in ratios), default=1)
     return [(e, n * (scale // d)) for e, (n, d) in ratios], scale
 
@@ -204,7 +203,7 @@ def gradient_sq_mass(series) -> float:
     the expanded s G'^2 cancel down to a mass of size 1/n^2 at large e_i.
     """
     coeffs, scale = _integer_coefficients(series)
-    terms = [(e, e * n) for e, n in coeffs]
+    terms = [(e, e * n) for e, n in coeffs if e]
     sums: dict[int, int] = {}
     for ei, ai in terms:
         for ej, aj in terms:
@@ -449,7 +448,7 @@ class ConstructionConfig:
     """Complete description of one constructed weight sequence.
 
     spike_starts pairs with half widths 1..n_spikes positionally; r_max
-    and tol drive the kernel-ratio cross check and default sampling.
+    and tol are read only by the kernel-ratio cross check.
     """
 
     alpha: float

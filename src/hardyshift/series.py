@@ -22,7 +22,7 @@ Differential operators, for the normalized Laplacian Delta = d^2/(dz dzbar)
     Delta s^e = e^2 s^{e-1}            so   Delta G = G'(s) + s G''(s)
     |dG/dz|^2 = s * (G'(s))^2
 
-The Laplacian stays sparse; carleson.gradient_sq_mass integrates s G'^2 from G'.
+The Laplacian stays sparse; search.gradient_sq_mass integrates s G'^2 from G'.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import bump_oracles
+import mpmath
 import numpy as np
 import pytest
 from conftest import spiked_layouts
@@ -19,7 +21,7 @@ from hardyshift import (
     radial_carleson_norm,
 )
 from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, carleson_norm,
-                                 dyadic_t_grid, gradient_sq_mass, head_ratio, tail_ratio)
+                                 dyadic_t_grid, gradient_sq_mass, tail_ratio)
 from hardyshift.construction import MAX_POWER, curvature_density
 from hardyshift.grids import _root_scan_grid, sign_roots
 from hardyshift.series import RadialSeries, edge_bump
@@ -148,14 +150,17 @@ def test_sign_roots_of_bump_laplacian():
 def test_sign_roots_ignore_underflowed_zeros():
     # for large n the scan values s^{n-1} (n^2 - (n+1)^2 s) underflow to
     # exactly 0 over the inner part of the grid; those zeros are not roots
-    for n, mass in ((2248, 0.0007561360409531979),
-                    (20000, 8.502872112739342e-05),
-                    (172510, 9.858337831549549e-06)):
+    for n, mass in ((2248, 0.0007561360409533289),
+                    (20000, 8.5028721127208e-05),
+                    (172510, 9.858337831389568e-06)):
         d = SeriesGapDensity(edge_bump(n).laplacian(), 1)
         assert len(d.sign_roots) == 1
         assert d.sign_roots[0] == pytest.approx(n / (n + 1.0), rel=1e-12)
-        # the same bits as when every underflowed zero was also a cut
+        # the same bits as when every underflowed zero was also a cut, and
+        # within 1e-15 of the closed form
         assert radial_carleson_norm(d) == mass
+        exact = bump_oracles.laplacian_mass(n)
+        assert abs(mass - exact) <= 1e-15 * exact, n
 
 
 def test_sign_roots_keep_grid_points_on_a_root():
@@ -282,16 +287,12 @@ def beta_points(m: int) -> list[float]:
     return [t for t in ts if 0.0 < t < 1.0]
 
 
-def mp_ratios(m: int, p: int, t: float) -> tuple:
-    """(I_t(m+1, p+1), I_t(p+1, m+1)) from their finite sums, to 60 digits
-    after the cancellation of the second (at most about 200 digits here)."""
-    import mpmath
-
+def mp_tail_ratio(m: int, p: int, t: float):
+    """I_t(p+1, m+1) from its finite sum, to 60 digits after the
+    cancellation (at most about 200 digits here)."""
     with mpmath.workdps(260):
         t = mpmath.mpf(t)
-        head = t ** (m + 1) * sum(mpmath.binomial(m + j, j) * (1 - t) ** j for j in range(p + 1))
-        tail = 1 - (1 - t) ** (m + 1) * sum(mpmath.binomial(m + j, j) * t**j for j in range(p + 1))
-        return head, tail
+        return 1 - (1 - t) ** (m + 1) * sum(mpmath.binomial(m + j, j) * t**j for j in range(p + 1))
 
 
 def rel_err(got: float, ref) -> float:
@@ -306,9 +307,8 @@ def test_beta_ratios_match_mpmath(p):
     for m in BETA_POWERS:
         for t in beta_points(m):
             sides.add((m + 1.0) * t < 0.5)
-            head, tail = mp_ratios(m, p, t)
-            assert rel_err(float(head_ratio(m, p, t)), head) <= 2e-15, (m, t)
-            assert rel_err(float(tail_ratio(m, p, t)), tail) <= TAIL_REL[p], (m, t)
+            ratio = float(tail_ratio(m, p, t))
+            assert rel_err(ratio, mp_tail_ratio(m, p, t)) <= TAIL_REL[p], (m, t)
     assert sides == {True, False}
 
 
@@ -316,15 +316,12 @@ def test_beta_ratios_match_mpmath(p):
 def test_beta_ratios_match_scipy(p):
     for m in BETA_POWERS:
         ts = np.array(beta_points(m))
-        assert head_ratio(m, p, ts) == pytest.approx(betainc(m + 1, p + 1, ts), rel=1e-13,
-                                                     abs=1e-300)
         assert tail_ratio(m, p, ts) == pytest.approx(betainc(p + 1, m + 1, ts), rel=1e-13,
                                                      abs=1e-300)
 
 
 def test_beta_ratio_edges_and_batches():
     m = np.array([1, 3, 4497, 2 * 10**9 + 1])
-    assert np.all(head_ratio(m, 1, 0.0) == 0.0) and np.all(head_ratio(m, 1, 1.0) == 1.0)
     assert np.all(tail_ratio(m, 1, 0.0) == 0.0) and np.all(tail_ratio(m, 1, 1.0) == 1.0)
     # a row's bits do not depend on the rest of the batch, whichever form it takes
     rng = np.random.default_rng(3)
@@ -332,9 +329,15 @@ def test_beta_ratio_edges_and_batches():
     for t in (1e-12, 1e-7, 3e-6, 1e-3):
         batch = tail_ratio(ms, 2, t)
         assert [x.hex() for x in batch] == [float(tail_ratio(int(k), 2, t)).hex() for k in ms]
-        batch = head_ratio(ms, 2, np.array([[1.0 - t], [t]]))
-        assert [x.hex() for x in batch[0]] == [float(head_ratio(int(k), 2, 1.0 - t)).hex()
-                                              for k in ms]
+
+
+def test_tail_ratio_ends_are_exact_at_every_power():
+    # C(m+p, p) t^p overflowed at t = 1 once m ~ 1e11 and p ~ 25, and the
+    # share read NaN instead of 1
+    ms = np.array([1.0, 3.0, 2.0**20 + 1, 2.0**32 + 1, 1e11 + 1, 2.0**41 + 1])
+    for p in range(128):
+        assert np.all(tail_ratio(ms, p, 1.0) == 1.0), p
+        assert np.all(tail_ratio(ms, p, 0.0) == 0.0), p
 
 
 # ---------------------------------------------------------------------- #
@@ -405,22 +408,25 @@ def test_curvature_shells_match_scipy_quad(delta, starts):
 
 
 # ---------------------------------------------------------------------- #
-# vectorized window pieces against the per-monomial reference
+# window pieces against mpmath
 
 
-def per_term_piece(d: SeriesGapDensity, a: float, b: float) -> float:
-    """Signed integral of G(r^2) r (1-r)^p over [a, b], one scalar beta ratio per monomial."""
+def mp_window_mass(d: SeriesGapDensity, a: float, b: float):
+    """integral_a^b |G(r^2)| (1-r)^p r dr at 80 digits for the float
+    coefficients of G, from each monomial's antiderivative, split at the
+    density's own sign roots (an error there is second order)."""
     p = d.gap_power
-    total = 0.0
-    for e, c in zip(d.series.exponents, d.series.coeffs):
-        m = 2 * int(e) + 1
-        weight = float(edge_integral_exact(m, p))
-        if b == 1.0:
-            piece = weight * float(tail_ratio(m, p, 1.0 - a))
-        else:
-            piece = weight * float(head_ratio(m, p, b)) - weight * float(head_ratio(m, p, a))
-        total += float(c) * piece
-    return total
+    with mpmath.workdps(80):
+        terms = [(int(e), mpmath.mpf(float(c)))
+                 for e, c in zip(d.series.exponents, d.series.coeffs)]
+
+        def antiderivative(x: float):
+            r = mpmath.mpf(x)  # r^{2e+1} (1-r)^p = sum_i (-1)^i C(p, i) r^{2e+1+i}
+            return mpmath.fsum(c * (-1) ** i * math.comb(p, i) * r ** (2 * e + 2 + i)
+                               / (2 * e + 2 + i) for e, c in terms for i in range(p + 1))
+
+        values = [antiderivative(x) for x in (a, *(x for x in d.sign_roots if a < x < b), b)]
+        return mpmath.fsum(abs(y - x) for x, y in zip(values, values[1:]))
 
 
 def piece_windows(d: SeriesGapDensity) -> list[tuple[float, float]]:
@@ -434,19 +440,31 @@ def piece_windows(d: SeriesGapDensity) -> list[tuple[float, float]]:
     return [(a, b) for a, b in windows if (a, b) != (0.0, 1.0)]
 
 
+def assert_windows_match_mpmath(d: SeriesGapDensity, windows) -> None:
+    # a window is a difference of two block sums on [0, 1 - r]: it is exact
+    # to rounding of the total mass, and a window ending at r = 1 to its own
+    # rounding (deep windows of up to 3e-12 relative above it on these
+    # densities, near r = 0)
+    total = mp_window_mass(d, 0.0, 1.0)
+    assert abs(d.window_integral(0.0, 1.0) - total) <= 1e-15 * total
+    for a, b in windows:
+        mass = mp_window_mass(d, a, b)
+        got = d.window_integral(a, b)
+        assert abs(got - mass) <= 1e-15 * total, (a, b)
+        if b == 1.0:
+            assert abs(got - mass) <= 1e-15 * mass, (a, b)
+
+
 @pytest.mark.parametrize("n", [10, 2248, 172510])
-def test_signed_piece_is_bit_equal_to_per_term_sum_on_bumps(n):
+def test_window_masses_match_mpmath_on_bumps(n):
     d = SeriesGapDensity(edge_bump(n).laplacian(), 1)
-    for a, b in piece_windows(d):
-        assert d._signed_piece(a, b).hex() == per_term_piece(d, a, b).hex(), (a, b)
+    assert_windows_match_mpmath(d, piece_windows(d))
 
 
-def test_signed_piece_is_bit_equal_to_per_term_sum_on_ratio_laplacian():
+def test_window_masses_match_mpmath_on_ratio_laplacian():
     starts = (3, 32, 117, 343, 906, 2248, 5368, 12479)
     config = ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=8, spike_starts=starts)
     f = kernel_ratio_series(config.weights(), r_max=config.r_max, tol=config.tol)
     d = SeriesGapDensity(f.add(RadialSeries.from_terms([(0, -1.0)])).laplacian(), 1)
     assert len(d.sign_roots) > 2
-    windows = piece_windows(d) + [(1.0 - t, 1.0) for t in dyadic_t_grid()[1:]]
-    for a, b in windows:
-        assert d._signed_piece(a, b).hex() == per_term_piece(d, a, b).hex(), (a, b)
+    assert_windows_match_mpmath(d, piece_windows(d) + [(1.0 - t, 1.0) for t in dyadic_t_grid()[1:]])

@@ -1,5 +1,6 @@
 """Command line surface: files, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -416,6 +417,25 @@ def test_numerical_errors_are_the_core_exceptions(constructed, tmp_path, monkeyp
     assert "numerical infeasibility" in capsys.readouterr().err
 
 
+def test_exit_code_for_a_measurement_that_is_not_finite(constructed, tmp_path, monkeypatch,
+                                                      capsys):
+    # a NaN row never passes (NaN <= threshold is false), but it is no
+    # measured failure either: it is numerical infeasibility
+    measured = construction.verify_f_conditions
+
+    def nan_row(config):
+        report = measured(config)
+        rows = [dataclasses.replace(c, measured=math.nan, passed=False)
+                if c.condition == "laplacian_carleson" else c for c in report.conditions]
+        return dataclasses.replace(report, conditions=tuple(rows))
+
+    monkeypatch.setattr(construction, "verify_f_conditions", nan_row)
+    assert cli.main(["verify", str(constructed / "config.json"),
+                     "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical infeasibility" in err and "laplacian_carleson" in err
+
+
 def test_exit_code_for_unconverged_quadrature(constructed, tmp_path, monkeypatch):
     # one subinterval cannot resolve the curvature density: the curvature
     # Carleson row must not pass on an integral the rule did not converge on
@@ -549,23 +569,25 @@ def test_top_level_names_are_the_submodule_objects():
         hardyshift.refined_supremum
 
 
+def traced(tmp_path: Path, name: str, *args: str) -> dict:
+    """Spans of `hardybench/tracer.py` running one CLI command in a fresh
+    interpreter, which must exit 0; its outputs go to tmp_path / name."""
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(hardyshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    spans_path, out = tmp_path / f"{name}.json", tmp_path / name
+    proc = subprocess.run([sys.executable, str(repo / "hardybench" / "tracer.py"),
+                           str(spans_path), name, *args, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(spans_path.read_text())
+
+
 def test_benchmark_tracer_wraps_the_package(constructed, tmp_path):
     # hardybench/tracer.py patches package functions by name; a rename or a
     # new signature or return type must fail here rather than in the
     # benchmark's traced run
-    repo = Path(__file__).resolve().parents[1]
-    src = str(Path(hardyshift.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-    def traced(name: str, *args: str) -> dict:
-        spans_path, out = tmp_path / f"{name}.json", tmp_path / name
-        proc = subprocess.run([sys.executable, str(repo / "hardybench" / "tracer.py"),
-                               str(spans_path), name, *args, "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(spans_path.read_text())
-
-    trace = traced("construct", "--alpha", "1", "--delta", "0.5", "--K", "2")
+    trace = traced(tmp_path, "construct", "--alpha", "1", "--delta", "0.5", "--K", "2")
     assert json.loads((tmp_path / "construct" / "config.json").read_text())["spike_starts"] == [3, 32]
     assert {"construction.lemma_bounds", "construction.measure_spike_conditions",
             "weights.weight_range"} <= set(trace["spans"])
@@ -577,7 +599,16 @@ def test_benchmark_tracer_wraps_the_package(constructed, tmp_path):
     for name, args, span, rows in (("curvature", ("--points", "50"), "spectral.curvature_samples", 50),
                                    ("orbit", ("40",), "operators.orbit_norms", 41),
                                    ("weights", ("--n-max", "30"), "weights.weight_range", 31)):
-        trace = traced(name, config, *args)
+        trace = traced(tmp_path, name, config, *args)
         assert trace["spans"][span]["calls"] == 1, name
         _, table = read_csv(tmp_path / name / f"{name}.csv")
         assert len(table) == rows, name
+
+
+def test_benchmark_tracer_wraps_verify(constructed, tmp_path):
+    # install() looks up every name it wraps (SeriesGapDensity with its
+    # window_integral and sign_roots, radial_carleson_norm, carleson_norm,
+    # ...) and fails when one is gone
+    trace = traced(tmp_path, "verify", str(constructed / "config.json"), "--epsilon", "2")
+    assert trace["spans"]["cli.main"]["calls"] == 1
+    assert trace["spans"]["construction.verify_f_conditions"]["calls"] == 1

@@ -30,8 +30,8 @@ from hardyshift import (
     verify_f_conditions,
     verify_theorem_conditions,
 )
-from hardyshift import construction, grids, search
-from hardyshift.carleson import TWO_PI, SeriesGapDensity, gradient_sq_mass, laplacian_masses
+from hardyshift import cli, construction, grids, search
+from hardyshift.carleson import TWO_PI, gradient_sq_mass, laplacian_masses
 from hardyshift.construction import (
     MAX_POWER,
     MAX_SPIKES,
@@ -488,6 +488,70 @@ def test_spike_laplacian_masses_match_mpmath_at_large_starts():
         assert abs(rows[f"spike{sp.half_width}_laplacian_carleson"] - exact) <= 1e-15 * exact, sp
 
 
+def _mp_many_block_laplacian_mass(g: RadialSeries) -> mpmath.mpf:
+    """2 pi integral |Delta G(r^2)| (1-r) r dr at 40 digits for the float
+    coefficients of G with exact e^2 c_e, for G with many runs of exponents:
+    sign changes bracketed on a grid of 8 points per octave in u = 1 - r
+    down to 2^-10 / N of the last run, polished by findroot, and the pieces
+    between them read from the antiderivative."""
+    with mpmath.workdps(40):
+        terms = [(int(e), mpmath.mpf(float(c))) for e, c in zip(g.exponents, g.coeffs) if e > 0]
+
+        def lap(u):  # Delta G at r = 1 - u
+            return mpmath.fsum(e * e * c * (1 - u) ** (2 * e - 2) for e, c in terms)
+
+        def antiderivative(u):  # of Delta G (1-r) r dr, from r = 0 to r = 1 - u
+            r = 1 - u
+            return mpmath.fsum(e * c * r ** (2 * e) / 2 - e * e * c * r ** (2 * e + 1) / (2 * e + 1)
+                               for e, c in terms)
+
+        octaves = 10 + terms[-1][0].bit_length()
+        grid = [mpmath.mpf(2) ** (-k / mpmath.mpf(8)) for k in range(8 * octaves, 0, -1)]
+        values = [lap(u) for u in grid]
+        roots = [mpmath.findroot(lap, (a, b), solver="anderson")
+                 for a, b, fa, fb in zip(grid, grid[1:], values, values[1:])
+                 if (fa < 0) != (fb < 0)]
+        ends = [antiderivative(u) for u in [mpmath.mpf(0), *roots, mpmath.mpf(1)]]
+        return 2 * mpmath.pi * mpmath.fsum(abs(b - a) for a, b in zip(ends, ends[1:]))
+
+
+@pytest.mark.parametrize("delta, starts", [
+    (0.5, (3, 32, 117, 343, 906, 2248, 5368, 12479)),
+    (1e-3, (2549, 16580, 59309, 172510)),
+    (1e-6, SMALL_DELTA_K8),
+])
+def test_ratio_laplacian_mass_matches_mpmath(delta, starts):
+    # the float products e^2 c_e of the Laplacian series read this row
+    # 3.3e-15, 5.5e-13 and 2.5e-9 too large
+    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
+    rows = {c.condition: c.measured for c in verify_f_conditions(config).conditions}
+    f_minus_one = config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)]))
+    exact = _mp_many_block_laplacian_mass(f_minus_one)
+    assert abs(rows["laplacian_carleson"] - exact) <= 1e-15 * exact
+
+
+# the starts `construct --alpha 1 --delta 1e-8 --K 8` selects, up to 6.2e11
+TINY_DELTA_K8 = (255100997, 1658156492, 5931098224, 17251205053, 45360146375, 112475624818,
+                 268481843537, 624034839756)
+
+
+def test_laplacian_masses_do_not_depend_on_the_batch(tmp_path):
+    # at these powers C(m+p, p) overflows: the share at u = 1 read NaN for
+    # spike 8, and a batch padded with zeros spread it to spikes 6 and 7
+    config = ConstructionConfig(alpha=1.0, delta=1e-8, n_spikes=8, spike_starts=TINY_DELTA_K8)
+    terms = [config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)]))]
+    terms += [spike_ratio_term(1.0, sp) for sp in config.weights().spikes]
+    masses = laplacian_masses(terms)
+    assert [m.hex() for m in masses] == [laplacian_masses([g])[0].hex() for g in terms]
+    assert all(math.isfinite(m) for m in masses)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "conditions.csv").read_text().splitlines()
+    column = lines[0].split(",").index("measured")
+    assert all(math.isfinite(float(line.split(",")[column])) for line in lines[1:])
+
+
 def test_boundary_route_matches_the_closed_bump_mass():
     # both routes within 1e-15 of the truth; they differ by up to 1.1e-15
     # (n = 2, where the route's three terms cancel fivefold)
@@ -581,15 +645,16 @@ def test_theorem_conditions_reject_bad_epsilon(standard_config):
 ])
 def test_carleson_rows_are_total_masses(delta, starts, epsilon):
     # a radial density's Carleson constant is its total mass: each row reads
-    # its total mass (radial_carleson_norm of the ratio's densities,
-    # laplacian_masses of the spike terms), and no depth scan is reported
+    # its total mass (laplacian_masses of f - 1 and of the spike terms,
+    # gradient_sq_mass, radial_carleson_norm of the curvature density), and
+    # no depth scan is reported
     config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
     reports = (verify_f_conditions(config), verify_theorem_conditions(config, epsilon))
     rows = {c.condition: c.measured for rep in reports for c in rep.conditions}
     w, f = config.weights(), config.kernel_ratio
     grid = _condition_grid(w.spikes)
     p = DecayProfile(f.add(RadialSeries.from_terms([(0, -1.0)])), grid)
-    masses = {"laplacian_carleson": radial_carleson_norm(SeriesGapDensity(p.laplacian, 1)),
+    masses = {"laplacian_carleson": laplacian_masses([p.series])[0],
               "gradient_carleson": gradient_sq_mass(p.series),
               "curvature_carleson": radial_carleson_norm(curvature_density(f, w.spikes))}
     terms = [spike_ratio_term(config.alpha, sp) for sp in w.spikes]
