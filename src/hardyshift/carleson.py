@@ -30,9 +30,11 @@ its mass on [0, u] is that times tail_ratio(2N+1, j+p, u), an incomplete
 beta ratio with integer parameters, which has a closed form.  A window
 mass sums these pieces between the sign changes of the density: found
 by a scan in u for laplacian_masses, and by grids.sign_roots for
-SeriesGapDensity.  Densities without a series go through the package's
-adaptive Gauss-Kronrod rule (grids.gauss_kronrod), so nothing here needs
-scipy.
+SeriesGapDensity.  The same blocks give the verifier's suprema
+(block_supremum): the largest value at the ends and at the sign changes of
+the blocks' exact u-derivatives, found by the same scan.  Densities without
+a series go through the package's adaptive Gauss-Kronrod rule
+(grids.gauss_kronrod), so nothing here needs scipy.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ _SERIES_BITS = 63  # tail_ratio's series drops terms below 2^-63 of the first
 
 
 class _Block(NamedTuple):
-    """One run of consecutive exponents N..N+w of a density series, s^N P(s),
-    read in u = 1 - r as (1-u)^m u^p S(u) with m = 2N+1.
+    """One run of consecutive exponents N..N+w of a series, s^N P(s), read in u = 1 - r
+    as (1-u)^m u^p S(u), m = 2N + r_power (1 for a density against r dr: r = 1 - u).
 
     masses[j] is the full mass S_j B(j+p+1, m+1) of term j of S, and
     scaled[j] = S_j / (m+1)^j its coefficient in y = (m+1) u, in which the
@@ -71,19 +73,15 @@ class _Block(NamedTuple):
     scaled: list[float]
 
 
-def _boundary_blocks(terms: list[tuple[int, int]], scale: int, p: int) -> list[_Block]:
-    """The density sum_e (n_e / scale) s^e (1-r)^p, s = r^2, as boundary blocks.
-
-    Each run of consecutive exponents is s^N R(1-s), with R's integer
-    coefficients formed exactly, and then S(u) = R(u (2-u)), since
-    1 - s = u (2-u), also exact.  The block's density in u is
-    (1-u)^{2N+1} u^p S(u) du, and each full mass S_j B(j+p+1, 2N+2) / scale
-    is one int over int, rounded once.  A run of w + 1 terms gives S degree 2w.
-    """
-    blocks = []
+def _runs(terms: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
+    """(N, S) for each run of consecutive exponents N..N+w of sum_e n_e s^e:
+    the run is s^N R(1-s) = (1-u)^{2N} S(u) in u = 1 - r, with R's and then
+    S(u) = R(u (2-u))'s integer coefficients formed exactly, since
+    1 - s = u (2-u).  A run of w + 1 terms gives S degree 2w."""
+    runs = []
     starts = [i for i in range(len(terms)) if i == 0 or terms[i][0] != terms[i - 1][0] + 1]
     for lo, hi in zip(starts, [*starts[1:], len(terms)]):
-        low = terms[lo][0]  # N
+        low = terms[lo][0]
         r = [0] * (hi - lo)
         for e, num in terms[lo:hi]:
             d = e - low
@@ -93,25 +91,49 @@ def _boundary_blocks(terms: list[tuple[int, int]], scale: int, p: int) -> list[_
         for i, ri in enumerate(r):
             for k in range(i + 1):  # (u (2-u))^i = sum_k C(i, k) 2^{i-k} (-1)^k u^{i+k}
                 s[i + k] += (-1) ** k * math.comb(i, k) * 2 ** (i - k) * ri
-        m = 2 * low + 1
-        # B(j+p+1, m+1) = edge_integral_exact(m, j+p); int / int rounds once
-        blocks.append(_Block(m, [sj / (scale * (m + j + p + 1) * math.comb(m + j + p, j + p))
-                                 for j, sj in enumerate(s)],
-                             [sj / (scale * (m + 1) ** j) for j, sj in enumerate(s)]))
-    return blocks
+        runs.append((low, s))
+    return runs
+
+
+def _block(m: int, s: list[int], scale: int, p: int) -> _Block:
+    """The block (1-u)^m u^p S(u) / scale; each full mass S_j B(j+p+1, m+1) / scale
+    (B(j+p+1, m+1) = edge_integral_exact(m, j+p)) is one int over int, rounded once."""
+    return _Block(m, [sj / (scale * (m + j + p + 1) * math.comb(m + j + p, j + p))
+                      for j, sj in enumerate(s)],
+                  [sj / (scale * (m + 1) ** j) for j, sj in enumerate(s)])
+
+
+def _boundary_blocks(terms: list[tuple[int, int]], scale: int, p: int) -> list[_Block]:
+    """The density sum_e (n_e / scale) s^e (1-r)^p r dr as boundary blocks."""
+    return [_block(2 * low + 1, s, scale, p) for low, s in _runs(terms)]
+
+
+def _slope(m: int, s: list[int], p: int) -> tuple[int, list[int]]:
+    """(m', T) with u d/du [(1-u)^m u^p S(u)] = (1-u)^{m'} u^p T(u), exact in S's
+    integers: term j gives (p+j) u^j - (p+j+m) u^{j+1} over (1-u)^{m-1}, or
+    (p+j) u^j over (1-u)^0 when m = 0."""
+    if m == 0:
+        return 0, [(p + j) * sj for j, sj in enumerate(s)]
+    t = [0] * (len(s) + 1)
+    for j, sj in enumerate(s):
+        t[j] += (p + j) * sj
+        t[j + 1] -= (p + j + m) * sj
+    return m - 1, t
 
 
 def _block_density(blocks: Sequence[_Block], u):
-    """sum over blocks of (1-u)^m S(u), the density without its u^p factor;
-    a block whose (1-u)^m underflows adds exactly 0."""
+    """sum over blocks of (1-u)^m S(u), the density without its u^p factor; a block
+    whose (1-u)^m underflows adds exactly 0, and one with m = 0 S(u), also at u = 1."""
     total = 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for b in blocks:
             y, poly = (b.m + 1) * u, 0.0
             for c in reversed(b.scaled):
                 poly = poly * y + c
-            weight = np.exp(b.m * np.log1p(-u))
-            total = total + np.where(weight > 0.0, weight * poly, 0.0)
+            if b.m:
+                weight = np.exp(b.m * np.log1p(-u))
+                poly = np.where(weight > 0.0, weight * poly, 0.0)
+            total = total + poly
     return total
 
 
@@ -132,6 +154,26 @@ def _block_roots(blocks: Sequence[_Block]) -> list[float]:
     values = np.where(np.abs(values) < _TINY, 0.0, values)
     return [brentq(lambda u: _block_density(blocks, u), lo, hi, xtol=0.0)
             for lo, hi in sign_change_brackets(values, grid)]
+
+
+def block_supremum(terms: list[tuple[int, int]], scale: int, p: int,
+                   r_power: int) -> tuple[float, float]:
+    """(argmax_r, sup) over r in [0, 1] of |G(r^2)| (1-r)^p r^r_power, G = sum_e (n_e / scale) s^e.
+
+    In u = 1 - r each run of G is a block (1-u)^m u^p S(u), m = 2N + r_power.
+    The candidates are r = 0 (the constant term, when r_power = 0), the sign
+    changes of the summed slope blocks (_slope, _block_roots), and r = 1
+    (|G(1)|, when p = 0).  The end values are int over int, rounded once,
+    and no power s^N of a rounded s = r^2 is taken.  Ties keep the smaller r.
+    """
+    runs = _runs(terms)
+    blocks = [_block(2 * low + r_power, s, scale, p) for low, s in runs]
+    slopes = [_block(*_slope(2 * low + r_power, s, p), scale, p) for low, s in runs]
+    at_zero = abs(sum(n for e, n in terms if e == 0)) / scale if r_power == 0 else 0.0
+    at_one = abs(sum(n for _, n in terms)) / scale if p == 0 else 0.0
+    inside = [(1.0 - u, float(u ** p * abs(_block_density(blocks, u))))
+              for u in reversed(_block_roots(slopes))]
+    return max([(0.0, at_zero), *inside, (1.0, at_one)], key=lambda candidate: candidate[1])
 
 
 def _block_masses(blocks: Sequence[Sequence[_Block]], points: Sequence[Sequence[float]],

@@ -12,22 +12,22 @@ per-bump reports combined through the triangle inequality, which keeps
 the search monotone in spirit and each candidate cheap; that part runs on
 the standard library and lives in hardyshift.search, whose names this
 module re-exports.  Verification, here, then measures the assembled
-corrections and the full ratio on numpy grids, so the two stages check
-each other.
+corrections and the full ratio, so the two stages check each other: the
+flatness rows read every supremum and mass exactly from the boundary
+blocks of hardyshift.carleson, and the curvature rows sample Delta log f
+on a boundary-refined grid and integrate it by quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .carleson import RadialDensity, gradient_sq_mass, laplacian_masses
-from .grids import (boundary_refined_grid, merge_grids, peak_candidates, refined_supremum,
-                    sign_roots)
+from .carleson import RadialDensity, block_supremum, gradient_sq_mass, laplacian_masses
+from .grids import boundary_refined_grid, merge_grids, refined_supremum, sign_roots
 from .search import (  # noqa: F401  (the spike search, re-exported under its old module)
     MAX_POWER,
     MAX_SPIKES,
@@ -47,55 +47,10 @@ from .search import (  # noqa: F401  (the spike search, re-exported under its ol
     spike_correction_thresholds,
     spike_gate,
 )
+from .search import _integer_coefficients
 from .series import RadialSeries
 from .spectral import ratio_log_laplacian, spike_ratio_term
 from .weights import SpikeSpec
-
-
-# ---------------------------------------------------------------------- #
-# measured decay
-
-
-def _decay_grid(powers: Iterable[int], count: int, u_max: float) -> np.ndarray:
-    """Boundary-refined grid seeded, for each bump power m, with the peaks of
-    the monomials r^{2m-2} ... r^{2m+2} of the bump and its derivatives and
-    with the bump's own peak r = sqrt(m/(m+1)) (and s = m/(m+1))."""
-    stencil: set[int] = set()
-    extras: list[float] = []
-    for m in powers:
-        stencil.update(q for q in range(2 * m - 2, 2 * m + 3) if q >= 1)
-        extras += [math.sqrt(m / (m + 1.0)), m / (m + 1.0)]
-    return merge_grids(boundary_refined_grid(count, u_max), peak_candidates(stencil), extras)
-
-
-class DecayProfile:
-    """Decay suprema of a radial term G(s), s = r^2, measured on a grid.
-
-    `laplacian` is the series of Laplacian G.  The suprema are
-    (argmax_r, value) pairs: value_sup of |G|, laplacian_sup of
-    |Laplacian G| (1 - r)^2 and gradient_sup of |gradient G| (1 - r) =
-    r |G'(r^2)| (1 - r), read from G' and not from the expanded s G'^2,
-    whose coefficients cancel.  The suprema are built on first access.
-    """
-
-    def __init__(self, series: RadialSeries, grid: np.ndarray):
-        self.series = series
-        self.grid = grid
-        self.laplacian = series.laplacian()
-
-    @cached_property
-    def value_sup(self) -> tuple[float, float]:
-        return refined_supremum(lambda r: np.abs(self.series.eval(r * r)), self.grid)
-
-    @cached_property
-    def laplacian_sup(self) -> tuple[float, float]:
-        lap = self.laplacian
-        return refined_supremum(lambda r: np.abs(lap.eval(r * r)) * (1.0 - r) ** 2, self.grid)
-
-    @cached_property
-    def gradient_sup(self) -> tuple[float, float]:
-        d = self.series.derivative
-        return refined_supremum(lambda r: r * np.abs(d.eval(r * r)) * (1.0 - r), self.grid)
 
 
 # ---------------------------------------------------------------------- #
@@ -146,26 +101,30 @@ def _row(name: str, threshold: float, measured: float,
                            argmax_r=argmax_r, passed=bool(measured <= threshold))
 
 
-def _condition_grid(spikes: Sequence[SpikeSpec]) -> np.ndarray:
-    return _decay_grid([m for sp in spikes for m in sp.interior], 801, 46.0)
+def _suprema(g: RadialSeries) -> list[tuple[float, float]]:
+    """(argmax_r, value) of |G|, |Laplacian G| (1 - r)^2 and |gradient G| (1 - r)
+    = r |G'(r^2)| (1 - r) for a radial term G(s), s = r^2, by block_supremum:
+    Laplacian G = sum_e e^2 c_e s^{e-1} and G' = sum_e e c_e s^{e-1} are formed
+    in integers, and G' is read without expanding s G'^2, whose coefficients cancel."""
+    coeffs, scale = _integer_coefficients(g)
+    return [block_supremum(coeffs, scale, 0, 0),
+            block_supremum([(e - 1, e * e * n) for e, n in coeffs if e], scale, 2, 0),
+            block_supremum([(e - 1, e * n) for e, n in coeffs if e], scale, 1, 1)]
 
 
-def measure_spike_conditions(alpha: float, spikes: Sequence[SpikeSpec],
-                             grid: np.ndarray) -> list[Decay]:
-    """Measured decay quantities of each spike's assembled correction term.
+def _peak_hints(spikes: Sequence[SpikeSpec]) -> list[float]:
+    """Peak radii sqrt(m/(m+1)) of the bumps s^m (1 - s) over the spike interiors."""
+    return [math.sqrt(m / (m + 1.0)) for sp in spikes for m in sp.interior]
 
-    The suprema are read on a grid from _condition_grid; the Laplacian
-    masses come from carleson.laplacian_masses, one batch for all spikes,
-    and the gradient masses from gradient_sq_mass, both exact in the term's
-    float coefficients.
-    """
+
+def measure_spike_conditions(alpha: float, spikes: Sequence[SpikeSpec]) -> list[Decay]:
+    """Measured decay quantities of each spike's assembled correction term:
+    the suprema from _suprema, the Laplacian masses from one laplacian_masses
+    batch and the gradient masses from gradient_sq_mass, all exact in the
+    term's float coefficients."""
     terms = [spike_ratio_term(alpha, sp) for sp in spikes]
-    out = []
-    for g, mass in zip(terms, laplacian_masses(terms)):
-        p = DecayProfile(g, grid)
-        out.append(Decay(p.value_sup[1], p.laplacian_sup[1], p.gradient_sup[1],
-                         mass, gradient_sq_mass(g)))
-    return out
+    return [Decay(*(value for _, value in _suprema(g)), mass, gradient_sq_mass(g))
+            for g, mass in zip(terms, laplacian_masses(terms))]
 
 
 def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
@@ -179,29 +138,22 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
     """
     w = config.weights()
     delta = config.delta
-    grid = _condition_grid(w.spikes)
-    f = config.kernel_ratio
-    p = DecayProfile(f.add(RadialSeries.from_terms([(0, -1.0)])), grid)
-    (arg_dev, sup_dev), (arg_lap, sup_lap), (arg_grad, sup_grad) = \
-        p.value_sup, p.laplacian_sup, p.gradient_sup
+    deviation = config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)]))
+    (arg_dev, sup_dev), (arg_lap, sup_lap), (arg_grad, sup_grad) = _suprema(deviation)
     rows = [
         _row("ratio_deviation", delta, sup_dev, arg_dev),
         _row("laplacian_sup", delta, sup_lap, arg_lap),
         _row("gradient_sup", math.sqrt(delta), sup_grad, arg_grad),
-        _row("laplacian_carleson", delta, laplacian_masses([p.series])[0]),
-        _row("gradient_carleson", delta, gradient_sq_mass(p.series)),
+        _row("laplacian_carleson", delta, laplacian_masses([deviation])[0]),
+        _row("gradient_carleson", delta, gradient_sq_mass(deviation)),
     ]
 
-    for sp, measured in zip(w.spikes, measure_spike_conditions(config.alpha, w.spikes, grid)):
+    for sp, measured in zip(w.spikes, measure_spike_conditions(config.alpha, w.spikes)):
         k = sp.half_width
         rows.extend(_row(f"spike{k}_{name}", t, m) for name, t, m in
                     zip(Decay._fields, spike_correction_thresholds(delta, k), measured))
 
-    meta = {
-        "config": config.to_dict(),
-        "grid_points": int(len(grid)),
-        "mode": "ratio_flatness",
-    }
+    meta = {"config": config.to_dict(), "mode": "ratio_flatness"}
     return VerificationReport(conditions=tuple(rows), meta=meta)
 
 
@@ -213,10 +165,9 @@ def curvature_density(f: RadialSeries, spikes: Sequence[SpikeSpec]) -> RadialDen
     scan grid of f's own exponents.
     """
     cuts = sign_roots(lambda s: ratio_log_laplacian(f, np.sqrt(s)), f.exponents)
-    peak_hints = [math.sqrt(m / (m + 1.0)) for sp in spikes for m in sp.interior]
     return RadialDensity(
         lambda r: np.abs(ratio_log_laplacian(f, r)) * (1.0 - r),
-        breakpoints=merge_grids(cuts, peak_hints),
+        breakpoints=merge_grids(cuts, _peak_hints(spikes)),
         label="curvature_deviation",
     )
 
@@ -231,7 +182,7 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> Ver
     """
     delta_sufficient = delta_for_epsilon(epsilon)  # rejects a bad epsilon first
     w = config.weights()
-    grid = _condition_grid(w.spikes)
+    grid = merge_grids(boundary_refined_grid(801, 46.0), _peak_hints(w.spikes))
     f = config.kernel_ratio
 
     def band(r):

@@ -84,9 +84,10 @@ def brentq(f, xa: float, xb: float, xtol: float) -> float:
     scipy's brentq.c) with rtol = 4 eps and maxiter = 100: the same
     inverse quadratic / secant steps, bisection fallbacks and stopping
     rule, so it evaluates f at the same points and returns the same root
-    bit for bit, without importing scipy.optimize.  Raises ValueError when
-    f(xa) and f(xb) have the same sign or f returns NaN, and
-    RootNotConvergedError after maxiter steps.
+    bit for bit, without importing scipy.optimize.  A step whose divisor
+    underflows to zero bisects, as the C code's inf or NaN step does.
+    Raises ValueError when f(xa) and f(xb) have the same sign or f returns
+    NaN, and RootNotConvergedError after maxiter steps.
     """
     def call(x: float) -> float:
         fx = float(f(x))
@@ -115,12 +116,15 @@ def brentq(f, xa: float, xb: float, xtol: float) -> float:
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or NaN here, which fails the test below
+                stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
                 spre, scur = scur, stry
             else:  # bisect

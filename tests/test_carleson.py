@@ -20,8 +20,9 @@ from hardyshift import (
     edge_integral_exact,
     radial_carleson_norm,
 )
-from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, carleson_norm,
-                                 dyadic_t_grid, gradient_sq_mass, tail_ratio)
+from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, block_supremum,
+                                 carleson_norm, dyadic_t_grid, gradient_sq_mass, laplacian_masses,
+                                 tail_ratio)
 from hardyshift.construction import MAX_POWER, curvature_density
 from hardyshift.grids import _root_scan_grid, sign_roots
 from hardyshift.series import RadialSeries, edge_bump
@@ -468,3 +469,69 @@ def test_window_masses_match_mpmath_on_ratio_laplacian():
     d = SeriesGapDensity(f.add(RadialSeries.from_terms([(0, -1.0)])).laplacian(), 1)
     assert len(d.sign_roots) > 2
     assert_windows_match_mpmath(d, piece_windows(d) + [(1.0 - t, 1.0) for t in dyadic_t_grid()[1:]])
+
+
+def test_masses_where_the_root_polish_meets_an_underflowing_step():
+    # the Laplacian of s^1000 - 3 s^1001 + 2 s^1002 is s^999 q(s) with a
+    # quadratic q; polishing its sign changes in u = 1 - r divided by zero
+    # before brentq bisected there as scipy does.  Oracle: 40-digit quad
+    # split at the two exact roots
+    g = RadialSeries(np.array([1000, 1001, 1002]), np.array([1.0, -3.0, 2.0]))
+    a, b, c = 2 * 1002 ** 2, -3 * 1001 ** 2, 1000 ** 2
+
+    def density(r):
+        s = r * r
+        return abs(s ** 999 * (c + b * s + a * s * s)) * (1 - r) * r
+
+    with mpmath.workdps(40):
+        roots = sorted(mpmath.sqrt(x) for x in mpmath.polyroots([a, b, c]) if 0 < x < 1)
+        cuts = [0, 0.9, 0.99, *roots, 1]
+        exact = float(2 * mpmath.pi * sum(mpmath.quad(density, [x, y])
+                                          for x, y in zip(cuts, cuts[1:])))
+    assert len(roots) == 2
+    density = SeriesGapDensity(g.laplacian(), 1)
+    for mass in (laplacian_masses([g])[0], radial_carleson_norm(density)):
+        assert abs(mass - exact) <= 1e-15 * exact
+
+
+# ---------------------------------------------------------------------- #
+# suprema from the boundary blocks
+
+
+@st.composite
+def integer_runs(draw):
+    """Terms (e, n_e) of one to three runs of consecutive exponents with
+    integer coefficients, the first run starting at 0 or up to 2^20."""
+    e = draw(st.one_of(st.just(0), st.integers(1, 2 ** 20)))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        for n in draw(st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=1, max_size=5)):
+            terms.append((e, n))
+            e += 1
+        e += draw(st.integers(1, 2 * e))
+    return terms
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(terms=integer_runs(), p=st.integers(0, 2), r_power=st.integers(0, 1))
+@example(terms=[(0, 3), (1, -5), (2, 1)], p=0, r_power=0)  # G(1) = -1: the sup is at r = 0
+@example(terms=[(0, 1), (1, 1)], p=0, r_power=0)  # increasing: the sup is G(1) at r = 1
+@example(terms=[(0, -3), (1, 8), (2, -4)], p=2, r_power=0)
+# G' = -(100s - 76)(100s - 78)(100s - 81) / 12: a max, a min and the larger
+# max at u = 0.128, 0.117 and 0.1, closer than a scan of 2 points per octave
+@example(terms=[(1, 5762016), (2, -11041200), (3, 9400000), (4, -3000000)], p=0, r_power=0)
+def test_block_supremum_is_never_below_the_function(terms, p, r_power):
+    # on a geometric grid in u = 1 - r of 64 points per octave, four times
+    # as dense as _block_roots' scan; the slack covers rounding, relative to
+    # the sum of the terms' absolute values
+    argmax_r, sup = block_supremum(terms, 1, p, r_power)
+    assert 0.0 <= argmax_r <= 1.0
+    m = np.array([2 * e + r_power for e, _ in terms], dtype=np.float64)  # (1-u)^m per term
+    n = np.array([n for _, n in terms], dtype=np.float64)
+    top = int(m[-1]) + 1
+    u = np.geomspace(2.0 ** -30 / top, 1.0, 64 * (30 + top.bit_length()))[:, None]
+    weights = np.where(u < 0.5, np.exp(m * np.log1p(-np.minimum(u, 0.5))),
+                       np.power(1.0 - u, m)) * u ** p
+    values = np.abs(weights @ n)
+    slack = 1e-10 * (weights @ np.abs(n))
+    assert np.all(sup >= values - slack)

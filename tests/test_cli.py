@@ -612,3 +612,7 @@ def test_benchmark_tracer_wraps_verify(constructed, tmp_path):
     trace = traced(tmp_path, "verify", str(constructed / "config.json"), "--epsilon", "2")
     assert trace["spans"]["cli.main"]["calls"] == 1
     assert trace["spans"]["construction.verify_f_conditions"]["calls"] == 1
+    assert trace["spans"]["construction.measure_spike_conditions"]["calls"] == 1
+    # the flatness sups come from the boundary blocks; the grid serves only
+    # ratio_band and curvature_sup
+    assert trace["spans"]["grids.refined_supremum"]["calls"] == 2

@@ -36,8 +36,6 @@ from hardyshift.construction import (
     MAX_POWER,
     MAX_SPIKES,
     Decay,
-    DecayProfile,
-    _condition_grid,
     curvature_density,
     measure_spike_conditions,
 )
@@ -127,6 +125,20 @@ def test_lemma_calls_no_refined_supremum(monkeypatch):
     monkeypatch.setattr(grids, "refined_supremum", refuse)
     for n in (1, 2, 34, 2248, 6240348396):
         construction.lemma_bounds.__wrapped__(n)
+
+
+def test_verify_f_runs_no_grid_supremum(monkeypatch):
+    # every flatness supremum is read from the boundary blocks
+    def refuse(*args, **kwargs):
+        raise AssertionError("refined_supremum called")
+
+    monkeypatch.setattr(grids, "refined_supremum", refuse)
+    monkeypatch.setattr(construction, "refined_supremum", refuse)
+    config = ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=8,
+                                spike_starts=(3, 32, 117, 343, 906, 2248, 5368, 12479))
+    report = verify_f_conditions(config)
+    assert report.passed
+    assert "grid_points" not in report.meta
 
 
 def test_one_gradient_supremum_feeds_lemma_and_gate():
@@ -219,7 +231,7 @@ def test_gate_values_bound_measured_conditions():
     for start, k in ((3, 1), (32, 2), (117, 3)):
         spike = SpikeSpec(start, k)
         gate = spike_gate(1.0, 0.5, spike)
-        measured = measure_spike_conditions(1.0, [spike], _condition_grid([spike]))[0]
+        measured = measure_spike_conditions(1.0, [spike])[0]
         for name, m, value in zip(Decay._fields, measured, gate.values):
             assert m <= value * (1.0 + 1e-9), name
 
@@ -535,6 +547,60 @@ TINY_DELTA_K8 = (255100997, 1658156492, 5931098224, 17251205053, 45360146375, 11
                  268481843537, 624034839756)
 
 
+def _mp_supremum(g: RadialSeries, kind: int, argmax_r: float) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The local maximum of |G| (kind 0), |Delta G| (1-r)^2 (kind 1) or
+    r |G'(r^2)| (1-r) (kind 2) next to u = 1 - argmax_r, at 40 digits for the
+    float coefficients of G, and the largest value at u (1 +- 2^-k), k = 4 .. 20.
+    In u = 1 - r each is u^p sum_e a_e (1-u)^{2e + q} with exact a_e, and the
+    maximum is the root of its u-derivative found by the secant method."""
+    with mpmath.workdps(40):
+        e_c = [(int(e), mpmath.mpf(float(c))) for e, c in zip(g.exponents, g.coeffs)]
+        if kind == 0:
+            terms, p, q = e_c, 0, 0
+        elif kind == 1:
+            terms, p, q = [(e - 1, e * e * c) for e, c in e_c if e], 2, 0
+        else:
+            terms, p, q = [(e - 1, e * c) for e, c in e_c if e], 1, 1
+
+        def value(u):
+            return abs(u ** p * mpmath.fsum(a * (1 - u) ** (2 * e + q) for e, a in terms))
+
+        def slope(u):
+            return mpmath.fsum(a * (p * u ** (p - 1) * (1 - u) ** (2 * e + q) if p else 0)
+                               - a * (2 * e + q) * u ** p * (1 - u) ** (2 * e + q - 1)
+                               for e, a in terms)
+
+        u0 = 1 - mpmath.mpf(argmax_r)
+        u = mpmath.findroot(slope, (u0, u0 * (1 + mpmath.mpf(2) ** -30)), verify=False)
+        nearby = max(value(u * (1 + sign * mpmath.mpf(2) ** -k))
+                     for k in range(4, 21) for sign in (1, -1))
+        return value(u), nearby
+
+
+@pytest.mark.parametrize("delta, starts", [
+    (0.5, (3, 32, 117, 343, 906, 2248, 5368, 12479)),
+    (1e-3, (2549, 16580, 59309, 172510)),
+    (1e-6, SMALL_DELTA_K8),
+    (1e-8, TINY_DELTA_K8),
+])
+def test_suprema_match_mpmath_maxima(delta, starts):
+    # the grid sups read these up to 6.4e-12 (delta 1e-3), 7.0e-8 (delta
+    # 1e-6) and 1.6e-5 (delta 1e-8, spike8_laplacian_sup) away: they took
+    # s^N of a rounded s = r^2
+    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
+    rows = {c.condition: c.measured for c in verify_f_conditions(config).conditions}
+    cases = [(("ratio_deviation", "laplacian_sup", "gradient_sup"),
+              config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)])))]
+    cases += [(tuple(f"spike{sp.half_width}_{name}" for name in Decay._fields[:3]),
+               spike_ratio_term(1.0, sp)) for sp in config.weights().spikes]
+    for names, g in cases:
+        for kind, (name, (argmax_r, value)) in enumerate(zip(names, construction._suprema(g))):
+            assert rows[name] == value, name
+            exact, nearby = _mp_supremum(g, kind, argmax_r)
+            assert abs(value - exact) <= 2e-15 * exact, name
+            assert nearby <= value * (1 + 2e-15), name
+
+
 def test_laplacian_masses_do_not_depend_on_the_batch(tmp_path):
     # at these powers C(m+p, p) overflows: the share at u = 1 read NaN for
     # spike 8, and a batch padded with zeros spread it to spikes 6 and 7
@@ -565,8 +631,8 @@ def test_boundary_route_matches_the_closed_bump_mass():
 
 def test_spike_value_sup_closed_form():
     # |c_1| sup s^4 (1-s) for the first standard spike: 0.75 * (4/5)^4 / 5
-    measured = measure_spike_conditions(1.0, [SpikeSpec(3, 1)], _condition_grid([SpikeSpec(3, 1)]))[0]
-    assert measured.value_sup == pytest.approx(0.75 * 256.0 / 3125.0, rel=1e-12)
+    measured = measure_spike_conditions(1.0, [SpikeSpec(3, 1)])[0]
+    assert measured.value_sup == 192 / 3125
 
 
 def test_f_conditions_fail_for_halved_positions():
@@ -652,10 +718,9 @@ def test_carleson_rows_are_total_masses(delta, starts, epsilon):
     reports = (verify_f_conditions(config), verify_theorem_conditions(config, epsilon))
     rows = {c.condition: c.measured for rep in reports for c in rep.conditions}
     w, f = config.weights(), config.kernel_ratio
-    grid = _condition_grid(w.spikes)
-    p = DecayProfile(f.add(RadialSeries.from_terms([(0, -1.0)])), grid)
-    masses = {"laplacian_carleson": laplacian_masses([p.series])[0],
-              "gradient_carleson": gradient_sq_mass(p.series),
+    deviation = f.add(RadialSeries.from_terms([(0, -1.0)]))
+    masses = {"laplacian_carleson": laplacian_masses([deviation])[0],
+              "gradient_carleson": gradient_sq_mass(deviation),
               "curvature_carleson": radial_carleson_norm(curvature_density(f, w.spikes))}
     terms = [spike_ratio_term(config.alpha, sp) for sp in w.spikes]
     for sp, g, mass in zip(w.spikes, terms, laplacian_masses(terms)):

@@ -1,11 +1,13 @@
 """Grid suprema and sign-change brackets."""
 
+import math
+
 import bump_oracles
 import numpy as np
 import pytest
 import scipy.optimize
 
-from hardyshift.construction import _decay_grid, curvature_density, lemma_bounds
+from hardyshift.construction import curvature_density, lemma_bounds
 from hardyshift.grids import (
     _G10_WEIGHTS,
     _GK21_NODES,
@@ -16,6 +18,8 @@ from hardyshift.grids import (
     boundary_refined_grid,
     brentq,
     gauss_kronrod,
+    merge_grids,
+    peak_candidates,
     refined_supremum,
     sign_change_brackets,
 )
@@ -29,6 +33,15 @@ def _bump_fns(n: int):
     grad = edge_bump(n).grad_sq()
     return (lambda r: np.abs(lap.eval(r * r)) * (1.0 - r) ** 2,
             lambda r: np.abs(grad.eval(r * r)) * (1.0 - r) ** 2)
+
+
+def _bump_grid(n: int) -> np.ndarray:
+    """Boundary-refined grid seeded with the peaks of the monomials
+    r^{2n-2} ... r^{2n+2} of the bump s^n (1 - s) and its derivatives, and
+    with the bump's own peak r = sqrt(n/(n+1)) (and s = n/(n+1))."""
+    stencil = [q for q in range(2 * n - 2, 2 * n + 3) if q >= 1]
+    return merge_grids(boundary_refined_grid(701, 45.0), peak_candidates(stencil),
+                       [math.sqrt(n / (n + 1.0)), n / (n + 1.0)])
 
 
 class CountingFn:
@@ -66,7 +79,7 @@ def test_refined_supremum_never_below_grid_maximum(seed):
 def test_refined_supremum_reaches_dense_grid_maximum(n):
     dense = np.linspace(0.0, 1.0, 2_000_001)[:-1]
     for fn in _bump_fns(n):
-        _, value = refined_supremum(fn, _decay_grid([n], 701, 45.0))
+        _, value = refined_supremum(fn, _bump_grid(n))
         dense_max = max(float(np.max(fn(chunk))) for chunk in np.array_split(dense, 8))
         assert value >= dense_max - 1e-12
 
@@ -123,7 +136,7 @@ def test_polish_is_batched(n):
     # one call on the grid, then one per polish step for all brackets together
     for base in _bump_fns(n):
         fn = CountingFn(base)
-        refined_supremum(fn, _decay_grid([n], 701, 45.0))
+        refined_supremum(fn, _bump_grid(n))
         assert fn.calls <= 16
 
 
@@ -289,6 +302,18 @@ def test_brentq_returns_a_root_on_an_endpoint(lo, hi):
     (root, seen), (ref_root, ref_seen) = _brent_runs(lambda x: x - 0.5, lo, hi)
     assert root == ref_root == 0.5
     assert seen == ref_seen == [lo, hi]
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("shape", [lambda x: x ** 3 - 0.3, lambda x: (x - 0.2) ** 3],
+                         ids=["simple_root", "triple_root"])
+def test_brentq_bisects_where_the_step_divisor_underflows(scale, shape):
+    # on values this small the extrapolation step's divisor dblk dpre
+    # (fblk - fpre) underflows to 0: scipy's C code gets inf or NaN and
+    # bisects, where a Python quotient would raise ZeroDivisionError
+    (root, seen), (ref_root, ref_seen) = _brent_runs(lambda x: scale * shape(x), 0.0, 1.0)
+    assert root == ref_root
+    assert seen == ref_seen
 
 
 def test_brentq_rejects_brackets_without_a_sign_change():
