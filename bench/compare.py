@@ -26,8 +26,10 @@ Six parts, each run on both checkouts with this same script:
   ratio at 1 point and at 1000 points, `ratio_log_laplacian` at 1 point,
   and `radial_carleson_norm` of `SeriesGapDensity` on the float Laplacian
   series of f - 1 (a fresh density per call, so sign roots included; the
-  `laplacian_carleson` row itself reads `laplacian_masses` of f - 1); same
-  fresh interpreters and alternation;
+  `laplacian_carleson` row itself reads `laplacian_masses` of f - 1), and
+  `kernel_ratio_series` (building f and checking it against the weights)
+  on the frozen K = 8 and K = 4, delta 1e-3 configs; same fresh
+  interpreters and alternation;
 * cold-start wall time and CPU time (user + system, from the child's
   rusage) of `python -c "import hardyshift.cli"` and of the
   `weights`, `orbit`, `curvature`, `construct --K 2`, `lemma` and
@@ -78,7 +80,7 @@ WORKLOADS = ("search", "certify", "tables")
 REPS = 7  # in-process timings per job and side
 # layer timings: calls per timed loop
 LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
-               "radial_carleson_norm_laplacian": 50}
+               "radial_carleson_norm_laplacian": 50, "kernel_ratio": 20}
 LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484", str(2 ** 40 + 16))
 PAIRS = 10  # alternating end-to-end runs per workload
 COLD_REPS = 7  # cold-start timings per command and side
@@ -128,6 +130,9 @@ def layer(kind: str, key: str) -> None:
         call = lambda: float(f.eval(s).sum())  # noqa: E731
     elif kind == "ratio_log_laplacian_1pt":
         call = lambda: ratio_log_laplacian(f, 0.999)  # noqa: E731
+    elif kind == "kernel_ratio":
+        w = config.weights()
+        call = lambda: len(kernel_ratio_series(w, r_max=config.r_max, tol=config.tol))  # noqa: E731
     else:
         lap = f.add(RadialSeries.from_terms([(0, -1.0)])).laplacian()
         call = lambda: radial_carleson_norm(SeriesGapDensity(lap, 1))  # noqa: E731
@@ -368,7 +373,7 @@ def main(argv=None) -> int:
     jobs = ([("plan", f"K{k}") for k in PLAN_KS]
             + [("verify_f", "K8"), ("verify_theorem", "K8"), ("verify_theorem", "K4"),
                ("verify_f", "K8_delta1e-6")]
-            + [(kind, "K8") for kind in LAYER_CALLS])
+            + [(kind, "K8") for kind in LAYER_CALLS] + [("kernel_ratio", "K4")])
     for rep in range(REPS):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
         for kind, key in jobs:

@@ -61,16 +61,22 @@ _SERIES_BITS = 63  # tail_ratio's series drops terms below 2^-63 of the first
 
 class _Block(NamedTuple):
     """One run of consecutive exponents N..N+w of a series, s^N P(s), read in u = 1 - r
-    as (1-u)^m u^p S(u), m = 2N + r_power (1 for a density against r dr: r = 1 - u).
+    as (1-u)^m u^p S(u) / scale, m = 2N + r_power (1 for a density against r dr: r = 1 - u).
 
-    masses[j] is the full mass S_j B(j+p+1, m+1) of term j of S, and
-    scaled[j] = S_j / (m+1)^j its coefficient in y = (m+1) u, in which the
-    coefficients are of comparable size near the block's scale u ~ 1/N.
+    s holds S's exact integers, and scaled[j] = S_j / (scale (m+1)^j) the
+    coefficient of term j in y = (m+1) u, in which the coefficients are of
+    comparable size near the block's scale u ~ 1/N.
     """
 
     m: int
-    masses: list[float]
+    s: list[int]
+    scale: int
     scaled: list[float]
+
+    def masses(self, p: int) -> list[float]:
+        """Full mass S_j B(j+p+1, m+1) / scale of each term j, int over int rounded once."""
+        return [sj / (self.scale * (self.m + j + p + 1) * math.comb(self.m + j + p, j + p))
+                for j, sj in enumerate(self.s)]
 
 
 def _runs(terms: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
@@ -95,17 +101,14 @@ def _runs(terms: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
     return runs
 
 
-def _block(m: int, s: list[int], scale: int, p: int) -> _Block:
-    """The block (1-u)^m u^p S(u) / scale; each full mass S_j B(j+p+1, m+1) / scale
-    (B(j+p+1, m+1) = edge_integral_exact(m, j+p)) is one int over int, rounded once."""
-    return _Block(m, [sj / (scale * (m + j + p + 1) * math.comb(m + j + p, j + p))
-                      for j, sj in enumerate(s)],
-                  [sj / (scale * (m + 1) ** j) for j, sj in enumerate(s)])
+def _block(m: int, s: list[int], scale: int) -> _Block:
+    """The block (1-u)^m u^p S(u) / scale, for any gap power p."""
+    return _Block(m, s, scale, [sj / (scale * (m + 1) ** j) for j, sj in enumerate(s)])
 
 
-def _boundary_blocks(terms: list[tuple[int, int]], scale: int, p: int) -> list[_Block]:
-    """The density sum_e (n_e / scale) s^e (1-r)^p r dr as boundary blocks."""
-    return [_block(2 * low + 1, s, scale, p) for low, s in _runs(terms)]
+def _boundary_blocks(terms: list[tuple[int, int]], scale: int, r_power: int) -> list[_Block]:
+    """The density sum_e (n_e / scale) s^e (1-r)^p r^r_power dr as boundary blocks, any p."""
+    return [_block(2 * low + r_power, s, scale) for low, s in _runs(terms)]
 
 
 def _slope(m: int, s: list[int], p: int) -> tuple[int, list[int]]:
@@ -166,9 +169,8 @@ def block_supremum(terms: list[tuple[int, int]], scale: int, p: int,
     (|G(1)|, when p = 0).  The end values are int over int, rounded once,
     and no power s^N of a rounded s = r^2 is taken.  Ties keep the smaller r.
     """
-    runs = _runs(terms)
-    blocks = [_block(2 * low + r_power, s, scale, p) for low, s in runs]
-    slopes = [_block(*_slope(2 * low + r_power, s, p), scale, p) for low, s in runs]
+    blocks = _boundary_blocks(terms, scale, r_power)
+    slopes = [_block(*_slope(b.m, b.s, p), scale) for b in blocks]
     at_zero = abs(sum(n for e, n in terms if e == 0)) / scale if r_power == 0 else 0.0
     at_one = abs(sum(n for _, n in terms)) / scale if p == 0 else 0.0
     inside = [(1.0 - u, float(u ** p * abs(_block_density(blocks, u))))
@@ -181,20 +183,21 @@ def _block_masses(blocks: Sequence[Sequence[_Block]], points: Sequence[Sequence[
     """For each density (its blocks) and its monotone points u, the sum over
     i of |signed mass between points i and i+1|.
 
-    The signed mass of a block on [0, u] is sum_j masses[j] tail_ratio(m, j+p, u),
-    one row per block and point.  One tail_ratio call per power j takes the
-    rows of every density that have a nonzero term j; the others are left
-    out, not multiplied by zero, so a row's value depends on its own block
-    and point alone.  Each block's masses between neighbouring points are
-    added over the blocks, in order.
+    The signed mass of a block on [0, u] is sum_j M_j tail_ratio(m, j+p, u),
+    M its masses(p), one row per block and point.  One tail_ratio call
+    per power j takes the rows of every density that have a nonzero term j;
+    the others are left out, not multiplied by zero, so a row's value
+    depends on its own block and point alone.  Each block's masses between
+    neighbouring points are added over the blocks, in order.
     """
-    rows = [(b, u) for bs, us in zip(blocks, points) for u in us for b in bs]
-    width = max((len(b.masses) for b, _ in rows), default=0)
+    full = [[(b.m, b.masses(p)) for b in bs] for bs in blocks]  # once per block, not per point
+    rows = [(*b, u) for bs, us in zip(full, points) for u in us for b in bs]
+    width = max((len(masses) for _, masses, _ in rows), default=0)
     coeffs = np.zeros((len(rows), width))
-    for i, (b, _) in enumerate(rows):
-        coeffs[i, :len(b.masses)] = b.masses
-    m = np.array([b.m for b, _ in rows], dtype=np.float64)
-    u = np.array([x for _, x in rows], dtype=np.float64)
+    for i, (_, masses, _) in enumerate(rows):
+        coeffs[i, :len(masses)] = masses
+    m = np.array([mi for mi, _, _ in rows], dtype=np.float64)
+    u = np.array([x for _, _, x in rows], dtype=np.float64)
     cumulative = np.zeros(len(rows))
     for j in range(width):
         live = coeffs[:, j] != 0.0
@@ -362,7 +365,7 @@ class SeriesGapDensity(RadialDensity):
 
     @cached_property
     def _blocks(self) -> list[_Block]:
-        return _boundary_blocks(*_integer_coefficients(self.series), self.gap_power)
+        return _boundary_blocks(*_integer_coefficients(self.series), 1)
 
     def window_integral(self, a: float, b: float) -> float:
         if not 0.0 <= a <= b <= 1.0:

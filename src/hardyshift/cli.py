@@ -307,8 +307,8 @@ def _build_parser() -> _Parser:
     budget.add_argument("--epsilon", type=float,
                         help="flatness level; mapped to delta = min(eps/(1+eps), eps/4)")
     p.add_argument("--K", type=int, required=True, dest="K", help="number of spikes, 0..8")
-    p.add_argument("--rmax", type=float, default=0.999)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--rmax", type=float, default=0.999, help="kernel-ratio check radius, in (0, 1)")
+    p.add_argument("--tol", type=float, default=1e-9, help="allowed kernel-ratio error on r <= rmax")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_construct)
 

@@ -50,10 +50,10 @@ class TruncationError(RuntimeError):
 
 
 class DecompositionMismatchError(RuntimeError):
-    """The sparse kernel ratio disagrees with the truncated diagonal series.
+    """The sparse kernel ratio f misses (1-s) K by more than tol on r <= r_max.
 
-    This happens when the slope parameter used for the correction
-    coefficients does not match the one the weights were built with.
+    The bound sum_n |f_n - (1/w_n - 1/w_{n-1})| r_max^{2n} exceeds tol when the
+    slope parameter of the correction coefficients is not that of the weights.
     """
 
 
@@ -451,8 +451,8 @@ def _check_sampling(r_max: float, tol: float) -> None:
 class ConstructionConfig:
     """Complete description of one constructed weight sequence.
 
-    spike_starts pairs with half widths 1..n_spikes positionally; r_max
-    and tol are read only by the kernel-ratio cross check.
+    spike_starts pairs with half widths 1..n_spikes positionally; r_max and
+    tol are read only by the kernel-ratio check, |f - (1-s) K| <= tol on r <= r_max.
     """
 
     alpha: float
@@ -492,8 +492,8 @@ class ConstructionConfig:
 
     @cached_property
     def kernel_ratio(self):
-        """f = (1-s) K(s), a RadialSeries, cross-checked once and shared by both
-        verifiers."""
+        """f = (1-s) K(s), a RadialSeries, checked once against the weights
+        (within tol on r <= r_max) and shared by both verifiers."""
         from .spectral import kernel_ratio_series
 
         return kernel_ratio_series(self.weights(), r_max=self.r_max, tol=self.tol)

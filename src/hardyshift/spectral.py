@@ -35,7 +35,6 @@ from .series import RadialSeries, truncation_order
 from .weights import SpikeSpec, WeightSequence
 
 _DENSE_ORDER_CAP = 2_000_000
-_CROSS_CHECK_ORDER_CAP = 400_000
 
 
 # ---------------------------------------------------------------------- #
@@ -110,38 +109,38 @@ def spike_ratio_term(alpha: float, spike: SpikeSpec) -> RadialSeries:
     return spike_kernel_term(alpha, spike).times_one_minus_s()
 
 
-def kernel_ratio_series(
-    weights: WeightSequence,
-    r_max: float = 0.999,
-    tol: float = 1e-9,
-    cross_check: bool = True,
-) -> RadialSeries:
+def _spike_sum(*parts: RadialSeries) -> RadialSeries:
+    """Sum of series on disjoint ascending exponent spans: no sorting or merging."""
+    return RadialSeries(np.concatenate([g.exponents for g in parts]),
+                        np.concatenate([g.coeffs for g in parts]))
+
+
+def kernel_ratio_series(weights: WeightSequence, r_max: float = 0.999,
+                        tol: float = 1e-9) -> RadialSeries:
     """Exact polynomial f(s) = (1-s) K(s) = 1 + sum of spike ratio terms.
 
-    With cross_check, and when the diagonal truncation needs at most
-    _CROSS_CHECK_ORDER_CAP terms, the result is compared against (1-s)
-    times the truncated diagonal series on a 200 point grid up to r_max;
-    disagreement beyond tol raises DecompositionMismatchError, the symptom
-    of a slope mismatch between the correction coefficients and the
-    weights.
+    f is checked coefficient by coefficient against (1-s) K, whose
+    coefficients are e_0 = 1 and e_n = 1/w_n - 1/w_{n-1}, from the weights
+    the operator uses; they vanish off each spike's span start+1 .. end.
+    B = sum_n |f_n - e_n| r_max^{2n} bounds |f - (1-s) K| at every
+    r <= r_max, and B > tol raises DecompositionMismatchError, the symptom
+    of a slope mismatch between the correction coefficients and the weights.
     """
+    if not 0.0 <= r_max < 1.0:
+        raise ValueError("r_max must lie in [0, 1)")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    f = RadialSeries.from_terms([(0, 1.0)])
-    for sp in weights.spikes:
-        f = f.add(spike_ratio_term(weights.alpha, sp))
-    if cross_check and truncation_order(r_max, tol / 4.0) <= _CROSS_CHECK_ORDER_CAP:
-        diag = kernel_diagonal_series(weights, r_max, tol / 4.0)
-        r = np.linspace(0.0, r_max, 200)
-        s = r * r
-        lhs = f.eval(s)
-        rhs = (1.0 - s) * diag.eval(s)
-        dev = float(np.max(np.abs(lhs - rhs)))
-        if dev > tol:
-            raise DecompositionMismatchError(
-                f"kernel ratio deviates from (1-s) * diagonal by {dev} (tol {tol}); "
-                "slope parameter and weights are inconsistent"
-            )
+    one = RadialSeries(np.zeros(1, dtype=np.int64), np.ones(1))
+    f = _spike_sum(one, *(spike_ratio_term(weights.alpha, sp) for sp in weights.spikes))
+    e = _spike_sum(one, *(RadialSeries(np.arange(sp.start + 1, sp.end + 1),
+                                       np.diff(1.0 / weights.weight_range(sp.start, sp.end + 1)))
+                          for sp in weights.spikes))
+    gap = f.add(RadialSeries(e.exponents, -e.coeffs))
+    bound = float(np.sum(np.abs(gap.coeffs) * np.power(r_max, 2.0 * gap.exponents)))
+    if bound > tol:
+        raise DecompositionMismatchError(
+            f"kernel ratio misses (1-s) K by up to {bound} on r <= {r_max} (tol {tol}); "
+            "slope parameter and weights are inconsistent")
     return f
 
 
@@ -183,12 +182,10 @@ def curvature_weighted(weights: WeightSequence, r, method: str = "closed"):
         k_val = 1.0 / one_minus
         k_p = one_minus ** -2
         k_pp = 2.0 * one_minus ** -3
-        if weights.spikes:
-            g = RadialSeries.zero()
-            for sp in weights.spikes:
-                g = g.add(spike_kernel_term(weights.alpha, sp))
-            g_val, g_p, g_pp = g.eval_with_derivatives(s)
-            k_val, k_p, k_pp = k_val + g_val, k_p + g_p, k_pp + g_pp
+        g = _spike_sum(RadialSeries.zero(),
+                       *(spike_kernel_term(weights.alpha, sp) for sp in weights.spikes))
+        g_val, g_p, g_pp = g.eval_with_derivatives(s)
+        k_val, k_p, k_pp = k_val + g_val, k_p + g_p, k_pp + g_pp
     elif method == "series":
         r_top = float(np.max(r_arr))
         s_top = r_top * r_top
@@ -222,7 +219,7 @@ def curvature_difference(weights: WeightSequence, r):
     absolute floor at the cancellation level of route B) raises.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    a = ratio_log_laplacian(kernel_ratio_series(weights, cross_check=False), r_arr)
+    a = ratio_log_laplacian(kernel_ratio_series(weights), r_arr)
     b = curvature_weighted(weights, r_arr) - curvature_backward_shift(r_arr)
     floor = 64.0 * np.finfo(float).eps * (curvature_backward_shift(r_arr) + 1.0)
     bad = np.abs(a - b) > 1e-6 * (np.abs(a) + np.abs(b)) + floor

@@ -15,10 +15,11 @@ def standard_config() -> ConstructionConfig:
 
 
 @st.composite
-def spiked_layouts(draw):
-    """Random alpha in [0.01, 3] and up to four separated spikes with half widths 1, 2, ..."""
+def spiked_layouts(draw, max_spikes=4, max_gap=40):
+    """Random alpha in [0.01, 3] and up to max_spikes separated spikes with half
+    widths 1, 2, ..., each starting 1 .. max_gap past the previous one's end"""
     alpha = draw(st.floats(0.01, 3.0))
-    gaps = draw(st.lists(st.integers(1, 40), max_size=4))
+    gaps = draw(st.lists(st.integers(1, max_gap), max_size=max_spikes))
     starts, nxt = [], 0
     for k, gap in enumerate(gaps, start=1):
         starts.append(nxt + gap - 1)

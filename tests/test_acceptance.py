@@ -163,7 +163,7 @@ def test_criterion_06_ratio_decomposition_identity():
     worst = 0.0
     for alpha, starts in DECOMPOSITION_CONFIGS:
         w = build_spiked_weights(alpha, starts)
-        f = kernel_ratio_series(w, r_max=0.999, tol=1e-9, cross_check=False)
+        f = kernel_ratio_series(w, r_max=0.999, tol=1e-9)
         diag = kernel_diagonal_series(w, r_max=0.999, tol=1e-12)
         lhs = f.eval(s)
         rhs = (1.0 - s) * diag.eval(s)
@@ -235,7 +235,7 @@ def test_criterion_10_kernel_ratio_band():
                                 spike_starts=STANDARD_STARTS)
     epsilon = 2.0
     w = config.weights()
-    f = kernel_ratio_series(w, cross_check=False)
+    f = kernel_ratio_series(w)
     hints = [math.sqrt(m / (m + 1.0)) for sp in w.spikes
              for m in range(sp.start, sp.end + 2)]
     grid = merge_grids(boundary_refined_grid(1200, 46.0), hints)

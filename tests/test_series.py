@@ -114,7 +114,7 @@ def test_fused_cases_cover_every_evaluation_plan():
     assert plans["blocks"].horner.shape == (1, 2 * 4096 + 17, 1)
     # the kernel ratio: the constant, then one block per spike interior run
     w = build_spiked_weights(1.0, (3, 32, 117, 343))
-    plan = kernel_ratio_series(w, cross_check=False)._plan
+    plan = kernel_ratio_series(w)._plan
     assert plan.powers.ravel().tolist() == [0.0] + [float(sp.interior[0]) for sp in w.spikes]
     assert plan.horner.shape == (2 * len(w.spikes), 1 + len(w.spikes), 1)
 
@@ -149,7 +149,7 @@ FROZEN_STARTS = {
 
 def ratio_parts(starts) -> dict[str, RadialSeries]:
     """f - 1, f' and Delta f of the kernel ratio f of the spiked weights."""
-    f = kernel_ratio_series(build_spiked_weights(1.0, starts), cross_check=False)
+    f = kernel_ratio_series(build_spiked_weights(1.0, starts))
     return {"f - 1": f.add(RadialSeries.from_terms([(0, -1.0)])), "f'": f.derivative,
             "Delta f": f.laplacian()}
 
@@ -162,7 +162,7 @@ def test_eval_is_batch_independent(config):
     rng = np.random.default_rng(19)
     m = rng.choice(np.asarray(starts, dtype=np.float64), 5000)
     s = np.exp(-np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 5000)) / m)
-    f = kernel_ratio_series(build_spiked_weights(1.0, starts), cross_check=False)
+    f = kernel_ratio_series(build_spiked_weights(1.0, starts))
     for g in (f, f.derivative, f.laplacian()):
         batch = g.eval(s)
         one = np.array([g.eval(float(x)) for x in s])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import spiked_layouts
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyshift import (
     DecompositionMismatchError,
@@ -168,7 +169,7 @@ def test_kernel_ratio_series_is_one_plus_corrections():
 def test_kernel_ratio_cross_check_against_dense_diagonal():
     for alpha in (0.5, 1.0):
         w = build_spiked_weights(alpha, [7, 40, 150])
-        f = kernel_ratio_series(w, r_max=0.999, tol=1e-9, cross_check=False)
+        f = kernel_ratio_series(w, r_max=0.999, tol=1e-9)
         diag = kernel_diagonal_series(w, r_max=0.999, tol=1e-12)
         r = np.linspace(0.0, 0.999, 200)
         s = r * r
@@ -187,6 +188,27 @@ def test_mismatched_slope_raises_decomposition_error(monkeypatch):
     monkeypatch.setattr(spectral_module, "spike_ratio_term", corrupted)
     with pytest.raises(DecompositionMismatchError):
         kernel_ratio_series(w, r_max=0.9, tol=1e-9)
+
+
+def test_mismatched_slope_raises_near_the_boundary(monkeypatch):
+    # a dense truncation at r_max 0.99999 would need 1.6e6 terms; the
+    # coefficient bound reads the same corruption there
+    w = build_spiked_weights(1.0, [5, 20])
+    original = spectral_module.spike_ratio_term
+    monkeypatch.setattr(spectral_module, "spike_ratio_term",
+                        lambda alpha, spike: original(alpha * 1.01, spike))
+    with pytest.raises(DecompositionMismatchError):
+        kernel_ratio_series(w, r_max=0.99999, tol=1e-9)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(w=spiked_layouts(max_spikes=8, max_gap=10**6),
+       r_max=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_kernel_ratio_check_passes_on_correct_layouts(w, r_max):
+    # the false-alarm side: the ratio of consistent weights is never refused
+    f = kernel_ratio_series(w, r_max=r_max, tol=1e-9)
+    assert f.eval(0.0) == 1.0
+    assert len(f) == 1 + sum(2 * sp.half_width for sp in w.spikes)
 
 
 # ---------------------------------------------------------------------- #
@@ -224,7 +246,7 @@ def test_curvature_weighted_rejects_unknown_method():
 
 def test_ratio_log_laplacian_matches_finite_difference():
     w = build_spiked_weights(1.0, [3, 32])
-    f = kernel_ratio_series(w, cross_check=False)
+    f = kernel_ratio_series(w)
 
     def log_field(z: complex) -> float:
         return math.log(f.eval(abs(z) ** 2))
@@ -259,7 +281,7 @@ def test_curvature_difference_raises_on_corrupted_ratio(standard_config, monkeyp
     from hardyshift import RadialSeries
 
     w = standard_config.weights()
-    bad = kernel_ratio_series(w, cross_check=False).add(
+    bad = kernel_ratio_series(w).add(
         RadialSeries.from_terms([(2, 0.05)]))
     monkeypatch.setattr(spectral_module, "kernel_ratio_series", lambda *a, **k: bad)
     with pytest.raises(RuntimeError):
