@@ -6,7 +6,9 @@ Six parts, each run on both checkouts with this same script:
 
 * output identity: every command of the `search`, `certify` and
   `tables` workloads (from the change's `hardybench/workloads.py`, verify
-  seed 1), `lemma` and `construct --K 2`, run once per checkout; every
+  seed 1), `lemma`, `construct --K 2` and `verify --epsilon 4e-6` on the
+  K = 8, delta 1e-6 config (powers up to 6.2e9, which no workload
+  reaches), run once per checkout; every
   output file and stdout must be byte-identical, manifests compared as
   JSON without `elapsed_seconds`; for each CSV that is not, per column,
   the count of moved cells, the first 20 with their old and new text,
@@ -26,7 +28,7 @@ Six parts, each run on both checkouts with this same script:
   ratio at 1 point and at 1000 points, `ratio_log_laplacian` at 1 point,
   and `radial_carleson_norm` of `SeriesGapDensity` on the float Laplacian
   series of f - 1 (a fresh density per call, so sign roots included; the
-  `laplacian_carleson` row itself reads `laplacian_masses` of f - 1), and
+  `laplacian_carleson` row itself reads `term_decay` of f - 1), and
   `kernel_ratio_series` (building f and checking it against the weights)
   on the frozen K = 8 and K = 4, delta 1e-3 configs; same fresh
   interpreters and alternation;
@@ -66,6 +68,7 @@ import tempfile
 import time
 from pathlib import Path
 from statistics import median, quantiles
+from typing import Sequence
 
 K8_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479)
 # frozen verify configs by name: (delta, spike starts, epsilon); K8_delta1e-6
@@ -153,17 +156,19 @@ def run_child(checkout: Path, kind: str, key: str) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def config_file(path: Path, delta: float, starts: Sequence[int]) -> Path:
+    """Write the alpha 1 config with these starts to path, for the CLI."""
+    path.write_text(json.dumps({"alpha": 1.0, "delta": delta, "K": len(starts),
+                                "spike_starts": list(starts), "r_max": 0.999, "tol": 1e-9}))
+    return path
+
+
 def cold_commands(work: Path) -> dict[str, list[str]]:
     """Interpreter arguments of each cold-start job, on the frozen K = 3 config
     (and, for `verify_eps0.004_K4`, the frozen K = 4, delta 1e-3 config)."""
-    config, small_delta = work / "k3.json", work / "k4_small_delta.json"
-    config.write_text(json.dumps({"alpha": 1.0, "delta": 0.5, "K": 3,
-                                  "spike_starts": list(K8_STARTS[:3]),
-                                  "r_max": 0.999, "tol": 1e-9}))
+    config = config_file(work / "k3.json", 0.5, K8_STARTS[:3])
     delta, starts, epsilon = VERIFY_CONFIGS["K4"]
-    small_delta.write_text(json.dumps({"alpha": 1.0, "delta": delta, "K": 4,
-                                       "spike_starts": list(starts),
-                                       "r_max": 0.999, "tol": 1e-9}))
+    small_delta = config_file(work / "k4_small_delta.json", delta, starts)
     cli = ["-m", "hardyshift.cli"]
     out = ["--out", str(work / "out")]
     return {"import": ["-c", "import hardyshift.cli"],
@@ -195,6 +200,9 @@ def identity_commands(change: Path, work: Path) -> dict[str, list[str]]:
                 for w in WORKLOADS for op in workloads.WORKLOADS[w].ops}
     commands["lemma"] = ["lemma", *LEMMA_POWERS]
     commands["construct-K2"] = ["construct", "--alpha", "1", "--delta", "0.5", "--K", "2"]
+    delta, starts, epsilon = VERIFY_CONFIGS["K8_delta1e-6"]
+    config = config_file(work / "k8_delta1e-6.json", delta, starts)
+    commands["verify-K8-delta1e-6"] = ["verify", str(config), "--epsilon", str(epsilon)]
     return commands
 
 

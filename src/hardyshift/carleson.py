@@ -29,12 +29,13 @@ sum_i (-1)^i C(p, i) / (m+i+1) loses all precision once m is large), and
 its mass on [0, u] is that times tail_ratio(2N+1, j+p, u), an incomplete
 beta ratio with integer parameters, which has a closed form.  A window
 mass sums these pieces between the sign changes of the density: found
-by a scan in u for laplacian_masses, and by grids.sign_roots for
-SeriesGapDensity.  The same blocks give the verifier's suprema
-(block_supremum): the largest value at the ends and at the sign changes of
-the blocks' exact u-derivatives, found by the same scan.  Densities without
-a series go through the package's adaptive Gauss-Kronrod rule
-(grids.gauss_kronrod), so nothing here needs scipy.
+by a scan in u of the blocks themselves (_block_roots) for term_decay's
+Laplacian mass, and by grids.sign_roots for SeriesGapDensity.  The same
+blocks give the verifier's suprema (block_supremum): the largest value at
+the ends and at the sign changes of the blocks' exact u-derivatives, found
+by the same scan.  term_decay returns all five decay quantities of a term.
+Densities without a series go through the package's adaptive Gauss-Kronrod
+rule (grids.gauss_kronrod), so nothing here needs scipy.
 """
 
 from __future__ import annotations
@@ -178,20 +179,19 @@ def block_supremum(terms: list[tuple[int, int]], scale: int, p: int,
     return max([(0.0, at_zero), *inside, (1.0, at_one)], key=lambda candidate: candidate[1])
 
 
-def _block_masses(blocks: Sequence[Sequence[_Block]], points: Sequence[Sequence[float]],
-                  p: int) -> list[float]:
-    """For each density (its blocks) and its monotone points u, the sum over
-    i of |signed mass between points i and i+1|.
+def _block_mass(blocks: Sequence[_Block], points: Sequence[float], p: int) -> float:
+    """The sum over i of |mass of the summed blocks between the monotone points
+    u_i and u_{i+1}|.
 
     The signed mass of a block on [0, u] is sum_j M_j tail_ratio(m, j+p, u),
-    M its masses(p), one row per block and point.  One tail_ratio call
-    per power j takes the rows of every density that have a nonzero term j;
-    the others are left out, not multiplied by zero, so a row's value
-    depends on its own block and point alone.  Each block's masses between
-    neighbouring points are added over the blocks, in order.
+    M its masses(p), one row per point and block.  One tail_ratio call per
+    power j takes the rows that have a nonzero term j; the others are left
+    out, not multiplied by zero, so a row's value depends on its own block
+    and point alone.  Each block's masses between neighbouring points are
+    added over the blocks, in order.
     """
-    full = [[(b.m, b.masses(p)) for b in bs] for bs in blocks]  # once per block, not per point
-    rows = [(*b, u) for bs, us in zip(full, points) for u in us for b in bs]
+    full = [(b.m, b.masses(p)) for b in blocks]  # once per block, not per point
+    rows = [(*b, u) for u in points for b in full]
     width = max((len(masses) for _, masses, _ in rows), default=0)
     coeffs = np.zeros((len(rows), width))
     for i, (_, masses, _) in enumerate(rows):
@@ -202,35 +202,37 @@ def _block_masses(blocks: Sequence[Sequence[_Block]], points: Sequence[Sequence[
     for j in range(width):
         live = coeffs[:, j] != 0.0
         cumulative[live] += coeffs[live, j] * tail_ratio(m[live], j + p, u[live])
-    out, start = [], 0
-    for bs, us in zip(blocks, points):
-        shares = cumulative[start:start + len(bs) * len(us)].reshape(len(us), len(bs))
-        start += shares.size
-        pieces = np.diff(shares, axis=0)
-        signed = np.zeros(len(pieces))
-        for column in pieces.T:
-            signed += column
-        out.append(_sum_in_order(np.abs(signed).tolist()))
-    return out
+    pieces = np.diff(cumulative.reshape(len(points), len(blocks)), axis=0)
+    signed = np.zeros(len(pieces))
+    for column in pieces.T:
+        signed += column
+    return _sum_in_order(np.abs(signed).tolist())
 
 
-def laplacian_masses(terms: Sequence[RadialSeries]) -> list[float]:
-    """Mass 2 pi integral_0^1 |Delta G(r^2)| (1-r) r dr of each series G.
+def term_decay(g: RadialSeries) -> list[tuple[float | None, float]]:
+    """(argmax_r, value) of the five decay quantities of a radial term G(s),
+    s = r^2, in the field order of search.Decay: the suprema of |G|,
+    |Delta G| (1-r)^2 and |gradient G| (1-r) = r |G'(r^2)| (1-r), and the
+    masses 2 pi integral_0^1 |Delta G(r^2)| (1-r) r dr and gradient_sq_mass.
 
-    Delta G = sum_e e^2 c_e s^{e-1} is formed from G's integer coefficients
-    (integers over one power of two), so no float product e^2 c_e is
-    rounded, and read as boundary blocks with gap power 1: the mass is a
-    sum of incomplete beta pieces between the sign changes of the summed
-    blocks, found in u = 1 - r.  A term with many runs of exponents, such as
-    the kernel ratio minus 1, has one block per run.  Each term's mass is
-    the same whether it is measured alone or with others.
+    Delta G = sum_e e^2 c_e s^{e-1} and G' = sum_e e c_e s^{e-1} are formed
+    from G's integer coefficients (integers over one power of two), so no
+    float product e^2 c_e is rounded, and neither s G'^2 nor any other
+    product is expanded.  The suprema are block_supremum's.  The Laplacian
+    mass reads Delta G as boundary blocks with gap power 1, one block per
+    run of exponents, and sums their incomplete beta pieces between the
+    sign changes of the summed blocks, found in u = 1 - r.  The two masses
+    carry no argmax.
     """
-    blocks = []
-    for g in terms:
-        coeffs, scale = _integer_coefficients(g)
-        blocks.append(_boundary_blocks([(e - 1, e * e * n) for e, n in coeffs if e], scale, 1))
-    points = [[0.0, *_block_roots(bs), 1.0] for bs in blocks]
-    return [TWO_PI * mass for mass in _block_masses(blocks, points, 1)]
+    coeffs, scale = _integer_coefficients(g)
+    laplacian = [(e - 1, e * e * n) for e, n in coeffs if e]
+    blocks = _boundary_blocks(laplacian, scale, 1)
+    mass = _block_mass(blocks, [0.0, *_block_roots(blocks), 1.0], 1)
+    return [block_supremum(coeffs, scale, 0, 0),
+            block_supremum(laplacian, scale, 2, 0),
+            block_supremum([(e - 1, e * n) for e, n in coeffs if e], scale, 1, 1),
+            (None, TWO_PI * mass),
+            (None, gradient_sq_mass(g))]
 
 
 def _rising_sum(m: np.ndarray, p: int, y: np.ndarray) -> np.ndarray:
@@ -259,7 +261,9 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
       single row pairwise), a row's bits do not depend on the batch.
 
     The ends are exact, 0 at t = 0 and 1 at t = 1, where the sum overflows
-    once C(m+p, p) does.  m and t broadcast against each other.
+    once C(m+p, p) does.  Inside, a rising sum that overflows gives exactly 1:
+    its complement is then at most 2^-15616 (an mpmath scan over p <= 130
+    and m up to 2^41 + 1).  m and t broadcast against each other.
     """
     m = np.asarray(m, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -275,7 +279,10 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
     with np.errstate(divide="ignore"):
         if big.any():
             mb, tb = m[big], t[big]
-            out[big] = -np.expm1((mb + 1.0) * np.log1p(-tb) + np.log1p(_rising_sum(mb, p, tb)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                rising = _rising_sum(mb, p, tb)
+                out[big] = np.where(np.isinf(rising), 1.0,
+                                    -np.expm1((mb + 1.0) * np.log1p(-tb) + np.log1p(rising)))
         if small.any():
             ms, ts = m[small], t[small]
             count = max(1, math.ceil(_SERIES_BITS / -np.log2(np.max((ms + 1.0) * ts))))
@@ -343,7 +350,7 @@ class SeriesGapDensity(RadialDensity):
     Window integrals are exact in G's float coefficients: between the sign
     roots of G, from grids.sign_roots on the series' own exponents, each
     piece is a sum of the boundary blocks' incomplete beta pieces, as in
-    laplacian_masses.
+    term_decay's Laplacian mass.
     """
 
     def __init__(self, series: RadialSeries, gap_power: int):
@@ -371,7 +378,7 @@ class SeriesGapDensity(RadialDensity):
         if not 0.0 <= a <= b <= 1.0:
             raise ValueError("window bounds must satisfy 0 <= a <= b <= 1")
         cuts = [a] + [x for x in self.sign_roots if a < x < b] + [b]
-        return _block_masses([self._blocks], [[1.0 - x for x in cuts]], self.gap_power)[0]
+        return _block_mass(self._blocks, [1.0 - x for x in cuts], self.gap_power)
 
 
 # ---------------------------------------------------------------------- #

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .carleson import RadialDensity, block_supremum, gradient_sq_mass, laplacian_masses
+from .carleson import RadialDensity, term_decay
 from .grids import boundary_refined_grid, merge_grids, refined_supremum, sign_roots
 from .search import (  # noqa: F401  (the spike search, re-exported under its old module)
     MAX_POWER,
@@ -47,7 +47,6 @@ from .search import (  # noqa: F401  (the spike search, re-exported under its ol
     spike_correction_thresholds,
     spike_gate,
 )
-from .search import _integer_coefficients
 from .series import RadialSeries
 from .spectral import ratio_log_laplacian, spike_ratio_term
 from .weights import SpikeSpec
@@ -101,15 +100,9 @@ def _row(name: str, threshold: float, measured: float,
                            argmax_r=argmax_r, passed=bool(measured <= threshold))
 
 
-def _suprema(g: RadialSeries) -> list[tuple[float, float]]:
-    """(argmax_r, value) of |G|, |Laplacian G| (1 - r)^2 and |gradient G| (1 - r)
-    = r |G'(r^2)| (1 - r) for a radial term G(s), s = r^2, by block_supremum:
-    Laplacian G = sum_e e^2 c_e s^{e-1} and G' = sum_e e c_e s^{e-1} are formed
-    in integers, and G' is read without expanding s G'^2, whose coefficients cancel."""
-    coeffs, scale = _integer_coefficients(g)
-    return [block_supremum(coeffs, scale, 0, 0),
-            block_supremum([(e - 1, e * e * n) for e, n in coeffs if e], scale, 2, 0),
-            block_supremum([(e - 1, e * n) for e, n in coeffs if e], scale, 1, 1)]
+# the rows of f - 1, in the field order of Decay and term_decay
+_RATIO_ROWS = ("ratio_deviation", "laplacian_sup", "gradient_sup", "laplacian_carleson",
+               "gradient_carleson")
 
 
 def _peak_hints(spikes: Sequence[SpikeSpec]) -> list[float]:
@@ -118,13 +111,9 @@ def _peak_hints(spikes: Sequence[SpikeSpec]) -> list[float]:
 
 
 def measure_spike_conditions(alpha: float, spikes: Sequence[SpikeSpec]) -> list[Decay]:
-    """Measured decay quantities of each spike's assembled correction term:
-    the suprema from _suprema, the Laplacian masses from one laplacian_masses
-    batch and the gradient masses from gradient_sq_mass, all exact in the
-    term's float coefficients."""
-    terms = [spike_ratio_term(alpha, sp) for sp in spikes]
-    return [Decay(*(value for _, value in _suprema(g)), mass, gradient_sq_mass(g))
-            for g, mass in zip(terms, laplacian_masses(terms))]
+    """Measured decay quantities of each spike's assembled correction term,
+    from term_decay: exact in the term's float coefficients."""
+    return [Decay(*(v for _, v in term_decay(spike_ratio_term(alpha, sp)))) for sp in spikes]
 
 
 def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
@@ -139,14 +128,9 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
     w = config.weights()
     delta = config.delta
     deviation = config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)]))
-    (arg_dev, sup_dev), (arg_lap, sup_lap), (arg_grad, sup_grad) = _suprema(deviation)
-    rows = [
-        _row("ratio_deviation", delta, sup_dev, arg_dev),
-        _row("laplacian_sup", delta, sup_lap, arg_lap),
-        _row("gradient_sup", math.sqrt(delta), sup_grad, arg_grad),
-        _row("laplacian_carleson", delta, laplacian_masses([deviation])[0]),
-        _row("gradient_carleson", delta, gradient_sq_mass(deviation)),
-    ]
+    rows = [_row(name, threshold, value, argmax_r) for name, threshold, (argmax_r, value) in
+            zip(_RATIO_ROWS, (delta, delta, math.sqrt(delta), delta, delta),
+                term_decay(deviation))]
 
     for sp, measured in zip(w.spikes, measure_spike_conditions(config.alpha, w.spikes)):
         k = sp.half_width

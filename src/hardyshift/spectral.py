@@ -164,36 +164,19 @@ def _curvature_from_parts(k_val, k_p, k_pp, s):
     return (k_val * lap - grad) / (k_val * k_val)
 
 
-def curvature_weighted(weights: WeightSequence, r, method: str = "closed"):
-    """Bundle curvature Delta log K for the weighted backward shift.
-
-    method "closed" evaluates the exact split 1/(1-s) + spike corrections;
-    method "series" goes through the dense truncated diagonal with the
-    truncation order driven by the tail bound at max(r) and the tolerance
-    1e-12 tightened by (1 - s)^3 so the second derivative tail stays
-    negligible.
-    """
+def curvature_weighted(weights: WeightSequence, r):
+    """Bundle curvature Delta log K for the weighted backward shift, from the
+    exact split K = 1/(1-s) + spike corrections."""
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if np.any((r_arr < 0) | (r_arr >= 1)):
         raise ValueError("r must lie in [0, 1)")
     s = r_arr * r_arr
-    if method == "closed":
-        one_minus = 1.0 - s
-        k_val = 1.0 / one_minus
-        k_p = one_minus ** -2
-        k_pp = 2.0 * one_minus ** -3
-        g = _spike_sum(RadialSeries.zero(),
-                       *(spike_kernel_term(weights.alpha, sp) for sp in weights.spikes))
-        g_val, g_p, g_pp = g.eval_with_derivatives(s)
-        k_val, k_p, k_pp = k_val + g_val, k_p + g_p, k_pp + g_pp
-    elif method == "series":
-        r_top = float(np.max(r_arr))
-        s_top = r_top * r_top
-        tol_eff = max(1e-12 * (1.0 - s_top) ** 3, 1e-300)
-        k_val, k_p, k_pp = kernel_diagonal_series(weights, r_top, tol_eff).eval_with_derivatives(s)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    out = _curvature_from_parts(k_val, k_p, k_pp, s)
+    one_minus = 1.0 - s
+    g = _spike_sum(RadialSeries.zero(),
+                   *(spike_kernel_term(weights.alpha, sp) for sp in weights.spikes))
+    g_val, g_p, g_pp = g.eval_with_derivatives(s)
+    out = _curvature_from_parts(1.0 / one_minus + g_val, one_minus ** -2 + g_p,
+                                2.0 * one_minus ** -3 + g_pp, s)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hardyshift import ConstructionConfig, build_spiked_weights
+from hardyshift import ConstructionConfig, build_spiked_weights, kernel_diagonal_series
 
 # positions produced by the search at alpha=1, delta=0.5; their minimality
 # is asserted in test_construction
@@ -25,3 +26,15 @@ def spiked_layouts(draw, max_spikes=4, max_gap=40):
         starts.append(nxt + gap - 1)
         nxt = starts[-1] + 2 * k + 1  # first index past spike k
     return build_spiked_weights(alpha, starts)
+
+
+def dense_curvature(weights, r) -> np.ndarray:
+    """Delta log K from the dense truncated diagonal, the oracle for
+    curvature_weighted's exact split: kernel_diagonal_series truncated by
+    the tail bound at max(r), with the tolerance 1e-12 tightened by
+    (1 - s)^3 so the tail of the second derivative stays negligible."""
+    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    s, r_top = r * r, float(np.max(r))
+    tol = max(1e-12 * (1.0 - r_top * r_top) ** 3, 1e-300)
+    k, k_p, k_pp = kernel_diagonal_series(weights, r_top, tol).eval_with_derivatives(s)
+    return (k * (k_p + s * k_pp) - s * k_p * k_p) / (k * k)

@@ -1,6 +1,7 @@
 """Edge integrals, window integrals, and the depth scan."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import bump_oracles
@@ -21,8 +22,8 @@ from hardyshift import (
     radial_carleson_norm,
 )
 from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, block_supremum,
-                                 carleson_norm, dyadic_t_grid, gradient_sq_mass, laplacian_masses,
-                                 tail_ratio)
+                                 carleson_norm, dyadic_t_grid, gradient_sq_mass, tail_ratio,
+                                 term_decay)
 from hardyshift.construction import MAX_POWER, curvature_density
 from hardyshift.grids import _root_scan_grid, sign_roots
 from hardyshift.series import RadialSeries, edge_bump
@@ -341,6 +342,20 @@ def test_tail_ratio_ends_are_exact_at_every_power():
         assert np.all(tail_ratio(ms, p, 0.0) == 0.0), p
 
 
+def test_tail_ratio_is_one_where_its_rising_sum_overflows():
+    # the expm1 form read -inf at these points, where the rising sum
+    # overflows; the complement 1 - I_t(p+1, m+1) is below 2^-15616 there
+    for m, p, t in ((10**12 + 1, 40, 0.5), (5 * 10**9, 95, 0.1), (2 * 10**12 + 1, 127, 0.3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert float(tail_ratio(m, p, t)) == 1.0, (m, p, t)
+        with mpmath.workdps(30):
+            x = mpmath.mpf(t)
+            complement = (1 - x) ** (m + 1) * mpmath.fsum(mpmath.binomial(m + j, j) * x ** j
+                                                          for j in range(p + 1))
+        assert complement < mpmath.mpf(2) ** -15616, (m, p, t)
+
+
 # ---------------------------------------------------------------------- #
 # the curvature quadrature's cuts against the expanded numerator
 
@@ -490,7 +505,7 @@ def test_masses_where_the_root_polish_meets_an_underflowing_step():
                                           for x, y in zip(cuts, cuts[1:])))
     assert len(roots) == 2
     density = SeriesGapDensity(g.laplacian(), 1)
-    for mass in (laplacian_masses([g])[0], radial_carleson_norm(density)):
+    for mass in (term_decay(g)[3][1], radial_carleson_norm(density)):
         assert abs(mass - exact) <= 1e-15 * exact
 
 

@@ -31,7 +31,7 @@ from hardyshift import (
     verify_theorem_conditions,
 )
 from hardyshift import cli, construction, grids, search
-from hardyshift.carleson import TWO_PI, gradient_sq_mass, laplacian_masses
+from hardyshift.carleson import TWO_PI, gradient_sq_mass, term_decay
 from hardyshift.construction import (
     MAX_POWER,
     MAX_SPIKES,
@@ -542,6 +542,16 @@ def test_ratio_laplacian_mass_matches_mpmath(delta, starts):
     assert abs(rows["laplacian_carleson"] - exact) <= 1e-15 * exact
 
 
+def test_laplacian_mass_of_far_apart_spikes_matches_mpmath():
+    # spike 24 of the K = 24, delta 0.5 layout, 49 terms at powers near 2.6e9,
+    # read at the cuts of spike 1: its rising sums overflowed in tail_ratio
+    # and the mass read NaN
+    g = spike_ratio_term(1.0, SpikeSpec(3, 1)).add(spike_ratio_term(1.0, SpikeSpec(2644017572, 24)))
+    mass = term_decay(g)[3][1]
+    exact = _mp_many_block_laplacian_mass(g)
+    assert abs(mass - exact) <= 1e-15 * exact
+
+
 # the starts `construct --alpha 1 --delta 1e-8 --K 8` selects, up to 6.2e11
 TINY_DELTA_K8 = (255100997, 1658156492, 5931098224, 17251205053, 45360146375, 112475624818,
                  268481843537, 624034839756)
@@ -594,22 +604,20 @@ def test_suprema_match_mpmath_maxima(delta, starts):
     cases += [(tuple(f"spike{sp.half_width}_{name}" for name in Decay._fields[:3]),
                spike_ratio_term(1.0, sp)) for sp in config.weights().spikes]
     for names, g in cases:
-        for kind, (name, (argmax_r, value)) in enumerate(zip(names, construction._suprema(g))):
+        for kind, (name, (argmax_r, value)) in enumerate(zip(names, term_decay(g)[:3])):
             assert rows[name] == value, name
             exact, nearby = _mp_supremum(g, kind, argmax_r)
             assert abs(value - exact) <= 2e-15 * exact, name
             assert nearby <= value * (1 + 2e-15), name
 
 
-def test_laplacian_masses_do_not_depend_on_the_batch(tmp_path):
+def test_laplacian_mass_stays_finite_at_the_largest_starts(tmp_path):
     # at these powers C(m+p, p) overflows: the share at u = 1 read NaN for
     # spike 8, and a batch padded with zeros spread it to spikes 6 and 7
     config = ConstructionConfig(alpha=1.0, delta=1e-8, n_spikes=8, spike_starts=TINY_DELTA_K8)
     terms = [config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)]))]
     terms += [spike_ratio_term(1.0, sp) for sp in config.weights().spikes]
-    masses = laplacian_masses(terms)
-    assert [m.hex() for m in masses] == [laplacian_masses([g])[0].hex() for g in terms]
-    assert all(math.isfinite(m) for m in masses)
+    assert all(math.isfinite(term_decay(g)[3][1]) for g in terms)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config.to_dict()))
     assert cli.main(["verify", str(path), "--out", str(tmp_path)]) == 0
@@ -622,8 +630,8 @@ def test_boundary_route_matches_the_closed_bump_mass():
     # both routes within 1e-15 of the truth; they differ by up to 1.1e-15
     # (n = 2, where the route's three terms cancel fivefold)
     powers = (1, 2, 3, 34, 2248, 172510, 416216560, 6240348396, MAX_POWER)
-    masses = laplacian_masses([edge_bump(n) for n in powers])
-    for n, mass in zip(powers, masses):
+    for n in powers:
+        mass = term_decay(edge_bump(n))[3][1]
         exact = bump_oracles.laplacian_mass(n)
         assert abs(mass - exact) <= 1e-15 * exact, n
         assert abs(lemma_bounds(n).laplacian_carleson - exact) <= 1e-15 * exact, n
@@ -711,20 +719,20 @@ def test_theorem_conditions_reject_bad_epsilon(standard_config):
 ])
 def test_carleson_rows_are_total_masses(delta, starts, epsilon):
     # a radial density's Carleson constant is its total mass: each row reads
-    # its total mass (laplacian_masses of f - 1 and of the spike terms,
-    # gradient_sq_mass, radial_carleson_norm of the curvature density), and
+    # its total mass (term_decay's Laplacian mass of f - 1 and of the spike
+    # terms, gradient_sq_mass, radial_carleson_norm of the curvature density), and
     # no depth scan is reported
     config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
     reports = (verify_f_conditions(config), verify_theorem_conditions(config, epsilon))
     rows = {c.condition: c.measured for rep in reports for c in rep.conditions}
     w, f = config.weights(), config.kernel_ratio
     deviation = f.add(RadialSeries.from_terms([(0, -1.0)]))
-    masses = {"laplacian_carleson": laplacian_masses([deviation])[0],
+    masses = {"laplacian_carleson": term_decay(deviation)[3][1],
               "gradient_carleson": gradient_sq_mass(deviation),
               "curvature_carleson": radial_carleson_norm(curvature_density(f, w.spikes))}
-    terms = [spike_ratio_term(config.alpha, sp) for sp in w.spikes]
-    for sp, g, mass in zip(w.spikes, terms, laplacian_masses(terms)):
-        masses[f"spike{sp.half_width}_laplacian_carleson"] = mass
+    for sp in w.spikes:
+        g = spike_ratio_term(config.alpha, sp)
+        masses[f"spike{sp.half_width}_laplacian_carleson"] = term_decay(g)[3][1]
         masses[f"spike{sp.half_width}_gradient_sq_carleson"] = gradient_sq_mass(g)
     assert {name: rows[name].hex() for name in masses} == {n: m.hex() for n, m in masses.items()}
     assert all("scans" not in rep.to_dict() for rep in reports)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import spiked_layouts
+from conftest import dense_curvature, spiked_layouts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -225,23 +225,16 @@ def test_flat_weights_reproduce_reference_curvature_both_methods():
     w = build_spiked_weights(1.0, [])
     r = np.array([0.0, 0.5, 0.9, 0.99])
     expected = curvature_backward_shift(r)
-    for method in ("closed", "series"):
-        got = curvature_weighted(w, r, method=method)
+    for got in (curvature_weighted(w, r), dense_curvature(w, r)):
         assert np.max(np.abs(got - expected) / expected) < 1e-9
 
 
 def test_curvature_methods_agree_on_spiked_weights():
     w = build_spiked_weights(1.0, [3, 32])
     r = np.linspace(0.0, 0.99, 60)
-    closed = curvature_weighted(w, r, method="closed")
-    series = curvature_weighted(w, r, method="series")
+    closed = curvature_weighted(w, r)
+    series = dense_curvature(w, r)
     assert np.max(np.abs(closed - series) / np.abs(closed)) < 1e-9
-
-
-def test_curvature_weighted_rejects_unknown_method():
-    w = build_spiked_weights(1.0, [])
-    with pytest.raises(ValueError):
-        curvature_weighted(w, 0.5, method="magic")
 
 
 def test_ratio_log_laplacian_matches_finite_difference():
