@@ -6,9 +6,11 @@ Six parts, each run on both checkouts with this same script:
 
 * output identity: every command of the `search`, `certify` and
   `tables` workloads (from the change's `hardybench/workloads.py`, verify
-  seed 1), `lemma`, `construct --K 2` and `verify --epsilon 4e-6` on the
+  seed 1), `lemma`, `construct --K 2`, `verify --epsilon 4e-6` on the
   K = 8, delta 1e-6 config (powers up to 6.2e9, which no workload
-  reaches), run once per checkout; every
+  reaches), and `weights --n-max 3000` and `orbit 3000` on the alpha 0.6,
+  K = 6 config (weights that are not exact floats, where every workload
+  has alpha 1), run once per checkout; every
   output file and stdout must be byte-identical, manifests compared as
   JSON without `elapsed_seconds`; for each CSV that is not, per column,
   the count of moved cells, the first 20 with their old and new text,
@@ -78,6 +80,8 @@ VERIFY_CONFIGS = {"K8": (0.5, K8_STARTS, 2.0),
                   "K4": (1e-3, (2549, 16580, 59309, 172510), 0.004),
                   "K8_delta1e-6": (1e-6, (2551008, 16581563, 59310981, 172512049, 453601462,
                                           1124756247, 2684818434, 6240348396), 4e-6)}
+# the starts `construct --alpha 0.6 --delta 0.5 --K 6` selects
+ALPHA06_K6_STARTS = (2, 26, 103, 312, 841, 2116)
 PLAN_KS = (3, 4, 5, 6, 7, 8)
 WORKLOADS = ("search", "certify", "tables")
 REPS = 7  # in-process timings per job and side
@@ -156,9 +160,9 @@ def run_child(checkout: Path, kind: str, key: str) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def config_file(path: Path, delta: float, starts: Sequence[int]) -> Path:
-    """Write the alpha 1 config with these starts to path, for the CLI."""
-    path.write_text(json.dumps({"alpha": 1.0, "delta": delta, "K": len(starts),
+def config_file(path: Path, delta: float, starts: Sequence[int], alpha: float = 1.0) -> Path:
+    """Write the config with these starts to path, for the CLI."""
+    path.write_text(json.dumps({"alpha": alpha, "delta": delta, "K": len(starts),
                                 "spike_starts": list(starts), "r_max": 0.999, "tol": 1e-9}))
     return path
 
@@ -203,6 +207,9 @@ def identity_commands(change: Path, work: Path) -> dict[str, list[str]]:
     delta, starts, epsilon = VERIFY_CONFIGS["K8_delta1e-6"]
     config = config_file(work / "k8_delta1e-6.json", delta, starts)
     commands["verify-K8-delta1e-6"] = ["verify", str(config), "--epsilon", str(epsilon)]
+    config = str(config_file(work / "alpha0.6_k6.json", 0.5, ALPHA06_K6_STARTS, alpha=0.6))
+    commands["weights-alpha0.6-K6-3000"] = ["weights", config, "--n-max", "3000"]
+    commands["orbit-alpha0.6-K6-3000"] = ["orbit", config, "3000"]
     return commands
 
 

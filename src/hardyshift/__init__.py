@@ -12,7 +12,8 @@ import importlib
 
 # where each top-level name lives; a name is imported from its submodule on
 # first access (PEP 562), so `import hardyshift` loads no submodule, and
-# names from hardyshift.search load no numpy
+# names from hardyshift.search, hardyshift.weights and hardyshift.operators
+# load no numpy (the operators' vector functions import it when called)
 _SUBMODULES = {
     "search": (
         "ConstructionConfig", "DecompositionMismatchError", "InfeasibleConstructionError",

@@ -8,8 +8,10 @@ orbit and weights dump sample tables.  All file output is deterministic
 byte for byte at fixed inputs (floats use 17 significant digits); each
 run also writes a manifest listing the produced files with digests,
 whose elapsed-time field is the only thing allowed to differ between
-identical runs.  construct and lemma run on hardyshift.search alone:
-numpy and the verifier are imported inside the subcommands that use them.
+identical runs.  construct and lemma run on hardyshift.search alone, and
+orbit and weights on hardyshift.weights and hardyshift.operators, all on
+the standard library: numpy and the verifier are imported inside the
+subcommands that use them (curvature and verify).
 
 Exit codes: 0 success, 2 a measured condition failed its threshold,
 3 bad input (a table too large for memory included), 4 numerical
@@ -61,9 +63,9 @@ _format_float = "%.17g".__mod__
 def _write_csv(path: Path, columns: dict[str, Sequence]) -> None:
     """Write equal-length named columns as one CSV.
 
-    Each column is a list or an array, read through tolist(), of one kind
-    of value: int, float or str.  Its format is picked once, from the
-    Python type of its first value, rather than cell by cell.
+    Each column is a list, a range or an array, read through tolist(), of
+    one kind of value: int, float or str.  Its format is picked once, from
+    the Python type of its first value, rather than cell by cell.
     """
     cells = []
     for values in columns.values():
@@ -254,8 +256,6 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    import numpy as np
-
     from .operators import orbit_norms
 
     started = time.time()
@@ -263,9 +263,8 @@ def _cmd_orbit(args) -> int:
     config = _load_config(args.config)
     norms = orbit_norms(config.weights(), [1.0], args.n_max)
     path = out / "orbit.csv"
-    _write_csv(path, {"n": np.arange(len(norms)), "orbit_norm": norms})
-    print(f"wrote orbit norms 0..{args.n_max} to {path}; "
-          f"max {float(np.max(norms)):.10g}")
+    _write_csv(path, {"n": range(len(norms)), "orbit_norm": norms})
+    print(f"wrote orbit norms 0..{args.n_max} to {path}; max {max(norms):.10g}")
     _write_manifest(out, "orbit", {
         "config": config.to_dict(), "n_max": args.n_max,
     }, [path], started, config_path=args.config)
@@ -273,8 +272,6 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    import numpy as np
-
     started = time.time()
     if args.n_max is not None and args.n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {args.n_max}")
@@ -283,7 +280,7 @@ def _cmd_weights(args) -> int:
     weights = config.weights()
     n_max = args.n_max if args.n_max is not None else weights.last_index + 2
     path = out / "weights.csv"
-    _write_csv(path, {"n": np.arange(n_max + 1), "weight": weights.weight_range(0, n_max + 1)})
+    _write_csv(path, {"n": range(n_max + 1), "weight": weights.weight_range(0, n_max + 1)})
     print(f"wrote weights 0..{n_max} to {path}")
     _write_manifest(out, "weights", {
         "config": config.to_dict(), "n_max": n_max,
@@ -368,8 +365,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except MemoryError as exc:
         # a table sized by --n-max, n_max or --points that cannot be held;
-        # numpy's message names the size it tried to allocate
-        print(f"input error: table too large for memory: {exc}", file=sys.stderr)
+        # numpy's message names the size it tried to allocate, a list's is empty
+        print("input error: table too large for memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

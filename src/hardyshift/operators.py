@@ -15,20 +15,28 @@ so coisometry_check reads the exact band off the weights.  Meanwhile
 returns to 1.  With K spikes diag(sqrt(w_n)) makes T similar to S*, with
 constant (1+alpha)^K; that constant is unbounded in K, so the limiting
 operator is not power bounded, hence not similar to S*.
+
+orbit_norms and coisometry_check run on the standard library; the
+vector operations import numpy inside themselves.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from operator import mul, truediv
+from typing import TYPE_CHECKING
 
 from .weights import WeightSequence
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _coeffs(x) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError("coefficient vectors must be one dimensional")
@@ -37,54 +45,64 @@ def _coeffs(x) -> np.ndarray:
 
 def backward_shift(weights: WeightSequence, x) -> np.ndarray:
     """Apply T: output has one entry fewer, (Tx)_n = (w_{n+1}/w_n) x_{n+1}."""
+    import numpy as np
+
     a = _coeffs(x)
     if len(a) <= 1:
         return np.zeros(0, dtype=np.complex128)
-    w = weights.weight_range(0, len(a))
+    w = np.array(weights.weight_range(0, len(a)))
     return (w[1:] / w[:-1]) * a[1:]
 
 
 def forward_shift(x) -> np.ndarray:
     """Apply T*: prepend a zero coefficient."""
+    import numpy as np
+
     a = _coeffs(x)
     return np.concatenate([np.zeros(1, dtype=np.complex128), a])
 
 
 def norm_w(weights: WeightSequence, x) -> float:
+    import numpy as np
+
     a = _coeffs(x)
     if len(a) == 0:
         return 0.0
-    w = weights.weight_range(0, len(a))
+    w = np.array(weights.weight_range(0, len(a)))
     return float(np.sqrt(np.sum(np.abs(a) ** 2 * w)))
 
 
 def inner_w(weights: WeightSequence, x, y) -> complex:
     """Weighted inner product sum x_n conj(y_n) w_n, zero-padding the shorter."""
+    import numpy as np
+
     a, b = _coeffs(x), _coeffs(y)
     n = max(len(a), len(b))
     if n == 0:
         return 0j
     a = np.pad(a, (0, n - len(a)))
     b = np.pad(b, (0, n - len(b)))
-    w = weights.weight_range(0, n)
+    w = np.array(weights.weight_range(0, n))
     return complex(np.sum(a * np.conj(b) * w))
 
 
-def orbit_norms(weights: WeightSequence, x, n_max: int) -> np.ndarray:
-    """Norms ||T*^n x|| for n = 0..n_max.
+def orbit_norms(weights: WeightSequence, x, n_max: int) -> list[float]:
+    """Norms ||T*^n x|| for n = 0..n_max, a sequence x of coefficients.
 
     ||T*^n x||^2 = sum_j |x_j|^2 w_{j+n}: the adjoint slides the
     coefficient profile up the weight sequence, so orbits trace the spike
-    profile itself.
+    profile itself.  Each sum is a correctly rounded fsum; for x = e_0 it
+    is w_n itself, so the norm is sqrt(w_n) bit for bit.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    a = _coeffs(x)
-    if len(a) == 0:
-        return np.zeros(n_max + 1)
-    mags = np.abs(a) ** 2
-    w = weights.weight_range(0, len(a) + n_max)
-    return np.sqrt(sliding_window_view(w, len(a)) @ mags)
+    coeffs = list(x)
+    if not all(isinstance(c, numbers.Number) for c in coeffs):
+        raise ValueError("coefficient vectors must be one dimensional")
+    mags = [m * m for m in map(abs, coeffs)]
+    k = len(mags)
+    w = weights.weight_range(0, k + n_max)
+    return [math.sqrt(math.fsum(map(mul, mags, w[n:n + k]))) for n in range(n_max + 1)]
 
 
 # rounding slack of the band: the slopes are quotients of float weights
@@ -123,9 +141,11 @@ def coisometry_check(weights: WeightSequence) -> CoisometryReport:
     slopes, attained on basis vectors.  Every slope off the spikes
     [start, end] is 1, so a 1 and the slopes across each spike suffice.
     """
-    spans = [weights.weight_range(sp.start, sp.end + 1) for sp in weights.spikes]
-    slopes = np.concatenate([np.ones(1)] + [w[1:] / w[:-1] for w in spans])
-    return CoisometryReport(min_ratio=math.sqrt(float(slopes.min())),
-                            max_ratio=math.sqrt(float(slopes.max())),
+    slopes = [1.0]
+    for sp in weights.spikes:
+        w = weights.weight_range(sp.start, sp.end + 1)
+        slopes += map(truediv, w[1:], w[:-1])
+    return CoisometryReport(min_ratio=math.sqrt(min(slopes)),
+                            max_ratio=math.sqrt(max(slopes)),
                             lower=1.0 / (1.0 + weights.alpha),
                             upper=1.0 + weights.alpha)

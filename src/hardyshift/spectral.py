@@ -59,7 +59,7 @@ def kernel_eval(weights: WeightSequence, lam: complex, z: complex, tol: float = 
             f"kernel truncation needs {order} terms at |conj(lam) z| = {mod}", order
         )
     powers = np.concatenate([[1.0 + 0.0j], np.cumprod(np.full(order, q, dtype=np.complex128))])
-    inv_w = 1.0 / weights.weight_range(0, order + 1)
+    inv_w = 1.0 / np.array(weights.weight_range(0, order + 1))
     return complex(powers @ inv_w)
 
 
@@ -81,7 +81,7 @@ def kernel_diagonal_series(weights: WeightSequence, r_max: float,
             f"(cap {_DENSE_ORDER_CAP})",
             order,
         )
-    return RadialSeries.from_dense(1.0 / weights.weight_range(0, order + 1))
+    return RadialSeries.from_dense(1.0 / np.array(weights.weight_range(0, order + 1)))
 
 
 # ---------------------------------------------------------------------- #
@@ -132,9 +132,9 @@ def kernel_ratio_series(weights: WeightSequence, r_max: float = 0.999,
         raise ValueError("tol must be positive and finite")
     one = RadialSeries(np.zeros(1, dtype=np.int64), np.ones(1))
     f = _spike_sum(one, *(spike_ratio_term(weights.alpha, sp) for sp in weights.spikes))
-    e = _spike_sum(one, *(RadialSeries(np.arange(sp.start + 1, sp.end + 1),
-                                       np.diff(1.0 / weights.weight_range(sp.start, sp.end + 1)))
-                          for sp in weights.spikes))
+    spans = [np.array(weights.weight_range(sp.start, sp.end + 1)) for sp in weights.spikes]
+    e = _spike_sum(one, *(RadialSeries(np.arange(sp.start + 1, sp.end + 1), np.diff(1.0 / w))
+                          for sp, w in zip(weights.spikes, spans)))
     gap = f.add(RadialSeries(e.exponents, -e.coeffs))
     bound = float(np.sum(np.abs(gap.coeffs) * np.power(r_max, 2.0 * gap.exponents)))
     if bound > tol:

@@ -18,7 +18,9 @@ which is what makes the backward shift on the associated space an almost
 coisometry with norm bounds depending only on alpha.
 
 Weights are never materialized globally; values are computed on demand
-from the spike layout.
+from the spike layout, as lists of floats on the standard library.  Each
+weight b^j, b = (1+alpha)^2, is the correctly rounded float of the exact
+power, and alpha must keep the widest spike's peak a finite float.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Sequence
+
+# the least value a float rounds up to inf: halfway from the largest float
+# 2^1024 - 2^971 to 2^1024
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 
 
 @dataclass(frozen=True)
@@ -80,25 +89,35 @@ class WeightSequence:
                     f"spikes must be separated: start {prev.start} with half width "
                     f"{prev.half_width} reaches {prev.end}, next start {nxt.start}"
                 )
+        # compared as exact rationals, so that the check itself cannot
+        # overflow: (1.0 + alpha) ** 2 is finite below 1.0 + alpha = 2^512
+        widest = max((sp.half_width for sp in spikes), default=0)
+        if widest and not (1.0 + self.alpha < 2.0 ** 512
+                           and Fraction((1.0 + self.alpha) ** 2) ** widest < _FLOAT_OVERFLOW):
+            raise ValueError(f"alpha {self.alpha} is too large: the peak weight "
+                             f"(1+alpha)^{2 * widest} is not a finite float")
         object.__setattr__(self, "spikes", spikes)
 
-    def weight_range(self, n0: int, n1: int):
-        """w_n for n in [n0, n1) as a float array, walking only the spikes that
-        meet the range.
+    def weight_range(self, n0: int, n1: int) -> list[float]:
+        """w_n for n in [n0, n1) as a list of floats, walking only the spikes
+        that meet the range.
 
-        Integer powers of (1+alpha)^2 rather than exp of the log form:
-        bit-exact whenever the base is (e.g. alpha = 1).
+        Each w_n = b^j, b = (1+alpha)^2, is float(Fraction(b) ** j), the
+        correctly rounded power, rather than exp of the log form or a pow
+        that may miss by an ulp: bit-exact whenever b^j is a float (e.g.
+        alpha = 1).
         """
-        import numpy as np
-
         if n0 < 0 or n1 < n0:
             raise ValueError("need 0 <= n0 <= n1")
-        out = np.ones(n1 - n0, dtype=np.float64)
+        out = [1.0] * (n1 - n0)
         for sp in self.spikes:
             lo, hi = max(sp.start, n0), min(sp.end, n1 - 1)
             if lo <= hi:
-                j = sp.step(np.arange(lo, hi + 1))
-                out[lo - n0:hi + 1 - n0] = np.power((1.0 + self.alpha) ** 2, j)
+                # b^0 .. b^h up the spike, then back down to b^0 at its end
+                b = Fraction((1.0 + self.alpha) ** 2)
+                up = [float(p) for p in accumulate(repeat(b, sp.half_width), mul, initial=1)]
+                profile = up + up[-2::-1]
+                out[lo - n0:hi + 1 - n0] = profile[lo - sp.start:hi + 1 - sp.start]
         return out
 
     @property

@@ -449,8 +449,8 @@ def test_exit_code_for_unconverged_quadrature(constructed, tmp_path, monkeypatch
 
 
 def test_exit_code_for_a_table_too_large_for_memory(constructed, tmp_path, monkeypatch, capsys):
-    # numpy raises MemoryError when it cannot allocate a table; nothing is
-    # allocated here, the weight walk raises as numpy would
+    # numpy raises MemoryError, naming the size, when it cannot allocate a
+    # table; nothing is allocated here, the weight walk raises as numpy would
     message = "Unable to allocate 74.5 GiB for an array with shape (10000000001,)"
 
     def oversized(self, n0, n1):
@@ -460,6 +460,33 @@ def test_exit_code_for_a_table_too_large_for_memory(constructed, tmp_path, monke
     assert cli.main(["weights", str(constructed / "config.json"),
                      "--n-max", "30", "--out", str(tmp_path)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["weights", "{config}", "--n-max", str(2 ** 62)],
+                                     ["orbit", "{config}", str(2 ** 62)]])
+def test_exit_code_for_a_list_too_large_for_memory(constructed, tmp_path, command, capsys):
+    # a list of 2^62 weights fails its size check before it touches memory
+    config = str(constructed / "config.json")
+    argv = [config if a == "{config}" else a for a in command]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "input error: table too large for memory\n"
+
+
+@pytest.mark.parametrize("alpha", [1e100, 1e200])
+def test_exit_code_for_an_alpha_whose_peak_weight_overflows(tmp_path, alpha, capsys):
+    # (1.0 + 1e200) ** 2 raised OverflowError and 1e100 gave inf weights;
+    # the config is rejected before any weight is computed
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha": alpha, "delta": 0.5, "K": 3,
+                                  "spike_starts": [3, 32, 117], "r_max": 0.999, "tol": 1e-9}))
+    out = ["--out", str(tmp_path)]
+    for argv in (["weights", str(config)], ["orbit", str(config), "130"],
+                 ["verify", str(config)],
+                 ["construct", "--alpha", str(alpha), "--delta", "0.5", "--K", "3"]):
+        assert cli.main([*argv, *out]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: alpha") and "not a finite float" in err, argv
+    assert not (tmp_path / "weights.csv").exists()
 
 
 def test_unknown_subcommand_exits_with_input_error():
@@ -537,18 +564,24 @@ print(json.dumps({"numpy": loaded, "listed": all(listed), "resolved": all(resolv
 
 
 def test_construct_and_lemma_load_no_numpy(tmp_path):
-    # the spike search and the lemma run on the standard library: neither
-    # importing the package nor these commands loads numpy
+    # the spike search, the lemma and the weight and orbit tables run on the
+    # standard library: neither importing the package nor these commands
+    # loads numpy; weights and orbit read the K = 3 config construct writes
     src = str(Path(hardyshift.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = ["--out", str(tmp_path)]
+    config = str(tmp_path / "config.json")
     commands = [["construct", "--alpha", "1", "--delta", "0.5", "--K", "3", *out],
-                ["lemma", "1", "2248", *out]]
+                ["lemma", "1", "2248", *out],
+                ["weights", config, "--n-max", "300", *out],
+                ["orbit", config, "130", *out]]
     proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD, json.dumps(commands)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"numpy": [False, False, False], "listed": True, "resolved": True}
+    assert result == {"numpy": [False] * 5, "listed": True, "resolved": True}
+    assert len((tmp_path / "weights.csv").read_text().splitlines()) == 302
+    assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 132
 
 
 def test_top_level_names_are_the_submodule_objects():

@@ -50,7 +50,7 @@ def test_shift_composition_scales_by_weight_ratio():
     w = build_spiked_weights(0.75, [2, 12])
     x = random_vector(20)
     lhs = backward_shift(w, forward_shift(x))
-    ratios = w.weight_range(1, 21) / w.weight_range(0, 20)
+    ratios = np.array(w.weight_range(1, 21)) / np.array(w.weight_range(0, 20))
     assert np.array_equal(lhs, ratios * x)
 
 
@@ -123,6 +123,12 @@ def test_orbit_of_first_basis_vector_traces_spike_peaks():
             assert norms[start + k] == (1.0 + alpha) ** k
         assert norms[0] == 1.0
         assert np.max(norms) == (1.0 + alpha) ** 3
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0, 2.5])
+def test_orbit_of_first_basis_vector_is_the_root_of_each_weight(alpha):
+    w = build_spiked_weights(alpha, (3, 32, 117))
+    assert orbit_norms(w, [1.0], 130) == [math.sqrt(v) for v in w.weight_range(0, 131)]
 
 
 def test_orbit_norm_lower_bound_witness():
@@ -201,7 +207,7 @@ def test_coisometry_report_outside_the_band_fails():
 def test_coisometry_band_bounds_every_vector(w, seed, extra):
     rep = coisometry_check(w)
     assert rep.passed
-    full = w.weight_range(0, w.last_index + 3)
+    full = np.array(w.weight_range(0, w.last_index + 3))
     slopes = full[1:] / full[:-1]
     assert (rep.min_ratio, rep.max_ratio) == (math.sqrt(slopes.min()), math.sqrt(slopes.max()))
     rng = np.random.default_rng(seed)
@@ -216,3 +222,6 @@ def test_coefficient_vector_validation():
     w = build_spiked_weights(1.0, [])
     with pytest.raises(ValueError):
         norm_w(w, np.zeros((2, 2)))
+    for x in (np.zeros((2, 2)), np.ones((2, 1)), [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="one dimensional"):
+            orbit_norms(w, x, 3)

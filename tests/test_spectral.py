@@ -139,7 +139,7 @@ def test_spike_kernel_terms_sum_to_the_weight_deficits(w):
     for sp in w.spikes:
         g = spike_kernel_term(w.alpha, sp)
         total[g.exponents] += g.coeffs
-    assert np.allclose(total, 1.0 / w.weight_range(0, n) - 1.0, rtol=1e-12, atol=1e-15)
+    assert np.allclose(total, 1.0 / np.array(w.weight_range(0, n)) - 1.0, rtol=1e-12, atol=1e-15)
 
 
 def test_ratio_term_is_one_minus_s_times_kernel_term():

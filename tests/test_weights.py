@@ -1,19 +1,38 @@
 """Spiked weight sequences: values and layout validation."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import spiked_layouts
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyshift import SpikeSpec, WeightSequence, build_spiked_weights
+
+# the starts the search finds at alpha = 1, delta = 0.5 for K = 8
+K8_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479)
+
+
+def exact_powers(w: WeightSequence, n1: int) -> list[float]:
+    """w_n for n < n1 as float(Fraction(b) ** j), b = (1+alpha)^2 and j the
+    step of n on its spike: the correctly rounded power, index by index."""
+    b = Fraction((1.0 + w.alpha) ** 2)
+    steps = [0] * n1
+    for sp in w.spikes:
+        for n in range(sp.start, min(sp.end + 1, n1)):
+            steps[n] = sp.step(n)
+    return [float(b ** j) for j in steps]
 
 
 def test_single_spike_weight_values():
     w = build_spiked_weights(1.0, [5])
     # half width 1: profile 1, 4, 1 across indices 5, 6, 7
-    assert w.weight_range(5, 8).tolist() == [1.0, 4.0, 1.0]
-    assert w.weight_range(0, 1).tolist() == [1.0]
-    assert w.weight_range(100, 101).tolist() == [1.0]
+    assert w.weight_range(5, 8) == [1.0, 4.0, 1.0]
+    assert w.weight_range(0, 1) == [1.0]
+    assert w.weight_range(100, 101) == [1.0]
 
 
 def test_half_widths_grow_with_spike_index():
@@ -48,6 +67,57 @@ def test_power_and_log_evaluation_routes_agree():
         log_w[n] = sp.step(n) * 2.0 * math.log1p(w.alpha)
     via_pow = w.weight_range(0, 210)
     assert np.allclose(via_pow, np.exp(log_w), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.4, 0.6, 0.75, 1.0, 2.5])
+def test_weights_are_correctly_rounded_powers(alpha):
+    # numpy's SIMD np.power misses some of these by an ulp on AVX-512 hosts
+    # (at alpha 0.3, 0.4 and 0.6)
+    w = build_spiked_weights(alpha, K8_STARTS)
+    assert w.weight_range(0, w.last_index + 3) == exact_powers(w, w.last_index + 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=spiked_layouts(max_spikes=8), data=st.data())
+def test_weight_windows_are_correctly_rounded_powers(w, data):
+    n1 = w.last_index + 3
+    n0 = data.draw(st.integers(0, n1))
+    assert w.weight_range(n0, n1) == exact_powers(w, n1)[n0:]
+
+
+@pytest.mark.parametrize("alpha", [1e100, 1e200, 2.0 ** 512])
+def test_an_infinite_peak_weight_is_rejected(alpha):
+    # (1.0 + 1e200) ** 2 overflows and 1e100 ** 6 is past the largest float;
+    # the check must raise ValueError rather than OverflowError
+    with pytest.raises(ValueError, match="not a finite float"):
+        build_spiked_weights(alpha, [3, 32, 117])
+    # without spikes every weight is 1, whatever alpha
+    assert build_spiked_weights(alpha, []).weight_range(0, 3) == [1.0, 1.0, 1.0]
+
+
+def test_overflow_limit_is_where_float_rounds_to_inf():
+    from hardyshift.weights import _FLOAT_OVERFLOW
+
+    assert float(_FLOAT_OVERFLOW - 1) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        float(_FLOAT_OVERFLOW)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log2_peak=st.floats(1000.0, 1030.0), k=st.integers(1, 8))
+def test_peak_check_is_exact_at_the_float_limit(log2_peak, k):
+    # alpha near where the peak b^k crosses the largest float: the layout is
+    # accepted exactly when the correctly rounded peak is finite
+    alpha = 2.0 ** (log2_peak / (2 * k)) - 1.0
+    starts = [3 + 20 * i * i for i in range(k)]
+    try:
+        peak = float(Fraction((1.0 + alpha) ** 2) ** k)
+    except OverflowError:
+        with pytest.raises(ValueError, match="not a finite float"):
+            build_spiked_weights(alpha, starts)
+    else:
+        w = build_spiked_weights(alpha, starts)
+        assert max(w.weight_range(0, w.last_index + 1)) == peak
 
 
 def test_layout_validation():
