@@ -8,9 +8,11 @@ Six parts, each run on both checkouts with this same script:
   `tables` workloads (from the change's `hardybench/workloads.py`, verify
   seed 1), `lemma`, `construct --K 2`, `verify --epsilon 4e-6` on the
   K = 8, delta 1e-6 config (powers up to 6.2e9, which no workload
-  reaches), and `weights --n-max 3000` and `orbit 3000` on the alpha 0.6,
+  reaches), `weights --n-max 3000` and `orbit 3000` on the alpha 0.6,
   K = 6 config (weights that are not exact floats, where every workload
-  has alpha 1), run once per checkout; every
+  has alpha 1), and `construct --alpha 100 --delta 0.5 --K 8` and
+  `verify --epsilon 2` on the starts it selects (spike terms with
+  differences that round to exactly 0), run once per checkout; every
   output file and stdout must be byte-identical, manifests compared as
   JSON without `elapsed_seconds`; for each CSV that is not, per column,
   the count of moved cells, the first 20 with their old and new text,
@@ -82,6 +84,8 @@ VERIFY_CONFIGS = {"K8": (0.5, K8_STARTS, 2.0),
                                           1124756247, 2684818434, 6240348396), 4e-6)}
 # the starts `construct --alpha 0.6 --delta 0.5 --K 6` selects
 ALPHA06_K6_STARTS = (2, 26, 103, 312, 841, 2116)
+# the starts `construct --alpha 100 --delta 0.5 --K 8` selects
+ALPHA100_K8_STARTS = (5, 39, 134, 379, 978, 2393, 5658, 13059)
 PLAN_KS = (3, 4, 5, 6, 7, 8)
 WORKLOADS = ("search", "certify", "tables")
 REPS = 7  # in-process timings per job and side
@@ -210,6 +214,10 @@ def identity_commands(change: Path, work: Path) -> dict[str, list[str]]:
     config = str(config_file(work / "alpha0.6_k6.json", 0.5, ALPHA06_K6_STARTS, alpha=0.6))
     commands["weights-alpha0.6-K6-3000"] = ["weights", config, "--n-max", "3000"]
     commands["orbit-alpha0.6-K6-3000"] = ["orbit", config, "3000"]
+    commands["construct-alpha100-K8"] = ["construct", "--alpha", "100", "--delta", "0.5",
+                                         "--K", "8"]
+    config = str(config_file(work / "alpha100_k8.json", 0.5, ALPHA100_K8_STARTS, alpha=100.0))
+    commands["verify-alpha100-K8"] = ["verify", config, "--epsilon", "2"]
     return commands
 
 

@@ -20,7 +20,7 @@ _SUBMODULES = {
         "TruncationError", "bump_gradient_sq_carleson_bound", "bump_laplacian_carleson_bound",
         "bump_peak", "deficit_coefficients", "delta_for_epsilon", "edge_integral_exact",
         "lemma_bounds", "select_spike_positions", "spike_budget",
-        "spike_correction_thresholds", "spike_gate",
+        "spike_correction_thresholds", "spike_gate", "spike_kernel_term", "spike_ratio_term",
     ),
     "weights": ("SpikeSpec", "WeightSequence", "build_spiked_weights"),
     "series": ("RadialSeries",),
@@ -31,7 +31,7 @@ _SUBMODULES = {
     "spectral": (
         "curvature_backward_shift", "curvature_difference", "curvature_samples",
         "curvature_weighted", "kernel_diagonal_series", "kernel_eval", "kernel_ratio_series",
-        "ratio_log_laplacian", "spike_kernel_term", "spike_ratio_term",
+        "ratio_log_laplacian",
     ),
 }
 _ORIGIN = {name: module for module, names in _SUBMODULES.items() for name in names}

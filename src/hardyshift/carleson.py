@@ -84,7 +84,8 @@ def _runs(terms: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
     """(N, S) for each run of consecutive exponents N..N+w of sum_e n_e s^e:
     the run is s^N R(1-s) = (1-u)^{2N} S(u) in u = 1 - r, with R's and then
     S(u) = R(u (2-u))'s integer coefficients formed exactly, since
-    1 - s = u (2-u).  A run of w + 1 terms gives S degree 2w."""
+    1 - s = u (2-u).  A run of w + 1 terms gives S degree 2w; a zero term
+    does not end it, so a spike term, zeros kept, is one run."""
     runs = []
     starts = [i for i in range(len(terms)) if i == 0 or terms[i][0] != terms[i - 1][0] + 1]
     for lo, hi in zip(starts, [*starts[1:], len(terms)]):
@@ -209,20 +210,20 @@ def _block_mass(blocks: Sequence[_Block], points: Sequence[float], p: int) -> fl
     return _sum_in_order(np.abs(signed).tolist())
 
 
-def term_decay(g: RadialSeries) -> list[tuple[float | None, float]]:
+def term_decay(g) -> list[tuple[float | None, float]]:
     """(argmax_r, value) of the five decay quantities of a radial term G(s),
-    s = r^2, in the field order of search.Decay: the suprema of |G|,
-    |Delta G| (1-r)^2 and |gradient G| (1-r) = r |G'(r^2)| (1-r), and the
-    masses 2 pi integral_0^1 |Delta G(r^2)| (1-r) r dr and gradient_sq_mass.
+    s = r^2 (RadialSeries or Terms), in search.Decay's field order: the sups
+    of |G|, |Delta G| (1-r)^2 and |gradient G| (1-r) = r |G'(r^2)| (1-r), and
+    the masses 2 pi integral_0^1 |Delta G(r^2)| (1-r) r dr and gradient_sq_mass.
 
     Delta G = sum_e e^2 c_e s^{e-1} and G' = sum_e e c_e s^{e-1} are formed
     from G's integer coefficients (integers over one power of two), so no
     float product e^2 c_e is rounded, and neither s G'^2 nor any other
     product is expanded.  The suprema are block_supremum's.  The Laplacian
     mass reads Delta G as boundary blocks with gap power 1, one block per
-    run of exponents, and sums their incomplete beta pieces between the
-    sign changes of the summed blocks, found in u = 1 - r.  The two masses
-    carry no argmax.
+    run of exponents (one per spike, for a spike term or f - 1), and sums
+    their incomplete beta pieces between the sign changes of the summed
+    blocks, found in u = 1 - r.  The two masses carry no argmax.
     """
     coeffs, scale = _integer_coefficients(g)
     laplacian = [(e - 1, e * e * n) for e, n in coeffs if e]
@@ -259,6 +260,8 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
       so the terms past a row's own need are below a quarter ulp and
       leave its bits unchanged: summed in order (cumsum; np.sum adds a
       single row pairwise), a row's bits do not depend on the batch.
+      Where t^{p+1} / B(p+1, m+1) is not finite or t^{p+1} is not normal,
+      that front factor is formed factor by factor (within 2e-15 of mpmath).
 
     The ends are exact, 0 at t = 0 and 1 at t = 1, where the sum overflows
     once C(m+p, p) does.  Inside, a rising sum that overflows gives exactly 1:
@@ -276,13 +279,12 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
     inner = (t > 0.0) & (t < 1.0)
     small = inner & ((m + 1.0) * t < 0.5)
     big = inner & ~small
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if big.any():
             mb, tb = m[big], t[big]
-            with np.errstate(over="ignore", invalid="ignore"):
-                rising = _rising_sum(mb, p, tb)
-                out[big] = np.where(np.isinf(rising), 1.0,
-                                    -np.expm1((mb + 1.0) * np.log1p(-tb) + np.log1p(rising)))
+            rising = _rising_sum(mb, p, tb)
+            out[big] = np.where(np.isinf(rising), 1.0,
+                                -np.expm1((mb + 1.0) * np.log1p(-tb) + np.log1p(rising)))
         if small.any():
             ms, ts = m[small], t[small]
             count = max(1, math.ceil(_SERIES_BITS / -np.log2(np.max((ms + 1.0) * ts))))
@@ -292,11 +294,13 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
             terms[0] = 1.0
             np.cumprod((k - 1.0 - ms) * (ts / k), axis=0, out=terms[1:])
             terms /= p + 1.0 + np.arange(float(count))[:, None]
-            # 1 / B(p+1, m+1) = (m+p+1) C(m+p, p)
-            scale = ms + (p + 1.0)
+            # 1 / B(p+1, m+1) = (m+p+1) C(m+p, p), times t^{p+1}; and the same
+            # product factor by factor, (m+p+1) t and each (m+i) t / i below 1
+            scale, power, front = ms + (p + 1.0), np.power(ts, p + 1.0), (ms + (p + 1.0)) * ts
             for i in range(1, p + 1):
-                scale = scale * (ms + i) / i
-            out[small] = scale * np.power(ts, p + 1.0) * np.cumsum(terms, axis=0)[-1]
+                scale, front = scale * (ms + i) / i, front * ((ms + i) * ts / i)
+            front = np.where(np.isfinite(scale * power) & (power >= _TINY), scale * power, front)
+            out[small] = front * np.cumsum(terms, axis=0)[-1]
     return out
 
 

@@ -37,6 +37,7 @@ from .search import (  # noqa: F401  (the spike search, re-exported under its ol
     Decay,
     InfeasibleConstructionError,
     SpikeGate,
+    Terms,
     bump_gradient_sq_carleson_bound,
     bump_laplacian_carleson_bound,
     bump_peak,
@@ -127,7 +128,7 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
     """
     w = config.weights()
     delta = config.delta
-    deviation = config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)]))
+    deviation = Terms(config.kernel_ratio.exponents[1:], config.kernel_ratio.coeffs[1:])
     rows = [_row(name, threshold, value, argmax_r) for name, threshold, (argmax_r, value) in
             zip(_RATIO_ROWS, (delta, delta, math.sqrt(delta), delta, delta),
                 term_decay(deviation))]

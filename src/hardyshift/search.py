@@ -6,12 +6,13 @@ critical points found by Brent's method, the deficits of a spike are
 expm1 values, and the gate compares their triangle-inequality combination
 against the budgets delta / 2^k (delta / 4^k for the squared gradient
 mass).  None of it needs an array, so this module imports no numpy, and
-`construct` and `lemma` run without loading it.
+`construct` and `lemma` run without loading it.  The spike terms the
+verifier measures are built here from the same deficits, as plain Terms.
 
 The numpy layer (series, grids, carleson, spectral, operators and the
 verifier in construction) imports these names back: construction's
 lemma_bounds, grids' brentq, carleson's gradient_sq_mass and spectral's
-deficit_coefficients are the objects defined here.
+deficit_coefficients and spike terms are the objects defined here.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def edge_integral_exact(m: int, p: int) -> Fraction:
 
 class Terms(NamedTuple):
     """A sparse series sum_i coeffs[i] s^exponents[i] in plain Python numbers,
-    for the exact masses below where no RadialSeries is at hand."""
+    zeros kept (the spike terms, the masses below); RadialSeries(*terms) evaluates it."""
 
     exponents: Sequence[int]
     coeffs: Sequence[float]
@@ -222,6 +223,23 @@ def deficit_coefficients(alpha: float, half_width: int) -> list[float]:
         raise ValueError("alpha must be positive")
     step = math.log1p(alpha)
     return [math.expm1(-2.0 * j * step) for j in range(1, half_width + 1)]
+
+
+def spike_kernel_term(alpha: float, spike: SpikeSpec) -> Terms:
+    """Correction G(s) = sum (1/w_n - 1) s^n the spike adds to the kernel
+    diagonal, over its interior start+1 .. end-1: index n carries the deficit
+    c_j of its step j, the float the spike gate reads."""
+    c = deficit_coefficients(alpha, spike.half_width)
+    return Terms(list(spike.interior), [c[spike.step(n) - 1] for n in spike.interior])
+
+
+def spike_ratio_term(alpha: float, spike: SpikeSpec) -> Terms:
+    """Term H(s) = (1-s) G(s) the spike adds to the kernel ratio, a combination
+    of bumps s^m (1-s), over its span start+1 .. end: g_first, g_n - g_{n-1},
+    -g_last.  A difference that rounds to 0 keeps its place: one run, one block."""
+    g = spike_kernel_term(alpha, spike).coeffs
+    return Terms(list(range(spike.start + 1, spike.end + 1)),
+                 [g[0], *(b - a for a, b in zip(g, g[1:])), -g[-1]])
 
 
 # ---------------------------------------------------------------------- #

@@ -222,7 +222,7 @@ class RadialSeries:
         return d.multiply(d).shift(1)
 
     # ------------------------------------------------------------------ #
-    # algebra
+    # algebra (add, times_one_minus_s: no caller in the package; the tracer wraps them)
 
     def add(self, other: "RadialSeries") -> "RadialSeries":
         e = np.concatenate([self.exponents, other.exponents])

@@ -20,7 +20,8 @@ then a short exact polynomial even when spike positions sit near 2^40, and
 
     kappa_weighted - kappa_unweighted = Delta log f
 
-gives the curvature deviation along a second, independent route.
+gives the curvature deviation along a second, independent route.  G_k and
+H_k come from hardyshift.search, and are wrapped in a RadialSeries here.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .search import DecompositionMismatchError, TruncationError, deficit_coefficients
+from .search import DecompositionMismatchError, TruncationError
+from .search import deficit_coefficients, spike_kernel_term, spike_ratio_term  # noqa: F401
 from .series import RadialSeries, truncation_order
-from .weights import SpikeSpec, WeightSequence
+from .weights import WeightSequence
 
 _DENSE_ORDER_CAP = 2_000_000
 
@@ -88,40 +90,13 @@ def kernel_diagonal_series(weights: WeightSequence, r_max: float,
 # spike corrections
 
 
-def spike_kernel_term(alpha: float, spike: SpikeSpec) -> RadialSeries:
-    """Correction G(s) the spike adds to the unweighted kernel diagonal.
-
-    Collects (1/w_n - 1) s^n over the spike interior: index n carries the
-    deficit c_j of its step j (deficit_coefficients, the floats the spike
-    gate reads).
-    """
-    c = np.array(deficit_coefficients(alpha, spike.half_width))
-    n = np.asarray(spike.interior)
-    return RadialSeries(n, c[spike.step(n) - 1])
-
-
-def spike_ratio_term(alpha: float, spike: SpikeSpec) -> RadialSeries:
-    """Term H(s) = (1-s) G(s) the spike contributes to the kernel ratio.
-
-    Equals the same combination of bumps s^m (1-s) over the spike interior,
-    so it inherits every decay estimate available for a single bump.
-    """
-    return spike_kernel_term(alpha, spike).times_one_minus_s()
-
-
-def _spike_sum(*parts: RadialSeries) -> RadialSeries:
-    """Sum of series on disjoint ascending exponent spans: no sorting or merging."""
-    return RadialSeries(np.concatenate([g.exponents for g in parts]),
-                        np.concatenate([g.coeffs for g in parts]))
-
-
 def kernel_ratio_series(weights: WeightSequence, r_max: float = 0.999,
                         tol: float = 1e-9) -> RadialSeries:
     """Exact polynomial f(s) = (1-s) K(s) = 1 + sum of spike ratio terms.
 
     f is checked coefficient by coefficient against (1-s) K, whose
     coefficients are e_0 = 1 and e_n = 1/w_n - 1/w_{n-1}, from the weights
-    the operator uses; they vanish off each spike's span start+1 .. end.
+    the operator uses; they vanish off each spike's span start+1 .. end, its H's.
     B = sum_n |f_n - e_n| r_max^{2n} bounds |f - (1-s) K| at every
     r <= r_max, and B > tol raises DecompositionMismatchError, the symptom
     of a slope mismatch between the correction coefficients and the weights.
@@ -130,18 +105,19 @@ def kernel_ratio_series(weights: WeightSequence, r_max: float = 0.999,
         raise ValueError("r_max must lie in [0, 1)")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    one = RadialSeries(np.zeros(1, dtype=np.int64), np.ones(1))
-    f = _spike_sum(one, *(spike_ratio_term(weights.alpha, sp) for sp in weights.spikes))
-    spans = [np.array(weights.weight_range(sp.start, sp.end + 1)) for sp in weights.spikes]
-    e = _spike_sum(one, *(RadialSeries(np.arange(sp.start + 1, sp.end + 1), np.diff(1.0 / w))
-                          for sp, w in zip(weights.spikes, spans)))
-    gap = f.add(RadialSeries(e.exponents, -e.coeffs))
-    bound = float(np.sum(np.abs(gap.coeffs) * np.power(r_max, 2.0 * gap.exponents)))
+    exponents, coeffs, bound = [0], [1.0], 0.0
+    for sp in weights.spikes:
+        h = spike_ratio_term(weights.alpha, sp)
+        inverse = [1.0 / w for w in weights.weight_range(sp.start, sp.end + 1)]
+        for n, fn, a, b in zip(h.exponents, h.coeffs, inverse, inverse[1:]):
+            bound += abs(fn - (b - a)) * r_max ** (2.0 * n)
+        exponents += h.exponents
+        coeffs += h.coeffs
     if bound > tol:
         raise DecompositionMismatchError(
             f"kernel ratio misses (1-s) K by up to {bound} on r <= {r_max} (tol {tol}); "
             "slope parameter and weights are inconsistent")
-    return f
+    return RadialSeries(exponents, coeffs)
 
 
 # ---------------------------------------------------------------------- #
@@ -172,8 +148,8 @@ def curvature_weighted(weights: WeightSequence, r):
         raise ValueError("r must lie in [0, 1)")
     s = r_arr * r_arr
     one_minus = 1.0 - s
-    g = _spike_sum(RadialSeries.zero(),
-                   *(spike_kernel_term(weights.alpha, sp) for sp in weights.spikes))
+    terms = [spike_kernel_term(weights.alpha, sp) for sp in weights.spikes]
+    g = RadialSeries([e for t in terms for e in t.exponents], [c for t in terms for c in t.coeffs])
     g_val, g_p, g_pp = g.eval_with_derivatives(s)
     out = _curvature_from_parts(1.0 / one_minus + g_val, one_minus ** -2 + g_p,
                                 2.0 * one_minus ** -3 + g_pp, s)

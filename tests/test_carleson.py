@@ -356,6 +356,21 @@ def test_tail_ratio_is_one_where_its_rising_sum_overflows():
         assert complement < mpmath.mpf(2) ** -15616, (m, p, t)
 
 
+@pytest.mark.parametrize("p", [40, 60, 100, 127])
+def test_tail_ratio_small_branch_at_large_powers(p):
+    # (m+p+1) C(m+p, p) overflows while t^{p+1} underflows: the small branch
+    # read NaN here, and 0.0 where only t^{p+1} left the normal range
+    for m in (10**12 + 1, 2**41 + 1):
+        for t in (f / (m + 1) for f in (0.499, 0.25, 0.1, 0.01, 1e-3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ratio = float(tail_ratio(m, p, t))
+            with mpmath.workdps(60):
+                exact = mpmath.betainc(p + 1, m + 1, 0, t, regularized=True)
+            assert rel_err(ratio, exact) <= 3e-15, (m, t)
+    assert float(tail_ratio(10**12 + 1, 25, 1e-13)) > 0.0
+
+
 # ---------------------------------------------------------------------- #
 # the curvature quadrature's cuts against the expanded numerator
 

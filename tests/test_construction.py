@@ -32,6 +32,7 @@ from hardyshift import (
 )
 from hardyshift import cli, construction, grids, search
 from hardyshift.carleson import TWO_PI, gradient_sq_mass, term_decay
+from hardyshift.search import Terms
 from hardyshift.construction import (
     MAX_POWER,
     MAX_SPIKES,
@@ -213,7 +214,7 @@ def test_gate_and_verifier_read_the_same_deficits():
     # the same floats, at an alpha whose deficits are not dyadic
     spike = SpikeSpec(40, 5)
     deficits = deficit_coefficients(0.8, 5)
-    term = spike_kernel_term(0.8, spike)
+    term = RadialSeries(*spike_kernel_term(0.8, spike))
     assert term.coeffs.tolist() == [deficits[j - 1] for j in spike.step(term.exponents).tolist()]
 
 
@@ -546,7 +547,8 @@ def test_laplacian_mass_of_far_apart_spikes_matches_mpmath():
     # spike 24 of the K = 24, delta 0.5 layout, 49 terms at powers near 2.6e9,
     # read at the cuts of spike 1: its rising sums overflowed in tail_ratio
     # and the mass read NaN
-    g = spike_ratio_term(1.0, SpikeSpec(3, 1)).add(spike_ratio_term(1.0, SpikeSpec(2644017572, 24)))
+    g = RadialSeries(*spike_ratio_term(1.0, SpikeSpec(3, 1))).add(
+        RadialSeries(*spike_ratio_term(1.0, SpikeSpec(2644017572, 24))))
     mass = term_decay(g)[3][1]
     exact = _mp_many_block_laplacian_mass(g)
     assert abs(mass - exact) <= 1e-15 * exact
@@ -555,6 +557,39 @@ def test_laplacian_mass_of_far_apart_spikes_matches_mpmath():
 # the starts `construct --alpha 1 --delta 1e-8 --K 8` selects, up to 6.2e11
 TINY_DELTA_K8 = (255100997, 1658156492, 5931098224, 17251205053, 45360146375, 112475624818,
                  268481843537, 624034839756)
+# the starts `construct --alpha 100 --delta 0.5 --K 8` selects; spikes 6 - 8
+# have differences g_n - g_{n-1} that round to exactly 0
+ALPHA100_K8 = (5, 39, 134, 379, 978, 2393, 5658, 13059)
+# (start, h) of the four widest spikes of the alpha 1, delta 0.5, K = 32 layout,
+# whose ratio terms hold 4 to 10 exact zeros
+K32_WIDEST = ((102869403141, 29), (213043142602, 30), (440694957842, 31), (910607260958, 32))
+
+
+def test_spike_with_zero_differences_is_one_block():
+    # with its four zeros dropped the spike split into two blocks whose
+    # Laplacian pieces, about 0.15 each, cancelled: the mass read 8.8e-7 low
+    mass = term_decay(spike_ratio_term(1.0, SpikeSpec(102869403141, 29)))[3][1]
+    exact = 9.3132257436164877688e-10  # 40-digit mpmath
+    assert abs(mass - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("start, h", K32_WIDEST)
+def test_widest_spike_laplacian_masses_match_mpmath(start, h):
+    g = spike_ratio_term(1.0, SpikeSpec(start, h))
+    exact = _mp_many_block_laplacian_mass(g)
+    assert abs(term_decay(g)[3][1] - exact) <= 1e-15 * exact
+    assert 0.0 in g.coeffs
+
+
+def test_alpha100_spike_laplacian_masses_match_mpmath():
+    # read in two blocks each, spike 7 read 9.7e-14 low and spike 8 2.1e-13 high
+    config = ConstructionConfig(alpha=100.0, delta=0.5, n_spikes=8, spike_starts=ALPHA100_K8)
+    rows = {c.condition: c.measured for c in verify_f_conditions(config).conditions}
+    for sp in config.weights().spikes[5:]:
+        g = spike_ratio_term(100.0, sp)
+        exact = _mp_many_block_laplacian_mass(g)
+        assert abs(rows[f"spike{sp.half_width}_laplacian_carleson"] - exact) <= 1e-15 * exact, sp
+        assert 0.0 in g.coeffs
 
 
 def _mp_supremum(g: RadialSeries, kind: int, argmax_r: float) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -587,22 +622,26 @@ def _mp_supremum(g: RadialSeries, kind: int, argmax_r: float) -> tuple[mpmath.mp
         return value(u), nearby
 
 
-@pytest.mark.parametrize("delta, starts", [
-    (0.5, (3, 32, 117, 343, 906, 2248, 5368, 12479)),
-    (1e-3, (2549, 16580, 59309, 172510)),
-    (1e-6, SMALL_DELTA_K8),
-    (1e-8, TINY_DELTA_K8),
-])
-def test_suprema_match_mpmath_maxima(delta, starts):
+@pytest.mark.parametrize("alpha, delta, starts", [
+    (1.0, 0.5, (3, 32, 117, 343, 906, 2248, 5368, 12479)),
+    (1.0, 1e-3, (2549, 16580, 59309, 172510)),
+    (1.0, 1e-6, SMALL_DELTA_K8),
+    (1.0, 1e-8, TINY_DELTA_K8),
+    (100.0, 0.5, ALPHA100_K8),
+], ids=["0.5-starts0", "0.001-starts1", "1e-06-starts2", "1e-08-starts3", "alpha100-0.5"])
+def test_suprema_match_mpmath_maxima(alpha, delta, starts):
     # the grid sups read these up to 6.4e-12 (delta 1e-3), 7.0e-8 (delta
     # 1e-6) and 1.6e-5 (delta 1e-8, spike8_laplacian_sup) away: they took
-    # s^N of a rounded s = r^2
-    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
+    # s^N of a rounded s = r^2; at alpha 100, spikes 6 - 8 read in two
+    # blocks each were up to 1.9e-13 off, some low
+    config = ConstructionConfig(alpha=alpha, delta=delta, n_spikes=len(starts),
+                                spike_starts=starts)
     rows = {c.condition: c.measured for c in verify_f_conditions(config).conditions}
+    f = config.kernel_ratio
     cases = [(("ratio_deviation", "laplacian_sup", "gradient_sup"),
-              config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)])))]
+              Terms(f.exponents[1:], f.coeffs[1:]))]
     cases += [(tuple(f"spike{sp.half_width}_{name}" for name in Decay._fields[:3]),
-               spike_ratio_term(1.0, sp)) for sp in config.weights().spikes]
+               spike_ratio_term(alpha, sp)) for sp in config.weights().spikes]
     for names, g in cases:
         for kind, (name, (argmax_r, value)) in enumerate(zip(names, term_decay(g)[:3])):
             assert rows[name] == value, name

@@ -23,7 +23,7 @@ from hardyshift.grids import (
     refined_supremum,
     sign_change_brackets,
 )
-from hardyshift.series import edge_bump
+from hardyshift.series import RadialSeries, edge_bump
 from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian, spike_ratio_term
 from hardyshift.weights import SpikeSpec
 
@@ -251,7 +251,7 @@ def test_brentq_matches_scipy_on_bump_brackets():
     # k >= 2
     cases = []
     for start, k in ((10, 2), (2248, 3), (172510, 4)):
-        term = spike_ratio_term(1.0, SpikeSpec(start, k))
+        term = RadialSeries(*spike_ratio_term(1.0, SpikeSpec(start, k)))
         for series in (term.d_ds(), term.laplacian()):
             for widen in (0, 3, 20):
                 cases += _scalar_brackets(series.eval, series.exponents, widen)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hardyshift import (
     DecompositionMismatchError,
+    RadialSeries,
     TruncationError,
     build_spiked_weights,
     curvature_backward_shift,
@@ -144,8 +145,8 @@ def test_spike_kernel_terms_sum_to_the_weight_deficits(w):
 
 def test_ratio_term_is_one_minus_s_times_kernel_term():
     spike = SpikeSpec(start=6, half_width=2)
-    g = spike_kernel_term(0.5, spike)
-    h = spike_ratio_term(0.5, spike)
+    g = RadialSeries(*spike_kernel_term(0.5, spike))
+    h = RadialSeries(*spike_ratio_term(0.5, spike))
     # termwise: convolution of g with (1 - s)
     dense_g = np.zeros(h.order + 1)
     dense_g[g.exponents] = g.coeffs
@@ -155,6 +156,44 @@ def test_ratio_term_is_one_minus_s_times_kernel_term():
     assert np.allclose(h.eval(s), (1.0 - s) * g.eval(s), rtol=1e-13, atol=1e-17)
 
 
+def dense_ratio_coefficients(alpha: float, h: int) -> list[float]:
+    """(1-s) G for a spike of half width h by a dense convolution, the
+    reference for spike_ratio_term: G holds the deficit c_{min(i, 2h-i)} at
+    offset i = 1 .. 2h-1 from the start and 0 at offsets 0 and 2h, and the
+    result covers offsets 1 .. 2h."""
+    c = deficit_coefficients(alpha, h)
+    g = np.array([0.0, *(c[min(i, 2 * h - i) - 1] for i in range(1, 2 * h)), 0.0])
+    return np.convolve(g, [1.0, -1.0])[1:2 * h + 1].tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.01, 1000.0), h=st.integers(1, 40), start=st.integers(0, 2 ** 40))
+def test_spike_ratio_term_is_one_run_equal_to_the_dense_convolution(alpha, h, start):
+    # a difference that rounds to 0 keeps its place: one run per spike
+    term = spike_ratio_term(alpha, SpikeSpec(start, h))
+    assert list(term.exponents) == list(range(start + 1, start + 2 * h + 1))
+    assert [c.hex() for c in term.coeffs] == [c.hex() for c in dense_ratio_coefficients(alpha, h)]
+
+
+@st.composite
+def wide_layouts(draw):
+    """alpha in [0.01, 1000] and up to 40 spikes of half widths 1, 2, ...,
+    each starting 0 .. 10^9 past the previous one's end"""
+    alpha = draw(st.floats(0.01, 1000.0))
+    starts, nxt = [], 0
+    for k, gap in enumerate(draw(st.lists(st.integers(0, 10 ** 9), max_size=40)), start=1):
+        starts.append(nxt + gap)
+        nxt = starts[-1] + 2 * k
+    return build_spiked_weights(alpha, starts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(w=wide_layouts())
+def test_kernel_ratio_exponents_are_the_spike_spans(w):
+    spans = [n for sp in w.spikes for n in range(sp.start + 1, sp.end + 1)]
+    assert kernel_ratio_series(w).exponents.tolist() == [0, *spans]
+
+
 def test_kernel_ratio_series_is_one_plus_corrections():
     w = build_spiked_weights(1.0, [3, 32, 117])
     f = kernel_ratio_series(w)
@@ -162,7 +201,7 @@ def test_kernel_ratio_series_is_one_plus_corrections():
     expected = 1.0
     s = 0.93
     for sp in w.spikes:
-        expected += spike_ratio_term(1.0, sp).eval(s)
+        expected += RadialSeries(*spike_ratio_term(1.0, sp)).eval(s)
     assert f.eval(s) == pytest.approx(expected, rel=1e-14)
 
 
@@ -271,8 +310,6 @@ def test_curvature_routes_agree_and_ratio_stays_positive_on_random_layouts(w):
 
 def test_curvature_difference_raises_on_corrupted_ratio(standard_config, monkeypatch):
     # a multiplicative scale would cancel in Delta log f; an additive term does not
-    from hardyshift import RadialSeries
-
     w = standard_config.weights()
     bad = kernel_ratio_series(w).add(
         RadialSeries.from_terms([(2, 0.05)]))
