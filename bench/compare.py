@@ -22,15 +22,18 @@ Six parts, each run on both checkouts with this same script:
   delta 0.5, K = 3..8), of `verify_f_conditions` /
   `verify_theorem_conditions` (eps 2) on the frozen K = 8 config, and of
   `verify_theorem_conditions` (eps 0.004) on the frozen K = 4, delta 1e-3
-  config, the two `verify` runs of the `certify` workload, and of
+  config, the two `verify` runs of the `certify` workload, of
   `verify_f_conditions` on the K = 8, delta 1e-6 config, whose powers
-  reach 6.2e9; jobs are named `<kind>_<config>`; each in a
+  reach 6.2e9, and of `verify_f_conditions` on the K = 16 and K = 24
+  starts `construct --alpha 1 --delta 0.5` selects, with the child's
+  spike cap raised to K; jobs are named `<kind>_<config>`; each in a
   fresh interpreter with the checkout's `src` first on the path, the two
   checkouts alternating, REPS times;
 * in-process layer timings on the frozen K = 8 config, as microseconds
   per call (after one untimed call): `RadialSeries.eval` of the kernel
   ratio at 1 point and at 1000 points, `ratio_log_laplacian` at 1 point,
-  and `radial_carleson_norm` of `SeriesGapDensity` on the float Laplacian
+  `gradient_sq_mass` of f - 1 (the `gradient_carleson` row of `verify_f`),
+  `radial_carleson_norm` of `SeriesGapDensity` on the float Laplacian
   series of f - 1 (a fresh density per call, so sign roots included; the
   `laplacian_carleson` row itself reads `term_decay` of f - 1), and
   `kernel_ratio_series` (building f and checking it against the weights)
@@ -77,11 +80,18 @@ from typing import Sequence
 K8_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479)
 # frozen verify configs by name: (delta, spike starts, epsilon); K8_delta1e-6
 # holds the minimal starts `construct --alpha 1 --delta 1e-6 --K 8` selects,
-# powers up to 6.2e9 that no workload reaches
+# powers up to 6.2e9 that no workload reaches; K16 and K24 hold the starts
+# `construct --alpha 1 --delta 0.5` selects past the spike cap, which the
+# child raises
+K24_STARTS = (*K8_STARTS, 28443, 63853, 141639, 311144, 678018, 1467493, 3157899, 6761622,
+              14414887, 30613062, 64792695, 136718533, 287703349, 603939264, 1264943658,
+              2644017572)
 VERIFY_CONFIGS = {"K8": (0.5, K8_STARTS, 2.0),
                   "K4": (1e-3, (2549, 16580, 59309, 172510), 0.004),
                   "K8_delta1e-6": (1e-6, (2551008, 16581563, 59310981, 172512049, 453601462,
-                                          1124756247, 2684818434, 6240348396), 4e-6)}
+                                          1124756247, 2684818434, 6240348396), 4e-6),
+                  "K16": (0.5, K24_STARTS[:16], 2.0),
+                  "K24": (0.5, K24_STARTS, 2.0)}
 # the starts `construct --alpha 0.6 --delta 0.5 --K 6` selects
 ALPHA06_K6_STARTS = (2, 26, 103, 312, 841, 2116)
 # the starts `construct --alpha 100 --delta 0.5 --K 8` selects
@@ -91,7 +101,7 @@ WORKLOADS = ("search", "certify", "tables")
 REPS = 7  # in-process timings per job and side
 # layer timings: calls per timed loop
 LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
-               "radial_carleson_norm_laplacian": 50, "kernel_ratio": 20}
+               "gradient_sq_mass": 50, "radial_carleson_norm_laplacian": 50, "kernel_ratio": 20}
 LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484", str(2 ** 40 + 16))
 PAIRS = 10  # alternating end-to-end runs per workload
 COLD_REPS = 7  # cold-start timings per command and side
@@ -100,6 +110,7 @@ COLD_REPS = 7  # cold-start timings per command and side
 def child(kind: str, key: str) -> None:
     """Time one in-process call; print {"cpu_s", "wall_s", "result"}.  key is
     K<k> for `plan` and a VERIFY_CONFIGS name otherwise."""
+    from hardyshift import search
     from hardyshift.construction import (ConstructionConfig, verify_f_conditions,
                                          verify_theorem_conditions)
 
@@ -111,6 +122,7 @@ def child(kind: str, key: str) -> None:
         call = lambda: list(ConstructionConfig.plan(1.0, 0.5, k).spike_starts)  # noqa: E731
     else:
         delta, starts, epsilon = VERIFY_CONFIGS[key]
+        search.MAX_SPIKES = max(search.MAX_SPIKES, len(starts))
         config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts),
                                     spike_starts=starts)
         if kind == "verify_f":
@@ -128,6 +140,7 @@ def layer(kind: str, key: str) -> None:
     import numpy as np
     from hardyshift.carleson import SeriesGapDensity, radial_carleson_norm
     from hardyshift.construction import ConstructionConfig
+    from hardyshift.search import Terms, gradient_sq_mass
     from hardyshift.series import RadialSeries
     from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian
 
@@ -141,6 +154,9 @@ def layer(kind: str, key: str) -> None:
         call = lambda: float(f.eval(s).sum())  # noqa: E731
     elif kind == "ratio_log_laplacian_1pt":
         call = lambda: ratio_log_laplacian(f, 0.999)  # noqa: E731
+    elif kind == "gradient_sq_mass":
+        deviation = Terms(f.exponents[1:], f.coeffs[1:])
+        call = lambda: gradient_sq_mass(deviation)  # noqa: E731
     elif kind == "kernel_ratio":
         w = config.weights()
         call = lambda: len(kernel_ratio_series(w, r_max=config.r_max, tol=config.tol))  # noqa: E731
@@ -395,7 +411,7 @@ def main(argv=None) -> int:
     inprocess = {side: {} for side in sides}
     jobs = ([("plan", f"K{k}") for k in PLAN_KS]
             + [("verify_f", "K8"), ("verify_theorem", "K8"), ("verify_theorem", "K4"),
-               ("verify_f", "K8_delta1e-6")]
+               ("verify_f", "K8_delta1e-6"), ("verify_f", "K16"), ("verify_f", "K24")]
             + [(kind, "K8") for kind in LAYER_CALLS] + [("kernel_ratio", "K4")])
     for rep in range(REPS):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]

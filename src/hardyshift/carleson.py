@@ -82,23 +82,19 @@ class _Block(NamedTuple):
 
 def _runs(terms: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
     """(N, S) for each run of consecutive exponents N..N+w of sum_e n_e s^e:
-    the run is s^N R(1-s) = (1-u)^{2N} S(u) in u = 1 - r, with R's and then
-    S(u) = R(u (2-u))'s integer coefficients formed exactly, since
-    1 - s = u (2-u).  A run of w + 1 terms gives S degree 2w; a zero term
-    does not end it, so a spike term, zeros kept, is one run."""
+    since s = (1-u)^2 in u = 1 - r, the run is (1-u)^{2N} S(u) with
+    S(u) = sum_e n_e (1-u)^{2(e-N)}, whose integer coefficients are formed
+    exactly.  A run of w + 1 terms gives S degree 2w; a zero term does not
+    end it, so a spike term, zeros kept, is one run."""
     runs = []
     starts = [i for i in range(len(terms)) if i == 0 or terms[i][0] != terms[i - 1][0] + 1]
     for lo, hi in zip(starts, [*starts[1:], len(terms)]):
         low = terms[lo][0]
-        r = [0] * (hi - lo)
+        s = [0] * (2 * (hi - lo) - 1)
         for e, num in terms[lo:hi]:
-            d = e - low
-            for i in range(d + 1):
-                r[i] += (-1) ** i * math.comb(d, i) * num
-        s = [0] * (2 * len(r) - 1)
-        for i, ri in enumerate(r):
-            for k in range(i + 1):  # (u (2-u))^i = sum_k C(i, k) 2^{i-k} (-1)^k u^{i+k}
-                s[i + k] += (-1) ** k * math.comb(i, k) * 2 ** (i - k) * ri
+            d = 2 * (e - low)
+            for k in range(d + 1):
+                s[k] += (-1) ** k * math.comb(d, k) * num
         runs.append((low, s))
     return runs
 
@@ -108,9 +104,9 @@ def _block(m: int, s: list[int], scale: int) -> _Block:
     return _Block(m, s, scale, [sj / (scale * (m + 1) ** j) for j, sj in enumerate(s)])
 
 
-def _boundary_blocks(terms: list[tuple[int, int]], scale: int, r_power: int) -> list[_Block]:
-    """The density sum_e (n_e / scale) s^e (1-r)^p r^r_power dr as boundary blocks, any p."""
-    return [_block(2 * low + r_power, s, scale) for low, s in _runs(terms)]
+def _boundary_blocks(runs: list[tuple[int, list[int]]], scale: int, r_power: int) -> list[_Block]:
+    """The density sum_e (n_e / scale) s^e (1-r)^p r^r_power dr, from its _runs, as blocks."""
+    return [_block(2 * low + r_power, s, scale) for low, s in runs]
 
 
 def _slope(m: int, s: list[int], p: int) -> tuple[int, list[int]]:
@@ -161,20 +157,20 @@ def _block_roots(blocks: Sequence[_Block]) -> list[float]:
             for lo, hi in sign_change_brackets(values, grid)]
 
 
-def block_supremum(terms: list[tuple[int, int]], scale: int, p: int,
+def block_supremum(runs: list[tuple[int, list[int]]], scale: int, p: int,
                    r_power: int) -> tuple[float, float]:
-    """(argmax_r, sup) over r in [0, 1] of |G(r^2)| (1-r)^p r^r_power, G = sum_e (n_e / scale) s^e.
+    """(argmax_r, sup) over r in [0, 1] of |G(r^2)| (1-r)^p r^r_power, from the _runs of n_e.
 
-    In u = 1 - r each run of G is a block (1-u)^m u^p S(u), m = 2N + r_power.
-    The candidates are r = 0 (the constant term, when r_power = 0), the sign
-    changes of the summed slope blocks (_slope, _block_roots), and r = 1
-    (|G(1)|, when p = 0).  The end values are int over int, rounded once,
-    and no power s^N of a rounded s = r^2 is taken.  Ties keep the smaller r.
+    In u = 1 - r each run of G = sum_e (n_e / scale) s^e is a block (1-u)^m u^p S(u),
+    m = 2N + r_power.  The candidates are r = 0 (G(0) = S(1) of the block with m = 0,
+    if any), the sign changes of the summed slope blocks (_slope, _block_roots)
+    and r = 1 (G(1) = the sum of the runs' S(0), if p = 0), whose values are int over
+    int, rounded once; no power s^N of a rounded s = r^2 is taken.  Ties keep the smaller r.
     """
-    blocks = _boundary_blocks(terms, scale, r_power)
+    blocks = _boundary_blocks(runs, scale, r_power)
     slopes = [_block(*_slope(b.m, b.s, p), scale) for b in blocks]
-    at_zero = abs(sum(n for e, n in terms if e == 0)) / scale if r_power == 0 else 0.0
-    at_one = abs(sum(n for _, n in terms)) / scale if p == 0 else 0.0
+    at_zero = abs(sum(sum(b.s) for b in blocks if b.m == 0)) / scale
+    at_one = abs(sum(b.s[0] for b in blocks)) / scale if p == 0 else 0.0
     inside = [(1.0 - u, float(u ** p * abs(_block_density(blocks, u))))
               for u in reversed(_block_roots(slopes))]
     return max([(0.0, at_zero), *inside, (1.0, at_one)], key=lambda candidate: candidate[1])
@@ -219,19 +215,19 @@ def term_decay(g) -> list[tuple[float | None, float]]:
     Delta G = sum_e e^2 c_e s^{e-1} and G' = sum_e e c_e s^{e-1} are formed
     from G's integer coefficients (integers over one power of two), so no
     float product e^2 c_e is rounded, and neither s G'^2 nor any other
-    product is expanded.  The suprema are block_supremum's.  The Laplacian
-    mass reads Delta G as boundary blocks with gap power 1, one block per
-    run of exponents (one per spike, for a spike term or f - 1), and sums
-    their incomplete beta pieces between the sign changes of the summed
-    blocks, found in u = 1 - r.  The two masses carry no argmax.
+    product is expanded; each of G, Delta G and G' is split into _runs once.
+    The suprema are block_supremum's.  The Laplacian mass reads Delta G's
+    runs as boundary blocks with m = 2N + 1, one per run (one per spike, for
+    a spike term or f - 1), and sums their incomplete beta pieces between the
+    sign changes of the summed blocks, found in u = 1 - r.  No mass has an argmax.
     """
     coeffs, scale = _integer_coefficients(g)
-    laplacian = [(e - 1, e * e * n) for e, n in coeffs if e]
+    laplacian = _runs([(e - 1, e * e * n) for e, n in coeffs if e])
     blocks = _boundary_blocks(laplacian, scale, 1)
     mass = _block_mass(blocks, [0.0, *_block_roots(blocks), 1.0], 1)
-    return [block_supremum(coeffs, scale, 0, 0),
+    return [block_supremum(_runs(coeffs), scale, 0, 0),
             block_supremum(laplacian, scale, 2, 0),
-            block_supremum([(e - 1, e * n) for e, n in coeffs if e], scale, 1, 1),
+            block_supremum(_runs([(e - 1, e * n) for e, n in coeffs if e]), scale, 1, 1),
             (None, TWO_PI * mass),
             (None, gradient_sq_mass(g))]
 
@@ -376,7 +372,8 @@ class SeriesGapDensity(RadialDensity):
 
     @cached_property
     def _blocks(self) -> list[_Block]:
-        return _boundary_blocks(*_integer_coefficients(self.series), 1)
+        terms, scale = _integer_coefficients(self.series)
+        return _boundary_blocks(_runs(terms), scale, 1)
 
     def window_integral(self, a: float, b: float) -> float:
         if not 0.0 <= a <= b <= 1.0:

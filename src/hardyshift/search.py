@@ -206,6 +206,8 @@ def gradient_sq_mass(series) -> float:
     sum_ij a_i a_j r^{2E-2} (1-r), E = e_i + e_j, and r^{2E-1} (1-r) has
     mass 1/(2E (2E+1)) = edge_integral_exact(2E-1, 1).  Float products of
     the expanded s G'^2 cancel down to a mass of size 1/n^2 at large e_i.
+    The pieces s_E / (2E (2E+1)) are added in a balanced tree of unreduced
+    integer pairs, and int / int rounds the one quotient as float(Fraction) does.
     """
     coeffs, scale = _integer_coefficients(series)
     terms = [(e, e * n) for e, n in coeffs if e]
@@ -213,8 +215,12 @@ def gradient_sq_mass(series) -> float:
     for ei, ai in terms:
         for ej, aj in terms:
             sums[ei + ej] = sums.get(ei + ej, 0) + ai * aj
-    total = sum(Fraction(s, 2 * e * (2 * e + 1)) for e, s in sums.items())
-    return TWO_PI * float(total / scale ** 2)
+    pieces = [(s, 2 * e * (2 * e + 1)) for e, s in sums.items()] or [(0, 1)]
+    while len(pieces) > 1:  # a/b + c/d = (ad + cb) / (bd), no gcd; an odd last piece waits
+        pairs = zip(pieces[::2], pieces[1::2])
+        pieces = [(a * d + c * b, b * d) for (a, b), (c, d) in pairs] + pieces[len(pieces) // 2 * 2:]
+    num, den = pieces[0]
+    return TWO_PI * (num / (den * scale * scale))
 
 
 def deficit_coefficients(alpha: float, half_width: int) -> list[float]:
@@ -528,6 +534,8 @@ class ConstructionConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConstructionConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
         keys = {"alpha", "delta", "K", "spike_starts", "r_max", "tol"}
         missing = keys - set(data)
         if missing:

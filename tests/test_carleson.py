@@ -5,6 +5,7 @@ import warnings
 from fractions import Fraction
 
 import bump_oracles
+import fraction_oracles
 import mpmath
 import numpy as np
 import pytest
@@ -21,13 +22,15 @@ from hardyshift import (
     edge_integral_exact,
     radial_carleson_norm,
 )
-from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, block_supremum,
-                                 carleson_norm, dyadic_t_grid, gradient_sq_mass, tail_ratio,
-                                 term_decay)
+from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, _runs,
+                                 block_supremum, carleson_norm, dyadic_t_grid, gradient_sq_mass,
+                                 tail_ratio, term_decay)
 from hardyshift.construction import MAX_POWER, curvature_density
 from hardyshift.grids import _root_scan_grid, sign_roots
+from hardyshift.search import Terms, spike_ratio_term
 from hardyshift.series import RadialSeries, edge_bump
 from hardyshift.spectral import kernel_ratio_series
+from hardyshift.weights import SpikeSpec
 
 
 def binomial_expansion_integral(m: int, p: int) -> Fraction:
@@ -554,7 +557,7 @@ def test_block_supremum_is_never_below_the_function(terms, p, r_power):
     # on a geometric grid in u = 1 - r of 64 points per octave, four times
     # as dense as _block_roots' scan; the slack covers rounding, relative to
     # the sum of the terms' absolute values
-    argmax_r, sup = block_supremum(terms, 1, p, r_power)
+    argmax_r, sup = block_supremum(_runs(terms), 1, p, r_power)
     assert 0.0 <= argmax_r <= 1.0
     m = np.array([2 * e + r_power for e, _ in terms], dtype=np.float64)  # (1-u)^m per term
     n = np.array([n for _, n in terms], dtype=np.float64)
@@ -565,3 +568,32 @@ def test_block_supremum_is_never_below_the_function(terms, p, r_power):
     values = np.abs(weights @ n)
     slack = 1e-10 * (weights @ np.abs(n))
     assert np.all(sup >= values - slack)
+
+
+# ---------------------------------------------------------------------- #
+# the gradient mass as one integer fraction
+
+
+@st.composite
+def gradient_records(draw):
+    """Terms with integer_runs' integers over a power of two, on half the draws
+    with their sum made 0, or a spike term, whose coefficients sum to about 0."""
+    if draw(st.booleans()):
+        spike = SpikeSpec(draw(st.integers(0, 2 ** 30)), draw(st.integers(1, 24)))
+        return spike_ratio_term(draw(st.floats(0.01, 100.0)), spike)
+    terms = draw(integer_runs())
+    if draw(st.booleans()):
+        terms[-1] = (terms[-1][0], terms[-1][1] - sum(n for _, n in terms))
+    shift = 2.0 ** -draw(st.integers(0, 80))
+    return Terms([e for e, _ in terms], [n * shift for _, n in terms])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(series=gradient_records())
+@example(series=Terms([], []))  # the zero series
+@example(series=Terms([0], [3.0]))  # a constant: no pair
+@example(series=Terms([5, 6], [0.0, 0.0]))
+@example(series=Terms([1, 2, 3], [1.0, -2.0, 1.0]))  # (1-s)^2 s: sum 0
+def test_gradient_sq_mass_equals_the_fraction_sum(series):
+    # the unreduced integer pairs round to the same double as the Fraction sum
+    assert gradient_sq_mass(series).hex() == fraction_oracles.gradient_sq_mass(series).hex()

@@ -199,6 +199,17 @@ def test_verify_rejects_malformed_config(tmp_path):
         assert cli.main(["verify", str(coerced), "--out", str(tmp_path)]) == 3, change
 
 
+@pytest.mark.parametrize("text", ["5", "null", "true", "1.5"])
+def test_config_that_is_not_an_object_is_input_error(tmp_path, capsys, text):
+    # from_dict called set(data), a TypeError traceback and exit 1
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    for argv in (["verify", str(config)], ["curvature", str(config)],
+                 ["orbit", str(config), "130"], ["weights", str(config)]):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 3, argv
+        assert capsys.readouterr().err.startswith("input error: config must be a JSON object")
+
+
 def test_verify_rejects_starts_past_the_search_cap(tmp_path, capsys):
     # at start 2^60 the verifier's grid misses the bump and read every
     # spike2 sup as 0, a PASS; such a start is bad input

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import bump_oracles
+import fraction_oracles
 import mpmath
 import numpy as np
 import pytest
@@ -254,6 +255,28 @@ def test_small_delta_starts_frozen_and_verified():
     config = ConstructionConfig(alpha=1.0, delta=1e-6, n_spikes=8, spike_starts=SMALL_DELTA_K8)
     report = verify_f_conditions(config)
     assert report.passed, report.failures()
+
+
+# the starts `construct --alpha 1 --delta 0.5 --K 16` selects with the spike cap raised
+K16_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479, 28443, 63853, 141639, 311144, 678018,
+              1467493, 3157899, 6761622)
+
+
+def test_verify_f_passes_at_16_spikes(monkeypatch):
+    # past the spike cap, raised here: every row passes, and the gradient
+    # masses of f - 1 and of each spike term are the Fraction sum's doubles
+    monkeypatch.setattr(search, "MAX_SPIKES", 16)
+    config = ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=16, spike_starts=K16_STARTS)
+    report = verify_f_conditions(config)
+    assert len(report.conditions) == 85
+    assert report.passed, report.failures()
+    rows = {c.condition: c.measured for c in report.conditions}
+    f = config.kernel_ratio
+    series = {f"spike{sp.half_width}_gradient_sq_carleson": spike_ratio_term(1.0, sp)
+              for sp in config.weights().spikes}
+    series["gradient_carleson"] = Terms(f.exponents[1:], f.coeffs[1:])
+    for name, g in series.items():
+        assert rows[name] == fraction_oracles.gradient_sq_mass(g), name
 
 
 def test_selection_respects_gaps():
