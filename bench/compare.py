@@ -19,10 +19,12 @@ Six parts, each run on both checkouts with this same script:
   and the largest relative move, and for each JSON file or manifest that
   is not, the leaf paths added, removed and changed;
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
-  delta 0.5, K = 3..8), of `verify_f_conditions` /
-  `verify_theorem_conditions` (eps 2) on the frozen K = 8 config, and of
-  `verify_theorem_conditions` (eps 0.004) on the frozen K = 4, delta 1e-3
-  config, the two `verify` runs of the `certify` workload, of
+  delta 0.5, K = 3..8 and K = 24 with the child's spike cap raised; delta
+  1e-3, K = 4, the second `search` command; delta 1e-6, K = 8), of
+  `verify_f_conditions` / `verify_theorem_conditions` (eps 2) on the
+  frozen K = 8 config, and of `verify_theorem_conditions` (eps 0.004)
+  on the frozen K = 4, delta 1e-3 config, the two `verify` runs of the
+  `certify` workload, of
   `verify_f_conditions` on the K = 8, delta 1e-6 config, whose powers
   reach 6.2e9, and of `verify_f_conditions` on the K = 16 and K = 24
   starts `construct --alpha 1 --delta 0.5` selects, with the child's
@@ -96,7 +98,8 @@ VERIFY_CONFIGS = {"K8": (0.5, K8_STARTS, 2.0),
 ALPHA06_K6_STARTS = (2, 26, 103, 312, 841, 2116)
 # the starts `construct --alpha 100 --delta 0.5 --K 8` selects
 ALPHA100_K8_STARTS = (5, 39, 134, 379, 978, 2393, 5658, 13059)
-PLAN_KS = (3, 4, 5, 6, 7, 8)
+# plan jobs by key: K<k> at delta 0.5, K<k>_delta<delta> otherwise
+PLAN_KEYS = ("K3", "K4", "K5", "K6", "K7", "K8", "K24", "K4_delta1e-3", "K8_delta1e-6")
 WORKLOADS = ("search", "certify", "tables")
 REPS = 7  # in-process timings per job and side
 # layer timings: calls per timed loop
@@ -109,7 +112,7 @@ COLD_REPS = 7  # cold-start timings per command and side
 
 def child(kind: str, key: str) -> None:
     """Time one in-process call; print {"cpu_s", "wall_s", "result"}.  key is
-    K<k> for `plan` and a VERIFY_CONFIGS name otherwise."""
+    one of PLAN_KEYS for `plan` and a VERIFY_CONFIGS name otherwise."""
     from hardyshift import search
     from hardyshift.construction import (ConstructionConfig, verify_f_conditions,
                                          verify_theorem_conditions)
@@ -118,8 +121,10 @@ def child(kind: str, key: str) -> None:
         layer(kind, key)
         return
     if kind == "plan":
-        k = int(key.removeprefix("K"))
-        call = lambda: list(ConstructionConfig.plan(1.0, 0.5, k).spike_starts)  # noqa: E731
+        spikes, _, delta = key.partition("_delta")
+        k, delta = int(spikes.removeprefix("K")), float(delta) if delta else 0.5
+        search.MAX_SPIKES = max(search.MAX_SPIKES, k)
+        call = lambda: list(ConstructionConfig.plan(1.0, delta, k).spike_starts)  # noqa: E731
     else:
         delta, starts, epsilon = VERIFY_CONFIGS[key]
         search.MAX_SPIKES = max(search.MAX_SPIKES, len(starts))
@@ -409,7 +414,7 @@ def main(argv=None) -> int:
     identity = output_identity(sides)
 
     inprocess = {side: {} for side in sides}
-    jobs = ([("plan", f"K{k}") for k in PLAN_KS]
+    jobs = ([("plan", key) for key in PLAN_KEYS]
             + [("verify_f", "K8"), ("verify_theorem", "K8"), ("verify_theorem", "K4"),
                ("verify_f", "K8_delta1e-6"), ("verify_f", "K16"), ("verify_f", "K24")]
             + [(kind, "K8") for kind in LAYER_CALLS] + [("kernel_ratio", "K4")])

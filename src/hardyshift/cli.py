@@ -65,15 +65,16 @@ def _write_csv(path: Path, columns: dict[str, Sequence]) -> None:
 
     Each column is a list, a range or an array, read through tolist(), of
     one kind of value: int, float or str.  Its format is picked once, from
-    the Python type of its first value, rather than cell by cell.
+    the Python type of its first value: %.17g for floats, %s otherwise.  The
+    columns are interleaved into one flat tuple, and one % formats the table.
     """
-    cells = []
-    for values in columns.values():
-        values = values.tolist() if hasattr(values, "tolist") else list(values)
-        float_column = bool(values) and isinstance(values[0], float)
-        cells.append(map(_format_float if float_column else str, values))
-    lines = [",".join(columns), *map(",".join, zip(*cells))]
-    path.write_text("\n".join(lines) + "\n")
+    values = [v.tolist() if hasattr(v, "tolist") else list(v) for v in columns.values()]
+    width, rows = len(values), len(values[0]) if values else 0
+    cells = [None] * (width * rows)
+    for i, column in enumerate(values):
+        cells[i::width] = column
+    row = ",".join("%.17g" if c and isinstance(c[0], float) else "%s" for c in values) + "\n"
+    path.write_text(",".join(columns) + "\n" + row * rows % tuple(cells))
 
 
 def _write_json(path: Path, obj) -> None:

@@ -5,9 +5,12 @@ of one edge bump s^n (1 - s) are exact rationals or the values at two
 critical points found by Brent's method, the deficits of a spike are
 expm1 values, and the gate compares their triangle-inequality combination
 against the budgets delta / 2^k (delta / 4^k for the squared gradient
-mass).  None of it needs an array, so this module imports no numpy, and
-`construct` and `lemma` run without loading it.  The spike terms the
-verifier measures are built here from the same deficits, as plain Terms.
+mass).  The search probes each candidate start at its head power alone,
+one lemma report per probe, and confirms the start it lands on with the
+full gate over the spike interior.  None of it needs an array, so this
+module imports no numpy, and `construct` and `lemma` run without loading
+it.  The spike terms the verifier measures are built here from the same
+deficits, as plain Terms.
 
 The numpy layer (series, grids, carleson, spectral, operators and the
 verifier in construction) imports these names back: construction's
@@ -30,7 +33,8 @@ from .weights import SpikeSpec, WeightSequence, build_spiked_weights, check_real
 
 MAX_SPIKES = 8
 MAX_START = 2 ** 40  # select_spike_positions gives up past this start
-# the largest bump power any spike gate reads; lemma_bounds refuses larger ones
+# the largest bump power any spike gate reads at the default caps;
+# lemma_bounds reads the caps when called, so raising either moves its domain
 MAX_POWER = MAX_START + 2 * MAX_SPIKES
 
 TWO_PI = 2.0 * math.pi
@@ -304,12 +308,14 @@ def lemma_bounds(n: int) -> Decay:
         laplacian_carleson = 2 pi [2 rho n (8n+3) / (2 (n+1)(2n+1)(2n+3))
                                    + 1 / (2 (2n+1)(2n+3))],  rho = r*^{2n},
 
-    and gradient_sq_carleson is gradient_sq_mass, exact.  Reports, pure
-    functions of n, are kept in one process-wide table: a test that patches
-    anything this calls must call lemma_bounds.cache_clear() first.
+    and gradient_sq_carleson is gradient_sq_mass, exact.  n runs over
+    1 .. MAX_START + 2 MAX_SPIKES, the caps as they stand at the call.
+    Reports, pure functions of n, are kept in one process-wide table: a test
+    that patches anything this calls must call lemma_bounds.cache_clear() first.
     """
-    if not 1 <= n <= MAX_POWER:
-        raise ValueError(f"n must lie in 1..{MAX_POWER}, got {n}")
+    max_power = MAX_START + 2 * MAX_SPIKES
+    if not 1 <= n <= max_power:
+        raise ValueError(f"n must lie in 1..{max_power}, got {n}")
     b = 2 * n + 1
     rho = math.exp(2 * n * math.log1p(-1.0 / (n + 1)))
     mass = 2 * rho * float(Fraction(n * (8 * n + 3), 2 * (n + 1) * b * (2 * n + 3))) \
@@ -395,6 +401,12 @@ class SpikeGate:
         return max(v / t for v, t in zip(self.values, self.thresholds))
 
 
+def _scaled_by_budget(budget: float, bumps: Decay) -> Decay:
+    """budget * each linear column of a bump report, budget^2 * its
+    squared-gradient mass: the gate's values."""
+    return Decay(*(budget * v for v in bumps[:4]), budget ** 2 * bumps.gradient_sq_carleson)
+
+
 def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
     """Bound the spike's correction through its constituent bumps.
 
@@ -406,8 +418,20 @@ def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
     reports = [lemma_bounds(m) for m in spike.interior]
     peaks = Decay(*map(max, zip(*reports)))  # field by field
     c_total = spike_budget(alpha, spike)
-    values = Decay(*(c_total * v for v in peaks[:4]), c_total ** 2 * peaks.gradient_sq_carleson)
-    return SpikeGate(spike=spike, budget=c_total, values=values, thresholds=thresholds)
+    return SpikeGate(spike=spike, budget=c_total, values=_scaled_by_budget(c_total, peaks),
+                     thresholds=thresholds)
+
+
+def head_probe(alpha: float, delta: float, spike: SpikeSpec) -> bool:
+    """The gate's test at the head power start + 1 of the spike interior alone.
+
+    The head is one of the powers spike_gate maximises over, so a spike
+    that fails this fails the gate; where the lemma columns decrease in the
+    power the head holds every maximum, and the two decide alike.
+    """
+    values = _scaled_by_budget(spike_budget(alpha, spike), lemma_bounds(spike.start + 1))
+    thresholds = spike_correction_thresholds(delta, spike.half_width)
+    return all(v <= t for v, t in zip(values, thresholds))
 
 
 def _check_construction(alpha: float, delta: float, n_spikes: int) -> None:
@@ -425,35 +449,46 @@ def _check_construction(alpha: float, delta: float, n_spikes: int) -> None:
 def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[int]:
     """Choose spike starts so every gate passes, earliest first.
 
-    For each k the admissible region is searched by doubling from start 1,
-    or from the floor imposed by the previous spike, up to MAX_START, then
-    bisected down to a start whose predecessor fails the gate, so each
-    position is locally minimal.  A gate failing at MAX_START, or a floor
-    past it, raises InfeasibleConstructionError.
+    For each k the search probes with head_probe, which reads one lemma
+    report where spike_gate reads 2k - 1: it doubles from start 1, or from
+    the floor imposed by the previous spike, up to MAX_START, then bisects
+    down to a start whose predecessor fails the probe.  The full spike_gate
+    then confirms that start; should it fail (a lemma column rising inside
+    the spike), the search steps up one start at a time until the gate
+    passes.  So each returned start passes spike_gate and its predecessor
+    fails it (or lies below the floor).  A probe or gate failing at
+    MAX_START, or a floor past it, raises InfeasibleConstructionError; no
+    start past MAX_START is ever tested.
     """
     _check_construction(alpha, delta, n_spikes)
 
     starts: list[int] = []
     floor = 1
     for k in range(1, n_spikes + 1):
-        def ok(n: int) -> bool:
-            return spike_gate(alpha, delta, SpikeSpec(n, k)).passed
-
-        lo, hi = None, floor
-        while hi > MAX_START or not ok(hi):
-            if hi >= MAX_START:
+        def stop_at_cap(n: int) -> None:
+            if n >= MAX_START:
                 raise InfeasibleConstructionError(
                     f"no admissible start for spike {k} at or below {MAX_START} "
                     f"(alpha={alpha}, delta={delta})"
                 )
+
+        def probe(n: int) -> bool:
+            return head_probe(alpha, delta, SpikeSpec(n, k))
+
+        lo, hi = None, floor
+        while hi > MAX_START or not probe(hi):
+            stop_at_cap(hi)
             lo, hi = hi, min(2 * hi, MAX_START)
         if lo is not None:
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if ok(mid):
+                if probe(mid):
                     hi = mid
                 else:
                     lo = mid
+        while not spike_gate(alpha, delta, SpikeSpec(hi, k)).passed:
+            stop_at_cap(hi)
+            hi += 1
         starts.append(hi)
         floor = hi + 2 * k + 1  # next spike must start past this one's end
     return starts

@@ -9,8 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import csv_oracles
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hardyshift
 from hardyshift import cli, construction
@@ -348,6 +351,35 @@ def test_csv_writer_formats_lists_and_arrays_alike(tmp_path):
     assert as_lists.read_bytes() == as_arrays.read_bytes()
     assert as_lists.read_text().splitlines() == [
         "n,x,text", "0,0.10000000000000001,a", "-7,-0,", "1099511627776,4.9406564584124654e-324,true"]
+
+
+def test_csv_writer_matches_the_per_cell_writer(tmp_path):
+    # the one-pass writer against the earlier per-cell one, on the cells
+    # a value memo or a row template could get wrong
+    floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308, 0.1]
+    columns = {"n": list(range(len(floats))), "x": floats, "y": np.array(floats[::-1]),
+               "big": np.array([2**40, -1, 0, 7, 2**62, -(2**62), 3, 4], dtype=np.int64),
+               "text": ["a", "", "%s", "%d", "b c", "-0", "nan", "100%"]}
+    for name, cols in (("edge", columns), ("empty", {"n": [], "x": np.zeros(0), "t": []}),
+                       ("one_column", {"x": floats})):
+        new, old = tmp_path / f"{name}_new.csv", tmp_path / f"{name}_old.csv"
+        cli._write_csv(new, cols)
+        csv_oracles.write_csv(old, cols)
+        assert new.read_bytes() == old.read_bytes(), name
+    assert (tmp_path / "edge_new.csv").read_text().splitlines()[1:3] == [
+        "0,-0,0.10000000000000001,1099511627776,a", "1,0,2.2250738585072014e-308,-1,"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.integers(), st.floats(), st.text(alphabet="ab%s-0 .")),
+                     max_size=20))
+def test_csv_writer_matches_the_per_cell_writer_on_random_tables(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv")
+    ints, floats, texts = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    columns = {"i": ints, "x": floats, "x_array": np.array(floats, dtype=float), "t": texts}
+    cli._write_csv(path / "new.csv", columns)
+    csv_oracles.write_csv(path / "old.csv", columns)
+    assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
 
 def test_construct_without_spikes_writes_a_header_only_certificate(tmp_path):

@@ -260,6 +260,9 @@ def test_small_delta_starts_frozen_and_verified():
 # the starts `construct --alpha 1 --delta 0.5 --K 16` selects with the spike cap raised
 K16_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479, 28443, 63853, 141639, 311144, 678018,
               1467493, 3157899, 6761622)
+# and the next eight of `--K 24`
+K24_STARTS = (*K16_STARTS, 14414887, 30613062, 64792695, 136718533, 287703349, 603939264,
+              1264943658, 2644017572)
 
 
 def test_verify_f_passes_at_16_spikes(monkeypatch):
@@ -310,19 +313,65 @@ def test_search_probes_up_to_the_cap_itself(monkeypatch):
 
 
 def test_search_never_probes_past_the_cap(monkeypatch):
-    # spike 1 ends at 5, so spike 2's floor 6 is already past the cap
+    # spike 1 ends at 5, so spike 2's floor 6 is already past the cap;
+    # both the head probes and the full gates that confirm them are recorded
     monkeypatch.setattr(search, "MAX_START", 5)
-    probed = []
-    gate = search.spike_gate
+    probed = {"head_probe": [], "spike_gate": []}
+    for name in probed:
+        def recorded(alpha, delta, spike, tested=getattr(search, name), starts=probed[name]):
+            starts.append(spike.start)
+            return tested(alpha, delta, spike)
 
-    def recorded(alpha, delta, spike):
-        probed.append(spike.start)
-        return gate(alpha, delta, spike)
-
-    monkeypatch.setattr(search, "spike_gate", recorded)
+        monkeypatch.setattr(search, name, recorded)
     with pytest.raises(InfeasibleConstructionError):
         select_spike_positions(1.0, 0.5, 2)
-    assert max(probed) <= 5
+    assert probed["head_probe"] and probed["spike_gate"] == [3]
+    assert max(probed["head_probe"]) <= 5
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alpha=st.sampled_from((0.3, 0.6, 1.0, 2.5, 100.0)), k=st.integers(1, 8),
+       start=st.integers(1, search.MAX_START), delta=st.floats(1e-12, 0.99))
+@example(alpha=1.0, k=3, start=117, delta=0.5)
+@example(alpha=1.0, k=3, start=116, delta=0.5)
+@example(alpha=1.0, k=8, start=search.MAX_START, delta=1e-12)
+def test_head_probe_decides_as_the_gate(alpha, k, start, delta):
+    # the search probes with the head power alone; it must decide as the
+    # full gate does, here and at the delta that puts the gate at its edge
+    spike = SpikeSpec(start, k)
+    gate = spike_gate(alpha, delta, spike)
+    assert search.head_probe(alpha, delta, spike) == gate.passed
+    edge = delta * gate.worst_margin
+    if edge < 1.0:
+        assert search.head_probe(alpha, edge, spike) == spike_gate(alpha, edge, spike).passed
+
+
+def test_search_confirms_with_the_full_gate_where_a_column_rises(monkeypatch):
+    # inflate the last interior power of spike 2's minimal layout (33 .. 35),
+    # which no probe of its bisection reads: the search lands on 32, whose
+    # full gate fails, and must step up to 35, the first start past it
+    bumps = search.lemma_bounds
+
+    def inflated(n):
+        return Decay(*(10.0 * v for v in bumps(n))) if n == 35 else bumps(n)
+
+    monkeypatch.setattr(search, "lemma_bounds", inflated)
+    assert search.head_probe(1.0, 0.5, SpikeSpec(32, 2))
+    assert not spike_gate(1.0, 0.5, SpikeSpec(32, 2)).passed
+    starts = select_spike_positions(1.0, 0.5, 3)
+    assert starts[:2] == [3, 35]
+    for k, start in enumerate(starts, start=1):
+        assert spike_gate(1.0, 0.5, SpikeSpec(start, k)).passed
+        assert not spike_gate(1.0, 0.5, SpikeSpec(start - 1, k)).passed
+
+
+def test_search_reaches_32_spikes_with_the_spike_cap_raised(monkeypatch):
+    # raising the spike cap alone moves the lemma's domain with it: the last
+    # spike is gated up to power 910607260958 + 63
+    monkeypatch.setattr(search, "MAX_SPIKES", 32)
+    starts = select_spike_positions(1.0, 0.5, 32)
+    assert tuple(starts[:24]) == K24_STARTS
+    assert starts[-1] == 910607260958
 
 
 def test_gate_worst_margin():
