@@ -19,17 +19,18 @@ Six parts, each run on both checkouts with this same script:
   and the largest relative move, and for each JSON file or manifest that
   is not, the leaf paths added, removed and changed;
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
-  delta 0.5, K = 3..8 and K = 24 with the child's spike cap raised; delta
-  1e-3, K = 4, the second `search` command; delta 1e-6, K = 8), of
+  delta 0.5, K = 3..8, 24 and 32; delta 1e-3, K = 4, the second `search`
+  command; delta 1e-6, K = 8), of
   `verify_f_conditions` / `verify_theorem_conditions` (eps 2) on the
   frozen K = 8 config, and of `verify_theorem_conditions` (eps 0.004)
   on the frozen K = 4, delta 1e-3 config, the two `verify` runs of the
   `certify` workload, of
   `verify_f_conditions` on the K = 8, delta 1e-6 config, whose powers
-  reach 6.2e9, and of `verify_f_conditions` on the K = 16 and K = 24
-  starts `construct --alpha 1 --delta 0.5` selects, with the child's
-  spike cap raised to K; jobs are named `<kind>_<config>`; each in a
-  fresh interpreter with the checkout's `src` first on the path, the two
+  reach 6.2e9, and of `verify_f_conditions` and `verify_theorem_conditions`
+  (eps 2) on the K = 16 and K = 24 starts `construct --alpha 1 --delta 0.5`
+  selects; a checkout that still caps the spike count has its cap raised
+  to K in the child; jobs are named `<kind>_<config>`; each in a fresh
+  interpreter with the checkout's `src` first on the path, the two
   checkouts alternating, REPS times;
 * in-process layer timings on the frozen K = 8 config, as microseconds
   per call (after one untimed call): `RadialSeries.eval` of the kernel
@@ -48,7 +49,8 @@ Six parts, each run on both checkouts with this same script:
   `verify --epsilon 0.004` on the frozen K = 4, delta 1e-3 config (the
   slower `certify` command), and of `construct --K 6` (delta 0.5, the
   first command of the `search` workload), each a fresh process, the two
-  checkouts alternating, COLD_REPS times; plus, per job and checkout, one
+  checkouts alternating, COLD_REPS times, printed as median [q1, q3];
+  plus, per job and checkout, one
   untimed run under `-X importtime` that records whether the process
   imported numpy;
 * the per-layer counts of `hardybench/run.py --trace 1` on the `search`
@@ -83,8 +85,7 @@ K8_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479)
 # frozen verify configs by name: (delta, spike starts, epsilon); K8_delta1e-6
 # holds the minimal starts `construct --alpha 1 --delta 1e-6 --K 8` selects,
 # powers up to 6.2e9 that no workload reaches; K16 and K24 hold the starts
-# `construct --alpha 1 --delta 0.5` selects past the spike cap, which the
-# child raises
+# `construct --alpha 1 --delta 0.5 --K 16` and `--K 24` select
 K24_STARTS = (*K8_STARTS, 28443, 63853, 141639, 311144, 678018, 1467493, 3157899, 6761622,
               14414887, 30613062, 64792695, 136718533, 287703349, 603939264, 1264943658,
               2644017572)
@@ -99,7 +100,7 @@ ALPHA06_K6_STARTS = (2, 26, 103, 312, 841, 2116)
 # the starts `construct --alpha 100 --delta 0.5 --K 8` selects
 ALPHA100_K8_STARTS = (5, 39, 134, 379, 978, 2393, 5658, 13059)
 # plan jobs by key: K<k> at delta 0.5, K<k>_delta<delta> otherwise
-PLAN_KEYS = ("K3", "K4", "K5", "K6", "K7", "K8", "K24", "K4_delta1e-3", "K8_delta1e-6")
+PLAN_KEYS = ("K3", "K4", "K5", "K6", "K7", "K8", "K24", "K32", "K4_delta1e-3", "K8_delta1e-6")
 WORKLOADS = ("search", "certify", "tables")
 REPS = 7  # in-process timings per job and side
 # layer timings: calls per timed loop
@@ -107,13 +108,21 @@ LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt"
                "gradient_sq_mass": 50, "radial_carleson_norm_laplacian": 50, "kernel_ratio": 20}
 LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484", str(2 ** 40 + 16))
 PAIRS = 10  # alternating end-to-end runs per workload
-COLD_REPS = 7  # cold-start timings per command and side
+COLD_REPS = 15  # cold-start timings per command and side
+
+
+def raise_spike_cap(k: int) -> None:
+    """Lift a checkout's spike cap to k, where it still has one (MAX_SPIKES,
+    8, dropped since); this goes once no parent checkout has the cap."""
+    from hardyshift import search
+
+    if hasattr(search, "MAX_SPIKES"):
+        search.MAX_SPIKES = max(search.MAX_SPIKES, k)
 
 
 def child(kind: str, key: str) -> None:
     """Time one in-process call; print {"cpu_s", "wall_s", "result"}.  key is
     one of PLAN_KEYS for `plan` and a VERIFY_CONFIGS name otherwise."""
-    from hardyshift import search
     from hardyshift.construction import (ConstructionConfig, verify_f_conditions,
                                          verify_theorem_conditions)
 
@@ -123,11 +132,11 @@ def child(kind: str, key: str) -> None:
     if kind == "plan":
         spikes, _, delta = key.partition("_delta")
         k, delta = int(spikes.removeprefix("K")), float(delta) if delta else 0.5
-        search.MAX_SPIKES = max(search.MAX_SPIKES, k)
+        raise_spike_cap(k)
         call = lambda: list(ConstructionConfig.plan(1.0, delta, k).spike_starts)  # noqa: E731
     else:
         delta, starts, epsilon = VERIFY_CONFIGS[key]
-        search.MAX_SPIKES = max(search.MAX_SPIKES, len(starts))
+        raise_spike_cap(len(starts))
         config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts),
                                     spike_starts=starts)
         if kind == "verify_f":
@@ -416,7 +425,8 @@ def main(argv=None) -> int:
     inprocess = {side: {} for side in sides}
     jobs = ([("plan", key) for key in PLAN_KEYS]
             + [("verify_f", "K8"), ("verify_theorem", "K8"), ("verify_theorem", "K4"),
-               ("verify_f", "K8_delta1e-6"), ("verify_f", "K16"), ("verify_f", "K24")]
+               ("verify_f", "K8_delta1e-6"), ("verify_f", "K16"), ("verify_f", "K24"),
+               ("verify_theorem", "K16"), ("verify_theorem", "K24")]
             + [(kind, "K8") for kind in LAYER_CALLS] + [("kernel_ratio", "K4")])
     for rep in range(REPS):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
@@ -456,7 +466,8 @@ def main(argv=None) -> int:
         cold[side] = {name: summary(vals) for name, vals in cold[side].items()}
         cold_cpu[side] = {name: summary(vals) for name, vals in cold_cpu[side].items()}
         print(f"{side} cold start: "
-              + ", ".join(f"{n} {s['median']:.3f} s" for n, s in cold[side].items()), flush=True)
+              + ", ".join(f"{n} {s['median']:.3f} s [{s['q1']:.3f}, {s['q3']:.3f}]"
+                          for n, s in cold[side].items()), flush=True)
 
     traced = {side: {w: run_bench(path, w, 1, seconds, 1) for w in ("search", "certify")}
               for side, path in sides.items()}

@@ -15,7 +15,7 @@ subcommands that use them (curvature and verify).
 
 Exit codes: 0 success, 2 a measured condition failed its threshold,
 3 bad input (a table too large for memory included), 4 numerical
-infeasibility (truncation or search caps, route disagreement).
+infeasibility (truncation or search cap, route disagreement).
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def _build_parser() -> _Parser:
     budget.add_argument("--delta", type=float, help="correction budget in (0, 1)")
     budget.add_argument("--epsilon", type=float,
                         help="flatness level; mapped to delta = min(eps/(1+eps), eps/4)")
-    p.add_argument("--K", type=int, required=True, dest="K", help="number of spikes, 0..8")
+    p.add_argument("--K", type=int, required=True, dest="K", help="number of spikes, >= 0")
     p.add_argument("--rmax", type=float, default=0.999, help="kernel-ratio check radius, in (0, 1)")
     p.add_argument("--tol", type=float, default=1e-9, help="allowed kernel-ratio error on r <= rmax")
     p.add_argument("--out", default=".")

@@ -30,7 +30,6 @@ from .carleson import RadialDensity, term_decay
 from .grids import boundary_refined_grid, merge_grids, refined_supremum, sign_roots
 from .search import (  # noqa: F401  (the spike search, re-exported under its old module)
     MAX_POWER,
-    MAX_SPIKES,
     MAX_START,
     TWO_PI,
     ConstructionConfig,

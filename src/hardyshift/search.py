@@ -7,10 +7,10 @@ expm1 values, and the gate compares their triangle-inequality combination
 against the budgets delta / 2^k (delta / 4^k for the squared gradient
 mass).  The search probes each candidate start at its head power alone,
 one lemma report per probe, and confirms the start it lands on with the
-full gate over the spike interior.  None of it needs an array, so this
-module imports no numpy, and `construct` and `lemma` run without loading
-it.  The spike terms the verifier measures are built here from the same
-deficits, as plain Terms.
+full gate over the spike interior; MAX_START is its one cap.  None of it
+needs an array, so this module imports no numpy, and `construct` and
+`lemma` run without loading it.  The spike terms the verifier measures
+are built here from the same deficits, as plain Terms.
 
 The numpy layer (series, grids, carleson, spectral, operators and the
 verifier in construction) imports these names back: construction's
@@ -31,11 +31,10 @@ from typing import NamedTuple, Sequence
 
 from .weights import SpikeSpec, WeightSequence, build_spiked_weights, check_real
 
-MAX_SPIKES = 8
-MAX_START = 2 ** 40  # select_spike_positions gives up past this start
-# the largest bump power any spike gate reads at the default caps;
-# lemma_bounds reads the caps when called, so raising either moves its domain
-MAX_POWER = MAX_START + 2 * MAX_SPIKES
+MAX_START = 2 ** 40  # the construction's one cap: select_spike_positions gives up past it
+# the largest power a spike gate reads: spike k starts at or past k^2, so a
+# start at or below MAX_START has half width at most isqrt(MAX_START)
+MAX_POWER = MAX_START + 2 * math.isqrt(MAX_START) - 1
 
 TWO_PI = 2.0 * math.pi
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon  # the smallest rtol scipy's brentq accepts
@@ -309,13 +308,12 @@ def lemma_bounds(n: int) -> Decay:
                                    + 1 / (2 (2n+1)(2n+3))],  rho = r*^{2n},
 
     and gradient_sq_carleson is gradient_sq_mass, exact.  n runs over
-    1 .. MAX_START + 2 MAX_SPIKES, the caps as they stand at the call.
+    1 .. MAX_POWER, every power a spike gate can read.
     Reports, pure functions of n, are kept in one process-wide table: a test
     that patches anything this calls must call lemma_bounds.cache_clear() first.
     """
-    max_power = MAX_START + 2 * MAX_SPIKES
-    if not 1 <= n <= max_power:
-        raise ValueError(f"n must lie in 1..{max_power}, got {n}")
+    if not 1 <= n <= MAX_POWER:
+        raise ValueError(f"n must lie in 1..{MAX_POWER}, got {n}")
     b = 2 * n + 1
     rho = math.exp(2 * n * math.log1p(-1.0 / (n + 1)))
     mass = 2 * rho * float(Fraction(n * (8 * n + 3), 2 * (n + 1) * b * (2 * n + 3))) \
@@ -442,8 +440,8 @@ def _check_construction(alpha: float, delta: float, n_spikes: int) -> None:
         raise ValueError("alpha must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if not 0 <= n_spikes <= MAX_SPIKES:
-        raise ValueError(f"n_spikes must lie in 0..{MAX_SPIKES}")
+    if n_spikes < 0:
+        raise ValueError(f"n_spikes must be nonnegative, got {n_spikes}")
 
 
 def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[int]:
@@ -457,8 +455,9 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
     the spike), the search steps up one start at a time until the gate
     passes.  So each returned start passes spike_gate and its predecessor
     fails it (or lies below the floor).  A probe or gate failing at
-    MAX_START, or a floor past it, raises InfeasibleConstructionError; no
-    start past MAX_START is ever tested.
+    MAX_START, or a floor past it, raises InfeasibleConstructionError naming
+    the spike; no start past MAX_START is ever tested, and nothing else
+    bounds n_spikes.
     """
     _check_construction(alpha, delta, n_spikes)
 

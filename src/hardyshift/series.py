@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -140,21 +140,8 @@ class RadialSeries:
         """Largest exponent present, -1 for the zero series."""
         return int(self.exponents[-1]) if len(self.exponents) else -1
 
-    @property
-    def is_dense(self) -> bool:
-        n = len(self.exponents)
-        return n > 0 and self.exponents[0] == 0 and self.exponents[-1] == n - 1
-
     def __len__(self) -> int:
         return len(self.exponents)
-
-    def dense_coeffs(self) -> np.ndarray:
-        """Coefficients b_0..b_order as a dense array (order must be modest)."""
-        if self.order > 10_000_000:
-            raise ValueError("series too large to densify")
-        out = np.zeros(self.order + 1 if self.order >= 0 else 0, dtype=np.float64)
-        out[self.exponents] = self.coeffs
-        return out
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -252,24 +239,6 @@ class RadialSeries:
 
 
 # ---------------------------------------------------------------------- #
-# stock series
-
-
-def geometric_series(order: int) -> RadialSeries:
-    """Truncation of 1/(1-s) at s^order; tail_bound_geometric bounds the rest."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return RadialSeries.from_dense(np.ones(order + 1))
-
-
-def edge_bump(n: int) -> RadialSeries:
-    """The bump s^n (1 - s), vanishing at both s = 0 (for n >= 1) and s = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return RadialSeries(np.array([n, n + 1]), np.array([1.0, -1.0]))
-
-
-# ---------------------------------------------------------------------- #
 # truncation control
 
 
@@ -304,18 +273,3 @@ def truncation_order(r_max: float, tol: float) -> int:
         m -= 1
     return m
 
-
-def fd_laplacian(field: Callable[[complex], float], z: complex, h: float = 1e-4) -> float:
-    """Five point stencil for the normalized Laplacian d^2/(dz dzbar).
-
-    (F(z+h) + F(z-h) + F(z+ih) + F(z-ih) - 4 F(z)) / (4 h^2), one quarter of
-    the standard five point Laplacian.  All stencil points must stay inside
-    the unit disk.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if abs(z) + h >= 1.0:
-        raise ValueError("stencil exits the unit disk")
-    z = complex(z)
-    acc = field(z + h) + field(z - h) + field(z + 1j * h) + field(z - 1j * h) - 4.0 * field(z)
-    return acc / (4.0 * h * h)

@@ -7,6 +7,12 @@ from hardyshift import ConstructionConfig, build_spiked_weights, kernel_diagonal
 # positions produced by the search at alpha=1, delta=0.5; their minimality
 # is asserted in test_construction
 STANDARD_STARTS = (3, 32, 117)
+# the starts `construct --alpha 1 --delta 0.5 --K 16` selects
+K16_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479, 28443, 63853, 141639, 311144, 678018,
+              1467493, 3157899, 6761622)
+# and the next eight of `--K 24`
+K24_STARTS = (*K16_STARTS, 14414887, 30613062, 64792695, 136718533, 287703349, 603939264,
+              1264943658, 2644017572)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from conftest import dense_curvature
 from scipy.integrate import quad
+from series_oracles import edge_bump, fd_laplacian
 
 from hardyshift import (
     ConstructionConfig,
@@ -35,7 +36,6 @@ from hardyshift import cli
 from hardyshift.carleson import TWO_PI, RadialDensity
 from hardyshift.construction import Decay
 from hardyshift.grids import boundary_refined_grid, merge_grids, peak_candidates, refined_supremum
-from hardyshift.series import edge_bump, fd_laplacian
 
 STANDARD_STARTS = (3, 32, 117)
 DECOMPOSITION_CONFIGS = [

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
+from series_oracles import edge_bump
 
 from hardyshift import (
     ConstructionConfig,
@@ -28,7 +29,7 @@ from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, _run
 from hardyshift.construction import MAX_POWER, curvature_density
 from hardyshift.grids import _root_scan_grid, sign_roots
 from hardyshift.search import Terms, spike_ratio_term
-from hardyshift.series import RadialSeries, edge_bump
+from hardyshift.series import RadialSeries
 from hardyshift.spectral import kernel_ratio_series
 from hardyshift.weights import SpikeSpec
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import csv_oracles
 import numpy as np
 import pytest
+from conftest import K16_STARTS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,6 +166,27 @@ def test_small_delta_construction_certifies_and_verifies(tmp_path):
             assert float(bound) <= float(thr)
     assert cli.main(["verify", str(tmp_path / "config.json"),
                      "--out", str(tmp_path / "verify")]) == 0
+
+
+def test_construct_and_verify_16_spikes(tmp_path):
+    # the spike count has no cap of its own; every row of the 16-spike layout passes
+    assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "16",
+                     "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "config.json").read_text())
+    assert tuple(config["spike_starts"]) == K16_STARTS
+    assert cli.main(["verify", str(tmp_path / "config.json"), "--epsilon", "2",
+                     "--out", str(tmp_path / "verify")]) == 0
+    _, rows = read_csv(tmp_path / "verify" / "conditions.csv")
+    assert len(rows) == 89
+    assert all(row[-1] == "true" for row in rows)
+
+
+def test_construct_past_the_search_reach_is_numerical_infeasibility(tmp_path, capsys):
+    # at delta 0.5 spike 33 finds no start at or below MAX_START
+    assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "33",
+                     "--out", str(tmp_path)]) == 4
+    assert "spike 33 " in capsys.readouterr().err
+    assert not (tmp_path / "config.json").exists()
 
 
 def test_verify_fails_on_halved_positions(constructed, tmp_path):

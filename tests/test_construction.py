@@ -10,9 +10,11 @@ import fraction_oracles
 import mpmath
 import numpy as np
 import pytest
+from conftest import K16_STARTS, K24_STARTS
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from series_oracles import edge_bump
 
 from hardyshift import (
     ConstructionConfig,
@@ -36,12 +38,11 @@ from hardyshift.carleson import TWO_PI, gradient_sq_mass, term_decay
 from hardyshift.search import Terms
 from hardyshift.construction import (
     MAX_POWER,
-    MAX_SPIKES,
     Decay,
     curvature_density,
     measure_spike_conditions,
 )
-from hardyshift.series import RadialSeries, edge_bump
+from hardyshift.series import RadialSeries
 from hardyshift.spectral import deficit_coefficients, spike_kernel_term, spike_ratio_term
 from hardyshift.weights import SpikeSpec
 
@@ -198,16 +199,18 @@ def test_spike_budget_frozen_values():
     assert spike_budget(1.0, SpikeSpec(32, 2)) == pytest.approx(2.4375, rel=1e-14)
     # at alpha = 1 the deficits 4^-j - 1 and every partial sum are dyadic
     # rationals, so the budget, added in index order, is exact at every
-    # half width the search reaches
+    # half width the search reaches: 32 at delta 0.5, whose spike 33 finds
+    # no start below the cap (and whose budget is the first to round)
     frozen = (0.75, 2.4375, 4.359375, 6.33984375, 8.3349609375, 10.333740234375,
               12.33343505859375, 14.333358764648438)
-    assert len(frozen) == MAX_SPIKES
-    for h, value in enumerate(frozen, start=1):
+    for h in range(1, 33):
         deficits = deficit_coefficients(1.0, h)
         assert [type(c) for c in deficits] == [float] * h
         assert deficits == [float(Fraction(1, 4 ** j) - 1) for j in range(1, h + 1)]
         exact = sum(2 * (1 - Fraction(1, 4 ** j)) for j in range(1, h)) + 1 - Fraction(1, 4 ** h)
-        assert spike_budget(1.0, SpikeSpec(10, h)) == float(exact) == value
+        assert spike_budget(1.0, SpikeSpec(10, h)) == float(exact)
+        if h <= len(frozen):
+            assert float(exact) == frozen[h - 1]
 
 
 def test_gate_and_verifier_read_the_same_deficits():
@@ -257,18 +260,9 @@ def test_small_delta_starts_frozen_and_verified():
     assert report.passed, report.failures()
 
 
-# the starts `construct --alpha 1 --delta 0.5 --K 16` selects with the spike cap raised
-K16_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479, 28443, 63853, 141639, 311144, 678018,
-              1467493, 3157899, 6761622)
-# and the next eight of `--K 24`
-K24_STARTS = (*K16_STARTS, 14414887, 30613062, 64792695, 136718533, 287703349, 603939264,
-              1264943658, 2644017572)
-
-
-def test_verify_f_passes_at_16_spikes(monkeypatch):
-    # past the spike cap, raised here: every row passes, and the gradient
-    # masses of f - 1 and of each spike term are the Fraction sum's doubles
-    monkeypatch.setattr(search, "MAX_SPIKES", 16)
+def test_verify_f_passes_at_16_spikes():
+    # every row passes, and the gradient masses of f - 1 and of each spike
+    # term are the Fraction sum's doubles
     config = ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=16, spike_starts=K16_STARTS)
     report = verify_f_conditions(config)
     assert len(report.conditions) == 85
@@ -295,8 +289,12 @@ def test_selection_input_validation():
     with pytest.raises(ValueError):
         select_spike_positions(1.0, 1.5, 2)
     with pytest.raises(ValueError):
-        select_spike_positions(1.0, 0.5, 9)
+        select_spike_positions(1.0, 0.5, -1)
     assert select_spike_positions(1.0, 0.5, 0) == []
+    # no cap on the spike count: the search itself stops where no start at
+    # or below MAX_START passes
+    with pytest.raises(InfeasibleConstructionError, match="spike 33 "):
+        select_spike_positions(1.0, 0.5, 33)
 
 
 def test_infeasible_budget_raises(monkeypatch):
@@ -365,10 +363,8 @@ def test_search_confirms_with_the_full_gate_where_a_column_rises(monkeypatch):
         assert not spike_gate(1.0, 0.5, SpikeSpec(start - 1, k)).passed
 
 
-def test_search_reaches_32_spikes_with_the_spike_cap_raised(monkeypatch):
-    # raising the spike cap alone moves the lemma's domain with it: the last
-    # spike is gated up to power 910607260958 + 63
-    monkeypatch.setattr(search, "MAX_SPIKES", 32)
+def test_search_reaches_32_spikes_below_the_start_cap():
+    # the last spike is gated up to power 910607260958 + 63, inside MAX_POWER
     starts = select_spike_positions(1.0, 0.5, 32)
     assert tuple(starts[:24]) == K24_STARTS
     assert starts[-1] == 910607260958

@@ -6,6 +6,7 @@ import bump_oracles
 import numpy as np
 import pytest
 import scipy.optimize
+from series_oracles import edge_bump
 
 from hardyshift.construction import curvature_density, lemma_bounds
 from hardyshift.grids import (
@@ -23,7 +24,7 @@ from hardyshift.grids import (
     refined_supremum,
     sign_change_brackets,
 )
-from hardyshift.series import RadialSeries, edge_bump
+from hardyshift.series import RadialSeries
 from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian, spike_ratio_term
 from hardyshift.weights import SpikeSpec
 
