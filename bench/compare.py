@@ -20,7 +20,8 @@ Six parts, each run on both checkouts with this same script:
   is not, the leaf paths added, removed and changed;
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
   delta 0.5, K = 3..8, 24 and 32; delta 1e-3, K = 4, the second `search`
-  command; delta 1e-6, K = 8), of
+  command; delta 1e-6, K = 8), per call over a loop of PLAN_CALLS calls
+  after one untimed call, each from a cold lemma cache, of
   `verify_f_conditions` / `verify_theorem_conditions` (eps 2) on the
   frozen K = 8 config, and of `verify_theorem_conditions` (eps 0.004)
   on the frozen K = 4, delta 1e-3 config, the two `verify` runs of the
@@ -28,8 +29,9 @@ Six parts, each run on both checkouts with this same script:
   `verify_f_conditions` on the K = 8, delta 1e-6 config, whose powers
   reach 6.2e9, and of `verify_f_conditions` and `verify_theorem_conditions`
   (eps 2) on the K = 16 and K = 24 starts `construct --alpha 1 --delta 0.5`
-  selects; a checkout that still caps the spike count has its cap raised
-  to K in the child; jobs are named `<kind>_<config>`; each in a fresh
+  selects, each `verify_theorem_conditions` after an untimed
+  `verify_f_conditions` on the same config, as `verify --epsilon` runs
+  them; jobs are named `<kind>_<config>`; each in a fresh
   interpreter with the checkout's `src` first on the path, the two
   checkouts alternating, REPS times;
 * in-process layer timings on the frozen K = 8 config, as microseconds
@@ -103,26 +105,22 @@ ALPHA100_K8_STARTS = (5, 39, 134, 379, 978, 2393, 5658, 13059)
 PLAN_KEYS = ("K3", "K4", "K5", "K6", "K7", "K8", "K24", "K32", "K4_delta1e-3", "K8_delta1e-6")
 WORKLOADS = ("search", "certify", "tables")
 REPS = 7  # in-process timings per job and side
+PLAN_CALLS = 10  # plan calls per timed loop, each with a cold lemma cache
 # layer timings: calls per timed loop
 LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
                "gradient_sq_mass": 50, "radial_carleson_norm_laplacian": 50, "kernel_ratio": 20}
-LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484", str(2 ** 40 + 16))
+# up to MAX_POWER = 2^40 + 2^21 - 1, the largest power the lemma accepts
+LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484",
+                str(2 ** 40 + 2 ** 21 - 1))
 PAIRS = 10  # alternating end-to-end runs per workload
 COLD_REPS = 15  # cold-start timings per command and side
 
 
-def raise_spike_cap(k: int) -> None:
-    """Lift a checkout's spike cap to k, where it still has one (MAX_SPIKES,
-    8, dropped since); this goes once no parent checkout has the cap."""
-    from hardyshift import search
-
-    if hasattr(search, "MAX_SPIKES"):
-        search.MAX_SPIKES = max(search.MAX_SPIKES, k)
-
-
 def child(kind: str, key: str) -> None:
-    """Time one in-process call; print {"cpu_s", "wall_s", "result"}.  key is
-    one of PLAN_KEYS for `plan` and a VERIFY_CONFIGS name otherwise."""
+    """Time one in-process job; print {"cpu_s", "wall_s", "result"}.  key is
+    one of PLAN_KEYS for `plan` and a VERIFY_CONFIGS name otherwise.  A
+    verify_theorem job times the call after an untimed verify_f_conditions
+    on the same config, the order `verify --epsilon` runs them in."""
     from hardyshift.construction import (ConstructionConfig, verify_f_conditions,
                                          verify_theorem_conditions)
 
@@ -131,22 +129,38 @@ def child(kind: str, key: str) -> None:
         return
     if kind == "plan":
         spikes, _, delta = key.partition("_delta")
-        k, delta = int(spikes.removeprefix("K")), float(delta) if delta else 0.5
-        raise_spike_cap(k)
-        call = lambda: list(ConstructionConfig.plan(1.0, delta, k).spike_starts)  # noqa: E731
+        plan_loop(int(spikes.removeprefix("K")), float(delta) if delta else 0.5)
+        return
+    delta, starts, epsilon = VERIFY_CONFIGS[key]
+    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts),
+                                spike_starts=starts)
+    if kind == "verify_f":
+        call = lambda: verify_f_conditions(config).passed  # noqa: E731
     else:
-        delta, starts, epsilon = VERIFY_CONFIGS[key]
-        raise_spike_cap(len(starts))
-        config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts),
-                                    spike_starts=starts)
-        if kind == "verify_f":
-            call = lambda: verify_f_conditions(config).passed  # noqa: E731
-        else:
-            call = lambda: verify_theorem_conditions(config, epsilon).passed  # noqa: E731
+        verify_f_conditions(config)
+        call = lambda: verify_theorem_conditions(config, epsilon).passed  # noqa: E731
     c0, t0 = time.process_time(), time.perf_counter()
     result = call()
     print(json.dumps({"cpu_s": time.process_time() - c0,
                       "wall_s": time.perf_counter() - t0, "result": result}))
+
+
+def plan_loop(k: int, delta: float) -> None:
+    """Time PLAN_CALLS plans at alpha 1, each from a cold lemma cache; print
+    {"cpu_s", "wall_s", "result"} with the times per call."""
+    from hardyshift.construction import ConstructionConfig
+    from hardyshift.search import lemma_bounds
+
+    def call():
+        lemma_bounds.cache_clear()
+        return list(ConstructionConfig.plan(1.0, delta, k).spike_starts)
+
+    result = call()
+    c0, t0 = time.process_time(), time.perf_counter()
+    for _ in range(PLAN_CALLS):
+        call()
+    cpu, wall = time.process_time() - c0, time.perf_counter() - t0
+    print(json.dumps({"cpu_s": cpu / PLAN_CALLS, "wall_s": wall / PLAN_CALLS, "result": result}))
 
 
 def layer(kind: str, key: str) -> None:

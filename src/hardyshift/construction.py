@@ -14,20 +14,18 @@ the standard library and lives in hardyshift.search, whose names this
 module re-exports.  Verification, here, then measures the assembled
 corrections and the full ratio, so the two stages check each other: the
 flatness rows read every supremum and mass exactly from the boundary
-blocks of hardyshift.carleson, and the curvature rows sample Delta log f
-on a boundary-refined grid and integrate it by quadrature.
-"""
+blocks of hardyshift.carleson, and the curvature rows follow from the
+five rows of f - 1 as a corollary, with no sampling in r."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .carleson import RadialDensity, term_decay
-from .grids import boundary_refined_grid, merge_grids, refined_supremum, sign_roots
+from .carleson import term_decay
 from .search import (  # noqa: F401  (the spike search, re-exported under its old module)
     MAX_POWER,
     MAX_START,
@@ -47,8 +45,7 @@ from .search import (  # noqa: F401  (the spike search, re-exported under its ol
     spike_correction_thresholds,
     spike_gate,
 )
-from .series import RadialSeries
-from .spectral import ratio_log_laplacian, spike_ratio_term
+from .spectral import spike_ratio_term
 from .weights import SpikeSpec
 
 
@@ -105,11 +102,6 @@ _RATIO_ROWS = ("ratio_deviation", "laplacian_sup", "gradient_sup", "laplacian_ca
                "gradient_carleson")
 
 
-def _peak_hints(spikes: Sequence[SpikeSpec]) -> list[float]:
-    """Peak radii sqrt(m/(m+1)) of the bumps s^m (1 - s) over the spike interiors."""
-    return [math.sqrt(m / (m + 1.0)) for sp in spikes for m in sp.interior]
-
-
 def measure_spike_conditions(alpha: float, spikes: Sequence[SpikeSpec]) -> list[Decay]:
     """Measured decay quantities of each spike's assembled correction term,
     from term_decay: exact in the term's float coefficients."""
@@ -127,10 +119,8 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
     """
     w = config.weights()
     delta = config.delta
-    deviation = Terms(config.kernel_ratio.exponents[1:], config.kernel_ratio.coeffs[1:])
     rows = [_row(name, threshold, value, argmax_r) for name, threshold, (argmax_r, value) in
-            zip(_RATIO_ROWS, (delta, delta, math.sqrt(delta), delta, delta),
-                term_decay(deviation))]
+            zip(_RATIO_ROWS, (delta, delta, math.sqrt(delta), delta, delta), config.ratio_decay)]
 
     for sp, measured in zip(w.spikes, measure_spike_conditions(config.alpha, w.spikes)):
         k = sp.half_width
@@ -141,19 +131,10 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
     return VerificationReport(conditions=tuple(rows), meta=meta)
 
 
-def curvature_density(f: RadialSeries, spikes: Sequence[SpikeSpec]) -> RadialDensity:
-    """Density |Delta log f| (1 - r) of the curvature Carleson mass.
-
-    Quadrature splits at the spike peak radii and at the sign changes of
-    Delta log f, evaluated in factored form (ratio_log_laplacian) on the
-    scan grid of f's own exponents.
-    """
-    cuts = sign_roots(lambda s: ratio_log_laplacian(f, np.sqrt(s)), f.exponents)
-    return RadialDensity(
-        lambda r: np.abs(ratio_log_laplacian(f, r)) * (1.0 - r),
-        breakpoints=merge_grids(cuts, _peak_hints(spikes)),
-        label="curvature_deviation",
-    )
+def _round_up(q: Fraction) -> float:
+    """The least float >= q; inf past the largest float."""
+    x = float(min(q, sys.float_info.max))
+    return math.nextafter(x, math.inf) if x < q else x
 
 
 def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> VerificationReport:
@@ -162,38 +143,31 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> Ver
     Three rows: the kernel ratio stays inside [1/(1+eps), 1+eps]; the
     curvature deviation obeys |Delta log f| (1-r)^2 <= eps; and its
     Carleson mass 2 pi integral |Delta log f| (1-r) r dr stays below eps.
-    meta records 2 pi times the quadrature's error estimate of that mass.
+    Each is bounded, with no sampling, by the rows (d, L, g, LC, GC) of
+    f - 1: f >= 1 - d, and Delta log f = Delta f / f - |grad f|^2 / f^2 gives
+    1/(1-d), L/(1-d) + g^2/(1-d)^2 and LC/(1-d) + GC/(1-d)^2, formed in
+    Fraction and rounded up.  A non-finite input, or d >= 1 (f may vanish),
+    gives a NaN row.  No row has an argmax.
     """
     delta_sufficient = delta_for_epsilon(epsilon)  # rejects a bad epsilon first
-    w = config.weights()
-    grid = merge_grids(boundary_refined_grid(801, 46.0), _peak_hints(w.spikes))
-    f = config.kernel_ratio
+    d, lap, grad, lap_mass, grad_mass = (value for _, value in config.ratio_decay)
 
-    def band(r):
-        vals = f.eval(r * r)
-        if np.any(vals <= 0.0):
-            raise ArithmeticError("kernel ratio must stay positive")
-        return np.maximum(vals, 1.0 / vals)
-
-    arg_band, sup_band = refined_supremum(band, grid)
-
-    arg_curv, sup_curv = refined_supremum(
-        lambda r: np.abs(ratio_log_laplacian(f, r)) * (1.0 - r) ** 2, grid)
-
-    errors: list[float] = []
-    curv_mass = TWO_PI * curvature_density(f, w.spikes).window_integral(0.0, 1.0, errors)
+    def bound(first: float, second: float, power: int) -> float:
+        """first/(1-d) + second^power/(1-d)^2, rounded up."""
+        if not (all(map(math.isfinite, (d, first, second))) and d < 1.0):
+            return math.nan
+        inv = 1 / (1 - Fraction(d))
+        return _round_up(Fraction(first) * inv + Fraction(second) ** power * inv * inv)
 
     rows = [
-        _row("ratio_band", 1.0 + epsilon, sup_band, arg_band),
-        _row("curvature_sup", epsilon, sup_curv, arg_curv),
-        _row("curvature_carleson", epsilon, curv_mass),
+        _row("ratio_band", 1.0 + epsilon, bound(1.0, 0.0, 1)),
+        _row("curvature_sup", epsilon, bound(lap, grad, 2)),
+        _row("curvature_carleson", epsilon, bound(lap_mass, grad_mass, 1)),
     ]
     meta = {
         "config": config.to_dict(),
         "epsilon": epsilon,
         "delta_sufficient": delta_sufficient,
-        "grid_points": int(len(grid)),
         "mode": "curvature_match",
-        "curvature_carleson_error": TWO_PI * errors[0],
     }
     return VerificationReport(conditions=tuple(rows), meta=meta)

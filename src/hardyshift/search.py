@@ -531,8 +531,8 @@ class ConstructionConfig:
         object.__setattr__(self, "spike_starts", tuple(sp.start for sp in self.weights().spikes))
         if len(self.spike_starts) != self.n_spikes:
             raise ValueError("n_spikes must equal len(spike_starts)")
-        # read at check time: the verifier's grid cannot reach a bump peak
-        # far past the search cap
+        # MAX_POWER, the domain of lemma_bounds, is derived from MAX_START:
+        # a start past the cap could carry bump powers past that domain
         if any(n > MAX_START for n in self.spike_starts):
             raise ValueError(f"spike starts must not exceed {MAX_START}, "
                              f"got {max(self.spike_starts)}")
@@ -555,6 +555,14 @@ class ConstructionConfig:
         from .spectral import kernel_ratio_series
 
         return kernel_ratio_series(self.weights(), r_max=self.r_max, tol=self.tol)
+
+    @cached_property
+    def ratio_decay(self) -> tuple:
+        """term_decay of f - 1: (argmax_r, value) in Decay order, for both verifiers."""
+        from .carleson import term_decay
+
+        f = self.kernel_ratio
+        return tuple(term_decay(Terms(f.exponents[1:], f.coeffs[1:])))
 
     def to_dict(self) -> dict:
         return {
@@ -592,7 +600,11 @@ class ConstructionConfig:
 
 
 def delta_for_epsilon(epsilon: float) -> float:
-    """Correction budget sufficient for the flatness level epsilon."""
+    """Correction budget min(eps/(1+eps), eps/4) for the flatness level epsilon.
+
+    Not proven sufficient: with every ratio row at its threshold, verify's
+    corollary rows read delta/(1-delta) + delta/(1-delta)^2, at most eps only
+    up to eps of about 1.44 (3 at eps = 2); each run is checked by them."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive and finite")
     return min(epsilon / (1.0 + epsilon), epsilon / 4.0)

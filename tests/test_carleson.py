@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
 from series_oracles import edge_bump
+from theorem_oracles import curvature_density
 
 from hardyshift import (
     ConstructionConfig,
@@ -26,7 +27,7 @@ from hardyshift import (
 from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, _runs,
                                  block_supremum, carleson_norm, dyadic_t_grid, gradient_sq_mass,
                                  tail_ratio, term_decay)
-from hardyshift.construction import MAX_POWER, curvature_density
+from hardyshift.construction import MAX_POWER
 from hardyshift.grids import _root_scan_grid, sign_roots
 from hardyshift.search import Terms, spike_ratio_term
 from hardyshift.series import RadialSeries

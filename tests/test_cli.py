@@ -144,11 +144,9 @@ def test_verify_passes_on_constructed_config(constructed, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is True
     assert report["seed"] == 0
-    # Carleson rows are total masses; the curvature mass carries its
-    # quadrature error estimate and no depth scan is reported
+    # Carleson rows are total masses, and no depth scan is reported
     curvature = report["reports"]["curvature_match"]
     assert set(curvature) == {"passed", "meta", "conditions"}
-    assert 0.0 < curvature["meta"]["curvature_carleson_error"] < 1e-9
     manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
     assert manifest["config_path"] == str(constructed / "config.json")
 
@@ -501,16 +499,25 @@ def test_exit_code_for_a_measurement_that_is_not_finite(constructed, tmp_path, m
     assert "numerical infeasibility" in err and "laplacian_carleson" in err
 
 
-def test_exit_code_for_unconverged_quadrature(constructed, tmp_path, monkeypatch):
-    # one subinterval cannot resolve the curvature density: the curvature
-    # Carleson row must not pass on an integral the rule did not converge on
+def test_exit_code_for_a_theorem_row_that_is_not_finite(constructed, tmp_path, monkeypatch,
+                                                        capsys):
+    # the theorem rows are formed in Fraction from the ratio rows; a NaN
+    # ratio mass must give a NaN curvature row (exit 4), not a Fraction
+    # ValueError (exit 3)
     from hardyshift import carleson
 
-    real_rule = carleson.gauss_kronrod
-    monkeypatch.setattr(carleson, "gauss_kronrod",
-                        lambda *a, **kw: real_rule(*a, **{**kw, "limit": 1}))
+    measured = carleson.term_decay
+
+    def nan_mass(g):
+        rows = measured(g)
+        rows[3] = (None, math.nan)
+        return rows
+
+    monkeypatch.setattr(carleson, "term_decay", nan_mass)
     assert cli.main(["verify", str(constructed / "config.json"), "--epsilon", "2",
                      "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical infeasibility" in err and "curvature_carleson" in err
 
 
 def test_exit_code_for_a_table_too_large_for_memory(constructed, tmp_path, monkeypatch, capsys):
@@ -711,6 +718,8 @@ def test_benchmark_tracer_wraps_verify(constructed, tmp_path):
     assert trace["spans"]["cli.main"]["calls"] == 1
     assert trace["spans"]["construction.verify_f_conditions"]["calls"] == 1
     assert trace["spans"]["construction.measure_spike_conditions"]["calls"] == 1
-    # the flatness sups come from the boundary blocks; the grid serves only
-    # ratio_band and curvature_sup
-    assert trace["spans"]["grids.refined_supremum"]["calls"] == 2
+    assert trace["spans"]["construction.verify_theorem_conditions"]["calls"] == 1
+    # the flatness sups come from the boundary blocks, and the theorem rows
+    # from the flatness rows: nothing is sampled in r or integrated by quadrature
+    for span in ("grids.refined_supremum", "carleson.quad_window", "series.eval"):
+        assert trace["spans"].get(span, {"calls": 0})["calls"] == 0, span

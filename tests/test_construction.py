@@ -10,11 +10,12 @@ import fraction_oracles
 import mpmath
 import numpy as np
 import pytest
-from conftest import K16_STARTS, K24_STARTS
+from conftest import K16_STARTS, K24_STARTS, spiked_layouts
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from series_oracles import edge_bump
+from theorem_oracles import sampled_theorem_rows
 
 from hardyshift import (
     ConstructionConfig,
@@ -36,12 +37,7 @@ from hardyshift import (
 from hardyshift import cli, construction, grids, search
 from hardyshift.carleson import TWO_PI, gradient_sq_mass, term_decay
 from hardyshift.search import Terms
-from hardyshift.construction import (
-    MAX_POWER,
-    Decay,
-    curvature_density,
-    measure_spike_conditions,
-)
+from hardyshift.construction import MAX_POWER, Decay, measure_spike_conditions
 from hardyshift.series import RadialSeries
 from hardyshift.spectral import deficit_coefficients, spike_kernel_term, spike_ratio_term
 from hardyshift.weights import SpikeSpec
@@ -136,7 +132,6 @@ def test_verify_f_runs_no_grid_supremum(monkeypatch):
         raise AssertionError("refined_supremum called")
 
     monkeypatch.setattr(grids, "refined_supremum", refuse)
-    monkeypatch.setattr(construction, "refined_supremum", refuse)
     config = ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=8,
                                 spike_starts=(3, 32, 117, 343, 906, 2248, 5368, 12479))
     report = verify_f_conditions(config)
@@ -768,8 +763,8 @@ def test_theorem_conditions_at_matched_epsilon(standard_config):
 
 
 def test_theorem_conditions_expand_no_series_product(monkeypatch):
-    # the curvature cuts come from the factored numerator of Delta log f,
-    # and every gradient mass from G'
+    # every gradient mass comes from G', and the theorem rows from the
+    # ratio rows
     def refuse(self, other):
         raise AssertionError("RadialSeries.multiply called")
 
@@ -793,9 +788,9 @@ def test_trivial_config_passes_everything():
     assert verify_f_conditions(config).passed
     report = verify_theorem_conditions(config, epsilon=0.01)
     assert report.passed
-    by_name = {c.condition: c for c in report.conditions}
-    assert by_name["ratio_band"].measured == 1.0
-    assert by_name["curvature_sup"].measured == 0.0
+    # f = 1: the corollary rows are exact
+    assert [(c.measured, c.argmax_r) for c in report.conditions] == [(1.0, None), (0.0, None),
+                                                                      (0.0, None)]
 
 
 def test_verification_report_serialization(standard_config):
@@ -815,6 +810,47 @@ def test_verification_report_serialization(standard_config):
     assert set(data) == {"passed", "meta", "conditions"}
 
 
+def assert_theorem_rows_bound_the_sample(config, epsilon) -> None:
+    """Each row of verify_theorem_conditions is the least float at or above
+    its corollary of the ratio rows (d, L, g, LC, GC), and at least the
+    sampled row of theorem_oracles: ratio_band within 4 ulp(1.0), because the
+    sample reads f near 1 to an ulp of 1.0, and curvature_carleson within the
+    quadrature's own error estimate."""
+    rows = {c.condition: c for c in verify_theorem_conditions(config, epsilon).conditions}
+    d, lap, grad, lap_mass, grad_mass = map(Fraction, (c.measured for c in
+                                                       verify_f_conditions(config).conditions[:5]))
+    inv = 1 / (1 - d)
+    exact = {"ratio_band": inv, "curvature_sup": lap * inv + grad * grad * inv * inv,
+             "curvature_carleson": lap_mass * inv + grad_mass * inv * inv}
+    for name, q in exact.items():
+        assert math.nextafter(rows[name].measured, -math.inf) < q <= rows[name].measured, name
+    sample = sampled_theorem_rows(config.kernel_ratio, config.weights().spikes)
+    assert rows["ratio_band"].measured >= sample.ratio_band - 4 * math.ulp(1.0)
+    assert rows["curvature_sup"].measured >= sample.curvature_sup
+    assert rows["curvature_carleson"].measured >= sample.curvature_carleson - sample.carleson_error
+    assert all(c.argmax_r is None for c in rows.values())
+
+
+@pytest.mark.parametrize("delta, starts, epsilon", [
+    (0.5, (3, 32, 117, 343, 906, 2248, 5368, 12479), 2.0),
+    (1e-3, (2549, 16580, 59309, 172510), 0.004),
+    (1e-6, SMALL_DELTA_K8, 4e-6),
+    (0.5, K16_STARTS, 2.0),
+])
+def test_theorem_rows_bound_the_sampled_rows(delta, starts, epsilon):
+    config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
+    assert_theorem_rows_bound_the_sample(config, epsilon)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(w=spiked_layouts())
+def test_theorem_rows_bound_the_sampled_rows_on_random_layouts(w):
+    starts = tuple(sp.start for sp in w.spikes)
+    config = ConstructionConfig(alpha=w.alpha, delta=0.5, n_spikes=len(starts),
+                                spike_starts=starts)
+    assert_theorem_rows_bound_the_sample(config, 2.0)
+
+
 def test_theorem_conditions_reject_bad_epsilon(standard_config):
     with pytest.raises(ValueError):
         verify_theorem_conditions(standard_config, epsilon=0.0)
@@ -827,24 +863,19 @@ def test_theorem_conditions_reject_bad_epsilon(standard_config):
 def test_carleson_rows_are_total_masses(delta, starts, epsilon):
     # a radial density's Carleson constant is its total mass: each row reads
     # its total mass (term_decay's Laplacian mass of f - 1 and of the spike
-    # terms, gradient_sq_mass, radial_carleson_norm of the curvature density), and
-    # no depth scan is reported
+    # terms, gradient_sq_mass), and no depth scan is reported; the curvature
+    # mass is their corollary (assert_theorem_rows_bound_the_sample)
     config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
     reports = (verify_f_conditions(config), verify_theorem_conditions(config, epsilon))
     rows = {c.condition: c.measured for rep in reports for c in rep.conditions}
     w, f = config.weights(), config.kernel_ratio
     deviation = f.add(RadialSeries.from_terms([(0, -1.0)]))
     masses = {"laplacian_carleson": term_decay(deviation)[3][1],
-              "gradient_carleson": gradient_sq_mass(deviation),
-              "curvature_carleson": radial_carleson_norm(curvature_density(f, w.spikes))}
+              "gradient_carleson": gradient_sq_mass(deviation)}
     for sp in w.spikes:
         g = spike_ratio_term(config.alpha, sp)
         masses[f"spike{sp.half_width}_laplacian_carleson"] = term_decay(g)[3][1]
         masses[f"spike{sp.half_width}_gradient_sq_carleson"] = gradient_sq_mass(g)
     assert {name: rows[name].hex() for name in masses} == {n: m.hex() for n, m in masses.items()}
     assert all("scans" not in rep.to_dict() for rep in reports)
-    # 2 pi times the quadrature's estimate, within the rule's own stopping
-    # tolerance max(1e-13, 1e-10 |integral|)
-    error = reports[1].meta["curvature_carleson_error"]
-    assert math.isfinite(error)
-    assert error <= max(TWO_PI * 1e-13, 1e-10 * rows["curvature_carleson"])
+    assert "curvature_carleson_error" not in reports[1].meta

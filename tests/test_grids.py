@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 from series_oracles import edge_bump
+from theorem_oracles import curvature_density
 
-from hardyshift.construction import curvature_density, lemma_bounds
+from hardyshift.construction import lemma_bounds
 from hardyshift.grids import (
     _G10_WEIGHTS,
     _GK21_NODES,
