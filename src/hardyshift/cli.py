@@ -313,8 +313,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="measure flatness conditions for a config")
     p.add_argument("config", help="path to config JSON")
     p.add_argument("--epsilon", type=float, default=None,
-                   help="also check the curvature match at this level: the ratio band and "
-                        "the curvature rows, bounded by the flatness rows of f - 1")
+                   help="also bound the ratio band and curvature rows at this level")
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in report.json and the manifest; affects no check")
     p.add_argument("--out", default=".")

@@ -131,12 +131,6 @@ def verify_f_conditions(config: ConstructionConfig) -> VerificationReport:
     return VerificationReport(conditions=tuple(rows), meta=meta)
 
 
-def _round_up(q: Fraction) -> float:
-    """The least float >= q; inf past the largest float."""
-    x = float(min(q, sys.float_info.max))
-    return math.nextafter(x, math.inf) if x < q else x
-
-
 def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> VerificationReport:
     """Certify flatness level epsilon for the constructed weights.
 
@@ -157,7 +151,9 @@ def verify_theorem_conditions(config: ConstructionConfig, epsilon: float) -> Ver
         if not (all(map(math.isfinite, (d, first, second))) and d < 1.0):
             return math.nan
         inv = 1 / (1 - Fraction(d))
-        return _round_up(Fraction(first) * inv + Fraction(second) ** power * inv * inv)
+        q = Fraction(first) * inv + Fraction(second) ** power * inv * inv
+        x = float(min(q, sys.float_info.max))  # the next float up is inf past the largest
+        return math.nextafter(x, math.inf) if x < q else x
 
     rows = [
         _row("ratio_band", 1.0 + epsilon, bound(1.0, 0.0, 1)),

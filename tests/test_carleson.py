@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
 from series_oracles import edge_bump
-from theorem_oracles import curvature_density
+from theorem_oracles import curvature_density, peak_hints
 
 from hardyshift import (
     ConstructionConfig,
@@ -387,7 +387,7 @@ def assert_cuts_match_expanded_numerator(w, f, ulps: int) -> None:
     minus_dp = RadialSeries(dp.exponents, -dp.coeffs)
     numerator = f.multiply(f.laplacian()).add(dp.multiply(minus_dp).shift(1))
     ref = np.array(SeriesGapDensity(numerator, 0).sign_roots)
-    hints = {math.sqrt(m / (m + 1.0)) for sp in w.spikes for m in sp.interior}
+    hints = set(peak_hints(w.spikes))
     cuts = np.array([b for b in curvature_density(f, w.spikes).breakpoints if b not in hints])
     assert len(cuts) == len(ref)
     assert np.all(np.abs(cuts - ref) <= ulps * np.spacing(ref)), (cuts, ref)

@@ -26,7 +26,6 @@ from hardyshift import (
     bump_peak,
     delta_for_epsilon,
     lemma_bounds,
-    radial_carleson_norm,
     select_spike_positions,
     spike_budget,
     spike_correction_thresholds,
@@ -35,7 +34,7 @@ from hardyshift import (
     verify_theorem_conditions,
 )
 from hardyshift import cli, construction, grids, search
-from hardyshift.carleson import TWO_PI, gradient_sq_mass, term_decay
+from hardyshift.carleson import gradient_sq_mass, term_decay
 from hardyshift.search import Terms
 from hardyshift.construction import MAX_POWER, Decay, measure_spike_conditions
 from hardyshift.series import RadialSeries
