@@ -27,9 +27,10 @@ Six parts, each run on both checkouts with this same script:
   on the frozen K = 4, delta 1e-3 config, the two `verify` runs of the
   `certify` workload, of
   `verify_f_conditions` on the K = 8, delta 1e-6 config, whose powers
-  reach 6.2e9, and of `verify_f_conditions` and `verify_theorem_conditions`
+  reach 6.2e9, of `verify_f_conditions` and `verify_theorem_conditions`
   (eps 2) on the K = 16 and K = 24 starts `construct --alpha 1 --delta 0.5`
-  selects, each `verify_theorem_conditions` after an untimed
+  selects, and of `verify_f_conditions` on its K = 32 starts,
+  each `verify_theorem_conditions` after an untimed
   `verify_f_conditions` on the same config, as `verify --epsilon` runs
   them; jobs are named `<kind>_<config>`; each in a fresh
   interpreter with the checkout's `src` first on the path, the two
@@ -38,19 +39,19 @@ Six parts, each run on both checkouts with this same script:
   per call (after one untimed call): `RadialSeries.eval` of the kernel
   ratio at 1 point and at 1000 points, `ratio_log_laplacian` at 1 point,
   `gradient_sq_mass` of f - 1 (the `gradient_carleson` row of `verify_f`),
-  `radial_carleson_norm` of `SeriesGapDensity` on the float Laplacian
-  series of f - 1 (a fresh density per call, so sign roots included; the
-  `laplacian_carleson` row itself reads `term_decay` of f - 1), and
+  `term_decay` of f - 1 (all five ratio rows of `verify_f`), and
   `kernel_ratio_series` (building f and checking it against the weights)
   on the frozen K = 8 and K = 4, delta 1e-3 configs; same fresh
   interpreters and alternation;
 * cold-start wall time and CPU time (user + system, from the child's
   rusage) of `python -c "import hardyshift.cli"` and of the
-  `weights`, `orbit`, `curvature`, `construct --K 2`, `lemma` and
-  `verify --epsilon 2` commands on the frozen K = 3 config, of
+  `weights`, `orbit`, `curvature`, `construct --K 2`, `lemma`, `verify`
+  and `verify --epsilon 2` commands on the frozen K = 3 config, of
   `verify --epsilon 0.004` on the frozen K = 4, delta 1e-3 config (the
-  slower `certify` command), and of `construct --K 6` (delta 0.5, the
-  first command of the `search` workload), each a fresh process, the two
+  slower `certify` command), of `construct --K 6` (delta 0.5, the
+  first command of the `search` workload), and of `verify --epsilon 2`
+  on the K = 16 and K = 32 configs that each side's own
+  `construct --alpha 1 --delta 0.5` writes, each a fresh process, the two
   checkouts alternating, COLD_REPS times, printed as median [q1, q3];
   plus, per job and checkout, one
   untimed run under `-X importtime` that records whether the process
@@ -87,16 +88,19 @@ K8_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479)
 # frozen verify configs by name: (delta, spike starts, epsilon); K8_delta1e-6
 # holds the minimal starts `construct --alpha 1 --delta 1e-6 --K 8` selects,
 # powers up to 6.2e9 that no workload reaches; K16 and K24 hold the starts
-# `construct --alpha 1 --delta 0.5 --K 16` and `--K 24` select
+# `construct --alpha 1 --delta 0.5 --K 16`, `--K 24` and `--K 32` select
 K24_STARTS = (*K8_STARTS, 28443, 63853, 141639, 311144, 678018, 1467493, 3157899, 6761622,
               14414887, 30613062, 64792695, 136718533, 287703349, 603939264, 1264943658,
               2644017572)
+K32_STARTS = (*K24_STARTS, 5516295655, 11489112332, 23891266705, 49608617490, 102869403141,
+              213043142602, 440694957842, 910607260958)
 VERIFY_CONFIGS = {"K8": (0.5, K8_STARTS, 2.0),
                   "K4": (1e-3, (2549, 16580, 59309, 172510), 0.004),
                   "K8_delta1e-6": (1e-6, (2551008, 16581563, 59310981, 172512049, 453601462,
                                           1124756247, 2684818434, 6240348396), 4e-6),
                   "K16": (0.5, K24_STARTS[:16], 2.0),
-                  "K24": (0.5, K24_STARTS, 2.0)}
+                  "K24": (0.5, K24_STARTS, 2.0),
+                  "K32": (0.5, K32_STARTS, 2.0)}
 # the starts `construct --alpha 0.6 --delta 0.5 --K 6` selects
 ALPHA06_K6_STARTS = (2, 26, 103, 312, 841, 2116)
 # the starts `construct --alpha 100 --delta 0.5 --K 8` selects
@@ -108,7 +112,7 @@ REPS = 7  # in-process timings per job and side
 PLAN_CALLS = 10  # plan calls per timed loop, each with a cold lemma cache
 # layer timings: calls per timed loop
 LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
-               "gradient_sq_mass": 50, "radial_carleson_norm_laplacian": 50, "kernel_ratio": 20}
+               "gradient_sq_mass": 50, "term_decay": 20, "kernel_ratio": 20}
 # up to MAX_POWER = 2^40 + 2^21 - 1, the largest power the lemma accepts
 LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484",
                 str(2 ** 40 + 2 ** 21 - 1))
@@ -166,15 +170,15 @@ def plan_loop(k: int, delta: float) -> None:
 def layer(kind: str, key: str) -> None:
     """Time LAYER_CALLS[kind] calls of one layer; print {"cpu_s", "wall_s", "us_per_call", "result"}."""
     import numpy as np
-    from hardyshift.carleson import SeriesGapDensity, radial_carleson_norm
+    from hardyshift.carleson import term_decay
     from hardyshift.construction import ConstructionConfig
     from hardyshift.search import Terms, gradient_sq_mass
-    from hardyshift.series import RadialSeries
     from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian
 
     delta, starts, _ = VERIFY_CONFIGS[key]
     config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
     f = kernel_ratio_series(config.weights(), r_max=config.r_max, tol=config.tol)
+    deviation = Terms(f.exponents[1:], f.coeffs[1:])
     if kind == "eval_1pt":
         call = lambda: f.eval(0.998)  # noqa: E731
     elif kind == "eval_1000pt":
@@ -183,14 +187,12 @@ def layer(kind: str, key: str) -> None:
     elif kind == "ratio_log_laplacian_1pt":
         call = lambda: ratio_log_laplacian(f, 0.999)  # noqa: E731
     elif kind == "gradient_sq_mass":
-        deviation = Terms(f.exponents[1:], f.coeffs[1:])
         call = lambda: gradient_sq_mass(deviation)  # noqa: E731
     elif kind == "kernel_ratio":
         w = config.weights()
         call = lambda: len(kernel_ratio_series(w, r_max=config.r_max, tol=config.tol))  # noqa: E731
     else:
-        lap = f.add(RadialSeries.from_terms([(0, -1.0)])).laplacian()
-        call = lambda: radial_carleson_norm(SeriesGapDensity(lap, 1))  # noqa: E731
+        call = lambda: [value for _, value in term_decay(deviation)]  # noqa: E731
     result = call()
     n = LAYER_CALLS[kind]
     c0, t0 = time.process_time(), time.perf_counter()
@@ -215,14 +217,22 @@ def config_file(path: Path, delta: float, starts: Sequence[int], alpha: float = 
     return path
 
 
-def cold_commands(work: Path) -> dict[str, list[str]]:
-    """Interpreter arguments of each cold-start job, on the frozen K = 3 config
-    (and, for `verify_eps0.004_K4`, the frozen K = 4, delta 1e-3 config)."""
+def cold_commands(work: Path, side: str, checkout: Path) -> dict[str, list[str]]:
+    """Interpreter arguments of each cold-start job on one side, on the frozen
+    K = 3 config (for `verify_eps0.004_K4`, the frozen K = 4, delta 1e-3
+    config, and for `verify_eps2_K16` and `verify_eps2_K32`, the configs the
+    side's own `construct` writes under work / side)."""
     config = config_file(work / "k3.json", 0.5, K8_STARTS[:3])
     delta, starts, epsilon = VERIFY_CONFIGS["K4"]
     small_delta = config_file(work / "k4_small_delta.json", delta, starts)
     cli = ["-m", "hardyshift.cli"]
     out = ["--out", str(work / "out")]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    constructed = {k: work / side / f"k{k}" for k in (16, 32)}
+    for k, path in constructed.items():
+        subprocess.run([sys.executable, *cli, "construct", "--alpha", "1", "--delta", "0.5",
+                        "--K", str(k), "--out", str(path)], env=env,
+                       capture_output=True, check=True)
     return {"import": ["-c", "import hardyshift.cli"],
             "weights": [*cli, "weights", str(config), *out],
             "orbit": [*cli, "orbit", str(config), "130", *out],
@@ -232,9 +242,12 @@ def cold_commands(work: Path) -> dict[str, list[str]]:
             "construct_K6": [*cli, "construct", "--alpha", "1", "--delta", "0.5",
                              "--K", "6", *out],
             "lemma": [*cli, "lemma", *LEMMA_POWERS, *out],
+            "verify": [*cli, "verify", str(config), *out],
             "verify_eps2": [*cli, "verify", str(config), "--epsilon", "2", *out],
             "verify_eps0.004_K4": [*cli, "verify", str(small_delta), "--epsilon",
-                                   str(epsilon), *out]}
+                                   str(epsilon), *out],
+            **{f"verify_eps2_K{k}": [*cli, "verify", str(path / "config.json"), "--epsilon",
+                                     "2", *out] for k, path in constructed.items()}}
 
 
 def identity_commands(change: Path, work: Path) -> dict[str, list[str]]:
@@ -440,7 +453,7 @@ def main(argv=None) -> int:
     jobs = ([("plan", key) for key in PLAN_KEYS]
             + [("verify_f", "K8"), ("verify_theorem", "K8"), ("verify_theorem", "K4"),
                ("verify_f", "K8_delta1e-6"), ("verify_f", "K16"), ("verify_f", "K24"),
-               ("verify_theorem", "K16"), ("verify_theorem", "K24")]
+               ("verify_theorem", "K16"), ("verify_theorem", "K24"), ("verify_f", "K32")]
             + [(kind, "K8") for kind in LAYER_CALLS] + [("kernel_ratio", "K4")])
     for rep in range(REPS):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
@@ -465,15 +478,16 @@ def main(argv=None) -> int:
     cold = {side: {} for side in sides}
     cold_cpu = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
-        commands = cold_commands(Path(tmp))
-        numpy_loaded = {side: {name: imports_numpy(path, cmd) for name, cmd in commands.items()}
+        commands = {side: cold_commands(Path(tmp), side, path) for side, path in sides.items()}
+        numpy_loaded = {side: {name: imports_numpy(path, cmd)
+                               for name, cmd in commands[side].items()}
                         for side, path in sides.items()}
         print(f"imports numpy: {numpy_loaded}", flush=True)
         for rep in range(COLD_REPS):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
-            for name, cmd in commands.items():
+            for name in commands["change"]:
                 for side in order:
-                    wall, cpu = run_cold(sides[side], cmd)
+                    wall, cpu = run_cold(sides[side], commands[side][name])
                     cold[side].setdefault(name, []).append(wall)
                     cold_cpu[side].setdefault(name, []).append(cpu)
     for side in sides:

@@ -12,8 +12,9 @@ import importlib
 
 # where each top-level name lives; a name is imported from its submodule on
 # first access (PEP 562), so `import hardyshift` loads no submodule, and
-# names from hardyshift.search, hardyshift.weights and hardyshift.operators
-# load no numpy (the operators' vector functions import it when called)
+# names from hardyshift.search, hardyshift.weights, hardyshift.operators,
+# hardyshift.carleson and hardyshift.construction load no numpy (the
+# operators' vector functions and the carleson densities import it when called)
 _SUBMODULES = {
     "search": (
         "ConstructionConfig", "DecompositionMismatchError", "InfeasibleConstructionError",

@@ -10,11 +10,12 @@ Every window here takes the full circle, arc = 2 pi.
 A Carleson box over an arc of length a has depth t = a / (2 pi) and mass
 a * integral_{1-t}^1 rho r dr <= a * integral_0^1 rho r dr, with equality
 on the full circle.  So the Carleson constant of a radial density, box
-mass over a / (2 pi), is its total mass 2 pi * integral_0^1 rho r dr
-(radial_carleson_norm), which every verifier row reads.  carleson_norm
-scans the full-circle quotient (2 pi / t) * integral_{1-t}^1 rho r dr over
-dyadic depths: no box quotient, and a diagnostic the verifier does not
-call.
+mass over a / (2 pi), is its total mass 2 pi * integral_0^1 rho r dr.
+The verifier's mass rows are such total masses, which term_decay reads
+from the boundary blocks below.  radial_carleson_norm takes the same
+total mass of a RadialDensity, and carleson_norm scans the full-circle
+quotient (2 pi / t) * integral_{1-t}^1 rho r dr over dyadic depths (no
+box quotient); both are diagnostics that the verifier does not call.
 
 The polynomial densities |G(r^2)| (1-r)^p are integrated exactly in the
 float coefficients of G, in the boundary variable u = 1 - r.  Each run of
@@ -34,30 +35,38 @@ Laplacian mass, and by grids.sign_roots for SeriesGapDensity.  The same
 blocks give the verifier's suprema (block_supremum): the largest value at
 the ends and at the sign changes of the blocks' exact u-derivatives, found
 by the same scan.  term_decay returns all five decay quantities of a term.
-Densities without a series go through the package's adaptive Gauss-Kronrod
-rule (grids.gauss_kronrod), so nothing here needs scipy.
+
+term_decay and everything it calls run on the standard library, in
+Python floats and math, so `verify` loads neither numpy nor scipy.
+Only the densities and the depth scan import numpy and grids, when they
+are used: densities without a series go through the package's adaptive
+Gauss-Kronrod rule (grids.gauss_kronrod), and SeriesGapDensity finds its
+sign roots with grids.sign_roots.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-import numpy as np
-
-from .grids import (_TINY, QuadratureError, brentq, gauss_kronrod, sign_change_brackets,
-                    sign_roots)
 from .search import (  # noqa: F401  (gradient_sq_mass: re-exported)
     TWO_PI,
     _integer_coefficients,
     _sum_in_order,
+    brentq,
     gradient_sq_mass,
 )
-from .series import RadialSeries
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .series import RadialSeries
 
 _SERIES_BITS = 63  # tail_ratio's series drops terms below 2^-63 of the first
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 class _Block(NamedTuple):
@@ -122,19 +131,20 @@ def _slope(m: int, s: list[int], p: int) -> tuple[int, list[int]]:
     return m - 1, t
 
 
-def _block_density(blocks: Sequence[_Block], u):
+def _block_density(blocks: Sequence[_Block], u: float) -> float:
     """sum over blocks of (1-u)^m S(u), the density without its u^p factor; a block
-    whose (1-u)^m underflows adds exactly 0, and one with m = 0 S(u), also at u = 1."""
+    whose (1-u)^m underflows adds exactly 0 and is skipped, and one with m = 0
+    adds S(u), also at u = 1, where (1-u)^m is 0 for every m > 0."""
+    log_rest = math.log1p(-u) if u < 1.0 else -math.inf
     total = 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for b in blocks:
-            y, poly = (b.m + 1) * u, 0.0
-            for c in reversed(b.scaled):
-                poly = poly * y + c
-            if b.m:
-                weight = np.exp(b.m * np.log1p(-u))
-                poly = np.where(weight > 0.0, weight * poly, 0.0)
-            total = total + poly
+    for b in blocks:
+        weight = math.exp(b.m * log_rest) if b.m else 1.0
+        if weight == 0.0:
+            continue
+        y, poly = (b.m + 1) * u, 0.0
+        for c in reversed(b.scaled):
+            poly = poly * y + c
+        total += weight * poly
     return total
 
 
@@ -144,17 +154,24 @@ def _block_roots(blocks: Sequence[_Block]) -> list[float]:
     One geometric scan of 16 points per octave, from 2^-30 / (m+1) of the
     block with the largest m up to 1, brackets them, and brentq polishes
     each to rounding in u; two roots within 4 % of each other would be
-    missed.  A value below the smallest normal float counts as zero, as in
-    grids.sign_roots.
+    missed.  The scan's points are those of numpy's geomspace, formed the
+    same way in floats: 10 ** y for y evenly spaced from log10 of the start
+    to 0, with both ends pinned.  A value below the smallest normal float
+    counts as zero, as in grids.sign_roots, and a bracket needs two nonzero
+    ends of opposite sign.
     """
     if not blocks:
         return []
     top = max(b.m for b in blocks) + 1
-    grid = np.geomspace(2.0 ** -30 / top, 1.0, 16 * (30 + top.bit_length()))
-    values = _block_density(blocks, grid)
-    values = np.where(np.abs(values) < _TINY, 0.0, values)
+    start, count = 2.0 ** -30 / top, 16 * (30 + top.bit_length())
+    log_start = math.log10(start)
+    step = -log_start / (count - 1)
+    grid = [start, *(10.0 ** (i * step + log_start) for i in range(1, count - 1)), 1.0]
+    values = [_block_density(blocks, u) for u in grid]
+    values = [0.0 if abs(v) < _TINY else v for v in values]
     return [brentq(lambda u: _block_density(blocks, u), lo, hi, xtol=0.0)
-            for lo, hi in sign_change_brackets(values, grid)]
+            for lo, hi, a, b in zip(grid, grid[1:], values, values[1:])
+            if (a < 0.0) != (b < 0.0) and abs(a) > 0.0 and abs(b) > 0.0]
 
 
 def block_supremum(runs: list[tuple[int, list[int]]], scale: int, p: int,
@@ -181,29 +198,16 @@ def _block_mass(blocks: Sequence[_Block], points: Sequence[float], p: int) -> fl
     u_i and u_{i+1}|.
 
     The signed mass of a block on [0, u] is sum_j M_j tail_ratio(m, j+p, u),
-    M its masses(p), one row per point and block.  One tail_ratio call per
-    power j takes the rows that have a nonzero term j; the others are left
-    out, not multiplied by zero, so a row's value depends on its own block
-    and point alone.  Each block's masses between neighbouring points are
-    added over the blocks, in order.
+    M its masses(p), added over the powers j in order; a zero M_j is left
+    out, not multiplied by a share.  Each block's mass between neighbouring
+    points is one difference, and those are added over the blocks, in order.
     """
     full = [(b.m, b.masses(p)) for b in blocks]  # once per block, not per point
-    rows = [(*b, u) for u in points for b in full]
-    width = max((len(masses) for _, masses, _ in rows), default=0)
-    coeffs = np.zeros((len(rows), width))
-    for i, (_, masses, _) in enumerate(rows):
-        coeffs[i, :len(masses)] = masses
-    m = np.array([mi for mi, _, _ in rows], dtype=np.float64)
-    u = np.array([x for _, _, x in rows], dtype=np.float64)
-    cumulative = np.zeros(len(rows))
-    for j in range(width):
-        live = coeffs[:, j] != 0.0
-        cumulative[live] += coeffs[live, j] * tail_ratio(m[live], j + p, u[live])
-    pieces = np.diff(cumulative.reshape(len(points), len(blocks)), axis=0)
-    signed = np.zeros(len(pieces))
-    for column in pieces.T:
-        signed += column
-    return _sum_in_order(np.abs(signed).tolist())
+    cumulative = [[_sum_in_order(mj * tail_ratio(m, j + p, u)
+                                 for j, mj in enumerate(masses) if mj != 0.0)
+                   for m, masses in full] for u in points]
+    return _sum_in_order(abs(_sum_in_order(hi - lo for lo, hi in zip(below, above)))
+                         for below, above in zip(cumulative, cumulative[1:]))
 
 
 def term_decay(g) -> list[tuple[float | None, float]]:
@@ -232,15 +236,15 @@ def term_decay(g) -> list[tuple[float | None, float]]:
             (None, gradient_sq_mass(g))]
 
 
-def _rising_sum(m: np.ndarray, p: int, y: np.ndarray) -> np.ndarray:
+def _rising_sum(m: float, p: int, y: float) -> float:
     """sum_{j=1}^{p} C(m+j, j) y^j by Horner's rule; every term is positive."""
-    acc = np.zeros(np.broadcast(m, y).shape)
+    acc = 0.0
     for j in range(p, 0, -1):
         acc = (m + j) / j * y * (1.0 + acc)
     return acc
 
 
-def tail_ratio(m, p: int, t) -> np.ndarray:
+def tail_ratio(m: int, p: int, t: float) -> float:
     """Share of integral_0^1 r^m (1-r)^p dr that lies on [1-t, 1].
 
     The regularized incomplete beta I_t(p+1, m+1) for integer m, p >= 0.
@@ -250,54 +254,42 @@ def tail_ratio(m, p: int, t) -> np.ndarray:
     * (m+1) t >= 1/2: -expm1((m+1) log1p(-t) + log1p(sum_{j>=1} ...));
     * below: the integral_0^t u^p (1-u)^m du expanded in powers of u,
       sum_k (-1)^k C(m, k) t^{p+k+1} / (p+k+1), divided by the edge
-      integral.  Its term ratio is at most (m+1) t < 1/2, and the batch
-      takes as many terms as its worst row needs to reach 2^-63 of the
-      first, at most 63.  Every partial sum exceeds half the first term,
-      so the terms past a row's own need are below a quarter ulp and
-      leave its bits unchanged: summed in order (cumsum; np.sum adds a
-      single row pairwise), a row's bits do not depend on the batch.
+      integral.  Its term ratio is at most (m+1) t < 1/2, and it takes the
+      terms down to 2^-63 of the first, at most 63, summed in order.
       Where t^{p+1} / B(p+1, m+1) is not finite or t^{p+1} is not normal,
       that front factor is formed factor by factor (within 2e-15 of mpmath).
 
     The ends are exact, 0 at t = 0 and 1 at t = 1, where the sum overflows
     once C(m+p, p) does.  Inside, a rising sum that overflows gives exactly 1:
     its complement is then at most 2^-15616 (an mpmath scan over p <= 130
-    and m up to 2^41 + 1).  m and t broadcast against each other.
+    and m up to 2^41 + 1).  Nothing here raises: the log1p of a finite
+    rising sum is at most log of the largest float, where expm1 starts to
+    overflow, and (m+1) log1p(-t) <= -(m+1) t, about -1/2 or less, keeps
+    the argument of expm1 below it.
     """
-    m = np.asarray(m, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if m.shape != t.shape:
-        zeros = np.zeros(np.broadcast(m, t).shape)
-        m, t = m + zeros, t + zeros
-    out = np.full(m.shape, np.nan)
-    out[t <= 0.0] = 0.0
-    out[t >= 1.0] = 1.0
-    inner = (t > 0.0) & (t < 1.0)
-    small = inner & ((m + 1.0) * t < 0.5)
-    big = inner & ~small
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if big.any():
-            mb, tb = m[big], t[big]
-            rising = _rising_sum(mb, p, tb)
-            out[big] = np.where(np.isinf(rising), 1.0,
-                                -np.expm1((mb + 1.0) * np.log1p(-tb) + np.log1p(rising)))
-        if small.any():
-            ms, ts = m[small], t[small]
-            count = max(1, math.ceil(_SERIES_BITS / -np.log2(np.max((ms + 1.0) * ts))))
-            # one column per row of the batch, one row per term
-            k = np.arange(1.0, count)[:, None]
-            terms = np.empty((count, len(ms)))
-            terms[0] = 1.0
-            np.cumprod((k - 1.0 - ms) * (ts / k), axis=0, out=terms[1:])
-            terms /= p + 1.0 + np.arange(float(count))[:, None]
-            # 1 / B(p+1, m+1) = (m+p+1) C(m+p, p), times t^{p+1}; and the same
-            # product factor by factor, (m+p+1) t and each (m+i) t / i below 1
-            scale, power, front = ms + (p + 1.0), np.power(ts, p + 1.0), (ms + (p + 1.0)) * ts
-            for i in range(1, p + 1):
-                scale, front = scale * (ms + i) / i, front * ((ms + i) * ts / i)
-            front = np.where(np.isfinite(scale * power) & (power >= _TINY), scale * power, front)
-            out[small] = front * np.cumsum(terms, axis=0)[-1]
-    return out
+    if t <= 0.0:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    m = float(m)
+    if not (m + 1.0) * t < 0.5:  # NaN t included
+        rising = _rising_sum(m, p, t)
+        if rising == math.inf:
+            return 1.0
+        return -math.expm1((m + 1.0) * math.log1p(-t) + math.log1p(rising))
+    count = max(1, math.ceil(_SERIES_BITS / -math.log2((m + 1.0) * t)))
+    series, factor = 1.0 / (p + 1.0), 1.0
+    for k in range(1, count):
+        factor *= (k - 1.0 - m) * (t / k)
+        series += factor / (p + 1.0 + k)
+    # 1 / B(p+1, m+1) = (m+p+1) C(m+p, p), times t^{p+1}; and the same
+    # product factor by factor, (m+p+1) t and each (m+i) t / i below 1
+    scale, power, front = m + (p + 1.0), t ** (p + 1.0), (m + (p + 1.0)) * t
+    for i in range(1, p + 1):
+        scale, front = scale * (m + i) / i, front * ((m + i) * t / i)
+    if math.isfinite(scale * power) and power >= _TINY:
+        front = scale * power
+    return front * series
 
 
 # ---------------------------------------------------------------------- #
@@ -318,6 +310,8 @@ class RadialDensity:
         self.label = label
 
     def rho(self, r):
+        import numpy as np
+
         return self._rho(np.asarray(r, dtype=np.float64))
 
     def window_integral(self, a: float, b: float, errors: list[float] | None = None) -> float:
@@ -327,6 +321,8 @@ class RadialDensity:
         (a, b).  When `errors` is given, the error estimate is appended to
         it.  Raises QuadratureError when the rule does not converge.
         """
+        from .grids import QuadratureError, gauss_kronrod
+
         if not 0.0 <= a <= b <= 1.0:
             raise ValueError("window bounds must satisfy 0 <= a <= b <= 1")
         if a == b:
@@ -360,6 +356,8 @@ class SeriesGapDensity(RadialDensity):
         self.gap_power = int(gap_power)
 
         def rho(r):
+            import numpy as np
+
             r = np.asarray(r, dtype=np.float64)
             return np.abs(series.eval(r * r)) * (1.0 - r) ** self.gap_power
 
@@ -368,6 +366,8 @@ class SeriesGapDensity(RadialDensity):
     @cached_property
     def sign_roots(self) -> tuple[float, ...]:
         """Radii in (0, 1) where G(r^2) changes sign."""
+        from .grids import sign_roots
+
         return sign_roots(self.series.eval, self.series.exponents)
 
     @cached_property
@@ -388,6 +388,8 @@ class SeriesGapDensity(RadialDensity):
 
 def dyadic_t_grid() -> np.ndarray:
     """The depths carleson_norm scans: 1, 1/2, ..., 2^-40."""
+    import numpy as np
+
     return 2.0 ** -np.arange(0, 41, dtype=np.float64)
 
 
@@ -410,6 +412,8 @@ def carleson_norm(density: RadialDensity) -> CarlesonScan:
     plateau rather than following the total mass down.  at_unit_depth
     equals radial_carleson_norm bit for bit.
     """
+    import numpy as np
+
     depths = dyadic_t_grid().tolist()
     quots = [TWO_PI * density.window_integral(1.0 - t, 1.0) / t for t in depths]
     i = int(np.argmax(quots))

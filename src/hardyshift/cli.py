@@ -8,10 +8,11 @@ orbit and weights dump sample tables.  All file output is deterministic
 byte for byte at fixed inputs (floats use 17 significant digits); each
 run also writes a manifest listing the produced files with digests,
 whose elapsed-time field is the only thing allowed to differ between
-identical runs.  construct and lemma run on hardyshift.search alone, and
-orbit and weights on hardyshift.weights and hardyshift.operators, all on
-the standard library: numpy and the verifier are imported inside the
-subcommands that use them (curvature and verify).
+identical runs.  construct and lemma run on hardyshift.search alone,
+orbit and weights on hardyshift.weights and hardyshift.operators, and
+verify on hardyshift.construction and hardyshift.carleson, all on the
+standard library.  Only curvature loads numpy; it and the verifier are
+imported inside the subcommands that use them.
 
 Exit codes: 0 success, 2 a measured condition failed its threshold,
 3 bad input (a table too large for memory included), 4 numerical

@@ -44,8 +44,8 @@ from .search import (  # noqa: F401  (the spike search, re-exported under its ol
     spike_budget,
     spike_correction_thresholds,
     spike_gate,
+    spike_ratio_term,
 )
-from .spectral import spike_ratio_term
 from .weights import SpikeSpec
 
 

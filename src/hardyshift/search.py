@@ -10,12 +10,15 @@ one lemma report per probe, and confirms the start it lands on with the
 full gate over the spike interior; MAX_START is its one cap.  None of it
 needs an array, so this module imports no numpy, and `construct` and
 `lemma` run without loading it.  The spike terms the verifier measures
-are built here from the same deficits, as plain Terms.
+are built here from the same deficits, as plain Terms, and so is the
+kernel ratio f = (1-s) K with its check against the weights
+(kernel_ratio_terms).
 
-The numpy layer (series, grids, carleson, spectral, operators and the
-verifier in construction) imports these names back: construction's
-lemma_bounds, grids' brentq, carleson's gradient_sq_mass and spectral's
-deficit_coefficients and spike terms are the objects defined here.
+The other modules import these names back: construction's lemma_bounds
+and spike terms, carleson's brentq and gradient_sq_mass, and, in the
+numpy layer (series, grids, spectral), grids' brentq and spectral's
+deficit_coefficients, spike terms and kernel ratio are the objects
+defined here.
 """
 
 from __future__ import annotations
@@ -249,6 +252,35 @@ def spike_ratio_term(alpha: float, spike: SpikeSpec) -> Terms:
     g = spike_kernel_term(alpha, spike).coeffs
     return Terms(list(range(spike.start + 1, spike.end + 1)),
                  [g[0], *(b - a for a, b in zip(g, g[1:])), -g[-1]])
+
+
+def kernel_ratio_terms(weights: WeightSequence, r_max: float, tol: float) -> Terms:
+    """Exact polynomial f(s) = (1-s) K(s) = 1 + sum of spike ratio terms.
+
+    f is checked coefficient by coefficient against (1-s) K, whose
+    coefficients are e_0 = 1 and e_n = 1/w_n - 1/w_{n-1}, from the weights
+    the operator uses; they vanish off each spike's span start+1 .. end, its H's.
+    B = sum_n |f_n - e_n| r_max^{2n} bounds |f - (1-s) K| at every
+    r <= r_max, and B > tol raises DecompositionMismatchError, the symptom
+    of a slope mismatch between the correction coefficients and the weights.
+    """
+    if not 0.0 <= r_max < 1.0:
+        raise ValueError("r_max must lie in [0, 1)")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
+    exponents, coeffs, bound = [0], [1.0], 0.0
+    for sp in weights.spikes:
+        h = spike_ratio_term(weights.alpha, sp)
+        inverse = [1.0 / w for w in weights.weight_range(sp.start, sp.end + 1)]
+        for n, fn, a, b in zip(h.exponents, h.coeffs, inverse, inverse[1:]):
+            bound += abs(fn - (b - a)) * r_max ** (2.0 * n)
+        exponents += h.exponents
+        coeffs += h.coeffs
+    if bound > tol:
+        raise DecompositionMismatchError(
+            f"kernel ratio misses (1-s) K by up to {bound} on r <= {r_max} (tol {tol}); "
+            "slope parameter and weights are inconsistent")
+    return Terms(exponents, coeffs)
 
 
 # ---------------------------------------------------------------------- #
@@ -549,19 +581,12 @@ class ConstructionConfig:
         return build_spiked_weights(self.alpha, self.spike_starts)
 
     @cached_property
-    def kernel_ratio(self):
-        """f = (1-s) K(s), a RadialSeries, checked once against the weights
-        (within tol on r <= r_max) and shared by both verifiers."""
-        from .spectral import kernel_ratio_series
-
-        return kernel_ratio_series(self.weights(), r_max=self.r_max, tol=self.tol)
-
-    @cached_property
     def ratio_decay(self) -> tuple:
-        """term_decay of f - 1: (argmax_r, value) in Decay order, for both verifiers."""
+        """term_decay of f - 1, f = (1-s) K(s) checked against the weights (within
+        tol on r <= r_max): (argmax_r, value) in Decay order, for both verifiers."""
         from .carleson import term_decay
 
-        f = self.kernel_ratio
+        f = kernel_ratio_terms(self.weights(), self.r_max, self.tol)
         return tuple(term_decay(Terms(f.exponents[1:], f.coeffs[1:])))
 
     def to_dict(self) -> dict:

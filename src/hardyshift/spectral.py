@@ -31,8 +31,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .search import DecompositionMismatchError, TruncationError
+from .search import DecompositionMismatchError, TruncationError  # noqa: F401  (re-exported)
 from .search import deficit_coefficients, spike_kernel_term, spike_ratio_term  # noqa: F401
+from .search import kernel_ratio_terms
 from .series import RadialSeries, truncation_order
 from .weights import WeightSequence
 
@@ -92,32 +93,10 @@ def kernel_diagonal_series(weights: WeightSequence, r_max: float,
 
 def kernel_ratio_series(weights: WeightSequence, r_max: float = 0.999,
                         tol: float = 1e-9) -> RadialSeries:
-    """Exact polynomial f(s) = (1-s) K(s) = 1 + sum of spike ratio terms.
-
-    f is checked coefficient by coefficient against (1-s) K, whose
-    coefficients are e_0 = 1 and e_n = 1/w_n - 1/w_{n-1}, from the weights
-    the operator uses; they vanish off each spike's span start+1 .. end, its H's.
-    B = sum_n |f_n - e_n| r_max^{2n} bounds |f - (1-s) K| at every
-    r <= r_max, and B > tol raises DecompositionMismatchError, the symptom
-    of a slope mismatch between the correction coefficients and the weights.
-    """
-    if not 0.0 <= r_max < 1.0:
-        raise ValueError("r_max must lie in [0, 1)")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
-    exponents, coeffs, bound = [0], [1.0], 0.0
-    for sp in weights.spikes:
-        h = spike_ratio_term(weights.alpha, sp)
-        inverse = [1.0 / w for w in weights.weight_range(sp.start, sp.end + 1)]
-        for n, fn, a, b in zip(h.exponents, h.coeffs, inverse, inverse[1:]):
-            bound += abs(fn - (b - a)) * r_max ** (2.0 * n)
-        exponents += h.exponents
-        coeffs += h.coeffs
-    if bound > tol:
-        raise DecompositionMismatchError(
-            f"kernel ratio misses (1-s) K by up to {bound} on r <= {r_max} (tol {tol}); "
-            "slope parameter and weights are inconsistent")
-    return RadialSeries(exponents, coeffs)
+    """Exact polynomial f(s) = (1-s) K(s) = 1 + sum of spike ratio terms, as a
+    RadialSeries: search.kernel_ratio_terms, checked against (1-s) K within
+    tol on r <= r_max."""
+    return RadialSeries(*kernel_ratio_terms(weights, r_max, tol))
 
 
 # ---------------------------------------------------------------------- #

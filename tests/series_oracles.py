@@ -1,7 +1,7 @@
 """Stock series and checks that only the tests use.
 
-The edge bump s^n (1 - s) and the truncated geometric series as
-RadialSeries, a series' coefficients as a dense array, and a five point
+The edge bump s^n (1 - s), the truncated geometric series and a config's
+kernel ratio as RadialSeries, a series' coefficients as a dense array, and a five point
 stencil for the normalized Laplacian, the independent route the curvature
 tests compare the series calculus against.
 """
@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from hardyshift.series import RadialSeries
+from hardyshift.spectral import kernel_ratio_series
 
 
 def geometric_series(order: int) -> RadialSeries:
@@ -25,6 +26,12 @@ def edge_bump(n: int) -> RadialSeries:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return RadialSeries(np.array([n, n + 1]), np.array([1.0, -1.0]))
+
+
+def kernel_ratio(config) -> RadialSeries:
+    """f = (1-s) K(s) of a ConstructionConfig, checked against its weights as
+    its ratio rows are (within tol on r <= r_max)."""
+    return kernel_ratio_series(config.weights(), r_max=config.r_max, tol=config.tol)
 
 
 def is_dense(series: RadialSeries) -> bool:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
-from series_oracles import edge_bump
+from series_oracles import edge_bump, kernel_ratio
 from theorem_oracles import curvature_density, peak_hints
 
 from hardyshift import (
@@ -24,11 +24,11 @@ from hardyshift import (
     edge_integral_exact,
     radial_carleson_norm,
 )
-from hardyshift.carleson import (TWO_PI, QuadratureError, SeriesGapDensity, _runs,
+from hardyshift.carleson import (TWO_PI, SeriesGapDensity, _block, _block_density, _runs,
                                  block_supremum, carleson_norm, dyadic_t_grid, gradient_sq_mass,
                                  tail_ratio, term_decay)
 from hardyshift.construction import MAX_POWER
-from hardyshift.grids import _root_scan_grid, sign_roots
+from hardyshift.grids import QuadratureError, _root_scan_grid, sign_roots
 from hardyshift.search import Terms, spike_ratio_term
 from hardyshift.series import RadialSeries
 from hardyshift.spectral import kernel_ratio_series
@@ -158,7 +158,7 @@ def test_sign_roots_ignore_underflowed_zeros():
     # for large n the scan values s^{n-1} (n^2 - (n+1)^2 s) underflow to
     # exactly 0 over the inner part of the grid; those zeros are not roots
     for n, mass in ((2248, 0.0007561360409533289),
-                    (20000, 8.5028721127208e-05),
+                    (20000, 8.502872112720804e-05),
                     (172510, 9.858337831389568e-06)):
         d = SeriesGapDensity(edge_bump(n).laplacian(), 1)
         assert len(d.sign_roots) == 1
@@ -314,7 +314,7 @@ def test_beta_ratios_match_mpmath(p):
     for m in BETA_POWERS:
         for t in beta_points(m):
             sides.add((m + 1.0) * t < 0.5)
-            ratio = float(tail_ratio(m, p, t))
+            ratio = tail_ratio(m, p, t)
             assert rel_err(ratio, mp_tail_ratio(m, p, t)) <= TAIL_REL[p], (m, t)
     assert sides == {True, False}
 
@@ -322,29 +322,35 @@ def test_beta_ratios_match_mpmath(p):
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_beta_ratios_match_scipy(p):
     for m in BETA_POWERS:
-        ts = np.array(beta_points(m))
-        assert tail_ratio(m, p, ts) == pytest.approx(betainc(p + 1, m + 1, ts), rel=1e-13,
-                                                     abs=1e-300)
+        ts = beta_points(m)
+        assert [tail_ratio(m, p, t) for t in ts] == pytest.approx(
+            betainc(p + 1, m + 1, np.array(ts)), rel=1e-13, abs=1e-300)
 
 
-def test_beta_ratio_edges_and_batches():
-    m = np.array([1, 3, 4497, 2 * 10**9 + 1])
-    assert np.all(tail_ratio(m, 1, 0.0) == 0.0) and np.all(tail_ratio(m, 1, 1.0) == 1.0)
-    # a row's bits do not depend on the rest of the batch, whichever form it takes
-    rng = np.random.default_rng(3)
-    ms = 2 * rng.integers(0, 10**6, 200) + 1
-    for t in (1e-12, 1e-7, 3e-6, 1e-3):
-        batch = tail_ratio(ms, 2, t)
-        assert [x.hex() for x in batch] == [float(tail_ratio(int(k), 2, t)).hex() for k in ms]
+def test_beta_ratio_edges():
+    for m in (1, 3, 4497, 2 * 10**9 + 1):
+        assert tail_ratio(m, 1, 0.0) == 0.0 and tail_ratio(m, 1, 1.0) == 1.0
 
 
 def test_tail_ratio_ends_are_exact_at_every_power():
     # C(m+p, p) t^p overflowed at t = 1 once m ~ 1e11 and p ~ 25, and the
     # share read NaN instead of 1
-    ms = np.array([1.0, 3.0, 2.0**20 + 1, 2.0**32 + 1, 1e11 + 1, 2.0**41 + 1])
+    ms = (1, 3, 2**20 + 1, 2**32 + 1, 10**11 + 1, 2**41 + 1)
     for p in range(128):
-        assert np.all(tail_ratio(ms, p, 1.0) == 1.0), p
-        assert np.all(tail_ratio(ms, p, 0.0) == 0.0), p
+        assert [tail_ratio(m, p, 1.0) for m in ms] == [1.0] * len(ms), p
+        assert [tail_ratio(m, p, 0.0) for m in ms] == [0.0] * len(ms), p
+
+
+def test_tail_ratio_raises_nothing_at_the_ends_of_its_range():
+    # math raises where numpy returned inf, 0 or NaN: log1p(-1), an exp or
+    # pow that overflows; every share here is a float in [0, 1]
+    for m in (0, 1, 2**20 + 1, 2**41, 2**41 + 1):
+        for p in (0, 1, 2, 40, 127, 130):
+            for t in (0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    ratio = tail_ratio(m, p, t)
+                assert 0.0 <= ratio <= 1.0, (m, p, t)
 
 
 def test_tail_ratio_is_one_where_its_rising_sum_overflows():
@@ -353,7 +359,7 @@ def test_tail_ratio_is_one_where_its_rising_sum_overflows():
     for m, p, t in ((10**12 + 1, 40, 0.5), (5 * 10**9, 95, 0.1), (2 * 10**12 + 1, 127, 0.3)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert float(tail_ratio(m, p, t)) == 1.0, (m, p, t)
+            assert tail_ratio(m, p, t) == 1.0, (m, p, t)
         with mpmath.workdps(30):
             x = mpmath.mpf(t)
             complement = (1 - x) ** (m + 1) * mpmath.fsum(mpmath.binomial(m + j, j) * x ** j
@@ -369,11 +375,11 @@ def test_tail_ratio_small_branch_at_large_powers(p):
         for t in (f / (m + 1) for f in (0.499, 0.25, 0.1, 0.01, 1e-3)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ratio = float(tail_ratio(m, p, t))
+                ratio = tail_ratio(m, p, t)
             with mpmath.workdps(60):
                 exact = mpmath.betainc(p + 1, m + 1, 0, t, regularized=True)
             assert rel_err(ratio, exact) <= 3e-15, (m, t)
-    assert float(tail_ratio(10**12 + 1, 25, 1e-13)) > 0.0
+    assert tail_ratio(10**12 + 1, 25, 1e-13) > 0.0
 
 
 # ---------------------------------------------------------------------- #
@@ -400,7 +406,7 @@ def assert_cuts_match_expanded_numerator(w, f, ulps: int) -> None:
 ])
 def test_curvature_cuts_match_expanded_numerator(delta, starts):
     config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
-    assert_cuts_match_expanded_numerator(config.weights(), config.kernel_ratio, 2)
+    assert_cuts_match_expanded_numerator(config.weights(), kernel_ratio(config), 2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -570,6 +576,37 @@ def test_block_supremum_is_never_below_the_function(terms, p, r_power):
     values = np.abs(weights @ n)
     slack = 1e-10 * (weights @ np.abs(n))
     assert np.all(sup >= values - slack)
+
+
+# ---------------------------------------------------------------------- #
+# the summed block densities
+
+
+def test_block_density_raises_nothing_at_the_ends():
+    # log1p(-1) raises in math; (1-u)^m is 0 at u = 1 for m > 0 and 1 for m = 0
+    for m, at_one in ((0, 2.0), (2 ** 41, 0.0)):
+        blocks = [_block(m, [3, -1], 1)]  # S(u) = 3 - u
+        assert _block_density(blocks, 1.0) == at_one, m
+        assert _block_density(blocks, 5e-324) == 3.0, m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(terms=integer_runs(), r_power=st.integers(0, 1),
+       u=st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 2.0 ** -30, 0.5, 1.0])))
+@example(terms=[(2 ** 40, 1), (2 ** 40 + 1, -3), (2 ** 41, 2)], r_power=0, u=2.0 ** -30)
+@example(terms=[(0, 1), (1, -1), (2 ** 20, 5)], r_power=1, u=0.01)  # one block underflows
+def test_block_density_skip_is_the_plain_sum(terms, r_power, u):
+    # _block_density skips a block whose weight (1-u)^m underflows before its
+    # Horner pass; adding that block's 0 * S(u) instead gives the same bits
+    blocks = [_block(2 * low + r_power, s, 1) for low, s in _runs(terms)]
+    total = 0.0
+    for b in blocks:
+        y, poly = (b.m + 1) * u, 0.0
+        for c in reversed(b.scaled):
+            poly = poly * y + c
+        weight = math.exp(b.m * math.log1p(-u)) if u < 1.0 else float(b.m == 0)
+        total += weight * poly
+    assert _block_density(blocks, u).hex() == total.hex()
 
 
 # ---------------------------------------------------------------------- #

@@ -520,6 +520,20 @@ def test_exit_code_for_a_theorem_row_that_is_not_finite(constructed, tmp_path, m
     assert "numerical infeasibility" in err and "curvature_carleson" in err
 
 
+def test_exit_code_for_a_share_that_overflows(constructed, tmp_path, monkeypatch, capsys):
+    # numpy turned an overflow into inf, and math raises OverflowError, which
+    # cli.main does not catch: an infinite incomplete beta share must still
+    # reach the rows as a number that is not finite (exit 4), not a traceback
+    from hardyshift import carleson
+
+    monkeypatch.setattr(carleson, "tail_ratio", lambda m, p, t: math.inf)
+    assert cli.main(["verify", str(constructed / "config.json"), "--epsilon", "2",
+                     "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical infeasibility" in err and "laplacian_carleson" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_for_a_table_too_large_for_memory(constructed, tmp_path, monkeypatch, capsys):
     # numpy raises MemoryError, naming the size, when it cannot allocate a
     # table; nothing is allocated here, the weight walk raises as numpy would
@@ -624,21 +638,22 @@ def test_commands_load_no_scipy(constructed, tmp_path):
 NUMPY_GUARD = """
 import json, sys
 import hardyshift
-loaded = ["numpy" in sys.modules]
+loaded = ["numpy" in sys.modules or "scipy" in sys.modules]
 from hardyshift import cli
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-    loaded.append("numpy" in sys.modules)
+    loaded.append("numpy" in sys.modules or "scipy" in sys.modules)
 listed = [name in dir(hardyshift) for name in hardyshift.__all__]
 resolved = [getattr(hardyshift, name) is not None for name in hardyshift.__all__]
 print(json.dumps({"numpy": loaded, "listed": all(listed), "resolved": all(resolved)}))
 """
 
 
-def test_construct_and_lemma_load_no_numpy(tmp_path):
-    # the spike search, the lemma and the weight and orbit tables run on the
-    # standard library: neither importing the package nor these commands
-    # loads numpy; weights and orbit read the K = 3 config construct writes
+def test_commands_but_curvature_load_no_numpy(tmp_path):
+    # the spike search, the lemma, the weight and orbit tables and the
+    # verifier run on the standard library: neither importing the package nor
+    # these commands loads numpy or scipy; the others read the K = 3 config
+    # construct writes
     src = str(Path(hardyshift.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = ["--out", str(tmp_path)]
@@ -646,14 +661,17 @@ def test_construct_and_lemma_load_no_numpy(tmp_path):
     commands = [["construct", "--alpha", "1", "--delta", "0.5", "--K", "3", *out],
                 ["lemma", "1", "2248", *out],
                 ["weights", config, "--n-max", "300", *out],
-                ["orbit", config, "130", *out]]
+                ["orbit", config, "130", *out],
+                ["verify", config, *out],
+                ["verify", config, "--epsilon", "2", *out]]
     proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD, json.dumps(commands)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"numpy": [False] * 5, "listed": True, "resolved": True}
+    assert result == {"numpy": [False] * 7, "listed": True, "resolved": True}
     assert len((tmp_path / "weights.csv").read_text().splitlines()) == 302
     assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 132
+    assert len((tmp_path / "conditions.csv").read_text().splitlines()) == 1 + 5 + 15 + 3 + 1
 
 
 def test_top_level_names_are_the_submodule_objects():

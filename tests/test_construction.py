@@ -14,7 +14,7 @@ from conftest import K16_STARTS, K24_STARTS, spiked_layouts
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from series_oracles import edge_bump
+from series_oracles import edge_bump, kernel_ratio
 from theorem_oracles import sampled_theorem_rows
 
 from hardyshift import (
@@ -262,7 +262,7 @@ def test_verify_f_passes_at_16_spikes():
     assert len(report.conditions) == 85
     assert report.passed, report.failures()
     rows = {c.condition: c.measured for c in report.conditions}
-    f = config.kernel_ratio
+    f = kernel_ratio(config)
     series = {f"spike{sp.half_width}_gradient_sq_carleson": spike_ratio_term(1.0, sp)
               for sp in config.weights().spikes}
     series["gradient_carleson"] = Terms(f.exponents[1:], f.coeffs[1:])
@@ -510,7 +510,7 @@ def test_gradient_masses_match_mpmath_at_large_starts():
     rows = {c.condition: c.measured for c in verify_f_conditions(config).conditions}
     series = {f"spike{sp.half_width}_gradient_sq_carleson": spike_ratio_term(1.0, sp)
               for sp in config.weights().spikes}
-    series["gradient_carleson"] = config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)]))
+    series["gradient_carleson"] = kernel_ratio(config).add(RadialSeries.from_terms([(0, -1.0)]))
     for name, g in series.items():
         exact = _mp_gradient_sq_mass(g)
         assert abs(rows[name] - exact) <= 1e-15 * exact, name
@@ -600,7 +600,7 @@ def test_ratio_laplacian_mass_matches_mpmath(delta, starts):
     # 3.3e-15, 5.5e-13 and 2.5e-9 too large
     config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
     rows = {c.condition: c.measured for c in verify_f_conditions(config).conditions}
-    f_minus_one = config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)]))
+    f_minus_one = kernel_ratio(config).add(RadialSeries.from_terms([(0, -1.0)]))
     exact = _mp_many_block_laplacian_mass(f_minus_one)
     assert abs(rows["laplacian_carleson"] - exact) <= 1e-15 * exact
 
@@ -699,7 +699,7 @@ def test_suprema_match_mpmath_maxima(alpha, delta, starts):
     config = ConstructionConfig(alpha=alpha, delta=delta, n_spikes=len(starts),
                                 spike_starts=starts)
     rows = {c.condition: c.measured for c in verify_f_conditions(config).conditions}
-    f = config.kernel_ratio
+    f = kernel_ratio(config)
     cases = [(("ratio_deviation", "laplacian_sup", "gradient_sup"),
               Terms(f.exponents[1:], f.coeffs[1:]))]
     cases += [(tuple(f"spike{sp.half_width}_{name}" for name in Decay._fields[:3]),
@@ -716,7 +716,7 @@ def test_laplacian_mass_stays_finite_at_the_largest_starts(tmp_path):
     # at these powers C(m+p, p) overflows: the share at u = 1 read NaN for
     # spike 8, and a batch padded with zeros spread it to spikes 6 and 7
     config = ConstructionConfig(alpha=1.0, delta=1e-8, n_spikes=8, spike_starts=TINY_DELTA_K8)
-    terms = [config.kernel_ratio.add(RadialSeries.from_terms([(0, -1.0)]))]
+    terms = [kernel_ratio(config).add(RadialSeries.from_terms([(0, -1.0)]))]
     terms += [spike_ratio_term(1.0, sp) for sp in config.weights().spikes]
     assert all(math.isfinite(term_decay(g)[3][1]) for g in terms)
     path = tmp_path / "config.json"
@@ -823,7 +823,7 @@ def assert_theorem_rows_bound_the_sample(config, epsilon) -> None:
              "curvature_carleson": lap_mass * inv + grad_mass * inv * inv}
     for name, q in exact.items():
         assert math.nextafter(rows[name].measured, -math.inf) < q <= rows[name].measured, name
-    sample = sampled_theorem_rows(config.kernel_ratio, config.weights().spikes)
+    sample = sampled_theorem_rows(kernel_ratio(config), config.weights().spikes)
     assert rows["ratio_band"].measured >= sample.ratio_band - 4 * math.ulp(1.0)
     assert rows["curvature_sup"].measured >= sample.curvature_sup
     assert rows["curvature_carleson"].measured >= sample.curvature_carleson - sample.carleson_error
@@ -867,7 +867,7 @@ def test_carleson_rows_are_total_masses(delta, starts, epsilon):
     config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
     reports = (verify_f_conditions(config), verify_theorem_conditions(config, epsilon))
     rows = {c.condition: c.measured for rep in reports for c in rep.conditions}
-    w, f = config.weights(), config.kernel_ratio
+    w, f = config.weights(), kernel_ratio(config)
     deviation = f.add(RadialSeries.from_terms([(0, -1.0)]))
     masses = {"laplacian_carleson": term_decay(deviation)[3][1],
               "gradient_carleson": gradient_sq_mass(deviation)}

@@ -27,6 +27,7 @@ from hardyshift import (
     spike_kernel_term,
     spike_ratio_term,
 )
+from hardyshift import search
 from hardyshift import spectral as spectral_module
 from hardyshift.grids import boundary_refined_grid
 from hardyshift.series import truncation_order
@@ -220,12 +221,12 @@ def test_kernel_ratio_cross_check_against_dense_diagonal():
 
 def test_mismatched_slope_raises_decomposition_error(monkeypatch):
     w = build_spiked_weights(1.0, [5, 20])
-    original = spectral_module.spike_ratio_term
+    original = search.spike_ratio_term
 
     def corrupted(alpha, spike):
         return original(alpha * 1.01, spike)
 
-    monkeypatch.setattr(spectral_module, "spike_ratio_term", corrupted)
+    monkeypatch.setattr(search, "spike_ratio_term", corrupted)
     with pytest.raises(DecompositionMismatchError):
         kernel_ratio_series(w, r_max=0.9, tol=1e-9)
 
@@ -234,8 +235,8 @@ def test_mismatched_slope_raises_near_the_boundary(monkeypatch):
     # a dense truncation at r_max 0.99999 would need 1.6e6 terms; the
     # coefficient bound reads the same corruption there
     w = build_spiked_weights(1.0, [5, 20])
-    original = spectral_module.spike_ratio_term
-    monkeypatch.setattr(spectral_module, "spike_ratio_term",
+    original = search.spike_ratio_term
+    monkeypatch.setattr(search, "spike_ratio_term",
                         lambda alpha, spike: original(alpha * 1.01, spike))
     with pytest.raises(DecompositionMismatchError):
         kernel_ratio_series(w, r_max=0.99999, tol=1e-9)
