@@ -24,6 +24,7 @@ from hardyshift import (
     edge_integral_exact,
     radial_carleson_norm,
 )
+from hardyshift import carleson
 from hardyshift.carleson import (TWO_PI, SeriesGapDensity, _block, _block_density, _runs,
                                  block_supremum, carleson_norm, dyadic_t_grid, gradient_sq_mass,
                                  tail_ratio, term_decay)
@@ -590,11 +591,26 @@ def test_block_density_raises_nothing_at_the_ends():
         assert _block_density(blocks, 5e-324) == 3.0, m
 
 
+def test_block_scan_points_are_numpys_geomspace(monkeypatch):
+    # _block_roots scans np.geomspace(2^-30 / top, 1, 16 (30 + bits of top)),
+    # rebuilt in floats: libm's pow and numpy's may differ in the last bit
+    seen = []
+    density = carleson._block_density
+    monkeypatch.setattr(carleson, "_block_density",
+                        lambda blocks, u: seen.append(u) or density(blocks, u))
+    top = 2 ** 21 + 2
+    carleson._block_roots([_block(top - 1, [1, -3, 1], 1)])
+    grid = np.geomspace(2.0 ** -30 / top, 1.0, 16 * (30 + top.bit_length())).tolist()
+    assert seen[:len(grid)] == pytest.approx(grid, rel=1e-15)
+    assert (seen[0], seen[len(grid) - 1]) == (grid[0], 1.0)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(terms=integer_runs(), r_power=st.integers(0, 1),
        u=st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 2.0 ** -30, 0.5, 1.0])))
 @example(terms=[(2 ** 40, 1), (2 ** 40 + 1, -3), (2 ** 41, 2)], r_power=0, u=2.0 ** -30)
 @example(terms=[(0, 1), (1, -1), (2 ** 20, 5)], r_power=1, u=0.01)  # one block underflows
+@example(terms=[(2 ** 20, 1)], r_power=0, u=3.4e-4)  # a subnormal weight still counts
 def test_block_density_skip_is_the_plain_sum(terms, r_power, u):
     # _block_density skips a block whose weight (1-u)^m underflows before its
     # Horner pass; adding that block's 0 * S(u) instead gives the same bits
