@@ -41,8 +41,10 @@ Six parts, each run on both checkouts with this same script:
   `gradient_sq_mass` of f - 1 (the `gradient_carleson` row of `verify_f`),
   `term_decay` of f - 1 (all five ratio rows of `verify_f`), and
   `kernel_ratio_series` (building f and checking it against the weights)
-  on the frozen K = 8 and K = 4, delta 1e-3 configs; same fresh
-  interpreters and alternation;
+  on the frozen K = 8 and K = 4, delta 1e-3 configs, and
+  `carleson._block_roots` over every block list `term_decay` scans for
+  f - 1 and for the last spike's term (Laplacian and slope blocks) on the
+  frozen K = 8 and K = 32 configs; same fresh interpreters and alternation;
 * cold-start wall time and CPU time (user + system, from the child's
   rusage) of `python -c "import hardyshift.cli"` and of the
   `weights`, `orbit`, `curvature`, `construct --K 2`, `lemma`, `verify`
@@ -112,7 +114,8 @@ REPS = 7  # in-process timings per job and side
 PLAN_CALLS = 10  # plan calls per timed loop, each with a cold lemma cache
 # layer timings: calls per timed loop
 LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
-               "gradient_sq_mass": 50, "term_decay": 20, "kernel_ratio": 20}
+               "gradient_sq_mass": 50, "term_decay": 20, "kernel_ratio": 20,
+               "block_roots": 10}
 # up to MAX_POWER = 2^40 + 2^21 - 1, the largest power the lemma accepts
 LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484",
                 str(2 ** 40 + 2 ** 21 - 1))
@@ -170,9 +173,10 @@ def plan_loop(k: int, delta: float) -> None:
 def layer(kind: str, key: str) -> None:
     """Time LAYER_CALLS[kind] calls of one layer; print {"cpu_s", "wall_s", "us_per_call", "result"}."""
     import numpy as np
+    from hardyshift import carleson
     from hardyshift.carleson import term_decay
     from hardyshift.construction import ConstructionConfig
-    from hardyshift.search import Terms, gradient_sq_mass
+    from hardyshift.search import Terms, gradient_sq_mass, spike_ratio_term
     from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian
 
     delta, starts, _ = VERIFY_CONFIGS[key]
@@ -191,6 +195,13 @@ def layer(kind: str, key: str) -> None:
     elif kind == "kernel_ratio":
         w = config.weights()
         call = lambda: len(kernel_ratio_series(w, r_max=config.r_max, tol=config.tol))  # noqa: E731
+    elif kind == "block_roots":
+        scanned, roots = [], carleson._block_roots
+        carleson._block_roots = lambda blocks: scanned.append(blocks) or roots(blocks)
+        term_decay(deviation)
+        term_decay(spike_ratio_term(1.0, config.weights().spikes[-1]))
+        carleson._block_roots = roots
+        call = lambda: [u for blocks in scanned for u in roots(blocks)]  # noqa: E731
     else:
         call = lambda: [value for _, value in term_decay(deviation)]  # noqa: E731
     result = call()
@@ -454,7 +465,8 @@ def main(argv=None) -> int:
             + [("verify_f", "K8"), ("verify_theorem", "K8"), ("verify_theorem", "K4"),
                ("verify_f", "K8_delta1e-6"), ("verify_f", "K16"), ("verify_f", "K24"),
                ("verify_theorem", "K16"), ("verify_theorem", "K24"), ("verify_f", "K32")]
-            + [(kind, "K8") for kind in LAYER_CALLS] + [("kernel_ratio", "K4")])
+            + [(kind, "K8") for kind in LAYER_CALLS] + [("kernel_ratio", "K4"),
+                                                         ("block_roots", "K32")])
     for rep in range(REPS):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
         for kind, key in jobs:

@@ -75,13 +75,15 @@ class _Block(NamedTuple):
 
     s holds S's exact integers, and scaled[j] = S_j / (scale (m+1)^j) the
     coefficient of term j in y = (m+1) u, in which the coefficients are of
-    comparable size near the block's scale u ~ 1/N.
+    comparable size near the block's scale u ~ 1/N; horner is scaled
+    reversed, the order Horner's rule reads it in.
     """
 
     m: int
     s: list[int]
     scale: int
     scaled: list[float]
+    horner: tuple[float, ...]
 
     def masses(self, p: int) -> list[float]:
         """Full mass S_j B(j+p+1, m+1) / scale of each term j, int over int rounded once."""
@@ -110,7 +112,8 @@ def _runs(terms: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
 
 def _block(m: int, s: list[int], scale: int) -> _Block:
     """The block (1-u)^m u^p S(u) / scale, for any gap power p."""
-    return _Block(m, s, scale, [sj / (scale * (m + 1) ** j) for j, sj in enumerate(s)])
+    scaled = [sj / (scale * (m + 1) ** j) for j, sj in enumerate(s)]
+    return _Block(m, s, scale, scaled, tuple(reversed(scaled)))
 
 
 def _boundary_blocks(runs: list[tuple[int, list[int]]], scale: int, r_power: int) -> list[_Block]:
@@ -142,10 +145,38 @@ def _block_density(blocks: Sequence[_Block], u: float) -> float:
         if weight == 0.0:
             continue
         y, poly = (b.m + 1) * u, 0.0
-        for c in reversed(b.scaled):
+        for c in b.horner:
             poly = poly * y + c
         total += weight * poly
     return total
+
+
+def _lowest_term_rule(b: _Block, start: float) -> tuple[float, float] | None:
+    """(sigma, u_b): at every u in [start, u_b] the block's Horner value in
+    _block_density has the sign sigma of its lowest nonzero coefficient c_k,
+    or is 0; None when S is all zero or its lowest term at start is within
+    a factor len(S) of the subnormal range.
+
+    Below y_lo = min over the other nonzero j of (|c_k| / (4 |c_j|))^(1/(j-k)) / 2,
+    term j is at most 2^-(j-k) |c_k| y^k / 4, so the other terms sum to less
+    than |c_k| y^k / 4 and P(y) = sum_j c_j y^j has sign sigma, while
+    Horner's rounding moves it by at most gamma_{2d} times the sum of the
+    terms' absolute values (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 5.1).  Gradual underflow adds an absolute error
+    that this relative bound does not cover, below 2^-1074 a step while
+    y <= 1, so y is also kept at most 1 and the lowest term at start at
+    least len(S) smallest normal floats.  The factor just below 1 covers
+    the rounding of ** and of y = (m+1) u.
+    """
+    nonzero = [(j, c) for j, c in enumerate(b.scaled) if c != 0.0]
+    if not nonzero:
+        return None
+    (k, ck), others = nonzero[0], nonzero[1:]
+    if abs(ck) * ((b.m + 1) * start) ** k < len(b.scaled) * _TINY:
+        return None
+    y_lo = min(((abs(ck) / (4.0 * abs(c))) ** (1.0 / (j - k)) / 2.0 for j, c in others),
+               default=math.inf)
+    return math.copysign(1.0, ck), min(1.0, (1.0 - 1e-9) * y_lo) / (b.m + 1)
 
 
 def _block_roots(blocks: Sequence[_Block]) -> list[float]:
@@ -159,6 +190,14 @@ def _block_roots(blocks: Sequence[_Block]) -> list[float]:
     to 0, with both ends pinned.  A value below the smallest normal float
     counts as zero, as in grids.sign_roots, and a bracket needs two nonzero
     ends of opposite sign.
+
+    When every block has a _lowest_term_rule with one sign sigma, each block
+    adds (1-u)^m >= 0 times a value of sign sigma or 0 at every u up to
+    u_cert, the least u_b, and a float sum of such terms keeps sign sigma or
+    is 0; so no two points up to u_cert bracket a root.  The scan evaluates
+    the points from the last one at or below u_cert on, which can still
+    start a bracket, and returns no root when u_cert >= 1; the brackets, and
+    so the roots, are those of the full scan bit for bit.
     """
     if not blocks:
         return []
@@ -166,7 +205,22 @@ def _block_roots(blocks: Sequence[_Block]) -> list[float]:
     start, count = 2.0 ** -30 / top, 16 * (30 + top.bit_length())
     log_start = math.log10(start)
     step = -log_start / (count - 1)
-    grid = [start, *(10.0 ** (i * step + log_start) for i in range(1, count - 1)), 1.0]
+
+    def point(i: int) -> float:
+        return start if i == 0 else 1.0 if i == count - 1 else 10.0 ** (i * step + log_start)
+
+    first = 0
+    rules = [_lowest_term_rule(b, start) for b in blocks]
+    if all(rules) and len({sigma for sigma, _ in rules}) == 1:
+        u_cert = min(u_b for _, u_b in rules)
+        if u_cert >= 1.0:
+            return []
+        first = min(count - 2, int((math.log10(max(u_cert, start)) - log_start) / step))
+        while first > 0 and point(first) > u_cert:
+            first -= 1
+        while point(first + 1) <= u_cert:
+            first += 1
+    grid = [point(i) for i in range(first, count)]
     values = [_block_density(blocks, u) for u in grid]
     values = [0.0 if abs(v) < _TINY else v for v in values]
     return [brentq(lambda u: _block_density(blocks, u), lo, hi, xtol=0.0)

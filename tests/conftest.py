@@ -13,6 +13,9 @@ K16_STARTS = (3, 32, 117, 343, 906, 2248, 5368, 12479, 28443, 63853, 141639, 311
 # and the next eight of `--K 24`
 K24_STARTS = (*K16_STARTS, 14414887, 30613062, 64792695, 136718533, 287703349, 603939264,
               1264943658, 2644017572)
+# the starts `construct --alpha 1 --delta 1e-6 --K 8` selects, each minimal
+SMALL_DELTA_K8 = (2551008, 16581563, 59310981, 172512049, 453601462, 1124756247,
+                  2684818434, 6240348396)
 
 
 @pytest.fixture(scope="session")

@@ -3,17 +3,19 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import bump_oracles
 import fraction_oracles
 import mpmath
 import numpy as np
 import pytest
-from conftest import spiked_layouts
+from conftest import K16_STARTS, SMALL_DELTA_K8, spiked_layouts
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
+from scan_oracles import full_scan
 from series_oracles import edge_bump, kernel_ratio
 from theorem_oracles import curvature_density, peak_hints
 
@@ -25,10 +27,10 @@ from hardyshift import (
     radial_carleson_norm,
 )
 from hardyshift import carleson
-from hardyshift.carleson import (TWO_PI, SeriesGapDensity, _block, _block_density, _runs,
-                                 block_supremum, carleson_norm, dyadic_t_grid, gradient_sq_mass,
-                                 tail_ratio, term_decay)
-from hardyshift.construction import MAX_POWER
+from hardyshift.carleson import (_TINY, TWO_PI, SeriesGapDensity, _block, _block_density, _runs,
+                                 _slope, block_supremum, carleson_norm, dyadic_t_grid,
+                                 gradient_sq_mass, tail_ratio, term_decay)
+from hardyshift.construction import MAX_POWER, verify_f_conditions
 from hardyshift.grids import QuadratureError, _root_scan_grid, sign_roots
 from hardyshift.search import Terms, spike_ratio_term
 from hardyshift.series import RadialSeries
@@ -591,18 +593,136 @@ def test_block_density_raises_nothing_at_the_ends():
         assert _block_density(blocks, 5e-324) == 3.0, m
 
 
-def test_block_scan_points_are_numpys_geomspace(monkeypatch):
-    # _block_roots scans np.geomspace(2^-30 / top, 1, 16 (30 + bits of top)),
-    # rebuilt in floats: libm's pow and numpy's may differ in the last bit
+def scan_grid(blocks) -> list[float]:
+    """np.geomspace(2^-30 / top, 1, 16 (30 + bits of top)), the points _block_roots
+    scans, top = 1 + the largest m; libm's pow and numpy's may differ in the last bit."""
+    top = max(b.m for b in blocks) + 1
+    return np.geomspace(2.0 ** -30 / top, 1.0, 16 * (30 + top.bit_length())).tolist()
+
+
+def scanned_points(blocks) -> list[float]:
+    """The points at which _block_roots evaluates the summed block densities:
+    its grid points from the first one it does not skip, then brentq's."""
     seen = []
-    density = carleson._block_density
-    monkeypatch.setattr(carleson, "_block_density",
-                        lambda blocks, u: seen.append(u) or density(blocks, u))
+    with mock.patch.object(carleson, "_block_density",
+                           lambda bl, u: seen.append(u) or _block_density(bl, u)):
+        carleson._block_roots(blocks)
+    return seen
+
+
+def first_scanned(blocks) -> int:
+    """The index in scan_grid of the first point _block_roots evaluates;
+    the grid's length when it evaluates none."""
+    grid, seen = scan_grid(blocks), scanned_points(blocks)
+    if not seen:
+        return len(grid)
+    first = int(np.argmin(np.abs(np.array(grid) - seen[0])))
+    assert seen[0] == pytest.approx(grid[first], rel=1e-15)
+    return first
+
+
+def test_block_scan_points_are_numpys_geomspace():
+    # each evaluated grid point is np.geomspace's of the same index, the end
+    # 1.0 exactly; the scan starts at the last point at or below u_cert, the
+    # least u_b of _lowest_term_rule, or at the grid's start when the blocks'
+    # lowest terms differ in sign
     top = 2 ** 21 + 2
-    carleson._block_roots([_block(top - 1, [1, -3, 1], 1)])
-    grid = np.geomspace(2.0 ** -30 / top, 1.0, 16 * (30 + top.bit_length())).tolist()
-    assert seen[:len(grid)] == pytest.approx(grid, rel=1e-15)
-    assert (seen[0], seen[len(grid) - 1]) == (grid[0], 1.0)
+    bump = _block(top - 1, [1, -3, 1], 1)  # y_lo = 1/24: 3 y / (m+1) is the larger term
+    for blocks, skips in (([bump], True), ([bump, _block(0, [-1], 1)], False)):
+        grid, seen = scan_grid(blocks), scanned_points(blocks)
+        _, u_cert = carleson._lowest_term_rule(bump, grid[0])
+        first = max(i for i, u in enumerate(grid) if u <= u_cert) if skips else 0
+        assert (first > 0) == skips
+        assert seen[:len(grid) - first] == pytest.approx(grid[first:], rel=1e-15)
+        assert seen[len(grid) - first - 1] == 1.0
+        if not skips:
+            assert seen[0] == grid[0]
+
+
+@st.composite
+def scanned_block_lists(draw):
+    """One of the two block lists _block_roots scans for an integer_runs layout:
+    its boundary blocks, m = 2N + r_power, or their slope blocks for a gap power p."""
+    terms, p, r_power = draw(integer_runs()), draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    blocks = [_block(2 * low + r_power, s, 1) for low, s in _runs(terms)]
+    return draw(st.sampled_from([blocks, [_block(*_slope(b.m, b.s, p), 1) for b in blocks]]))
+
+
+def assert_roots_match_the_full_scan(blocks):
+    assert [u.hex() for u in carleson._block_roots(blocks)] == [u.hex() for u in full_scan(blocks)]
+
+
+def assert_skipped_points_keep_the_lowest_sign(blocks):
+    # a grid point the scan skips has the sign sigma of the blocks' lowest
+    # nonzero coefficients, one for every block, or counts as 0; never -sigma
+    first = first_scanned(blocks) if blocks else 0
+    if first == 0:
+        return
+    assert all(any(b.scaled) for b in blocks)
+    (sigma,) = {math.copysign(1.0, next(c for c in b.scaled if c)) for b in blocks}
+    for u in scan_grid(blocks)[:first]:
+        assert sigma * _block_density(blocks, u) > -_TINY, u
+
+
+# the boundary blocks of n_e = (-1)^(16-e) C(15, e-1), e = 1..16, and -s^(2^41): the
+# first has S(u) = ((1-u)^2 - 1)^15 = u^15 (u-2)^15 and m = 2, a lowest term 2^15 (y/3)^15
+# near 2^-1065 at the grid start 2^-30 / (2^42 + 1), in the subnormal range
+UNDERFLOW_BLOCKS = [_block(2 * low, s, 1) for low, s in _runs(
+    [*((e, (-1) ** (16 - e) * math.comb(15, e - 1)) for e in range(1, 17)), (2 ** 41, -1)])]
+# sampled lists cross their first root far beyond y = 1 or the certified
+# prefix, so two made to cross it just past y_lo: 1 - 8 u^3 at u = 1/2, where
+# y_lo = 32^(-1/3) / 2 = 0.157, and the slope list of n = (-4, 1), p = 1,
+# r_power = 1, whose first root 0.531 lies below (3/4)^(1/3), the bound that
+# neither halves nor quarters the ratio of the cubic and the constant term
+SCAN_EXAMPLES = [
+    [_block(0, [3], 1)],  # one term at m = 0: u_cert = 1, nothing is evaluated
+    [_block(11, [-2], 1)],  # one term: y_lo is infinite and y <= 1 binds
+    [_block(0, [1], 1), _block(20, [-1], 1)],  # lowest terms of opposite signs
+    [_block(3, [0], 1), _block(7, [1, -5, 2], 1)],  # one S all zero
+    UNDERFLOW_BLOCKS,
+    [_block(0, [1, 0, 0, -8], 1)],
+    [_block(0, [-3, 2, 9, -4], 1)],
+]
+
+
+def with_scan_examples(test):
+    for blocks in reversed(SCAN_EXAMPLES):
+        test = example(blocks=blocks)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(blocks=scanned_block_lists())
+@with_scan_examples
+def test_block_roots_match_the_full_scan(blocks):
+    assert_roots_match_the_full_scan(blocks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(blocks=scanned_block_lists())
+@with_scan_examples
+def test_skipped_scan_points_keep_the_lowest_sign(blocks):
+    assert_skipped_points_keep_the_lowest_sign(blocks)
+
+
+@pytest.mark.parametrize("delta, starts", [
+    (0.5, (3, 32, 117, 343, 906, 2248, 5368, 12479)),
+    (1e-3, (2549, 16580, 59309, 172510)),
+    (1e-6, SMALL_DELTA_K8),
+    (0.5, K16_STARTS),
+])
+def test_block_roots_of_verify_f_match_the_full_scan(delta, starts, monkeypatch):
+    # every block list term_decay scans for f - 1 and the spike terms
+    scanned, roots = [], carleson._block_roots
+    monkeypatch.setattr(carleson, "_block_roots",
+                        lambda blocks: scanned.append(blocks) or roots(blocks))
+    verify_f_conditions(ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts),
+                                           spike_starts=starts))
+    assert len(scanned) == 4 * (1 + len(starts))
+    monkeypatch.undo()
+    for blocks in scanned:
+        assert_roots_match_the_full_scan(blocks)
+        assert_skipped_points_keep_the_lowest_sign(blocks)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

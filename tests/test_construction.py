@@ -10,7 +10,7 @@ import fraction_oracles
 import mpmath
 import numpy as np
 import pytest
-from conftest import K16_STARTS, K24_STARTS, spiked_layouts
+from conftest import K16_STARTS, K24_STARTS, SMALL_DELTA_K8, spiked_layouts
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -42,9 +42,6 @@ from hardyshift.spectral import deficit_coefficients, spike_kernel_term, spike_r
 from hardyshift.weights import SpikeSpec
 
 STANDARD_STARTS = (3, 32, 117)
-# the starts `construct --alpha 1 --delta 1e-6 --K 8` selects, each minimal
-SMALL_DELTA_K8 = (2551008, 16581563, 59310981, 172512049, 453601462, 1124756247,
-                  2684818434, 6240348396)
 
 
 # ---------------------------------------------------------------------- #
