@@ -31,7 +31,11 @@ its mass on [0, u] is that times tail_ratio(2N+1, j+p, u), an incomplete
 beta ratio with integer parameters, which has a closed form.  A window
 mass sums these pieces between the sign changes of the density: found
 by a scan in u of the blocks themselves (_block_roots) for term_decay's
-Laplacian mass, and by grids.sign_roots for SeriesGapDensity.  The same
+Laplacian mass, and by grids.sign_roots for SeriesGapDensity.  The scan
+evaluates the blocks only from the last grid point at or below u_cert
+on: below u_cert each block's lowest nonzero term outweighs its others
+four to one, so the summed density keeps that term's sign or is 0 even
+as Horner's rule rounds it, and no bracket can lie there.  The same
 blocks give the verifier's suprema (block_supremum): the largest value at
 the ends and at the sign changes of the blocks' exact u-derivatives, found
 by the same scan.  term_decay returns all five decay quantities of a term.
@@ -152,21 +156,21 @@ def _block_density(blocks: Sequence[_Block], u: float) -> float:
 
 
 def _lowest_term_rule(b: _Block, start: float) -> tuple[float, float] | None:
-    """(sigma, u_b): at every u in [start, u_b] the block's Horner value in
-    _block_density has the sign sigma of its lowest nonzero coefficient c_k,
-    or is 0; None when S is all zero or its lowest term at start is within
-    a factor len(S) of the subnormal range.
+    """(sigma, u_b): at every u in [start, u_b], the block's Horner value in
+    _block_density, P(y) = sum_j c_j y^j in y = (m+1) u, has the sign sigma
+    of its lowest nonzero coefficient c_k, or is 0.  None when S is all
+    zero, or when the lowest term at start, |c_k| ((m+1) start)^k, is below
+    len(S) smallest normal floats.
 
     Below y_lo = min over the other nonzero j of (|c_k| / (4 |c_j|))^(1/(j-k)) / 2,
     term j is at most 2^-(j-k) |c_k| y^k / 4, so the other terms sum to less
-    than |c_k| y^k / 4 and P(y) = sum_j c_j y^j has sign sigma, while
-    Horner's rounding moves it by at most gamma_{2d} times the sum of the
-    terms' absolute values (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 5.1).  Gradual underflow adds an absolute error
-    that this relative bound does not cover, below 2^-1074 a step while
-    y <= 1, so y is also kept at most 1 and the lowest term at start at
-    least len(S) smallest normal floats.  The factor just below 1 covers
-    the rounding of ** and of y = (m+1) u.
+    than |c_k| y^k / 4, and Horner's rounding moves P by at most gamma_{2d}
+    times the sum of the terms' absolute values (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 5.1), far less than the
+    3/4 left.  Gradual underflow adds an absolute error that this relative
+    bound does not cover, below 2^-1074 a step while y <= 1; so u_b also
+    keeps y <= 1, and the floor on the lowest term keeps that error below
+    2^-52 of it.  The factor just below 1 covers the rounding of ** and of y.
     """
     nonzero = [(j, c) for j, c in enumerate(b.scaled) if c != 0.0]
     if not nonzero:

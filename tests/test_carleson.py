@@ -627,7 +627,7 @@ def test_block_scan_points_are_numpys_geomspace():
     # least u_b of _lowest_term_rule, or at the grid's start when the blocks'
     # lowest terms differ in sign
     top = 2 ** 21 + 2
-    bump = _block(top - 1, [1, -3, 1], 1)  # y_lo = 1/24: 3 y / (m+1) is the larger term
+    bump = _block(top - 1, [1, -3, 1], 1)  # y_lo > 1, so y <= 1 binds: u_cert = 1 / top
     for blocks, skips in (([bump], True), ([bump, _block(0, [-1], 1)], False)):
         grid, seen = scan_grid(blocks), scanned_points(blocks)
         _, u_cert = carleson._lowest_term_rule(bump, grid[0])
@@ -669,11 +669,11 @@ def assert_skipped_points_keep_the_lowest_sign(blocks):
 # near 2^-1065 at the grid start 2^-30 / (2^42 + 1), in the subnormal range
 UNDERFLOW_BLOCKS = [_block(2 * low, s, 1) for low, s in _runs(
     [*((e, (-1) ** (16 - e) * math.comb(15, e - 1)) for e in range(1, 17)), (2 ** 41, -1)])]
-# sampled lists cross their first root far beyond y = 1 or the certified
-# prefix, so two made to cross it just past y_lo: 1 - 8 u^3 at u = 1/2, where
-# y_lo = 32^(-1/3) / 2 = 0.157, and the slope list of n = (-4, 1), p = 1,
-# r_power = 1, whose first root 0.531 lies below (3/4)^(1/3), the bound that
-# neither halves nor quarters the ratio of the cubic and the constant term
+# in the sampled lists the first root lies far past the certified prefix, so
+# the last two examples put one just past it: 1 - 8 u^3 has its root at
+# u = 1/2, with y_lo = 32^(-1/3) / 2 = 0.157; the slope list of n = (-4, 1),
+# p = 1, r_power = 1, is -3 + 2u + 9u^2 - 4u^3 with its root at 0.531, below
+# min over j of |c_0 / c_j|^(1/j) = 0.577, a y_lo without the 1/4 and the 1/2
 SCAN_EXAMPLES = [
     [_block(0, [3], 1)],  # one term at m = 0: u_cert = 1, nothing is evaluated
     [_block(11, [-2], 1)],  # one term: y_lo is infinite and y <= 1 binds
