@@ -56,8 +56,9 @@ Six parts, each run on both checkouts with this same script:
   `construct --alpha 1 --delta 0.5` writes, each a fresh process, the two
   checkouts alternating, COLD_REPS times, printed as median [q1, q3];
   plus, per job and checkout, one
-  untimed run under `-X importtime` that records whether the process
-  imported numpy;
+  untimed run under `-X importtime` that records which of numpy,
+  dataclasses and inspect the process imported beyond what a bare
+  interpreter's start-up imports;
 * the per-layer counts of `hardybench/run.py --trace 1` on the `search`
   and `certify` workloads, from each checkout's own `hardybench`;
 * PAIRS alternating end-to-end runs of `hardybench/run.py --trace 0` per
@@ -120,6 +121,9 @@ LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt"
 LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484",
                 str(2 ** 40 + 2 ** 21 - 1))
 PAIRS = 10  # alternating end-to-end runs per workload
+# modules whose loading the cold jobs record: the numpy layer, and the
+# records' former decorator with the module it imports
+WATCHED_IMPORTS = ("numpy", "dataclasses", "inspect")
 COLD_REPS = 15  # cold-start timings per command and side
 
 
@@ -401,14 +405,14 @@ def run_cold(checkout: Path, args: list[str]) -> tuple[float, float]:
     return wall, (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
 
 
-def imports_numpy(checkout: Path, args: list[str]) -> bool:
-    """Whether one fresh interpreter running args on the checkout's src imports
-    numpy, read from its `-X importtime` report."""
+def imported(checkout: Path, args: list[str]) -> set[str]:
+    """Names of the modules one fresh interpreter running args on the
+    checkout's src imports, read from its `-X importtime` report."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     err = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
                          capture_output=True, text=True, check=True).stderr
-    return any(line.startswith("import time:") and line.rsplit("|", 1)[-1].strip() == "numpy"
-               for line in err.splitlines())
+    return {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
+            if line.startswith("import time:")}
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -491,10 +495,11 @@ def main(argv=None) -> int:
     cold_cpu = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         commands = {side: cold_commands(Path(tmp), side, path) for side, path in sides.items()}
-        numpy_loaded = {side: {name: imports_numpy(path, cmd)
-                               for name, cmd in commands[side].items()}
-                        for side, path in sides.items()}
-        print(f"imports numpy: {numpy_loaded}", flush=True)
+        startup = imported(sides["change"], ["-c", "pass"])  # a site hook may preload some
+        loaded = {side: {name: [m for m in WATCHED_IMPORTS if m in imported(path, cmd) - startup]
+                         for name, cmd in commands[side].items()}
+                  for side, path in sides.items()}
+        print(f"imports {', '.join(WATCHED_IMPORTS)}: {loaded}", flush=True)
         for rep in range(COLD_REPS):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
             for name in commands["change"]:
@@ -540,7 +545,7 @@ def main(argv=None) -> int:
         "inprocess": inprocess,
         "cold_start_wall_s": cold,
         "cold_start_cpu_s": cold_cpu,
-        "cold_start_imports_numpy": numpy_loaded,
+        "cold_start_imports": loaded,
         "traced": traced,
         "end_to_end": end_to_end,
     }, indent=1) + "\n")

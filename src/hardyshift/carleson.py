@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -451,8 +450,7 @@ def dyadic_t_grid() -> np.ndarray:
     return 2.0 ** -np.arange(0, 41, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class CarlesonScan:
+class CarlesonScan(NamedTuple):
     """Window quotient scan of a radial density over dyadic_t_grid()."""
 
     value: float          # sup of the quotient over the scanned depths

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .carleson import term_decay
 from .search import (  # noqa: F401  (the spike search, re-exported under its old module)
@@ -53,8 +52,7 @@ from .weights import SpikeSpec
 # verification
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     condition: str
     threshold: float
     measured: float
@@ -71,10 +69,9 @@ class ConditionResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     conditions: tuple[ConditionResult, ...]
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     @property
     def passed(self) -> bool:

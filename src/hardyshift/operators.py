@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from operator import mul, truediv
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .weights import WeightSequence
 
@@ -109,8 +108,7 @@ def orbit_norms(weights: WeightSequence, x, n_max: int) -> list[float]:
 BAND_THRESHOLD = 1.0 + 1e-12
 
 
-@dataclass(frozen=True)
-class CoisometryReport:
+class CoisometryReport(NamedTuple):
     """Exact range of ||T* x|| / ||x|| over all nonzero x.
 
     lower/upper are the sharp slope bounds (1+alpha)^{-1} and 1+alpha;

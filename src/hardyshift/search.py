@@ -27,7 +27,6 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -412,8 +411,7 @@ def spike_budget(alpha: float, spike: SpikeSpec) -> float:
     return _sum_in_order(c) + _sum_in_order(c[:-1])
 
 
-@dataclass(frozen=True)
-class SpikeGate:
+class SpikeGate(NamedTuple):
     """Triangle-inequality bounds for one candidate spike against its budgets."""
 
     spike: SpikeSpec
@@ -537,37 +535,44 @@ def _check_sampling(r_max: float, tol: float) -> None:
         raise ValueError("tol must be positive and finite")
 
 
-@dataclass(frozen=True)
-class ConstructionConfig:
-    """Complete description of one constructed weight sequence.
-
-    spike_starts pairs with half widths 1..n_spikes positionally; r_max and
-    tol are read only by the kernel-ratio check, |f - (1-s) K| <= tol on r <= r_max.
-    """
-
+class _ConfigFields(NamedTuple):
     alpha: float
     delta: float
     n_spikes: int
     spike_starts: tuple[int, ...]
-    r_max: float = 0.999
-    tol: float = 1e-9
+    r_max: float
+    tol: float
 
-    def __post_init__(self):
-        _check_construction(self.alpha, self.delta, self.n_spikes)
-        _check_sampling(self.r_max, self.tol)
-        # plain Python numbers, so that to_json writes what from_json reads
-        for name, kind in (("alpha", float), ("delta", float), ("n_spikes", int),
-                           ("r_max", float), ("tol", float)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+
+class ConstructionConfig(_ConfigFields):
+    """Complete description of one constructed weight sequence.
+
+    spike_starts pairs with half widths 1..n_spikes positionally; r_max and
+    tol are read only by the kernel-ratio check, |f - (1-s) K| <= tol on r <= r_max.
+    A tuple of the six fields: equal and hashed by value, its fields
+    read-only, and checked when made.
+    """
+
+    def __new__(cls, alpha: float, delta: float, n_spikes: int, spike_starts: Sequence[int],
+                r_max: float = 0.999, tol: float = 1e-9):
+        _check_construction(alpha, delta, n_spikes)
+        _check_sampling(r_max, tol)
+        # plain Python numbers, so that to_json writes what from_json reads;
         # the weights reject non-integer starts and check ordering and gaps
-        object.__setattr__(self, "spike_starts", tuple(sp.start for sp in self.weights().spikes))
-        if len(self.spike_starts) != self.n_spikes:
+        alpha = float(alpha)
+        starts = tuple(sp.start for sp in build_spiked_weights(alpha, spike_starts).spikes)
+        if len(starts) != n_spikes:
             raise ValueError("n_spikes must equal len(spike_starts)")
         # MAX_POWER, the domain of lemma_bounds, is derived from MAX_START:
         # a start past the cap could carry bump powers past that domain
-        if any(n > MAX_START for n in self.spike_starts):
-            raise ValueError(f"spike starts must not exceed {MAX_START}, "
-                             f"got {max(self.spike_starts)}")
+        if any(n > MAX_START for n in starts):
+            raise ValueError(f"spike starts must not exceed {MAX_START}, got {max(starts)}")
+        return super().__new__(cls, alpha, float(delta), int(n_spikes), starts,
+                               float(r_max), float(tol))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace makes its copy here: checked too
+        return cls(*iterable)
 
     @classmethod
     def plan(cls, alpha: float, delta: float, n_spikes: int,

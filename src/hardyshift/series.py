@@ -28,7 +28,6 @@ The Laplacian stays sparse; search.gradient_sq_mass integrates s G'^2 from G'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -93,24 +92,26 @@ def _unit_interval_points(s) -> tuple[np.ndarray, bool]:
     return (s_arr.reshape(1), True) if s_arr.ndim == 0 else (s_arr, False)
 
 
-@dataclass(frozen=True, eq=False)
 class RadialSeries:
-    """Sparse polynomial sum_e coeffs[e] * s**exponents[e] on s in [0, 1)."""
+    """Sparse polynomial sum_e coeffs[e] * s**exponents[e] on s in [0, 1).
+
+    Compared by identity.
+    """
 
     exponents: np.ndarray
     coeffs: np.ndarray
 
-    def __post_init__(self):
-        e = np.asarray(self.exponents, dtype=np.int64)
-        c = np.asarray(self.coeffs, dtype=np.float64)
+    def __init__(self, exponents, coeffs):
+        e = np.asarray(exponents, dtype=np.int64)
+        c = np.asarray(coeffs, dtype=np.float64)
         if e.shape != c.shape or e.ndim != 1:
             raise ValueError("exponents and coeffs must be 1-d arrays of equal length")
         if len(e) > 1 and not np.all(np.diff(e) > 0):
             e, c = _canonical(e, c)
         if np.any(e < 0):
             raise ValueError("exponents must be nonnegative")
-        object.__setattr__(self, "exponents", e)
-        object.__setattr__(self, "coeffs", c)
+        self.exponents = e
+        self.coeffs = c
 
     # ------------------------------------------------------------------ #
     # constructors

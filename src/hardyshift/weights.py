@@ -27,29 +27,40 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # the least value a float rounds up to inf: halfway from the largest float
 # 2^1024 - 2^971 to 2^1024
 _FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 
 
-@dataclass(frozen=True)
-class SpikeSpec:
-    """One triangular spike in the log weight profile."""
-
+class _SpikeFields(NamedTuple):
     start: int
     half_width: int
 
-    def __post_init__(self):
-        if self.start < 0:
+
+class SpikeSpec(_SpikeFields):
+    """One triangular spike in the log weight profile.
+
+    A tuple (start, half_width): equal and hashed by value, its fields
+    read-only, and checked when made.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, half_width: int):
+        if start < 0:
             raise ValueError("spike start must be nonnegative")
-        if self.half_width < 1:
+        if half_width < 1:
             raise ValueError("spike half width must be at least 1")
+        return super().__new__(cls, start, half_width)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace makes its copy here: checked too
+        return cls(*iterable)
 
     @property
     def end(self) -> int:
@@ -72,17 +83,19 @@ class SpikeSpec:
         return self.half_width - abs(n - self.peak)
 
 
-@dataclass(frozen=True, eq=False)
 class WeightSequence:
-    """Weight sequence determined by a slope parameter alpha and spike layout."""
+    """Weight sequence determined by a slope parameter alpha and spike layout.
+
+    Compared by identity.
+    """
 
     alpha: float
-    spikes: tuple[SpikeSpec, ...] = ()
+    spikes: tuple[SpikeSpec, ...]
 
-    def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+    def __init__(self, alpha: float, spikes: Sequence[SpikeSpec] = ()):
+        if not (alpha > 0.0 and math.isfinite(alpha)):
             raise ValueError("alpha must be positive and finite")
-        spikes = tuple(self.spikes)
+        spikes = tuple(spikes)
         for prev, nxt in zip(spikes, spikes[1:]):
             if not prev.end < nxt.start:
                 raise ValueError(
@@ -92,11 +105,12 @@ class WeightSequence:
         # compared as exact rationals, so that the check itself cannot
         # overflow: (1.0 + alpha) ** 2 is finite below 1.0 + alpha = 2^512
         widest = max((sp.half_width for sp in spikes), default=0)
-        if widest and not (1.0 + self.alpha < 2.0 ** 512
-                           and Fraction((1.0 + self.alpha) ** 2) ** widest < _FLOAT_OVERFLOW):
-            raise ValueError(f"alpha {self.alpha} is too large: the peak weight "
+        if widest and not (1.0 + alpha < 2.0 ** 512
+                           and Fraction((1.0 + alpha) ** 2) ** widest < _FLOAT_OVERFLOW):
+            raise ValueError(f"alpha {alpha} is too large: the peak weight "
                              f"(1+alpha)^{2 * widest} is not a finite float")
-        object.__setattr__(self, "spikes", spikes)
+        self.alpha = alpha
+        self.spikes = spikes
 
     def weight_range(self, n0: int, n1: int) -> list[float]:
         """w_n for n in [n0, n1) as a list of floats, walking only the spikes

@@ -1,6 +1,5 @@
 """Command line surface: files, determinism, exit codes."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -488,9 +487,9 @@ def test_exit_code_for_a_measurement_that_is_not_finite(constructed, tmp_path, m
 
     def nan_row(config):
         report = measured(config)
-        rows = [dataclasses.replace(c, measured=math.nan, passed=False)
+        rows = [c._replace(measured=math.nan, passed=False)
                 if c.condition == "laplacian_carleson" else c for c in report.conditions]
-        return dataclasses.replace(report, conditions=tuple(rows))
+        return report._replace(conditions=tuple(rows))
 
     monkeypatch.setattr(construction, "verify_f_conditions", nan_row)
     assert cli.main(["verify", str(constructed / "config.json"),
@@ -637,23 +636,33 @@ def test_commands_load_no_scipy(constructed, tmp_path):
 
 NUMPY_GUARD = """
 import json, sys
+startup = set(sys.modules)  # a site hook may preload modules
+
+
+def added():
+    watched = ("numpy", "scipy", "dataclasses", "inspect")
+    return [name for name in watched if name in sys.modules and name not in startup]
+
+
 import hardyshift
-loaded = ["numpy" in sys.modules or "scipy" in sys.modules]
+loaded = [added()]
 from hardyshift import cli
+loaded.append(added())
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-    loaded.append("numpy" in sys.modules or "scipy" in sys.modules)
+    loaded.append(added())
 listed = [name in dir(hardyshift) for name in hardyshift.__all__]
 resolved = [getattr(hardyshift, name) is not None for name in hardyshift.__all__]
-print(json.dumps({"numpy": loaded, "listed": all(listed), "resolved": all(resolved)}))
+print(json.dumps({"loaded": loaded, "listed": all(listed), "resolved": all(resolved)}))
 """
 
 
 def test_commands_but_curvature_load_no_numpy(tmp_path):
     # the spike search, the lemma, the weight and orbit tables and the
-    # verifier run on the standard library: neither importing the package nor
-    # these commands loads numpy or scipy; the others read the K = 3 config
-    # construct writes
+    # verifier run on the standard library: neither importing the package or
+    # its cli nor these commands loads numpy or scipy, nor dataclasses or
+    # inspect (about 10 ms of a cold start); the others read the K = 3
+    # config construct writes
     src = str(Path(hardyshift.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = ["--out", str(tmp_path)]
@@ -668,7 +677,7 @@ def test_commands_but_curvature_load_no_numpy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"numpy": [False] * 7, "listed": True, "resolved": True}
+    assert result == {"loaded": [[]] * 8, "listed": True, "resolved": True}
     assert len((tmp_path / "weights.csv").read_text().splitlines()) == 302
     assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 132
     assert len((tmp_path / "conditions.csv").read_text().splitlines()) == 1 + 5 + 15 + 3 + 1

@@ -396,6 +396,51 @@ def test_config_rejects_bad_payloads(standard_config):
         ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=1, spike_starts=(3,), r_max=1.0)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"alpha": "1"}, "alpha must be a real number, got '1'"),
+    ({"delta": None}, "delta must be a real number, got None"),
+    ({"n_spikes": 1.0}, "n_spikes must be an integer, got 1.0"),
+    ({"alpha": -1.0}, "alpha must be positive and finite"),
+    ({"alpha": math.inf}, "alpha must be positive and finite"),
+    ({"delta": 1.0}, "delta must lie in (0, 1)"),
+    ({"n_spikes": -1}, "n_spikes must be nonnegative, got -1"),
+    ({"r_max": True}, "r_max must be a real number, got True"),
+    ({"tol": "1e-9"}, "tol must be a real number, got '1e-9'"),
+    ({"r_max": 1.0}, "r_max must lie in (0, 1)"),
+    ({"tol": math.nan}, "tol must be positive and finite"),
+    ({"spike_starts": (3, 3.5)}, "spike starts must be integers, got 3.5"),
+    ({"spike_starts": (3, 4)},
+     "spikes must be separated: start 3 with half width 1 reaches 5, next start 4"),
+    ({"n_spikes": 3}, "n_spikes must equal len(spike_starts)"),
+    ({"spike_starts": (3, 2 ** 41)}, "spike starts must not exceed 1099511627776, "
+                                     "got 2199023255552"),
+])
+def test_config_checks_name_the_fault(change, message):
+    valid = dict(alpha=1.0, delta=0.5, n_spikes=2, spike_starts=(3, 32))
+    ConstructionConfig(**valid)
+    with pytest.raises(ValueError) as info:
+        ConstructionConfig(**{**valid, **change})
+    assert str(info.value) == message
+
+
+def test_configs_are_values(standard_config):
+    # equal and hashed by their fields, which cannot be set; the cached
+    # ratio rows are one object
+    same = ConstructionConfig(alpha=1, delta=0.5, n_spikes=3, spike_starts=[3, 32, 117])
+    assert same == standard_config and hash(same) == hash(standard_config)
+    assert same != ConstructionConfig(1.0, 0.5, 3, (3, 32, 117), r_max=0.99)
+    assert len({same, standard_config}) == 1
+    for name in ("alpha", "delta", "n_spikes", "spike_starts", "r_max", "tol"):
+        with pytest.raises(AttributeError):
+            setattr(same, name, getattr(same, name))
+    with pytest.raises(ValueError, match="n_spikes must equal"):
+        same._replace(n_spikes=2)
+    assert type(same._replace(alpha=np.float64(0.5)).alpha) is float
+    rows = same.ratio_decay
+    assert same.ratio_decay is rows
+    assert same == standard_config
+
+
 def test_library_input_is_never_truncated():
     # from_dict refuses these; the constructors refuse them too instead of
     # truncating 3.9 to 3 or reading True as alpha 1.0

@@ -242,6 +242,12 @@ def test_duplicate_terms_merge_and_zeros_drop():
     assert RadialSeries.zero().order == -1
 
 
+def test_series_compare_by_identity():
+    series = RadialSeries.from_dense([1.0, 2.0])
+    twin = RadialSeries.from_dense([1.0, 2.0])
+    assert series == series and series != twin and len({series, twin}) == 2
+
+
 # ---------------------------------------------------------------------- #
 # truncation control
 

@@ -122,16 +122,46 @@ def test_peak_check_is_exact_at_the_float_limit(log2_peak, k):
 
 def test_layout_validation():
     with pytest.raises(ValueError):
-        SpikeSpec(start=-1, half_width=1)
-    with pytest.raises(ValueError):
-        SpikeSpec(start=0, half_width=0)
-    with pytest.raises(ValueError):
-        # first spike covers 3..5, so a start at 5 collides
-        WeightSequence(alpha=1.0, spikes=(SpikeSpec(3, 1), SpikeSpec(5, 1)))
-    with pytest.raises(ValueError):
-        WeightSequence(alpha=0.0)
-    with pytest.raises(ValueError):
         build_spiked_weights(1.0, [3, 4])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SpikeSpec(-1, 1), "spike start must be nonnegative"),
+    (lambda: SpikeSpec(start=0, half_width=0), "spike half width must be at least 1"),
+    (lambda: WeightSequence(alpha=0.0), "alpha must be positive and finite"),
+    (lambda: WeightSequence(math.inf, (SpikeSpec(3, 1),)), "alpha must be positive and finite"),
+    (lambda: WeightSequence(math.nan), "alpha must be positive and finite"),
+    # the first spike covers 3..5, so a start at 5 collides
+    (lambda: WeightSequence(alpha=1.0, spikes=(SpikeSpec(3, 1), SpikeSpec(5, 1))),
+     "spikes must be separated: start 3 with half width 1 reaches 5, next start 5"),
+    (lambda: WeightSequence(1e200, [SpikeSpec(3, 1)]),
+     "alpha 1e+200 is too large: the peak weight (1+alpha)^2 is not a finite float"),
+])
+def test_layout_checks_name_the_fault(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_spike_specs_are_values():
+    # equal and hashed by their fields; no field can be set, nor a new attribute
+    spike = SpikeSpec(3, 2)
+    assert spike == SpikeSpec(start=3, half_width=2) and spike != SpikeSpec(3, 1)
+    assert hash(spike) == hash(SpikeSpec(3, 2))
+    assert len({spike, SpikeSpec(3, 2), SpikeSpec(4, 2)}) == 2
+    for name in ("start", "half_width", "label"):
+        with pytest.raises(AttributeError):
+            setattr(spike, name, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spike._replace(start=-1)
+    assert spike._replace(half_width=1) == SpikeSpec(3, 1)
+
+
+def test_weight_sequences_compare_by_identity():
+    w = build_spiked_weights(1.0, [3, 32])
+    twin = build_spiked_weights(1.0, [3, 32])
+    assert w == w and w != twin and len({w, twin}) == 2
+    assert w.spikes == twin.spikes  # their layouts are values
 
 
 def test_last_index_and_empty_layout():
