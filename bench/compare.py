@@ -121,8 +121,8 @@ LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt"
 LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484",
                 str(2 ** 40 + 2 ** 21 - 1))
 PAIRS = 10  # alternating end-to-end runs per workload
-# modules whose loading the cold jobs record: the numpy layer, and the
-# records' former decorator with the module it imports
+# modules whose loading each cold job records: numpy, and dataclasses with
+# the inspect it imports, together about 10 ms of a cold start
 WATCHED_IMPORTS = ("numpy", "dataclasses", "inspect")
 COLD_REPS = 15  # cold-start timings per command and side
 

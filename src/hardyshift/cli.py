@@ -13,8 +13,10 @@ orbit and weights on hardyshift.weights and hardyshift.operators, and
 verify on hardyshift.construction and hardyshift.carleson, all on the
 standard library.  Only curvature loads numpy; it and the verifier are
 imported inside the subcommands that use them.  The package's records
-are named tuples and plain classes, so no command imports dataclasses,
-and none but curvature (through numpy) imports inspect.
+are named tuples and plain classes rather than data classes, whose
+module, with the inspect it imports, took about 10 ms of each start: no
+command imports that module, and only curvature, through numpy, imports
+inspect.
 
 Exit codes: 0 success, 2 a measured condition failed its threshold,
 3 bad input (a table too large for memory included), 4 numerical
