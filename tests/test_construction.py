@@ -424,8 +424,8 @@ def test_config_checks_name_the_fault(change, message):
 
 
 def test_configs_are_values(standard_config):
-    # equal and hashed by their fields, which cannot be set; the cached
-    # ratio rows are one object
+    # equal and hashed by their fields, which cannot be set; _replace runs
+    # the checks; the cached ratio rows are one object
     same = ConstructionConfig(alpha=1, delta=0.5, n_spikes=3, spike_starts=[3, 32, 117])
     assert same == standard_config and hash(same) == hash(standard_config)
     assert same != ConstructionConfig(1.0, 0.5, 3, (3, 32, 117), r_max=0.99)

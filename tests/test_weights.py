@@ -144,7 +144,8 @@ def test_layout_checks_name_the_fault(make, message):
 
 
 def test_spike_specs_are_values():
-    # equal and hashed by their fields; no field can be set, nor a new attribute
+    # equal and hashed by their fields; no field can be set, nor a new
+    # attribute; _replace runs the checks
     spike = SpikeSpec(3, 2)
     assert spike == SpikeSpec(start=3, half_width=2) and spike != SpikeSpec(3, 1)
     assert hash(spike) == hash(SpikeSpec(3, 2))
