@@ -49,6 +49,8 @@ Six parts, each run on both checkouts with this same script:
   rusage) of `python -c "import hardyshift.cli"` and of the
   `weights`, `orbit`, `curvature`, `construct --K 2`, `lemma`, `verify`
   and `verify --epsilon 2` commands on the frozen K = 3 config, of
+  `curvature --points 20000`, `orbit 20000` and `weights --n-max 200000`
+  on the frozen K = 8 config (the sizes of the `tables` workload), of
   `verify --epsilon 0.004` on the frozen K = 4, delta 1e-3 config (the
   slower `certify` command), of `construct --K 6` (delta 0.5, the
   first command of the `search` workload), and of `verify --epsilon 2`
@@ -63,7 +65,8 @@ Six parts, each run on both checkouts with this same script:
   and `certify` workloads, from each checkout's own `hardybench`;
 * PAIRS alternating end-to-end runs of `hardybench/run.py --trace 0` per
   workload, each as long as `run_seconds` in the change's BENCHMARK.json,
-  with medians and quartiles.
+  with medians and quartiles, and the pairs in which the change's
+  `wall_s` and `cpu_s` are the lower.
 
 Each side is identified by its commit and by `src_digest`, a sha256 over
 its `src/**/*.py` files, so the measured trees can be told apart even when
@@ -234,10 +237,12 @@ def config_file(path: Path, delta: float, starts: Sequence[int], alpha: float = 
 
 def cold_commands(work: Path, side: str, checkout: Path) -> dict[str, list[str]]:
     """Interpreter arguments of each cold-start job on one side, on the frozen
-    K = 3 config (for `verify_eps0.004_K4`, the frozen K = 4, delta 1e-3
-    config, and for `verify_eps2_K16` and `verify_eps2_K32`, the configs the
-    side's own `construct` writes under work / side)."""
+    K = 3 config (for the `*_K8_*` table jobs, the frozen K = 8 config at the
+    `tables` workload's sizes, for `verify_eps0.004_K4`, the frozen K = 4,
+    delta 1e-3 config, and for `verify_eps2_K16` and `verify_eps2_K32`, the
+    configs the side's own `construct` writes under work / side)."""
     config = config_file(work / "k3.json", 0.5, K8_STARTS[:3])
+    k8 = str(config_file(work / "k8.json", 0.5, K8_STARTS))
     delta, starts, epsilon = VERIFY_CONFIGS["K4"]
     small_delta = config_file(work / "k4_small_delta.json", delta, starts)
     cli = ["-m", "hardyshift.cli"]
@@ -252,6 +257,9 @@ def cold_commands(work: Path, side: str, checkout: Path) -> dict[str, list[str]]
             "weights": [*cli, "weights", str(config), *out],
             "orbit": [*cli, "orbit", str(config), "130", *out],
             "curvature": [*cli, "curvature", str(config), *out],
+            "curvature_K8_20000": [*cli, "curvature", k8, "--points", "20000", *out],
+            "orbit_K8_20000": [*cli, "orbit", k8, "20000", *out],
+            "weights_K8_200000": [*cli, "weights", k8, "--n-max", "200000", *out],
             "construct_K2": [*cli, "construct", "--alpha", "1", "--delta", "0.5",
                              "--K", "2", *out],
             "construct_K6": [*cli, "construct", "--alpha", "1", "--delta", "0.5",
@@ -530,9 +538,10 @@ def main(argv=None) -> int:
             side: {"correct": all(r["correct"] for r in rs),
                    **{n: summary([r["metrics"][n] for r in rs]) for n in names}}
             for side, rs in runs.items()}
-        wins = sum(c["metrics"]["wall_s"] < p["metrics"]["wall_s"]
-                   for p, c in zip(runs["parent"], runs["change"]))
-        end_to_end[w]["wall_s_change_wins"] = f"{wins}/{PAIRS}"
+        for name in ("wall_s", "cpu_s"):
+            wins = sum(c["metrics"][name] < p["metrics"][name]
+                       for p, c in zip(runs["parent"], runs["change"]))
+            end_to_end[w][f"{name}_change_wins"] = f"{wins}/{PAIRS}"
 
     args.out.write_text(json.dumps({
         "script": "bench/compare.py",

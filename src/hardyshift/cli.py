@@ -12,7 +12,10 @@ identical runs.  construct and lemma run on hardyshift.search alone,
 orbit and weights on hardyshift.weights and hardyshift.operators, and
 verify on hardyshift.construction and hardyshift.carleson, all on the
 standard library.  Only curvature loads numpy; it and the verifier are
-imported inside the subcommands that use them.  The package's records
+imported inside the subcommands that use them.  No command calls a BLAS
+routine, so curvature asks OpenBLAS for one thread unless
+OPENBLAS_NUM_THREADS is set: the worker numpy's import starts on each
+further core spun idle.  The package's records
 are named tuples and plain classes rather than data classes, whose
 module, with the inspect it imports, took about 10 ms of each start: no
 command imports that module, and only curvature, through numpy, imports
@@ -29,6 +32,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -230,6 +234,8 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
+    # no command calls BLAS; OpenBLAS's idle pool cost about 0.13 s of CPU a run
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     from .grids import boundary_refined_grid
@@ -237,7 +243,10 @@ def _cmd_curvature(args) -> int:
 
     started = time.time()
     if not 0.0 < args.rmax < 1.0:
-        raise ValueError(f"rmax must lie in (0, 1), got {args.rmax}")
+        raise ValueError(f"--rmax must lie in (0, 1), got {args.rmax}")
+    if 1.0 - args.rmax == 1.0:
+        # the grid would end at u = -log2(1 - rmax) = 0
+        raise ValueError(f"--rmax must exceed 2**-54, got {args.rmax}: 1 - rmax rounds to 1")
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
     out = _out_dir(args)

@@ -301,11 +301,13 @@ def test_curvature_table_on_flat_weights(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rmax", ["0", "1", "1.5", "nan"])
+@pytest.mark.parametrize("rmax", ["0", "1", "1.5", "nan", "1e-300", "5e-324"])
 def test_curvature_rejects_rmax_outside_unit_interval(constructed, tmp_path, capsys, rmax):
+    # 1e-300 and 5e-324 lie in (0, 1), but 1 - rmax rounds to 1 and the
+    # grid would be empty; both messages name the option
     assert cli.main(["curvature", str(constructed / "config.json"), "--rmax", rmax,
                      "--out", str(tmp_path)]) == 3
-    assert "rmax must lie in (0, 1)" in capsys.readouterr().err
+    assert "--rmax must" in capsys.readouterr().err
     assert not (tmp_path / "curvature.csv").exists()
 
 
@@ -681,6 +683,35 @@ def test_commands_but_curvature_load_no_numpy(tmp_path):
     assert len((tmp_path / "weights.csv").read_text().splitlines()) == 302
     assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 132
     assert len((tmp_path / "conditions.csv").read_text().splitlines()) == 1 + 5 + 15 + 3 + 1
+
+
+POOL_PROBE = """
+import sys
+from hardyshift import cli
+assert cli.main(["curvature", *sys.argv[1:]]) == 0
+print([line.split()[1] for line in open("/proc/self/status") if line.startswith("Threads:")])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists() or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/status and two usable cores")
+def test_curvature_starts_no_blas_pool_unless_asked(constructed, tmp_path):
+    # numpy's OpenBLAS starts a worker on each further core, which only
+    # spins: no command calls BLAS.  curvature asks for one thread unless
+    # OPENBLAS_NUM_THREADS is set, and the pool changes no cell
+    src = str(Path(hardyshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    tables = []
+    for setting, threads in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run([sys.executable, "-c", POOL_PROBE, str(constructed / "config.json"),
+                               "--points", "2000", "--out", str(out)], env={**env, **setting},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"['{threads}']"
+        tables.append((out / "curvature.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_top_level_names_are_the_submodule_objects():
