@@ -15,11 +15,17 @@ standard library.  Only curvature loads numpy; it and the verifier are
 imported inside the subcommands that use them.  No command calls a BLAS
 routine, so curvature asks OpenBLAS for one thread unless
 OPENBLAS_NUM_THREADS is set: the worker numpy's import starts on each
-further core spun idle.  The package's records
-are named tuples and plain classes rather than data classes, whose
-module, with the inspect it imports, took about 10 ms of each start: no
-command imports that module, and only curvature, through numpy, imports
-inspect.
+further core spun idle.
+
+A subcommand writes nothing itself: it returns its exit status, its
+files as {name: text}, its manifest parameters and the config path it
+read.  main is the one writer.  It makes the --out directory, writes
+each file and then <command>_manifest.json, whose sizes and sha256
+digests are those of the bytes it wrote.  So a command that fails
+before it returns leaves no --out directory, while verify's exit 2 or 4,
+which it returns after measuring, still writes its files.  The
+manifest's elapsed_seconds runs from the parsed arguments to the
+manifest, the subcommand's lazy imports included.
 
 Exit codes: 0 success, 2 a measured condition failed its threshold,
 3 bad input (a table too large for memory included), 4 numerical
@@ -69,8 +75,8 @@ class _Parser(argparse.ArgumentParser):
 _format_float = "%.17g".__mod__
 
 
-def _write_csv(path: Path, columns: dict[str, Sequence]) -> None:
-    """Write equal-length named columns as one CSV.
+def _csv(columns: dict[str, Sequence]) -> str:
+    """Equal-length named columns as the text of one CSV.
 
     Each column is a list, a range or an array, read through tolist(), of
     one kind of value: int, float or str.  Its format is picked once, from
@@ -83,50 +89,19 @@ def _write_csv(path: Path, columns: dict[str, Sequence]) -> None:
     for i, column in enumerate(values):
         cells[i::width] = column
     row = ",".join("%.17g" if c and isinstance(c[0], float) else "%s" for c in values) + "\n"
-    path.write_text(",".join(columns) + "\n" + row * rows % tuple(cells))
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
-
-
-def _write_manifest(out: Path, command: str, params: dict, files: list[Path],
-                    started: float, config_path: str | None = None) -> None:
-    entries = []
-    for p in files:
-        data = p.read_bytes()
-        entries.append({
-            "name": p.name,
-            "bytes": len(data),
-            "sha256": hashlib.sha256(data).hexdigest(),
-        })
-    _write_json(out / f"{command}_manifest.json", {
-        "command": command,
-        "version": __version__,
-        "config_path": config_path,
-        "parameters": params,
-        "outputs": entries,
-        "elapsed_seconds": time.time() - started,  # excluded from determinism
-    })
+    return ",".join(columns) + "\n" + row * rows % tuple(cells)
 
 
 def _load_config(path: str) -> ConstructionConfig:
     return ConstructionConfig.from_json(Path(path).read_text())
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------- #
-# subcommands
+# subcommands: each returns (exit status, {file name: text}, manifest
+# parameters, the config path it read or None) and main writes the files
 
 
-def _cmd_construct(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def _cmd_construct(args):
     if args.delta is not None:
         delta = args.delta
     else:
@@ -142,27 +117,20 @@ def _cmd_construct(args) -> int:
     for name in Decay._fields[1:]:
         columns[f"threshold_{name}"] = [getattr(g.thresholds, name) for g in gates]
         columns[f"bound_{name}"] = [getattr(g.values, name) for g in gates]
-    cert_path = out / "certificate.csv"
-    _write_csv(cert_path, columns)
 
-    config_path = out / "config.json"
-    config_path.write_text(config.to_json() + "\n")
-    print(config.to_json())
-    _write_manifest(out, "construct", {
-        "alpha": args.alpha, "delta": delta, "epsilon": args.epsilon,
-        "K": args.K, "rmax": args.rmax, "tol": args.tol,
-    }, [config_path, cert_path], started)
-    return EXIT_OK
+    text = config.to_json()
+    files = {"config.json": text + "\n", "certificate.csv": _csv(columns)}
+    print(text)
+    return EXIT_OK, files, {"alpha": args.alpha, "delta": delta, "epsilon": args.epsilon,
+                            "K": args.K, "rmax": args.rmax, "tol": args.tol}, None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .construction import ConditionResult, verify_f_conditions, verify_theorem_conditions
     from .operators import BAND_THRESHOLD, coisometry_check
 
-    started = time.time()
     if args.epsilon is not None:
         delta_for_epsilon(args.epsilon)  # rejects a bad epsilon before the measurement
-    out = _out_dir(args)
     config = _load_config(args.config)
     reports = {"ratio_flatness": verify_f_conditions(config)}
     if args.epsilon is not None:
@@ -179,37 +147,34 @@ def _cmd_verify(args) -> int:
               f"vs threshold {cond.threshold:.10g}")
 
     all_passed = all(c.passed for c in conditions)
-    csv_path = out / "conditions.csv"
-    _write_csv(csv_path, {
-        "condition": [c.condition for c in conditions],
-        "threshold": [c.threshold for c in conditions],
-        "measured": [c.measured for c in conditions],
-        # rows with no argmax (Carleson masses, the band) leave the cell empty
-        "argmax_r": ["" if c.argmax_r is None else _format_float(c.argmax_r)
-                     for c in conditions],
-        "pass": ["true" if c.passed else "false" for c in conditions],
-    })
-    json_path = out / "report.json"
-    _write_json(json_path, {
-        "passed": all_passed,
-        "seed": args.seed,
-        "reports": {name: r.to_dict() for name, r in reports.items()},
-        "coisometry": [c.to_dict() for c in coisometry],
-    })
-    _write_manifest(out, "verify", {
-        "config": config.to_dict(), "epsilon": args.epsilon, "seed": args.seed,
-    }, [csv_path, json_path], started, config_path=args.config)
+    files = {
+        "conditions.csv": _csv({
+            "condition": [c.condition for c in conditions],
+            "threshold": [c.threshold for c in conditions],
+            "measured": [c.measured for c in conditions],
+            # rows with no argmax (Carleson masses, the band) leave the cell empty
+            "argmax_r": ["" if c.argmax_r is None else _format_float(c.argmax_r)
+                         for c in conditions],
+            "pass": ["true" if c.passed else "false" for c in conditions],
+        }),
+        "report.json": json.dumps({
+            "passed": all_passed,
+            "seed": args.seed,
+            "reports": {name: r.to_dict() for name, r in reports.items()},
+            "coisometry": [c.to_dict() for c in coisometry],
+        }, indent=2) + "\n",
+    }
     print("all conditions pass" if all_passed else "CONDITION FAILURES")
+    code = EXIT_OK if all_passed else EXIT_CONDITION_FAILED
     unmeasured = [c.condition for c in conditions if not math.isfinite(c.measured)]
     if unmeasured:
         print(f"numerical infeasibility: not finite: {', '.join(unmeasured)}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK if all_passed else EXIT_CONDITION_FAILED
+        code = EXIT_NUMERICAL
+    params = {"config": config.to_dict(), "epsilon": args.epsilon, "seed": args.seed}
+    return code, files, params, args.config
 
 
-def _cmd_lemma(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def _cmd_lemma(args):
     powers = list(args.powers)
     reports = [lemma_bounds(n) for n in powers]
     for n, rep in zip(powers, reports):
@@ -227,21 +192,11 @@ def _cmd_lemma(args) -> int:
         "carl_laplacian_bound": [bump_laplacian_carleson_bound(n) for n in powers],
         "carl_grad_sq_bound": [bump_gradient_sq_carleson_bound(n) for n in powers],
     }
-    path = out / "lemma.csv"
-    _write_csv(path, columns)
-    _write_manifest(out, "lemma", {"powers": powers}, [path], started)
-    return EXIT_OK
+    return EXIT_OK, {"lemma.csv": _csv(columns)}, {"powers": powers}, None
 
 
-def _cmd_curvature(args) -> int:
-    # no command calls BLAS; OpenBLAS's idle pool cost about 0.13 s of CPU a run
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import numpy as np
-
-    from .grids import boundary_refined_grid
-    from .spectral import curvature_difference, curvature_samples
-
-    started = time.time()
+def _cmd_curvature(args):
+    # checked before numpy's import, which a bad value need not pay
     if not 0.0 < args.rmax < 1.0:
         raise ValueError(f"--rmax must lie in (0, 1), got {args.rmax}")
     if 1.0 - args.rmax == 1.0:
@@ -249,58 +204,51 @@ def _cmd_curvature(args) -> int:
         raise ValueError(f"--rmax must exceed 2**-54, got {args.rmax}: 1 - rmax rounds to 1")
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
-    out = _out_dir(args)
     config = _load_config(args.config)
     weights = config.weights()
+
+    # no command calls BLAS; OpenBLAS's idle pool cost about 0.13 s of CPU a run
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import numpy as np
+
+    from .grids import boundary_refined_grid
+    from .spectral import curvature_difference, curvature_samples
+
     u_max = -np.log2(1.0 - args.rmax)
     grid = boundary_refined_grid(args.points, u_max)
     samples = curvature_samples(weights, grid)
-    # route agreement spot check on a subsample
+    # route agreement spot check on a subsample, with the config's kernel-ratio check
     spot = grid[:: max(1, len(grid) // 16)]
-    curvature_difference(weights, spot)
+    curvature_difference(weights, spot, config.r_max, config.tol)
     # numpy's ** 2 is the correctly rounded square, libm pow is not
     gap_sq = samples.difference * (1.0 - samples.r) ** 2
-    path = out / "curvature.csv"
-    _write_csv(path, {**samples._asdict(), "difference_gap_sq": gap_sq})
-    print(f"wrote {len(grid)} curvature samples to {path}")
-    _write_manifest(out, "curvature", {
-        "config": config.to_dict(), "points": args.points,
-        "rmax": args.rmax,
-    }, [path], started, config_path=args.config)
-    return EXIT_OK
+    files = {"curvature.csv": _csv({**samples._asdict(), "difference_gap_sq": gap_sq})}
+    print(f"wrote {len(grid)} curvature samples to {Path(args.out) / 'curvature.csv'}")
+    params = {"config": config.to_dict(), "points": args.points, "rmax": args.rmax}
+    return EXIT_OK, files, params, args.config
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args):
     from .operators import orbit_norms
 
-    started = time.time()
-    out = _out_dir(args)
     config = _load_config(args.config)
     norms = orbit_norms(config.weights(), [1.0], args.n_max)
-    path = out / "orbit.csv"
-    _write_csv(path, {"n": range(len(norms)), "orbit_norm": norms})
-    print(f"wrote orbit norms 0..{args.n_max} to {path}; max {max(norms):.10g}")
-    _write_manifest(out, "orbit", {
-        "config": config.to_dict(), "n_max": args.n_max,
-    }, [path], started, config_path=args.config)
-    return EXIT_OK
+    files = {"orbit.csv": _csv({"n": range(len(norms)), "orbit_norm": norms})}
+    print(f"wrote orbit norms 0..{args.n_max} to {Path(args.out) / 'orbit.csv'}; "
+          f"max {max(norms):.10g}")
+    return EXIT_OK, files, {"config": config.to_dict(), "n_max": args.n_max}, args.config
 
 
-def _cmd_weights(args) -> int:
-    started = time.time()
+def _cmd_weights(args):
     if args.n_max is not None and args.n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {args.n_max}")
-    out = _out_dir(args)
     config = _load_config(args.config)
     weights = config.weights()
     n_max = args.n_max if args.n_max is not None else weights.last_index + 2
-    path = out / "weights.csv"
-    _write_csv(path, {"n": range(n_max + 1), "weight": weights.weight_range(0, n_max + 1)})
-    print(f"wrote weights 0..{n_max} to {path}")
-    _write_manifest(out, "weights", {
-        "config": config.to_dict(), "n_max": n_max,
-    }, [path], started, config_path=args.config)
-    return EXIT_OK
+    files = {"weights.csv": _csv({"n": range(n_max + 1),
+                                  "weight": weights.weight_range(0, n_max + 1)})}
+    print(f"wrote weights 0..{n_max} to {Path(args.out) / 'weights.csv'}")
+    return EXIT_OK, files, {"config": config.to_dict(), "n_max": n_max}, args.config
 
 
 # ---------------------------------------------------------------------- #
@@ -367,8 +315,27 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        status, files, params, config_path = args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs = []
+        for name, text in files.items():
+            data = text.encode()
+            (out / name).write_bytes(data)
+            outputs.append({"name": name, "bytes": len(data),
+                            "sha256": hashlib.sha256(data).hexdigest()})
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "config_path": config_path,
+            "parameters": params,
+            "outputs": outputs,
+            "elapsed_seconds": time.time() - started,  # excluded from determinism
+        }
+        (out / f"{args.command}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        return status
     except (InfeasibleConstructionError, TruncationError, DecompositionMismatchError) as exc:
         print(f"numerical infeasibility: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -148,16 +148,18 @@ def ratio_log_laplacian(ratio: RadialSeries, r):
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def curvature_difference(weights: WeightSequence, r):
+def curvature_difference(weights: WeightSequence, r, r_max: float = 0.999,
+                         tol: float = 1e-9):
     """Curvature deviation from the unweighted shift, computed two ways.
 
-    Route A evaluates Delta log f from the sparse kernel ratio.  Route B
-    subtracts the two curvatures directly.  The two are the same function;
-    both are returned and disagreement beyond 1e-6 (relative, with an
-    absolute floor at the cancellation level of route B) raises.
+    Route A evaluates Delta log f from the sparse kernel ratio, which is
+    checked against (1-s) K within tol on r <= r_max (kernel_ratio_series).
+    Route B subtracts the two curvatures directly.  The two are the same
+    function; both are returned and disagreement beyond 1e-6 (relative,
+    with an absolute floor at the cancellation level of route B) raises.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    a = ratio_log_laplacian(kernel_ratio_series(weights), r_arr)
+    a = ratio_log_laplacian(kernel_ratio_series(weights, r_max, tol), r_arr)
     b = curvature_weighted(weights, r_arr) - curvature_backward_shift(r_arr)
     floor = 64.0 * np.finfo(float).eps * (curvature_backward_shift(r_arr) + 1.0)
     bad = np.abs(a - b) > 1e-6 * (np.abs(a) + np.abs(b)) + floor

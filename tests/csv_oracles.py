@@ -1,8 +1,8 @@
 """The package's earlier CSV writer, cell by cell, as an oracle.
 
 It formats every float cell with %.17g and every other cell with str, one
-line at a time.  cli._write_csv now fills one row template over all the
-cells at once; both must write the same bytes.
+line at a time.  cli._csv now fills one row template over all the cells
+at once; its text, written to a file, must give the same bytes.
 """
 
 from pathlib import Path

@@ -66,6 +66,47 @@ def test_construct_manifest_contents(constructed):
         assert entry["sha256"] == hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["construct", "--alpha", "1", "--delta", "0.5", "--K", "2"], ["config.json", "certificate.csv"]),
+    (["verify", "{config}", "--epsilon", "2"], ["conditions.csv", "report.json"]),
+    (["lemma", "10", "100"], ["lemma.csv"]),
+    (["curvature", "{config}", "--points", "50"], ["curvature.csv"]),
+    (["orbit", "{config}", "40"], ["orbit.csv"]),
+    (["weights", "{config}", "--n-max", "30"], ["weights.csv"])])
+def test_every_manifest_lists_the_bytes_on_disk(constructed, tmp_path, argv, names):
+    # main writes each file and hashes the bytes it wrote; the manifest must
+    # name exactly the files in --out, in order, with their size and digest
+    config = str(constructed / "config.json")
+    argv = [config if a == "{config}" else a for a in argv]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    manifest_name = f"{argv[0]}_manifest.json"
+    manifest = json.loads((out / manifest_name).read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["config_path"] == (None if argv[0] in ("construct", "lemma") else config)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, manifest_name])
+    assert [entry["name"] for entry in manifest["outputs"]] == names
+    for entry in manifest["outputs"]:
+        data = (out / entry["name"]).read_bytes()
+        assert entry == {"name": entry["name"], "bytes": len(data),
+                         "sha256": hashlib.sha256(data).hexdigest()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--alpha", "1", "--delta", "0", "--K", "1"],
+    ["verify", "{absent}"],
+    ["lemma", "0"],
+    ["curvature", "{config}", "--rmax", "2"],
+    ["orbit", "{absent}", "40"],
+    ["weights", "{config}", "--n-max", "-1"]])
+def test_a_command_that_fails_before_it_returns_makes_no_out_dir(constructed, tmp_path, argv):
+    # main makes --out only to write what a subcommand returned
+    paths = {"{config}": str(constructed / "config.json"), "{absent}": str(tmp_path / "absent.json")}
+    out = tmp_path / "out"
+    assert cli.main([*(paths.get(a, a) for a in argv), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_construct_epsilon_maps_to_delta(tmp_path):
     assert cli.main(["construct", "--alpha", "1", "--epsilon", "0.5", "--K", "1",
                      "--out", str(tmp_path)]) == 0
@@ -195,6 +236,23 @@ def test_verify_fails_on_halved_positions(constructed, tmp_path):
     assert rc == 2
     _, rows = read_csv(tmp_path / "conditions.csv")
     assert any(row[-1] == "false" for row in rows)
+    # a failed condition is a measurement: its files and manifest are written
+    assert json.loads((tmp_path / "report.json").read_text())["passed"] is False
+    manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
+    assert [entry["name"] for entry in manifest["outputs"]] == ["conditions.csv", "report.json"]
+
+
+def test_curvature_checks_the_kernel_ratio_at_the_config_tolerance(tmp_path, capsys):
+    # the kernel ratio misses (1-s) K by 4.49e-17 here; curvature checked it
+    # at the default tol 1e-9 and exited 0 where verify exits 4
+    config = tmp_path / "tight.json"
+    config.write_text(json.dumps({"alpha": 0.6, "delta": 0.5, "K": 3, "spike_starts": [2, 26, 103],
+                                  "r_max": 0.999, "tol": 1e-17}))
+    for argv in (["verify", str(config)], ["curvature", str(config), "--points", "50"]):
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, "--out", str(out)]) == 4, argv
+        assert "kernel ratio misses (1-s) K by up to 4.48" in capsys.readouterr().err, argv
+        assert not out.exists()
 
 
 def test_verify_rejects_malformed_config(tmp_path):
@@ -352,13 +410,13 @@ def test_csv_writer_follows_the_per_cell_rules(tmp_path):
     ints = [7, np.int64(-3), 2**40, 0]
     floats = [0.1, -0.0, 5e-324, 1e300, math.nan, math.inf, float(2**40), -math.inf]
     path = tmp_path / "edge.csv"
-    cli._write_csv(path, {"i": ints, "i64": np.array(ints, dtype=np.int64),
-                          "x": floats[:4], "y": np.array(floats[4:]), "text": ["a", "", "b c", "d"]})
+    path.write_text(cli._csv({"i": ints, "i64": np.array(ints, dtype=np.int64), "x": floats[:4],
+                              "y": np.array(floats[4:]), "text": ["a", "", "b c", "d"]}))
     expected = ["i,i64,x,y,text"] + [
         ",".join([str(int(i)), str(int(i)), "%.17g" % float(x), "%.17g" % float(y), t])
         for i, x, y, t in zip(ints, floats[:4], floats[4:], ["a", "", "b c", "d"])]
     assert path.read_text() == "\n".join(expected) + "\n"
-    cli._write_csv(path, {"n": [], "weight": np.zeros(0)})
+    path.write_text(cli._csv({"n": [], "weight": np.zeros(0)}))
     assert path.read_text() == "n,weight\n"
 
 
@@ -367,8 +425,8 @@ def test_csv_writer_formats_lists_and_arrays_alike(tmp_path):
     # tolist(), so a list and an array of the same values write the same bytes
     columns = {"n": [0, -7, 2**40], "x": [0.1, -0.0, 5e-324], "text": ["a", "", "true"]}
     as_lists, as_arrays = tmp_path / "lists.csv", tmp_path / "arrays.csv"
-    cli._write_csv(as_lists, columns)
-    cli._write_csv(as_arrays, {name: np.array(values) for name, values in columns.items()})
+    as_lists.write_text(cli._csv(columns))
+    as_arrays.write_text(cli._csv({name: np.array(values) for name, values in columns.items()}))
     assert as_lists.read_bytes() == as_arrays.read_bytes()
     assert as_lists.read_text().splitlines() == [
         "n,x,text", "0,0.10000000000000001,a", "-7,-0,", "1099511627776,4.9406564584124654e-324,true"]
@@ -384,7 +442,7 @@ def test_csv_writer_matches_the_per_cell_writer(tmp_path):
     for name, cols in (("edge", columns), ("empty", {"n": [], "x": np.zeros(0), "t": []}),
                        ("one_column", {"x": floats})):
         new, old = tmp_path / f"{name}_new.csv", tmp_path / f"{name}_old.csv"
-        cli._write_csv(new, cols)
+        new.write_text(cli._csv(cols))
         csv_oracles.write_csv(old, cols)
         assert new.read_bytes() == old.read_bytes(), name
     assert (tmp_path / "edge_new.csv").read_text().splitlines()[1:3] == [
@@ -398,7 +456,7 @@ def test_csv_writer_matches_the_per_cell_writer_on_random_tables(tmp_path_factor
     path = tmp_path_factory.mktemp("csv")
     ints, floats, texts = (list(c) for c in zip(*rows)) if rows else ([], [], [])
     columns = {"i": ints, "x": floats, "x_array": np.array(floats, dtype=float), "t": texts}
-    cli._write_csv(path / "new.csv", columns)
+    (path / "new.csv").write_text(cli._csv(columns))
     csv_oracles.write_csv(path / "old.csv", columns)
     assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
@@ -498,6 +556,10 @@ def test_exit_code_for_a_measurement_that_is_not_finite(constructed, tmp_path, m
                      "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "numerical infeasibility" in err and "laplacian_carleson" in err
+    # the rows were measured, so they are written
+    _, rows = read_csv(tmp_path / "conditions.csv")
+    assert [rows[3][i] for i in (0, 2, 4)] == ["laplacian_carleson", "nan", "false"]
+    assert (tmp_path / "verify_manifest.json").exists()
 
 
 def test_exit_code_for_a_theorem_row_that_is_not_finite(constructed, tmp_path, monkeypatch,
@@ -650,13 +712,24 @@ import hardyshift
 loaded = [added()]
 from hardyshift import cli
 loaded.append(added())
-for argv in json.loads(sys.argv[1]):
-    assert cli.main(argv) == 0, argv
+for code, argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == code, argv
     loaded.append(added())
 listed = [name in dir(hardyshift) for name in hardyshift.__all__]
 resolved = [getattr(hardyshift, name) is not None for name in hardyshift.__all__]
 print(json.dumps({"loaded": loaded, "listed": all(listed), "resolved": all(resolved)}))
 """
+
+
+def modules_added(commands: list[tuple[int, list[str]]]) -> dict:
+    """NUMPY_GUARD's report on a fresh interpreter that imports the package
+    and its cli, then runs each command, which must exit with its code."""
+    src = str(Path(hardyshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_commands_but_curvature_load_no_numpy(tmp_path):
@@ -665,8 +738,6 @@ def test_commands_but_curvature_load_no_numpy(tmp_path):
     # its cli nor these commands loads numpy or scipy, nor dataclasses or
     # inspect (about 10 ms of a cold start); the others read the K = 3
     # config construct writes
-    src = str(Path(hardyshift.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = ["--out", str(tmp_path)]
     config = str(tmp_path / "config.json")
     commands = [["construct", "--alpha", "1", "--delta", "0.5", "--K", "3", *out],
@@ -675,14 +746,22 @@ def test_commands_but_curvature_load_no_numpy(tmp_path):
                 ["orbit", config, "130", *out],
                 ["verify", config, *out],
                 ["verify", config, "--epsilon", "2", *out]]
-    proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD, json.dumps(commands)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = modules_added([(0, argv) for argv in commands])
     assert result == {"loaded": [[]] * 8, "listed": True, "resolved": True}
     assert len((tmp_path / "weights.csv").read_text().splitlines()) == 302
     assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 132
     assert len((tmp_path / "conditions.csv").read_text().splitlines()) == 1 + 5 + 15 + 3 + 1
+
+
+def test_curvature_rejects_bad_options_before_loading_numpy(constructed, tmp_path):
+    # a bad --rmax or --points exits 3 without paying numpy's import
+    config = str(constructed / "config.json")
+    out = ["--out", str(tmp_path / "out")]
+    result = modules_added([(3, ["curvature", config, "--rmax", "2", *out]),
+                            (3, ["curvature", config, "--rmax", "1e-300", *out]),
+                            (3, ["curvature", config, "--points", "1", *out])])
+    assert result["loaded"] == [[]] * 5
+    assert not (tmp_path / "out").exists()
 
 
 POOL_PROBE = """
