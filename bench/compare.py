@@ -45,8 +45,9 @@ Six parts, each run on both checkouts with this same script:
   `carleson._block_roots` over every block list `term_decay` scans for
   f - 1 and for the last spike's term (Laplacian and slope blocks) on the
   frozen K = 8 and K = 32 configs; same fresh interpreters and alternation;
-* cold-start wall time and CPU time (user + system, from the child's
-  rusage) of `python -c "import hardyshift.cli"` and of the
+* cold-start wall time, CPU time (user + system) and peak RSS
+  (`ru_maxrss`), the last two from the child's own `os.wait4` rusage, of
+  `python -c "import hardyshift.cli"` and of the
   `weights`, `orbit`, `curvature`, `construct --K 2`, `lemma`, `verify`
   and `verify --epsilon 2` commands on the frozen K = 3 config, of
   `curvature --points 20000`, `orbit 20000` and `weights --n-max 200000`
@@ -57,6 +58,10 @@ Six parts, each run on both checkouts with this same script:
   on the K = 16 and K = 32 configs that each side's own
   `construct --alpha 1 --delta 0.5` writes, each a fresh process, the two
   checkouts alternating, COLD_REPS times, printed as median [q1, q3];
+  Linux carries the spawning process's high-water RSS into the child, so
+  each job is spawned by a bare interpreter (LAUNCHER), and the
+  launcher's own high-water RSS, about the floor the job inherits, is
+  recorded too;
   plus, per job and checkout, one
   untimed run under `-X importtime` that records which of numpy,
   dataclasses and inspect the process imported beyond what a bare
@@ -81,7 +86,6 @@ import importlib.util
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
 import tempfile
@@ -128,6 +132,22 @@ PAIRS = 10  # alternating end-to-end runs per workload
 # the inspect it imports, together about 10 ms of a cold start
 WATCHED_IMPORTS = ("numpy", "dataclasses", "inspect")
 COLD_REPS = 15  # cold-start timings per command and side
+# spawns one cold job, its stdout to /dev/null, and prints its exit code,
+# wall seconds, CPU seconds and peak RSS, then the launcher's own high-water
+# RSS, the job's floor (both in KiB); the launcher's getrusage would also
+# carry this script's peak, so the floor is read from /proc/self/status
+LAUNCHER = """
+import os, sys, time
+t0 = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - t0
+with open("/proc/self/status") as status_file:
+    hwm = next(ln.split()[1] for ln in status_file if ln.startswith("VmHWM:"))
+print(os.waitstatus_to_exitcode(status), wall, usage.ru_utime + usage.ru_stime,
+      usage.ru_maxrss, hwm)
+"""
 
 
 def child(kind: str, key: str) -> None:
@@ -402,15 +422,17 @@ def output_identity(sides: dict[str, Path]) -> dict:
     return result
 
 
-def run_cold(checkout: Path, args: list[str]) -> tuple[float, float]:
-    """Wall and CPU seconds of one fresh interpreter running args on the checkout's src."""
+def run_cold(checkout: Path, args: list[str]) -> tuple[float, float, float, float]:
+    """Wall seconds, CPU seconds and peak RSS in MB of one fresh interpreter
+    running args on the checkout's src, spawned by LAUNCHER, and the
+    launcher's own high-water RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    t0 = time.perf_counter()
-    subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
-    wall = time.perf_counter() - t0
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return wall, (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    out = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    code, wall, cpu, rss, floor = out.stdout.split()
+    if int(code):
+        raise subprocess.CalledProcessError(int(code), args, stderr=out.stderr)
+    return float(wall), float(cpu), int(rss) / 1024.0, int(floor) / 1024.0
 
 
 def imported(checkout: Path, args: list[str]) -> set[str]:
@@ -501,6 +523,8 @@ def main(argv=None) -> int:
 
     cold = {side: {} for side in sides}
     cold_cpu = {side: {} for side in sides}
+    cold_rss = {side: {} for side in sides}
+    floors = []
     with tempfile.TemporaryDirectory() as tmp:
         commands = {side: cold_commands(Path(tmp), side, path) for side, path in sides.items()}
         startup = imported(sides["change"], ["-c", "pass"])  # a site hook may preload some
@@ -512,15 +536,23 @@ def main(argv=None) -> int:
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
             for name in commands["change"]:
                 for side in order:
-                    wall, cpu = run_cold(sides[side], commands[side][name])
+                    wall, cpu, rss, floor = run_cold(sides[side], commands[side][name])
+                    floors.append(floor)
                     cold[side].setdefault(name, []).append(wall)
                     cold_cpu[side].setdefault(name, []).append(cpu)
+                    cold_rss[side].setdefault(name, []).append(rss)
+    print(f"cold start peak RSS floor (the launcher's own high-water RSS): "
+          f"{min(floors):.1f} to {max(floors):.1f} MB", flush=True)
     for side in sides:
         cold[side] = {name: summary(vals) for name, vals in cold[side].items()}
         cold_cpu[side] = {name: summary(vals) for name, vals in cold_cpu[side].items()}
+        cold_rss[side] = {name: summary(vals) for name, vals in cold_rss[side].items()}
         print(f"{side} cold start: "
               + ", ".join(f"{n} {s['median']:.3f} s [{s['q1']:.3f}, {s['q3']:.3f}]"
                           for n, s in cold[side].items()), flush=True)
+        print(f"{side} cold start peak RSS: "
+              + ", ".join(f"{n} {s['median']:.1f} MB" for n, s in cold_rss[side].items()),
+              flush=True)
 
     traced = {side: {w: run_bench(path, w, 1, seconds, 1) for w in ("search", "certify")}
               for side, path in sides.items()}
@@ -554,6 +586,8 @@ def main(argv=None) -> int:
         "inprocess": inprocess,
         "cold_start_wall_s": cold,
         "cold_start_cpu_s": cold_cpu,
+        "cold_start_peak_rss_mb": cold_rss,
+        "cold_start_peak_rss_floor_mb": summary(floors),
         "cold_start_imports": loaded,
         "traced": traced,
         "end_to_end": end_to_end,

@@ -18,14 +18,20 @@ OPENBLAS_NUM_THREADS is set: the worker numpy's import starts on each
 further core spun idle.
 
 A subcommand writes nothing itself: it returns its exit status, its
-files as {name: text}, its manifest parameters and the config path it
-read.  main is the one writer.  It makes the --out directory, writes
-each file and then <command>_manifest.json, whose sizes and sha256
-digests are those of the bytes it wrote.  So a command that fails
-before it returns leaves no --out directory, while verify's exit 2 or 4,
-which it returns after measuring, still writes its files.  The
-manifest's elapsed_seconds runs from the parsed arguments to the
-manifest, the subcommand's lazy imports included.
+files as {name: chunks of text}, its manifest parameters, the config
+path it read and the line to print once its files are written.  A CSV's
+chunks are its header and then blocks of _CSV_ROWS rows, each formatted
+only when main asks for it, so no table's text is held whole; a JSON
+file is one chunk.  main is the one writer.  It makes the --out
+directory, opens each file once and writes its chunks, feeding one
+sha256 and one byte count as it goes, then writes
+<command>_manifest.json with those sizes and digests, and prints the
+line.  A subcommand computes every value before it returns, so a
+command that fails before it returns leaves no --out directory and
+prints no such line, while verify's exit 2 or 4, which it returns after
+measuring, still writes its files.  The manifest's elapsed_seconds runs
+from the parsed arguments to the manifest, the subcommand's lazy
+imports included.
 
 Exit codes: 0 success, 2 a measured condition failed its threshold,
 3 bad input (a table too large for memory included), 4 numerical
@@ -42,7 +48,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
 from .search import (
@@ -75,21 +81,35 @@ class _Parser(argparse.ArgumentParser):
 _format_float = "%.17g".__mod__
 
 
-def _csv(columns: dict[str, Sequence]) -> str:
-    """Equal-length named columns as the text of one CSV.
+# rows per chunk of a CSV's text: a table is never formatted whole
+_CSV_ROWS = 4096
 
-    Each column is a list, a range or an array, read through tolist(), of
-    one kind of value: int, float or str.  Its format is picked once, from
-    the Python type of its first value: %.17g for floats, %s otherwise.  The
-    columns are interleaved into one flat tuple, and one % formats the table.
+
+def _csv(columns: dict[str, Sequence]) -> Iterator[str]:
+    """Equal-length named columns as the text of one CSV: the header, then
+    one chunk of _CSV_ROWS rows at a time.
+
+    Each column is a list, a range or an array of one kind of value: int,
+    float or str.  Its format is picked once, from the Python type of its
+    first value (through tolist() for an array): %.17g for floats, %s
+    otherwise.  Each chunk slices every column, interleaves the slices into
+    one flat tuple and formats them with one %.
     """
-    values = [v.tolist() if hasattr(v, "tolist") else list(v) for v in columns.values()]
+    def cells(column, start, stop):
+        part = column[start:stop]
+        return part.tolist() if hasattr(part, "tolist") else list(part)
+
+    values = list(columns.values())
     width, rows = len(values), len(values[0]) if values else 0
-    cells = [None] * (width * rows)
-    for i, column in enumerate(values):
-        cells[i::width] = column
-    row = ",".join("%.17g" if c and isinstance(c[0], float) else "%s" for c in values) + "\n"
-    return ",".join(columns) + "\n" + row * rows % tuple(cells)
+    firsts = [cells(c, 0, 1) for c in values]
+    row = ",".join("%.17g" if f and isinstance(f[0], float) else "%s" for f in firsts) + "\n"
+    yield ",".join(columns) + "\n"
+    for start in range(0, rows, _CSV_ROWS):
+        parts = [cells(c, start, start + _CSV_ROWS) for c in values]
+        flat = [None] * (width * len(parts[0]))
+        for i, part in enumerate(parts):
+            flat[i::width] = part
+        yield row * len(parts[0]) % tuple(flat)
 
 
 def _load_config(path: str) -> ConstructionConfig:
@@ -97,8 +117,9 @@ def _load_config(path: str) -> ConstructionConfig:
 
 
 # ---------------------------------------------------------------------- #
-# subcommands: each returns (exit status, {file name: text}, manifest
-# parameters, the config path it read or None) and main writes the files
+# subcommands: each returns (exit status, {file name: chunks of text},
+# manifest parameters, the config path it read or None, the line to print
+# once the files are written or None) and main writes the files
 
 
 def _cmd_construct(args):
@@ -119,10 +140,10 @@ def _cmd_construct(args):
         columns[f"bound_{name}"] = [getattr(g.values, name) for g in gates]
 
     text = config.to_json()
-    files = {"config.json": text + "\n", "certificate.csv": _csv(columns)}
+    files = {"config.json": [text + "\n"], "certificate.csv": _csv(columns)}
     print(text)
     return EXIT_OK, files, {"alpha": args.alpha, "delta": delta, "epsilon": args.epsilon,
-                            "K": args.K, "rmax": args.rmax, "tol": args.tol}, None
+                            "K": args.K, "rmax": args.rmax, "tol": args.tol}, None, None
 
 
 def _cmd_verify(args):
@@ -157,12 +178,12 @@ def _cmd_verify(args):
                          for c in conditions],
             "pass": ["true" if c.passed else "false" for c in conditions],
         }),
-        "report.json": json.dumps({
+        "report.json": [json.dumps({
             "passed": all_passed,
             "seed": args.seed,
             "reports": {name: r.to_dict() for name, r in reports.items()},
             "coisometry": [c.to_dict() for c in coisometry],
-        }, indent=2) + "\n",
+        }, indent=2) + "\n"],
     }
     print("all conditions pass" if all_passed else "CONDITION FAILURES")
     code = EXIT_OK if all_passed else EXIT_CONDITION_FAILED
@@ -171,7 +192,7 @@ def _cmd_verify(args):
         print(f"numerical infeasibility: not finite: {', '.join(unmeasured)}", file=sys.stderr)
         code = EXIT_NUMERICAL
     params = {"config": config.to_dict(), "epsilon": args.epsilon, "seed": args.seed}
-    return code, files, params, args.config
+    return code, files, params, args.config, None
 
 
 def _cmd_lemma(args):
@@ -192,7 +213,7 @@ def _cmd_lemma(args):
         "carl_laplacian_bound": [bump_laplacian_carleson_bound(n) for n in powers],
         "carl_grad_sq_bound": [bump_gradient_sq_carleson_bound(n) for n in powers],
     }
-    return EXIT_OK, {"lemma.csv": _csv(columns)}, {"powers": powers}, None
+    return EXIT_OK, {"lemma.csv": _csv(columns)}, {"powers": powers}, None, None
 
 
 def _cmd_curvature(args):
@@ -223,9 +244,9 @@ def _cmd_curvature(args):
     # numpy's ** 2 is the correctly rounded square, libm pow is not
     gap_sq = samples.difference * (1.0 - samples.r) ** 2
     files = {"curvature.csv": _csv({**samples._asdict(), "difference_gap_sq": gap_sq})}
-    print(f"wrote {len(grid)} curvature samples to {Path(args.out) / 'curvature.csv'}")
+    done = f"wrote {len(grid)} curvature samples to {Path(args.out) / 'curvature.csv'}"
     params = {"config": config.to_dict(), "points": args.points, "rmax": args.rmax}
-    return EXIT_OK, files, params, args.config
+    return EXIT_OK, files, params, args.config, done
 
 
 def _cmd_orbit(args):
@@ -234,9 +255,9 @@ def _cmd_orbit(args):
     config = _load_config(args.config)
     norms = orbit_norms(config.weights(), [1.0], args.n_max)
     files = {"orbit.csv": _csv({"n": range(len(norms)), "orbit_norm": norms})}
-    print(f"wrote orbit norms 0..{args.n_max} to {Path(args.out) / 'orbit.csv'}; "
-          f"max {max(norms):.10g}")
-    return EXIT_OK, files, {"config": config.to_dict(), "n_max": args.n_max}, args.config
+    done = (f"wrote orbit norms 0..{args.n_max} to {Path(args.out) / 'orbit.csv'}; "
+            f"max {max(norms):.10g}")
+    return EXIT_OK, files, {"config": config.to_dict(), "n_max": args.n_max}, args.config, done
 
 
 def _cmd_weights(args):
@@ -247,8 +268,8 @@ def _cmd_weights(args):
     n_max = args.n_max if args.n_max is not None else weights.last_index + 2
     files = {"weights.csv": _csv({"n": range(n_max + 1),
                                   "weight": weights.weight_range(0, n_max + 1)})}
-    print(f"wrote weights 0..{n_max} to {Path(args.out) / 'weights.csv'}")
-    return EXIT_OK, files, {"config": config.to_dict(), "n_max": n_max}, args.config
+    done = f"wrote weights 0..{n_max} to {Path(args.out) / 'weights.csv'}"
+    return EXIT_OK, files, {"config": config.to_dict(), "n_max": n_max}, args.config, done
 
 
 # ---------------------------------------------------------------------- #
@@ -317,15 +338,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.time()
     try:
-        status, files, params, config_path = args.func(args)
+        status, files, params, config_path, done = args.func(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         outputs = []
-        for name, text in files.items():
-            data = text.encode()
-            (out / name).write_bytes(data)
-            outputs.append({"name": name, "bytes": len(data),
-                            "sha256": hashlib.sha256(data).hexdigest()})
+        for name, chunks in files.items():
+            digest, size = hashlib.sha256(), 0
+            with open(out / name, "wb") as f:
+                for chunk in chunks:
+                    data = chunk.encode()
+                    f.write(data)
+                    digest.update(data)
+                    size += len(data)
+            outputs.append({"name": name, "bytes": size, "sha256": digest.hexdigest()})
         manifest = {
             "command": args.command,
             "version": __version__,
@@ -335,6 +360,8 @@ def main(argv=None) -> int:
             "elapsed_seconds": time.time() - started,  # excluded from determinism
         }
         (out / f"{args.command}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        if done:
+            print(done)
         return status
     except (InfeasibleConstructionError, TruncationError, DecompositionMismatchError) as exc:
         print(f"numerical infeasibility: {exc}", file=sys.stderr)

@@ -10,9 +10,10 @@ Each series builds its evaluation plan once, on first use, and keeps it:
 every maximal run of consecutive exponents is a block
 s^N (c_0 + c_1 s + ... + c_w s^w).  eval takes all blocks at once by one
 Horner pass over a (blocks x points) array, multiplies each block's row
-by s^N and adds the rows in block order.  Every step acts on one point
-alone, so a point's value does not depend on the batch it is evaluated
-in, and a dense series gets exactly the bits of Horner's rule.  eval_with_derivatives returns G,
+by s^N, one np.power with a scalar exponent per block, and adds the rows
+in block order.  Every step acts on one point alone, so a point's value
+does not depend on the batch it is evaluated in, and a dense series gets
+exactly the bits of Horner's rule.  eval_with_derivatives returns G,
 G' and G'' together, bit-equal to eval on the series and its cached
 derivatives, with one range check for all three.
 
@@ -56,14 +57,14 @@ class _EvalPlan(NamedTuple):
     """A series' terms as eval consumes them: one block per maximal run of
     consecutive exponents.
 
-    powers holds each block's lowest exponent N, as a float column, and
-    horner its coefficients, one (blocks, 1) slice per power from the
+    powers holds each block's lowest exponent N, as a float, and horner
+    its coefficients, one (blocks, 1) slice per power from the
     highest down: slice j holds c_{w-j} of each block, w the widest
     block's top power, with zeros above a shorter block's own top.  The
     zero series is one block of zeros.
     """
 
-    powers: np.ndarray
+    powers: tuple[float, ...]
     horner: np.ndarray
 
     def run(self, s_arr: np.ndarray) -> np.ndarray:
@@ -73,7 +74,10 @@ class _EvalPlan(NamedTuple):
         for coeffs in self.horner:  # leading zeros stay 0: each block runs its own rule
             acc *= s
             acc += coeffs
-        acc *= np.power(s, self.powers)
+        for row, power in zip(acc, self.powers):
+            # one scalar exponent per block: with a (blocks, 1) exponent column
+            # numpy gave s^2 as s*s in large batches only, so s^2 hung on the batch
+            row *= np.power(s, power)
         total = acc[0]
         for row in acc[1:]:  # in block order: np.sum adds a lone point's blocks pairwise
             total += row
@@ -152,14 +156,14 @@ class RadialSeries:
         """The series' Horner blocks, built on first use and kept with the series."""
         e = self.exponents
         if not len(e):
-            return _EvalPlan(np.zeros((1, 1)), np.zeros((1, 1, 1)))
+            return _EvalPlan((0.0,), np.zeros((1, 1, 1)))
         first = np.flatnonzero(np.diff(e, prepend=-2) != 1)  # where each run starts
         width = np.diff(first, append=len(e))
         # a term sits in slice (widest - 1) - (its power above its block's N)
         block = np.repeat(np.arange(len(first)), width)
         horner = np.zeros((int(width.max()), len(first), 1))
         horner[len(horner) - 1 - (e - e[first][block]), block, 0] = self.coeffs
-        return _EvalPlan(e[first, None].astype(np.float64), horner)
+        return _EvalPlan(tuple(map(float, e[first])), horner)
 
     def eval(self, s):
         """Value at s, scalar or array; requires 0 <= s < 1."""

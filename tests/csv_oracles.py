@@ -1,8 +1,9 @@
 """The package's earlier CSV writer, cell by cell, as an oracle.
 
 It formats every float cell with %.17g and every other cell with str, one
-line at a time.  cli._csv now fills one row template over all the cells
-at once; its text, written to a file, must give the same bytes.
+line at a time.  cli._csv now yields the header and then one chunk per
+block of rows, each filling one row template over the block's cells;
+its chunks, joined, must give the same text.
 """
 
 from pathlib import Path

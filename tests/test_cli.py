@@ -410,13 +410,14 @@ def test_csv_writer_follows_the_per_cell_rules(tmp_path):
     ints = [7, np.int64(-3), 2**40, 0]
     floats = [0.1, -0.0, 5e-324, 1e300, math.nan, math.inf, float(2**40), -math.inf]
     path = tmp_path / "edge.csv"
-    path.write_text(cli._csv({"i": ints, "i64": np.array(ints, dtype=np.int64), "x": floats[:4],
-                              "y": np.array(floats[4:]), "text": ["a", "", "b c", "d"]}))
+    path.write_text("".join(cli._csv({"i": ints, "i64": np.array(ints, dtype=np.int64),
+                                      "x": floats[:4], "y": np.array(floats[4:]),
+                                      "text": ["a", "", "b c", "d"]})))
     expected = ["i,i64,x,y,text"] + [
         ",".join([str(int(i)), str(int(i)), "%.17g" % float(x), "%.17g" % float(y), t])
         for i, x, y, t in zip(ints, floats[:4], floats[4:], ["a", "", "b c", "d"])]
     assert path.read_text() == "\n".join(expected) + "\n"
-    path.write_text(cli._csv({"n": [], "weight": np.zeros(0)}))
+    path.write_text("".join(cli._csv({"n": [], "weight": np.zeros(0)})))
     assert path.read_text() == "n,weight\n"
 
 
@@ -425,8 +426,9 @@ def test_csv_writer_formats_lists_and_arrays_alike(tmp_path):
     # tolist(), so a list and an array of the same values write the same bytes
     columns = {"n": [0, -7, 2**40], "x": [0.1, -0.0, 5e-324], "text": ["a", "", "true"]}
     as_lists, as_arrays = tmp_path / "lists.csv", tmp_path / "arrays.csv"
-    as_lists.write_text(cli._csv(columns))
-    as_arrays.write_text(cli._csv({name: np.array(values) for name, values in columns.items()}))
+    as_lists.write_text("".join(cli._csv(columns)))
+    as_arrays.write_text("".join(cli._csv({name: np.array(values)
+                                           for name, values in columns.items()})))
     assert as_lists.read_bytes() == as_arrays.read_bytes()
     assert as_lists.read_text().splitlines() == [
         "n,x,text", "0,0.10000000000000001,a", "-7,-0,", "1099511627776,4.9406564584124654e-324,true"]
@@ -442,7 +444,7 @@ def test_csv_writer_matches_the_per_cell_writer(tmp_path):
     for name, cols in (("edge", columns), ("empty", {"n": [], "x": np.zeros(0), "t": []}),
                        ("one_column", {"x": floats})):
         new, old = tmp_path / f"{name}_new.csv", tmp_path / f"{name}_old.csv"
-        new.write_text(cli._csv(cols))
+        new.write_text("".join(cli._csv(cols)))
         csv_oracles.write_csv(old, cols)
         assert new.read_bytes() == old.read_bytes(), name
     assert (tmp_path / "edge_new.csv").read_text().splitlines()[1:3] == [
@@ -456,9 +458,69 @@ def test_csv_writer_matches_the_per_cell_writer_on_random_tables(tmp_path_factor
     path = tmp_path_factory.mktemp("csv")
     ints, floats, texts = (list(c) for c in zip(*rows)) if rows else ([], [], [])
     columns = {"i": ints, "x": floats, "x_array": np.array(floats, dtype=float), "t": texts}
-    (path / "new.csv").write_text(cli._csv(columns))
+    (path / "new.csv").write_text("".join(cli._csv(columns)))
     csv_oracles.write_csv(path / "old.csv", columns)
     assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._CSV_ROWS - 1, cli._CSV_ROWS, cli._CSV_ROWS + 1,
+                                  2 * cli._CSV_ROWS + 1])
+def test_csv_chunks_join_to_the_per_cell_writer(tmp_path, rows):
+    # the header, then one chunk per block of at most _CSV_ROWS rows, on
+    # lists, ranges and arrays; the block edges must not move a byte
+    floats = [math.ldexp(1.0 + i / 7, i % 50 - 25) for i in range(rows)]
+    columns = {"n": range(rows), "i": list(range(-rows, 0)), "x": floats,
+               "x_array": np.array(floats), "k": np.arange(rows, dtype=np.int64),
+               "t": ["-0" if i % 3 else "" for i in range(rows)]}
+    chunks = list(cli._csv(columns))
+    assert chunks[0] == "n,i,x,x_array,k,t\n"
+    assert len(chunks) == 1 + -(-rows // cli._CSV_ROWS)
+    assert all(0 < c.count("\n") <= cli._CSV_ROWS for c in chunks[1:])
+    csv_oracles.write_csv(tmp_path / "old.csv", columns)
+    assert "".join(chunks) == (tmp_path / "old.csv").read_text()
+
+
+def test_weights_manifest_digests_a_table_of_many_chunks(constructed, tmp_path):
+    # 3 * _CSV_ROWS + 2 rows: main hashes the chunks as it writes them
+    n_max = 3 * cli._CSV_ROWS
+    assert cli.main(["weights", str(constructed / "config.json"), "--n-max", str(n_max),
+                     "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "weights.csv").read_bytes()
+    assert data.count(b"\n") == n_max + 2
+    manifest = json.loads((tmp_path / "weights_manifest.json").read_text())
+    assert manifest["outputs"] == [{"name": "weights.csv", "bytes": len(data),
+                                    "sha256": hashlib.sha256(data).hexdigest()}]
+
+
+def test_weights_table_is_never_held_whole(constructed, tmp_path, capsys):
+    # 200,001 rows, 1.7 MB of text: the weight list and one chunk at a time
+    # stay under 5 MB (a 20 MB peak when the table was formatted whole)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert cli.main(["weights", str(constructed / "config.json"), "--n-max", "200000",
+                         "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "weights.csv").stat().st_size > 1_600_000
+    assert peak < 5_000_000, peak
+    assert capsys.readouterr().out == f"wrote weights 0..200000 to {tmp_path / 'weights.csv'}\n"
+
+
+@pytest.mark.parametrize("argv", [["weights", "{config}", "--n-max", "10"],
+                                  ["orbit", "{config}", "10"],
+                                  ["curvature", "{config}", "--points", "20"]])
+def test_a_table_command_that_cannot_write_prints_nothing(constructed, tmp_path, capsys, argv):
+    # the "wrote ..." line comes only after main has written the file
+    (tmp_path / "notadir").write_text("")
+    config = str(constructed / "config.json")
+    argv = [config if a == "{config}" else a for a in argv]
+    assert cli.main([*argv, "--out", str(tmp_path / "notadir" / "sub")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and "Not a directory" in captured.err
 
 
 def test_construct_without_spikes_writes_a_header_only_certificate(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from numpy.polynomial import polynomial as poly
 from series_oracles import dense_coeffs, edge_bump, fd_laplacian, geometric_series, is_dense
 
-from hardyshift import RadialSeries, TruncationError
+from hardyshift import RadialSeries, TruncationError, spike_kernel_term
+from hardyshift.grids import boundary_refined_grid
 from hardyshift.series import tail_bound_geometric, truncation_order
 from hardyshift.spectral import kernel_ratio_series
 from hardyshift.weights import build_spiked_weights
@@ -98,19 +99,19 @@ def test_fused_cases_cover_every_evaluation_plan():
     cases = fused_cases()
     plans = {name: g._plan for name, g in cases.items()}
     # the zero series is one block of zeros
-    assert plans["zero"].powers.tolist() == [[0.0]]
+    assert plans["zero"].powers == (0.0,)
     assert plans["zero"].horner.tolist() == [[[0.0]]]
     # a dense series is one block at N = 0, its coefficients from the top down
-    assert plans["dense"].powers.tolist() == [[0.0]]
+    assert plans["dense"].powers == (0.0,)
     assert plans["dense"].horner[:, 0, 0].tolist() == cases["dense"].coeffs[::-1].tolist()
     # a gap of 2 splits a run, a gap of 1 does not
-    assert plans["mixed"].powers.ravel().tolist() == [0.0, 3.0, 6.0, 4000.0, 1e6]
+    assert plans["mixed"].powers == (0.0, 3.0, 6.0, 4000.0, 1e6)
     assert plans["mixed"].horner[:, :2, 0].T.tolist() == [[0.0, 0.5], [2.0, -1.25]]
     assert plans["blocks"].horner.shape == (1, 2 * 4096 + 17, 1)
     # the kernel ratio: the constant, then one block per spike interior run
     w = build_spiked_weights(1.0, (3, 32, 117, 343))
     plan = kernel_ratio_series(w)._plan
-    assert plan.powers.ravel().tolist() == [0.0] + [float(sp.interior[0]) for sp in w.spikes]
+    assert plan.powers == (0.0, *(float(sp.interior[0]) for sp in w.spikes))
     assert plan.horner.shape == (2 * len(w.spikes), 1 + len(w.spikes), 1)
 
 
@@ -163,6 +164,30 @@ def test_eval_is_batch_independent(config):
         one = np.array([g.eval(float(x)) for x in s])
         assert batch.tobytes() == one.tobytes()
         assert batch[::7].tobytes() == g.eval(s[::7]).tobytes()
+
+
+def test_eval_is_batch_independent_on_the_curvature_grid():
+    # the curvature table's series at K = 8 on its 20,000-point grid; G'' and
+    # f'' have a block at s^2, which a broadcast exponent column gave as s*s
+    # in large batches only (354 and 573 points moved when taken one by one)
+    weights = build_spiked_weights(1.0, FROZEN_STARTS["K8_delta0.5"])
+    terms = [spike_kernel_term(weights.alpha, sp) for sp in weights.spikes]
+    g = RadialSeries(np.concatenate([t.exponents for t in terms]),
+                     np.concatenate([t.coeffs for t in terms]))
+    f = kernel_ratio_series(weights)
+    r = boundary_refined_grid(20000, -math.log2(1.0 - 0.999))
+    s = r * r
+    series = {"G": g, "G'": g.derivative, "G''": g.derivative.derivative,
+              "f": f, "f''": f.derivative.derivative}
+    for name, h in series.items():
+        whole = h.eval(s)
+        for size in (8, 2048, 8192):
+            parts = np.concatenate([h.eval(s[i:i + size]) for i in range(0, len(s), size)])
+            assert parts.tobytes() == whole.tobytes(), (name, size)
+    for name in ("G''", "f''"):
+        h = series[name]
+        one = np.array([h.eval(float(x)) for x in s])
+        assert one.tobytes() == h.eval(s).tobytes(), name
 
 
 @pytest.mark.parametrize("config", FROZEN_STARTS)
