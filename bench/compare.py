@@ -2,7 +2,10 @@
 
     python3 bench/compare.py --parent PARENT_CHECKOUT --change . --out BENCH_5.json
 
-Six parts, each run on both checkouts with this same script:
+Six parts, each run on both checkouts with this same script.  `--only
+PREFIX ...` keeps the in-process and cold-start jobs whose names start with
+one of the prefixes (`plan_`, `construct_`), and `--workloads NAME ...`
+the workloads of the last two parts; the output identity part always runs.
 
 * output identity: every command of the `search`, `certify` and
   `tables` workloads (from the change's `hardybench/workloads.py`, verify
@@ -21,7 +24,8 @@ Six parts, each run on both checkouts with this same script:
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
   delta 0.5, K = 3..8, 24 and 32; delta 1e-3, K = 4, the second `search`
   command; delta 1e-6, K = 8), per call over a loop of PLAN_CALLS calls
-  after one untimed call, each from a cold lemma cache, of
+  after one untimed call, each from a cold lemma cache, with the lemma
+  cache misses of that untimed plan, of
   `verify_f_conditions` / `verify_theorem_conditions` (eps 2) on the
   frozen K = 8 config, and of `verify_theorem_conditions` (eps 0.004)
   on the frozen K = 4, delta 1e-3 config, the two `verify` runs of the
@@ -181,7 +185,8 @@ def child(kind: str, key: str) -> None:
 
 def plan_loop(k: int, delta: float) -> None:
     """Time PLAN_CALLS plans at alpha 1, each from a cold lemma cache; print
-    {"cpu_s", "wall_s", "result"} with the times per call."""
+    {"cpu_s", "wall_s", "result", "lemma_misses"} with the times per call and
+    the lemma cache misses of one plan."""
     from hardyshift.construction import ConstructionConfig
     from hardyshift.search import lemma_bounds
 
@@ -190,11 +195,13 @@ def plan_loop(k: int, delta: float) -> None:
         return list(ConstructionConfig.plan(1.0, delta, k).spike_starts)
 
     result = call()
+    misses = lemma_bounds.cache_info().misses
     c0, t0 = time.process_time(), time.perf_counter()
     for _ in range(PLAN_CALLS):
         call()
     cpu, wall = time.process_time() - c0, time.perf_counter() - t0
-    print(json.dumps({"cpu_s": cpu / PLAN_CALLS, "wall_s": wall / PLAN_CALLS, "result": result}))
+    print(json.dumps({"cpu_s": cpu / PLAN_CALLS, "wall_s": wall / PLAN_CALLS, "result": result,
+                      "lemma_misses": misses}))
 
 
 def layer(kind: str, key: str) -> None:
@@ -483,6 +490,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path, default=Path("."))
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--only", nargs="+", metavar="PREFIX", default=[""],
+                        help="in-process and cold-start jobs to run, by name prefix")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
+                        help="workloads of the traced and end-to-end parts")
     args = parser.parse_args(argv)
     if args.child:
         child(*args.child)
@@ -501,6 +512,7 @@ def main(argv=None) -> int:
                ("verify_theorem", "K16"), ("verify_theorem", "K24"), ("verify_f", "K32")]
             + [(kind, "K8") for kind in LAYER_CALLS] + [("kernel_ratio", "K4"),
                                                          ("block_roots", "K32")])
+    jobs = [(kind, key) for kind, key in jobs if f"{kind}_{key}".startswith(tuple(args.only))]
     for rep in range(REPS):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
         for kind, key in jobs:
@@ -511,6 +523,8 @@ def main(argv=None) -> int:
                     if name in res:
                         slot.setdefault(name, []).append(res[name])
                 slot["result"] = res["result"]
+                if "lemma_misses" in res:
+                    slot["lemma_misses"] = res["lemma_misses"]
                 print(f"{side} {kind} {key}: cpu {res['cpu_s']:.3f} s", flush=True)
     for side in sides:
         for job, slot in inprocess[side].items():
@@ -518,15 +532,18 @@ def main(argv=None) -> int:
                 if name in slot:
                     slot[name] = summary(slot[name])
             cpu = slot["cpu_s"]
+            misses = f", lemma misses {slot['lemma_misses']}" if "lemma_misses" in slot else ""
             print(f"{side} {job}: cpu median {cpu['median']:.4f} s "
-                  f"[q1 {cpu['q1']:.4f}, q3 {cpu['q3']:.4f}]", flush=True)
+                  f"[q1 {cpu['q1']:.4f}, q3 {cpu['q3']:.4f}]{misses}", flush=True)
 
     cold = {side: {} for side in sides}
     cold_cpu = {side: {} for side in sides}
     cold_rss = {side: {} for side in sides}
     floors = []
     with tempfile.TemporaryDirectory() as tmp:
-        commands = {side: cold_commands(Path(tmp), side, path) for side, path in sides.items()}
+        commands = {side: {name: cmd for name, cmd in cold_commands(Path(tmp), side, path).items()
+                           if name.startswith(tuple(args.only))}
+                    for side, path in sides.items()}
         startup = imported(sides["change"], ["-c", "pass"])  # a site hook may preload some
         loaded = {side: {name: [m for m in WATCHED_IMPORTS if m in imported(path, cmd) - startup]
                          for name, cmd in commands[side].items()}
@@ -541,8 +558,9 @@ def main(argv=None) -> int:
                     cold[side].setdefault(name, []).append(wall)
                     cold_cpu[side].setdefault(name, []).append(cpu)
                     cold_rss[side].setdefault(name, []).append(rss)
-    print(f"cold start peak RSS floor (the launcher's own high-water RSS): "
-          f"{min(floors):.1f} to {max(floors):.1f} MB", flush=True)
+    if floors:
+        print(f"cold start peak RSS floor (the launcher's own high-water RSS): "
+              f"{min(floors):.1f} to {max(floors):.1f} MB", flush=True)
     for side in sides:
         cold[side] = {name: summary(vals) for name, vals in cold[side].items()}
         cold_cpu[side] = {name: summary(vals) for name, vals in cold_cpu[side].items()}
@@ -554,11 +572,12 @@ def main(argv=None) -> int:
               + ", ".join(f"{n} {s['median']:.1f} MB" for n, s in cold_rss[side].items()),
               flush=True)
 
-    traced = {side: {w: run_bench(path, w, 1, seconds, 1) for w in ("search", "certify")}
+    traced = {side: {w: run_bench(path, w, 1, seconds, 1) for w in ("search", "certify")
+                     if w in args.workloads}
               for side, path in sides.items()}
 
     end_to_end = {}
-    for w in WORKLOADS:
+    for w in args.workloads:
         runs = {side: [] for side in sides}
         for pair in range(PAIRS):
             order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
@@ -578,7 +597,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps({
         "script": "bench/compare.py",
         "settings": {"reps": REPS, "cold_reps": COLD_REPS, "pairs": PAIRS,
-                     "seconds": seconds},
+                     "seconds": seconds, "only": args.only, "workloads": args.workloads},
         "commits": {side: identify(path) for side, path in sides.items()},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count(), "loadavg_end": list(os.getloadavg())},
@@ -587,7 +606,7 @@ def main(argv=None) -> int:
         "cold_start_wall_s": cold,
         "cold_start_cpu_s": cold_cpu,
         "cold_start_peak_rss_mb": cold_rss,
-        "cold_start_peak_rss_floor_mb": summary(floors),
+        "cold_start_peak_rss_floor_mb": summary(floors) if floors else None,
         "cold_start_imports": loaded,
         "traced": traced,
         "end_to_end": end_to_end,

@@ -19,16 +19,18 @@ further core spun idle.
 
 A subcommand writes nothing itself: it returns its exit status, its
 files as {name: chunks of text}, its manifest parameters, the config
-path it read and the line to print once its files are written.  A CSV's
+path it read and the text to print once its files are written: the
+config JSON of construct, the report lines of lemma, the condition lines
+of verify, the "wrote ..." line of a table command.  A CSV's
 chunks are its header and then blocks of _CSV_ROWS rows, each formatted
 only when main asks for it, so no table's text is held whole; a JSON
 file is one chunk.  main is the one writer.  It makes the --out
 directory, opens each file once and writes its chunks, feeding one
 sha256 and one byte count as it goes, then writes
 <command>_manifest.json with those sizes and digests, and prints the
-line.  A subcommand computes every value before it returns, so a
+text.  A subcommand computes every value before it returns, so a
 command that fails before it returns leaves no --out directory and
-prints no such line, while verify's exit 2 or 4, which it returns after
+prints nothing on stdout, while verify's exit 2 or 4, which it returns after
 measuring, still writes its files.  The manifest's elapsed_seconds runs
 from the parsed arguments to the manifest, the subcommand's lazy
 imports included.
@@ -118,7 +120,7 @@ def _load_config(path: str) -> ConstructionConfig:
 
 # ---------------------------------------------------------------------- #
 # subcommands: each returns (exit status, {file name: chunks of text},
-# manifest parameters, the config path it read or None, the line to print
+# manifest parameters, the config path it read or None, the text to print
 # once the files are written or None) and main writes the files
 
 
@@ -141,9 +143,8 @@ def _cmd_construct(args):
 
     text = config.to_json()
     files = {"config.json": [text + "\n"], "certificate.csv": _csv(columns)}
-    print(text)
     return EXIT_OK, files, {"alpha": args.alpha, "delta": delta, "epsilon": args.epsilon,
-                            "K": args.K, "rmax": args.rmax, "tol": args.tol}, None, None
+                            "K": args.K, "rmax": args.rmax, "tol": args.tol}, None, text
 
 
 def _cmd_verify(args):
@@ -162,12 +163,10 @@ def _cmd_verify(args):
     coisometry = [ConditionResult(condition="coisometry_band", threshold=BAND_THRESHOLD,
                                   measured=band.deviation, argmax_r=None, passed=band.passed)]
     conditions = [c for rep in reports.values() for c in rep.conditions] + coisometry
-    for cond in conditions:
-        status = "PASS" if cond.passed else "FAIL"
-        print(f"{status} {cond.condition}: measured {cond.measured:.10g} "
-              f"vs threshold {cond.threshold:.10g}")
-
     all_passed = all(c.passed for c in conditions)
+    lines = [f"{'PASS' if c.passed else 'FAIL'} {c.condition}: measured {c.measured:.10g} "
+             f"vs threshold {c.threshold:.10g}" for c in conditions]
+    lines.append("all conditions pass" if all_passed else "CONDITION FAILURES")
     files = {
         "conditions.csv": _csv({
             "condition": [c.condition for c in conditions],
@@ -185,22 +184,21 @@ def _cmd_verify(args):
             "coisometry": [c.to_dict() for c in coisometry],
         }, indent=2) + "\n"],
     }
-    print("all conditions pass" if all_passed else "CONDITION FAILURES")
     code = EXIT_OK if all_passed else EXIT_CONDITION_FAILED
     unmeasured = [c.condition for c in conditions if not math.isfinite(c.measured)]
     if unmeasured:
         print(f"numerical infeasibility: not finite: {', '.join(unmeasured)}", file=sys.stderr)
         code = EXIT_NUMERICAL
     params = {"config": config.to_dict(), "epsilon": args.epsilon, "seed": args.seed}
-    return code, files, params, args.config, None
+    return code, files, params, args.config, "\n".join(lines)
 
 
 def _cmd_lemma(args):
     powers = list(args.powers)
     reports = [lemma_bounds(n) for n in powers]
-    for n, rep in zip(powers, reports):
-        print(f"n={n}: sup {rep.value_sup:.6g}, laplacian sup {rep.laplacian_sup:.6g}, "
-              f"laplacian mass {rep.laplacian_carleson:.6g}")
+    done = "\n".join(f"n={n}: sup {rep.value_sup:.6g}, laplacian sup {rep.laplacian_sup:.6g}, "
+                     f"laplacian mass {rep.laplacian_carleson:.6g}"
+                     for n, rep in zip(powers, reports))
     # lemma.csv keeps its own column names; it tabulates the square of the
     # gradient sup, which scales like 1/n^2 as the gradient mass does
     columns = {
@@ -213,7 +211,7 @@ def _cmd_lemma(args):
         "carl_laplacian_bound": [bump_laplacian_carleson_bound(n) for n in powers],
         "carl_grad_sq_bound": [bump_gradient_sq_carleson_bound(n) for n in powers],
     }
-    return EXIT_OK, {"lemma.csv": _csv(columns)}, {"powers": powers}, None, None
+    return EXIT_OK, {"lemma.csv": _csv(columns)}, {"powers": powers}, None, done
 
 
 def _cmd_curvature(args):

@@ -6,8 +6,9 @@ critical points found by Brent's method, the deficits of a spike are
 expm1 values, and the gate compares their triangle-inequality combination
 against the budgets delta / 2^k (delta / 4^k for the squared gradient
 mass).  The search probes each candidate start at its head power alone,
-one lemma report per probe, and confirms the start it lands on with the
-full gate over the spike interior; MAX_START is its one cap.  None of it
+one lemma report per probe, steps to the start the report's decay orders
+predict, and confirms the start it lands on with the full gate over the
+spike interior; MAX_START is its one cap.  None of it
 needs an array, so this module imports no numpy, and `construct` and
 `lemma` run without loading it.  The spike terms the verifier measures
 are built here from the same deficits, as plain Terms, and so is the
@@ -450,16 +451,39 @@ def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
                      thresholds=thresholds)
 
 
+# the order in the power at which each lemma column falls, as Decay states
+_DECAY_ORDERS = Decay(1, 1, 1, 1, 2)
+
+
+def probe_and_predict(budget: float, thresholds: Decay, start: int) -> tuple[bool, float]:
+    """The gate's test at the head power start + 1 alone, for a spike with
+    this budget and these thresholds, and the head power the decay orders
+    predict to pass.
+
+    Column c's ratio rho_c = value / threshold falls like power^-q_c, so the
+    smallest head power m with rho_c(m) <= 1 is predicted at
+    (start + 1) rho_c^(1/q_c); the prediction is the largest over the
+    columns, inf where a threshold underflows to 0.  The test is the gate's
+    own value <= threshold per column; the prediction only steers the search.
+    """
+    head = start + 1
+    values = _scaled_by_budget(budget, lemma_bounds(head))
+    passed = all(v <= t for v, t in zip(values, thresholds))
+    predicted = max(head * (v / t) ** (1.0 / q) if t else math.inf
+                    for v, t, q in zip(values, thresholds, _DECAY_ORDERS))
+    return passed, predicted
+
+
 def head_probe(alpha: float, delta: float, spike: SpikeSpec) -> bool:
-    """The gate's test at the head power start + 1 of the spike interior alone.
+    """The gate's test at the head power start + 1 of the spike interior
+    alone (probe_and_predict with the spike's budget and thresholds).
 
     The head is one of the powers spike_gate maximises over, so a spike
     that fails this fails the gate; where the lemma columns decrease in the
     power the head holds every maximum, and the two decide alike.
     """
-    values = _scaled_by_budget(spike_budget(alpha, spike), lemma_bounds(spike.start + 1))
     thresholds = spike_correction_thresholds(delta, spike.half_width)
-    return all(v <= t for v, t in zip(values, thresholds))
+    return probe_and_predict(spike_budget(alpha, spike), thresholds, spike.start)[0]
 
 
 def _check_construction(alpha: float, delta: float, n_spikes: int) -> None:
@@ -477,17 +501,24 @@ def _check_construction(alpha: float, delta: float, n_spikes: int) -> None:
 def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[int]:
     """Choose spike starts so every gate passes, earliest first.
 
-    For each k the search probes with head_probe, which reads one lemma
-    report where spike_gate reads 2k - 1: it doubles from start 1, or from
-    the floor imposed by the previous spike, up to MAX_START, then bisects
-    down to a start whose predecessor fails the probe.  The full spike_gate
-    then confirms that start; should it fail (a lemma column rising inside
-    the spike), the search steps up one start at a time until the gate
-    passes.  So each returned start passes spike_gate and its predecessor
-    fails it (or lies below the floor).  A probe or gate failing at
-    MAX_START, or a floor past it, raises InfeasibleConstructionError naming
-    the spike; no start past MAX_START is ever tested, and nothing else
-    bounds n_spikes.
+    For each k the search probes with probe_and_predict, which reads one
+    lemma report where spike_gate reads 2k - 1, at spike k's budget and
+    thresholds, computed once.  It keeps a bracket: lo, the largest failing
+    probe (or the floor minus one), and hi, the smallest passing one.  The
+    first probe is the floor: start 1, or the first start past the previous
+    spike.  Each next probe is a safeguarded Newton step: the start the last
+    probe's decay orders predict, clipped into (lo, hi), or up to MAX_START
+    while no probe has passed.  After a step that fails to halve hi - lo,
+    or to double lo while no probe has passed, one fallback probe follows:
+    the bisection of (lo, hi), taken in log n while hi > 2 lo, or 2 lo
+    capped at MAX_START.  The search lands on hi = lo + 1, a start whose
+    predecessor fails the probe.  The full spike_gate then confirms that
+    start; should it fail (a lemma column rising inside the spike), the
+    search steps up one start at a time until the gate passes.  So each
+    returned start passes spike_gate and its predecessor fails it (or lies
+    below the floor).  A probe or gate failing at MAX_START, or a floor
+    past it, raises InfeasibleConstructionError naming the spike; no start
+    past MAX_START is ever tested, and nothing else bounds n_spikes.
     """
     _check_construction(alpha, delta, n_spikes)
 
@@ -501,20 +532,31 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
                     f"(alpha={alpha}, delta={delta})"
                 )
 
-        def probe(n: int) -> bool:
-            return head_probe(alpha, delta, SpikeSpec(n, k))
-
-        lo, hi = None, floor
-        while hi > MAX_START or not probe(hi):
-            stop_at_cap(hi)
-            lo, hi = hi, min(2 * hi, MAX_START)
-        if lo is not None:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if probe(mid):
-                    hi = mid
-                else:
-                    lo = mid
+        if floor > MAX_START:
+            stop_at_cap(floor)
+        budget = spike_budget(alpha, SpikeSpec(floor, k))  # the same at every start
+        thresholds = spike_correction_thresholds(delta, k)
+        # lo fails the probe or lies below the floor; hi, None until a probe
+        # passes, passes it; stepped: the probe at n is a predicted step
+        lo, hi, n, stepped = floor - 1, None, floor, False
+        while hi is None or hi - lo > 1:
+            passed, predicted = probe_and_predict(budget, thresholds, n)
+            was_lo, was_hi = lo, hi
+            if passed:
+                hi = n
+            else:
+                stop_at_cap(n)
+                lo = n
+            if hi is None:  # step within (lo, MAX_START], or double lo
+                top, fallback, shrank = MAX_START, min(2 * lo, MAX_START), lo >= 2 * was_lo
+            else:  # step within (lo, hi), or bisect it, in log n while hi > 2 lo
+                top = hi - 1
+                fallback = math.isqrt(lo * hi) if hi > 2 * lo else (lo + hi) // 2
+                shrank = was_hi is None or 2 * (hi - lo) <= was_hi - was_lo
+            if stepped and not shrank:
+                n, stepped = max(fallback, lo + 1), False
+            else:
+                n, stepped = min(max(math.ceil(min(predicted, top + 1.0)) - 1, lo + 1), top), True
         while not spike_gate(alpha, delta, SpikeSpec(hi, k)).passed:
             stop_at_cap(hi)
             hi += 1

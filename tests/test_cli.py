@@ -511,9 +511,13 @@ def test_weights_table_is_never_held_whole(constructed, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["weights", "{config}", "--n-max", "10"],
                                   ["orbit", "{config}", "10"],
-                                  ["curvature", "{config}", "--points", "20"]])
+                                  ["curvature", "{config}", "--points", "20"],
+                                  ["construct", "--alpha", "1", "--delta", "0.5", "--K", "2"],
+                                  ["lemma", "1", "10"],
+                                  ["verify", "{config}"]])
 def test_a_table_command_that_cannot_write_prints_nothing(constructed, tmp_path, capsys, argv):
-    # the "wrote ..." line comes only after main has written the file
+    # the "wrote ..." line, construct's config, lemma's and verify's report
+    # lines come only after main has written the files
     (tmp_path / "notadir").write_text("")
     config = str(constructed / "config.json")
     argv = [config if a == "{config}" else a for a in argv]

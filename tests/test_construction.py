@@ -10,6 +10,7 @@ import fraction_oracles
 import mpmath
 import numpy as np
 import pytest
+import search_oracles
 from conftest import K16_STARTS, K24_STARTS, SMALL_DELTA_K8, spiked_layouts
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -169,7 +170,7 @@ def test_lemma_gradient_columns_match_mpmath_across_the_search_range():
 @example(n=2)
 @example(n=MAX_POWER - 1)
 def test_lemma_columns_decrease_in_the_power(n):
-    # the bisection takes the gate as monotone in the start
+    # the search takes the gate as monotone in the start
     for name, now, nxt in zip(Decay._fields, lemma_bounds(n), lemma_bounds(n + 1)):
         assert nxt < now, (n, name)
 
@@ -295,27 +296,114 @@ def test_infeasible_budget_raises(monkeypatch):
 
 
 def test_search_probes_up_to_the_cap_itself(monkeypatch):
-    # spike 2 doubles from its floor 6 to 24; the next doubling, 48, passes
-    # the cap, so the last probe must be the cap 40, where the gate passes
+    # spike 2 steps from its floor 6 to 28 and 31, short of 32; the doubling
+    # of 31, 62, passes the cap, so the next probe must be the cap 40, which
+    # passes, and the search goes on down to 32
     monkeypatch.setattr(search, "MAX_START", 40)
     assert select_spike_positions(1.0, 0.5, 2) == [3, 32]
+
+
+def _record_probes(mp: pytest.MonkeyPatch) -> list[int]:
+    """Patch search.probe_and_predict through mp to record the start of each
+    head probe; return the list it fills."""
+    probe, probes = search.probe_and_predict, []
+
+    def recorded(budget, thresholds, start):
+        probes.append(start)
+        return probe(budget, thresholds, start)
+
+    mp.setattr(search, "probe_and_predict", recorded)
+    return probes
 
 
 def test_search_never_probes_past_the_cap(monkeypatch):
     # spike 1 ends at 5, so spike 2's floor 6 is already past the cap;
     # both the head probes and the full gates that confirm them are recorded
     monkeypatch.setattr(search, "MAX_START", 5)
-    probed = {"head_probe": [], "spike_gate": []}
-    for name in probed:
-        def recorded(alpha, delta, spike, tested=getattr(search, name), starts=probed[name]):
-            starts.append(spike.start)
-            return tested(alpha, delta, spike)
+    probed, gated, gate = _record_probes(monkeypatch), [], search.spike_gate
 
-        monkeypatch.setattr(search, name, recorded)
+    def recorded_gate(alpha, delta, spike):
+        gated.append(spike.start)
+        return gate(alpha, delta, spike)
+
+    monkeypatch.setattr(search, "spike_gate", recorded_gate)
     with pytest.raises(InfeasibleConstructionError):
         select_spike_positions(1.0, 0.5, 2)
-    assert probed["head_probe"] and probed["spike_gate"] == [3]
-    assert max(probed["head_probe"]) <= 5
+    assert probed and gated == [3]
+    assert max(probed) <= 5
+
+
+def _search_outcome(select, alpha, delta, n_spikes):
+    """The starts select returns, or the message of the InfeasibleConstructionError it raises."""
+    try:
+        return select(alpha, delta, n_spikes)
+    except InfeasibleConstructionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(alpha=st.sampled_from((0.3, 0.6, 1.0, 2.5, 100.0)), delta=st.floats(1e-12, 0.99),
+       n_spikes=st.integers(1, 6), cap=st.sampled_from((None, 5, 40)))
+@example(alpha=1.0, delta=0.5, n_spikes=6, cap=None)
+@example(alpha=1.0, delta=1e-3, n_spikes=4, cap=None)
+@example(alpha=1.0, delta=0.5, n_spikes=2, cap=40)
+@example(alpha=1.0, delta=0.5, n_spikes=2, cap=5)
+@example(alpha=0.3, delta=1e-12, n_spikes=6, cap=None)
+def test_search_matches_the_doubling_and_bisection_oracle(alpha, delta, n_spikes, cap):
+    # the same starts, or the same InfeasibleConstructionError, under the
+    # start cap and under caps of 5 and 40, with no probe past the cap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "MAX_START", cap or search.MAX_START)
+        probes = _record_probes(mp)
+        outcome = _search_outcome(select_spike_positions, alpha, delta, n_spikes)
+        assert probes and max(probes) <= search.MAX_START
+        assert outcome == _search_outcome(search_oracles.select_spike_positions,
+                                          alpha, delta, n_spikes)
+
+
+def _scaled(factor):
+    """Lemma reports with every column of lemma_bounds(n) times factor(n)."""
+    return lambda bumps, n: Decay(*(factor(n) * v for v in bumps(n)))
+
+
+# lemma reports, from the true ones, whose columns break the 1/n and 1/n^2
+# decay the search's steps assume
+BROKEN_DECAYS = {
+    "rising": _scaled(lambda n: n * n),  # no start passes: the search runs into the cap
+    "constant": lambda bumps, n: bumps(7),  # a spike passes at its floor or nowhere
+    "slower": _scaled(lambda n: n ** 0.5),
+    "much_slower": _scaled(lambda n: n / math.log(n + 1.0)),
+    "faster": _scaled(lambda n: 1.0 / n),
+    "much_faster": _scaled(lambda n: n ** -2.0),
+    "jump": _scaled(lambda n: 10.0 if n < 5000 else 1.0),
+    "gradient_mass_slower": lambda bumps, n: bumps(n)._replace(
+        gradient_sq_carleson=n * bumps(n).gradient_sq_carleson),
+}
+
+
+@pytest.mark.parametrize("decay", sorted(BROKEN_DECAYS))
+def test_search_keeps_the_oracle_start_where_the_decay_order_breaks(monkeypatch, decay):
+    # each probe still decides by value <= threshold, so the starts stay the
+    # oracle's, and the fallback steps keep the probes within 2x its + 4
+    report, bumps = BROKEN_DECAYS[decay], lemma_bounds
+    monkeypatch.setattr(search, "lemma_bounds", lambda n: report(bumps, n))
+    probes = _record_probes(monkeypatch)
+    for args in ((1.0, 0.5, 6), (1.0, 1e-3, 4), (1.0, 1e-6, 8), (0.3, 1e-9, 3), (100.0, 0.9, 5),
+                 (2.5, 1e-12, 2)):
+        probes.clear()
+        expected = _search_outcome(search_oracles.select_spike_positions, *args)
+        oracle_probes = len(probes)
+        probes.clear()
+        assert _search_outcome(select_spike_positions, *args) == expected, args
+        assert len(probes) <= 2 * oracle_probes + 4, (args, len(probes), oracle_probes)
+
+
+@pytest.mark.parametrize("delta, n_spikes, most", [(1e-3, 4, 35), (1e-6, 8, 100)])
+def test_plan_lemma_misses_are_bounded(delta, n_spikes, most):
+    # the doubling and bisection missed the lemma cache 88 and 312 times
+    lemma_bounds.cache_clear()
+    ConstructionConfig.plan(1.0, delta, n_spikes)
+    assert lemma_bounds.cache_info().misses <= most
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -337,7 +425,7 @@ def test_head_probe_decides_as_the_gate(alpha, k, start, delta):
 
 def test_search_confirms_with_the_full_gate_where_a_column_rises(monkeypatch):
     # inflate the last interior power of spike 2's minimal layout (33 .. 35),
-    # which no probe of its bisection reads: the search lands on 32, whose
+    # which no head probe of its search reads: the search lands on 32, whose
     # full gate fails, and must step up to 35, the first start past it
     bumps = search.lemma_bounds
 
