@@ -2,10 +2,7 @@
 
     python3 bench/compare.py --parent PARENT_CHECKOUT --change . --out BENCH_5.json
 
-Six parts, each run on both checkouts with this same script.  `--only
-PREFIX ...` keeps the in-process and cold-start jobs whose names start with
-one of the prefixes (`plan_`, `construct_`), and `--workloads NAME ...`
-the workloads of the last two parts; the output identity part always runs.
+Six parts, each run on both checkouts with this same script:
 
 * output identity: every command of the `search`, `certify` and
   `tables` workloads (from the change's `hardybench/workloads.py`, verify
@@ -490,10 +487,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path, default=Path("."))
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--only", nargs="+", metavar="PREFIX", default=[""],
-                        help="in-process and cold-start jobs to run, by name prefix")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
-                        help="workloads of the traced and end-to-end parts")
     args = parser.parse_args(argv)
     if args.child:
         child(*args.child)
@@ -512,7 +505,6 @@ def main(argv=None) -> int:
                ("verify_theorem", "K16"), ("verify_theorem", "K24"), ("verify_f", "K32")]
             + [(kind, "K8") for kind in LAYER_CALLS] + [("kernel_ratio", "K4"),
                                                          ("block_roots", "K32")])
-    jobs = [(kind, key) for kind, key in jobs if f"{kind}_{key}".startswith(tuple(args.only))]
     for rep in range(REPS):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
         for kind, key in jobs:
@@ -541,9 +533,7 @@ def main(argv=None) -> int:
     cold_rss = {side: {} for side in sides}
     floors = []
     with tempfile.TemporaryDirectory() as tmp:
-        commands = {side: {name: cmd for name, cmd in cold_commands(Path(tmp), side, path).items()
-                           if name.startswith(tuple(args.only))}
-                    for side, path in sides.items()}
+        commands = {side: cold_commands(Path(tmp), side, path) for side, path in sides.items()}
         startup = imported(sides["change"], ["-c", "pass"])  # a site hook may preload some
         loaded = {side: {name: [m for m in WATCHED_IMPORTS if m in imported(path, cmd) - startup]
                          for name, cmd in commands[side].items()}
@@ -558,9 +548,8 @@ def main(argv=None) -> int:
                     cold[side].setdefault(name, []).append(wall)
                     cold_cpu[side].setdefault(name, []).append(cpu)
                     cold_rss[side].setdefault(name, []).append(rss)
-    if floors:
-        print(f"cold start peak RSS floor (the launcher's own high-water RSS): "
-              f"{min(floors):.1f} to {max(floors):.1f} MB", flush=True)
+    print(f"cold start peak RSS floor (the launcher's own high-water RSS): "
+          f"{min(floors):.1f} to {max(floors):.1f} MB", flush=True)
     for side in sides:
         cold[side] = {name: summary(vals) for name, vals in cold[side].items()}
         cold_cpu[side] = {name: summary(vals) for name, vals in cold_cpu[side].items()}
@@ -572,12 +561,11 @@ def main(argv=None) -> int:
               + ", ".join(f"{n} {s['median']:.1f} MB" for n, s in cold_rss[side].items()),
               flush=True)
 
-    traced = {side: {w: run_bench(path, w, 1, seconds, 1) for w in ("search", "certify")
-                     if w in args.workloads}
+    traced = {side: {w: run_bench(path, w, 1, seconds, 1) for w in ("search", "certify")}
               for side, path in sides.items()}
 
     end_to_end = {}
-    for w in args.workloads:
+    for w in WORKLOADS:
         runs = {side: [] for side in sides}
         for pair in range(PAIRS):
             order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
@@ -597,7 +585,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps({
         "script": "bench/compare.py",
         "settings": {"reps": REPS, "cold_reps": COLD_REPS, "pairs": PAIRS,
-                     "seconds": seconds, "only": args.only, "workloads": args.workloads},
+                     "seconds": seconds},
         "commits": {side: identify(path) for side, path in sides.items()},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count(), "loadavg_end": list(os.getloadavg())},
@@ -606,7 +594,7 @@ def main(argv=None) -> int:
         "cold_start_wall_s": cold,
         "cold_start_cpu_s": cold_cpu,
         "cold_start_peak_rss_mb": cold_rss,
-        "cold_start_peak_rss_floor_mb": summary(floors) if floors else None,
+        "cold_start_peak_rss_floor_mb": summary(floors),
         "cold_start_imports": loaded,
         "traced": traced,
         "end_to_end": end_to_end,

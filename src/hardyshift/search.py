@@ -510,11 +510,11 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
     probe's decay orders predict, clipped into (lo, hi), or up to MAX_START
     while no probe has passed.  After a step that fails to halve hi - lo,
     or to double lo while no probe has passed, one fallback probe follows:
-    the bisection of (lo, hi), taken in log n while hi > 2 lo, or 2 lo
-    capped at MAX_START.  The search lands on hi = lo + 1, a start whose
-    predecessor fails the probe.  The full spike_gate then confirms that
-    start; should it fail (a lemma column rising inside the spike), the
-    search steps up one start at a time until the gate passes.  So each
+    the bisection of (lo, hi), or 2 lo capped at MAX_START.  The search
+    lands on hi = lo + 1, a start whose predecessor fails the probe.  The
+    full spike_gate then confirms that start; should it fail (a lemma column
+    rising inside the spike), the search steps up one start at a time until
+    the gate passes.  So each
     returned start passes spike_gate and its predecessor fails it (or lies
     below the floor).  A probe or gate failing at MAX_START, or a floor
     past it, raises InfeasibleConstructionError naming the spike; no start
@@ -549,9 +549,8 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
                 lo = n
             if hi is None:  # step within (lo, MAX_START], or double lo
                 top, fallback, shrank = MAX_START, min(2 * lo, MAX_START), lo >= 2 * was_lo
-            else:  # step within (lo, hi), or bisect it, in log n while hi > 2 lo
-                top = hi - 1
-                fallback = math.isqrt(lo * hi) if hi > 2 * lo else (lo + hi) // 2
+            else:  # step within (lo, hi), or bisect it
+                top, fallback = hi - 1, (lo + hi) // 2
                 shrank = was_hi is None or 2 * (hi - lo) <= was_hi - was_lo
             if stepped and not shrank:
                 n, stepped = max(fallback, lo + 1), False

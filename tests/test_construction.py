@@ -374,7 +374,6 @@ BROKEN_DECAYS = {
     "slower": _scaled(lambda n: n ** 0.5),
     "much_slower": _scaled(lambda n: n / math.log(n + 1.0)),
     "faster": _scaled(lambda n: 1.0 / n),
-    "much_faster": _scaled(lambda n: n ** -2.0),
     "jump": _scaled(lambda n: 10.0 if n < 5000 else 1.0),
     "gradient_mass_slower": lambda bumps, n: bumps(n)._replace(
         gradient_sq_carleson=n * bumps(n).gradient_sq_carleson),
