@@ -2,7 +2,7 @@
 
     python3 bench/compare.py --parent PARENT_CHECKOUT --change . --out BENCH_5.json
 
-Six parts, each run on both checkouts with this same script:
+Seven parts, each run on both checkouts with this same script:
 
 * output identity: every command of the `search`, `certify` and
   `tables` workloads (from the change's `hardybench/workloads.py`, verify
@@ -46,6 +46,10 @@ Six parts, each run on both checkouts with this same script:
   `carleson._block_roots` over every block list `term_decay` scans for
   f - 1 and for the last spike's term (Laplacian and slope blocks) on the
   frozen K = 8 and K = 32 configs; same fresh interpreters and alternation;
+* for each in-process job, whether the two sides return the same
+  `result` and `lemma_misses`, and each job where they do not, printed:
+  this catches a plan start that moves at K = 24 or 32, or at delta
+  1e-6, which the output-identity part does not reach;
 * cold-start wall time, CPU time (user + system) and peak RSS
   (`ru_maxrss`), the last two from the child's own `os.wait4` rusage, of
   `python -c "import hardyshift.cli"` and of the
@@ -527,6 +531,15 @@ def main(argv=None) -> int:
             misses = f", lemma misses {slot['lemma_misses']}" if "lemma_misses" in slot else ""
             print(f"{side} {job}: cpu median {cpu['median']:.4f} s "
                   f"[q1 {cpu['q1']:.4f}, q3 {cpu['q3']:.4f}]{misses}", flush=True)
+    # whether both sides return the same result and lemma misses, job by job
+    agree = {job: all(inprocess["parent"][job].get(name) == slot.get(name)
+                      for name in ("result", "lemma_misses"))
+             for job, slot in inprocess["change"].items()}
+    for job in (job for job, same in agree.items() if not same):
+        print(f"in-process {job}: the sides disagree: "
+              + ", ".join(f"{name} {inprocess['parent'][job].get(name)} -> "
+                          f"{inprocess['change'][job].get(name)}"
+                          for name in ("result", "lemma_misses")), flush=True)
 
     cold = {side: {} for side in sides}
     cold_cpu = {side: {} for side in sides}
@@ -591,6 +604,7 @@ def main(argv=None) -> int:
                  "nproc": os.cpu_count(), "loadavg_end": list(os.getloadavg())},
         "output_identity": identity,
         "inprocess": inprocess,
+        "inprocess_agree": agree,
         "cold_start_wall_s": cold,
         "cold_start_cpu_s": cold_cpu,
         "cold_start_peak_rss_mb": cold_rss,

@@ -55,7 +55,7 @@ import sys
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .search import (  # noqa: F401  (gradient_sq_mass: re-exported)
+from .search import (
     TWO_PI,
     _integer_coefficients,
     _sum_in_order,

@@ -10,8 +10,8 @@ quadratic Carleson quantity), and the budgets sum to at most delta.
 Placement never measures the correction term directly.  It gates on
 per-bump reports combined through the triangle inequality, which keeps
 the search monotone in spirit and each candidate cheap; that part runs on
-the standard library and lives in hardyshift.search, whose names this
-module re-exports.  Verification, here, then measures the assembled
+the standard library and lives in hardyshift.search, some of whose names
+this module re-exports.  Verification, here, then measures the assembled
 corrections and the full ratio, so the two stages check each other: the
 flatness rows read every supremum and mass exactly from the boundary
 blocks of hardyshift.carleson, and the curvature rows follow from the
@@ -26,17 +26,10 @@ from typing import NamedTuple, Sequence
 
 from .carleson import term_decay
 from .search import (  # noqa: F401  (the spike search, re-exported under its old module)
-    MAX_POWER,
-    MAX_START,
-    TWO_PI,
     ConstructionConfig,
     Decay,
-    InfeasibleConstructionError,
-    SpikeGate,
-    Terms,
     bump_gradient_sq_carleson_bound,
     bump_laplacian_carleson_bound,
-    bump_peak,
     delta_for_epsilon,
     lemma_bounds,
     select_spike_positions,

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .search import RootNotConvergedError, brentq  # noqa: F401  (RootNotConvergedError: re-exported)
+from .search import brentq
 
 _POLISH_POINTS = 33  # samples per bracket and polish step; each step shrinks a bracket 16-fold
 _POLISH_XATOL = 1e-13  # brackets narrower than this are final

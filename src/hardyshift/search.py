@@ -7,8 +7,10 @@ expm1 values, and the gate compares their triangle-inequality combination
 against the budgets delta / 2^k (delta / 4^k for the squared gradient
 mass).  The search probes each candidate start at its head power alone,
 one lemma report per probe, steps to the start the report's decay orders
-predict, and confirms the start it lands on with the full gate over the
-spike interior; MAX_START is its one cap.  None of it
+predict, and confirms the start it lands on with the gate over the whole
+spike interior; MAX_START is its one cap.  The probe, the confirm and
+spike_gate form their values in one helper, over the powers they are
+handed, and share one pass test.  None of it
 needs an array, so this module imports no numpy, and `construct` and
 `lemma` run without loading it.  The spike terms the verifier measures
 are built here from the same deficits, as plain Terms, and so is the
@@ -348,8 +350,8 @@ def lemma_bounds(n: int) -> Decay:
         raise ValueError(f"n must lie in 1..{MAX_POWER}, got {n}")
     b = 2 * n + 1
     rho = math.exp(2 * n * math.log1p(-1.0 / (n + 1)))
-    mass = 2 * rho * float(Fraction(n * (8 * n + 3), 2 * (n + 1) * b * (2 * n + 3))) \
-        + float(Fraction(1, 2 * b * (2 * n + 3)))
+    mass = 2 * rho * (n * (8 * n + 3) / (2 * (n + 1) * b * (2 * n + 3))) \
+        + 1 / (2 * b * (2 * n + 3))
     return Decay(
         value_sup=bump_peak(n)[1],
         laplacian_sup=bump_supremum(n - 1, (n + 1) ** 2, b, 2),
@@ -422,18 +424,19 @@ class SpikeGate(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return all(v <= t for v, t in zip(self.values, self.thresholds))
-
-    @property
-    def worst_margin(self) -> float:
-        """Largest value/threshold ratio; <= 1 means the gate passes."""
-        return max(v / t for v, t in zip(self.values, self.thresholds))
+        return _passes(self.values, self.thresholds)
 
 
-def _scaled_by_budget(budget: float, bumps: Decay) -> Decay:
-    """budget * each linear column of a bump report, budget^2 * its
-    squared-gradient mass: the gate's values."""
-    return Decay(*(budget * v for v in bumps[:4]), budget ** 2 * bumps.gradient_sq_carleson)
+def _gate_values(budget: float, powers: Sequence[int]) -> Decay:
+    """The gate's values over the bumps at these powers: budget * the field-wise
+    max of their lemma reports, budget^2 * the max squared-gradient mass."""
+    peaks = Decay(*map(max, zip(*map(lemma_bounds, powers))))
+    return Decay(*(budget * v for v in peaks[:4]), budget ** 2 * peaks.gradient_sq_carleson)
+
+
+def _passes(values: Decay, thresholds: Decay) -> bool:
+    """The gate's test: every value at or below its threshold."""
+    return all(v <= t for v, t in zip(values, thresholds))
 
 
 def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
@@ -444,11 +447,8 @@ def spike_gate(alpha: float, delta: float, spike: SpikeSpec) -> SpikeGate:
     budget^2 * max bounds the squared-gradient mass (Cauchy-Schwarz).
     """
     thresholds = spike_correction_thresholds(delta, spike.half_width)
-    reports = [lemma_bounds(m) for m in spike.interior]
-    peaks = Decay(*map(max, zip(*reports)))  # field by field
-    c_total = spike_budget(alpha, spike)
-    return SpikeGate(spike=spike, budget=c_total, values=_scaled_by_budget(c_total, peaks),
-                     thresholds=thresholds)
+    budget = spike_budget(alpha, spike)
+    return SpikeGate(spike, budget, _gate_values(budget, spike.interior), thresholds)
 
 
 # the order in the power at which each lemma column falls, as Decay states
@@ -460,6 +460,9 @@ def probe_and_predict(budget: float, thresholds: Decay, start: int) -> tuple[boo
     this budget and these thresholds, and the head power the decay orders
     predict to pass.
 
+    The head is one of the powers spike_gate maximises over, so a spike
+    that fails this fails the gate; where the lemma columns decrease in the
+    power the head holds every maximum, and the two decide alike.
     Column c's ratio rho_c = value / threshold falls like power^-q_c, so the
     smallest head power m with rho_c(m) <= 1 is predicted at
     (start + 1) rho_c^(1/q_c); the prediction is the largest over the
@@ -467,23 +470,10 @@ def probe_and_predict(budget: float, thresholds: Decay, start: int) -> tuple[boo
     own value <= threshold per column; the prediction only steers the search.
     """
     head = start + 1
-    values = _scaled_by_budget(budget, lemma_bounds(head))
-    passed = all(v <= t for v, t in zip(values, thresholds))
+    values = _gate_values(budget, (head,))
     predicted = max(head * (v / t) ** (1.0 / q) if t else math.inf
                     for v, t, q in zip(values, thresholds, _DECAY_ORDERS))
-    return passed, predicted
-
-
-def head_probe(alpha: float, delta: float, spike: SpikeSpec) -> bool:
-    """The gate's test at the head power start + 1 of the spike interior
-    alone (probe_and_predict with the spike's budget and thresholds).
-
-    The head is one of the powers spike_gate maximises over, so a spike
-    that fails this fails the gate; where the lemma columns decrease in the
-    power the head holds every maximum, and the two decide alike.
-    """
-    thresholds = spike_correction_thresholds(delta, spike.half_width)
-    return probe_and_predict(spike_budget(alpha, spike), thresholds, spike.start)[0]
+    return _passes(values, thresholds), predicted
 
 
 def _check_construction(alpha: float, delta: float, n_spikes: int) -> None:
@@ -512,11 +502,11 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
     or to double lo while no probe has passed, one fallback probe follows:
     the bisection of (lo, hi), or 2 lo capped at MAX_START.  The search
     lands on hi = lo + 1, a start whose predecessor fails the probe.  The
-    full spike_gate then confirms that start; should it fail (a lemma column
-    rising inside the spike), the search steps up one start at a time until
-    the gate passes.  So each
-    returned start passes spike_gate and its predecessor fails it (or lies
-    below the floor).  A probe or gate failing at MAX_START, or a floor
+    gate over the whole interior, at the same budget and thresholds, then
+    confirms that start; should it fail (a lemma column rising inside the
+    spike), the search steps up one start at a time until it passes.  So
+    each returned start passes spike_gate and its predecessor fails it (or
+    lies below the floor).  A probe or gate failing at MAX_START, or a floor
     past it, raises InfeasibleConstructionError naming the spike; no start
     past MAX_START is ever tested, and nothing else bounds n_spikes.
     """
@@ -556,11 +546,11 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
                 n, stepped = max(fallback, lo + 1), False
             else:
                 n, stepped = min(max(math.ceil(min(predicted, top + 1.0)) - 1, lo + 1), top), True
-        while not spike_gate(alpha, delta, SpikeSpec(hi, k)).passed:
+        while not _passes(_gate_values(budget, SpikeSpec(hi, k).interior), thresholds):
             stop_at_cap(hi)
             hi += 1
         starts.append(hi)
-        floor = hi + 2 * k + 1  # next spike must start past this one's end
+        floor = SpikeSpec(hi, k).end + 1  # next spike must start past this one's end
     return starts
 
 

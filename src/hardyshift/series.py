@@ -34,8 +34,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .search import TruncationError  # noqa: F401  (re-exported)
-
 _PRODUCT_TERM_CAP = 4_000_000
 
 

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .search import DecompositionMismatchError, TruncationError  # noqa: F401  (re-exported)
+from .search import TruncationError
 from .search import deficit_coefficients, spike_kernel_term, spike_ratio_term  # noqa: F401
 from .search import kernel_ratio_terms
 from .series import RadialSeries, truncation_order

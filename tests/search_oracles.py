@@ -2,9 +2,10 @@
 search.select_spike_positions, which steps by the lemma's decay orders.
 
 select_spike_positions is the search as it was before that step,
-unchanged: it probes with search.head_probe and confirms with
-search.spike_gate, both looked up at call time, and reads search.MAX_START
-at call time, so a test's patches reach it as they reach the search.
+unchanged: it probes with search.probe_and_predict at the spike's budget
+and thresholds and confirms with search.spike_gate, both looked up at call
+time, and reads search.MAX_START at call time, so a test's patches reach
+it as they reach the search.
 Both must return the same starts, or raise the same
 InfeasibleConstructionError.
 """
@@ -33,7 +34,9 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
                 )
 
         def probe(n: int) -> bool:
-            return search.head_probe(alpha, delta, SpikeSpec(n, k))
+            spike = SpikeSpec(n, k)
+            thresholds = search.spike_correction_thresholds(delta, k)
+            return search.probe_and_predict(search.spike_budget(alpha, spike), thresholds, n)[0]
 
         lo, hi = None, floor
         while hi > search.MAX_START or not probe(hi):

@@ -30,9 +30,9 @@ from hardyshift import carleson
 from hardyshift.carleson import (_TINY, TWO_PI, SeriesGapDensity, _block, _block_density, _runs,
                                  _slope, block_supremum, carleson_norm, dyadic_t_grid,
                                  gradient_sq_mass, tail_ratio, term_decay)
-from hardyshift.construction import MAX_POWER, verify_f_conditions
+from hardyshift.construction import verify_f_conditions
 from hardyshift.grids import QuadratureError, _root_scan_grid, sign_roots
-from hardyshift.search import Terms, spike_ratio_term
+from hardyshift.search import MAX_POWER, Terms, spike_ratio_term
 from hardyshift.series import RadialSeries
 from hardyshift.spectral import kernel_ratio_series
 from hardyshift.weights import SpikeSpec

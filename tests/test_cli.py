@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import hardyshift
 from hardyshift import cli, construction
-from hardyshift.construction import MAX_POWER, ConstructionConfig, InfeasibleConstructionError
-from hardyshift.series import TruncationError
+from hardyshift.construction import ConstructionConfig
+from hardyshift.search import MAX_POWER, InfeasibleConstructionError, TruncationError
 from hardyshift.weights import WeightSequence
 
 
@@ -590,14 +590,11 @@ def test_exit_code_for_truncation_failure(constructed, tmp_path, monkeypatch):
 
 def test_numerical_errors_are_the_core_exceptions(constructed, tmp_path, monkeypatch, capsys):
     # cli.main catches them from hardyshift.search, which imports no numpy;
-    # the numpy layer raises the same classes
-    from hardyshift import search, series, spectral
-
-    assert series.TruncationError is search.TruncationError
-    assert spectral.DecompositionMismatchError is search.DecompositionMismatchError
+    # the numpy layer raises the classes it imports from there
+    from hardyshift import search
 
     def mismatched(*args, **kwargs):
-        raise spectral.DecompositionMismatchError("slope parameter and weights are inconsistent")
+        raise search.DecompositionMismatchError("slope parameter and weights are inconsistent")
 
     monkeypatch.setattr(construction, "verify_f_conditions", mismatched)
     assert cli.main(["verify", str(constructed / "config.json"),
@@ -714,7 +711,7 @@ def test_exit_code_for_unconverged_root_search(tmp_path, monkeypatch):
     # root searches that do not converge are a numerical failure, not a
     # crash: the spike search reaches brentq through the lemma's sups
     from hardyshift import search
-    from hardyshift.grids import RootNotConvergedError
+    from hardyshift.search import RootNotConvergedError
 
     def unconverged(*args, **kwargs):
         raise RootNotConvergedError("brentq did not converge")
@@ -870,7 +867,6 @@ def test_top_level_names_are_the_submodule_objects():
         for module in (search, construction, carleson, series, spectral):
             assert getattr(module, name, value) is value, (name, module.__name__)
     assert grids.brentq is search.brentq
-    assert grids.RootNotConvergedError is search.RootNotConvergedError
     assert carleson.gradient_sq_mass is search.gradient_sq_mass
     assert construction.lemma_bounds is search.lemma_bounds
     with pytest.raises(AttributeError):

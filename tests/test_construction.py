@@ -36,8 +36,8 @@ from hardyshift import (
 )
 from hardyshift import cli, construction, grids, search
 from hardyshift.carleson import gradient_sq_mass, term_decay
-from hardyshift.search import Terms
-from hardyshift.construction import MAX_POWER, Decay, measure_spike_conditions
+from hardyshift.search import MAX_POWER, Terms
+from hardyshift.construction import Decay, measure_spike_conditions
 from hardyshift.series import RadialSeries
 from hardyshift.spectral import deficit_coefficients, spike_kernel_term, spike_ratio_term
 from hardyshift.weights import SpikeSpec
@@ -318,18 +318,22 @@ def _record_probes(mp: pytest.MonkeyPatch) -> list[int]:
 
 def test_search_never_probes_past_the_cap(monkeypatch):
     # spike 1 ends at 5, so spike 2's floor 6 is already past the cap;
-    # both the head probes and the full gates that confirm them are recorded
+    # both the head probes and the gates over the interior that confirm
+    # them are recorded: every gate read, at the start before its first power
     monkeypatch.setattr(search, "MAX_START", 5)
-    probed, gated, gate = _record_probes(monkeypatch), [], search.spike_gate
+    probed, read, values = _record_probes(monkeypatch), [], search._gate_values
 
-    def recorded_gate(alpha, delta, spike):
-        gated.append(spike.start)
-        return gate(alpha, delta, spike)
+    def recorded_values(budget, powers):
+        read.append(powers[0] - 1)
+        return values(budget, powers)
 
-    monkeypatch.setattr(search, "spike_gate", recorded_gate)
+    monkeypatch.setattr(search, "_gate_values", recorded_values)
     with pytest.raises(InfeasibleConstructionError):
         select_spike_positions(1.0, 0.5, 2)
-    assert probed and gated == [3]
+    confirmed = read.copy()
+    for n in probed:  # each probe reads the gate once, at its own start
+        confirmed.remove(n)
+    assert probed and confirmed == [3]
     assert max(probed) <= 5
 
 
@@ -415,11 +419,16 @@ def test_head_probe_decides_as_the_gate(alpha, k, start, delta):
     # the search probes with the head power alone; it must decide as the
     # full gate does, here and at the delta that puts the gate at its edge
     spike = SpikeSpec(start, k)
+
+    def probe(delta):
+        thresholds = spike_correction_thresholds(delta, k)
+        return search.probe_and_predict(spike_budget(alpha, spike), thresholds, start)[0]
+
     gate = spike_gate(alpha, delta, spike)
-    assert search.head_probe(alpha, delta, spike) == gate.passed
-    edge = delta * gate.worst_margin
+    assert probe(delta) == gate.passed
+    edge = delta * max(v / t for v, t in zip(gate.values, gate.thresholds))
     if edge < 1.0:
-        assert search.head_probe(alpha, edge, spike) == spike_gate(alpha, edge, spike).passed
+        assert probe(edge) == spike_gate(alpha, edge, spike).passed
 
 
 def test_search_confirms_with_the_full_gate_where_a_column_rises(monkeypatch):
@@ -432,7 +441,8 @@ def test_search_confirms_with_the_full_gate_where_a_column_rises(monkeypatch):
         return Decay(*(10.0 * v for v in bumps(n))) if n == 35 else bumps(n)
 
     monkeypatch.setattr(search, "lemma_bounds", inflated)
-    assert search.head_probe(1.0, 0.5, SpikeSpec(32, 2))
+    budget, thresholds = spike_budget(1.0, SpikeSpec(32, 2)), spike_correction_thresholds(0.5, 2)
+    assert search.probe_and_predict(budget, thresholds, 32)[0]
     assert not spike_gate(1.0, 0.5, SpikeSpec(32, 2)).passed
     starts = select_spike_positions(1.0, 0.5, 3)
     assert starts[:2] == [3, 35]
@@ -451,7 +461,8 @@ def test_search_reaches_32_spikes_below_the_start_cap():
 def test_gate_worst_margin():
     gate = spike_gate(1.0, 0.5, SpikeSpec(3, 1))
     assert gate.passed
-    assert 0.9 < gate.worst_margin <= 1.0  # position 3 is binding
+    worst = max(v / t for v, t in zip(gate.values, gate.thresholds))
+    assert 0.9 < worst <= 1.0  # position 3 is binding
 
 
 # ---------------------------------------------------------------------- #
@@ -568,7 +579,7 @@ def test_library_numbers_are_checked_by_type():
 def test_config_rejects_starts_past_the_search_cap(monkeypatch):
     # the verifier's grid cannot reach a bump peak far past MAX_START: at
     # start 2^60 it read every spike2 sup as 0
-    at_cap = (3, construction.MAX_START)
+    at_cap = (3, search.MAX_START)
     assert ConstructionConfig(alpha=1.0, delta=0.5, n_spikes=2,
                               spike_starts=at_cap).spike_starts == at_cap
     with pytest.raises(ValueError, match="exceed"):

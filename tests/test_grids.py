@@ -15,7 +15,6 @@ from hardyshift.grids import (
     _GK21_NODES,
     _K21_WEIGHTS,
     QuadratureError,
-    RootNotConvergedError,
     _root_scan_grid,
     boundary_refined_grid,
     brentq,
@@ -25,6 +24,7 @@ from hardyshift.grids import (
     refined_supremum,
     sign_change_brackets,
 )
+from hardyshift.search import RootNotConvergedError
 from hardyshift.series import RadialSeries
 from hardyshift.spectral import kernel_ratio_series, ratio_log_laplacian, spike_ratio_term
 from hardyshift.weights import SpikeSpec
