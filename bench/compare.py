@@ -536,10 +536,9 @@ def main(argv=None) -> int:
                       for name in ("result", "lemma_misses"))
              for job, slot in inprocess["change"].items()}
     for job in (job for job, same in agree.items() if not same):
-        print(f"in-process {job}: the sides disagree: "
-              + ", ".join(f"{name} {inprocess['parent'][job].get(name)} -> "
-                          f"{inprocess['change'][job].get(name)}"
-                          for name in ("result", "lemma_misses")), flush=True)
+        old, new = inprocess["parent"][job], inprocess["change"][job]
+        print(f"in-process {job}: the sides disagree: result {old['result']} -> {new['result']}, "
+              f"lemma misses {old.get('lemma_misses')} -> {new.get('lemma_misses')}", flush=True)
 
     cold = {side: {} for side in sides}
     cold_cpu = {side: {} for side in sides}
