@@ -12,12 +12,19 @@ Seven parts, each run on both checkouts with this same script:
   K = 6 config (weights that are not exact floats, where every workload
   has alpha 1), and `construct --alpha 100 --delta 0.5 --K 8` and
   `verify --epsilon 2` on the starts it selects (spike terms with
-  differences that round to exactly 0), run once per checkout; every
-  output file and stdout must be byte-identical, manifests compared as
-  JSON without `elapsed_seconds`; for each CSV that is not, per column,
-  the count of moved cells, the first 20 with their old and new text,
-  and the largest relative move, and for each JSON file or manifest that
-  is not, the leaf paths added, removed and changed;
+  differences that round to exactly 0), and the error paths
+  `curvature --points 1`, `weights --n-max -1` (both on the alpha 0.6
+  config), `verify` on a missing file, `construct --alpha 1 --epsilon
+  1e16 --K 2`, and `verify --epsilon 2` and `curvature` on the alpha 0.6,
+  starts (2, 26, 103), tol 1e-17 config (exit 4), run once per
+  checkout; the exit code, stdout, stderr (with the --out and work
+  paths normalised) and every output file must be byte-identical,
+  manifests compared as JSON without `elapsed_seconds`; for each command
+  whose exit code or stderr is not, both sides' exit codes and stderr;
+  for each CSV that is not, per column, the count of moved cells, the
+  first 20 with their old and new text, and the largest relative move,
+  and for each JSON file or manifest that is not, the leaf paths added,
+  removed and changed;
 * in-process CPU and wall time of `ConstructionConfig.plan` (alpha 1,
   delta 0.5, K = 3..8, 24 and 32; delta 1e-3, K = 4, the second `search`
   command; delta 1e-6, K = 8), per call over a loop of PLAN_CALLS calls
@@ -326,12 +333,25 @@ def identity_commands(change: Path, work: Path) -> dict[str, list[str]]:
                                          "--K", "8"]
     config = str(config_file(work / "alpha100_k8.json", 0.5, ALPHA100_K8_STARTS, alpha=100.0))
     commands["verify-alpha100-K8"] = ["verify", config, "--epsilon", "2"]
+    # error paths: exit 3, exit 4 and the epsilon whose quotient rounds to 1
+    config = str(work / "alpha0.6_k6.json")
+    commands["curvature-points1"] = ["curvature", config, "--points", "1"]
+    commands["weights-n-max-1"] = ["weights", config, "--n-max", "-1"]
+    commands["verify-absent"] = ["verify", str(work / "absent.json")]
+    commands["construct-epsilon1e16-K2"] = ["construct", "--alpha", "1", "--epsilon", "1e16",
+                                            "--K", "2"]
+    tight = work / "alpha0.6_k3_tol1e-17.json"
+    tight.write_text(json.dumps({"alpha": 0.6, "delta": 0.5, "K": 3, "spike_starts": [2, 26, 103],
+                                 "r_max": 0.999, "tol": 1e-17}))
+    commands["verify-tol1e-17"] = ["verify", str(tight), "--epsilon", "2"]
+    commands["curvature-tol1e-17"] = ["curvature", str(tight)]
     return commands
 
 
 def output_differences(left: Path, right: Path) -> list[str]:
-    """Files that differ between two output directories (manifests without elapsed_seconds)."""
-    names = sorted({p.name for p in left.iterdir()} | {p.name for p in right.iterdir()})
+    """Files that differ between two output directories, either of which may
+    be missing (manifests without elapsed_seconds)."""
+    names = sorted({p.name for d in (left, right) if d.exists() for p in d.iterdir()})
     diffs = []
     for name in names:
         a, b = left / name, right / name
@@ -398,34 +418,45 @@ def json_changes(left: Path, right: Path) -> dict:
 
 
 def output_identity(sides: dict[str, Path]) -> dict:
-    """Run each identity command on both checkouts and compare every output
-    file; for each CSV that differs, record its csv_moves, and for each JSON
-    file its json_changes."""
+    """Run each identity command on both checkouts and compare its exit code,
+    stdout, stderr and every output file; for a command whose exit code or
+    stderr differs, record both sides' exit codes and stderr, for each CSV
+    that differs its csv_moves, and for each JSON file its json_changes."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         commands = identity_commands(sides["change"], work)
         result = {"commands": {}, "files_compared": 0}
         for label, cmd in commands.items():
-            outs, stdout = {}, {}
+            outs, ran = {}, {}
             for side, checkout in sides.items():
                 outs[side] = work / side / label
                 env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-                printed = subprocess.run([sys.executable, "-m", "hardyshift.cli", *cmd,
-                                          "--out", str(outs[side])], env=env,
-                                         capture_output=True, text=True, check=True).stdout
-                # the table commands print their output path, which differs by side
-                stdout[side] = printed.replace(str(outs[side]), "{out}")
+                proc = subprocess.run([sys.executable, "-m", "hardyshift.cli", *cmd,
+                                       "--out", str(outs[side])], env=env,
+                                      capture_output=True, text=True)
+                # the table commands print their output path, which differs by
+                # side, and an error names its input file under work
+                ran[side] = {name: text.replace(str(outs[side]), "{out}").replace(tmp, "{work}")
+                             for name, text in (("stdout", proc.stdout),
+                                                ("stderr", proc.stderr))}
+                ran[side]["exit"] = proc.returncode
             diffs = output_differences(outs["parent"], outs["change"])
-            if stdout["parent"] != stdout["change"]:
-                diffs.append("stdout")
-            result["files_compared"] += len(list(outs["change"].iterdir()))
+            diffs += [name for name in ("exit", "stdout", "stderr")
+                      if ran["parent"][name] != ran["change"][name]]
+            if outs["change"].exists():
+                result["files_compared"] += len(list(outs["change"].iterdir()))
             moves = {name: csv_moves(outs["parent"] / name, outs["change"] / name)
                      for name in diffs if name.endswith(".csv")}
             paths = {name: json_changes(outs["parent"] / name, outs["change"] / name)
                      for name in diffs if name.endswith(".json")}
-            result["commands"][label] = {"args": cmd, "differences": diffs, "moves": moves,
+            result["commands"][label] = {"args": cmd, "exit": ran["change"]["exit"],
+                                         "differences": diffs, "moves": moves,
                                          "json_paths": paths}
-            print(f"identity {label}: {diffs or 'identical'}", flush=True)
+            if {"exit", "stderr"} & set(diffs):
+                result["commands"][label]["exit_and_stderr"] = {
+                    side: [r["exit"], r["stderr"]] for side, r in ran.items()}
+            print(f"identity {label}: exit {ran['change']['exit']}, {diffs or 'identical'}",
+                  flush=True)
         result["identical"] = not any(c["differences"] for c in result["commands"].values())
     return result
 

@@ -17,27 +17,31 @@ routine, so curvature asks OpenBLAS for one thread unless
 OPENBLAS_NUM_THREADS is set: the worker numpy's import starts on each
 further core spun idle.
 
-A subcommand writes nothing itself: it returns its exit status, its
-files as {name: chunks of text}, its manifest parameters, the config
-path it read and the text to print once its files are written: the
-config JSON of construct, the report lines of lemma, the condition lines
-of verify, the "wrote ..." line of a table command.  A CSV's
-chunks are its header and then blocks of _CSV_ROWS rows, each formatted
-only when main asks for it, so no table's text is held whole; a JSON
-file is one chunk.  main is the one writer.  It makes the --out
-directory, opens each file once and writes its chunks, feeding one
-sha256 and one byte count as it goes, then writes
-<command>_manifest.json with those sizes and digests, and prints the
-text.  A subcommand computes every value before it returns, so a
-command that fails before it returns leaves no --out directory and
-prints nothing on stdout, while verify's exit 2 or 4, which it returns after
-measuring, still writes its files.  The manifest's elapsed_seconds runs
-from the parsed arguments to the manifest, the subcommand's lazy
-imports included.
+main reads the config and writes every file.  It calls each subcommand
+as _cmd_x(args, config), with the config it read once for verify,
+curvature, orbit and weights and None for construct and lemma, and gets
+back (status, files, params, done): the exit status, the files as
+{name: chunks of text}, the subcommand's own manifest parameters and the
+text to print once the files are written: the config JSON of construct,
+the report lines of lemma, the condition lines of verify, the
+"wrote ..." line of a table command.  A CSV's chunks are its header and
+then blocks of _CSV_ROWS rows, each formatted only when main asks for
+it, so no table's text is held whole; a JSON file is one chunk.  main
+makes the --out directory, opens each file once and writes its chunks,
+feeding one sha256 and one byte count as it goes, then writes
+<command>_manifest.json with those sizes and digests, the config path
+and the config itself first among the parameters, and prints the text.
+A subcommand computes every value before it returns, so a command that
+fails before it returns leaves no --out directory and prints nothing on
+stdout, while verify's exit 2 or 4, which it returns after measuring,
+still writes its files.  The manifest's elapsed_seconds runs from the
+parsed arguments to the manifest, the config's read and the subcommand's
+lazy imports included.
 
 Exit codes: 0 success, 2 a measured condition failed its threshold,
 3 bad input (a table too large for memory included), 4 numerical
-infeasibility (truncation or search cap, route disagreement).
+infeasibility: every RuntimeError of the package (truncation or search
+cap, unconverged root search, route disagreement).
 """
 
 from __future__ import annotations
@@ -56,9 +60,6 @@ from . import __version__
 from .search import (
     ConstructionConfig,
     Decay,
-    DecompositionMismatchError,
-    InfeasibleConstructionError,
-    TruncationError,
     lemma_bounds,
     bump_gradient_sq_carleson_bound,
     bump_laplacian_carleson_bound,
@@ -76,11 +77,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; 2 is taken
     def error(self, message):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
-
-
-# floats are written to 17 significant digits, enough to round-trip every
-# binary64; integers and text as given
-_format_float = "%.17g".__mod__
 
 
 # rows per chunk of a CSV's text: a table is never formatted whole
@@ -114,17 +110,12 @@ def _csv(columns: dict[str, Sequence]) -> Iterator[str]:
         yield row * len(parts[0]) % tuple(flat)
 
 
-def _load_config(path: str) -> ConstructionConfig:
-    return ConstructionConfig.from_json(Path(path).read_text())
-
-
 # ---------------------------------------------------------------------- #
-# subcommands: each returns (exit status, {file name: chunks of text},
-# manifest parameters, the config path it read or None, the text to print
-# once the files are written or None) and main writes the files
+# subcommands: _cmd_x(args, config) -> (status, files, params, done), as
+# the module docstring sets out
 
 
-def _cmd_construct(args):
+def _cmd_construct(args, _):
     if args.delta is not None:
         delta = args.delta
     else:
@@ -144,16 +135,15 @@ def _cmd_construct(args):
     text = config.to_json()
     files = {"config.json": [text + "\n"], "certificate.csv": _csv(columns)}
     return EXIT_OK, files, {"alpha": args.alpha, "delta": delta, "epsilon": args.epsilon,
-                            "K": args.K, "rmax": args.rmax, "tol": args.tol}, None, text
+                            "K": args.K, "rmax": args.rmax, "tol": args.tol}, text
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, config):
     from .construction import ConditionResult, verify_f_conditions, verify_theorem_conditions
     from .operators import BAND_THRESHOLD, coisometry_check
 
     if args.epsilon is not None:
         delta_for_epsilon(args.epsilon)  # rejects a bad epsilon before the measurement
-    config = _load_config(args.config)
     reports = {"ratio_flatness": verify_f_conditions(config)}
     if args.epsilon is not None:
         reports["curvature_match"] = verify_theorem_conditions(config, args.epsilon)
@@ -173,7 +163,7 @@ def _cmd_verify(args):
             "threshold": [c.threshold for c in conditions],
             "measured": [c.measured for c in conditions],
             # rows with no argmax (Carleson masses, the band) leave the cell empty
-            "argmax_r": ["" if c.argmax_r is None else _format_float(c.argmax_r)
+            "argmax_r": ["" if c.argmax_r is None else "%.17g" % c.argmax_r
                          for c in conditions],
             "pass": ["true" if c.passed else "false" for c in conditions],
         }),
@@ -189,11 +179,10 @@ def _cmd_verify(args):
     if unmeasured:
         print(f"numerical infeasibility: not finite: {', '.join(unmeasured)}", file=sys.stderr)
         code = EXIT_NUMERICAL
-    params = {"config": config.to_dict(), "epsilon": args.epsilon, "seed": args.seed}
-    return code, files, params, args.config, "\n".join(lines)
+    return code, files, {"epsilon": args.epsilon, "seed": args.seed}, "\n".join(lines)
 
 
-def _cmd_lemma(args):
+def _cmd_lemma(args, _):
     powers = list(args.powers)
     reports = [lemma_bounds(n) for n in powers]
     done = "\n".join(f"n={n}: sup {rep.value_sup:.6g}, laplacian sup {rep.laplacian_sup:.6g}, "
@@ -211,10 +200,10 @@ def _cmd_lemma(args):
         "carl_laplacian_bound": [bump_laplacian_carleson_bound(n) for n in powers],
         "carl_grad_sq_bound": [bump_gradient_sq_carleson_bound(n) for n in powers],
     }
-    return EXIT_OK, {"lemma.csv": _csv(columns)}, {"powers": powers}, None, done
+    return EXIT_OK, {"lemma.csv": _csv(columns)}, {"powers": powers}, done
 
 
-def _cmd_curvature(args):
+def _cmd_curvature(args, config):
     # checked before numpy's import, which a bad value need not pay
     if not 0.0 < args.rmax < 1.0:
         raise ValueError(f"--rmax must lie in (0, 1), got {args.rmax}")
@@ -223,7 +212,6 @@ def _cmd_curvature(args):
         raise ValueError(f"--rmax must exceed 2**-54, got {args.rmax}: 1 - rmax rounds to 1")
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
-    config = _load_config(args.config)
     weights = config.weights()
 
     # no command calls BLAS; OpenBLAS's idle pool cost about 0.13 s of CPU a run
@@ -243,31 +231,28 @@ def _cmd_curvature(args):
     gap_sq = samples.difference * (1.0 - samples.r) ** 2
     files = {"curvature.csv": _csv({**samples._asdict(), "difference_gap_sq": gap_sq})}
     done = f"wrote {len(grid)} curvature samples to {Path(args.out) / 'curvature.csv'}"
-    params = {"config": config.to_dict(), "points": args.points, "rmax": args.rmax}
-    return EXIT_OK, files, params, args.config, done
+    return EXIT_OK, files, {"points": args.points, "rmax": args.rmax}, done
 
 
-def _cmd_orbit(args):
+def _cmd_orbit(args, config):
     from .operators import orbit_norms
 
-    config = _load_config(args.config)
     norms = orbit_norms(config.weights(), [1.0], args.n_max)
     files = {"orbit.csv": _csv({"n": range(len(norms)), "orbit_norm": norms})}
     done = (f"wrote orbit norms 0..{args.n_max} to {Path(args.out) / 'orbit.csv'}; "
             f"max {max(norms):.10g}")
-    return EXIT_OK, files, {"config": config.to_dict(), "n_max": args.n_max}, args.config, done
+    return EXIT_OK, files, {"n_max": args.n_max}, done
 
 
-def _cmd_weights(args):
+def _cmd_weights(args, config):
     if args.n_max is not None and args.n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {args.n_max}")
-    config = _load_config(args.config)
     weights = config.weights()
     n_max = args.n_max if args.n_max is not None else weights.last_index + 2
     files = {"weights.csv": _csv({"n": range(n_max + 1),
                                   "weight": weights.weight_range(0, n_max + 1)})}
     done = f"wrote weights 0..{n_max} to {Path(args.out) / 'weights.csv'}"
-    return EXIT_OK, files, {"config": config.to_dict(), "n_max": n_max}, args.config, done
+    return EXIT_OK, files, {"n_max": n_max}, done
 
 
 # ---------------------------------------------------------------------- #
@@ -279,7 +264,14 @@ def _build_parser() -> _Parser:
                      description="spiked-weight backward shifts with flat curvature")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("construct", help="choose spike positions for a budget")
+    def command(name, func, help, config=False):
+        p = sub.add_parser(name, help=help)
+        if config:  # main reads it
+            p.add_argument("config", help="path to config JSON")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("construct", _cmd_construct, "choose spike positions for a budget")
     p.add_argument("--alpha", type=float, required=True, help="slope parameter, > 0")
     budget = p.add_mutually_exclusive_group(required=True)
     budget.add_argument("--delta", type=float, help="correction budget in (0, 1)")
@@ -288,47 +280,34 @@ def _build_parser() -> _Parser:
     p.add_argument("--K", type=int, required=True, dest="K", help="number of spikes, >= 0")
     p.add_argument("--rmax", type=float, default=0.999, help="kernel-ratio check radius, in (0, 1)")
     p.add_argument("--tol", type=float, default=1e-9, help="allowed kernel-ratio error on r <= rmax")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="measure flatness conditions for a config")
-    p.add_argument("config", help="path to config JSON")
+    p = command("verify", _cmd_verify, "measure flatness conditions for a config", config=True)
     p.add_argument("--epsilon", type=float, default=None,
                    help="also bound the ratio band and curvature rows at this level")
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in report.json and the manifest; affects no check")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("lemma", help="tabulate single-bump decay quantities; "
+    p = command("lemma", _cmd_lemma, "tabulate single-bump decay quantities; "
                                      "CSV columns: n, sup_value, sup_laplacian, sup_grad_sq, "
                                      "carl_laplacian, carl_grad_sq, and the two closed-form bounds")
     p.add_argument("powers", type=int, nargs="+", help="bump powers to tabulate")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_lemma)
 
-    p = sub.add_parser("curvature", help="sample both curvatures on a radial grid; "
-                                         "CSV columns: r, kappa_reference, kappa_weighted, "
-                                         "difference, difference_gap_sq")
-    p.add_argument("config", help="path to config JSON")
+    p = command("curvature", _cmd_curvature, "sample both curvatures on a radial grid; "
+                                             "CSV columns: r, kappa_reference, kappa_weighted, "
+                                             "difference, difference_gap_sq", config=True)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--rmax", type=float, default=0.999)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_curvature)
 
-    p = sub.add_parser("orbit", help="norms along the adjoint orbit of the first basis "
-                                     "vector; CSV columns: n, orbit_norm")
-    p.add_argument("config", help="path to config JSON")
+    p = command("orbit", _cmd_orbit, "norms along the adjoint orbit of the first basis "
+                                     "vector; CSV columns: n, orbit_norm", config=True)
     p.add_argument("n_max", type=int, help="largest orbit power")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_orbit)
 
-    p = sub.add_parser("weights", help="dump the weight sequence; CSV columns: n, weight")
-    p.add_argument("config", help="path to config JSON")
+    p = command("weights", _cmd_weights, "dump the weight sequence; CSV columns: n, weight",
+                config=True)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_weights)
 
+    for p in sub.choices.values():  # last, as each --help lists it
+        p.add_argument("--out", default=".")
     return parser
 
 
@@ -336,7 +315,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.time()
     try:
-        status, files, params, config_path, done = args.func(args)
+        config_path = getattr(args, "config", None)
+        config = (None if config_path is None
+                  else ConstructionConfig.from_json(Path(config_path).read_text()))
+        status, files, params, done = args.func(args, config)
+        if config is not None:
+            params = {"config": config.to_dict(), **params}
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         outputs = []
@@ -361,13 +345,10 @@ def main(argv=None) -> int:
         if done:
             print(done)
         return status
-    except (InfeasibleConstructionError, TruncationError, DecompositionMismatchError) as exc:
+    except RuntimeError as exc:  # every numerical error of the package derives from it
         print(f"numerical infeasibility: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except MemoryError as exc:

@@ -665,7 +665,9 @@ def delta_for_epsilon(epsilon: float) -> float:
 
     Not proven sufficient: with every ratio row at its threshold, verify's
     corollary rows read delta/(1-delta) + delta/(1-delta)^2, at most eps only
-    up to eps of about 1.44 (3 at eps = 2); each run is checked by them."""
+    up to eps of about 1.44 (3 at eps = 2); each run is checked by them.
+    The budget lies in (0, 1) for every such eps: from eps = 2^53 on,
+    eps/(1+eps) rounds to 1, and the largest float below 1 is returned."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive and finite")
-    return min(epsilon / (1.0 + epsilon), epsilon / 4.0)
+    return min(epsilon / (1.0 + epsilon), epsilon / 4.0, math.nextafter(1.0, 0.0))

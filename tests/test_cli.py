@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 import hardyshift
 from hardyshift import cli, construction
 from hardyshift.construction import ConstructionConfig
-from hardyshift.search import MAX_POWER, InfeasibleConstructionError, TruncationError
+from hardyshift.search import (
+    MAX_POWER,
+    InfeasibleConstructionError,
+    TruncationError,
+    delta_for_epsilon,
+)
 from hardyshift.weights import WeightSequence
 
 
@@ -90,6 +95,16 @@ def test_every_manifest_lists_the_bytes_on_disk(constructed, tmp_path, argv, nam
         data = (out / entry["name"]).read_bytes()
         assert entry == {"name": entry["name"], "bytes": len(data),
                          "sha256": hashlib.sha256(data).hexdigest()}
+    # main puts the config it read first, then the subcommand's own keys
+    own = {"construct": ["alpha", "delta", "epsilon", "K", "rmax", "tol"],
+           "verify": ["epsilon", "seed"], "lemma": ["powers"], "curvature": ["points", "rmax"],
+           "orbit": ["n_max"], "weights": ["n_max"]}[argv[0]]
+    params = manifest["parameters"]
+    if manifest["config_path"] is None:
+        assert list(params) == own
+    else:
+        assert list(params) == ["config", *own]
+        assert params["config"] == ConstructionConfig.from_json(Path(config).read_text()).to_dict()
 
 
 @pytest.mark.parametrize("argv", [
@@ -707,8 +722,8 @@ def test_unknown_subcommand_exits_with_input_error():
     assert info.value.code == 3
 
 
-def test_exit_code_for_unconverged_root_search(tmp_path, monkeypatch):
-    # root searches that do not converge are a numerical failure, not a
+def test_exit_code_for_unconverged_root_search(tmp_path, monkeypatch, capsys):
+    # root searches that do not converge are numerical infeasibility, not a
     # crash: the spike search reaches brentq through the lemma's sups
     from hardyshift import search
     from hardyshift.search import RootNotConvergedError
@@ -720,6 +735,32 @@ def test_exit_code_for_unconverged_root_search(tmp_path, monkeypatch):
     monkeypatch.setattr(search, "brentq", unconverged)
     assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "1",
                      "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith("numerical infeasibility: brentq")
+
+
+def test_exit_code_for_curvature_routes_that_disagree(constructed, tmp_path, monkeypatch,
+                                                      capsys):
+    # the route check raises a plain RuntimeError, which main reports as
+    # every other numerical error of the package
+    from hardyshift import spectral
+
+    def disagree(*args, **kwargs):
+        raise RuntimeError("curvature routes disagree at r=0.5")
+
+    monkeypatch.setattr(spectral, "curvature_difference", disagree)
+    out = tmp_path / "out"
+    assert cli.main(["curvature", str(constructed / "config.json"), "--points", "50",
+                     "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("numerical infeasibility: curvature routes")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", [2.0 ** 53, 1e16, 1e300])
+def test_construct_accepts_an_epsilon_whose_quotient_rounds_to_one(tmp_path, epsilon):
+    # eps/(1+eps) rounds to 1 from eps = 2^53 on; the budget stays below 1
+    assert 0.0 < delta_for_epsilon(epsilon) < 1.0
+    assert cli.main(["construct", "--alpha", "1", "--epsilon", repr(epsilon), "--K", "2",
+                     "--out", str(tmp_path)]) == 0
 
 
 FOOTPRINT = """
