@@ -13,8 +13,9 @@ Seven parts, each run on both checkouts with this same script:
   has alpha 1), and `construct --alpha 100 --delta 0.5 --K 8` and
   `verify --epsilon 2` on the starts it selects (spike terms with
   differences that round to exactly 0), and the error paths
-  `curvature --points 1`, `weights --n-max -1` (both on the alpha 0.6
-  config), `verify` on a missing file, `construct --alpha 1 --epsilon
+  `curvature --points 1`, `weights --n-max -1` and `weights --n-max
+  10^20` (all on the alpha 0.6 config), `verify` on a missing file and
+  on a config nested 200,000 arrays deep, `construct --alpha 1 --epsilon
   1e16 --K 2`, and `verify --epsilon 2` and `curvature` on the alpha 0.6,
   starts (2, 26, 103), tol 1e-17 config (exit 4), run once per
   checkout; the exit code, stdout, stderr (with the --out and work
@@ -337,7 +338,11 @@ def identity_commands(change: Path, work: Path) -> dict[str, list[str]]:
     config = str(work / "alpha0.6_k6.json")
     commands["curvature-points1"] = ["curvature", config, "--points", "1"]
     commands["weights-n-max-1"] = ["weights", config, "--n-max", "-1"]
+    commands["weights-n-max-1e20"] = ["weights", config, "--n-max", str(10 ** 20)]
     commands["verify-absent"] = ["verify", str(work / "absent.json")]
+    nested = work / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    commands["verify-nested"] = ["verify", str(nested)]
     commands["construct-epsilon1e16-K2"] = ["construct", "--alpha", "1", "--epsilon", "1e16",
                                             "--K", "2"]
     tight = work / "alpha0.6_k3_tol1e-17.json"

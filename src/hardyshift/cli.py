@@ -34,14 +34,18 @@ and the config itself first among the parameters, and prints the text.
 A subcommand computes every value before it returns, so a command that
 fails before it returns leaves no --out directory and prints nothing on
 stdout, while verify's exit 2 or 4, which it returns after measuring,
-still writes its files.  The manifest's elapsed_seconds runs from the
-parsed arguments to the manifest, the config's read and the subcommand's
-lazy imports included.
+still writes its files; for a row that is not finite its status is a
+NumericalInfeasibility, which main raises once the files and stdout are
+written.  Only main, through its argument parser too, writes to stderr.
+The manifest's elapsed_seconds runs from the parsed arguments to the
+manifest, the config's read and the subcommand's lazy imports included.
 
 Exit codes: 0 success, 2 a measured condition failed its threshold,
-3 bad input (a table too large for memory included), 4 numerical
-infeasibility: every RuntimeError of the package (truncation or search
-cap, unconverged root search, route disagreement).
+3 bad input (a table too large for memory and a config nested too deep
+included), 4 numerical infeasibility: NumericalInfeasibility and its
+subclasses (truncation or search cap, unconverged root search or
+quadrature, route disagreement, a row that is not finite).  Any other
+exception is a fault of the program: its traceback and exit 1.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from . import __version__
 from .search import (
     ConstructionConfig,
     Decay,
+    NumericalInfeasibility,
     lemma_bounds,
     bump_gradient_sq_carleson_bound,
     bump_laplacian_carleson_bound,
@@ -176,9 +181,8 @@ def _cmd_verify(args, config):
     }
     code = EXIT_OK if all_passed else EXIT_CONDITION_FAILED
     unmeasured = [c.condition for c in conditions if not math.isfinite(c.measured)]
-    if unmeasured:
-        print(f"numerical infeasibility: not finite: {', '.join(unmeasured)}", file=sys.stderr)
-        code = EXIT_NUMERICAL
+    if unmeasured:  # main raises it once the measured rows are written
+        code = NumericalInfeasibility(f"not finite: {', '.join(unmeasured)}")
     return code, files, {"epsilon": args.epsilon, "seed": args.seed}, "\n".join(lines)
 
 
@@ -344,11 +348,13 @@ def main(argv=None) -> int:
         (out / f"{args.command}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
         if done:
             print(done)
+        if isinstance(status, NumericalInfeasibility):
+            raise status
         return status
-    except RuntimeError as exc:  # every numerical error of the package derives from it
+    except NumericalInfeasibility as exc:
         print(f"numerical infeasibility: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except MemoryError as exc:

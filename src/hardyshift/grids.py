@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .search import brentq
+from .search import NumericalInfeasibility, brentq
 
 _POLISH_POINTS = 33  # samples per bracket and polish step; each step shrinks a bracket 16-fold
 _POLISH_XATOL = 1e-13  # brackets narrower than this are final
@@ -76,7 +76,7 @@ _G10_WEIGHTS = np.array([
 ])
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalInfeasibility):
     """Adaptive quadrature did not reach its tolerance on a window."""
 
 

@@ -46,11 +46,16 @@ _BRENT_RTOL = 4.0 * sys.float_info.epsilon  # the smallest rtol scipy's brentq a
 _BRENT_MAXITER = 100  # scipy's default
 
 
-class InfeasibleConstructionError(RuntimeError):
+class NumericalInfeasibility(RuntimeError):
+    """The base of the package's numerical errors, exit 4 of the command line:
+    a cap, a tolerance or a check the numerics could not meet on this input."""
+
+
+class InfeasibleConstructionError(NumericalInfeasibility):
     """No admissible spike position found below the search cap."""
 
 
-class TruncationError(RuntimeError):
+class TruncationError(NumericalInfeasibility):
     """A requested tolerance needs more series terms than the configured cap."""
 
     def __init__(self, message: str, required_order: int):
@@ -58,7 +63,7 @@ class TruncationError(RuntimeError):
         self.required_order = required_order
 
 
-class DecompositionMismatchError(RuntimeError):
+class DecompositionMismatchError(NumericalInfeasibility):
     """The sparse kernel ratio f misses (1-s) K by more than tol on r <= r_max.
 
     The bound sum_n |f_n - (1/w_n - 1/w_{n-1})| r_max^{2n} exceeds tol when the
@@ -66,7 +71,7 @@ class DecompositionMismatchError(RuntimeError):
     """
 
 
-class RootNotConvergedError(RuntimeError):
+class RootNotConvergedError(NumericalInfeasibility):
     """brentq used up its iterations before the bracket met the tolerance."""
 
 
@@ -657,7 +662,11 @@ class ConstructionConfig(_ConfigFields):
 
     @classmethod
     def from_json(cls, text: str) -> "ConstructionConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:  # json's decoder on arrays or objects nested too deep
+            raise ValueError(f"config JSON nests too deeply: {exc}") from None
+        return cls.from_dict(data)
 
 
 def delta_for_epsilon(epsilon: float) -> float:

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .search import TruncationError
+from .search import NumericalInfeasibility, TruncationError
 from .search import deficit_coefficients, spike_kernel_term, spike_ratio_term  # noqa: F401
 from .search import kernel_ratio_terms
 from .series import RadialSeries, truncation_order
@@ -165,7 +165,7 @@ def curvature_difference(weights: WeightSequence, r, r_max: float = 0.999,
     bad = np.abs(a - b) > 1e-6 * (np.abs(a) + np.abs(b)) + floor
     if np.any(bad):
         i = int(np.argmax(np.abs(a - b)))
-        raise RuntimeError(
+        raise NumericalInfeasibility(
             f"curvature routes disagree at r={r_arr[i]}: ratio route {a[i]}, "
             f"direct route {b[i]}"
         )

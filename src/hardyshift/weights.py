@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
@@ -123,6 +124,8 @@ class WeightSequence:
         """
         if n0 < 0 or n1 < n0:
             raise ValueError("need 0 <= n0 <= n1")
+        if n1 - n0 > sys.maxsize:  # [1.0] * n raised OverflowError past a list's largest length
+            raise MemoryError
         out = [1.0] * (n1 - n0)
         for sp in self.spikes:
             lo, hi = max(sp.start, n0), min(sp.end, n1 - 1)

@@ -10,6 +10,7 @@ import fraction_oracles
 import mpmath
 import numpy as np
 import pytest
+import runs_oracles
 from conftest import K16_STARTS, SMALL_DELTA_K8, spiked_layouts
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,7 @@ from hardyshift.carleson import (_TINY, TWO_PI, SeriesGapDensity, _block, _block
                                  gradient_sq_mass, tail_ratio, term_decay)
 from hardyshift.construction import verify_f_conditions
 from hardyshift.grids import QuadratureError, _root_scan_grid, sign_roots
-from hardyshift.search import MAX_POWER, Terms, spike_ratio_term
+from hardyshift.search import MAX_POWER, Terms, _integer_coefficients, spike_ratio_term
 from hardyshift.series import RadialSeries
 from hardyshift.spectral import kernel_ratio_series
 from hardyshift.weights import SpikeSpec
@@ -554,6 +555,24 @@ def integer_runs(draw):
             e += 1
         e += draw(st.integers(1, 2 * e))
     return terms
+
+
+# the integer terms of one spike's ratio term and of its Laplacian, by half width
+SPIKE_TERMS = {h: _integer_coefficients(spike_ratio_term(1.0, SpikeSpec(h * h, h)))[0]
+               for h in (8, 32, 100)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(terms=integer_runs())
+@example(terms=[])
+@example(terms=[(5, -7)])
+@example(terms=[(0, 0), (1, 0), (2, 0), (9, 0), (10, 0)])
+@example(terms=SPIKE_TERMS[8])
+@example(terms=SPIKE_TERMS[32])
+@example(terms=SPIKE_TERMS[100])
+@example(terms=[(e - 1, e * e * n) for e, n in SPIKE_TERMS[100]])
+def test_runs_match_the_binomial_expansion(terms):
+    assert _runs(terms) == runs_oracles.runs(terms)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

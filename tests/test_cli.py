@@ -21,6 +21,7 @@ from hardyshift.construction import ConstructionConfig
 from hardyshift.search import (
     MAX_POWER,
     InfeasibleConstructionError,
+    NumericalInfeasibility,
     TruncationError,
     delta_for_epsilon,
 )
@@ -303,6 +304,16 @@ def test_config_that_is_not_an_object_is_input_error(tmp_path, capsys, text):
                  ["orbit", str(config), "130"], ["weights", str(config)]):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 3, argv
         assert capsys.readouterr().err.startswith("input error: config must be a JSON object")
+
+
+@pytest.mark.parametrize("command", ["weights", "verify"])
+def test_config_nested_too_deep_is_input_error(tmp_path, capsys, command):
+    # json's decoder raised RecursionError, which main reported as exit 4
+    config = tmp_path / "config.json"
+    config.write_text("[" * 200_000 + "]" * 200_000)
+    assert cli.main([command, str(config), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("input error: config JSON nests too deeply")
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_rejects_starts_past_the_search_cap(tmp_path, capsys):
@@ -615,6 +626,12 @@ def test_numerical_errors_are_the_core_exceptions(constructed, tmp_path, monkeyp
     assert cli.main(["verify", str(constructed / "config.json"),
                      "--out", str(tmp_path)]) == 4
     assert "numerical infeasibility" in capsys.readouterr().err
+    # main catches their base alone, which library callers may still catch as RuntimeError
+    from hardyshift.grids import QuadratureError
+    assert all(issubclass(error, search.NumericalInfeasibility) for error in (
+        search.InfeasibleConstructionError, search.TruncationError,
+        search.DecompositionMismatchError, search.RootNotConvergedError, QuadratureError))
+    assert issubclass(search.NumericalInfeasibility, RuntimeError)
 
 
 def test_exit_code_for_a_measurement_that_is_not_finite(constructed, tmp_path, monkeypatch,
@@ -638,6 +655,13 @@ def test_exit_code_for_a_measurement_that_is_not_finite(constructed, tmp_path, m
     _, rows = read_csv(tmp_path / "conditions.csv")
     assert [rows[3][i] for i in (0, 2, 4)] == ["laplacian_carleson", "nan", "false"]
     assert (tmp_path / "verify_manifest.json").exists()
+    # with an --out that cannot be made, no row is written and the input
+    # error is the one message: verify printed its own exit-4 line before it
+    (tmp_path / "notadir").write_text("")
+    assert cli.main(["verify", str(constructed / "config.json"),
+                     "--out", str(tmp_path / "notadir" / "sub")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
 def test_exit_code_for_a_theorem_row_that_is_not_finite(constructed, tmp_path, monkeypatch,
@@ -690,9 +714,12 @@ def test_exit_code_for_a_table_too_large_for_memory(constructed, tmp_path, monke
 
 
 @pytest.mark.parametrize("command", [["weights", "{config}", "--n-max", str(2 ** 62)],
-                                     ["orbit", "{config}", str(2 ** 62)]])
+                                     ["orbit", "{config}", str(2 ** 62)],
+                                     ["weights", "{config}", "--n-max", str(2 ** 63)],
+                                     ["orbit", "{config}", str(2 ** 63)]])
 def test_exit_code_for_a_list_too_large_for_memory(constructed, tmp_path, command, capsys):
-    # a list of 2^62 weights fails its size check before it touches memory
+    # a list of 2^62 weights fails its size check before it touches memory;
+    # past sys.maxsize, [1.0] * n raised OverflowError, a traceback and exit 1
     config = str(constructed / "config.json")
     argv = [config if a == "{config}" else a for a in command]
     assert cli.main([*argv, "--out", str(tmp_path)]) == 3
@@ -740,18 +767,51 @@ def test_exit_code_for_unconverged_root_search(tmp_path, monkeypatch, capsys):
 
 def test_exit_code_for_curvature_routes_that_disagree(constructed, tmp_path, monkeypatch,
                                                       capsys):
-    # the route check raises a plain RuntimeError, which main reports as
+    # the route check raises the base class itself, which main reports as
     # every other numerical error of the package
     from hardyshift import spectral
 
     def disagree(*args, **kwargs):
-        raise RuntimeError("curvature routes disagree at r=0.5")
+        raise NumericalInfeasibility("curvature routes disagree at r=0.5")
 
     monkeypatch.setattr(spectral, "curvature_difference", disagree)
     out = tmp_path / "out"
     assert cli.main(["curvature", str(constructed / "config.json"), "--points", "50",
                      "--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith("numerical infeasibility: curvature routes")
+    assert not out.exists()
+
+
+FAULT = """
+import sys
+from hardyshift import cli, search
+
+
+def fault(*args):
+    {body}
+
+
+search.select_spike_positions = fault
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("body, error", [("raise NotImplementedError('a program bug')",
+                                          "NotImplementedError: a program bug"),
+                                         ("return fault(*args)", "RecursionError")],
+                         ids=["NotImplementedError", "RecursionError"])
+def test_a_program_fault_is_a_traceback_and_exit_1(tmp_path, body, error):
+    # Python's own RuntimeErrors are no numerical infeasibility: main let
+    # them through as exit 4, a fault reported as a property of the input
+    src = str(Path(hardyshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", FAULT.format(body=body), "construct", "--alpha",
+                           "1", "--delta", "0.5", "--K", "1", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Traceback") and error in proc.stderr
+    assert "numerical infeasibility" not in proc.stderr and proc.stdout == ""
     assert not out.exists()
 
 
