@@ -557,7 +557,7 @@ def integer_runs(draw):
     return terms
 
 
-# the integer terms of one spike's ratio term and of its Laplacian, by half width
+# the integer terms of one spike's ratio term, by half width
 SPIKE_TERMS = {h: _integer_coefficients(spike_ratio_term(1.0, SpikeSpec(h * h, h)))[0]
                for h in (8, 32, 100)}
 

@@ -801,8 +801,8 @@ sys.exit(cli.main(sys.argv[1:]))
                                          ("return fault(*args)", "RecursionError")],
                          ids=["NotImplementedError", "RecursionError"])
 def test_a_program_fault_is_a_traceback_and_exit_1(tmp_path, body, error):
-    # Python's own RuntimeErrors are no numerical infeasibility: main let
-    # them through as exit 4, a fault reported as a property of the input
+    # Python's own RuntimeErrors are no numerical infeasibility: main caught
+    # them as exit 4, a fault reported as a property of the input
     src = str(Path(hardyshift.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = tmp_path / "out"
