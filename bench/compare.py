@@ -53,7 +53,12 @@ Seven parts, each run on both checkouts with this same script:
   on the frozen K = 8 and K = 4, delta 1e-3 configs, and
   `carleson._block_roots` over every block list `term_decay` scans for
   f - 1 and for the last spike's term (Laplacian and slope blocks) on the
-  frozen K = 8 and K = 32 configs; same fresh interpreters and alternation;
+  frozen K = 8 and K = 32 configs, and on the frozen K = 8 config the
+  table layers of the `tables` workload's sizes: `cli._csv` of the
+  200,001-row weights table, its chunks joined (`csv_weights`), and
+  `orbit_norms` of e_0 up to n = 20,000 (`orbit_norms`), each recording
+  as its result the sha256 of its text or of its norms' `float.hex`;
+  same fresh interpreters and alternation;
 * for each in-process job, whether the two sides return the same
   `result` and `lemma_misses`, and each job where they do not, printed:
   this catches a plan start that moves at K = 24 or 32, or at delta
@@ -136,7 +141,7 @@ PLAN_CALLS = 10  # plan calls per timed loop, each with a cold lemma cache
 # layer timings: calls per timed loop
 LAYER_CALLS = {"eval_1pt": 20000, "eval_1000pt": 2000, "ratio_log_laplacian_1pt": 5000,
                "gradient_sq_mass": 50, "term_decay": 20, "kernel_ratio": 20,
-               "block_roots": 10}
+               "block_roots": 10, "csv_weights": 20, "orbit_norms": 100}
 # up to MAX_POWER = 2^40 + 2^21 - 1, the largest power the lemma accepts
 LEMMA_POWERS = ("1", "2", "10", "2248", "172510", "416216560", "1124756484",
                 str(2 ** 40 + 2 ** 21 - 1))
@@ -226,6 +231,7 @@ def layer(kind: str, key: str) -> None:
     config = ConstructionConfig(alpha=1.0, delta=delta, n_spikes=len(starts), spike_starts=starts)
     f = kernel_ratio_series(config.weights(), r_max=config.r_max, tol=config.tol)
     deviation = Terms(f.exponents[1:], f.coeffs[1:])
+    digest = None  # the bytes whose sha256 stands for a result too long to record
     if kind == "eval_1pt":
         call = lambda: f.eval(0.998)  # noqa: E731
     elif kind == "eval_1000pt":
@@ -245,9 +251,21 @@ def layer(kind: str, key: str) -> None:
         term_decay(spike_ratio_term(1.0, config.weights().spikes[-1]))
         carleson._block_roots = roots
         call = lambda: [u for blocks in scanned for u in roots(blocks)]  # noqa: E731
+    elif kind == "csv_weights":
+        from hardyshift.cli import _csv
+        w = config.weights().weight_range(0, 200_001)
+        call = lambda: "".join(_csv({"n": range(len(w)), "weight": w}))  # noqa: E731
+        digest = str.encode
+    elif kind == "orbit_norms":
+        from hardyshift.operators import orbit_norms
+        w = config.weights()
+        call = lambda: orbit_norms(w, [1.0], 20_000)  # noqa: E731
+        digest = lambda norms: "".join(map(float.hex, norms)).encode()  # noqa: E731
     else:
         call = lambda: [value for _, value in term_decay(deviation)]  # noqa: E731
     result = call()
+    if digest:
+        result = hashlib.sha256(digest(result)).hexdigest()
     n = LAYER_CALLS[kind]
     c0, t0 = time.process_time(), time.perf_counter()
     for _ in range(n):

@@ -26,7 +26,9 @@ text to print once the files are written: the config JSON of construct,
 the report lines of lemma, the condition lines of verify, the
 "wrote ..." line of a table command.  A CSV's chunks are its header and
 then blocks of _CSV_ROWS rows, each formatted only when main asks for
-it, so no table's text is held whole; a JSON file is one chunk.  main
+it, so no table's text is held whole; a column constant over a block,
+such as the 1.0 between the spikes of the orbit and weights tables, is
+formatted once for the block.  A JSON file is one chunk.  main
 makes the --out directory, opens each file once and writes its chunks,
 feeding one sha256 and one byte count as it goes, then writes
 <command>_manifest.json with those sizes and digests, the config path
@@ -95,24 +97,39 @@ def _csv(columns: dict[str, Sequence]) -> Iterator[str]:
     Each column is a list, a range or an array of one kind of value: int,
     float or str.  Its format is picked once, from the Python type of its
     first value (through tolist() for an array): %.17g for floats, %s
-    otherwise.  Each chunk slices every column, interleaves the slices into
-    one flat tuple and formats them with one %.
+    otherwise.  Each chunk slices every column.  A slice whose cells all
+    equal its first is constant: it is formatted once, into the chunk's
+    row template, with any % doubled.  A zero is constant only as an int
+    or a str, since the floats 0.0 and -0.0 are equal but print apart.
+    The other slices are interleaved into one flat tuple, and the
+    repeated template is filled with one %, which also undoes the
+    doubling where no column varies.
     """
     def cells(column, start, stop):
         part = column[start:stop]
         return part.tolist() if hasattr(part, "tolist") else list(part)
 
     values = list(columns.values())
-    width, rows = len(values), len(values[0]) if values else 0
+    rows = len(values[0]) if values else 0
     firsts = [cells(c, 0, 1) for c in values]
-    row = ",".join("%.17g" if f and isinstance(f[0], float) else "%s" for f in firsts) + "\n"
+    formats = ["%.17g" if f and isinstance(f[0], float) else "%s" for f in firsts]
     yield ",".join(columns) + "\n"
     for start in range(0, rows, _CSV_ROWS):
         parts = [cells(c, start, start + _CSV_ROWS) for c in values]
-        flat = [None] * (width * len(parts[0]))
-        for i, part in enumerate(parts):
-            flat[i::width] = part
-        yield row * len(parts[0]) % tuple(flat)
+        n = len(parts[0])
+        fields, varying = [], []
+        for fmt, part in zip(formats, parts):
+            first = part[0]
+            if (part[-1] == first and (first or isinstance(first, (int, str)))
+                    and part.count(first) == n):
+                fields.append((fmt % first).replace("%", "%%"))
+            else:
+                fields.append(fmt)
+                varying.append(part)
+        flat = [None] * (len(varying) * n)
+        for i, part in enumerate(varying):
+            flat[i::len(varying)] = part
+        yield (",".join(fields) + "\n") * n % tuple(flat)
 
 
 # ---------------------------------------------------------------------- #

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from itertools import islice, repeat
 from operator import mul, truediv
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -91,7 +92,10 @@ def orbit_norms(weights: WeightSequence, x, n_max: int) -> list[float]:
     ||T*^n x||^2 = sum_j |x_j|^2 w_{j+n}: the adjoint slides the
     coefficient profile up the weight sequence, so orbits trace the spike
     profile itself.  Each sum is a correctly rounded fsum; for x = e_0 it
-    is w_n itself, so the norm is sqrt(w_n) bit for bit.
+    is w_n itself, so the norm is sqrt(w_n) bit for bit.  The terms run in
+    one pass: coefficient j's products |x_j|^2 w_{j+n}, n = 0..n_max, are
+    one iterator, and zipping them gives each n its terms, so no Python
+    code runs per n.  An empty x has no terms: each norm is 0.0.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -99,9 +103,11 @@ def orbit_norms(weights: WeightSequence, x, n_max: int) -> list[float]:
     if not all(isinstance(c, numbers.Number) for c in coeffs):
         raise ValueError("coefficient vectors must be one dimensional")
     mags = [m * m for m in map(abs, coeffs)]
-    k = len(mags)
-    w = weights.weight_range(0, k + n_max)
-    return [math.sqrt(math.fsum(map(mul, mags, w[n:n + k]))) for n in range(n_max + 1)]
+    w = weights.weight_range(0, len(mags) + n_max)
+    terms = (zip(*(map(mul, repeat(m), islice(w, j, j + n_max + 1))
+                   for j, m in enumerate(mags)))
+             if mags else repeat((), n_max + 1))
+    return list(map(math.sqrt, map(math.fsum, terms)))
 
 
 # rounding slack of the band: the slopes are quotients of float weights

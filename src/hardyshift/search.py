@@ -571,6 +571,21 @@ def _check_sampling(r_max: float, tol: float) -> None:
         raise ValueError("tol must be positive and finite")
 
 
+def _json_kind(value) -> str:
+    """The JSON type of a decoded value, with the length of an array, a
+    string or an object: what a config error says in place of the value,
+    which can be as long as its file."""
+    if isinstance(value, list):
+        return f"an array of length {len(value)}"
+    if isinstance(value, str):
+        return f"a string of length {len(value)}"
+    if isinstance(value, dict):
+        return f"an object of length {len(value)}"
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    return "a number" if isinstance(value, (int, float)) else type(value).__name__
+
+
 class _ConfigFields(NamedTuple):
     alpha: float
     delta: float
@@ -643,7 +658,7 @@ class ConstructionConfig(_ConfigFields):
     @classmethod
     def from_dict(cls, data: dict) -> "ConstructionConfig":
         if not isinstance(data, dict):
-            raise ValueError(f"config must be a JSON object, got {data!r}")
+            raise ValueError(f"config must be a JSON object, got {_json_kind(data)}")
         keys = {"alpha", "delta", "K", "spike_starts", "r_max", "tol"}
         missing = keys - set(data)
         if missing:
@@ -653,7 +668,7 @@ class ConstructionConfig(_ConfigFields):
             raise ValueError(f"unexpected config keys: {sorted(extra)}")
         starts = data["spike_starts"]
         if not isinstance(starts, list):
-            raise ValueError(f"config spike_starts must be a list, got {starts!r}")
+            raise ValueError(f"config spike_starts must be an array, got {_json_kind(starts)}")
         return cls(alpha=data["alpha"], delta=data["delta"], n_spikes=data["K"],
                    spike_starts=tuple(starts), r_max=data["r_max"], tol=data["tol"])
 

@@ -1,6 +1,7 @@
 """Command line surface: files, determinism, exit codes."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import csv_oracles
 import numpy as np
 import pytest
 from conftest import K16_STARTS
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hardyshift
@@ -26,6 +27,14 @@ from hardyshift.search import (
     delta_for_epsilon,
 )
 from hardyshift.weights import WeightSequence
+
+
+def first_difference(new: str, old: str) -> tuple | None:
+    """(line number, new line, old line) of the first line at which two
+    texts differ, None for equal texts: a short failure message where
+    pytest's diff of two long texts takes minutes."""
+    pairs = enumerate(itertools.zip_longest(new.split("\n"), old.split("\n")))
+    return next(((i, a, b) for i, (a, b) in pairs if a != b), None)
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -306,6 +315,23 @@ def test_config_that_is_not_an_object_is_input_error(tmp_path, capsys, text):
         assert capsys.readouterr().err.startswith("input error: config must be a JSON object")
 
 
+def test_config_error_names_a_long_value_by_its_type(tmp_path, capsys):
+    # from_dict echoed the value whole: an array of 300,000 zeros gave a
+    # 900,048-byte stderr line
+    valid = {"alpha": 1, "delta": 0.5, "K": 2, "spike_starts": [3, 32], "r_max": 0.999,
+             "tol": 1e-9}
+    config = tmp_path / "config.json"
+    for data, message in (
+            ([0] * 300_000, "config must be a JSON object, got an array of length 300000"),
+            ({**valid, "spike_starts": "3, 32" * 50_000},
+             "config spike_starts must be an array, got a string of length 250000")):
+        config.write_text(json.dumps(data))
+        assert cli.main(["weights", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"input error: {message}\n" and len(err.encode()) < 200
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["weights", "verify"])
 def test_config_nested_too_deep_is_input_error(tmp_path, capsys, command):
     # json's decoder raised RecursionError, which main reported as exit 4
@@ -477,12 +503,30 @@ def test_csv_writer_matches_the_per_cell_writer(tmp_path):
         "0,-0,0.10000000000000001,1099511627776,a", "1,0,2.2250738585072014e-308,-1,"]
 
 
+@st.composite
+def csv_tables(draw):
+    """Equal-length int, float and text columns of up to 20 rows; a column
+    draws from a pool of one or two values half the time, so that whole
+    columns repeat a value, or two equal ones that print apart (0.0 and
+    -0.0 are frequent), and some tables vary in no column."""
+    rows = draw(st.integers(0, 20))
+
+    def column(values, frequent):
+        if draw(st.booleans()):
+            pool = st.one_of(st.sampled_from(frequent), values)
+            values = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=2)))
+        return draw(st.lists(values, min_size=rows, max_size=rows))
+
+    return (column(st.integers(), [0, 1]), column(st.floats(), [0.0, -0.0]),
+            column(st.text(alphabet="ab%s-0 ."), ["%", "100%"]))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(rows=st.lists(st.tuples(st.integers(), st.floats(), st.text(alphabet="ab%s-0 .")),
-                     max_size=20))
-def test_csv_writer_matches_the_per_cell_writer_on_random_tables(tmp_path_factory, rows):
+@given(table=csv_tables())
+@example(table=([1, 1], [0.5, 0.5], ["100%", "100%"]))  # no column varies
+def test_csv_writer_matches_the_per_cell_writer_on_random_tables(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("csv")
-    ints, floats, texts = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    ints, floats, texts = table
     columns = {"i": ints, "x": floats, "x_array": np.array(floats, dtype=float), "t": texts}
     (path / "new.csv").write_text("".join(cli._csv(columns)))
     csv_oracles.write_csv(path / "old.csv", columns)
@@ -504,6 +548,26 @@ def test_csv_chunks_join_to_the_per_cell_writer(tmp_path, rows):
     assert all(0 < c.count("\n") <= cli._CSV_ROWS for c in chunks[1:])
     csv_oracles.write_csv(tmp_path / "old.csv", columns)
     assert "".join(chunks) == (tmp_path / "old.csv").read_text()
+
+
+@pytest.mark.parametrize("rows", [cli._CSV_ROWS - 1, cli._CSV_ROWS + 1, 2 * cli._CSV_ROWS + 1])
+def test_csv_constant_chunks_match_the_per_cell_writer(tmp_path, rows):
+    # a column whose cells all equal over a chunk is formatted once per
+    # chunk; equal values that print apart, NaN and a literal % must not
+    # move a byte, whether the column stands alone or beside varying ones
+    spiky = [1.0] * rows
+    spiky[3:8] = [2.0, 4.0, 8.0, 4.0, 2.0]  # a weights-like column, spikes in chunk 0 only
+    zero = [0.0] * rows
+    zero[rows // 2] = -0.0
+    columns = {"n": range(rows), "weight": spiky, "weight_array": np.array(spiky),
+               "minus_zero": [-0.0] * rows, "zero": zero, "nan_shared": [math.nan] * rows,
+               "nan_distinct": [float("nan") for _ in range(rows)],
+               "inf": [math.inf] * rows, "percent": ["100%"] * rows}
+    for name, table in {"all": columns,
+                        **{name: {name: col} for name, col in columns.items()}}.items():
+        csv_oracles.write_csv(tmp_path / f"{name}.csv", table)
+        text = "".join(cli._csv(table))
+        assert first_difference(text, (tmp_path / f"{name}.csv").read_text()) is None, name
 
 
 def test_weights_manifest_digests_a_table_of_many_chunks(constructed, tmp_path):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import orbit_oracles
 import pytest
 from conftest import spiked_layouts
 from hypothesis import given, settings
@@ -129,6 +130,30 @@ def test_orbit_of_first_basis_vector_traces_spike_peaks():
 def test_orbit_of_first_basis_vector_is_the_root_of_each_weight(alpha):
     w = build_spiked_weights(alpha, (3, 32, 117))
     assert orbit_norms(w, [1.0], 130) == [math.sqrt(v) for v in w.weight_range(0, 131)]
+
+
+@st.composite
+def orbit_vectors(draw):
+    """A real or a complex vector of 0, 1, 2 or 9 coefficients; zeros are
+    frequent, and some vectors are all zero."""
+    n = draw(st.sampled_from([0, 1, 2, 9]))
+    values = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+    if draw(st.booleans()):
+        values = st.just(0.0)
+    if draw(st.booleans()):
+        values = st.builds(complex, values, values)
+    return draw(st.lists(values, min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weights=spiked_layouts(max_spikes=3, max_gap=10), x=orbit_vectors(),
+       n_max=st.sampled_from([0, 60]))
+def test_orbit_norms_match_the_per_n_loop(weights, x, n_max):
+    # the one-pass sums against the earlier slice-and-fsum loop, bit for bit
+    new = orbit_norms(weights, x, n_max)
+    old = orbit_oracles.orbit_norms(weights, x, n_max)
+    assert list(map(float.hex, new)) == list(map(float.hex, old))
+    assert len(new) == n_max + 1
 
 
 def test_orbit_norm_lower_bound_witness():
