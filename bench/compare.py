@@ -16,8 +16,11 @@ Seven parts, each run on both checkouts with this same script:
   `curvature --points 1`, `weights --n-max -1` and `weights --n-max
   10^20` (all on the alpha 0.6 config), `verify` on a missing file and
   on a config nested 200,000 arrays deep, `construct --alpha 1 --epsilon
-  1e16 --K 2`, and `verify --epsilon 2` and `curvature` on the alpha 0.6,
-  starts (2, 26, 103), tol 1e-17 config (exit 4), run once per
+  1e16 --K 2`, `verify --epsilon 2` and `curvature` on the alpha 0.6,
+  starts (2, 26, 103), tol 1e-17 config (exit 4), and the options that
+  only the parent may still accept, `construct --alpha 1 --delta 0.5
+  --K 2 --tol 1e-12` and `curvature --rmax 0.95` on the workloads' K = 3
+  config, run once per
   checkout; the exit code, stdout, stderr (with the --out and work
   paths normalised) and every output file must be byte-identical,
   manifests compared as JSON without `elapsed_seconds`; for each command
@@ -93,12 +96,17 @@ Seven parts, each run on both checkouts with this same script:
 
 Each side is identified by its commit and by `src_digest`, a sha256 over
 its `src/**/*.py` files, so the measured trees can be told apart even when
-one of them is uncommitted.
+one of them is uncommitted.  Every child runs in side_env, the caller's
+environment with the side's `src` on PYTHONPATH, and both `src` trees are
+byte-compiled with compileall before the first job: a tree that holds
+bytecode starts faster than one that does not, and under
+PYTHONDONTWRITEBYTECODE=1 a fresh clone never gets any.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import importlib.util
 import json
@@ -275,9 +283,14 @@ def layer(kind: str, key: str) -> None:
                       "result": result}))
 
 
+def side_env(checkout: Path) -> dict[str, str]:
+    """The environment of every child run on a checkout: the caller's, with
+    the checkout's src on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"))
+
+
 def run_child(checkout: Path, kind: str, key: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out = subprocess.run([sys.executable, __file__, "--child", kind, key], env=env,
+    out = subprocess.run([sys.executable, __file__, "--child", kind, key], env=side_env(checkout),
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -301,11 +314,10 @@ def cold_commands(work: Path, side: str, checkout: Path) -> dict[str, list[str]]
     small_delta = config_file(work / "k4_small_delta.json", delta, starts)
     cli = ["-m", "hardyshift.cli"]
     out = ["--out", str(work / "out")]
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     constructed = {k: work / side / f"k{k}" for k in (16, 32)}
     for k, path in constructed.items():
         subprocess.run([sys.executable, *cli, "construct", "--alpha", "1", "--delta", "0.5",
-                        "--K", str(k), "--out", str(path)], env=env,
+                        "--K", str(k), "--out", str(path)], env=side_env(checkout),
                        capture_output=True, check=True)
     return {"import": ["-c", "import hardyshift.cli"],
             "weights": [*cli, "weights", str(config), *out],
@@ -368,6 +380,10 @@ def identity_commands(change: Path, work: Path) -> dict[str, list[str]]:
                                  "r_max": 0.999, "tol": 1e-17}))
     commands["verify-tol1e-17"] = ["verify", str(tight), "--epsilon", "2"]
     commands["curvature-tol1e-17"] = ["curvature", str(tight)]
+    # options the parent may still accept: exit 0 there, 3 where they are gone
+    commands["construct-K2-tol1e-12"] = ["construct", "--alpha", "1", "--delta", "0.5",
+                                         "--K", "2", "--tol", "1e-12"]
+    commands["curvature-K3-rmax0.95"] = ["curvature", configs["{config:k3}"], "--rmax", "0.95"]
     return commands
 
 
@@ -453,9 +469,8 @@ def output_identity(sides: dict[str, Path]) -> dict:
             outs, ran = {}, {}
             for side, checkout in sides.items():
                 outs[side] = work / side / label
-                env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
                 proc = subprocess.run([sys.executable, "-m", "hardyshift.cli", *cmd,
-                                       "--out", str(outs[side])], env=env,
+                                       "--out", str(outs[side])], env=side_env(checkout),
                                       capture_output=True, text=True)
                 # the table commands print their output path, which differs by
                 # side, and an error names its input file under work
@@ -488,9 +503,8 @@ def run_cold(checkout: Path, args: list[str]) -> tuple[float, float, float, floa
     """Wall seconds, CPU seconds and peak RSS in MB of one fresh interpreter
     running args on the checkout's src, spawned by LAUNCHER, and the
     launcher's own high-water RSS in MB."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, *args], env=env,
-                         capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, *args],
+                         env=side_env(checkout), capture_output=True, text=True, check=True)
     code, wall, cpu, rss, floor = out.stdout.split()
     if int(code):
         raise subprocess.CalledProcessError(int(code), args, stderr=out.stderr)
@@ -500,8 +514,7 @@ def run_cold(checkout: Path, args: list[str]) -> tuple[float, float, float, floa
 def imported(checkout: Path, args: list[str]) -> set[str]:
     """Names of the modules one fresh interpreter running args on the
     checkout's src imports, read from its `-X importtime` report."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    err = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+    err = subprocess.run([sys.executable, "-X", "importtime", *args], env=side_env(checkout),
                          capture_output=True, text=True, check=True).stderr
     return {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
             if line.startswith("import time:")}
@@ -511,7 +524,8 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     out = subprocess.run([sys.executable, str(checkout / "hardybench" / "run.py"),
                           "--workload", workload, "--seed", str(seed),
                           "--seconds", str(seconds), "--trace", str(trace)],
-                         cwd=checkout, capture_output=True, text=True, check=True)
+                         cwd=checkout, env=side_env(checkout), capture_output=True, text=True,
+                         check=True)
     last = json.loads(out.stdout.strip().splitlines()[-1])
     return {"correct": last["correct"], "failed": last["failed"],
             "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
@@ -553,6 +567,9 @@ def main(argv=None) -> int:
         parser.error("--parent and --out are required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    for path in sides.values():  # the same bytecode state on both sides
+        if not compileall.compile_dir(path / "src", quiet=1):
+            raise SystemExit(f"compileall failed on {path / 'src'}")
 
     identity = output_identity(sides)
 
@@ -651,7 +668,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps({
         "script": "bench/compare.py",
         "settings": {"reps": REPS, "cold_reps": COLD_REPS, "pairs": PAIRS,
-                     "seconds": seconds},
+                     "seconds": seconds,
+                     "bytecode": "both src trees byte-compiled with compileall first"},
         "commits": {side: identify(path) for side, path in sides.items()},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count(), "loadavg_end": list(os.getloadavg())},

@@ -142,8 +142,7 @@ def _cmd_construct(args, _):
         delta = args.delta
     else:
         delta = delta_for_epsilon(args.epsilon)
-    config = ConstructionConfig.plan(args.alpha, delta, args.K,
-                                     r_max=args.rmax, tol=args.tol)
+    config = ConstructionConfig.plan(args.alpha, delta, args.K)
 
     # per-spike certificate: the gate bounds the search actually used, for
     # every metric but value_sup, which shares the laplacian_sup budget
@@ -157,7 +156,7 @@ def _cmd_construct(args, _):
     text = config.to_json()
     files = {"config.json": [text + "\n"], "certificate.csv": _csv(columns)}
     return EXIT_OK, files, {"alpha": args.alpha, "delta": delta, "epsilon": args.epsilon,
-                            "K": args.K, "rmax": args.rmax, "tol": args.tol}, text
+                            "K": args.K}, text
 
 
 def _cmd_verify(args, config):
@@ -225,12 +224,9 @@ def _cmd_lemma(args, _):
 
 
 def _cmd_curvature(args, config):
-    # checked before numpy's import, which a bad value need not pay
-    if not 0.0 < args.rmax < 1.0:
-        raise ValueError(f"--rmax must lie in (0, 1), got {args.rmax}")
-    if 1.0 - args.rmax == 1.0:
-        # the grid would end at u = -log2(1 - rmax) = 0
-        raise ValueError(f"--rmax must exceed 2**-54, got {args.rmax}: 1 - rmax rounds to 1")
+    # checked before numpy's import; the grid would end at u = -log2(1 - r_max) = 0
+    if 1.0 - config.r_max == 1.0:
+        raise ValueError("r_max must exceed 2**-54 for a curvature grid")
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
     weights = config.weights()
@@ -242,7 +238,7 @@ def _cmd_curvature(args, config):
     from .grids import boundary_refined_grid
     from .spectral import curvature_difference, curvature_samples
 
-    u_max = -np.log2(1.0 - args.rmax)
+    u_max = -np.log2(1.0 - config.r_max)
     grid = boundary_refined_grid(args.points, u_max)
     samples = curvature_samples(weights, grid)
     # route agreement spot check on a subsample, with the config's kernel-ratio check
@@ -252,7 +248,7 @@ def _cmd_curvature(args, config):
     gap_sq = samples.difference * (1.0 - samples.r) ** 2
     files = {"curvature.csv": _csv({**samples._asdict(), "difference_gap_sq": gap_sq})}
     done = f"wrote {len(grid)} curvature samples to {Path(args.out) / 'curvature.csv'}"
-    return EXIT_OK, files, {"points": args.points, "rmax": args.rmax}, done
+    return EXIT_OK, files, {"points": args.points}, done
 
 
 def _cmd_orbit(args, config):
@@ -299,8 +295,6 @@ def _build_parser() -> _Parser:
     budget.add_argument("--epsilon", type=float,
                         help="flatness level; mapped to delta = min(eps/(1+eps), eps/4)")
     p.add_argument("--K", type=int, required=True, dest="K", help="number of spikes, >= 0")
-    p.add_argument("--rmax", type=float, default=0.999, help="kernel-ratio check radius, in (0, 1)")
-    p.add_argument("--tol", type=float, default=1e-9, help="allowed kernel-ratio error on r <= rmax")
 
     p = command("verify", _cmd_verify, "measure flatness conditions for a config", config=True)
     p.add_argument("--epsilon", type=float, default=None,
@@ -317,7 +311,6 @@ def _build_parser() -> _Parser:
                                              "CSV columns: r, kappa_reference, kappa_weighted, "
                                              "difference, difference_gap_sq", config=True)
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--rmax", type=float, default=0.999)
 
     p = command("orbit", _cmd_orbit, "norms along the adjoint orbit of the first basis "
                                      "vector; CSV columns: n, orbit_norm", config=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -413,8 +414,10 @@ def spike_correction_thresholds(delta: float, k: int) -> Decay:
 
 
 def spike_budget(alpha: float, spike: SpikeSpec) -> float:
-    """Sum of |deficit coefficients| over the spike interior, < 2 half_width,
-    added in index order."""
+    """Sum of |deficit coefficients| over the spike interior, < 2 half_width:
+    c_1 .. c_h summed left to right, plus c_1 .. c_{h-1} summed again; the
+    interior's own order, c_1 .. c_h .. c_1, would round differently, and
+    every gate value and certificate.csv byte rests on these bits."""
     c = [abs(x) for x in deficit_coefficients(alpha, spike.half_width)]
     return _sum_in_order(c) + _sum_in_order(c[:-1])
 
@@ -484,7 +487,7 @@ def probe_and_predict(budget: float, thresholds: Decay, start: int) -> tuple[boo
 def _check_construction(alpha: float, delta: float, n_spikes: int) -> None:
     check_real(alpha=alpha, delta=delta)
     if isinstance(n_spikes, bool) or not isinstance(n_spikes, numbers.Integral):
-        raise ValueError(f"n_spikes must be an integer, got {n_spikes!r}")
+        raise ValueError(f"n_spikes must be an integer, got {reprlib.repr(n_spikes)}")
     if alpha <= 0 or not math.isfinite(alpha):
         raise ValueError("alpha must be positive and finite")
     if not 0.0 < delta < 1.0:
@@ -563,14 +566,6 @@ def select_spike_positions(alpha: float, delta: float, n_spikes: int) -> list[in
 # configuration
 
 
-def _check_sampling(r_max: float, tol: float) -> None:
-    check_real(r_max=r_max, tol=tol)
-    if not 0.0 < r_max < 1.0:
-        raise ValueError("r_max must lie in (0, 1)")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
-
-
 def _json_kind(value) -> str:
     """The JSON type of a decoded value, with the length of an array, a
     string or an object: what a config error says in place of the value,
@@ -607,7 +602,11 @@ class ConstructionConfig(_ConfigFields):
     def __new__(cls, alpha: float, delta: float, n_spikes: int, spike_starts: Sequence[int],
                 r_max: float = 0.999, tol: float = 1e-9):
         _check_construction(alpha, delta, n_spikes)
-        _check_sampling(r_max, tol)
+        check_real(r_max=r_max, tol=tol)
+        if not 0.0 < r_max < 1.0:
+            raise ValueError("r_max must lie in (0, 1)")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError("tol must be positive and finite")
         # plain Python numbers, so that to_json writes what from_json reads;
         # the weights reject non-integer starts and check ordering and gaps
         alpha = float(alpha)
@@ -626,12 +625,9 @@ class ConstructionConfig(_ConfigFields):
         return cls(*iterable)
 
     @classmethod
-    def plan(cls, alpha: float, delta: float, n_spikes: int,
-             r_max: float = 0.999, tol: float = 1e-9) -> "ConstructionConfig":
-        _check_sampling(r_max, tol)  # before the search, which does not read them
+    def plan(cls, alpha: float, delta: float, n_spikes: int) -> "ConstructionConfig":
         starts = select_spike_positions(alpha, delta, n_spikes)
-        return cls(alpha=alpha, delta=delta, n_spikes=n_spikes,
-                   spike_starts=tuple(starts), r_max=r_max, tol=tol)
+        return cls(alpha=alpha, delta=delta, n_spikes=n_spikes, spike_starts=tuple(starts))
 
     def weights(self) -> WeightSequence:
         return build_spiked_weights(self.alpha, self.spike_starts)
@@ -665,7 +661,7 @@ class ConstructionConfig(_ConfigFields):
             raise ValueError(f"missing config keys: {sorted(missing)}")
         extra = set(data) - keys
         if extra:
-            raise ValueError(f"unexpected config keys: {sorted(extra)}")
+            raise ValueError(f"unexpected config keys: {reprlib.repr(sorted(extra))}")
         starts = data["spike_starts"]
         if not isinstance(starts, list):
             raise ValueError(f"config spike_starts must be an array, got {_json_kind(starts)}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 import sys
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -147,7 +148,7 @@ def check_real(**values) -> None:
     """ValueError unless each value is a real number: numpy numbers are, bool and str not."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+            raise ValueError(f"{name} must be a real number, got {reprlib.repr(value)}")
 
 
 def build_spiked_weights(alpha: float, spike_starts: Sequence[int]) -> WeightSequence:
@@ -164,7 +165,7 @@ def build_spiked_weights(alpha: float, spike_starts: Sequence[int]) -> WeightSeq
     starts = tuple(spike_starts)
     for s in starts:
         if isinstance(s, bool) or not isinstance(s, numbers.Integral):
-            raise ValueError(f"spike starts must be integers, got {s!r}")
+            raise ValueError(f"spike starts must be integers, got {reprlib.repr(s)}")
     spikes = tuple(SpikeSpec(start=int(s), half_width=k + 1) for k, s in enumerate(starts))
     return WeightSequence(alpha=float(alpha), spikes=spikes)
 

@@ -42,6 +42,13 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
+def config_with(constructed: Path, path: Path, **change) -> Path:
+    """The constructed K = 3 config with these fields changed, written to path."""
+    data = json.loads((constructed / "config.json").read_text())
+    path.write_text(json.dumps({**data, **change}))
+    return path
+
+
 @pytest.fixture(scope="module")
 def constructed(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("construct")
@@ -106,8 +113,8 @@ def test_every_manifest_lists_the_bytes_on_disk(constructed, tmp_path, argv, nam
         assert entry == {"name": entry["name"], "bytes": len(data),
                          "sha256": hashlib.sha256(data).hexdigest()}
     # main puts the config it read first, then the subcommand's own keys
-    own = {"construct": ["alpha", "delta", "epsilon", "K", "rmax", "tol"],
-           "verify": ["epsilon", "seed"], "lemma": ["powers"], "curvature": ["points", "rmax"],
+    own = {"construct": ["alpha", "delta", "epsilon", "K"],
+           "verify": ["epsilon", "seed"], "lemma": ["powers"], "curvature": ["points"],
            "orbit": ["n_max"], "weights": ["n_max"]}[argv[0]]
     params = manifest["parameters"]
     if manifest["config_path"] is None:
@@ -121,12 +128,14 @@ def test_every_manifest_lists_the_bytes_on_disk(constructed, tmp_path, argv, nam
     ["construct", "--alpha", "1", "--delta", "0", "--K", "1"],
     ["verify", "{absent}"],
     ["lemma", "0"],
-    ["curvature", "{config}", "--rmax", "2"],
+    ["curvature", "{tiny_rmax}"],
     ["orbit", "{absent}", "40"],
     ["weights", "{config}", "--n-max", "-1"]])
 def test_a_command_that_fails_before_it_returns_makes_no_out_dir(constructed, tmp_path, argv):
     # main makes --out only to write what a subcommand returned
-    paths = {"{config}": str(constructed / "config.json"), "{absent}": str(tmp_path / "absent.json")}
+    tiny = config_with(constructed, tmp_path / "tiny.json", r_max=1e-300)
+    paths = {"{config}": str(constructed / "config.json"),
+             "{absent}": str(tmp_path / "absent.json"), "{tiny_rmax}": str(tiny)}
     out = tmp_path / "out"
     assert cli.main([*(paths.get(a, a) for a in argv), "--out", str(out)]) == 3
     assert not out.exists()
@@ -142,28 +151,6 @@ def test_construct_epsilon_maps_to_delta(tmp_path):
 def test_construct_rejects_zero_delta(tmp_path):
     assert cli.main(["construct", "--alpha", "1", "--delta", "0", "--K", "1",
                      "--out", str(tmp_path)]) == 3
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_construct_rejects_non_finite_tol(tmp_path, tol):
-    assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "1",
-                     "--tol", tol, "--out", str(tmp_path)]) == 3
-    assert not (tmp_path / "config.json").exists()
-
-
-@pytest.mark.parametrize("option", [["--tol", "nan"], ["--rmax", "1.5"]])
-def test_construct_rejects_bad_sampling_before_the_search(tmp_path, monkeypatch, option):
-    # the spike search does not read r_max or tol; a bad value used to be
-    # rejected only after a whole search (1.6 s at K = 6)
-    from hardyshift import search
-
-    def searched(*args, **kwargs):
-        raise AssertionError("the spike search ran")
-
-    monkeypatch.setattr(search, "select_spike_positions", searched)
-    assert cli.main(["construct", "--alpha", "1", "--delta", "0.5", "--K", "6", *option,
-                     "--out", str(tmp_path)]) == 3
-    assert not (tmp_path / "config.json").exists()
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
@@ -317,14 +304,22 @@ def test_config_that_is_not_an_object_is_input_error(tmp_path, capsys, text):
 
 def test_config_error_names_a_long_value_by_its_type(tmp_path, capsys):
     # from_dict echoed the value whole: an array of 300,000 zeros gave a
-    # 900,048-byte stderr line
+    # 900,048-byte stderr line; the value checks print a bounded repr, where
+    # K as that array gave 900,047 bytes and 100,000 extra keys 988,928
     valid = {"alpha": 1, "delta": 0.5, "K": 2, "spike_starts": [3, 32], "r_max": 0.999,
              "tol": 1e-9}
+    long, cut = "1" * 300_000, "'" + "1" * 12 + "..." + "1" * 13 + "'"
     config = tmp_path / "config.json"
     for data, message in (
             ([0] * 300_000, "config must be a JSON object, got an array of length 300000"),
             ({**valid, "spike_starts": "3, 32" * 50_000},
-             "config spike_starts must be an array, got a string of length 250000")):
+             "config spike_starts must be an array, got a string of length 250000"),
+            ({**valid, "K": [0] * 300_000},
+             "n_spikes must be an integer, got [0, 0, 0, 0, 0, 0, ...]"),
+            ({**valid, "alpha": long}, f"alpha must be a real number, got {cut}"),
+            ({**valid, "spike_starts": [3, long]}, f"spike starts must be integers, got {cut}"),
+            ({**valid, **{f"x{i}": 0 for i in range(100_000)}},
+             "unexpected config keys: ['x0', 'x1', 'x10', 'x100', 'x1000', 'x10000', ...]")):
         config.write_text(json.dumps(data))
         assert cli.main(["weights", str(config), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
@@ -392,12 +387,14 @@ def test_lemma_accepts_powers_up_to_the_search_range_only(tmp_path, capsys):
 
 
 def test_curvature_table_on_flat_weights(tmp_path):
+    from hardyshift.grids import boundary_refined_grid
+
+    # the grid ends at the config's r_max
     config = {"alpha": 1.0, "delta": 0.5, "K": 0, "spike_starts": [],
-              "r_max": 0.999, "tol": 1e-9}
+              "r_max": 0.95, "tol": 1e-9}
     path = tmp_path / "flat.json"
     path.write_text(json.dumps(config))
-    assert cli.main(["curvature", str(path), "--points", "50", "--rmax", "0.95",
-                     "--out", str(tmp_path)]) == 0
+    assert cli.main(["curvature", str(path), "--points", "50", "--out", str(tmp_path)]) == 0
     header, rows = read_csv(tmp_path / "curvature.csv")
     assert header == ["r", "kappa_reference", "kappa_weighted", "difference",
                       "difference_gap_sq"]
@@ -408,17 +405,22 @@ def test_curvature_table_on_flat_weights(tmp_path):
         assert weighted == pytest.approx(ref, rel=1e-9)
         assert abs(diff) <= 1e-9 * ref
     assert float(rows[0][0]) == 0.0 and float(rows[0][2]) == pytest.approx(1.0, rel=1e-12)
+    assert float(rows[-1][0]) == boundary_refined_grid(50, -np.log2(1.0 - 0.95))[-1]
+    assert len(rows) == 50
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rmax", ["0", "1", "1.5", "nan", "1e-300", "5e-324"])
 def test_curvature_rejects_rmax_outside_unit_interval(constructed, tmp_path, capsys, rmax):
-    # 1e-300 and 5e-324 lie in (0, 1), but 1 - rmax rounds to 1 and the
-    # grid would be empty; both messages name the option
-    assert cli.main(["curvature", str(constructed / "config.json"), "--rmax", rmax,
-                     "--out", str(tmp_path)]) == 3
-    assert "--rmax must" in capsys.readouterr().err
-    assert not (tmp_path / "curvature.csv").exists()
+    # the config rejects an r_max outside (0, 1); 1e-300 and 5e-324 lie in
+    # it, but 1 - r_max rounds to 1 and the grid would be empty
+    config = config_with(constructed, tmp_path / "config.json", r_max=float(rmax))
+    out = tmp_path / "out"
+    assert cli.main(["curvature", str(config), "--out", str(out)]) == 3
+    message = ("r_max must exceed 2**-54 for a curvature grid" if rmax in ("1e-300", "5e-324")
+               else "r_max must lie in (0, 1)")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("points", ["0", "1", "-3"])
@@ -982,13 +984,15 @@ def test_commands_but_curvature_load_no_numpy(tmp_path):
 
 
 def test_curvature_rejects_bad_options_before_loading_numpy(constructed, tmp_path):
-    # a bad --rmax or --points exits 3 without paying numpy's import
+    # a config r_max outside (0, 1) or too small for a grid, or a bad
+    # --points, exits 3 without paying numpy's import
     config = str(constructed / "config.json")
+    bad = [str(config_with(constructed, tmp_path / f"r_max{i}.json", r_max=r_max))
+           for i, r_max in enumerate((2.0, 1e-300, 5e-324))]
     out = ["--out", str(tmp_path / "out")]
-    result = modules_added([(3, ["curvature", config, "--rmax", "2", *out]),
-                            (3, ["curvature", config, "--rmax", "1e-300", *out]),
+    result = modules_added([*((3, ["curvature", path, *out]) for path in bad),
                             (3, ["curvature", config, "--points", "1", *out])])
-    assert result["loaded"] == [[]] * 5
+    assert result["loaded"] == [[]] * 6
     assert not (tmp_path / "out").exists()
 
 

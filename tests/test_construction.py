@@ -512,6 +512,7 @@ def test_config_rejects_bad_payloads(standard_config):
     ({"n_spikes": 3}, "n_spikes must equal len(spike_starts)"),
     ({"spike_starts": (3, 2 ** 41)}, "spike starts must not exceed 1099511627776, "
                                      "got 2199023255552"),
+    ({"tol": math.inf}, "tol must be positive and finite"),
 ])
 def test_config_checks_name_the_fault(change, message):
     valid = dict(alpha=1.0, delta=0.5, n_spikes=2, spike_starts=(3, 32))
